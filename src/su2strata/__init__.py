@@ -5,7 +5,7 @@ sums, with a JSON-speaking command line on top.
 """
 
 from . import su2
-from .conventions import CONVENTION_TAGS, SCHEMA_VERSION, TOL, ToleranceLadder
+from .conventions import CONVENTION_TAGS, SCHEMA_VERSION
 from .cohomology import (CoefficientSystem, CohomologySummary, build_d0,
                          build_d1, cocycle_value, cohomology, full_system,
                          is_cocycle, pullback_cocycle, restrict_coefficients,
@@ -24,7 +24,7 @@ from .invariants import (CleanVerdict, HeegaardData, InvariantResult,
 from .presentations import (FoxDerivative, Presentation, Representation, Word,
                             circle_times_surface_group, commutator,
                             custom_group, cyclic_group, evaluate_images,
-                            evaluate_word, format_word, fox_derivative,
+                            format_word, fox_blocks, fox_derivative,
                             fox_jacobian_at, free_group, generator,
                             parse_word, polish_images, presentation_from_json,
                             presentation_to_json, relator_residual,
@@ -35,7 +35,7 @@ from .strata import (StratumLabel, boundary_fibre_values, classify_stratum,
                      sample_stratum, sample_surface_representation,
                      stratum_tangent_dim)
 from .symplectic import (fibre_tangent_basis, goldman_form, gram_matrix,
-                         trace_derivative)
+                         pairing_matrix, trace_derivative)
 from .torsion import (HalfDensityValue, MetricSequence, TorsionValue,
                       exactness_residual, mayer_vietoris_torsion,
                       sequence_torsion, stratum_volume)
@@ -49,19 +49,20 @@ __all__ = [
     "HalfDensityValue", "HeegaardData", "InputError", "InvariantResult",
     "MetricSequence", "ModuliPoint", "Presentation", "PresentationError",
     "RankAmbiguityError", "Representation", "ResidualError", "SamplingError",
-    "SCHEMA_VERSION", "StratumConflictError", "StratumLabel", "TOL",
-    "ToleranceLadder", "TorsionValue", "Word",
+    "SCHEMA_VERSION", "StratumConflictError", "StratumLabel",
+    "TorsionValue", "Word",
     "apply_value_table", "assemble_invariant", "boundary_fibre_values",
     "build_d0", "build_d1", "circle_times_surface_group",
     "classify_stratum", "clean_intersection_check", "cocycle_value",
     "cohomology", "commutator", "custom_group", "custom_points",
     "cyclic_group", "deduplicate_points", "enumerate_moduli",
-    "evaluate_images", "evaluate_word", "exactness_residual",
-    "fibre_tangent_basis", "find_conjugator", "format_word",
-    "fox_derivative", "fox_jacobian_at", "free_group", "full_system",
+    "evaluate_images", "exactness_residual", "fibre_tangent_basis",
+    "find_conjugator", "format_word", "fox_blocks", "fox_derivative",
+    "fox_jacobian_at", "free_group", "full_system",
     "generator", "goldman_form", "gram_matrix", "handlebody_representation",
     "heegaard_mv_torsion", "heegaard_representations", "is_cocycle",
-    "lens_heegaard", "mayer_vietoris_torsion", "parse_word",
+    "lens_heegaard", "mayer_vietoris_torsion", "pairing_matrix",
+    "parse_word",
     "polarization_map", "polish_images", "presentation_from_json",
     "presentation_to_json", "pullback_cocycle", "relator_residual",
     "representation_from_json", "representation_to_json",

@@ -29,7 +29,7 @@ from .presentations import (Presentation, Representation, free_group,
                             representation_from_json)
 from .strata import (classify_stratum, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
-from .symplectic import gram_matrix
+from .symplectic import pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
 
 
@@ -95,7 +95,7 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {e}") from None
 
 
-def _load_rep_file(path: str, tol: float, polish: bool):
+def _load_rep_file(path: str, polish: bool):
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
@@ -109,17 +109,11 @@ def _load_rep_file(path: str, tol: float, polish: bool):
         raise InputError("input needs 'presentation' and 'images'")
     try:
         pres = presentation_from_json(data["presentation"])
-        if polish:
-            # build without the residual gate, project, then gate
-            names = pres.generators
-            imgs = []
-            for name in names:
-                if name not in data["images"]:
-                    raise PresentationError(f"missing image for {name!r}")
-                imgs.append([float(v) for v in data["images"][name]])
-            imgs = polish_images(pres, np.array(imgs))
-            return Representation(pres, imgs)
-        return representation_from_json(data["images"], pres)
+        if not polish:
+            return representation_from_json(data["images"], pres)
+        # parse without the residual gate, project, then gate
+        rough = representation_from_json(data["images"], pres, tol=np.inf)
+        return Representation(pres, polish_images(pres, rough.images))
     except PresentationError as e:
         raise InputError(str(e)) from None
 
@@ -127,7 +121,7 @@ def _load_rep_file(path: str, tol: float, polish: bool):
 # -- handlers ----------------------------------------------------------
 
 def _cmd_classify(args) -> dict:
-    rep = _load_rep_file(args.input, args.tol, args.polish)
+    rep = _load_rep_file(args.input, args.polish)
     label = classify_stratum(rep, args.tol)
     summary = cohomology(rep, args.tol)
     result = {
@@ -145,7 +139,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_cohomology(args) -> dict:
-    rep = _load_rep_file(args.input, args.tol, args.polish)
+    rep = _load_rep_file(args.input, args.polish)
     if args.coefficients == "full":
         summary = cohomology(rep, args.tol)
     else:
@@ -205,29 +199,21 @@ def _cmd_symplectic_check(args) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, g, 7]))
     for s in range(args.samples):
         rep = sample_surface_representation(g, args.seed + s, args.tol)
-        summary = cohomology(rep, args.tol)
-        n = rep.presentation.num_generators
-        basis = [summary.basis_h1[:, c].reshape(n, 3)
-                 for c in range(summary.h1)]
-        G = gram_matrix(rep, basis)
+        basis_h1 = cohomology(rep, args.tol).basis_h1
+        W = pairing_matrix(rep)
+        G = basis_h1.T @ W @ basis_h1
         anti = max(anti, float(np.abs(G + G.T).max()))
         sv = np.linalg.svd(G, compute_uv=False)
         ranks.append(int(np.sum(sv > args.tol * max(1.0, sv[0]))))
         # coboundary directions must pair to zero against everything
         xi = rng.normal(size=3)
-        cobc = (build_d0(rep) @ xi).reshape(n, 3)
-        for b in basis:
-            cob = max(cob, abs(gram_matrix(rep, [cobc, b])[0, 1]))
-        # handlebody-locus tangents pass through the b -> 1 embedding
+        cobc = build_d0(rep) @ xi
+        cob = max(cob, float(np.abs(cobc @ W @ basis_h1).max()))
+        # handlebody-locus tangents pass through the b -> 1 embedding: the
+        # a-generator coordinates, the first 3g of the surface's 6g
         free_imgs = np.array([su2.random_element(rng) for _ in range(g)])
         hrep = handlebody_representation(Representation(free_pres, free_imgs))
-        pulled = []
-        for j in range(g):
-            for c in range(3):
-                u = np.zeros((2 * g, 3))
-                u[j, c] = 1.0
-                pulled.append(u)
-        GH = gram_matrix(hrep, pulled)
+        GH = pairing_matrix(hrep)[:3 * g, :3 * g]
         iso = max(iso, float(np.abs(GH).max()))
     result = {
         "genus": g,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import su2
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import Representation, Word, fox_derivative
+from .presentations import Representation, Word, fox_jacobian_at
 
 DEFAULT_TOL = 1e-8
 
@@ -108,23 +108,13 @@ def system_d0(sys: CoefficientSystem) -> np.ndarray:
 
 
 def system_d1(sys: CoefficientSystem) -> np.ndarray:
-    rep, k = sys.rep, sys.k
-    pres = rep.presentation
-    m = len(pres.relators)
-    out = np.zeros((m * k, sys.n * k))
-    for ri, r in enumerate(pres.relators):
-        prefix = su2.identity()
-        for s in r:
-            j = abs(s) - 1
-            img = rep.images[j]
-            if s > 0:
-                block = sys.basis.T @ su2.ad(prefix) @ sys.basis
-                prefix = su2.multiply(prefix, img)
-            else:
-                prefix = su2.multiply(prefix, su2.inverse(img))
-                block = -(sys.basis.T @ su2.ad(prefix) @ sys.basis)
-            out[ri * k:(ri + 1) * k, j * k:(j + 1) * k] += block
-    return out
+    """(mk x nk) relator differential: each 3x3 block of the full Fox
+    Jacobian compressed to basis^T block basis.  On an Ad-invariant
+    subspace that is the Fox Jacobian of the restricted action."""
+    J = fox_jacobian_at(sys.rep)
+    m, n, k = J.shape[0] // 3, sys.n, sys.k
+    rows = sys.basis.T @ J.reshape(m, 3, 3 * n)
+    return (rows.reshape(m * k, n, 3) @ sys.basis).reshape(m * k, n * k)
 
 
 def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarray:
@@ -262,18 +252,10 @@ def restrict_coefficients(rep: Representation, part: str,
     return system_cohomology(restricted_system(rep, part, tol), tol)
 
 
-def flat_to_cocycle(vec: np.ndarray, n: int, k: int = 3) -> np.ndarray:
-    return np.asarray(vec, dtype=float).reshape(n, k)
-
-
-def cocycle_to_flat(u: np.ndarray) -> np.ndarray:
-    return np.asarray(u, dtype=float).reshape(-1)
-
-
 def is_cocycle(rep: Representation, u: np.ndarray,
                tol: float = DEFAULT_TOL) -> bool:
     """Whether d1 annihilates u (u given as (n,3) or flat)."""
     d1 = build_d1(rep)
     if not d1.shape[0]:
         return True
-    return float(np.linalg.norm(d1 @ cocycle_to_flat(u))) < tol
+    return float(np.linalg.norm(d1 @ np.ravel(u))) < tol

@@ -1,23 +1,11 @@
 """Shared numerical conventions.
 
-Every tolerance-sensitive decision in the package draws from the ladder
-below instead of inventing its own constant.  Reports emitted by the
-CLI embed CONVENTION_TAGS so that numbers can be compared across runs.
+RELATOR_TOL is the default residual gate for accepting a
+representation's relators.  Reports emitted by the CLI embed
+CONVENTION_TAGS and SCHEMA_VERSION so that numbers can be compared
+across runs.
 """
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ToleranceLadder:
-    algebraic: float = 1e-12   # group-law / unit-norm drift
-    derived: float = 1e-10     # identities derived from exact algebra
-    rank: float = 1e-8         # singular value thresholds, rank decisions
-
-
-TOL = ToleranceLadder()
-
-# Default residual gate for accepting a representation's relators.
 RELATOR_TOL = 1e-9
 
 CONVENTION_TAGS = {

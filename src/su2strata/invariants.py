@@ -22,14 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su2
-from .cohomology import (DEFAULT_TOL, CoefficientSystem, cocycle_value,
-                         pullback_cocycle, stabilizer_axis, system_cohomology)
+from .cohomology import (DEFAULT_TOL, CoefficientSystem, pullback_cocycle,
+                         stabilizer_axis, system_cohomology)
 from .errors import (CleanIntersectionError, DomainError, InputError,
                      PresentationError)
 from .presentations import (Presentation, Representation, Word, commutator,
                             cyclic_group, free_group, generator, surface_group)
 from .strata import StratumLabel, classify_stratum
-from .symplectic import goldman_form
+from .symplectic import pairing_matrix
 from .torsion import TorsionValue, mayer_vietoris_torsion
 
 
@@ -111,6 +111,10 @@ def trace_fingerprint(rep: Representation) -> tuple:
     for q in imgs:
         full = su2.multiply(full, q)
     vals.append(su2.trace(full))
+    return _round_fingerprint(vals)
+
+
+def _round_fingerprint(vals) -> tuple:
     return tuple(float(np.round(v, _FINGERPRINT_DECIMALS)) + 0.0 for v in vals)
 
 
@@ -263,16 +267,10 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
     rho1 = _restriction_matrix(ds, dh1, heegaard.surface_to_handle1)
     rho2 = _restriction_matrix(ds, dh2, heegaard.surface_to_handle2)
 
+    # harmonic surface classes embedded in full algebra coordinates
     s_sys, s_sum = ds
-    k = basis.shape[1]
-    embedded = []
-    for c in range(s_sum.h1):
-        coords = s_sum.basis_h1[:, c].reshape(s_sys.n, k)
-        embedded.append(coords @ basis.T)
-    omega = np.zeros((s_sum.h1, s_sum.h1))
-    for a in range(s_sum.h1):
-        for b in range(s_sum.h1):
-            omega[a, b] = goldman_form(sigma_rep, embedded[a], embedded[b])
+    E = np.kron(np.eye(s_sys.n), basis) @ s_sum.basis_h1
+    omega = E.T @ pairing_matrix(sigma_rep) @ E
 
     return mayer_vietoris_torsion(r1, r2, rho1, rho2, omega, tol)
 
@@ -456,9 +454,15 @@ def custom_points(presentation: Presentation, image_sets, component_dims,
 
 def apply_value_table(points, table, field: str):
     """Override per-point values (cs_value or torsion) from a list of
-    {point_id|fingerprint, value} entries.  Unmatched entries are
-    errors; unmatched points keep their defaults."""
+    {point_id|fingerprint, value} entries.  An entry updates every point
+    it matches and later entries override earlier ones.  Unmatched or
+    malformed entries are errors; unmatched points keep their defaults."""
     out = list(points)
+    by_id: dict = {}
+    by_fp: dict = {}
+    for i, pt in enumerate(out):
+        by_id.setdefault(pt.point_id, []).append(i)
+        by_fp.setdefault(pt.fingerprint, []).append(i)
     for entry in table:
         if not isinstance(entry, dict):
             raise InputError("table entries must be objects")
@@ -467,27 +471,34 @@ def apply_value_table(points, table, field: str):
             raise InputError(f"table entry missing {field!r}")
         if not keys <= {"point_id", "fingerprint", field}:
             raise InputError(f"unknown table fields {sorted(keys)}")
-        matched = False
-        for i, pt in enumerate(out):
-            if "point_id" in entry:
-                hit = entry["point_id"] == pt.point_id
-            elif "fingerprint" in entry:
-                fp = tuple(float(np.round(v, _FINGERPRINT_DECIMALS)) + 0.0
-                           for v in entry["fingerprint"])
-                hit = fp == pt.fingerprint
-            else:
-                raise InputError("table entry needs point_id or fingerprint")
-            if hit:
-                if field == "cs":
-                    out[i] = replace(pt, cs_value=float(entry[field]) % 1.0)
-                else:
-                    v = float(entry[field])
-                    if v <= 0:
-                        raise InputError("torsion values must be positive")
-                    out[i] = replace(pt, torsion=TorsionValue(v, math.log(v)))
-                matched = True
-        if not matched:
+        if "point_id" in entry:
+            if not isinstance(entry["point_id"], str):
+                raise InputError(f"point_id must be a string: {entry}")
+            hits = by_id.get(entry["point_id"], [])
+        elif "fingerprint" in entry:
+            fp = entry["fingerprint"]
+            if not isinstance(fp, (list, tuple)) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in fp):
+                raise InputError(f"fingerprint must list numbers: {entry}")
+            hits = by_fp.get(_round_fingerprint(fp), [])
+        else:
+            raise InputError("table entry needs point_id or fingerprint")
+        if not hits:
             raise InputError(f"table entry matches no point: {entry}")
+        try:
+            v = float(entry[field])
+        except (TypeError, ValueError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise InputError(f"{field} must be a finite number: {entry}")
+        if field == "torsion" and v <= 0:
+            raise InputError("torsion values must be positive")
+        for i in hits:
+            if field == "cs":
+                out[i] = replace(out[i], cs_value=v % 1.0)
+            else:
+                out[i] = replace(out[i], torsion=TorsionValue(v, math.log(v)))
     return out
 
 

@@ -235,10 +235,6 @@ def evaluate_images(images: np.ndarray, word: Word) -> np.ndarray:
     return out
 
 
-def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
-    return rep.evaluate(word)
-
-
 def relator_residual(presentation: Presentation, images: np.ndarray) -> float:
     res = 0.0
     for r in presentation.relators:
@@ -274,28 +270,39 @@ def fox_derivative(word: Word, gen: int) -> FoxDerivative:
     return FoxDerivative(tuple(terms))
 
 
+def fox_blocks(images: np.ndarray, word: Word) -> list:
+    """Fox terms of a word at the images, one per letter.
+
+    Each term is (0-based generator index, sign * Ad(prefix image)),
+    the prefix taken before a positive letter and after an inverse one,
+    so that u(prefix . letter) = u(prefix) + block @ u[index] for every
+    cocycle u.  This is the one walk over relator letters that d1 and
+    the surface pairing matrix both read.
+    """
+    out = []
+    prefix_q = su2.identity()
+    for s in word:
+        g = abs(s) - 1
+        if s > 0:
+            out.append((g, su2.ad(prefix_q)))
+            prefix_q = su2.multiply(prefix_q, images[g])
+        else:
+            prefix_q = su2.multiply(prefix_q, su2.inverse(images[g]))
+            out.append((g, -su2.ad(prefix_q)))
+    return out
+
+
 def fox_jacobian_at(rep: Representation) -> np.ndarray:
     """Relator differential as a (3m x 3n) block matrix.
 
-    Block (r, g) is the sum of sign * Ad(prefix image) over the Fox
-    derivative terms of relator r with respect to generator g.  Its
-    kernel is the Zariski tangent space of the representation variety.
+    Block (r, g) is the sum of the Fox blocks of relator r at generator
+    g.  Its kernel is the Zariski tangent space of the representation
+    variety.
     """
     pres = rep.presentation
-    n = pres.num_generators
-    m = len(pres.relators)
-    J = np.zeros((3 * m, 3 * n))
+    J = np.zeros((3 * len(pres.relators), 3 * pres.num_generators))
     for ri, r in enumerate(pres.relators):
-        prefix_q = su2.identity()
-        for s in r:
-            g = abs(s) - 1
-            img = rep.images[g]
-            if s > 0:
-                block = su2.ad(prefix_q)
-                prefix_q = su2.multiply(prefix_q, img)
-            else:
-                prefix_q = su2.multiply(prefix_q, su2.inverse(img))
-                block = -su2.ad(prefix_q)
+        for g, block in fox_blocks(rep.images, r):
             J[3 * ri:3 * ri + 3, 3 * g:3 * g + 3] += block
     return J
 
@@ -411,5 +418,9 @@ def representation_from_json(data: dict, pres: Presentation,
         vals = data[name]
         if not isinstance(vals, list) or len(vals) != 4:
             raise PresentationError(f"image of {name!r} must be [w,x,y,z]")
-        images.append([float(v) for v in vals])
+        try:
+            images.append([float(v) for v in vals])
+        except (TypeError, ValueError):
+            raise PresentationError(
+                f"image of {name!r} must hold numbers") from None
     return Representation(pres, np.array(images), tol=tol)

@@ -14,7 +14,9 @@ cohomology classes; none of that is assumed anywhere, the test suite
 measures it.  The overall scale is fixed by the orthonormal (i, j, k)
 metric.
 
-Cocycles are (n, 3) arrays, one algebra vector per generator.
+The pairing is bilinear, so it is held as one (3n x 3n) matrix W,
+built from a single walk over the relator's Fox blocks.  Cocycles are
+(n, 3) arrays, one algebra vector per generator, or their flat form.
 """
 
 from __future__ import annotations
@@ -24,47 +26,45 @@ import numpy as np
 from . import su2
 from .cohomology import (DEFAULT_TOL, cocycle_value, cohomology, full_system)
 from .errors import DomainError
-from .presentations import Representation, Word
+from .presentations import Representation, Word, fox_blocks
+
+
+def pairing_matrix(rep: Representation) -> np.ndarray:
+    """The (3n x 3n) matrix W with pairing(u, v) = ravel(u) @ W @ ravel(v).
+
+    One pass over the Fox blocks F of the surface relator.  P is the
+    running map u -> u(prefix); the letter's term <u(a), F v_j> adds
+    P^T F to column block j, with a = p_i for a positive letter and
+    a = p_i s_i for an inverse one, so F joins P after the term in the
+    first case and before it in the second.
+    """
+    pres = rep.presentation
+    if pres.kind != "surface":
+        raise DomainError("the pairing needs a surface presentation")
+    n = pres.num_generators
+    relator = pres.relators[0]
+    P = np.zeros((3, 3 * n))
+    W = np.zeros((3 * n, 3 * n))
+    for s, (j, F) in zip(relator, fox_blocks(rep.images, relator)):
+        cols = slice(3 * j, 3 * j + 3)
+        if s < 0:
+            P[:, cols] += F
+        W[:, cols] += P.T @ F
+        if s > 0:
+            P[:, cols] += F
+    return W
 
 
 def goldman_form(rep: Representation, u: np.ndarray, v: np.ndarray) -> float:
     """Value of the pairing on two cocycles at a surface representation."""
-    pres = rep.presentation
-    if pres.kind != "surface":
-        raise DomainError("the pairing needs a surface presentation")
-    sys = full_system(rep)
-    u = np.asarray(u, dtype=float).reshape(sys.n, 3)
-    v = np.asarray(v, dtype=float).reshape(sys.n, 3)
-    relator = pres.relators[0]
-
-    total = 0.0
-    prefix_q = su2.identity()      # holonomy of p_i
-    prefix_u = np.zeros(3)         # u(p_i)
-    for s in relator:
-        j = abs(s) - 1
-        img = rep.images[j]
-        if s > 0:
-            q, uq = prefix_q, prefix_u
-            sign = 1.0
-            prefix_u = prefix_u + su2.ad(prefix_q) @ u[j]
-            prefix_q = su2.multiply(prefix_q, img)
-        else:
-            prefix_q = su2.multiply(prefix_q, su2.inverse(img))
-            prefix_u = prefix_u - su2.ad(prefix_q) @ u[j]
-            q, uq = prefix_q, prefix_u
-            sign = -1.0
-        total += sign * float(uq @ (su2.ad(q) @ v[j]))
-    return total
+    return float(np.ravel(u) @ pairing_matrix(rep) @ np.ravel(v))
 
 
 def gram_matrix(rep: Representation, cocycles) -> np.ndarray:
     """Pairing values between all pairs from a list of cocycles."""
-    m = len(cocycles)
-    G = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            G[a, b] = goldman_form(rep, cocycles[a], cocycles[b])
-    return G
+    W = pairing_matrix(rep)
+    rows = np.reshape(cocycles, (len(cocycles), W.shape[0]))
+    return rows @ W @ rows.T
 
 
 def trace_derivative(rep: Representation, word: Word, u: np.ndarray) -> float:

@@ -108,11 +108,6 @@ def sequence_torsion(seq: MetricSequence,
     return TorsionValue(value=float(np.exp(log_t)), log_value=log_t)
 
 
-def _h1_projection(summary) -> np.ndarray:
-    """Orthogonal projection onto harmonic h1 coordinates."""
-    return summary.basis_h1.T
-
-
 def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
     """Torsion volume scalar of the stratum through a free-group tuple,
     with its half-density.
@@ -134,7 +129,7 @@ def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
     if label.i == 3:
         summary = cohomology(rep, tol)
         d0 = build_d0(rep)
-        seq = MetricSequence((3, 3 * n, summary.h1), (d0, _h1_projection(summary)))
+        seq = MetricSequence((3, 3 * n, summary.h1), (d0, summary.basis_h1.T))
         t = sequence_torsion(seq, tol)
         sv = _singular_values(d0)
         direct = float(np.sum(np.log(sv[sv > tol])))
@@ -148,7 +143,7 @@ def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
     # factor carries all nonunit singular values.
     line_sum = restrict_coefficients(rep, "stabilizer", tol)
     line_seq = MetricSequence((n * 1, line_sum.h1),
-                              (_h1_projection(line_sum),))
+                              (line_sum.basis_h1.T,))
     line_t = sequence_torsion(line_seq, tol)
 
     comp_sum = restrict_coefficients(rep, "complement", tol)
@@ -156,7 +151,7 @@ def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
         raise DomainError("complement coefficients should have h0 = 0")
     d0c = system_d0(restricted_system(rep, "complement", tol))
     comp_seq = MetricSequence((2, 2 * n, comp_sum.h1),
-                              (d0c, _h1_projection(comp_sum)))
+                              (d0c, comp_sum.basis_h1.T))
     comp_t = sequence_torsion(comp_seq, tol)
 
     log_total = line_t.log_value + comp_t.log_value

@@ -160,22 +160,18 @@ def random_exact_sequence(rng, n_spaces=4, max_rank=2, max_dim=5):
     return dims, maps, math.exp(log_t), log_t
 
 
-def fox_cohomology_dims(relators, quats, tol=1e-9):
-    """(h0, z1, h1) of the group with the given relators, acting on
-    su(2) through Ad of the unit quaternions `quats`.
+def fox_jacobian(relators, quats):
+    """(3m x 3n) Fox Jacobian of the relators, acting on su(2) through
+    Ad of the unit quaternions `quats`.
 
     Relators are sequences of signed 1-based generator indices.  A
     cocycle obeys u(xy) = u(x) + Ad(x) u(y), so the Fox derivative of a
     relator in x_j sums Ad(prefix) at each letter x_j and
     -Ad(prefix) Ad(x_j)^-1 at each letter x_j^-1, with the prefix kept as
-    a running 3x3 product of adjoint_matrix factors.  d0 stacks the
-    blocks Ad(x_j) - I.  Ranks count the Gram-Schmidt survivors of the
-    columns above tol.
+    a running 3x3 product of adjoint_matrix factors.
     """
     A = [adjoint_matrix(np.asarray(q, dtype=float)) for q in quats]
-    n = len(A)
-    d0 = np.vstack([a - np.eye(3) for a in A])
-    d1 = np.zeros((3 * len(relators), 3 * n))
+    d1 = np.zeros((3 * len(relators), 3 * len(A)))
     for ri, rel in enumerate(relators):
         cur = np.eye(3)
         for s in rel:
@@ -187,7 +183,48 @@ def fox_cohomology_dims(relators, quats, tol=1e-9):
                 cur = cur @ A[j].T
                 block = -cur
             d1[3 * ri:3 * ri + 3, 3 * j:3 * j + 3] += block
+    return d1
+
+
+def fox_cohomology_dims(relators, quats, tol=1e-9):
+    """(h0, z1, h1) of the group with the given relators, acting on
+    su(2) through Ad of the unit quaternions `quats`.
+
+    d1 is fox_jacobian, d0 stacks the blocks Ad(x_j) - I.  Ranks count
+    the Gram-Schmidt survivors of the columns above tol.
+    """
+    d0 = np.vstack([adjoint_matrix(np.asarray(q, dtype=float)) - np.eye(3)
+                    for q in quats])
+    d1 = fox_jacobian(relators, quats)
     rank0 = len(gram_schmidt(list(d0.T), tol))
     rank1 = len(gram_schmidt(list(d1.T), tol))
-    z1 = 3 * n - rank1
+    z1 = 3 * len(quats) - rank1
     return 3 - rank0, z1, z1 - rank0
+
+
+def goldman_pairing(relator, quats, u, v):
+    """Cup product (u ~ v)(a, b) = <u(a), Ad(a) v(b)> summed over the
+    relator's bar 2-chain: +[p | x_j] at a letter x_j with prefix p,
+    and -[p x_j^-1 | x_j] at a letter x_j^-1.
+
+    u(p) follows the cocycle law u(p x) = u(p) + Ad(p) u(x) with
+    u(x^-1) = -Ad(x)^-1 u(x), and Ad(p) is a running product of
+    adjoint_matrix factors.  u and v are (n, 3) or flat.
+    """
+    A = [adjoint_matrix(np.asarray(q, dtype=float)) for q in quats]
+    u = np.asarray(u, dtype=float).reshape(len(A), 3)
+    v = np.asarray(v, dtype=float).reshape(len(A), 3)
+    cur = np.eye(3)       # Ad(p)
+    val = np.zeros(3)     # u(p)
+    total = 0.0
+    for s in relator:
+        j = abs(s) - 1
+        if s > 0:
+            total += val @ cur @ v[j]
+            val = val + cur @ u[j]
+            cur = cur @ A[j]
+        else:
+            cur = cur @ A[j].T
+            val = val - cur @ u[j]
+            total -= val @ cur @ v[j]
+    return float(total)

@@ -269,6 +269,26 @@ def test_invalid_json_is_exit_2(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("polish", [False, True])
+@pytest.mark.parametrize("images", [
+    {"a": [1.0, 0, 0]},                             # three components
+    {"a": "oops"},                                  # not a list
+    {"a": ["w", 0, 0, 0]},                          # not numbers
+    {"a": [1.0, 0, 0, 0], "e": [1.0, 0, 0, 0]},     # unknown image field
+])
+def test_malformed_images_are_exit_2_with_or_without_polish(
+        tmp_path, capsys, images, polish):
+    # --polish parses through the same checks as the plain path; the
+    # relator makes polish do real work on whatever it is handed
+    from su2strata.presentations import cyclic_group
+    payload = {"presentation": presentation_to_json(cyclic_group(3)),
+               "images": images}
+    path = write_json(tmp_path / "bad.json", payload)
+    argv = ["classify", path] + (["--polish"] if polish else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("input error:")
+
+
 def test_classify_boundary_ambiguous_is_exit_1(tmp_path, capsys):
     # two tiny rotations about distinct axes sit inside the rank
     # threshold band, which classify must refuse rather than guess

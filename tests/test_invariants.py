@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,33 @@ def test_apply_table_rejects_unmatched_and_malformed():
     with pytest.raises(InputError):
         apply_value_table(
             pts, [{"point_id": "s3:trivial", "torsion": -1.0}], "torsion")
+
+
+def test_fingerprint_entry_updates_every_matching_point():
+    pts = enumerate_moduli("lens", p=5, q=1)
+    twin = replace(pts[1], point_id="twin")
+    pts = [pts[0], pts[1], twin]
+    table = [{"fingerprint": list(twin.fingerprint), "cs": 0.3},
+             {"point_id": "twin", "cs": 0.6}]
+    out = apply_value_table(pts, table, "cs")
+    # both carriers of the fingerprint take it; the later id entry wins
+    assert [pt.cs_value for pt in out] == [0.0, 0.3, 0.6]
+
+
+@pytest.mark.parametrize("entry", [
+    {"fingerprint": ["a", 1], "cs": 0.1},
+    {"fingerprint": 5, "cs": 0.1},
+    {"point_id": ["s3:trivial"], "cs": 0.1},
+    {"point_id": 7, "cs": 0.1},
+    {"point_id": "s3:trivial", "cs": "abc"},
+    {"point_id": "s3:trivial", "cs": None},
+    {"point_id": "s3:trivial", "cs": "nan"},
+    {"point_id": "s3:trivial", "cs": float("inf")},
+])
+def test_apply_table_rejects_malformed_entries(entry):
+    pts = enumerate_moduli("s3")
+    with pytest.raises(InputError):
+        apply_value_table(pts, [entry], "cs")
 
 
 def test_torsion_table_fills_t3_family():
