@@ -380,10 +380,15 @@ def _cmd_fg_sum(args) -> dict:
             raise InputError(
                 "each entry needs exactly 'torsion', 'flow', 'cs'")
         try:
-            triples.append((float(row["torsion"]), int(row["flow"]),
-                            float(row["cs"])))
+            t, flow, cs = (float(row[f]) for f in ("torsion", "flow", "cs"))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad entry {row}: {e}") from None
+        if not (math.isfinite(t) and math.isfinite(cs)
+                and flow.is_integer()):
+            raise InputError(
+                f"bad entry {row}: torsion and cs must be finite, "
+                f"flow an integer")
+        triples.append((t, int(flow), cs))
     value = stationary_phase_sum(triples, args.k)
     result = {"k": args.k, "entry_count": len(triples), "value": value}
     config = {"k": args.k, "entries": args.entries}

@@ -120,11 +120,12 @@ def system_d1(sys: CoefficientSystem) -> np.ndarray:
 def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarray:
     """Value of the cocycle on a word: u(ab) = u(a) + a.u(b)."""
     u = np.asarray(u, dtype=float).reshape(sys.n, sys.k)
+    acts = sys.actions()
     val = np.zeros(sys.k)
     cur = np.eye(sys.k)
     for s in word:
         j = abs(s) - 1
-        act = sys.gen_action(j)
+        act = acts[j]
         if s > 0:
             val = val + cur @ u[j]
             cur = cur @ act

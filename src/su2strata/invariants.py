@@ -543,11 +543,13 @@ def stationary_phase_sum(entries, k: int) -> complex:
     total = 0.0 + 0.0j
     for entry in entries:
         t, flow, cs = entry
-        t = float(t)
+        t, cs = float(t), float(cs)
+        if not (math.isfinite(t) and math.isfinite(cs)):
+            raise DomainError("torsion and cs entries must be finite")
         if t <= 0:
             raise DomainError("torsion entries must be positive")
-        if int(flow) != flow:
+        if not math.isfinite(flow) or int(flow) != flow:
             raise DomainError("spectral flow must be an integer")
         total += math.sqrt(t) * cmath.exp(-2j * math.pi * flow / 4.0) \
-            * cmath.exp(2j * math.pi * float(cs) * (k + 2))
+            * cmath.exp(2j * math.pi * cs * (k + 2))
     return 0.5 * cmath.exp(3j * math.pi / 4.0) * total

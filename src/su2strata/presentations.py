@@ -35,10 +35,9 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
+        # free reduction is confluent: reducing the n copies at once
+        # gives the same word as n successive products
+        return Word(self.letters * n)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -191,13 +190,19 @@ def custom_group(generators, relator_texts) -> Presentation:
 
 
 class Representation:
-    """SU(2) images for each generator, relators satisfied within tol."""
+    """SU(2) images for each generator, relators satisfied within tol.
 
-    __slots__ = ("presentation", "images", "relator_residual")
+    The images are a read-only copy of what the caller passed, so the
+    stored residual and the Fox Jacobian, computed once on first use by
+    `fox_jacobian_at`, stay true to them.
+    """
+
+    __slots__ = ("presentation", "images", "relator_residual", "_jacobian")
 
     def __init__(self, presentation: Presentation, images,
                  tol: float = RELATOR_TOL):
-        images = np.atleast_2d(np.asarray(images, dtype=float))
+        images = np.atleast_2d(np.array(images, dtype=float))
+        images.flags.writeable = False
         if images.shape != (presentation.num_generators, 4):
             raise PresentationError(
                 f"need shape ({presentation.num_generators}, 4) images, "
@@ -207,6 +212,7 @@ class Representation:
             raise PresentationError("images must be unit quaternions")
         self.presentation = presentation
         self.images = images
+        self._jacobian = None
         self.relator_residual = relator_residual(presentation, images)
         if self.relator_residual > tol:
             raise ResidualError(
@@ -297,14 +303,18 @@ def fox_jacobian_at(rep: Representation) -> np.ndarray:
 
     Block (r, g) is the sum of the Fox blocks of relator r at generator
     g.  Its kernel is the Zariski tangent space of the representation
-    variety.
+    variety.  The relators are walked on the first call only; the
+    read-only result is kept on the representation.
     """
-    pres = rep.presentation
-    J = np.zeros((3 * len(pres.relators), 3 * pres.num_generators))
-    for ri, r in enumerate(pres.relators):
-        for g, block in fox_blocks(rep.images, r):
-            J[3 * ri:3 * ri + 3, 3 * g:3 * g + 3] += block
-    return J
+    if rep._jacobian is None:
+        pres = rep.presentation
+        J = np.zeros((3 * len(pres.relators), 3 * pres.num_generators))
+        for ri, r in enumerate(pres.relators):
+            for g, block in fox_blocks(rep.images, r):
+                J[3 * ri:3 * ri + 3, 3 * g:3 * g + 3] += block
+        J.flags.writeable = False
+        rep._jacobian = J
+    return rep._jacobian
 
 
 def polish_images(presentation: Presentation, images,

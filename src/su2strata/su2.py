@@ -16,6 +16,8 @@ does.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AntipodeError
@@ -36,15 +38,21 @@ def normalize(q: np.ndarray) -> np.ndarray:
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, renormalized to stay on the unit sphere."""
-    aw, av = a[0], a[1:]
-    bw, bv = b[0], b[1:]
-    w = aw * bw - av @ bv
-    v = aw * bv + bw * av + np.cross(av, bv)
-    out = np.empty(4)
-    out[0] = w
-    out[1:] = v
-    return out / np.linalg.norm(out)
+    """Hamilton product, renormalized to stay on the unit sphere.
+
+    Every product is renormalized, so a running product over a word
+    never drifts off the sphere however long the word is; the division
+    costs one square root per letter.  Scalar components, because a
+    4-vector is too small for array operations to pay for themselves.
+    """
+    aw, ax, ay, az = a.tolist()
+    bw, bx, by, bz = b.tolist()
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + bw * ax + ay * bz - az * by
+    y = aw * by + bw * ay + az * bx - ax * bz
+    z = aw * bz + bw * az + ax * by - ay * bx
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return np.array([w / n, x / n, y / n, z / n])
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -91,15 +99,15 @@ def log(q: np.ndarray, antipode_tol: float = 1e-12) -> np.ndarray:
 
 
 def ad(q: np.ndarray) -> np.ndarray:
-    """Adjoint action on the algebra: the SO(3) matrix of x -> q x q^-1."""
-    w, v = q[0], q[1:]
-    vv = v @ v
-    K = np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
+    """Adjoint action on the algebra: the SO(3) matrix of x -> q x q^-1,
+    (w^2 - |v|^2) I + 2 v v^T + 2 w [v]_x in scalar components."""
+    w, x, y, z = q.tolist()
+    c = w * w - x * x - y * y - z * z
+    return np.array([
+        [c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z],
     ])
-    return (w * w - vv) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * K
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:

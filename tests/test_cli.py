@@ -308,6 +308,19 @@ def test_fg_sum_rejects_extra_entry_fields(tmp_path, capsys):
     assert code == 2 and "entry" in err
 
 
+@pytest.mark.parametrize("entry", [
+    {"torsion": "nan", "flow": 0, "cs": 0.1},
+    {"torsion": "inf", "flow": 0, "cs": 0.1},
+    {"torsion": 1.0, "flow": 0, "cs": "inf"},
+    {"torsion": 1.0, "flow": 1.5, "cs": 0.1},       # was truncated to 1
+])
+def test_fg_sum_rejects_non_finite_and_fractional_entries(
+        tmp_path, capsys, entry):
+    path = write_json(tmp_path / "e.json", {"entries": [entry]})
+    code, out, err = run(capsys, "fg-sum", "--k", "2", "--entries", path)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
 def test_invariant_unmatched_table_entry_is_exit_2(tmp_path, capsys):
     path = write_json(tmp_path / "cs.json",
                       {"entries": [{"point_id": "ghost", "cs": 0.5}]})

@@ -4,7 +4,8 @@ d1 (fox_jacobian_at, system_d1 on full, stabilizer-line and complement
 bases) and the surface pairing (pairing_matrix, goldman_form,
 gram_matrix) all read presentations.fox_blocks; here each is compared
 with tests/oracles.py, which builds the same objects from 2x2 complex
-matrix products and imports nothing from the package.
+matrix products and imports nothing from the package.  A lens
+enumeration is also held to one walk of its relator per point.
 """
 
 import math
@@ -12,11 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from su2strata import su2
+from su2strata import presentations, su2
 from su2strata.cohomology import (cohomology, full_system, restricted_system,
                                   system_d1)
 from su2strata.errors import DomainError
-from su2strata.invariants import t3_presentation
+from su2strata.invariants import enumerate_moduli, t3_presentation
 from su2strata.presentations import (Representation,
                                      circle_times_surface_group, cyclic_group,
                                      fox_jacobian_at, free_group,
@@ -99,6 +100,22 @@ def test_goldman_form_and_gram_match_oracle_off_cocycles(g):
     got = np.array([[goldman_form(rep, u, v) for v in vecs] for u in vecs])
     assert np.abs(got - want).max() < 1e-12
     assert np.abs(gram_matrix(rep, vecs) - want).max() < 1e-12
+
+
+def test_lens_walks_its_relator_once_per_point(monkeypatch):
+    relator = cyclic_group(31).relators[0]
+    walked = []
+    walk = presentations.fox_blocks
+
+    def counting(images, word):
+        if word == relator:
+            walked.append(images.tobytes())
+        return walk(images, word)
+
+    monkeypatch.setattr(presentations, "fox_blocks", counting)
+    points = enumerate_moduli("lens", p=31, q=7)
+    assert len(points) == 16
+    assert sorted(walked) == sorted(pt.rep.images.tobytes() for pt in points)
 
 
 def test_pairing_matrix_needs_surface_kind():

@@ -404,7 +404,8 @@ def test_stationary_phase_magnitude_bound():
 
 
 def test_stationary_phase_validates_entries():
-    with pytest.raises(DomainError):
-        stationary_phase_sum([(0.0, 0, 0.0)], k=1)
-    with pytest.raises(DomainError):
-        stationary_phase_sum([(1.0, 0.5, 0.0)], k=1)
+    for entry in [(0.0, 0, 0.0), (1.0, 0.5, 0.0),
+                  (math.nan, 0, 0.0), (math.inf, 0, 0.0), (1.0, 0, math.inf),
+                  (1.0, math.nan, 0.0), (1.0, math.inf, 0.0)]:
+        with pytest.raises(DomainError):
+            stationary_phase_sum([entry], k=1)

@@ -18,6 +18,8 @@ from su2strata.presentations import (EMPTY, Presentation, Representation,
                                      representation_from_json,
                                      representation_to_json, surface_group)
 
+import oracles
+
 letters = st.integers(min_value=-4, max_value=4).filter(lambda s: s != 0)
 
 
@@ -47,6 +49,21 @@ def test_powers():
     assert (a ** 3).letters == (1, 1, 1)
     assert (a ** -2).letters == (-1, -1)
     assert (a ** 0) == EMPTY
+    aba = Word((1, 2, -1))          # cancels across copies
+    assert (aba ** 3).letters == (1, 2, 2, 2, -1)
+    assert (aba ** -2).letters == (1, -2, -2, -1)
+
+
+@given(st.lists(letters, max_size=5), st.lists(letters, max_size=5),
+       st.integers(-6, 6))
+def test_power_is_the_iterated_product(u, v, n):
+    # u v u^-1 cancels across copies whenever u is not empty
+    w = Word(tuple(u)) * Word(tuple(v)) * Word(tuple(u)).inverse()
+    base = w if n >= 0 else w.inverse()
+    want = EMPTY
+    for _ in range(abs(n)):
+        want = want * base
+    assert w ** n == want
 
 
 def test_commutator_letters():
@@ -218,6 +235,41 @@ def test_conjugated_representation():
     w = Word((1, 3, -2))
     assert np.allclose(conj.evaluate(w),
                        su2.conjugate(rep.evaluate(w), q), atol=1e-10)
+
+
+def test_representation_owns_read_only_images():
+    pres = cyclic_group(5)
+    imgs = np.array([su2.exp(2.0 * np.pi / 5 * np.array([1.0, 0.0, 0.0]))])
+    rep = Representation(pres, imgs)
+    kept = rep.images.copy()
+    imgs[0] = [0.0, 1.0, 0.0, 0.0]      # a^5 != 1 for this image
+    assert np.array_equal(rep.images, kept)
+    assert rep.relator_residual == relator_residual(pres, rep.images) < 1e-12
+    with pytest.raises(ValueError):
+        rep.images[0] = [0.0, 1.0, 0.0, 0.0]
+    J = fox_jacobian_at(rep)
+    with pytest.raises(ValueError):
+        J[0, 0] = 1.0
+    assert fox_jacobian_at(rep) is J
+
+
+def test_long_word_stays_unit_and_matches_matrix_product():
+    rng = np.random.default_rng(7)
+    images = np.array([su2.random_element(rng) for _ in range(3)])
+    letters = [1]
+    while len(letters) < 10_000:    # no letter next to its inverse
+        s = int(rng.choice([1, 2, 3, -1, -2, -3]))
+        if s != -letters[-1]:
+            letters.append(s)
+    word = Word(letters)
+    assert len(word) == 10_000
+    got = evaluate_images(images, word)
+    m = np.eye(2)
+    for s in word:
+        f = oracles.su2_matrix(images[abs(s) - 1])
+        m = m @ (f if s > 0 else f.conj().T)
+    assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+    assert np.abs(got - oracles.quat_from_matrix(m)).max() < 1e-9
 
 
 def test_polish_recovers_residual():

@@ -93,6 +93,27 @@ def test_ad_is_homomorphism(a, b):
                        atol=1e-10)
 
 
+@pytest.mark.parametrize("q", [
+    np.array([-1.0, 0.0, 0.0, 0.0]),
+    np.array([-0.6, 0.0, 0.8, 0.0]),
+    np.array([-0.9, 0.1, -0.3, 0.2]) / np.linalg.norm([-0.9, 0.1, -0.3, 0.2]),
+])
+def test_multiply_and_ad_with_negative_w(q):
+    # w < 0 is a distinct group element: no hemisphere flip anywhere
+    r = su2.exp(np.array([0.3, -1.1, 0.5]))
+    assert np.allclose(su2.multiply(q, r), oracles.quat_mul(q, r), atol=1e-14)
+    assert np.allclose(su2.multiply(r, q), oracles.quat_mul(r, q), atol=1e-14)
+    assert np.allclose(su2.ad(q), oracles.adjoint_matrix(q), atol=1e-14)
+
+
+def test_minus_identity_is_central():
+    minus = np.array([-1.0, 0.0, 0.0, 0.0])
+    r = su2.exp(np.array([0.3, -1.1, 0.5]))
+    assert np.array_equal(su2.multiply(minus, r), -r)
+    assert np.array_equal(su2.multiply(minus, minus), su2.identity())
+    assert np.array_equal(su2.ad(minus), np.eye(3))
+
+
 @given(unit_quaternions())
 def test_ad_is_rotation(q):
     A = su2.ad(q)
