@@ -42,33 +42,3 @@ from .torsion import (HalfDensityValue, MetricSequence, TorsionValue,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntipodeError", "BoundaryAmbiguousError", "CleanIntersectionError",
-    "CoefficientSystem", "CohomologySummary", "CleanVerdict",
-    "CONVENTION_TAGS", "DomainError", "ExactnessError", "FoxDerivative",
-    "HalfDensityValue", "HeegaardData", "InputError", "InvariantResult",
-    "MetricSequence", "ModuliPoint", "Presentation", "PresentationError",
-    "RankAmbiguityError", "Representation", "ResidualError", "SamplingError",
-    "SCHEMA_VERSION", "StratumConflictError", "StratumLabel",
-    "TorsionValue", "Word",
-    "apply_value_table", "assemble_invariant", "boundary_fibre_values",
-    "build_d0", "build_d1", "circle_times_surface_group",
-    "classify_stratum", "clean_intersection_check", "cocycle_value",
-    "cohomology", "commutator", "custom_group", "custom_points",
-    "cyclic_group", "deduplicate_points", "enumerate_moduli",
-    "evaluate_images", "exactness_residual", "fibre_tangent_basis",
-    "find_conjugator", "format_word", "fox_blocks", "fox_derivative",
-    "fox_jacobian_at", "free_group", "full_system",
-    "generator", "goldman_form", "gram_matrix", "handlebody_representation",
-    "heegaard_mv_torsion", "heegaard_representations", "is_cocycle",
-    "lens_heegaard", "mayer_vietoris_torsion", "pairing_matrix",
-    "parse_word",
-    "polarization_map", "polish_images", "presentation_from_json",
-    "presentation_to_json", "pullback_cocycle", "relator_residual",
-    "representation_from_json", "representation_to_json",
-    "restrict_coefficients", "restricted_system", "s1xs2_heegaard",
-    "sample_stratum", "sample_surface_representation", "sequence_torsion",
-    "stabilizer_axis", "stationary_phase_sum", "stratum_tangent_dim",
-    "stratum_volume", "su2", "surface_group", "system_cohomology",
-    "t3_presentation", "trace_derivative", "trace_fingerprint",
-]

@@ -95,18 +95,38 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {e}") from None
 
 
-def _load_rep_file(path: str, polish: bool):
-    data = _load_json(path)
+def _fields(data, what: str, allowed=(), required=()) -> dict:
+    """`data` if it is a JSON object holding all `required` fields, no
+    fields beyond them and `allowed`, and schema 1 if it names one;
+    `what` names the object in errors."""
     if not isinstance(data, dict):
-        raise InputError("input must be a JSON object")
-    allowed = {"schema", "presentation", "images"}
-    unknown = set(data) - allowed
+        raise InputError(f"{what} must be a JSON object")
+    unknown = set(data) - set(allowed) - set(required)
     if unknown:
-        raise InputError(f"unknown input fields {sorted(unknown)}")
+        raise InputError(f"unknown {what} fields {sorted(unknown)}")
+    missing = [f for f in required if f not in data]
+    if missing:
+        raise InputError(f"{what} needs fields {missing}")
     if data.get("schema", 1) != 1:
         raise InputError("unsupported schema version")
-    if "presentation" not in data or "images" not in data:
-        raise InputError("input needs 'presentation' and 'images'")
+    return data
+
+
+def _number(value, what: str, integer: bool = False):
+    """A finite float, or an int if asked, from a JSON value."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise InputError(f"{what} must be {kind}, got {value!r}")
+    return int(x) if integer else x
+
+
+def _load_rep_file(path: str, polish: bool):
+    data = _fields(_load_json(path), "input", {"schema"},
+                   ("presentation", "images"))
     try:
         pres = presentation_from_json(data["presentation"])
         if not polish:
@@ -229,8 +249,7 @@ def _cmd_symplectic_check(args) -> dict:
 
 
 def _torsion_from_sequence(spec: dict, tol: float) -> dict:
-    if not isinstance(spec, dict) or set(spec) - {"dims", "maps"}:
-        raise InputError("sequence needs exactly 'dims' and 'maps'")
+    _fields(spec, "sequence", required=("dims", "maps"))
     try:
         seq = MetricSequence(tuple(spec["dims"]),
                             tuple(np.array(m, dtype=float).reshape(
@@ -243,9 +262,7 @@ def _torsion_from_sequence(spec: dict, tol: float) -> dict:
 
 
 def _torsion_from_volume(spec: dict, tol: float) -> dict:
-    if not isinstance(spec, dict) or \
-            set(spec) - {"presentation", "images"}:
-        raise InputError("volume needs exactly 'presentation' and 'images'")
+    _fields(spec, "volume", required=("presentation", "images"))
     try:
         pres = presentation_from_json(spec["presentation"])
         rep = representation_from_json(spec["images"], pres)
@@ -258,22 +275,18 @@ def _torsion_from_volume(spec: dict, tol: float) -> dict:
 
 
 def _torsion_from_example(data: dict, tol: float) -> dict:
-    allowed = {"schema", "example", "p", "q", "point", "samples"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise InputError(f"unknown torsion fields {sorted(unknown)}")
+    def integer(field, default):
+        return _number(data.get(field, default), field, integer=True)
+
     name = data["example"]
     if name == "lens":
-        p = int(data.get("p", 0))
-        q = int(data.get("q", 1))
-        n = int(data.get("point", 1))
+        p, q, n = integer("p", 0), integer("q", 1), integer("point", 1)
         if not 0 < n <= p // 2:
             raise InputError("lens point index must be in 1..p//2")
         heegaard = lens_heegaard(p, q)
         theta = 2.0 * math.pi * n / p
     elif name == "s1xs2":
-        M = int(data.get("samples", 16))
-        j = int(data.get("point", 1))
+        M, j = integer("samples", 16), integer("point", 1)
         if not 0 < j < M:
             raise InputError("s1xs2 point index must be in 1..samples-1")
         heegaard = s1xs2_heegaard()
@@ -289,21 +302,16 @@ def _torsion_from_example(data: dict, tol: float) -> dict:
 
 def _cmd_torsion(args) -> dict:
     data = _load_json(args.input)
-    if not isinstance(data, dict):
-        raise InputError("input must be a JSON object")
-    if data.get("schema", 1) != 1:
-        raise InputError("unsupported schema version")
-    modes = [k for k in ("sequence", "volume", "example") if k in data]
+    modes = [k for k in ("sequence", "volume", "example")
+             if isinstance(data, dict) and k in data]
     if len(modes) != 1:
         raise InputError(
             "input needs exactly one of 'sequence', 'volume', 'example'")
+    extra = ("p", "q", "point", "samples") if modes[0] == "example" else ()
+    _fields(data, "torsion input", {"schema", modes[0], *extra})
     if modes[0] == "sequence":
-        if set(data) - {"schema", "sequence"}:
-            raise InputError("unexpected fields next to 'sequence'")
         result = _torsion_from_sequence(data["sequence"], args.tol)
     elif modes[0] == "volume":
-        if set(data) - {"schema", "volume"}:
-            raise InputError("unexpected fields next to 'volume'")
         result = _torsion_from_volume(data["volume"], args.tol)
     else:
         result = _torsion_from_example(data, args.tol)
@@ -311,12 +319,8 @@ def _cmd_torsion(args) -> dict:
     return _report("torsion", config, result)
 
 
-def _load_table(path: str, field: str):
-    data = _load_json(path)
-    if not isinstance(data, dict) or set(data) - {"schema", "entries"}:
-        raise InputError(f"{field} table needs 'schema' and 'entries'")
-    if data.get("schema", 1) != 1:
-        raise InputError("unsupported schema version")
+def _load_table(path: str, field: str) -> list:
+    data = _fields(_load_json(path), f"{field} table", {"schema", "entries"})
     entries = data.get("entries", [])
     if not isinstance(entries, list):
         raise InputError("'entries' must be a list")
@@ -367,28 +371,12 @@ def _cmd_invariant(args) -> dict:
 
 
 def _cmd_fg_sum(args) -> dict:
-    data = _load_json(args.entries)
-    if not isinstance(data, dict) or set(data) - {"schema", "entries"}:
-        raise InputError("entries file needs 'schema' and 'entries'")
-    if data.get("schema", 1) != 1:
-        raise InputError("unsupported schema version")
-    rows = data.get("entries", [])
     triples = []
-    for row in rows:
-        if not isinstance(row, dict) or \
-                set(row) - {"torsion", "flow", "cs"}:
-            raise InputError(
-                "each entry needs exactly 'torsion', 'flow', 'cs'")
-        try:
-            t, flow, cs = (float(row[f]) for f in ("torsion", "flow", "cs"))
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"bad entry {row}: {e}") from None
-        if not (math.isfinite(t) and math.isfinite(cs)
-                and flow.is_integer()):
-            raise InputError(
-                f"bad entry {row}: torsion and cs must be finite, "
-                f"flow an integer")
-        triples.append((t, int(flow), cs))
+    for row in _load_table(args.entries, "entries"):
+        _fields(row, "entry", required=("torsion", "flow", "cs"))
+        triples.append((_number(row["torsion"], "entry torsion"),
+                        _number(row["flow"], "entry flow", integer=True),
+                        _number(row["cs"], "entry cs")))
     value = stationary_phase_sum(triples, args.k)
     result = {"k": args.k, "entry_count": len(triples), "value": value}
     config = {"k": args.k, "entries": args.entries}
@@ -397,9 +385,18 @@ def _cmd_fg_sum(args) -> dict:
 
 # -- wiring ------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """--tol: a finite number > 0; argparse exits 2 on anything else."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def _add_common(sp, tol=True, fmt=True):
     if tol:
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="rank/exactness tolerance (default 1e-8)")
     if fmt:
         sp.add_argument("--format", choices=("json", "table"),

@@ -15,6 +15,7 @@ when a value sits within a factor of ten of the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -153,9 +154,9 @@ class CohomologySummary:
     h1: int
     z1: int                    # dim ker d1, the cocycle space
     coefficient_dim: int
-    basis_h0: np.ndarray       # (k, h0)
-    basis_h1: np.ndarray       # (n*k, h1), harmonic gauge
-    singular_values: dict
+    basis_h0: np.ndarray       # (k, h0), read-only
+    basis_h1: np.ndarray       # (n*k, h1), harmonic gauge, read-only
+    singular_values: MappingProxyType  # "d0"/"d1" -> tuple of floats
     warnings: tuple
 
 
@@ -179,6 +180,20 @@ def _threshold_warnings(name: str, sv: np.ndarray, tol: float) -> list:
 
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
+    """H0/H1 summary of one coefficient system, computed once per
+    representation, coefficient basis and tol and kept on the
+    representation.  The summary is read-only because every later call
+    shares it.  Errors are not kept: they are raised again each call."""
+    basis = sys.basis
+    key = (basis.dtype.str, basis.shape, basis.tobytes(), tol)
+    memo = sys.rep._cohomology
+    if key not in memo:
+        memo[key] = _system_cohomology(sys, tol)
+    return memo[key]
+
+
+def _system_cohomology(sys: CoefficientSystem,
+                       tol: float) -> CohomologySummary:
     rep = sys.rep
     if rep.relator_residual > 10 * tol:
         raise ResidualError(
@@ -233,11 +248,13 @@ def system_cohomology(sys: CoefficientSystem,
             f"h0 = {h0} is impossible for full coefficients; "
             f"tolerance {tol:.1e} is misplaced")
 
+    basis_h0.flags.writeable = basis_h1.flags.writeable = False
     return CohomologySummary(
         h0=h0, h1=h1, z1=z1, coefficient_dim=k,
         basis_h0=basis_h0, basis_h1=basis_h1,
-        singular_values={"d0": [float(s) for s in sv0],
-                         "d1": [float(s) for s in sv1]},
+        singular_values=MappingProxyType(
+            {"d0": tuple(float(s) for s in sv0),
+             "d1": tuple(float(s) for s in sv1)}),
         warnings=tuple(warnings))
 
 

@@ -194,10 +194,12 @@ class Representation:
 
     The images are a read-only copy of what the caller passed, so the
     stored residual and the Fox Jacobian, computed once on first use by
-    `fox_jacobian_at`, stay true to them.
+    `fox_jacobian_at`, stay true to them.  So do the cohomology
+    summaries that `system_cohomology` keeps per coefficient basis.
     """
 
-    __slots__ = ("presentation", "images", "relator_residual", "_jacobian")
+    __slots__ = ("presentation", "images", "relator_residual", "_jacobian",
+                 "_cohomology")
 
     def __init__(self, presentation: Presentation, images,
                  tol: float = RELATOR_TOL):
@@ -213,6 +215,7 @@ class Representation:
         self.presentation = presentation
         self.images = images
         self._jacobian = None
+        self._cohomology = {}
         self.relator_residual = relator_residual(presentation, images)
         if self.relator_residual > tol:
             raise ResidualError(

@@ -345,3 +345,46 @@ def test_version_flag(capsys):
 def test_strata_scan_rejects_genus_one(capsys):
     code, _, err = run(capsys, "strata-scan", "--genus", "1")
     assert code == 1 and "genus" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["strata-scan", "--genus", "2", "--samples", "5"],
+    ["invariant", "--example", "lens", "--p", "7"],
+])
+def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    # used to reach the library and exit 1 with a misleading verdict
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2 and out == "" and "--tol" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"example": "lens", "p": 7, "q": 1, "point": 1},
+    {"example": "s1xs2", "samples": 8, "point": 3},
+])
+@pytest.mark.parametrize("bad", ["abc", 7.9])
+def test_torsion_example_fields_must_be_integers(tmp_path, capsys,
+                                                 payload, bad):
+    # "abc" used to crash with a traceback, 7.9 to be read as 7
+    assert run(capsys, "torsion",
+               write_json(tmp_path / "ok.json", payload))[0] == 0
+    for field in [f for f in payload if f != "example"]:
+        path = write_json(tmp_path / "bad.json", {**payload, field: bad})
+        code, out, err = run(capsys, "torsion", path)
+        assert code == 2 and out == ""
+        assert f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("fg-sum", {"entries": 5}),
+    ("fg-sum", {"entries": [[1.0, 0, 0.0]]}),
+    ("fg-sum", {"entries": [{"torsion": 1.0, "flow": 0}]}),
+    ("torsion", {"volume": {"presentation": {"generators": ["x"]}}}),
+    ("torsion", ["example"]),
+])
+def test_malformed_objects_are_exit_2(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path / "bad.json", payload)
+    argv = ["fg-sum", "--k", "1", "--entries", path] \
+        if command == "fg-sum" else ["torsion", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("input error:")
