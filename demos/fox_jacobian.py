@@ -1,31 +1,32 @@
 """Fox derivatives turn relator words into coboundary matrices.
 
-The chain rule d(uv) = du + u dv, evaluated through the adjoint
-representation, produces the 3x3 blocks of d1.  Composing with d0 must
-give zero because relators evaluate to the identity.
+fox_fold maps a word to its holonomy q, its Fox row J (the Fox
+derivatives d(uv) = du + u dv evaluated through the adjoint
+representation) and its cup-product matrix W.  The relators' rows
+stacked are d1; composing with d0 must give zero because relators
+evaluate to the identity.
 """
 import numpy as np
 
 from su2strata import su2
 from su2strata.cohomology import build_d0, build_d1
-from su2strata.presentations import (Representation, fox_derivative,
-                                     parse_word, polish_images,
-                                     surface_group)
+from su2strata.presentations import (Representation, fox_fold, parse_word,
+                                     polish_images, surface_group)
 
 pres = surface_group(2)
 print("generators:", pres.generators)
 print("relator:", pres.relators[0].letters)
-
-w = parse_word("a1 b1 A1 B1", pres.generators)
-for g, name in ((0, "a1"), (2, "b1")):  # 0-based generator index
-    terms = fox_derivative(w, g)
-    print(f"fox d/d{name} of [a1,b1]:", terms)
 
 rng = np.random.default_rng(7)
 imgs = np.array([su2.random_element(rng) for _ in range(4)])
 imgs = polish_images(pres, imgs)  # Gauss-Newton onto the relator variety
 rep = Representation(pres, imgs)
 print("relator residual after polish:", rep.relator_residual)
+
+w = parse_word("a1 b1 A1 B1", pres.generators)
+J = fox_fold(rep.images, w)[1]
+for g, name in ((0, "a1"), (2, "b1")):  # 0-based generator index
+    print(f"Ad(d/d{name}) of [a1,b1]:\n", J[:, 3 * g:3 * g + 3].round(4))
 
 d0 = build_d0(rep)
 d1 = build_d1(rep)

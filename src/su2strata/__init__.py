@@ -8,8 +8,9 @@ from . import su2
 from .conventions import CONVENTION_TAGS, SCHEMA_VERSION
 from .cohomology import (CoefficientSystem, CohomologySummary, build_d0,
                          build_d1, cocycle_value, cohomology, full_system,
-                         is_cocycle, pullback_cocycle, restrict_coefficients,
-                         restricted_system, stabilizer_axis, system_cohomology)
+                         is_cocycle, pullback_cocycle, pullback_matrix,
+                         restrict_coefficients, restricted_system,
+                         stabilizer_axis, system_cohomology)
 from .errors import (AntipodeError, BoundaryAmbiguousError,
                      CleanIntersectionError, DomainError, ExactnessError,
                      InputError, PresentationError, RankAmbiguityError,
@@ -21,15 +22,14 @@ from .invariants import (CleanVerdict, HeegaardData, InvariantResult,
                          heegaard_mv_torsion, heegaard_representations,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum,
                          t3_presentation, trace_fingerprint)
-from .presentations import (FoxDerivative, Presentation, Representation, Word,
+from .presentations import (Presentation, Representation, Word,
                             circle_times_surface_group, commutator,
                             custom_group, cyclic_group, evaluate_images,
-                            format_word, fox_blocks, fox_derivative,
-                            fox_jacobian_at, free_group, generator,
-                            parse_word, polish_images, presentation_from_json,
-                            presentation_to_json, relator_residual,
-                            representation_from_json, representation_to_json,
-                            surface_group)
+                            format_word, fox_fold, fox_jacobian_at,
+                            free_group, generator, parse_word, polish_images,
+                            presentation_from_json, presentation_to_json,
+                            relator_residual, representation_from_json,
+                            representation_to_json, surface_group)
 from .strata import (StratumLabel, boundary_fibre_values, classify_stratum,
                      handlebody_representation, polarization_map,
                      sample_stratum, sample_surface_representation,

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, su2
 from .cohomology import (DEFAULT_TOL, build_d0, cohomology,
                          restrict_coefficients)
-from .conventions import CONVENTION_TAGS, SCHEMA_VERSION
+from .conventions import CONVENTION_TAGS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
@@ -122,6 +122,13 @@ def _number(value, what: str, integer: bool = False):
         kind = "an integer" if integer else "a finite number"
         raise InputError(f"{what} must be {kind}, got {value!r}")
     return int(x) if integer else x
+
+
+def _lens_parameter(value: int, what: str) -> int:
+    """A lens p or q, bounded before any word a^p is built."""
+    if not 1 <= value <= MAX_P:
+        raise InputError(f"lens {what} must be in 1..{MAX_P}, got {value}")
+    return value
 
 
 def _load_rep_file(path: str, polish: bool):
@@ -280,7 +287,9 @@ def _torsion_from_example(data: dict, tol: float) -> dict:
 
     name = data["example"]
     if name == "lens":
-        p, q, n = integer("p", 0), integer("q", 1), integer("point", 1)
+        p = _lens_parameter(integer("p", 0), "p")
+        q = _lens_parameter(integer("q", 1), "q")
+        n = integer("point", 1)
         if not 0 < n <= p // 2:
             raise InputError("lens point index must be in 1..p//2")
         heegaard = lens_heegaard(p, q)
@@ -328,6 +337,9 @@ def _load_table(path: str, field: str) -> list:
 
 
 def _cmd_invariant(args) -> dict:
+    if args.example == "lens" and args.p is not None:
+        _lens_parameter(args.p, "p")
+        _lens_parameter(args.q, "q")
     points = enumerate_moduli(
         args.example, p=args.p, q=args.q, samples=args.samples,
         seed=args.seed, tol=args.tol)

@@ -6,6 +6,8 @@ For a representation x of <g_1..g_n | r_1..r_m> the cochain complex is
                                  d1 = Fox Jacobian of the relators,
 
 with coefficients in the algebra or an Ad-invariant subspace of it.
+Fox rows come from `presentations.fox_fold`: d1 stacks the relators',
+and a cocycle's value on a word is that word's row applied to it.
 H^0 and H^1 are presentation-independent; nothing above degree one is
 exposed because the 2-complex ceases to model the group there.  Ranks
 come from singular values against an absolute threshold, with warnings
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import su2
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import Representation, Word, fox_jacobian_at
+from .presentations import Representation, Word, fox_fold, fox_jacobian_at
 
 DEFAULT_TOL = 1e-8
 
@@ -45,9 +47,6 @@ class CoefficientSystem:
     def gen_action(self, j: int) -> np.ndarray:
         A = su2.ad(self.rep.images[j])
         return self.basis.T @ A @ self.basis
-
-    def actions(self) -> list:
-        return [self.gen_action(j) for j in range(self.n)]
 
 
 def full_system(rep: Representation) -> CoefficientSystem:
@@ -103,37 +102,38 @@ def build_d1(rep: Representation) -> np.ndarray:
 def system_d0(sys: CoefficientSystem) -> np.ndarray:
     k = sys.k
     out = np.zeros((sys.n * k, k))
-    for j, A in enumerate(sys.actions()):
-        out[j * k:(j + 1) * k] = A - np.eye(k)
+    for j in range(sys.n):
+        out[j * k:(j + 1) * k] = sys.gen_action(j) - np.eye(k)
     return out
 
 
 def system_d1(sys: CoefficientSystem) -> np.ndarray:
-    """(mk x nk) relator differential: each 3x3 block of the full Fox
-    Jacobian compressed to basis^T block basis.  On an Ad-invariant
-    subspace that is the Fox Jacobian of the restricted action."""
-    J = fox_jacobian_at(sys.rep)
+    """(mk x nk) relator differential: the full Fox Jacobian in the
+    system's basis.  On an Ad-invariant subspace that is the Fox
+    Jacobian of the restricted action."""
+    return _in_basis(sys, fox_jacobian_at(sys.rep))
+
+
+def _in_basis(sys: CoefficientSystem, J: np.ndarray) -> np.ndarray:
+    """A (3m x 3n) matrix of Fox rows with each 3x3 block compressed to
+    basis^T block basis, as (mk x nk)."""
     m, n, k = J.shape[0] // 3, sys.n, sys.k
     rows = sys.basis.T @ J.reshape(m, 3, 3 * n)
     return (rows.reshape(m * k, n, 3) @ sys.basis).reshape(m * k, n * k)
 
 
 def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarray:
-    """Value of the cocycle on a word: u(ab) = u(a) + a.u(b)."""
-    u = np.asarray(u, dtype=float).reshape(sys.n, sys.k)
-    acts = sys.actions()
-    val = np.zeros(sys.k)
-    cur = np.eye(sys.k)
-    for s in word:
-        j = abs(s) - 1
-        act = acts[j]
-        if s > 0:
-            val = val + cur @ u[j]
-            cur = cur @ act
-        else:
-            cur = cur @ act.T
-            val = val - cur @ u[j]
-    return val
+    """Value of the cocycle on a word, u(word) = J(word) u, with J the
+    word's Fox row."""
+    return pullback_matrix(sys, (word,)) @ np.ravel(u)
+
+
+def pullback_matrix(source_sys: CoefficientSystem, word_map) -> np.ndarray:
+    """Matrix of u -> (u(w) for w in word_map): the words' Fox rows in
+    the source system's basis, stacked."""
+    images = source_sys.rep.images
+    J = np.array([fox_fold(images, w)[1] for w in word_map])
+    return _in_basis(source_sys, J.reshape(-1, 3 * source_sys.n))
 
 
 def pullback_cocycle(target_sys: CoefficientSystem,
@@ -142,10 +142,8 @@ def pullback_cocycle(target_sys: CoefficientSystem,
     """Pull a cocycle back along the homomorphism sending the target's
     generator j to word_map[j] in the source group.  The target rep
     must factor through the map (same images on corresponding words)."""
-    out = np.zeros((target_sys.n, target_sys.k))
-    for j, w in enumerate(word_map):
-        out[j] = cocycle_value(source_sys, u, w)
-    return out
+    pb = pullback_matrix(source_sys, word_map) @ np.ravel(u)
+    return pb.reshape(target_sys.n, target_sys.k)
 
 
 @dataclass(frozen=True)

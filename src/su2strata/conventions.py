@@ -1,12 +1,15 @@
 """Shared numerical conventions.
 
 RELATOR_TOL is the default residual gate for accepting a
-representation's relators.  Reports emitted by the CLI embed
-CONVENTION_TAGS and SCHEMA_VERSION so that numbers can be compared
-across runs.
+representation's relators.  MAX_P bounds the lens p and q read from
+input, since words such as a^p are stored letter by letter.  Reports
+emitted by the CLI embed CONVENTION_TAGS and SCHEMA_VERSION so that
+numbers can be compared across runs.
 """
 
 RELATOR_TOL = 1e-9
+
+MAX_P = 10**6
 
 CONVENTION_TAGS = {
     "metric": "ijk-orthonormal",

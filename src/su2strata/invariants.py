@@ -16,13 +16,14 @@ caller supplies values.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import su2
-from .cohomology import (DEFAULT_TOL, CoefficientSystem, pullback_cocycle,
+from .cohomology import (DEFAULT_TOL, CoefficientSystem, pullback_matrix,
                          stabilizer_axis, system_cohomology)
 from .errors import (CleanIntersectionError, DomainError, InputError,
                      PresentationError)
@@ -103,19 +104,16 @@ def trace_fingerprint(rep: Representation) -> tuple:
     """Traces of generators, ordered pairs, and the full product,
     rounded to 1e-7."""
     imgs = rep.images
-    vals = [su2.trace(q) for q in imgs]
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            vals.append(su2.trace(su2.multiply(imgs[i], imgs[j])))
-    full = su2.identity()
-    for q in imgs:
-        full = su2.multiply(full, q)
-    vals.append(su2.trace(full))
-    return _round_fingerprint(vals)
+    n = len(imgs)
+    pairs = [su2.multiply(imgs[i], imgs[j])
+             for i in range(n) for j in range(i + 1, n)]
+    full = rep.evaluate(Word(range(1, n + 1)))
+    return _round_fingerprint([su2.trace(q) for q in [*imgs, *pairs, full]])
 
 
 def _round_fingerprint(vals) -> tuple:
-    return tuple(float(np.round(v, _FINGERPRINT_DECIMALS)) + 0.0 for v in vals)
+    return tuple((np.round(np.array(vals, dtype=float),
+                           _FINGERPRINT_DECIMALS) + 0.0).tolist())
 
 
 def find_conjugator(rep1: Representation, rep2: Representation,
@@ -182,18 +180,29 @@ def _axis_aligner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def deduplicate_points(points, tol: float = 1e-7):
-    """Merge conjugate points: equal fingerprints trigger an exact
-    conjugator search; only confirmed matches merge."""
+    """Merge conjugate points, keeping the first of each class in order.
+
+    Conjugate points can round one step (1e-7) apart in any fingerprint
+    component, so kept points within a step in every component are
+    candidates, found among prints filed in cells of 1024 steps; only a
+    confirmed conjugator merges.
+    """
+    scale = 10.0 ** _FINGERPRINT_DECIMALS
+    cells: dict = {}
     kept: list = []
     for pt in points:
-        merged = False
-        for prev in kept:
-            if pt.fingerprint == prev.fingerprint and \
-                    find_conjugator(pt.rep, prev.rep, tol) is not None:
-                merged = True
-                break
-        if not merged:
+        # offset half a cell, so the traces 0, +-1, +-2 sit mid-cell
+        steps = [round(v * scale) + 512 for v in pt.fingerprint]
+        probes = itertools.product(*({(k - 1) >> 10, (k + 1) >> 10}
+                                     for k in steps))
+        near = (prev for cell in probes
+                for prev_steps, prev in cells.get(cell, ())
+                if all(abs(a - b) <= 1 for a, b in zip(steps, prev_steps)))
+        if not any(find_conjugator(pt.rep, prev.rep, tol) is not None
+                   for prev in near):
             kept.append(pt)
+            cells.setdefault(tuple(k >> 10 for k in steps), []).append(
+                (steps, pt))
     return kept
 
 
@@ -231,14 +240,9 @@ def _h1_data(rep: Representation, basis: np.ndarray, tol: float):
 
 def _restriction_matrix(target, source, word_map) -> np.ndarray:
     """Matrix of the cocycle pullback in harmonic h1 coordinates."""
-    t_sys, t_sum = target
-    s_sys, s_sum = source
-    out = np.zeros((t_sum.h1, s_sum.h1))
-    for c in range(s_sum.h1):
-        u = s_sum.basis_h1[:, c].reshape(s_sys.n, s_sys.k)
-        pb = pullback_cocycle(t_sys, s_sys, word_map, u)
-        out[:, c] = t_sum.basis_h1.T @ pb.reshape(-1)
-    return out
+    (_, t_sum), (s_sys, s_sum) = target, source
+    return t_sum.basis_h1.T @ pullback_matrix(s_sys, word_map) \
+        @ s_sum.basis_h1
 
 
 def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,

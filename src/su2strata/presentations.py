@@ -9,7 +9,8 @@ and be pairwise distinct case-insensitively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,19 +193,18 @@ def custom_group(generators, relator_texts) -> Presentation:
 class Representation:
     """SU(2) images for each generator, relators satisfied within tol.
 
-    The images are a read-only copy of what the caller passed, so the
-    stored residual and the Fox Jacobian, computed once on first use by
-    `fox_jacobian_at`, stay true to them.  So do the cohomology
-    summaries that `system_cohomology` keeps per coefficient basis.
+    The images are a read-only copy of what the caller passed.  Each
+    relator is folded once, here; its holonomy (`relator_values`, read
+    by the gate), Fox row and cup-product matrix are kept read-only, as
+    are the cohomology summaries that `system_cohomology` keeps.
     """
 
-    __slots__ = ("presentation", "images", "relator_residual", "_jacobian",
-                 "_cohomology")
+    __slots__ = ("presentation", "images", "relator_values",
+                 "relator_residual", "_jacobian", "_pairings", "_cohomology")
 
     def __init__(self, presentation: Presentation, images,
                  tol: float = RELATOR_TOL):
-        images = np.atleast_2d(np.array(images, dtype=float))
-        images.flags.writeable = False
+        images = _read_only(np.atleast_2d(np.array(images, dtype=float)))
         if images.shape != (presentation.num_generators, 4):
             raise PresentationError(
                 f"need shape ({presentation.num_generators}, 4) images, "
@@ -214,9 +214,18 @@ class Representation:
             raise PresentationError("images must be unit quaternions")
         self.presentation = presentation
         self.images = images
-        self._jacobian = None
         self._cohomology = {}
-        self.relator_residual = relator_residual(presentation, images)
+        n3 = 3 * presentation.num_generators
+        letters: dict = {}
+        folds = [_fold(images, r, letters) for r in presentation.relators]
+        self.relator_values = _read_only(
+            np.array([q for q, _, _ in folds]).reshape(-1, 4))
+        self._jacobian = _read_only(
+            np.array([J for _, J, _ in folds]).reshape(-1, n3))
+        self._pairings = _read_only(
+            np.array([W for _, _, W in folds]).reshape(-1, n3, n3))
+        self.relator_residual = float(np.linalg.norm(
+            self.relator_values - su2.identity(), axis=1).max(initial=0.0))
         if self.relator_residual > tol:
             raise ResidualError(
                 f"relator residual {self.relator_residual:.3e} exceeds "
@@ -236,87 +245,83 @@ class Representation:
         return Representation(self.presentation, images, tol=np.inf)
 
 
-def evaluate_images(images: np.ndarray, word: Word) -> np.ndarray:
-    out = su2.identity()
-    for s in word:
-        g = images[abs(s) - 1]
-        out = su2.multiply(out, g if s > 0 else su2.inverse(g))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def fox_fold(images: np.ndarray, word: Word):
+    """(q, J, W) of a word at the images of n generators: its holonomy,
+    its (3 x 3n) Fox row with u(word) = J @ ravel(u) for every cocycle,
+    and its (3n x 3n) cup-product matrix: ravel(u) @ W @ ravel(v) sums
+    <u(a), Ad(a) v(b)> over the word's bar 2-chain, +[p | x] at a letter
+    x after prefix p and -[p x^-1 | x] at a letter x^-1.
+
+    Fox calculus is a monoid homomorphism (Fox 1953), so the fold of a
+    concatenation is `_compose` of the halves' folds.  A run of one
+    letter is folded by squaring, so a^p costs O(log p) products.  This
+    is the one walk over word letters.
+    """
+    return _fold(images, word, {})
+
+
+def _fold(images: np.ndarray, word: Word, letters: dict):
+    """`fox_fold`, sharing one-letter folds in `letters` across words."""
+    out = None
+    for s, run in itertools.groupby(word):
+        if s not in letters:
+            letters[s] = _letter_fold(images, s)
+        t = _power(letters[s], len(list(run)))
+        out = t if out is None else _compose(out, t)
+    if out is None:
+        n3 = 3 * len(images)
+        return su2.identity(), np.zeros((3, n3)), np.zeros((n3, n3))
     return out
+
+
+def _letter_fold(images: np.ndarray, s: int):
+    """Fold of the one-letter word s: u(x^-1) = -Ad(x)^T u(x), and the
+    chain -[x^-1 | x] pairs u(x) with itself."""
+    n3 = 3 * len(images)
+    j = 3 * abs(s) - 3
+    x = np.array(images[abs(s) - 1], dtype=float)
+    if s > 0:
+        return x, np.eye(3, n3, j), np.zeros((n3, n3))
+    J, W = np.zeros((3, n3)), np.zeros((n3, n3))
+    J[:, j:j + 3] = -su2.ad(x).T
+    np.fill_diagonal(W[j:j + 3, j:j + 3], 1.0)
+    return su2.inverse(x), J, W
+
+
+def _compose(a, b):
+    """(q1, J1, W1)(q2, J2, W2)
+    = (q1 q2, J1 + Ad(q1) J2, W1 + W2 + J1^T Ad(q1) J2)."""
+    (q1, J1, W1), (q2, J2, W2) = a, b
+    AJ2 = np.dot(su2.ad(q1), J2)     # np.dot: less overhead than @ here
+    return su2.multiply(q1, q2), J1 + AJ2, W1 + W2 + np.dot(J1.T, AJ2)
+
+
+def _power(t, k: int):
+    """t composed with itself k >= 1 times: t^k = (t t)^(k // 2) t^(k % 2)."""
+    if k == 1:
+        return t
+    half = _power(_compose(t, t), k // 2)
+    return _compose(half, t) if k % 2 else half
+
+
+def evaluate_images(images: np.ndarray, word: Word) -> np.ndarray:
+    return fox_fold(images, word)[0]
 
 
 def relator_residual(presentation: Presentation, images: np.ndarray) -> float:
-    res = 0.0
-    for r in presentation.relators:
-        res = max(res, float(np.linalg.norm(
-            evaluate_images(images, r) - su2.identity())))
-    return res
-
-
-@dataclass(frozen=True)
-class FoxDerivative:
-    """Formal sum of signed prefixes: d(word)/d(generator)."""
-
-    terms: tuple  # of (sign, Word) pairs
-
-
-def fox_derivative(word: Word, gen: int) -> FoxDerivative:
-    """Left Fox derivative with respect to the 0-based generator index.
-
-    d(uv) = du + u dv, d(x)/dx = +(empty), d(x^-1)/dx = -(x^-1).
-    The number of terms equals the number of occurrences of the
-    generator (inverses included).
-    """
-    target = gen + 1
-    terms = []
-    prefix = Word()
-    for s in word:
-        letter = Word((s,))
-        if s == target:
-            terms.append((1, prefix))
-        elif s == -target:
-            terms.append((-1, prefix * letter))
-        prefix = prefix * letter
-    return FoxDerivative(tuple(terms))
-
-
-def fox_blocks(images: np.ndarray, word: Word) -> list:
-    """Fox terms of a word at the images, one per letter.
-
-    Each term is (0-based generator index, sign * Ad(prefix image)),
-    the prefix taken before a positive letter and after an inverse one,
-    so that u(prefix . letter) = u(prefix) + block @ u[index] for every
-    cocycle u.  This is the one walk over relator letters that d1 and
-    the surface pairing matrix both read.
-    """
-    out = []
-    prefix_q = su2.identity()
-    for s in word:
-        g = abs(s) - 1
-        if s > 0:
-            out.append((g, su2.ad(prefix_q)))
-            prefix_q = su2.multiply(prefix_q, images[g])
-        else:
-            prefix_q = su2.multiply(prefix_q, su2.inverse(images[g]))
-            out.append((g, -su2.ad(prefix_q)))
-    return out
+    return Representation(presentation, images, tol=np.inf).relator_residual
 
 
 def fox_jacobian_at(rep: Representation) -> np.ndarray:
-    """Relator differential as a (3m x 3n) block matrix.
-
-    Block (r, g) is the sum of the Fox blocks of relator r at generator
-    g.  Its kernel is the Zariski tangent space of the representation
-    variety.  The relators are walked on the first call only; the
-    read-only result is kept on the representation.
-    """
-    if rep._jacobian is None:
-        pres = rep.presentation
-        J = np.zeros((3 * len(pres.relators), 3 * pres.num_generators))
-        for ri, r in enumerate(pres.relators):
-            for g, block in fox_blocks(rep.images, r):
-                J[3 * ri:3 * ri + 3, 3 * g:3 * g + 3] += block
-        J.flags.writeable = False
-        rep._jacobian = J
+    """Relator differential as a read-only (3m x 3n) block matrix: row
+    block r is the Fox row of relator r, folded when the representation
+    was made.  Its kernel is the Zariski tangent space of the
+    representation variety."""
     return rep._jacobian
 
 
@@ -326,34 +331,30 @@ def polish_images(presentation: Presentation, images,
 
     Flows images by exp(u_j) * x_j where u solves the Fox-Jacobian
     least-squares system against the relator logarithms.  Backtracks
-    when a step does not decrease the residual.
+    when a step does not decrease the residual.  Each candidate's
+    residual, relator logarithms and Jacobian come from one fold.
     """
-    pres = presentation
-    images = np.atleast_2d(np.asarray(images, dtype=float)).copy()
-    if not pres.relators:
-        return images
+    rep = Representation(presentation, images, tol=np.inf)
     for _ in range(max_iter):
-        res = relator_residual(pres, images)
-        if res <= tol:
-            return images
-        rep = Representation(pres, images, tol=np.inf)
-        F = np.concatenate([su2.log(rep.evaluate(r)) for r in pres.relators])
-        J = fox_jacobian_at(rep)
-        u, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        if rep.relator_residual <= tol:
+            break
+        F = np.concatenate([su2.log(q) for q in rep.relator_values])
+        u, *_ = np.linalg.lstsq(fox_jacobian_at(rep), -F, rcond=None)
         step = 1.0
         for _ in range(25):
-            cand = np.array([su2.multiply(su2.exp(step * u[3*j:3*j+3]), images[j])
-                             for j in range(pres.num_generators)])
-            if relator_residual(pres, cand) < res:
-                images = cand
+            cand = Representation(presentation, [
+                su2.multiply(su2.exp(step * u[3 * j:3 * j + 3]), x)
+                for j, x in enumerate(rep.images)], tol=np.inf)
+            if cand.relator_residual < rep.relator_residual:
+                rep = cand
                 break
             step *= 0.5
         else:
             break
-    if relator_residual(pres, images) > tol:
+    if rep.relator_residual > tol:
         raise ResidualError(
-            f"polish stalled at residual {relator_residual(pres, images):.3e}")
-    return images
+            f"polish stalled at residual {rep.relator_residual:.3e}")
+    return np.array(rep.images)
 
 
 # JSON forms.  Presentations: {"generators": [...], "relators": ["a b A B"],

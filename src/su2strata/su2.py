@@ -104,10 +104,10 @@ def ad(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q.tolist()
     c = w * w - x * x - y * y - z * z
     return np.array([
-        [c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        [2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x)],
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z],
-    ])
+        c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+        2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
+        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
+    ]).reshape(3, 3)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:

@@ -14,8 +14,9 @@ cohomology classes; none of that is assumed anywhere, the test suite
 measures it.  The overall scale is fixed by the orthonormal (i, j, k)
 metric.
 
-The pairing is bilinear, so it is held as one (3n x 3n) matrix W,
-built from a single walk over the relator's Fox blocks.  Cocycles are
+The pairing is bilinear, so it is held as one (3n x 3n) matrix W: the
+cup-product part of the surface relator's Fox fold
+(`presentations.fox_fold`), the same fold that gives d1.  Cocycles are
 (n, 3) arrays, one algebra vector per generator, or their flat form.
 """
 
@@ -24,35 +25,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import su2
-from .cohomology import (DEFAULT_TOL, cocycle_value, cohomology, full_system)
+from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError
-from .presentations import Representation, Word, fox_blocks
+from .presentations import Representation, Word, fox_fold
 
 
 def pairing_matrix(rep: Representation) -> np.ndarray:
-    """The (3n x 3n) matrix W with pairing(u, v) = ravel(u) @ W @ ravel(v).
-
-    One pass over the Fox blocks F of the surface relator.  P is the
-    running map u -> u(prefix); the letter's term <u(a), F v_j> adds
-    P^T F to column block j, with a = p_i for a positive letter and
-    a = p_i s_i for an inverse one, so F joins P after the term in the
-    first case and before it in the second.
-    """
-    pres = rep.presentation
-    if pres.kind != "surface":
+    """The read-only (3n x 3n) matrix W with
+    pairing(u, v) = ravel(u) @ W @ ravel(v): the cup-product matrix of
+    the surface relator's fold, kept on the representation."""
+    if rep.presentation.kind != "surface":
         raise DomainError("the pairing needs a surface presentation")
-    n = pres.num_generators
-    relator = pres.relators[0]
-    P = np.zeros((3, 3 * n))
-    W = np.zeros((3 * n, 3 * n))
-    for s, (j, F) in zip(relator, fox_blocks(rep.images, relator)):
-        cols = slice(3 * j, 3 * j + 3)
-        if s < 0:
-            P[:, cols] += F
-        W[:, cols] += P.T @ F
-        if s > 0:
-            P[:, cols] += F
-    return W
+    return rep._pairings[0]
 
 
 def goldman_form(rep: Representation, u: np.ndarray, v: np.ndarray) -> float:
@@ -69,12 +53,10 @@ def gram_matrix(rep: Representation, cocycles) -> np.ndarray:
 
 def trace_derivative(rep: Representation, word: Word, u: np.ndarray) -> float:
     """Derivative of trace(holonomy(word)) along the cocycle flow
-    images -> exp(t u) images: the real trace of u(word) against the
-    holonomy."""
-    sys = full_system(rep)
-    val = cocycle_value(sys, u, word)
-    hol = rep.evaluate(word)
-    return su2.trace_pairing(val, hol)
+    images -> exp(t u) images: the real trace of u(word) = J u against
+    the holonomy q, both from the word's fold."""
+    q, J, _ = fox_fold(rep.images, word)
+    return su2.trace_pairing(J @ np.ravel(u), q)
 
 
 def fibre_tangent_basis(rep: Representation, curves,
@@ -89,11 +71,8 @@ def fibre_tangent_basis(rep: Representation, curves,
     n = rep.presentation.num_generators
     if B.shape[1] == 0:
         return []
-    rows = []
-    for w in curves:
-        rows.append([trace_derivative(rep, w, B[:, c].reshape(n, 3))
-                     for c in range(B.shape[1])])
-    T = np.array(rows, dtype=float)
+    T = np.array([[trace_derivative(rep, w, b) for b in B.T]
+                  for w in curves], dtype=float)
     if T.size == 0:
         null = np.eye(B.shape[1])
     else:

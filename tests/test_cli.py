@@ -358,6 +358,27 @@ def test_tol_must_be_finite_and_positive(capsys, argv, tol):
     assert code == 2 and out == "" and "--tol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--example", "lens", "--p", "100000000000000000000"],
+    ["invariant", "--example", "lens", "--p", "7", "--q", "1000001"],
+    ["invariant", "--example", "lens", "--p", "0"],
+])
+def test_invariant_lens_parameters_are_bounded(capsys, argv):
+    # a huge p used to crash building a^p with an OverflowError traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "1..1000000" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"example": "lens", "p": 1e300, "q": 1, "point": 1},
+    {"example": "lens", "p": 7, "q": 10**7, "point": 1},
+])
+def test_torsion_lens_parameters_are_bounded(tmp_path, capsys, payload):
+    code, out, err = run(capsys, "torsion",
+                         write_json(tmp_path / "big.json", payload))
+    assert code == 2 and out == "" and "1..1000000" in err
+
+
 @pytest.mark.parametrize("payload", [
     {"example": "lens", "p": 7, "q": 1, "point": 1},
     {"example": "s1xs2", "samples": 8, "point": 3},

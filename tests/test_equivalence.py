@@ -1,0 +1,94 @@
+"""Equivalence gate: CLI reports against golden copies.
+
+Each case runs one CLI command in-process and compares its exit code
+and JSON report with tests/golden/<name>.out.json: ints, strings, bools
+and nulls exactly, floats to 1e-12 (relative above magnitude 1).  A
+change that means to alter a report regenerates the goldens, from the
+repository root and with OPENBLAS_NUM_THREADS=1, by
+
+    PYTHONPATH=src python tests/test_equivalence.py
+
+and says so in its change notes.
+"""
+
+import io
+import json
+import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from su2strata.cli import dispatch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join("tests", "golden")
+FREE3 = os.path.join(GOLDEN, "free3-stratum1.json")
+FLOAT_TOL = 1e-12
+
+CASES = {
+    "invariant-lens-31-7": ["invariant", "--example", "lens", "--p", "31",
+                            "--q", "7", "--k", "2"],
+    "invariant-s1xs2-8": ["invariant", "--example", "s1xs2",
+                          "--samples", "8"],
+    "strata-scan-g3": ["strata-scan", "--genus", "3", "--samples", "40",
+                       "--seed", "5"],
+    "symplectic-check-g2": ["symplectic-check", "--genus", "2",
+                            "--seed", "3"],
+    "symplectic-check-g5": ["symplectic-check", "--genus", "5",
+                            "--seed", "3"],
+    "torsion-lens-101": ["torsion", os.path.join(GOLDEN,
+                                                 "lens101-torsion.json")],
+    "classify-free3": ["classify", FREE3],
+    **{f"cohomology-free3-{c}": ["cohomology", FREE3, "--coefficients", c]
+       for c in ("full", "stabilizer", "complement")},
+}
+
+
+def run_case(argv) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = dispatch(list(argv))
+    report = json.loads(out.getvalue()) if code == 0 else None
+    return {"argv": list(argv), "exit": code, "report": report}
+
+
+def mismatches(got, want, path="") -> list:
+    """Paths where got differs from want beyond the gate's tolerance."""
+    differs = [f"{path}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return differs
+    if isinstance(want, float):
+        close = math.isclose(got, want, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL)
+        return [] if close else differs
+    if isinstance(want, dict):
+        if set(got) != set(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want
+                for m in mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (a, b) in enumerate(zip(got, want))
+                for m in mismatches(a, b, f"{path}[{i}]")]
+    return [] if got == want else differs
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_matches_golden(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(GOLDEN, f"{name}.out.json"),
+              encoding="utf-8") as f:
+        want = json.load(f)
+    got = run_case(CASES[name])
+    assert got["argv"] == want["argv"]
+    assert mismatches(got, want) == []
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    for name, argv in CASES.items():
+        with open(os.path.join(GOLDEN, f"{name}.out.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump(run_case(argv), f, indent=1, sort_keys=True)
+            f.write("\n")

@@ -1,26 +1,31 @@
-"""The single Fox walk against the definitional oracles.
+"""The Fox fold against the definitional oracles.
 
-d1 (fox_jacobian_at, system_d1 on full, stabilizer-line and complement
-bases) and the surface pairing (pairing_matrix, goldman_form,
-gram_matrix) all read presentations.fox_blocks; here each is compared
-with tests/oracles.py, which builds the same objects from 2x2 complex
-matrix products and imports nothing from the package.  A lens
-enumeration is also held to one walk of its relator per point.
+presentations.fox_fold maps a word to its holonomy q, Fox row J and
+cup-product matrix W.  d1 (fox_jacobian_at, system_d1 on full,
+stabilizer-line and complement bases) and the surface pairing
+(pairing_matrix, goldman_form, gram_matrix) all read it; here each is
+compared with tests/oracles.py, which builds the same objects letter by
+letter from 2x2 complex matrix products and imports nothing from the
+package.  The fold itself is checked as a monoid homomorphism, on words
+with long runs folded by squaring, and a lens enumeration is held to
+one fold of its relator and O(log p) quaternion products per point.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2strata import presentations, su2
 from su2strata.cohomology import (cohomology, full_system, restricted_system,
                                   system_d1)
 from su2strata.errors import DomainError
 from su2strata.invariants import enumerate_moduli, t3_presentation
-from su2strata.presentations import (Representation,
+from su2strata.presentations import (Representation, Word,
                                      circle_times_surface_group, cyclic_group,
-                                     fox_jacobian_at, free_group,
+                                     fox_fold, fox_jacobian_at, free_group,
                                      surface_group)
 from su2strata.strata import sample_surface_representation
 from su2strata.symplectic import goldman_form, gram_matrix, pairing_matrix
@@ -105,17 +110,91 @@ def test_goldman_form_and_gram_match_oracle_off_cocycles(g):
 def test_lens_walks_its_relator_once_per_point(monkeypatch):
     relator = cyclic_group(31).relators[0]
     walked = []
-    walk = presentations.fox_blocks
+    fold = presentations._fold       # behind fox_fold and relator folds
 
-    def counting(images, word):
+    def counting(images, word, letters):
         if word == relator:
             walked.append(images.tobytes())
-        return walk(images, word)
+        return fold(images, word, letters)
 
-    monkeypatch.setattr(presentations, "fox_blocks", counting)
+    monkeypatch.setattr(presentations, "_fold", counting)
     points = enumerate_moduli("lens", p=31, q=7)
     assert len(points) == 16
     assert sorted(walked) == sorted(pt.rep.images.tobytes() for pt in points)
+
+
+def test_lens_products_per_point_are_logarithmic_in_p(monkeypatch):
+    # every word of a lens point is a run of one letter, at most p long;
+    # walking the relator a^p alone would take p products
+    p = 1009
+    calls = []
+    multiply = su2.multiply
+
+    def counting(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(su2, "multiply", counting)
+    points = enumerate_moduli("lens", p=p, q=7)
+    assert len(points) == p // 2 + 1
+    assert len(calls) / len(points) <= 16 * math.log2(p)
+
+
+# -- the fold as a monoid homomorphism -----------------------------------
+
+IMAGES = np.array([su2.exp(v) for v in
+                   np.random.default_rng(11).normal(size=(3, 3))])
+runs = st.lists(st.tuples(st.sampled_from([1, 2, 3, -1, -2, -3]),
+                          st.integers(1, 500)), max_size=4)
+
+
+def _word(pairs) -> Word:
+    return Word([s for s, k in pairs for _ in range(k)])
+
+
+def _compose(a, b):
+    """The fold of a concatenation, from the oracles' Ad and product."""
+    (q1, J1, W1), (q2, J2, W2) = a, b
+    AJ2 = oracles.adjoint_matrix(q1) @ J2
+    return oracles.quat_mul(q1, q2), J1 + AJ2, W1 + W2 + J1.T @ AJ2
+
+
+def _close(got, want, length):
+    """Equal (q, J, W) up to rounding: entries of J and W on words of
+    this many letters grow like length and length**2."""
+    return all(np.abs(g - w).max() <= 1e-13 * (1 + length) ** e
+               for g, w, e in zip(got, want, (0, 1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs, runs, st.integers(0, 1500))
+def test_fold_of_product_is_composed_fold(u_runs, tail_runs, cancel):
+    # v starts with the inverse of u's last `cancel` letters, so u * v
+    # is freely reduced across the seam
+    u = _word(u_runs)
+    cancel = min(cancel, len(u))
+    v = Word(u.letters[len(u) - cancel:]).inverse() * _word(tail_runs)
+    assert _close(fox_fold(IMAGES, u * v),
+                  _compose(fox_fold(IMAGES, u), fox_fold(IMAGES, v)),
+                  len(u) + len(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 2, 3, -1, -2, -3]),
+                          st.integers(1, 40)), max_size=5))
+def test_fold_matches_letter_by_letter_oracles(pairs):
+    word = _word(pairs)
+    q, J, W = fox_fold(IMAGES, word)
+    m = np.eye(2)
+    for s in word:
+        f = oracles.su2_matrix(IMAGES[abs(s) - 1])
+        m = m @ (f if s > 0 else f.conj().T)
+    want_J = oracles.fox_jacobian([word.letters], IMAGES)
+    assert _close((q, J), (oracles.quat_from_matrix(m), want_J), len(word))
+    rng = np.random.default_rng(len(word))
+    for u, v in rng.normal(size=(2, 2, 9)):
+        want = oracles.goldman_pairing(word.letters, IMAGES, u, v)
+        assert abs(u @ W @ v - want) <= 1e-12 * (1 + len(word)) ** 2
 
 
 def test_pairing_matrix_needs_surface_kind():

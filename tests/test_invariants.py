@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2strata import su2
 from su2strata.errors import (CleanIntersectionError, DomainError, InputError,
@@ -18,6 +20,7 @@ from su2strata.invariants import (HeegaardData, ModuliPoint,
                                   t3_presentation, trace_fingerprint)
 from su2strata.presentations import (Representation, Word, cyclic_group,
                                      free_group, generator)
+from su2strata.strata import classify_stratum
 from su2strata.torsion import TorsionValue
 
 AXIS = np.array([1.0, 0.0, 0.0])
@@ -69,6 +72,12 @@ def test_find_conjugator_central_mismatch():
     assert find_conjugator(a, a) is not None
 
 
+def _point(pid, rep):
+    return ModuliPoint(point_id=pid, rep=rep, stratum=classify_stratum(rep),
+                       component_dim=0, weight=1.0,
+                       fingerprint=trace_fingerprint(rep))
+
+
 def test_deduplicate_merges_conjugates_only():
     rng = np.random.default_rng(2)
     rep = Representation(
@@ -76,16 +85,27 @@ def test_deduplicate_merges_conjugates_only():
     twin = rep.conjugated(su2.random_element(rng))
     other = Representation(
         free_group(2), np.array([su2.random_element(rng) for _ in range(2)]))
-
-    def point(pid, r):
-        from su2strata.strata import classify_stratum
-        return ModuliPoint(point_id=pid, rep=r,
-                           stratum=classify_stratum(r), component_dim=0,
-                           weight=1.0, fingerprint=trace_fingerprint(r))
-
-    merged = deduplicate_points([point("a", rep), point("b", twin),
-                                 point("c", other)])
+    merged = deduplicate_points([_point("a", rep), _point("b", twin),
+                                 _point("c", other)])
     assert [p.point_id for p in merged] == ["a", "c"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_deduplicate_merges_every_conjugate(seed, half_point):
+    rng = np.random.default_rng(seed)
+    first = su2.random_element(rng)
+    if half_point:
+        # a trace on a rounding half-point: the conjugate's trace, equal
+        # up to rounding error, may round to the neighbouring value
+        w = (math.floor(su2.trace(first) * 1e7) + 0.5) * 1e-7 / 2.0
+        axis = first[1:] / np.linalg.norm(first[1:])
+        first = np.array([w, *(math.sqrt(1.0 - w * w) * axis)])
+    rep = Representation(free_group(2),
+                         np.array([first, su2.random_element(rng)]))
+    twin = rep.conjugated(su2.random_element(rng))
+    merged = deduplicate_points([_point("a", rep), _point("b", twin)])
+    assert [p.point_id for p in merged] == ["a"]
 
 
 # -- Heegaard pipeline ---------------------------------------------------
@@ -112,6 +132,26 @@ def test_lens_mv_torsion_is_one_over_p():
         for n in range(1, (p - 1) // 2 + 1):
             t = heegaard_mv_torsion(heegaard, lens_rep(p, n))
             assert abs(t.value - 1.0 / p) < 1e-9, (p, q, n)
+
+
+@pytest.mark.parametrize("q", [7, 500])
+def test_lens_torsion_laws_at_p_1009(q):
+    p = 1009
+    points = enumerate_moduli("lens", p=p, q=q)
+    assert len(points) == p // 2 + 1
+    assert [pt.point_id for pt in points if pt.stratum.i == 0] == \
+        [f"lens({p},{q}):n=0"]
+    for pt in points:
+        want = 1.0 if pt.stratum.i == 0 else 1.0 / p
+        assert abs(pt.torsion.value - want) < 1e-9 * want, pt.point_id
+
+
+@pytest.mark.parametrize("samples", [16, 500])
+def test_s1xs2_interior_torsion_is_one(samples):
+    points = enumerate_moduli("s1xs2", samples=samples)
+    interior = [pt for pt in points if pt.component_dim == 1]
+    assert len(interior) == samples - 1
+    assert all(abs(pt.torsion.value - 1.0) < 1e-9 for pt in interior)
 
 
 def test_s1xs2_family_torsion_is_one():

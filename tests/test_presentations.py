@@ -10,7 +10,7 @@ from su2strata.errors import PresentationError, ResidualError
 from su2strata.presentations import (EMPTY, Presentation, Representation,
                                      Word, commutator, custom_group,
                                      cyclic_group, evaluate_images,
-                                     format_word, fox_derivative,
+                                     format_word, fox_fold,
                                      fox_jacobian_at, free_group, generator,
                                      parse_word, polish_images,
                                      presentation_from_json,
@@ -125,37 +125,44 @@ def test_evaluation_of_inverse():
 
 # -- Fox calculus ------------------------------------------------------
 
-def test_fox_derivative_hand_cases():
+def _ad(*quats):
+    """Ad of a product of quaternions, through the matrix oracle."""
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    for f in quats:
+        q = oracles.quat_mul(q, f)
+    return oracles.adjoint_matrix(q)
+
+
+def test_fold_hand_cases():
+    # Fox derivatives evaluated through Ad: d/da a = 1, d/da a^-1 = -a^-1,
+    # d/da [a,b] = 1 - a b a^-1 and d/db [a,b] = a - a b a^-1 b^-1
+    rng = np.random.default_rng(3)
+    images = np.array([su2.random_element(rng) for _ in range(2)])
+    x, y = images
+    xi, yi = su2.inverse(x), su2.inverse(y)
     a, b = generator(0), generator(1)
-    # d/da (a) = +1 with empty prefix
-    d = fox_derivative(a, 0)
-    assert d.terms == ((1, EMPTY),)
-    # d/da (a^-1) = -(a^-1)
-    d = fox_derivative(a.inverse(), 0)
-    assert d.terms == ((-1, a.inverse()),)
-    # d/da (aba^-1b^-1) = 1 - aba^-1
-    d = fox_derivative(commutator(a, b), 0)
-    assert d.terms == ((1, EMPTY), (-1, Word((1, 2, -1))))
-    # d/db (aba^-1b^-1) = a - aba^-1b^-1
-    d = fox_derivative(commutator(a, b), 1)
-    assert d.terms == ((1, a), (-1, Word((1, 2, -1, -2))))
+
+    def row(word, g):
+        return fox_fold(images, word)[1][:, 3 * g:3 * g + 3]
+
+    assert np.abs(row(a, 0) - np.eye(3)).max() < 1e-12
+    assert np.abs(row(a, 1)).max() == 0.0
+    assert np.abs(row(a.inverse(), 0) + _ad(xi)).max() < 1e-12
+    ab = commutator(a, b)
+    assert np.abs(row(ab, 0) - (np.eye(3) - _ad(x, y, xi))).max() < 1e-12
+    assert np.abs(row(ab, 1) - (_ad(x) - _ad(x, y, xi, yi))).max() < 1e-12
 
 
-def test_fox_derivative_of_power():
-    a = generator(0)
-    d = fox_derivative(a ** 3, 0)
-    assert d.terms == ((1, EMPTY), (1, a), (1, a * a))
-
-
-def test_fox_product_rule():
-    # d(uv) = du + u dv on a random pair of words
-    u = Word((1, -2, 3))
-    v = Word((2, 2, -1))
-    for g in range(3):
-        du = fox_derivative(u, g).terms
-        dv = fox_derivative(v, g).terms
-        expected = du + tuple((s, u * p) for s, p in dv)
-        assert fox_derivative(u * v, g).terms == expected
+def test_fold_of_power():
+    # d/da a^p = 1 + a + ... + a^(p-1), the run folded by squaring
+    for p in (3, 37):
+        x = su2.random_element(np.random.default_rng(p))
+        want = sum(np.linalg.matrix_power(oracles.adjoint_matrix(x), i)
+                   for i in range(p))
+        q, J, _ = fox_fold(np.array([x]), generator(0) ** p)
+        assert np.abs(J - want).max() < 1e-12 * p
+        assert np.abs(q - oracles.quat_from_matrix(
+            np.linalg.matrix_power(oracles.su2_matrix(x), p))).max() < 1e-12
 
 
 def fd_relator_jacobian(pres, images, t):
