@@ -25,7 +25,7 @@ from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
 from .presentations import (Presentation, Representation, free_group,
-                            polish_images, presentation_from_json,
+                            gate_relators, polish, presentation_from_json,
                             representation_from_json)
 from .strata import (classify_stratum, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
@@ -131,16 +131,16 @@ def _lens_parameter(value: int, what: str) -> int:
     return value
 
 
-def _load_rep_file(path: str, polish: bool):
+def _load_rep_file(path: str, polished: bool):
     data = _fields(_load_json(path), "input", {"schema"},
                    ("presentation", "images"))
     try:
         pres = presentation_from_json(data["presentation"])
-        if not polish:
+        if not polished:
             return representation_from_json(data["images"], pres)
         # parse without the residual gate, project, then gate
         rough = representation_from_json(data["images"], pres, tol=np.inf)
-        return Representation(pres, polish_images(pres, rough.images))
+        return gate_relators(polish(pres, rough.images))
     except PresentationError as e:
         raise InputError(str(e)) from None
 

@@ -8,6 +8,7 @@ For a representation x of <g_1..g_n | r_1..r_m> the cochain complex is
 with coefficients in the algebra or an Ad-invariant subspace of it.
 Fox rows come from `presentations.fox_fold`: d1 stacks the relators',
 and a cocycle's value on a word is that word's row applied to it.
+d0 reads the representation's kept Ad stack.
 H^0 and H^1 are presentation-independent; nothing above degree one is
 exposed because the 2-complex ceases to model the group there.  Ranks
 come from singular values against an absolute threshold, with warnings
@@ -21,9 +22,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import su2
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import Representation, Word, fox_fold, fox_jacobian_at
+from .presentations import Representation, Word, fox_jacobian_at, kept
 
 DEFAULT_TOL = 1e-8
 
@@ -44,10 +44,6 @@ class CoefficientSystem:
     def n(self) -> int:
         return self.rep.presentation.num_generators
 
-    def gen_action(self, j: int) -> np.ndarray:
-        A = su2.ad(self.rep.images[j])
-        return self.basis.T @ A @ self.basis
-
 
 def full_system(rep: Representation) -> CoefficientSystem:
     return CoefficientSystem(rep, np.eye(3))
@@ -58,8 +54,18 @@ def restricted_system(rep: Representation, part: str,
     """Coefficients along the stabilizer axis or its orthocomplement.
 
     Defined only at reducible nontrivial representations (h0 = 1),
-    where the common rotation axis gives the canonical splitting.
+    where the common rotation axis gives the canonical splitting.  Each
+    (part, tol) basis is made and checked once and kept, read-only, on
+    the representation (the basis, not the system, so nothing kept
+    refers back to its representation); errors are raised again on
+    every call.
     """
+    basis = kept(rep._strata, (part, tol), _restricted_basis, rep, part, tol)
+    return CoefficientSystem(rep, basis)
+
+
+def _restricted_basis(rep: Representation, part: str,
+                      tol: float) -> np.ndarray:
     axis = stabilizer_axis(rep, tol)
     if part == "stabilizer":
         basis = axis.reshape(3, 1)
@@ -67,18 +73,19 @@ def restricted_system(rep: Representation, part: str,
         # null space of the axis row; SVD keeps this deterministic
         _, _, vt = np.linalg.svd(axis.reshape(1, 3))
         basis = vt[1:].T
+        basis.flags.writeable = False
     else:
         raise DomainError(f"unknown coefficient part {part!r}")
-    sys = CoefficientSystem(rep, basis)
     P = basis @ basis.T
-    for j in range(sys.n):
-        A = su2.ad(rep.images[j])
-        leak = np.linalg.norm((np.eye(3) - P) @ A @ basis)
-        if leak > 10 * tol:
-            raise DomainError(
-                f"coefficient subspace not Ad-invariant at generator {j}: "
-                f"leak {leak:.3e}")
-    return sys
+    leaks = np.linalg.norm((np.eye(3) - P) @ rep.adjoints @ basis,
+                           axis=(1, 2))
+    bad = np.flatnonzero(leaks > 10 * tol)
+    if bad.size:
+        j = bad[0]
+        raise DomainError(
+            f"coefficient subspace not Ad-invariant at generator {j}: "
+            f"leak {leaks[j]:.3e}")
+    return basis
 
 
 def stabilizer_axis(rep: Representation, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -100,11 +107,10 @@ def build_d1(rep: Representation) -> np.ndarray:
 
 
 def system_d0(sys: CoefficientSystem) -> np.ndarray:
-    k = sys.k
-    out = np.zeros((sys.n * k, k))
-    for j in range(sys.n):
-        out[j * k:(j + 1) * k] = sys.gen_action(j) - np.eye(k)
-    return out
+    """(nk x k) stacked blocks basis^T Ad(x_j) basis - I, read from the
+    representation's kept Ad stack."""
+    b, k = sys.basis, sys.k
+    return (b.T @ sys.rep.adjoints @ b - np.eye(k)).reshape(-1, k)
 
 
 def system_d1(sys: CoefficientSystem) -> np.ndarray:
@@ -130,9 +136,10 @@ def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarr
 
 def pullback_matrix(source_sys: CoefficientSystem, word_map) -> np.ndarray:
     """Matrix of u -> (u(w) for w in word_map): the words' Fox rows in
-    the source system's basis, stacked."""
-    images = source_sys.rep.images
-    J = np.array([fox_fold(images, w)[1] for w in word_map])
+    the source system's basis, stacked.  The folds are the source
+    representation's kept ones, shared with `Representation.evaluate`."""
+    rep = source_sys.rep
+    J = np.array([rep.fold(w)[1] for w in word_map])
     return _in_basis(source_sys, J.reshape(-1, 3 * source_sys.n))
 
 
@@ -159,12 +166,10 @@ class CohomologySummary:
 
 
 def _canonical_signs(B: np.ndarray) -> np.ndarray:
-    B = B.copy()
-    for c in range(B.shape[1]):
-        i = int(np.argmax(np.abs(B[:, c])))
-        if B[i, c] < 0:
-            B[:, c] = -B[:, c]
-    return B
+    """B with each column negated where its largest-magnitude entry
+    (the first, on ties) is negative."""
+    top = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
+    return np.where(top < 0, -B, B)
 
 
 def _threshold_warnings(name: str, sv: np.ndarray, tol: float) -> list:
@@ -184,10 +189,7 @@ def system_cohomology(sys: CoefficientSystem,
     shares it.  Errors are not kept: they are raised again each call."""
     basis = sys.basis
     key = (basis.dtype.str, basis.shape, basis.tobytes(), tol)
-    memo = sys.rep._cohomology
-    if key not in memo:
-        memo[key] = _system_cohomology(sys, tol)
-    return memo[key]
+    return kept(sys.rep._cohomology, key, _system_cohomology, sys, tol)
 
 
 def _system_cohomology(sys: CoefficientSystem,

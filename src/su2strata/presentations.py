@@ -195,12 +195,16 @@ class Representation:
 
     The images are a read-only copy of what the caller passed.  Each
     relator is folded once, here; its holonomy (`relator_values`, read
-    by the gate), Fox row and cup-product matrix are kept read-only, as
-    are the cohomology summaries that `system_cohomology` keeps.
+    by the gate), Fox row and cup-product matrix are kept read-only.
+    Everything else is computed on first use and kept read-only too:
+    the folds of other words (`fold`), the Ad stack (`adjoints`), and
+    the cohomology summaries, stratum labels and restricted coefficient
+    bases that `cohomology` and `strata` keep.  Errors are never kept.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
-                 "relator_residual", "_jacobian", "_pairings", "_cohomology")
+                 "relator_residual", "_jacobian", "_pairings", "_folds",
+                 "_adjoints", "_cohomology", "_strata")
 
     def __init__(self, presentation: Presentation, images,
                  tol: float = RELATOR_TOL):
@@ -214,7 +218,8 @@ class Representation:
             raise PresentationError("images must be unit quaternions")
         self.presentation = presentation
         self.images = images
-        self._cohomology = {}
+        self._folds, self._adjoints = {}, None
+        self._cohomology, self._strata = {}, {}
         n3 = 3 * presentation.num_generators
         letters: dict = {}
         folds = [_fold(images, r, letters) for r in presentation.relators]
@@ -226,10 +231,7 @@ class Representation:
             np.array([W for _, _, W in folds]).reshape(-1, n3, n3))
         self.relator_residual = float(np.linalg.norm(
             self.relator_values - su2.identity(), axis=1).max(initial=0.0))
-        if self.relator_residual > tol:
-            raise ResidualError(
-                f"relator residual {self.relator_residual:.3e} exceeds "
-                f"tolerance {tol:.1e}")
+        gate_relators(self, tol)
 
     @classmethod
     def trivial(cls, presentation: Presentation) -> "Representation":
@@ -238,11 +240,42 @@ class Representation:
         return cls(presentation, images)
 
     def evaluate(self, word: Word) -> np.ndarray:
-        return evaluate_images(self.images, word)
+        return self.fold(word)[0]
+
+    def fold(self, word: Word):
+        """`fox_fold` of a word at these images, kept read-only, so the
+        holonomy and the Fox row of one word share one fold."""
+        return kept(self._folds, word, lambda: tuple(
+            _read_only(a) for a in fox_fold(self.images, word)))
+
+    @property
+    def adjoints(self) -> np.ndarray:
+        """Read-only (n, 3, 3) stack of Ad(image), one `su2.ad` each."""
+        if self._adjoints is None:
+            self._adjoints = _read_only(np.array(
+                [su2.ad(x) for x in self.images]).reshape(-1, 3, 3))
+        return self._adjoints
 
     def conjugated(self, q: np.ndarray) -> "Representation":
         images = np.array([su2.conjugate(img, q) for img in self.images])
         return Representation(self.presentation, images, tol=np.inf)
+
+
+def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
+    """The representation, if its relator residual is within tol."""
+    if rep.relator_residual > tol:
+        raise ResidualError(
+            f"relator residual {rep.relator_residual:.3e} exceeds "
+            f"tolerance {tol:.1e}")
+    return rep
+
+
+def kept(memo: dict, key, compute, *args):
+    """memo[key], from compute(*args) on the first call only.  What
+    compute raises is raised again on every call and never kept."""
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -327,12 +360,20 @@ def fox_jacobian_at(rep: Representation) -> np.ndarray:
 
 def polish_images(presentation: Presentation, images,
                   tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+    """Gauss-Newton projection onto the relator-satisfying set: the
+    images of `polish`'s representation."""
+    return np.array(polish(presentation, images, tol, max_iter).images)
+
+
+def polish(presentation: Presentation, images,
+           tol: float = 1e-12, max_iter: int = 60) -> Representation:
     """Gauss-Newton projection onto the relator-satisfying set.
 
     Flows images by exp(u_j) * x_j where u solves the Fox-Jacobian
     least-squares system against the relator logarithms.  Backtracks
     when a step does not decrease the residual.  Each candidate's
-    residual, relator logarithms and Jacobian come from one fold.
+    residual, relator logarithms and Jacobian come from one fold, and
+    the last candidate is returned, ungated: pass it to `gate_relators`.
     """
     rep = Representation(presentation, images, tol=np.inf)
     for _ in range(max_iter):
@@ -354,7 +395,7 @@ def polish_images(presentation: Presentation, images,
     if rep.relator_residual > tol:
         raise ResidualError(
             f"polish stalled at residual {rep.relator_residual:.3e}")
-    return np.array(rep.images)
+    return rep
 
 
 # JSON forms.  Presentations: {"generators": [...], "relators": ["a b A B"],

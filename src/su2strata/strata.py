@@ -7,11 +7,13 @@ common rotation axis with at least one noncentral image give i = 1
 (stabilizer everything).  Central nontrivial tuples are kept in stratum
 0 with central_flag set so callers can see them.
 
-Classification is done twice, by the numeric rank of d0 and by the
-common-axis test on the images, and the two verdicts must agree.  A
-representation whose smallest nonzero d0 singular value falls within a
-factor of ten of the threshold refuses classification instead of
-guessing.
+Classification has two verdicts, the numeric rank of d0 and the
+common-axis test on the images, and they must agree.  A representation
+whose smallest nonzero d0 singular value falls within a factor of ten
+of the threshold refuses classification instead of guessing.  Both
+verdicts are computed once per representation and tolerance, and the
+label is kept on the representation; errors are raised again on every
+call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .cohomology import (DEFAULT_TOL, cohomology, restrict_coefficients)
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
 from .presentations import (Presentation, Representation, Word, free_group,
-                            polish_images, surface_group)
+                            gate_relators, kept, polish, surface_group)
 
 
 @dataclass(frozen=True)
@@ -45,24 +47,30 @@ class StratumLabel:
 _H0_TO_STRATUM = {3: 0, 1: 1, 0: 3}
 
 
-def _algebraic_stabilizer_dim(rep: Representation, tol: float) -> int:
+def _algebraic_stabilizer_dim(images: np.ndarray, tol: float) -> int:
     """3 if all images are within tol of +-identity, 1 if the noncentral
-    images share a rotation axis, else 0."""
-    axes = []
-    for img in rep.images:
-        if not su2.is_central(img, tol):
-            axes.append(su2.axis_of(img, tol))
-    if not axes:
+    images share a rotation axis, else 0; one pass over the (n, 4)
+    image array."""
+    v = images[:, 1:]
+    s = np.linalg.norm(v, axis=1)
+    noncentral = s >= tol
+    if not noncentral.any():
         return 3
-    a0 = axes[0]
-    for a in axes[1:]:
-        if np.linalg.norm(np.cross(a0, a)) > tol:
-            return 0
-    return 1
+    axes = v[noncentral] / s[noncentral, None]
+    # cross products of the first axis with the others, as np.cross
+    # forms them but without its per-call set-up
+    a, b = axes[0], axes[1:]
+    cross = a[[1, 2, 0]] * b[:, [2, 0, 1]] - a[[2, 0, 1]] * b[:, [1, 2, 0]]
+    return 0 if (np.linalg.norm(cross, axis=1) > tol).any() else 1
 
 
 def classify_stratum(rep: Representation,
                      tol: float = DEFAULT_TOL) -> StratumLabel:
+    """The representation's stratum, computed once per tol and kept."""
+    return kept(rep._strata, ("label", tol), _classify_stratum, rep, tol)
+
+
+def _classify_stratum(rep: Representation, tol: float) -> StratumLabel:
     summary = cohomology(rep, tol)
     sv0 = np.array(summary.singular_values["d0"])
     nonzero = sv0[sv0 > tol]
@@ -71,13 +79,12 @@ def classify_stratum(rep: Representation,
             f"smallest nonzero d0 singular value {nonzero.min():.3e} is "
             f"within 10x of threshold {tol:.1e}")
     numeric = summary.h0
-    algebraic = _algebraic_stabilizer_dim(rep, tol)
+    algebraic = _algebraic_stabilizer_dim(rep.images, tol)
     if numeric != algebraic:
         raise StratumConflictError(
             f"rank verdict h0={numeric} vs axis verdict {algebraic}; "
             f"tolerance {tol:.1e} failed")
-    central = bool(numeric == 3 and any(
-        img[0] < 0 for img in rep.images))
+    central = bool(numeric == 3 and (rep.images[:, 0] < 0).any())
     return StratumLabel(i=_H0_TO_STRATUM[numeric], stabilizer_dim=numeric,
                         central_flag=central)
 
@@ -176,8 +183,7 @@ def sample_surface_representation(g: int, seed: int,
     for _ in range(max_tries):
         images = np.array([su2.random_element(rng) for _ in range(2 * g)])
         try:
-            images = polish_images(pres, images, tol=1e-12)
-            rep = Representation(pres, images)
+            rep = gate_relators(polish(pres, images, tol=1e-12))
             if classify_stratum(rep, tol).i == 3:
                 return rep
         except DomainError:

@@ -126,13 +126,14 @@ def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
     if label.i == 0:
         return TorsionValue(1.0, 0.0), HalfDensityValue(1.0)
 
+    summary = cohomology(rep, tol)
+    sv = np.array(summary.singular_values["d0"])
+    direct = float(np.sum(np.log(sv[sv > tol])))
+
     if label.i == 3:
-        summary = cohomology(rep, tol)
-        d0 = build_d0(rep)
-        seq = MetricSequence((3, 3 * n, summary.h1), (d0, summary.basis_h1.T))
+        seq = MetricSequence((3, 3 * n, summary.h1),
+                             (build_d0(rep), summary.basis_h1.T))
         t = sequence_torsion(seq, tol)
-        sv = _singular_values(d0)
-        direct = float(np.sum(np.log(sv[sv > tol])))
         if abs(direct - t.log_value) > 1e-9:
             raise DomainError(
                 f"volume cross-check failed: {direct} vs {t.log_value}")
@@ -155,8 +156,6 @@ def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
     comp_t = sequence_torsion(comp_seq, tol)
 
     log_total = line_t.log_value + comp_t.log_value
-    sv = _singular_values(build_d0(rep))
-    direct = float(np.sum(np.log(sv[sv > tol])))
     if abs(direct - log_total) > 1e-9:
         raise DomainError(
             f"split volume cross-check failed: {direct} vs {log_total}")

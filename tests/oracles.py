@@ -228,3 +228,24 @@ def goldman_pairing(relator, quats, u, v):
             val = val - cur @ u[j]
             total -= val @ cur @ v[j]
     return float(total)
+
+
+def axis_stabilizer_dim(quats, tol):
+    """Stabilizer dimension of a tuple by the common-axis test, one
+    quaternion at a time in plain floats: 3 if every vector part is
+    shorter than tol, 1 if every other unit axis crosses the first with
+    norm at most tol, else 0."""
+    axes = []
+    for q in quats:
+        v = [float(c) for c in q[1:]]
+        s = math.sqrt(sum(c * c for c in v))
+        if s >= tol:
+            axes.append([c / s for c in v])
+    if not axes:
+        return 3
+    (a0, a1, a2) = axes[0]
+    for b0, b1, b2 in axes[1:]:
+        cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        if math.sqrt(sum(c * c for c in cross)) > tol:
+            return 0
+    return 1

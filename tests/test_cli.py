@@ -90,6 +90,33 @@ def test_polish_recovers_noisy_input(tmp_path, capsys):
     assert json.loads(out)["result"]["relator_residual"] < 1e-10
 
 
+def test_polish_folds_the_polished_relator_once(tmp_path, capsys,
+                                                monkeypatch):
+    from su2strata import cli, presentations
+    from su2strata.presentations import cyclic_group
+    noisy = list(su2.exp((math.pi / 2 + 5e-4) * np.array([0.0, 0.0, 1.0])))
+    path = write_json(tmp_path / "noisy.json", {
+        "presentation": presentation_to_json(cyclic_group(4)),
+        "images": {"a": noisy}})
+    folded, at_return = [], []
+    fold, polish = presentations._fold, cli.polish
+
+    def counting(images, word, letters):
+        folded.append(word)
+        return fold(images, word, letters)
+
+    def recording(*args, **kwargs):
+        rep = polish(*args, **kwargs)
+        at_return.append(len(folded))
+        return rep
+
+    monkeypatch.setattr(presentations, "_fold", counting)
+    monkeypatch.setattr(cli, "polish", recording)
+    code, _, _ = run(capsys, "classify", path, "--polish")
+    assert code == 0
+    assert at_return and len(folded) == at_return[-1]
+
+
 def test_strata_scan_counts_and_dims(capsys):
     code, out, _ = run(capsys, "strata-scan", "--genus", "2",
                        "--samples", "40", "--seed", "1")

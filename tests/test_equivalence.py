@@ -24,6 +24,7 @@ from su2strata.cli import dispatch
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join("tests", "golden")
 FREE3 = os.path.join(GOLDEN, "free3-stratum1.json")
+FREE4 = os.path.join(GOLDEN, "free4-stratum3.json")
 FLOAT_TOL = 1e-12
 
 CASES = {
@@ -40,6 +41,10 @@ CASES = {
     "torsion-lens-101": ["torsion", os.path.join(GOLDEN,
                                                  "lens101-torsion.json")],
     "classify-free3": ["classify", FREE3],
+    "classify-free4": ["classify", FREE4],
+    **{f"torsion-volume-{name}": ["torsion", os.path.join(
+        GOLDEN, f"volume-{name}.json")]
+       for name in ("free3-stratum1", "free4-stratum3")},
     **{f"cohomology-free3-{c}": ["cohomology", FREE3, "--coefficients", c]
        for c in ("full", "stabilizer", "complement")},
 }

@@ -8,10 +8,12 @@ compared with tests/oracles.py, which builds the same objects letter by
 letter from 2x2 complex matrix products and imports nothing from the
 package.  The fold itself is checked as a monoid homomorphism, on words
 with long runs folded by squaring, and a lens enumeration is held to
-one fold of its relator and O(log p) quaternion products per point.
+one fold of its relator and of each handle word, and O(log p)
+quaternion products per point.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from su2strata import presentations, su2
 from su2strata.cohomology import (cohomology, full_system, restricted_system,
                                   system_d1)
 from su2strata.errors import DomainError
-from su2strata.invariants import enumerate_moduli, t3_presentation
+from su2strata.invariants import (enumerate_moduli, lens_heegaard,
+                                  t3_presentation)
 from su2strata.presentations import (Representation, Word,
                                      circle_times_surface_group, cyclic_group,
                                      fox_fold, fox_jacobian_at, free_group,
@@ -121,6 +124,29 @@ def test_lens_walks_its_relator_once_per_point(monkeypatch):
     points = enumerate_moduli("lens", p=31, q=7)
     assert len(points) == 16
     assert sorted(walked) == sorted(pt.rep.images.tobytes() for pt in points)
+
+
+def test_lens_folds_each_handle_word_once_per_point(monkeypatch):
+    # each handle word's holonomy (heegaard_representations) and Fox row
+    # (the restriction maps) come from the one fold its representation
+    # keeps
+    p, q = 101, 7
+    heegaard = lens_heegaard(p, q)
+    handle_words = {*heegaard.handle2_to_manifold, *heegaard.surface_to_handle2}
+    assert len(handle_words) == 3      # a^(q^-1 mod p), x^q, x^-p
+    folded = []
+    fold = presentations._fold
+
+    def counting(images, word, letters):
+        if word in handle_words:
+            folded.append(word)
+        return fold(images, word, letters)
+
+    monkeypatch.setattr(presentations, "_fold", counting)
+    points = enumerate_moduli("lens", p=p, q=q)
+    noncentral = sum(pt.stratum.i != 0 for pt in points)
+    assert noncentral == p // 2
+    assert Counter(folded) == {w: noncentral for w in handle_words}
 
 
 def test_lens_products_per_point_are_logarithmic_in_p(monkeypatch):

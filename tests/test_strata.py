@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su2strata import su2
+from su2strata import presentations, strata, su2
 from su2strata.errors import (BoundaryAmbiguousError, DomainError,
                               SamplingError)
 from su2strata.presentations import (Representation, Word, free_group,
@@ -123,3 +123,25 @@ def test_surface_sampler_lands_on_relator_set():
         rep = sample_surface_representation(2, seed=seed)
         assert rep.relator_residual <= 1e-12
         assert classify_stratum(rep).i == 3
+
+
+def test_surface_sampler_folds_the_polished_relator_once(monkeypatch):
+    # the sampler keeps the representation polish ends on, so no fold
+    # follows the last one polish makes
+    folded, at_return = [], []
+    fold, polish = presentations._fold, strata.polish
+
+    def counting(images, word, letters):
+        folded.append(word)
+        return fold(images, word, letters)
+
+    def recording(*args, **kwargs):
+        rep = polish(*args, **kwargs)
+        at_return.append(len(folded))
+        return rep
+
+    monkeypatch.setattr(presentations, "_fold", counting)
+    monkeypatch.setattr(strata, "polish", recording)
+    rep = sample_surface_representation(3, seed=4)
+    assert at_return and len(folded) == at_return[-1]
+    assert rep.relator_residual <= 1e-12
