@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, su2
 from .cohomology import (DEFAULT_TOL, build_d0, cohomology,
-                         restrict_coefficients)
+                         fill_cohomology, restrict_coefficients)
 from .conventions import CONVENTION_TAGS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
@@ -31,6 +31,8 @@ from .strata import (classify_stratum, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
 from .symplectic import pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
+
+_SCAN_CHUNK = 1024  # strata-scan samples analysed together
 
 
 def _jsonify(obj):
@@ -195,13 +197,18 @@ def _cmd_strata_scan(args) -> dict:
     counts = {0: 0, 1: 0, 3: 0}
     tangent = {0: set(), 1: set(), 3: set()}
     h1m5 = {0: set(), 1: set(), 3: set()}
-    for _ in range(args.samples):
-        images = np.array([su2.random_element(rng) for _ in range(g)])
-        rep = Representation(pres, images)
-        label = classify_stratum(rep, args.tol)
-        counts[label.i] += 1
-        tangent[label.i].add(stratum_tangent_dim(rep, args.tol))
-        h1m5[label.i].add(cohomology(rep, args.tol).h1)
+    # samples are drawn in order and analysed a chunk at a time, so
+    # memory stays bounded however many are asked for
+    for start in range(0, args.samples, _SCAN_CHUNK):
+        reps = [Representation(pres, np.array(
+                    [su2.random_element(rng) for _ in range(g)]))
+                for _ in range(min(_SCAN_CHUNK, args.samples - start))]
+        fill_cohomology(reps, args.tol)
+        for rep in reps:
+            label = classify_stratum(rep, args.tol)
+            counts[label.i] += 1
+            tangent[label.i].add(stratum_tangent_dim(rep, args.tol))
+            h1m5[label.i].add(cohomology(rep, args.tol).h1)
     result = {
         "genus": g,
         "samples": args.samples,
@@ -406,6 +413,14 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _sample_count(text: str) -> int:
+    """--samples: an integer >= 1; argparse exits 2 on anything else."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return count
+
+
 def _add_common(sp, tol=True, fmt=True):
     if tol:
         sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
@@ -442,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("strata-scan",
                         help="sample free-group tuples and count strata")
     sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_sample_count, default=200)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_strata_scan)
@@ -450,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("symplectic-check",
                         help="measure the surface pairing's laws on samples")
     sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--samples", type=int, default=5)
+    sp.add_argument("--samples", type=_sample_count, default=5)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_symplectic_check)
@@ -469,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--samples", type=int, default=16)
+    sp.add_argument("--samples", type=_sample_count, default=16)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cs-table", default=None,
                     help="JSON table of Chern-Simons values per point")

@@ -13,6 +13,11 @@ H^0 and H^1 are presentation-independent; nothing above degree one is
 exposed because the 2-complex ceases to model the group there.  Ranks
 come from singular values against an absolute threshold, with warnings
 when a value sits within a factor of ten of the threshold.
+
+There is one analysis, `_system_cohomologies`, and it takes a list of
+coefficient systems: a moduli chart is analysed in one stacked pass
+(`fill_cohomology`), and `system_cohomology` is the batch of one.  Each
+summary is kept on its representation per coefficient basis and tol.
 """
 
 from __future__ import annotations
@@ -45,8 +50,12 @@ class CoefficientSystem:
         return self.rep.presentation.num_generators
 
 
+_FULL_BASIS = np.eye(3)
+_FULL_BASIS.flags.writeable = False
+
+
 def full_system(rep: Representation) -> CoefficientSystem:
-    return CoefficientSystem(rep, np.eye(3))
+    return CoefficientSystem(rep, _FULL_BASIS)
 
 
 def restricted_system(rep: Representation, part: str,
@@ -168,7 +177,7 @@ class CohomologySummary:
 def _canonical_signs(B: np.ndarray) -> np.ndarray:
     """B with each column negated where its largest-magnitude entry
     (the first, on ties) is negative."""
-    top = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
+    top = B[np.abs(B).argmax(axis=0), np.arange(B.shape[1])]
     return np.where(top < 0, -B, B)
 
 
@@ -183,79 +192,148 @@ def _threshold_warnings(name: str, sv: np.ndarray, tol: float) -> list:
 
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
-    """H0/H1 summary of one coefficient system, computed once per
-    representation, coefficient basis and tol and kept on the
-    representation.  The summary is read-only because every later call
-    shares it.  Errors are not kept: they are raised again each call."""
+    """H0/H1 summary of one coefficient system, computed (as a batch of
+    one) once per representation, coefficient basis and tol and kept on
+    the representation.  The summary is read-only because every later
+    call shares it.  Errors are not kept: they are raised again each
+    call."""
+    return kept(sys.rep._cohomology, _memo_key(sys, tol), _analysis, sys, tol)
+
+
+def _memo_key(sys: CoefficientSystem, tol: float) -> tuple:
     basis = sys.basis
-    key = (basis.dtype.str, basis.shape, basis.tobytes(), tol)
-    return kept(sys.rep._cohomology, key, _system_cohomology, sys, tol)
+    return (basis.dtype.str, basis.shape, basis.tobytes(), tol)
 
 
-def _system_cohomology(sys: CoefficientSystem,
-                       tol: float) -> CohomologySummary:
-    rep = sys.rep
-    if rep.relator_residual > 10 * tol:
-        raise ResidualError(
-            f"relator residual {rep.relator_residual:.3e} too large for "
-            f"cohomology at tolerance {tol:.1e}")
-    k, n = sys.k, sys.n
-    d0 = system_d0(sys)
-    d1 = system_d1(sys)
-    warnings: list = []
+def _analysis(sys: CoefficientSystem, tol: float) -> CohomologySummary:
+    (summary,) = _system_cohomologies([sys], tol)
+    if isinstance(summary, Exception):
+        raise summary
+    return summary
 
-    if d1.shape[0]:
-        comp = float(np.linalg.norm(d1 @ d0))
-        if comp > 100 * tol:
-            raise ResidualError(
-                f"d1 d0 composite norm {comp:.3e}; complex is broken")
 
-    u0, sv0, vt0 = np.linalg.svd(d0)
-    rank0 = int(np.sum(sv0 > tol))
-    warnings += _threshold_warnings("d0", sv0, tol)
-    h0 = k - rank0
-    basis_h0 = _canonical_signs(vt0[rank0:].T)
+def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> None:
+    """Keep, from one stacked analysis, the full-coefficient summary of
+    every representation and, where h0 = 1, its stabilizer-line summary:
+    what `system_cohomology` would keep for them.  A failing analysis
+    keeps and raises nothing here; its own call raises it."""
+    full = _keep([full_system(rep) for rep in reps], tol)
+    _keep([CoefficientSystem(rep, s.basis_h0) for rep, s in zip(reps, full)
+           if s is not None and s.h0 == 1], tol)
 
-    if d1.shape[0]:
-        _, sv1, vt1 = np.linalg.svd(d1)
-        rank1 = int(np.sum(sv1 > tol))
-        warnings += _threshold_warnings("d1", sv1, tol)
-        ker1 = vt1[rank1:].T
+
+def _keep(systems, tol: float) -> list:
+    """Each system's kept summary, or None where its analysis fails;
+    each (representation, basis) not yet kept is analysed once."""
+    keys = [_memo_key(sys, tol) for sys in systems]
+    todo = {}
+    for sys, key in zip(systems, keys):
+        if key not in sys.rep._cohomology:
+            todo.setdefault((id(sys.rep), key), sys)
+    found = _system_cohomologies(list(todo.values()), tol)
+    for ((_, key), sys), summary in zip(todo.items(), found):
+        if not isinstance(summary, Exception):
+            sys.rep._cohomology[key] = summary
+    return [sys.rep._cohomology.get(key) for sys, key in zip(systems, keys)]
+
+
+def _stack(arrays: list) -> np.ndarray:
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _system_cohomologies(systems, tol: float) -> list:
+    """The summary of each system, or the error its analysis raises.
+    d0 and d1 are stacked per shape (k, n, m), one SVD per stack, and
+    the harmonic step is one SVD per shape and (rank d0, rank d1); a
+    stacked SVD gives each matrix what its own SVD gives.  The checks
+    run per system, in the order a lone analysis meets them."""
+    out: list = [None] * len(systems)
+    shapes: dict = {}
+    for i, sys in enumerate(systems):
+        rep = sys.rep
+        if rep.relator_residual > 10 * tol:
+            out[i] = ResidualError(
+                f"relator residual {rep.relator_residual:.3e} too large "
+                f"for cohomology at tolerance {tol:.1e}")
+            continue
+        d0 = system_d0(sys)
+        d1 = system_d1(sys)
+        if d1.shape[0]:
+            comp = float(np.linalg.norm(d1 @ d0))
+            if comp > 100 * tol:
+                out[i] = ResidualError(
+                    f"d1 d0 composite norm {comp:.3e}; complex is broken")
+                continue
+        shapes.setdefault((sys.k, *d1.shape), []).append((i, d0, d1))
+    for (k, mk, nk), group in shapes.items():
+        idx = [i for i, _, _ in group]
+        try:
+            _shape_cohomologies(out, idx, k, mk, nk,
+                                _stack([d0 for _, d0, _ in group]),
+                                _stack([d1 for _, _, d1 in group]), tol)
+        except np.linalg.LinAlgError as e:
+            for i in idx:
+                out[i] = e
+    return out
+
+
+def _shape_cohomologies(out: list, idx: list, k: int, mk: int, nk: int,
+                        D0: np.ndarray, D1: np.ndarray, tol: float) -> None:
+    """Fill out[idx] from the stacked d0 (N, nk, k) and d1 (N, mk, nk)
+    of one shape."""
+    U0, S0, VT0 = np.linalg.svd(D0)
+    ranks0, sv0 = (S0 > tol).sum(axis=1).tolist(), S0.tolist()
+    if mk:
+        _, S1, VT1 = np.linalg.svd(D1)
+        ranks1, sv1 = (S1 > tol).sum(axis=1).tolist(), S1.tolist()
     else:
-        sv1 = np.zeros(0)
-        ker1 = np.eye(n * k)
-    z1 = ker1.shape[1]
-    h1 = z1 - rank0
-    if h1 < 0:
-        raise RankAmbiguityError(
-            f"negative h1 = {z1} - {rank0}; rank thresholds failed")
-
-    if h1 == 0:
-        basis_h1 = np.zeros((n * k, 0))
-    else:
-        im0 = u0[:, :rank0]
-        M = ker1 - im0 @ (im0.T @ ker1)
-        um, sm, _ = np.linalg.svd(M, full_matrices=False)
+        ranks1, sv1 = [0] * len(idx), [[]] * len(idx)
+    harmonic: dict = {}
+    for g, (rank0, rank1) in enumerate(zip(ranks0, ranks1)):
+        if nk - rank1 - rank0 < 0:
+            out[idx[g]] = RankAmbiguityError(
+                f"negative h1 = {nk - rank1} - {rank0}; rank thresholds "
+                f"failed")
+        elif nk - rank1 - rank0:
+            harmonic.setdefault((rank0, rank1), []).append(g)
+    bases = {}
+    for (rank0, rank1), gs in harmonic.items():
+        part = gs if len(gs) < len(idx) else slice(None)
+        im0 = U0[part][:, :, :rank0]
+        ker1 = VT1[part][:, rank1:].swapaxes(1, 2) if mk else np.eye(nk)
+        um, sm, _ = np.linalg.svd(
+            ker1 - im0 @ (im0.swapaxes(1, 2) @ ker1), full_matrices=False)
         keep = sm > 0.5
-        if int(np.sum(keep)) != h1:
-            raise RankAmbiguityError(
-                f"harmonic projection produced {int(np.sum(keep))} vectors, "
-                f"expected {h1}")
-        basis_h1 = _canonical_signs(um[:, keep])
-
-    if k == 3 and h0 not in (0, 1, 3):
-        raise RankAmbiguityError(
-            f"h0 = {h0} is impossible for full coefficients; "
-            f"tolerance {tol:.1e} is misplaced")
-
-    basis_h0.flags.writeable = basis_h1.flags.writeable = False
-    return CohomologySummary(
-        h0=h0, h1=h1, z1=z1, coefficient_dim=k,
-        basis_h0=basis_h0, basis_h1=basis_h1,
-        singular_values=MappingProxyType(
-            {"d0": tuple(float(s) for s in sv0),
-             "d1": tuple(float(s) for s in sv1)}),
-        warnings=tuple(warnings))
+        bases.update(zip(gs, zip(um, keep, keep.sum(axis=1).tolist())))
+    for g, i in enumerate(idx):
+        if out[i] is not None:
+            continue
+        rank0, z1 = ranks0[g], nk - ranks1[g]
+        h0, h1 = k - rank0, z1 - rank0
+        if h1:
+            um, keep, count = bases[g]
+            if count != h1:
+                out[i] = RankAmbiguityError(
+                    f"harmonic projection produced {count} vectors, "
+                    f"expected {h1}")
+                continue
+            basis_h1 = _canonical_signs(um[:, keep])
+        else:
+            basis_h1 = np.zeros((nk, 0))
+        if k == 3 and h0 not in (0, 1, 3):
+            out[i] = RankAmbiguityError(
+                f"h0 = {h0} is impossible for full coefficients; "
+                f"tolerance {tol:.1e} is misplaced")
+            continue
+        basis_h0 = _canonical_signs(VT0[g, rank0:].T)
+        basis_h0.flags.writeable = basis_h1.flags.writeable = False
+        out[i] = CohomologySummary(
+            h0=h0, h1=h1, z1=z1, coefficient_dim=k,
+            basis_h0=basis_h0, basis_h1=basis_h1,
+            singular_values=MappingProxyType(
+                {"d0": tuple(sv0[g]), "d1": tuple(sv1[g])}),
+            warnings=tuple(_threshold_warnings("d0", sv0[g], tol)
+                           + _threshold_warnings("d1", sv1[g], tol)))
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:

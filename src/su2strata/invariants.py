@@ -11,6 +11,12 @@ trapezoidal weights on interior grid nodes; chart endpoints are
 isolated lower-stratum points of weight 1.  The t3 driver has no
 built-in Heegaard gluing, so its points carry torsion = None until the
 caller supplies values.
+
+The t3 and lens drivers build every representation of the chart first
+and fill its cohomology in one stacked analysis (`fill_cohomology`);
+the per-point sequence that follows reads the kept summaries, so the
+point order, the verdicts and the first error raised are those of a
+point-by-point run.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su2
-from .cohomology import (DEFAULT_TOL, CoefficientSystem, pullback_matrix,
-                         stabilizer_axis, system_cohomology)
+from .cohomology import (DEFAULT_TOL, CoefficientSystem, fill_cohomology,
+                         pullback_matrix, stabilizer_axis, system_cohomology)
+from .conventions import MAX_T3_POINTS
 from .errors import (CleanIntersectionError, DomainError, InputError,
                      PresentationError)
 from .presentations import (Presentation, Representation, Word, commutator,
@@ -350,10 +357,11 @@ def _point(pid, rep, component_dim, weight, tol, torsion=None):
 def _enumerate_lens(p: int, q: int, tol: float):
     heegaard = lens_heegaard(p, q)
     pres = heegaard.presentation_n
+    reps = [Representation(pres, [_torus_element(2.0 * math.pi * n / p)])
+            for n in range(p // 2 + 1)]
+    fill_cohomology(reps, tol)
     points = []
-    for n in range(p // 2 + 1):
-        theta = 2.0 * math.pi * n / p
-        rep = Representation(pres, [_torus_element(theta)])
+    for n, rep in enumerate(reps):
         pid = f"lens({p},{q}):n={n}"
         label = classify_stratum(rep, tol)
         if label.i == 0:
@@ -373,7 +381,7 @@ def _enumerate_s3(tol: float):
 def _enumerate_s1xs2(samples: int, tol: float):
     heegaard = s1xs2_heegaard()
     pres = heegaard.presentation_n
-    M = max(2, samples)
+    M = _grid_size(samples)
     delta = math.pi / M
     points = [_point("s1xs2:trivial", Representation.trivial(pres), 0, 1.0,
                      tol, TorsionValue(1.0, 0.0))]
@@ -395,34 +403,37 @@ def t3_presentation() -> Presentation:
     return Presentation(gens, rels, "custom", 0)
 
 
+def _grid_size(samples: int) -> int:
+    if samples < 2:
+        raise InputError(f"samples must be at least 2, got {samples}")
+    return samples
+
+
 def _enumerate_t3(samples: int, tol: float):
     """Commuting triples: all images share an axis.  Chart
     (t1, t2, t3) in [0, pi] x [0, 2pi)^2 modulo the axis flip; interior
     t1 nodes carry trapezoid weights, the 8 all-central corners are
-    stratum-0 points."""
-    pres = t3_presentation()
-    M = max(2, samples)
+    stratum-0 points.  The chart's 8 + (M-1) M^2 points are bounded by
+    MAX_T3_POINTS before any is built."""
+    M = _grid_size(samples)
+    if 8 + (M - 1) * M * M > MAX_T3_POINTS:
+        raise InputError(
+            f"t3 chart with samples {M} has {8 + (M - 1) * M * M} points, "
+            f"more than {MAX_T3_POINTS}")
     d1 = math.pi / M
     d2 = 2.0 * math.pi / M
-    points = []
-    for c1 in (0.0, math.pi):
-        for c2 in (0.0, math.pi):
-            for c3 in (0.0, math.pi):
-                rep = Representation(
-                    pres, [_torus_element(c1), _torus_element(c2),
-                           _torus_element(c3)])
-                pid = (f"t3:central({int(c1 > 0)},{int(c2 > 0)},"
-                       f"{int(c3 > 0)})")
-                points.append(_point(pid, rep, 0, 1.0, tol,
-                                     TorsionValue(1.0, 0.0)))
-    for i in range(1, M):
-        for j in range(M):
-            for k in range(M):
-                t = (i * d1, j * d2, k * d2)
-                rep = Representation(pres, [_torus_element(x) for x in t])
-                pid = f"t3:grid({i},{j},{k})/{M}"
-                points.append(_point(pid, rep, 3, d1 * d2 * d2, tol))
-    return points
+    chart = [(f"t3:central({int(c1 > 0)},{int(c2 > 0)},{int(c3 > 0)})",
+              (c1, c2, c3), 0, 1.0, TorsionValue(1.0, 0.0))
+             for c1, c2, c3 in itertools.product((0.0, math.pi), repeat=3)]
+    chart += [(f"t3:grid({i},{j},{k})/{M}", (i * d1, j * d2, k * d2), 3,
+               d1 * d2 * d2, None)
+              for i in range(1, M) for j in range(M) for k in range(M)]
+    pres = t3_presentation()
+    reps = [Representation(pres, [_torus_element(x) for x in angles])
+            for _, angles, *_ in chart]
+    fill_cohomology(reps, tol)
+    return [_point(pid, rep, dim, weight, tol, torsion)
+            for (pid, _, dim, weight, torsion), rep in zip(chart, reps)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,

@@ -325,3 +325,15 @@ def test_acceptance_11_byte_determinism():
         c = _cli_bytes(argv, 4)
         ok = ok and a == b == c and json.loads(a.decode())["schema"] == 1
     assert _verdict(11, ok)
+
+
+def test_t3_invariant_is_byte_identical_across_blas_threads():
+    # the t3 chart is analysed in stacked SVDs; their results must not
+    # depend on the BLAS thread count either
+    table = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "golden", "t3-M4-torsion.json")
+    argv = ["invariant", "--example", "t3", "--samples", "4",
+            "--torsion-table", table]
+    a = _cli_bytes(argv, 1)
+    assert a == _cli_bytes(argv, 4)
+    assert json.loads(a.decode())["result"]["point_count"] == 56

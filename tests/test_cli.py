@@ -436,3 +436,36 @@ def test_malformed_objects_are_exit_2(tmp_path, capsys, command, payload):
         if command == "fg-sum" else ["torsion", path]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["strata-scan", "--genus", "3", "--samples", "-2"],
+    ["strata-scan", "--genus", "3", "--samples", "0"],
+    ["symplectic-check", "--samples", "0"],
+    ["invariant", "--example", "s1xs2", "--samples", "-4"],
+    ["invariant", "--example", "t3", "--samples", "x"],
+])
+def test_sample_counts_must_be_positive(capsys, argv):
+    # these used to exit 0: with all counts 0, with law maxima of 0.0 and
+    # no sample behind them, or with M = 2 while the config said -4
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--samples" in err
+
+
+@pytest.mark.parametrize("example", ["s1xs2", "t3"])
+def test_chart_needs_two_samples(capsys, example):
+    code, out, err = run(capsys, "invariant", "--example", example,
+                         "--samples", "1")
+    assert code == 2 and out == "" and "at least 2" in err
+
+
+def test_t3_chart_bound_is_checked_before_any_rep(capsys, monkeypatch):
+    import su2strata.invariants as inv
+
+    def no_reps(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(inv, "Representation", no_reps)
+    code, out, err = run(capsys, "invariant", "--example", "t3",
+                         "--samples", "28")     # 8 + 27 * 28^2 points
+    assert code == 2 and out == "" and "21176 points" in err

@@ -1,0 +1,226 @@
+"""One stacked cohomology analysis for many coefficient systems.
+
+`fill_cohomology` keeps, for a whole chart of representations, the
+summaries that one-at-a-time `system_cohomology` calls would keep, from
+one SVD per stack of equal-shape matrices.  These tests pin that a
+batch gives exactly what single calls give (errors included), that an
+error in a batch keeps nothing and does not spoil its batch-mates, that
+each (representation, basis, tol) is analysed once, and that the SVD
+count of a t3 chart does not grow with the chart.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from su2strata import su2
+from su2strata.errors import ResidualError
+from su2strata.invariants import (clean_intersection_check, enumerate_moduli,
+                                  t3_presentation)
+from su2strata.presentations import Representation, cyclic_group, free_group
+from su2strata.strata import classify_stratum, stratum_tangent_dim
+
+coh = importlib.import_module("su2strata.cohomology")
+
+PRESENTATIONS = {
+    "free1": free_group(1),
+    "free2": free_group(2),
+    "free4": free_group(4),
+    "t3": t3_presentation(),
+    "cyclic5": cyclic_group(5),
+}
+KINDS = ("haar", "axis", "central", "near-axis", "near-central")
+BASES = ("full", "line", "plane")
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def chart_images(rng, name, kind, tol):
+    """Images of one generated tuple; only free groups take Haar tuples,
+    and the near kinds sit a few tol away from a smaller stratum."""
+    pres = PRESENTATIONS[name]
+    n = pres.num_generators
+    axis = unit(rng.normal(size=3))
+    if kind == "haar" and name.startswith("free"):
+        return np.array([su2.random_element(rng) for _ in range(n)]), axis
+    if kind == "near-central":
+        return np.array([su2.exp(c * tol * unit(rng.normal(size=3)))
+                         for c in rng.uniform(0.3, 30.0, size=n)]), axis
+    if name == "cyclic5":
+        angles = [2 * np.pi * rng.integers(5) / 5]
+    elif kind == "central":
+        angles = np.pi * rng.integers(2, size=n)
+    else:
+        angles = rng.uniform(0.2, np.pi - 0.2, size=n)
+    images = [su2.exp(t * axis) for t in angles]
+    if kind == "near-axis":
+        tilt = unit(np.cross(axis, rng.normal(size=3)))
+        images[0] = su2.exp(angles[0] * unit(
+            axis + rng.uniform(0.3, 30.0) * tol * tilt))
+    return np.array(images), axis
+
+
+def basis_for(axis, kind):
+    if kind == "full":
+        return np.eye(3)
+    if kind == "line":
+        return axis.reshape(3, 1)
+    return np.linalg.svd(axis.reshape(1, 3))[2][1:].T
+
+
+def build(seed, specs, tol):
+    """Two copies of the same systems on fresh representations; specs
+    sharing a tuple index share one representation."""
+    rng = np.random.default_rng(seed)
+    tuples = {}
+    copies = ([], [])
+    for name, kind, basis_kind, t in specs:
+        if t not in tuples:
+            images, axis = chart_images(rng, name, kind, tol)
+            reps = tuple(Representation(PRESENTATIONS[name], images,
+                                        tol=np.inf) for _ in range(2))
+            tuples[t] = (reps, axis)
+        reps, axis = tuples[t]
+        basis = basis_for(axis, basis_kind)
+        for copy, rep in zip(copies, reps):
+            copy.append(coh.CoefficientSystem(rep, basis))
+    return copies
+
+
+def assert_same_summary(a, b):
+    assert (a.h0, a.h1, a.z1, a.coefficient_dim) == \
+        (b.h0, b.h1, b.z1, b.coefficient_dim)
+    assert a.warnings == b.warnings
+    assert dict(a.singular_values) == dict(b.singular_values)
+    for x, y in ((a.basis_h0, b.basis_h0), (a.basis_h1, b.basis_h1)):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(sorted(PRESENTATIONS)),
+                          st.sampled_from(KINDS), st.sampled_from(BASES),
+                          st.integers(0, 3)), min_size=1, max_size=10),
+       st.sampled_from([1e-8, 1e-6]))
+def test_a_batch_gives_what_single_calls_give(seed, specs, tol):
+    batch_systems, single_systems = build(seed, specs, tol)
+    batch = coh._system_cohomologies(batch_systems, tol)
+    for got, sys in zip(batch, single_systems):
+        try:
+            want = coh.system_cohomology(sys, tol)
+        except Exception as e:      # noqa: BLE001 - the same error, any type
+            assert type(got) is type(e) and str(got) == str(e)
+        else:
+            assert_same_summary(got, want)
+
+
+@pytest.fixture
+def analysed(monkeypatch):
+    """(rep, coefficient dim) of every system actually analysed."""
+    seen = []
+    compute = coh._system_cohomologies
+
+    def counting(systems, tol):
+        seen.extend((sys.rep, sys.k) for sys in systems)
+        return compute(systems, tol)
+
+    monkeypatch.setattr(coh, "_system_cohomologies", counting)
+    return seen
+
+
+def common_axis_rep(rng, g=3):
+    axis = unit(rng.normal(size=3))
+    return Representation(free_group(g), [
+        su2.exp(t * axis) for t in rng.uniform(0.2, np.pi - 0.2, size=g)])
+
+
+def bad_cyclic_rep():
+    # a 5th root of unity pushed off the relator: residual about 0.3
+    bad = su2.exp(2 * np.pi / 5 * np.array([1.0, 0.0, 0.0]) + 0.05)
+    return Representation(cyclic_group(5), [bad], tol=np.inf)
+
+
+def test_a_failing_rep_keeps_nothing_and_spares_its_batch_mates(analysed):
+    rng = np.random.default_rng(3)
+    good = [common_axis_rep(rng), common_axis_rep(rng)]
+    bad = bad_cyclic_rep()
+    coh.fill_cohomology([good[0], bad, good[1]])
+    assert bad._cohomology == {}
+    assert [len(r._cohomology) for r in good] == [2, 2]   # full and line
+    analysed.clear()
+    for _ in range(2):
+        with pytest.raises(ResidualError):
+            coh.cohomology(bad)
+    assert analysed == [(bad, 3), (bad, 3)]
+    analysed.clear()
+    for rep in good:
+        assert stratum_tangent_dim(rep) == 3
+    assert analysed == []
+
+
+def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
+    rng = np.random.default_rng(4)
+    broken, mate = common_axis_rep(rng), common_axis_rep(rng)
+    other = common_axis_rep(rng, g=2)
+    d0 = coh.system_d0
+
+    def nan_d0(sys):
+        out = d0(sys)
+        return np.full_like(out, np.nan) if sys.rep is broken else out
+
+    monkeypatch.setattr(coh, "system_d0", nan_d0)
+    coh.fill_cohomology([broken, mate, other])
+    assert broken._cohomology == {} and mate._cohomology == {}
+    assert len(other._cohomology) == 2
+    with pytest.raises(np.linalg.LinAlgError):
+        coh.cohomology(broken)
+    analysed.clear()
+    assert classify_stratum(mate).i == 1
+    assert analysed == [(mate, 3)]
+
+
+def test_each_system_is_analysed_once(analysed):
+    rng = np.random.default_rng(5)
+    axis_rep = common_axis_rep(rng)
+    haar_rep = Representation(free_group(3), [
+        su2.random_element(rng) for _ in range(3)])
+    for _ in range(2):
+        coh.fill_cohomology([axis_rep, haar_rep, axis_rep])
+    assert sorted(k for _, k in analysed) == [1, 3, 3]
+    assert len(analysed) == len({(id(r), k) for r, k in analysed})
+    analysed.clear()
+    assert [classify_stratum(r).i for r in (axis_rep, haar_rep)] == [1, 3]
+    for rep in (axis_rep, haar_rep):
+        stratum_tangent_dim(rep)
+        coh.cohomology(rep, 1e-8)
+    assert analysed == []
+    # the stabilizer line a clean check builds is the one filled
+    pts = enumerate_moduli("t3", samples=2)
+    analysed.clear()
+    for pt in pts:
+        clean_intersection_check(pt)
+    assert analysed == []
+
+
+def test_t3_svd_count_does_not_grow_with_the_chart(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = []
+    for M in (4, 6):
+        calls.clear()
+        pts = enumerate_moduli("t3", samples=M)
+        assert len(pts) == 8 + (M - 1) * M * M
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

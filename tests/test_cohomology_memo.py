@@ -38,15 +38,15 @@ def haar_images(rng, g):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Coefficient dims of every summary actually computed, in order."""
+    """Coefficient dims of every system actually analysed, in order."""
     dims = []
-    compute = coh._system_cohomology
+    compute = coh._system_cohomologies
 
-    def counting(sys, tol):
-        dims.append(sys.k)
-        return compute(sys, tol)
+    def counting(systems, tol):
+        dims.extend(sys.k for sys in systems)
+        return compute(systems, tol)
 
-    monkeypatch.setattr(coh, "_system_cohomology", counting)
+    monkeypatch.setattr(coh, "_system_cohomologies", counting)
     return dims
 
 

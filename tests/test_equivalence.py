@@ -2,13 +2,15 @@
 
 Each case runs one CLI command in-process and compares its exit code
 and JSON report with tests/golden/<name>.out.json: ints, strings, bools
-and nulls exactly, floats to 1e-12 (relative above magnitude 1).  A
-change that means to alter a report regenerates the goldens, from the
-repository root and with OPENBLAS_NUM_THREADS=1, by
+and nulls exactly, floats to 1e-12 (relative above magnitude 1).  From
+the repository root and with OPENBLAS_NUM_THREADS=1,
 
     PYTHONPATH=src python tests/test_equivalence.py
 
-and says so in its change notes.
+writes the golden of every case whose file is missing and leaves the
+others alone.  A new case is captured that way; a change that means to
+alter a report deletes that case's golden, reruns the script and says
+so in its change notes.
 """
 
 import io
@@ -25,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join("tests", "golden")
 FREE3 = os.path.join(GOLDEN, "free3-stratum1.json")
 FREE4 = os.path.join(GOLDEN, "free4-stratum3.json")
+T3_TABLE = os.path.join(GOLDEN, "t3-M4-{}.json")
 FLOAT_TOL = 1e-12
 
 CASES = {
@@ -32,6 +35,9 @@ CASES = {
                             "--q", "7", "--k", "2"],
     "invariant-s1xs2-8": ["invariant", "--example", "s1xs2",
                           "--samples", "8"],
+    "invariant-t3-M4": ["invariant", "--example", "t3", "--samples", "4",
+                        "--k", "3", "--cs-table", T3_TABLE.format("cs"),
+                        "--torsion-table", T3_TABLE.format("torsion")],
     "strata-scan-g3": ["strata-scan", "--genus", "3", "--samples", "40",
                        "--seed", "5"],
     "symplectic-check-g2": ["symplectic-check", "--genus", "2",
@@ -93,7 +99,10 @@ def test_report_matches_golden(name, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     for name, argv in CASES.items():
-        with open(os.path.join(GOLDEN, f"{name}.out.json"), "w",
-                  encoding="utf-8") as f:
+        path = os.path.join(GOLDEN, f"{name}.out.json")
+        if os.path.exists(path):
+            continue
+        with open(path, "w", encoding="utf-8") as f:
             json.dump(run_case(argv), f, indent=1, sort_keys=True)
             f.write("\n")
+        print("wrote", path)

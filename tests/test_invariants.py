@@ -262,6 +262,14 @@ def test_t3_grid_structure():
     assert all(p.clean.passes for p in pts)
 
 
+def test_t3_chart_bound_is_inclusive(monkeypatch):
+    import su2strata.invariants as inv
+    monkeypatch.setattr(inv, "MAX_T3_POINTS", 56)   # 8 + 3 * 4^2
+    assert len(enumerate_moduli("t3", samples=4)) == 56
+    with pytest.raises(InputError, match="108 points, more than 56"):
+        enumerate_moduli("t3", samples=5)
+
+
 def test_unknown_example():
     with pytest.raises(DomainError):
         enumerate_moduli("k3")
