@@ -8,10 +8,10 @@ from . import su2
 from .conventions import CONVENTION_TAGS, SCHEMA_VERSION
 from .cohomology import (CoefficientSystem, CohomologySummary, build_d0,
                          build_d1, cocycle_value, cohomology, fill_cohomology,
-                         full_system, is_cocycle, pullback_cocycle,
-                         pullback_matrix, restrict_coefficients,
-                         restricted_system, stabilizer_axis,
-                         system_cohomology)
+                         fill_systems, full_system, is_cocycle,
+                         pullback_cocycle, pullback_matrix,
+                         restrict_coefficients, restricted_system,
+                         stabilizer_axis, system_cohomology)
 from .errors import (AntipodeError, BoundaryAmbiguousError,
                      CleanIntersectionError, DomainError, ExactnessError,
                      InputError, PresentationError, RankAmbiguityError,

@@ -15,9 +15,11 @@ come from singular values against an absolute threshold, with warnings
 when a value sits within a factor of ten of the threshold.
 
 There is one analysis, `_system_cohomologies`, and it takes a list of
-coefficient systems: a moduli chart is analysed in one stacked pass
-(`fill_cohomology`), and `system_cohomology` is the batch of one.  Each
-summary is kept on its representation per coefficient basis and tol.
+coefficient systems: any list is analysed in one stacked pass
+(`fill_systems`; `fill_cohomology` fills a moduli chart's full and
+stabilizer-line systems with it), and `system_cohomology` is the batch
+of one.  Each summary is kept on its representation per coefficient
+basis and tol.
 """
 
 from __future__ import annotations
@@ -217,14 +219,18 @@ def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> None:
     every representation and, where h0 = 1, its stabilizer-line summary:
     what `system_cohomology` would keep for them.  A failing analysis
     keeps and raises nothing here; its own call raises it."""
-    full = _keep([full_system(rep) for rep in reps], tol)
-    _keep([CoefficientSystem(rep, s.basis_h0) for rep, s in zip(reps, full)
-           if s is not None and s.h0 == 1], tol)
+    full = fill_systems([full_system(rep) for rep in reps], tol)
+    fill_systems([CoefficientSystem(rep, s.basis_h0)
+                  for rep, s in zip(reps, full)
+                  if s is not None and s.h0 == 1], tol)
 
 
-def _keep(systems, tol: float) -> list:
-    """Each system's kept summary, or None where its analysis fails;
-    each (representation, basis) not yet kept is analysed once."""
+def fill_systems(systems, tol: float = DEFAULT_TOL) -> list:
+    """Keep, from one stacked analysis, the summary `system_cohomology`
+    would keep for each of any coefficient systems, and return each
+    kept summary, or None where its analysis fails (that system's own
+    call raises the error; nothing is kept for it).  Each
+    (representation, basis) not yet kept is analysed once."""
     keys = [_memo_key(sys, tol) for sys in systems]
     todo = {}
     for sys, key in zip(systems, keys):

@@ -12,11 +12,16 @@ isolated lower-stratum points of weight 1.  The t3 driver has no
 built-in Heegaard gluing, so its points carry torsion = None until the
 caller supplies values.
 
-The t3 and lens drivers build every representation of the chart first
-and fill its cohomology in one stacked analysis (`fill_cohomology`);
-the per-point sequence that follows reads the kept summaries, so the
-point order, the verdicts and the first error raised are those of a
-point-by-point run.
+The t3, lens and s1xs2 drivers build every representation of the
+chart first and fill its cohomology in one stacked analysis
+(`fill_cohomology`).  The lens and s1xs2 drivers then build every
+point's Heegaard parts (coefficient basis, handlebody and surface
+representations, kept on the point's representation) and fill the
+cohomology of all their handlebody and surface systems in one more
+stacked analysis (`fill_systems`).  The per-point sequence that follows
+reads what is kept, so the point order, the verdicts and the first
+error raised are those of a point-by-point run; `heegaard_mv_torsion`
+called with no fill before it is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,18 +29,21 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import su2
 from .cohomology import (DEFAULT_TOL, CoefficientSystem, fill_cohomology,
-                         pullback_matrix, stabilizer_axis, system_cohomology)
+                         fill_systems, pullback_matrix, stabilizer_axis,
+                         system_cohomology)
 from .conventions import MAX_T3_POINTS
 from .errors import (CleanIntersectionError, DomainError, InputError,
                      PresentationError)
 from .presentations import (Presentation, Representation, Word, commutator,
-                            cyclic_group, free_group, generator, surface_group)
+                            cyclic_group, free_group, generator, kept,
+                            surface_group)
 from .strata import StratumLabel, classify_stratum
 from .symplectic import pairing_matrix
 from .torsion import TorsionValue, mayer_vietoris_torsion
@@ -62,6 +70,10 @@ class HeegaardData:
     handle2_to_manifold: tuple
 
     def __post_init__(self):
+        # a splitting keys the Heegaard parts kept on each point's
+        # representation, so its sequences are held as tuples
+        for f in fields(self)[2:]:
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         g = self.genus
         if len(self.handle1_generators) != g or \
                 len(self.handle2_generators) != g:
@@ -72,6 +84,14 @@ class HeegaardData:
         if len(self.handle1_to_manifold) != g or \
                 len(self.handle2_to_manifold) != g:
             raise DomainError("manifold maps need genus entries")
+
+    @cached_property
+    def presentations(self) -> tuple:
+        """The handle-1, handle-2 and surface presentations, built once
+        per splitting."""
+        return (_free_presentation(self.handle1_generators),
+                _free_presentation(self.handle2_generators),
+                surface_group(self.genus))
 
 
 @dataclass(frozen=True)
@@ -223,8 +243,7 @@ def heegaard_representations(heegaard: HeegaardData, n_rep: Representation,
                              tol: float = DEFAULT_TOL):
     """Handlebody and surface representations induced by a manifold
     rep; the two gluing routes must induce the same surface rep."""
-    h1_pres = _free_presentation(heegaard.handle1_generators)
-    h2_pres = _free_presentation(heegaard.handle2_generators)
+    h1_pres, h2_pres, s_pres = heegaard.presentations
     h1_imgs = np.array([n_rep.evaluate(w) for w in heegaard.handle1_to_manifold])
     h2_imgs = np.array([n_rep.evaluate(w) for w in heegaard.handle2_to_manifold])
     h1_rep = Representation(h1_pres, h1_imgs)
@@ -236,8 +255,49 @@ def heegaard_representations(heegaard: HeegaardData, n_rep: Representation,
         raise DomainError(
             f"the two handlebody routes disagree on the surface rep "
             f"(gap {gap:.3e}); gluing data is inconsistent")
-    sigma_rep = Representation(surface_group(heegaard.genus), via1)
+    sigma_rep = Representation(s_pres, via1)
     return h1_rep, h2_rep, sigma_rep
+
+
+def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
+    """Coefficients picked by stratum i: the full algebra at irreducible
+    points, the stabilizer line at reducible ones."""
+    if i == 3:
+        return np.eye(3)
+    return stabilizer_axis(rep, tol).reshape(3, 1)
+
+
+def _heegaard_parts(heegaard: HeegaardData, n_rep: Representation,
+                    tol: float) -> tuple:
+    """(basis, h1_rep, h2_rep, sigma_rep) of a splitting at a manifold
+    rep, made once per (splitting, tol) and kept on the rep."""
+    return kept(n_rep._strata, (heegaard, tol), _make_heegaard_parts,
+                heegaard, n_rep, tol)
+
+
+def _make_heegaard_parts(heegaard, n_rep, tol) -> tuple:
+    label = classify_stratum(n_rep, tol)
+    if label.i == 0:
+        raise DomainError(
+            "stratum 0 uses the constant unit torsion, not the "
+            "Mayer-Vietoris assembly")
+    basis = _stratum_basis(n_rep, label.i, tol)
+    return (basis, *heegaard_representations(heegaard, n_rep, tol))
+
+
+def _fill_heegaard(heegaard: HeegaardData, reps, tol: float) -> None:
+    """Keep the Heegaard parts of each rep and the summaries of all
+    their handlebody and surface systems, from one stacked analysis.
+    Raises nothing: a rep whose parts fail keeps nothing for them, and
+    its own `heegaard_mv_torsion` raises the error."""
+    systems = []
+    for rep in reps:
+        try:
+            basis, *subs = _heegaard_parts(heegaard, rep, tol)
+        except DomainError:
+            continue
+        systems += [CoefficientSystem(sub, basis) for sub in subs]
+    fill_systems(systems, tol)
 
 
 def _h1_data(rep: Representation, basis: np.ndarray, tol: float):
@@ -256,18 +316,10 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
                         tol: float = DEFAULT_TOL) -> TorsionValue:
     """Mayer-Vietoris torsion of a splitting at a manifold rep, with
     coefficients picked by the rep's stratum (full algebra at
-    irreducible points, the stabilizer line at reducible ones)."""
-    label = classify_stratum(n_rep, tol)
-    if label.i == 0:
-        raise DomainError(
-            "stratum 0 uses the constant unit torsion, not the "
-            "Mayer-Vietoris assembly")
-    if label.i == 3:
-        basis = np.eye(3)
-    else:
-        basis = stabilizer_axis(n_rep, tol).reshape(3, 1)
-
-    h1_rep, h2_rep, sigma_rep = heegaard_representations(heegaard, n_rep, tol)
+    irreducible points, the stabilizer line at reducible ones).  The
+    Heegaard parts and their summaries are those a chart's fill kept,
+    or are made here when none was."""
+    basis, h1_rep, h2_rep, sigma_rep = _heegaard_parts(heegaard, n_rep, tol)
     dn = _h1_data(n_rep, basis, tol)
     dh1 = _h1_data(h1_rep, basis, tol)
     dh2 = _h1_data(h2_rep, basis, tol)
@@ -296,11 +348,7 @@ def clean_intersection_check(point: ModuliPoint,
     i = point.stratum.i
     if i == 0:
         return CleanVerdict(True, 0, point.component_dim, point.component_dim)
-    if i == 3:
-        basis = np.eye(3)
-    else:
-        basis = stabilizer_axis(point.rep, tol).reshape(3, 1)
-    _, summary = _h1_data(point.rep, basis, tol)
+    _, summary = _h1_data(point.rep, _stratum_basis(point.rep, i, tol), tol)
     return CleanVerdict(summary.h1 == point.component_dim, i,
                         point.component_dim, summary.h1)
 
@@ -360,6 +408,7 @@ def _enumerate_lens(p: int, q: int, tol: float):
     reps = [Representation(pres, [_torus_element(2.0 * math.pi * n / p)])
             for n in range(p // 2 + 1)]
     fill_cohomology(reps, tol)
+    _fill_heegaard(heegaard, reps, tol)
     points = []
     for n, rep in enumerate(reps):
         pid = f"lens({p},{q}):n={n}"
@@ -383,14 +432,18 @@ def _enumerate_s1xs2(samples: int, tol: float):
     pres = heegaard.presentation_n
     M = _grid_size(samples)
     delta = math.pi / M
-    points = [_point("s1xs2:trivial", Representation.trivial(pres), 0, 1.0,
-                     tol, TorsionValue(1.0, 0.0))]
-    for j in range(1, M):
-        rep = Representation(pres, [_torus_element(j * delta)])
+    trivial = Representation.trivial(pres)
+    interior = [Representation(pres, [_torus_element(j * delta)])
+                for j in range(1, M)]
+    central = Representation(pres, [_torus_element(math.pi)])
+    fill_cohomology([trivial, *interior, central], tol)
+    _fill_heegaard(heegaard, interior, tol)
+    points = [_point("s1xs2:trivial", trivial, 0, 1.0, tol,
+                     TorsionValue(1.0, 0.0))]
+    for j, rep in enumerate(interior, 1):
         torsion = heegaard_mv_torsion(heegaard, rep, tol)
         points.append(_point(f"s1xs2:j={j}/{M}", rep, 1, delta, tol, torsion))
-    rep = Representation(pres, [_torus_element(math.pi)])
-    points.append(_point("s1xs2:central", rep, 0, 1.0, tol,
+    points.append(_point("s1xs2:central", central, 0, 1.0, tol,
                          TorsionValue(1.0, 0.0)))
     return points
 

@@ -193,17 +193,21 @@ def custom_group(generators, relator_texts) -> Presentation:
 class Representation:
     """SU(2) images for each generator, relators satisfied within tol.
 
-    The images are a read-only copy of what the caller passed.  Each
-    relator is folded once, here; its holonomy (`relator_values`, read
-    by the gate), Fox row and cup-product matrix are kept read-only.
-    Everything else is computed on first use and kept read-only too:
-    the folds of other words (`fold`), the Ad stack (`adjoints`), and
-    the cohomology summaries, stratum labels and restricted coefficient
-    bases that `cohomology` and `strata` keep.  Errors are never kept.
+    The images are a read-only copy of what the caller passed; a
+    non-finite or non-unit image is refused.  Each relator is folded
+    once, here, to its holonomy (`relator_values`, read by the gate)
+    and its Fox row, both kept read-only; no cup-product matrix is
+    formed.  Everything else is computed on first use and kept
+    read-only too: the holonomy and Fox row of other words (`fold`),
+    the Ad stack (`adjoints`), the surface relator's cup-product matrix
+    (`symplectic.pairing_matrix`), and the cohomology summaries, stratum
+    labels, restricted coefficient bases and Heegaard parts that
+    `cohomology`, `strata` and `invariants` keep.  Errors are never
+    kept.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
-                 "relator_residual", "_jacobian", "_pairings", "_folds",
+                 "relator_residual", "_jacobian", "_pairing", "_folds",
                  "_adjoints", "_cohomology", "_strata")
 
     def __init__(self, presentation: Presentation, images,
@@ -214,21 +218,20 @@ class Representation:
                 f"need shape ({presentation.num_generators}, 4) images, "
                 f"got {images.shape}")
         norms = np.linalg.norm(images, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        # written so that a NaN norm fails it too
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise PresentationError("images must be unit quaternions")
         self.presentation = presentation
         self.images = images
-        self._folds, self._adjoints = {}, None
+        self._folds, self._adjoints, self._pairing = {}, None, None
         self._cohomology, self._strata = {}, {}
-        n3 = 3 * presentation.num_generators
         letters: dict = {}
-        folds = [_fold(images, r, letters) for r in presentation.relators]
+        folds = [_fold(images, r, letters, False)
+                 for r in presentation.relators]
         self.relator_values = _read_only(
-            np.array([q for q, _, _ in folds]).reshape(-1, 4))
-        self._jacobian = _read_only(
-            np.array([J for _, J, _ in folds]).reshape(-1, n3))
-        self._pairings = _read_only(
-            np.array([W for _, _, W in folds]).reshape(-1, n3, n3))
+            np.array([q for q, _ in folds]).reshape(-1, 4))
+        self._jacobian = _read_only(np.array([J for _, J in folds]).reshape(
+            -1, 3 * presentation.num_generators))
         self.relator_residual = float(np.linalg.norm(
             self.relator_values - su2.identity(), axis=1).max(initial=0.0))
         gate_relators(self, tol)
@@ -243,10 +246,10 @@ class Representation:
         return self.fold(word)[0]
 
     def fold(self, word: Word):
-        """`fox_fold` of a word at these images, kept read-only, so the
-        holonomy and the Fox row of one word share one fold."""
+        """(q, J) of a word's `fox_fold` at these images, kept read-only,
+        so the holonomy and the Fox row of one word share one fold."""
         return kept(self._folds, word, lambda: tuple(
-            _read_only(a) for a in fox_fold(self.images, word)))
+            _read_only(a) for a in _fold(self.images, word, {}, False)))
 
     @property
     def adjoints(self) -> np.ndarray:
@@ -262,8 +265,9 @@ class Representation:
 
 
 def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
-    """The representation, if its relator residual is within tol."""
-    if rep.relator_residual > tol:
+    """The representation, if its relator residual is within tol (a
+    NaN residual is not)."""
+    if not rep.relator_residual <= tol:
         raise ResidualError(
             f"relator residual {rep.relator_residual:.3e} exceeds "
             f"tolerance {tol:.1e}")
@@ -295,43 +299,55 @@ def fox_fold(images: np.ndarray, word: Word):
     letter is folded by squaring, so a^p costs O(log p) products.  This
     is the one walk over word letters.
     """
-    return _fold(images, word, {})
+    return _fold(images, word, {}, True)
 
 
-def _fold(images: np.ndarray, word: Word, letters: dict):
-    """`fox_fold`, sharing one-letter folds in `letters` across words."""
+def _fold(images: np.ndarray, word: Word, letters: dict, cup: bool):
+    """`fox_fold`, sharing one-letter folds in `letters` across words
+    folded with the same `cup`; without `cup` the fold is the pair
+    (q, J) and no W is formed."""
     out = None
     for s, run in itertools.groupby(word):
         if s not in letters:
-            letters[s] = _letter_fold(images, s)
+            letters[s] = _letter_fold(images, s, cup)
         t = _power(letters[s], len(list(run)))
         out = t if out is None else _compose(out, t)
     if out is None:
         n3 = 3 * len(images)
-        return su2.identity(), np.zeros((3, n3)), np.zeros((n3, n3))
+        out = su2.identity(), np.zeros((3, n3)), np.zeros((n3, n3))
+        return out if cup else out[:2]
     return out
 
 
-def _letter_fold(images: np.ndarray, s: int):
+def _letter_fold(images: np.ndarray, s: int, cup: bool):
     """Fold of the one-letter word s: u(x^-1) = -Ad(x)^T u(x), and the
-    chain -[x^-1 | x] pairs u(x) with itself."""
+    chain -[x^-1 | x] pairs u(x) with itself.  W only with `cup`."""
     n3 = 3 * len(images)
     j = 3 * abs(s) - 3
     x = np.array(images[abs(s) - 1], dtype=float)
     if s > 0:
-        return x, np.eye(3, n3, j), np.zeros((n3, n3))
-    J, W = np.zeros((3, n3)), np.zeros((n3, n3))
-    J[:, j:j + 3] = -su2.ad(x).T
-    np.fill_diagonal(W[j:j + 3, j:j + 3], 1.0)
-    return su2.inverse(x), J, W
+        q, J = x, np.eye(3, n3, j)
+    else:
+        q, J = su2.inverse(x), np.zeros((3, n3))
+        J[:, j:j + 3] = -su2.ad(x).T
+    if not cup:
+        return q, J
+    W = np.zeros((n3, n3))
+    if s < 0:
+        np.fill_diagonal(W[j:j + 3, j:j + 3], 1.0)
+    return q, J, W
 
 
 def _compose(a, b):
     """(q1, J1, W1)(q2, J2, W2)
-    = (q1 q2, J1 + Ad(q1) J2, W1 + W2 + J1^T Ad(q1) J2)."""
-    (q1, J1, W1), (q2, J2, W2) = a, b
+    = (q1 q2, J1 + Ad(q1) J2, W1 + W2 + J1^T Ad(q1) J2), or the same
+    without the W terms for pairs (q, J)."""
+    q1, J1, q2, J2 = a[0], a[1], b[0], b[1]
     AJ2 = np.dot(su2.ad(q1), J2)     # np.dot: less overhead than @ here
-    return su2.multiply(q1, q2), J1 + AJ2, W1 + W2 + np.dot(J1.T, AJ2)
+    if len(a) == 2:
+        return su2.multiply(q1, q2), J1 + AJ2
+    return (su2.multiply(q1, q2), J1 + AJ2,
+            a[2] + b[2] + np.dot(J1.T, AJ2))
 
 
 def _power(t, k: int):
@@ -343,7 +359,7 @@ def _power(t, k: int):
 
 
 def evaluate_images(images: np.ndarray, word: Word) -> np.ndarray:
-    return fox_fold(images, word)[0]
+    return _fold(images, word, {}, False)[0]
 
 
 def relator_residual(presentation: Presentation, images: np.ndarray) -> float:

@@ -16,8 +16,9 @@ metric.
 
 The pairing is bilinear, so it is held as one (3n x 3n) matrix W: the
 cup-product part of the surface relator's Fox fold
-(`presentations.fox_fold`), the same fold that gives d1.  Cocycles are
-(n, 3) arrays, one algebra vector per generator, or their flat form.
+(`presentations.fox_fold`), folded when the pairing is first asked
+for.  Cocycles are (n, 3) arrays, one algebra vector per generator, or
+their flat form.
 """
 
 from __future__ import annotations
@@ -33,10 +34,15 @@ from .presentations import Representation, Word, fox_fold
 def pairing_matrix(rep: Representation) -> np.ndarray:
     """The read-only (3n x 3n) matrix W with
     pairing(u, v) = ravel(u) @ W @ ravel(v): the cup-product matrix of
-    the surface relator's fold, kept on the representation."""
+    the surface relator's fold.  It is folded here, on first use, and
+    kept on the representation; nothing else forms W."""
     if rep.presentation.kind != "surface":
         raise DomainError("the pairing needs a surface presentation")
-    return rep._pairings[0]
+    if rep._pairing is None:
+        W = fox_fold(rep.images, rep.presentation.relators[0])[2]
+        W.flags.writeable = False
+        rep._pairing = W
+    return rep._pairing
 
 
 def goldman_form(rep: Representation, u: np.ndarray, v: np.ndarray) -> float:
@@ -54,8 +60,8 @@ def gram_matrix(rep: Representation, cocycles) -> np.ndarray:
 def trace_derivative(rep: Representation, word: Word, u: np.ndarray) -> float:
     """Derivative of trace(holonomy(word)) along the cocycle flow
     images -> exp(t u) images: the real trace of u(word) = J u against
-    the holonomy q, both from the word's fold."""
-    q, J, _ = fox_fold(rep.images, word)
+    the holonomy q, both from the word's kept fold."""
+    q, J = rep.fold(word)
     return su2.trace_pairing(J @ np.ravel(u), q)
 
 

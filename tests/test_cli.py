@@ -101,9 +101,9 @@ def test_polish_folds_the_polished_relator_once(tmp_path, capsys,
     folded, at_return = [], []
     fold, polish = presentations._fold, cli.polish
 
-    def counting(images, word, letters):
+    def counting(images, word, letters, cup):
         folded.append(word)
-        return fold(images, word, letters)
+        return fold(images, word, letters, cup)
 
     def recording(*args, **kwargs):
         rep = polish(*args, **kwargs)
@@ -302,6 +302,8 @@ def test_invalid_json_is_exit_2(tmp_path, capsys):
     {"a": "oops"},                                  # not a list
     {"a": ["w", 0, 0, 0]},                          # not numbers
     {"a": [1.0, 0, 0, 0], "e": [1.0, 0, 0, 0]},     # unknown image field
+    {"a": [math.nan, 0, 0, 0]},                     # not finite
+    {"a": [1.0, math.inf, 0, 0]},
 ])
 def test_malformed_images_are_exit_2_with_or_without_polish(
         tmp_path, capsys, images, polish):

@@ -33,6 +33,8 @@ FLOAT_TOL = 1e-12
 CASES = {
     "invariant-lens-31-7": ["invariant", "--example", "lens", "--p", "31",
                             "--q", "7", "--k", "2"],
+    "invariant-lens-52-3": ["invariant", "--example", "lens", "--p", "52",
+                            "--q", "3", "--k", "2"],
     "invariant-s1xs2-8": ["invariant", "--example", "s1xs2",
                           "--samples", "8"],
     "invariant-t3-M4": ["invariant", "--example", "t3", "--samples", "4",

@@ -9,7 +9,8 @@ letter from 2x2 complex matrix products and imports nothing from the
 package.  The fold itself is checked as a monoid homomorphism, on words
 with long runs folded by squaring, and a lens enumeration is held to
 one fold of its relator and of each handle word, and O(log p)
-quaternion products per point.
+quaternion products per point.  W is formed only where a pairing reads
+it: once per surface representation, by `pairing_matrix`.
 """
 
 import math
@@ -20,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2strata import presentations, su2
-from su2strata.cohomology import (cohomology, full_system, restricted_system,
-                                  system_d1)
+from su2strata import invariants, presentations, su2
+from su2strata.cohomology import (DEFAULT_TOL, cohomology, full_system,
+                                  restricted_system, system_d1)
 from su2strata.errors import DomainError
 from su2strata.invariants import (enumerate_moduli, lens_heegaard,
                                   t3_presentation)
@@ -115,10 +116,10 @@ def test_lens_walks_its_relator_once_per_point(monkeypatch):
     walked = []
     fold = presentations._fold       # behind fox_fold and relator folds
 
-    def counting(images, word, letters):
+    def counting(images, word, letters, cup):
         if word == relator:
             walked.append(images.tobytes())
-        return fold(images, word, letters)
+        return fold(images, word, letters, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)
     points = enumerate_moduli("lens", p=31, q=7)
@@ -137,10 +138,10 @@ def test_lens_folds_each_handle_word_once_per_point(monkeypatch):
     folded = []
     fold = presentations._fold
 
-    def counting(images, word, letters):
+    def counting(images, word, letters, cup):
         if word in handle_words:
             folded.append(word)
-        return fold(images, word, letters)
+        return fold(images, word, letters, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)
     points = enumerate_moduli("lens", p=p, q=q)
@@ -227,3 +228,66 @@ def test_pairing_matrix_needs_surface_kind():
     rep = Representation.trivial(free_group(2))
     with pytest.raises(DomainError):
         pairing_matrix(rep)
+
+
+# -- W on demand ----------------------------------------------------------
+
+@pytest.fixture
+def cup_folds(monkeypatch):
+    """Images at which a one-letter fold formed a W block."""
+    seen = []
+    letter_fold = presentations._letter_fold
+
+    def counting(images, s, cup):
+        out = letter_fold(images, s, cup)
+        if len(out) == 3:
+            seen.append(images.tobytes())
+        return out
+
+    monkeypatch.setattr(presentations, "_letter_fold", counting)
+    return seen
+
+
+def test_t3_charts_and_polish_candidates_form_no_w(cup_folds):
+    # the sampler polishes Haar draws on the genus-3 surface relator
+    assert len(enumerate_moduli("t3", samples=4)) == 8 + 3 * 16
+    sample_surface_representation(3, seed=4)
+    assert cup_folds == []
+
+
+def test_lens_forms_w_only_for_its_surface_reps(cup_folds):
+    # the lens point reps never form W; each noncentral point's genus-1
+    # surface rep forms it once, for its Mayer-Vietoris omega, one W
+    # block per letter of a b A B
+    p, q = 31, 7
+    points = enumerate_moduli("lens", p=p, q=q)
+    heegaard = lens_heegaard(p, q)
+    sigma = [invariants._heegaard_parts(heegaard, pt.rep, DEFAULT_TOL)[3]
+             for pt in points if pt.stratum.i != 0]
+    assert len(sigma) == p // 2
+    assert Counter(cup_folds) == {s.images.tobytes(): 4 for s in sigma}
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_pairing_matrix_is_the_relator_folds_w_once(g, monkeypatch):
+    rep = sample_surface_representation(g, seed=g)
+    want = fox_fold(rep.images, rep.presentation.relators[0])[2]
+    cups = []
+    fold = presentations._fold
+
+    def counting(images, word, letters, cup):
+        cups.append(cup)
+        return fold(images, word, letters, cup)
+
+    monkeypatch.setattr(presentations, "_fold", counting)
+    W = pairing_matrix(rep)
+    assert W.tobytes() == want.tobytes() and W.shape == want.shape
+    assert pairing_matrix(rep) is W and cups == [True]
+    with pytest.raises(ValueError):
+        W[0, 0] = 1.0
+    gram_matrix(rep, [np.ones((2 * g, 3))])
+    assert cups == [True]
+    for pres in (free_group(g), cyclic_group(g + 1),
+                 circle_times_surface_group(g)):
+        with pytest.raises(DomainError):
+            pairing_matrix(Representation.trivial(pres))

@@ -1,0 +1,150 @@
+"""The stacked Heegaard fill of the lens and s1xs2 charts.
+
+Before their per-point loops, the lens and s1xs2 drivers keep every
+point's Heegaard parts (coefficient basis, handlebody and surface
+representations) on the point's representation and analyse all the
+handlebody and surface systems in one stacked pass.  Here each system
+is held to one analysis, the number of stacked passes to one that does
+not grow with p, `heegaard_mv_torsion` on a fresh, unfilled
+representation (a batch of one) to the chart's value bit for bit, and
+inconsistent gluing data to the error a lone call raises, at its own
+point, with nothing kept for it.
+"""
+
+import importlib
+import math
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from su2strata import invariants
+from su2strata.cohomology import DEFAULT_TOL
+from su2strata.errors import DomainError
+from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
+                                  lens_heegaard, s1xs2_heegaard)
+from su2strata.presentations import (Representation, cyclic_group,
+                                     free_group, generator)
+
+coh = importlib.import_module("su2strata.cohomology")
+
+
+def lens_rep(p, n):
+    return Representation(cyclic_group(p),
+                          [invariants._torus_element(2.0 * math.pi * n / p)])
+
+
+@pytest.fixture
+def analysed(monkeypatch):
+    """One list of (rep, basis bytes) per stacked analysis."""
+    calls = []
+    compute = coh._system_cohomologies
+
+    def counting(systems, tol):
+        calls.append([(sys.rep, sys.basis.tobytes()) for sys in systems])
+        return compute(systems, tol)
+
+    monkeypatch.setattr(coh, "_system_cohomologies", counting)
+    return calls
+
+
+@pytest.mark.parametrize("example, heegaard, kwargs", [
+    ("lens", lens_heegaard(31, 7), {"p": 31, "q": 7}),
+    ("lens", lens_heegaard(52, 3), {"p": 52, "q": 3}),
+    ("s1xs2", s1xs2_heegaard(), {"samples": 12}),
+])
+def test_each_heegaard_system_is_analysed_once(analysed, example, heegaard,
+                                               kwargs):
+    points = enumerate_moduli(example, **kwargs)
+    counts = Counter((id(rep), basis) for call in analysed
+                     for rep, basis in call)
+    noncentral = [pt for pt in points if pt.stratum.i != 0]
+    assert noncentral
+    for pt in noncentral:
+        basis, *subs = invariants._heegaard_parts(heegaard, pt.rep,
+                                                  DEFAULT_TOL)
+        assert [counts[id(sub), basis.tobytes()] for sub in subs] == [1, 1, 1]
+    assert set(counts.values()) == {1}
+
+
+def test_lens_analyses_do_not_grow_with_p(analysed):
+    sizes = {}
+    for p in (21, 83):
+        analysed.clear()
+        enumerate_moduli("lens", p=p, q=5)
+        sizes[p] = len(analysed)
+    assert sizes[21] == sizes[83]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 150), st.integers(1, 149), st.data())
+def test_a_fresh_lens_point_gives_the_filled_torsion(p, q, data):
+    q = q % p or 1
+    if math.gcd(p, q) != 1:
+        q = 1
+    n = data.draw(st.integers(1, (p - 1) // 2))
+    points = enumerate_moduli("lens", p=p, q=q)
+    (pt,) = [pt for pt in points if pt.point_id == f"lens({p},{q}):n={n}"]
+    fresh = heegaard_mv_torsion(lens_heegaard(p, q), lens_rep(p, n))
+    assert (fresh.value, fresh.log_value) == (pt.torsion.value,
+                                              pt.torsion.log_value)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_a_fresh_s1xs2_point_gives_the_filled_torsion(M, data):
+    j = data.draw(st.integers(1, M - 1))
+    points = enumerate_moduli("s1xs2", samples=M)
+    (pt,) = [pt for pt in points if pt.point_id == f"s1xs2:j={j}/{M}"]
+    rep = Representation(free_group(1),
+                         [invariants._torus_element(j * (math.pi / M))])
+    fresh = heegaard_mv_torsion(s1xs2_heegaard(), rep)
+    assert (fresh.value, fresh.log_value) == (pt.torsion.value,
+                                              pt.torsion.log_value)
+
+
+def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
+    # handle 2's core sent to a^6 in lens(15, 1): the routes agree only
+    # where 5n = 0 mod 15, so points n = 3, 6 glue and the rest do not
+    p = 15
+    bad = replace(lens_heegaard(p, 1),
+                  handle2_to_manifold=(generator(0) ** 6,))
+    reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
+    coh.fill_cohomology(reps)
+    invariants._fill_heegaard(bad, reps, DEFAULT_TOL)
+    glued = {n for n, rep in enumerate(reps)
+             if (bad, DEFAULT_TOL) in rep._strata}
+    assert glued == {3, 6}
+    for n, rep in enumerate(reps[1:], 1):
+        fresh = lens_rep(p, n)
+        if n in glued:
+            assert heegaard_mv_torsion(bad, rep) == \
+                heegaard_mv_torsion(bad, fresh)
+            continue
+        with pytest.raises(DomainError) as filled:
+            heegaard_mv_torsion(bad, rep)
+        with pytest.raises(DomainError) as lone:
+            heegaard_mv_torsion(bad, fresh)
+        assert str(filled.value) == str(lone.value)
+        assert "gluing data is inconsistent" in str(lone.value)
+        assert (bad, DEFAULT_TOL) not in rep._strata
+    # in the chart, the first failing point (n = 1) raises first
+    monkeypatch.setattr(invariants, "lens_heegaard", lambda p, q: bad)
+    with pytest.raises(DomainError) as chart:
+        enumerate_moduli("lens", p=p, q=1)
+    with pytest.raises(DomainError) as first:
+        heegaard_mv_torsion(bad, lens_rep(p, 1))
+    assert str(chart.value) == str(first.value)
+
+
+def test_a_splitting_given_as_lists_keys_like_its_tuple_twin():
+    # the parts are kept per splitting, so its sequences must hash
+    lens = lens_heegaard(7, 3)
+    listed = replace(lens, **{f: list(getattr(lens, f)) for f in (
+        "handle1_generators", "handle2_generators", "surface_to_handle1",
+        "surface_to_handle2", "handle1_to_manifold", "handle2_to_manifold")})
+    assert listed == lens and hash(listed) == hash(lens)
+    rep = lens_rep(7, 1)
+    assert heegaard_mv_torsion(listed, rep) == heegaard_mv_torsion(lens, rep)

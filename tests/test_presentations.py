@@ -11,8 +11,9 @@ from su2strata.presentations import (EMPTY, Presentation, Representation,
                                      Word, commutator, custom_group,
                                      cyclic_group, evaluate_images,
                                      format_word, fox_fold,
-                                     fox_jacobian_at, free_group, generator,
-                                     parse_word, polish_images,
+                                     fox_jacobian_at, free_group,
+                                     gate_relators, generator, parse_word,
+                                     polish_images,
                                      presentation_from_json,
                                      presentation_to_json, relator_residual,
                                      representation_from_json,
@@ -227,6 +228,25 @@ def test_representation_validates_norms_and_relators():
     good = su2.exp((2 * np.pi / 3) * np.array([1.0, 0, 0]))
     rep = Representation(pres, np.array([good]))
     assert rep.relator_residual < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tol", [1e-9, np.inf])
+def test_non_finite_images_are_refused(bad, tol):
+    # a NaN norm compares False both ways, so the gates are written to
+    # fail it, not to pass it; no NaN residual reaches the relator gate
+    for pres in (free_group(2), cyclic_group(3)):
+        images = np.tile(su2.identity(), (pres.num_generators, 1))
+        images[0, 0] = bad
+        with pytest.raises(PresentationError):
+            Representation(pres, images, tol=tol)
+
+
+def test_relator_gate_fails_a_nan_residual():
+    rep = Representation(cyclic_group(3), [su2.identity()])
+    object.__setattr__(rep, "relator_residual", float("nan"))
+    with pytest.raises(ResidualError):
+        gate_relators(rep, np.inf)
 
 
 def test_trivial_representation():

@@ -131,9 +131,9 @@ def test_surface_sampler_folds_the_polished_relator_once(monkeypatch):
     folded, at_return = [], []
     fold, polish = presentations._fold, strata.polish
 
-    def counting(images, word, letters):
+    def counting(images, word, letters, cup):
         folded.append(word)
-        return fold(images, word, letters)
+        return fold(images, word, letters, cup)
 
     def recording(*args, **kwargs):
         rep = polish(*args, **kwargs)
