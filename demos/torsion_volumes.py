@@ -23,11 +23,14 @@ seq = MetricSequence((1, 2, 1),
 t = sequence_torsion(seq)
 print("three-term example: torsion =", t.value)
 
+# the volume is the product of d0's nonzero singular values; from the
+# images' vector parts V, d0's are 2 sqrt(s_a^2 + s_b^2) over pairs of
+# V's singular values, so stratum 1 gives 4 sum sin^2(theta_j)
 for i in (1, 3):
     rep = sample_stratum(2, i, seed=2)
-    vol, half = stratum_volume(rep)
+    vol = stratum_volume(rep)
     print(f"stratum {i} volume element: {vol.value:.6f} "
-          f"(half-density {half.value:.6f})")
+          f"(half-density {math.exp(0.5 * vol.log_value):.6f})")
 
 print()
 for p in (3, 5, 7, 8):

@@ -38,9 +38,9 @@ from .strata import (StratumLabel, boundary_fibre_values, classify_stratum,
                      stratum_tangent_dim)
 from .symplectic import (fibre_tangent_basis, goldman_form, gram_matrix,
                          pairing_matrix, trace_derivative)
-from .torsion import (HalfDensityValue, MetricSequence, TorsionValue,
-                      exactness_residual, mayer_vietoris_torsion,
-                      sequence_torsion, stratum_volume)
+from .torsion import (MetricSequence, TorsionValue, exactness_residual,
+                      mayer_vietoris_torsion, sequence_torsion,
+                      stratum_volume)
 
 __version__ = "0.1.0"
 

@@ -264,14 +264,18 @@ def _cmd_symplectic_check(args) -> dict:
 
 def _torsion_from_sequence(spec: dict, tol: float) -> dict:
     _fields(spec, "sequence", required=("dims", "maps"))
+    dims, maps = spec["dims"], spec["maps"]
     try:
-        seq = MetricSequence(tuple(spec["dims"]),
-                            tuple(np.array(m, dtype=float).reshape(
-                                (spec["dims"][j + 1], spec["dims"][j]))
-                                for j, m in enumerate(spec["maps"])))
+        if len(maps) != len(dims) - 1:
+            raise InputError(f"{len(dims)} spaces need {len(dims) - 1} "
+                             f"maps, got {len(maps)}")
+        maps = tuple(np.array(m, dtype=float).reshape((dims[j + 1], dims[j]))
+                     for j, m in enumerate(maps))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sequence data: {e}") from None
-    t = sequence_torsion(seq, tol)
+    if not all(np.isfinite(f).all() for f in maps):
+        raise InputError("sequence maps must have finite entries")
+    t = sequence_torsion(MetricSequence(tuple(dims), maps), tol)
     return {"mode": "sequence", "torsion": t.value, "log_torsion": t.log_value}
 
 
@@ -282,10 +286,11 @@ def _torsion_from_volume(spec: dict, tol: float) -> dict:
         rep = representation_from_json(spec["images"], pres)
     except PresentationError as e:
         raise InputError(str(e)) from None
-    t, h = stratum_volume(rep, tol)
+    t = stratum_volume(rep, tol)
     label = classify_stratum(rep, tol)
     return {"mode": "volume", "stratum": label.i, "torsion": t.value,
-            "log_torsion": t.log_value, "half_density": h.value}
+            "log_torsion": t.log_value,
+            "half_density": float(np.exp(0.5 * t.log_value))}
 
 
 def _torsion_from_example(data: dict, tol: float) -> dict:

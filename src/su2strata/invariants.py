@@ -125,6 +125,7 @@ class InvariantResult:
 
 
 _FINGERPRINT_DECIMALS = 7
+_FINGERPRINT_SCALE = 10.0 ** _FINGERPRINT_DECIMALS
 
 
 def trace_fingerprint(rep: Representation) -> tuple:
@@ -135,12 +136,8 @@ def trace_fingerprint(rep: Representation) -> tuple:
     pairs = [su2.multiply(imgs[i], imgs[j])
              for i in range(n) for j in range(i + 1, n)]
     full = rep.evaluate(Word(range(1, n + 1)))
-    return _round_fingerprint([su2.trace(q) for q in [*imgs, *pairs, full]])
-
-
-def _round_fingerprint(vals) -> tuple:
-    return tuple((np.round(np.array(vals, dtype=float),
-                           _FINGERPRINT_DECIMALS) + 0.0).tolist())
+    traces = [su2.trace(q) for q in [*imgs, *pairs, full]]
+    return tuple((np.round(traces, _FINGERPRINT_DECIMALS) + 0.0).tolist())
 
 
 def find_conjugator(rep1: Representation, rep2: Representation,
@@ -206,30 +203,46 @@ def _axis_aligner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return su2.exp(0.5 * math.acos(max(-1.0, min(1.0, c))) * axis)
 
 
+def _fingerprint_steps(fingerprint) -> list:
+    """A fingerprint in rounding steps (1e-7), offset half a cell so the
+    traces 0, +-1, +-2 sit mid-cell."""
+    return [round(v * _FINGERPRINT_SCALE) + 512 for v in fingerprint]
+
+
+class _FingerprintCells(dict):
+    """Items filed by fingerprint steps in cells of 1024 steps, the one
+    matcher of dedup and table entries: prints a step apart lie in the
+    same or neighbouring cells, at most two a component."""
+
+    def add(self, steps: list, item) -> None:
+        self.setdefault(tuple(k >> 10 for k in steps), []).append(
+            (steps, item))
+
+    def near(self, steps: list):
+        """The filed items within a step in every component, lazily."""
+        lo = tuple([(k - 1) >> 10 for k in steps])
+        hi = tuple([(k + 1) >> 10 for k in steps])
+        probes = ((lo,) if lo == hi
+                  else itertools.product(*map(set, zip(lo, hi))))
+        return (item for cell in probes for prev, item in self.get(cell, ())
+                if all(abs(a - b) <= 1 for a, b in zip(steps, prev)))
+
+
 def deduplicate_points(points, tol: float = 1e-7):
     """Merge conjugate points, keeping the first of each class in order.
 
     Conjugate points can round one step (1e-7) apart in any fingerprint
     component, so kept points within a step in every component are
-    candidates, found among prints filed in cells of 1024 steps; only a
-    confirmed conjugator merges.
+    candidates; only a confirmed conjugator merges.
     """
-    scale = 10.0 ** _FINGERPRINT_DECIMALS
-    cells: dict = {}
+    cells = _FingerprintCells()
     kept: list = []
     for pt in points:
-        # offset half a cell, so the traces 0, +-1, +-2 sit mid-cell
-        steps = [round(v * scale) + 512 for v in pt.fingerprint]
-        probes = itertools.product(*({(k - 1) >> 10, (k + 1) >> 10}
-                                     for k in steps))
-        near = (prev for cell in probes
-                for prev_steps, prev in cells.get(cell, ())
-                if all(abs(a - b) <= 1 for a, b in zip(steps, prev_steps)))
+        steps = _fingerprint_steps(pt.fingerprint)
         if not any(find_conjugator(pt.rep, prev.rep, tol) is not None
-                   for prev in near):
+                   for prev in cells.near(steps)):
             kept.append(pt)
-            cells.setdefault(tuple(k >> 10 for k in steps), []).append(
-                (steps, pt))
+            cells.add(steps, pt)
     return kept
 
 
@@ -523,14 +536,16 @@ def custom_points(presentation: Presentation, image_sets, component_dims,
 def apply_value_table(points, table, field: str):
     """Override per-point values (cs_value or torsion) from a list of
     {point_id|fingerprint, value} entries.  An entry updates every point
-    it matches and later entries override earlier ones.  Unmatched or
-    malformed entries are errors; unmatched points keep their defaults."""
+    it matches (a fingerprint matches within one rounding step in every
+    component, as in dedup) and later entries override earlier ones.
+    Unmatched or malformed entries are errors; unmatched points keep
+    their defaults."""
     out = list(points)
     by_id: dict = {}
-    by_fp: dict = {}
+    by_fp = _FingerprintCells()
     for i, pt in enumerate(out):
         by_id.setdefault(pt.point_id, []).append(i)
-        by_fp.setdefault(pt.fingerprint, []).append(i)
+        by_fp.add(_fingerprint_steps(pt.fingerprint), i)
     for entry in table:
         if not isinstance(entry, dict):
             raise InputError("table entries must be objects")
@@ -549,7 +564,9 @@ def apply_value_table(points, table, field: str):
                     isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in fp):
                 raise InputError(f"fingerprint must list numbers: {entry}")
-            hits = by_fp.get(_round_fingerprint(fp), [])
+            # an inf, NaN or huge entry goes to +-4, where no trace lies
+            hits = list(by_fp.near(_fingerprint_steps(
+                min(4.0, max(-4.0, v)) for v in fp)))
         else:
             raise InputError("table entry needs point_id or fingerprint")
         if not hits:

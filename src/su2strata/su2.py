@@ -29,14 +29,6 @@ def identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    return q / n
-
-
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product, renormalized to stay on the unit sphere.
 
@@ -108,10 +100,6 @@ def ad(q: np.ndarray) -> np.ndarray:
         2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
         2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
     ]).reshape(3, 3)
-
-
-def inner(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x, y))
 
 
 def trace(q: np.ndarray) -> float:

@@ -10,6 +10,11 @@ numerator, even positions to the denominator.  Scaling map j by c
 therefore scales the torsion by c^(rank_j) for odd j and c^(-rank_j)
 for even j.  Values accumulate in log space.  Only absolute values are
 produced; no orientation of determinant lines is chosen.
+
+A stratum's volume is the torsion of 0 -> g -> g^n -> H^1 -> 0 with d0
+first and H^1 in its orthonormal harmonic basis, so it is the product
+of d0's nonzero singular values: the d0 spectrum the representation's
+cohomology summary already keeps.  Its half-density is exp(log / 2).
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import (DEFAULT_TOL, build_d0, cohomology,
-                         restrict_coefficients, restricted_system, system_d0)
+from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError, ExactnessError
 from .presentations import Representation
 from .strata import classify_stratum
@@ -32,11 +36,6 @@ class TorsionValue:
     value: float
     log_value: float
     convention_note: str = _CONVENTION
-
-
-@dataclass(frozen=True)
-class HalfDensityValue:
-    value: float
 
 
 @dataclass(frozen=True)
@@ -108,59 +107,48 @@ def sequence_torsion(seq: MetricSequence,
     return TorsionValue(value=float(np.exp(log_t)), log_value=log_t)
 
 
-def stratum_volume(rep: Representation, tol: float = DEFAULT_TOL):
-    """Torsion volume scalar of the stratum through a free-group tuple,
-    with its half-density.
+def stratum_volume(rep: Representation,
+                   tol: float = DEFAULT_TOL) -> TorsionValue:
+    """Torsion volume of the stratum through a free-group tuple: 1 at
+    stratum 0, else the product of d0's nonzero singular values (at
+    stratum 1 the complement factor; d0 vanishes on the stabilizer
+    line, so that factor is 1).  Conjugation-invariant.
 
-    Stratum 3 uses 0 -> g -> g^n -> H^1 -> 0 with d0 first, stratum 1
-    splits into independent stabilizer-line and orthocomplement factors
-    whose product is cross-checked against the unsplit value, stratum 0
-    is the constant 1.  Conjugation-invariant.
+    The log is checked against `_log_volume_law`, a law of the images
+    alone.  It may differ by 1e-9 plus what d0's rounding explains
+    (entries off by eps move log sigma by about eps / sigma, more than
+    1e-9 near the boundary); a larger gap raises DomainError.
     """
     pres = rep.presentation
     if pres.kind != "free":
         raise DomainError("stratum volumes are defined over free groups")
     label = classify_stratum(rep, tol)
-    n = pres.num_generators
-
     if label.i == 0:
-        return TorsionValue(1.0, 0.0), HalfDensityValue(1.0)
+        return TorsionValue(1.0, 0.0)
+    sv = np.array(cohomology(rep, tol).singular_values["d0"])
+    kept = sv[sv > tol]
+    log_t = float(np.sum(np.log(kept)))
+    law = _log_volume_law(rep.images, label.stabilizer_dim)
+    slack = 32 * pres.num_generators * np.finfo(float).eps * np.sum(1 / kept)
+    if abs(log_t - law) > 1e-9 + slack:
+        raise DomainError(f"volume law failed: log {log_t} vs {law}")
+    return TorsionValue(float(np.exp(log_t)), log_t)
 
-    summary = cohomology(rep, tol)
-    sv = np.array(summary.singular_values["d0"])
-    direct = float(np.sum(np.log(sv[sv > tol])))
 
-    if label.i == 3:
-        seq = MetricSequence((3, 3 * n, summary.h1),
-                             (build_d0(rep), summary.basis_h1.T))
-        t = sequence_torsion(seq, tol)
-        if abs(direct - t.log_value) > 1e-9:
-            raise DomainError(
-                f"volume cross-check failed: {direct} vs {t.log_value}")
-        return t, HalfDensityValue(float(np.exp(0.5 * t.log_value)))
+def _log_volume_law(images: np.ndarray, h0: int) -> float:
+    """log of d0's volume from the images' vector parts V (n x 3).
 
-    # stratum 1: stabilizer-line factor is a chain of partial isometries
-    # (d0 vanishes along the line), so its torsion is 1; the complement
-    # factor carries all nonunit singular values.
-    line_sum = restrict_coefficients(rep, "stabilizer", tol)
-    line_seq = MetricSequence((n * 1, line_sum.h1),
-                              (line_sum.basis_h1.T,))
-    line_t = sequence_torsion(line_seq, tol)
-
-    comp_sum = restrict_coefficients(rep, "complement", tol)
-    if comp_sum.h0 != 0:
-        raise DomainError("complement coefficients should have h0 = 0")
-    d0c = system_d0(restricted_system(rep, "complement", tol))
-    comp_seq = MetricSequence((2, 2 * n, comp_sum.h1),
-                              (d0c, comp_sum.basis_h1.T))
-    comp_t = sequence_torsion(comp_seq, tol)
-
-    log_total = line_t.log_value + comp_t.log_value
-    if abs(direct - log_total) > 1e-9:
-        raise DomainError(
-            f"split volume cross-check failed: {direct} vs {log_total}")
-    return (TorsionValue(float(np.exp(log_total)), log_total),
-            HalfDensityValue(float(np.exp(0.5 * log_total))))
+    2I - Ad(q) - Ad(q)^T = 4(|v|^2 I - v v^T), so d0^T d0 = 4(tr M I - M)
+    with M = V^T V, and d0's singular values are 2 sqrt(s_a^2 + s_b^2)
+    over pairs of V's singular values s1 >= s2 >= s3 (zero-padded); the
+    volume is the product of the largest 3 - h0 of them.
+    """
+    s = np.zeros(3)
+    sv = np.linalg.svd(images[:, 1:], compute_uv=False)
+    s[:len(sv)] = sv
+    # pairs {1,2}, {1,3}, {2,3}, in descending order
+    pairs = 2 * np.hypot(s[[0, 0, 1]], s[[1, 2, 2]])
+    return float(np.sum(np.log(pairs[:3 - h0])))
 
 
 def mayer_vietoris_torsion(r1: np.ndarray, r2: np.ndarray,

@@ -249,3 +249,19 @@ def axis_stabilizer_dim(quats, tol):
         if math.sqrt(sum(c * c for c in cross)) > tol:
             return 0
     return 1
+
+
+def stratum_volume(quats, stratum):
+    """Volume of the free-group stratum through a tuple, by the closed
+    forms of d0^T d0 = sum_j (2I - Ad_j - Ad_j^T), with Ad from the
+    matrix product oracle: sqrt(det) of that sum at stratum 3, and
+    4 sum_j sin^2 theta_j = sum_j (3 - tr Ad_j) at stratum 1, where
+    images exp(theta_j n) on a common axis rotate the complement plane
+    by 2 theta_j; the constant 1 at stratum 0."""
+    ads = [adjoint_matrix(q) for q in quats]
+    if stratum == 3:
+        return math.sqrt(leibniz_det(
+            sum(2.0 * np.eye(3) - a - a.T for a in ads)))
+    if stratum == 1:
+        return float(sum(3.0 - np.trace(a) for a in ads))
+    return 1.0

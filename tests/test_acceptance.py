@@ -318,8 +318,10 @@ def _cli_bytes(argv, threads):
 def test_acceptance_11_byte_determinism():
     scan = ["strata-scan", "--genus", "3", "--samples", "40", "--seed", "5"]
     inv = ["invariant", "--example", "lens", "--p", "8", "--k", "4"]
+    volume = ["torsion", os.path.join(os.path.dirname(
+        os.path.abspath(__file__)), "golden", "volume-free4-stratum3.json")]
     ok = True
-    for argv in (scan, inv):
+    for argv in (scan, inv, volume):
         a = _cli_bytes(argv, 1)
         b = _cli_bytes(argv, 1)
         c = _cli_bytes(argv, 4)

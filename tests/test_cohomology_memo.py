@@ -51,7 +51,7 @@ def computed(monkeypatch):
 
 
 @pytest.mark.parametrize("images, stratum, expected", [
-    (common_axis_images, 1, [3, 1, 2]),     # full, stabilizer, complement
+    (common_axis_images, 1, [3, 1]),        # full, stabilizer
     (haar_images, 3, [3]),
 ])
 def test_one_analysis_per_coefficient_system(computed, images, stratum,
@@ -120,7 +120,7 @@ def test_kept_summary_equals_a_fresh_computation(seed, g, common_axis):
     stratum = classify_stratum(kept).i
     stratum_tangent_dim(kept)
     stratum_volume(kept)
-    parts = ("stabilizer", "complement") if stratum == 1 else ()
+    parts = ("stabilizer",) if stratum == 1 else ()
     fresh = Representation(pres, images)
     assert_same_summary(coh.cohomology(kept), coh.cohomology(fresh))
     for part in parts:

@@ -320,6 +320,27 @@ def test_fingerprint_entry_updates_every_matching_point():
     assert [pt.cs_value for pt in out] == [0.0, 0.3, 0.6]
 
 
+def test_fingerprint_entry_matches_within_one_rounding_step():
+    # conjugate points can round one step apart, as in dedup; an exact
+    # match used to reject such an entry as matching no point
+    pts = enumerate_moduli("t3", samples=4)
+    pt = next(p for p in pts if p.point_id == "t3:grid(1,3,0)/4")
+    for j in range(len(pt.fingerprint)):
+        for step in (-1e-7, 1e-7):
+            fp = list(pt.fingerprint)
+            fp[j] += step
+            out = apply_value_table(
+                pts, [{"fingerprint": fp, "torsion": 2.0}], "torsion")
+            hit = [p.point_id for p in out if p.torsion is not None
+                   and p.torsion.value == 2.0]
+            assert hit == [pt.point_id]
+    far = list(pt.fingerprint)
+    far[0] += 0.01
+    with pytest.raises(InputError, match="matches no point"):
+        apply_value_table(pts, [{"fingerprint": far, "torsion": 2.0}],
+                          "torsion")
+
+
 @pytest.mark.parametrize("entry", [
     {"fingerprint": ["a", 1], "cs": 0.1},
     {"fingerprint": 5, "cs": 0.1},
@@ -329,6 +350,8 @@ def test_fingerprint_entry_updates_every_matching_point():
     {"point_id": "s3:trivial", "cs": None},
     {"point_id": "s3:trivial", "cs": "nan"},
     {"point_id": "s3:trivial", "cs": float("inf")},
+    {"fingerprint": [float("nan"), 1.0], "cs": 0.1},
+    {"fingerprint": [float("inf"), 10**400], "cs": 0.1},
 ])
 def test_apply_table_rejects_malformed_entries(entry):
     pts = enumerate_moduli("s3")

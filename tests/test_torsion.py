@@ -1,10 +1,15 @@
+from dataclasses import replace
+from types import MappingProxyType
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from su2strata import su2
+from su2strata import su2, torsion
 from su2strata.errors import DomainError, ExactnessError
 from su2strata.presentations import Representation, free_group
-from su2strata.strata import sample_stratum
+from su2strata.strata import classify_stratum, sample_stratum
 from su2strata.torsion import (MetricSequence, TorsionValue,
                                exactness_residual, mayer_vietoris_torsion,
                                sequence_torsion, stratum_volume)
@@ -107,28 +112,96 @@ def test_torsion_value_carries_convention_note():
 # -- stratum volumes ---------------------------------------------------
 
 def test_trivial_volume_is_constant_one():
-    t, h = stratum_volume(Representation.trivial(free_group(3)))
-    assert (t.value, h.value) == (1.0, 1.0)
+    t = stratum_volume(Representation.trivial(free_group(3)))
+    assert (t.value, t.log_value) == (1.0, 0.0)
 
 
 def test_volume_against_direct_product():
-    """The sequence-built volume equals the product of the nonzero
-    singular values of d0 (the conjugation directions' distortion)."""
-    from su2strata.cohomology import build_d0
+    """The volume equals the closed form of the product of d0's nonzero
+    singular values (the conjugation directions' distortion)."""
     for i, seed in ((3, 0), (3, 1), (1, 0), (1, 1)):
         rep = sample_stratum(2, i, seed=seed)
-        t, h = stratum_volume(rep)
-        sv = np.linalg.svd(build_d0(rep), compute_uv=False)
-        expected = float(np.prod(sv[sv > 1e-8]))
+        t = stratum_volume(rep)
+        expected = oracles.stratum_volume(rep.images, i)
         assert abs(t.value - expected) < 1e-9 * expected
-        assert abs(h.value - np.sqrt(t.value)) < 1e-12
+        assert abs(t.log_value - np.log(expected)) < 1e-9
+
+
+def haar_images(rng, g):
+    return np.array([su2.random_element(rng) for _ in range(g)])
+
+
+def common_axis_images(rng, g):
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return np.array([su2.exp(t * axis)
+                     for t in rng.uniform(0.2, np.pi - 0.2, size=g)])
+
+
+TUPLES = [(haar_images, g, 3) for g in range(2, 7)] + \
+    [(common_axis_images, g, 1) for g in range(1, 7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(TUPLES))
+def test_volume_matches_closed_form_oracle(seed, tuples):
+    images, g, stratum = tuples
+    images = images(np.random.default_rng(seed), g)
+    rep = Representation(free_group(g), images)
+    assert classify_stratum(rep).i == stratum
+    expected = oracles.stratum_volume(images, stratum)
+    assert abs(stratum_volume(rep).value - expected) < 1e-9 * expected
+
+
+def test_volume_law_catches_a_wrong_d0_spectrum(monkeypatch):
+    rep = sample_stratum(3, 3, seed=2)
+    summary = torsion.cohomology(rep)
+    scaled = {"d0": tuple(1.001 * s for s in summary.singular_values["d0"]),
+              "d1": summary.singular_values["d1"]}
+    monkeypatch.setattr(torsion, "cohomology", lambda rep, tol: replace(
+        summary, singular_values=MappingProxyType(scaled)))
+    with pytest.raises(DomainError, match="volume law"):
+        stratum_volume(rep)
+
+
+def near_axis_images(rng, g):
+    """A stratum-3 tuple whose axes lie 1e-7..1e-6 apart."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    images = [su2.exp(rng.uniform(0.6, np.pi - 0.6) * axis)]
+    for _ in range(g - 1):
+        d = rng.normal(size=3)
+        d -= d.dot(axis) * axis
+        a = axis + 10 ** rng.uniform(-7, -6) * d / np.linalg.norm(d)
+        images.append(su2.exp(rng.uniform(0.6, np.pi - 0.6)
+                              * a / np.linalg.norm(a)))
+    return np.array(images)
+
+
+def test_volume_law_holds_near_the_boundary():
+    """d0 is ill-conditioned here, so its small singular values carry
+    rounding of about eps relative to the largest: the law must not fire
+    on that, and conjugation (which rounds the images again) may move
+    log volume by 1e-9 plus a small multiple of eps times the condition
+    number."""
+    eps = np.finfo(float).eps
+    for seed in range(24):
+        rng, g = np.random.default_rng(seed), 2 + seed % 4
+        rep = Representation(free_group(g), near_axis_images(rng, g))
+        assert classify_stratum(rep).i == 3
+        sv = torsion.cohomology(rep).singular_values["d0"]
+        cond = sv[0] / sv[-1]
+        assert cond >= 1e6
+        t1 = stratum_volume(rep)
+        t2 = stratum_volume(rep.conjugated(su2.random_element(rng)))
+        assert abs(t1.log_value - t2.log_value) < 1e-9 + 16 * eps * cond
 
 
 def test_volume_is_conjugation_invariant():
     rep = sample_stratum(2, 3, seed=4)
     q = su2.random_element(np.random.default_rng(11))
-    t1, _ = stratum_volume(rep)
-    t2, _ = stratum_volume(rep.conjugated(q))
+    t1 = stratum_volume(rep)
+    t2 = stratum_volume(rep.conjugated(q))
     assert abs(t1.value - t2.value) < 1e-9 * t1.value
 
 
