@@ -10,6 +10,7 @@ exactness), 2 malformed input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -508,10 +509,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs some twenty
+    times what a parse does, and parsing leaves it as it was."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

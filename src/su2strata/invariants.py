@@ -42,7 +42,8 @@ from .conventions import MAX_T3_POINTS
 from .errors import (CleanIntersectionError, DomainError, InputError,
                      PresentationError)
 from .presentations import (Presentation, Representation, Word, commutator,
-                            cyclic_group, free_group, generator, kept,
+                            cyclic_group, evaluate_images, free_group,
+                            generator, keep_folds, kept, representations,
                             surface_group)
 from .strata import StratumLabel, classify_stratum
 from .symplectic import pairing_matrix
@@ -130,14 +131,21 @@ _FINGERPRINT_SCALE = 10.0 ** _FINGERPRINT_DECIMALS
 
 def trace_fingerprint(rep: Representation) -> tuple:
     """Traces of generators, ordered pairs, and the full product,
-    rounded to 1e-7."""
-    imgs = rep.images
-    n = len(imgs)
-    pairs = [su2.multiply(imgs[i], imgs[j])
-             for i in range(n) for j in range(i + 1, n)]
-    full = rep.evaluate(Word(range(1, n + 1)))
-    traces = [su2.trace(q) for q in [*imgs, *pairs, full]]
-    return tuple((np.round(traces, _FINGERPRINT_DECIMALS) + 0.0).tolist())
+    rounded to 1e-7: computed once and kept on the representation,
+    where a chart's stacked pass keeps its row."""
+    return kept(rep._strata, "fingerprint",
+                lambda: tuple(_fingerprints(rep.images)))
+
+
+def _fingerprints(images: np.ndarray) -> list:
+    """`trace_fingerprint` of (n, 4) images as a list, or of each row of
+    an (N, n, 4) stack as a list of lists."""
+    n = images.shape[-2]
+    gens = [images[..., i, :] for i in range(n)]
+    pairs = [su2.multiply(a, b) for a, b in itertools.combinations(gens, 2)]
+    full = evaluate_images(images, Word(range(1, n + 1)))
+    traces = 2.0 * np.stack([*gens, *pairs, full], axis=-2)[..., 0]
+    return (np.round(traces, _FINGERPRINT_DECIMALS) + 0.0).tolist()
 
 
 def find_conjugator(rep1: Representation, rep2: Representation,
@@ -256,20 +264,39 @@ def heegaard_representations(heegaard: HeegaardData, n_rep: Representation,
                              tol: float = DEFAULT_TOL):
     """Handlebody and surface representations induced by a manifold
     rep; the two gluing routes must induce the same surface rep."""
+    (parts,) = _heegaard_representations(heegaard, [n_rep], tol)
+    if isinstance(parts, Exception):
+        raise parts
+    return parts
+
+
+def _heegaard_representations(heegaard: HeegaardData, n_reps,
+                              tol: float) -> list:
+    """`heegaard_representations` of each manifold rep, or the error it
+    raises there, from one stacked fold of each handle word over all
+    the reps' images; every fold is kept on the rep it belongs to."""
     h1_pres, h2_pres, s_pres = heegaard.presentations
-    h1_imgs = np.array([n_rep.evaluate(w) for w in heegaard.handle1_to_manifold])
-    h2_imgs = np.array([n_rep.evaluate(w) for w in heegaard.handle2_to_manifold])
-    h1_rep = Representation(h1_pres, h1_imgs)
-    h2_rep = Representation(h2_pres, h2_imgs)
-    via1 = np.array([h1_rep.evaluate(w) for w in heegaard.surface_to_handle1])
-    via2 = np.array([h2_rep.evaluate(w) for w in heegaard.surface_to_handle2])
-    gap = float(np.abs(via1 - via2).max()) if via1.size else 0.0
-    if gap > 100 * tol:
-        raise DomainError(
-            f"the two handlebody routes disagree on the surface rep "
-            f"(gap {gap:.3e}); gluing data is inconsistent")
-    sigma_rep = Representation(s_pres, via1)
-    return h1_rep, h2_rep, sigma_rep
+    h1s = representations(
+        h1_pres, keep_folds(n_reps, heegaard.handle1_to_manifold))
+    h2s = representations(
+        h2_pres, keep_folds(n_reps, heegaard.handle2_to_manifold))
+    # a row's first error, in the order a lone call meets them
+    out = [h1 if isinstance(h1, Exception) else h2
+           for h1, h2 in zip(h1s, h2s)]
+    ok = [i for i, e in enumerate(out) if not isinstance(e, Exception)]
+    via1 = keep_folds([h1s[i] for i in ok], heegaard.surface_to_handle1)
+    via2 = keep_folds([h2s[i] for i in ok], heegaard.surface_to_handle2)
+    gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
+    for i, gap, sigma in zip(ok, gaps, representations(s_pres, via1)):
+        if gap > 100 * tol:
+            out[i] = DomainError(
+                f"the two handlebody routes disagree on the surface rep "
+                f"(gap {gap:.3e}); gluing data is inconsistent")
+        elif isinstance(sigma, Exception):
+            out[i] = sigma
+        else:
+            out[i] = (h1s[i], h2s[i], sigma)
+    return out
 
 
 def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
@@ -284,31 +311,39 @@ def _heegaard_parts(heegaard: HeegaardData, n_rep: Representation,
                     tol: float) -> tuple:
     """(basis, h1_rep, h2_rep, sigma_rep) of a splitting at a manifold
     rep, made once per (splitting, tol) and kept on the rep."""
-    return kept(n_rep._strata, (heegaard, tol), _make_heegaard_parts,
-                heegaard, n_rep, tol)
+    return kept(n_rep._strata, (heegaard, tol), lambda: (
+        _heegaard_basis(n_rep, tol),
+        *heegaard_representations(heegaard, n_rep, tol)))
 
 
-def _make_heegaard_parts(heegaard, n_rep, tol) -> tuple:
+def _heegaard_basis(n_rep: Representation, tol: float) -> np.ndarray:
     label = classify_stratum(n_rep, tol)
     if label.i == 0:
         raise DomainError(
             "stratum 0 uses the constant unit torsion, not the "
             "Mayer-Vietoris assembly")
-    basis = _stratum_basis(n_rep, label.i, tol)
-    return (basis, *heegaard_representations(heegaard, n_rep, tol))
+    return _stratum_basis(n_rep, label.i, tol)
 
 
 def _fill_heegaard(heegaard: HeegaardData, reps, tol: float) -> None:
-    """Keep the Heegaard parts of each rep and the summaries of all
-    their handlebody and surface systems, from one stacked analysis.
-    Raises nothing: a rep whose parts fail keeps nothing for them, and
-    its own `heegaard_mv_torsion` raises the error."""
-    systems = []
+    """Keep the Heegaard parts of each rep, from stacked folds over all
+    their images, and the summaries of all their handlebody and surface
+    systems, from one stacked analysis.  Raises nothing: a rep whose
+    parts fail keeps nothing for them, and its own
+    `heegaard_mv_torsion` raises the error."""
+    based = []
     for rep in reps:
         try:
-            basis, *subs = _heegaard_parts(heegaard, rep, tol)
+            based.append((rep, _heegaard_basis(rep, tol)))
         except DomainError:
             continue
+    parts = _heegaard_representations(heegaard, [r for r, _ in based], tol)
+    systems = []
+    for (rep, basis), subs in zip(based, parts):
+        if isinstance(subs, Exception):
+            continue
+        basis, *subs = rep._strata.setdefault((heegaard, tol),
+                                              (basis, *subs))
         systems += [CoefficientSystem(sub, basis) for sub in subs]
     fill_systems(systems, tol)
 
@@ -371,8 +406,18 @@ def clean_intersection_check(point: ModuliPoint,
 _AXIS = np.array([1.0, 0.0, 0.0])
 
 
-def _torus_element(theta: float) -> np.ndarray:
-    return su2.exp(theta * _AXIS)
+def _torus_chart(pres: Presentation, angles) -> list:
+    """Representations with images exp(angle * i), one per row of an
+    (N, n) angle array, from one stacked pass: the exps, what
+    `representations` keeps and the fingerprints, kept on each.  The
+    first row that fails a gate raises its error."""
+    images = su2.exp(np.array(angles, dtype=float)[..., None] * _AXIS)
+    reps = representations(pres, images)
+    for rep, fingerprint in zip(reps, _fingerprints(images)):
+        if isinstance(rep, Exception):
+            raise rep
+        rep._strata["fingerprint"] = tuple(fingerprint)
+    return reps
 
 
 def lens_heegaard(p: int, q: int) -> HeegaardData:
@@ -418,8 +463,8 @@ def _point(pid, rep, component_dim, weight, tol, torsion=None):
 def _enumerate_lens(p: int, q: int, tol: float):
     heegaard = lens_heegaard(p, q)
     pres = heegaard.presentation_n
-    reps = [Representation(pres, [_torus_element(2.0 * math.pi * n / p)])
-            for n in range(p // 2 + 1)]
+    reps = _torus_chart(pres, [[2.0 * math.pi * n / p]
+                               for n in range(p // 2 + 1)])
     fill_cohomology(reps, tol)
     _fill_heegaard(heegaard, reps, tol)
     points = []
@@ -445,10 +490,8 @@ def _enumerate_s1xs2(samples: int, tol: float):
     pres = heegaard.presentation_n
     M = _grid_size(samples)
     delta = math.pi / M
-    trivial = Representation.trivial(pres)
-    interior = [Representation(pres, [_torus_element(j * delta)])
-                for j in range(1, M)]
-    central = Representation(pres, [_torus_element(math.pi)])
+    trivial, *interior, central = _torus_chart(
+        pres, [[0.0], *([j * delta] for j in range(1, M)), [math.pi]])
     fill_cohomology([trivial, *interior, central], tol)
     _fill_heegaard(heegaard, interior, tol)
     points = [_point("s1xs2:trivial", trivial, 0, 1.0, tol,
@@ -494,9 +537,7 @@ def _enumerate_t3(samples: int, tol: float):
     chart += [(f"t3:grid({i},{j},{k})/{M}", (i * d1, j * d2, k * d2), 3,
                d1 * d2 * d2, None)
               for i in range(1, M) for j in range(M) for k in range(M)]
-    pres = t3_presentation()
-    reps = [Representation(pres, [_torus_element(x) for x in angles])
-            for _, angles, *_ in chart]
+    reps = _torus_chart(t3_presentation(), [angles for _, angles, *_ in chart])
     fill_cohomology(reps, tol)
     return [_point(pid, rep, dim, weight, tol, torsion)
             for (pid, _, dim, weight, torsion), rep in zip(chart, reps)]

@@ -203,7 +203,9 @@ class Representation:
     (`symplectic.pairing_matrix`), and the cohomology summaries, stratum
     labels, restricted coefficient bases and Heegaard parts that
     `cohomology`, `strata` and `invariants` keep.  Errors are never
-    kept.
+    kept.  The representations of a moduli chart are built together, by
+    `representations`, and keep read-only views of their rows of its
+    stacked results.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
@@ -217,24 +219,20 @@ class Representation:
             raise PresentationError(
                 f"need shape ({presentation.num_generators}, 4) images, "
                 f"got {images.shape}")
-        norms = np.linalg.norm(images, axis=1)
-        # written so that a NaN norm fails it too
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
-            raise PresentationError("images must be unit quaternions")
+        if not _unit(images):
+            raise PresentationError(_NOT_UNIT)
+        self._keep(presentation, images, *_relator_folds(presentation, images))
+        gate_relators(self, tol)
+
+    def _keep(self, presentation, images, relator_values, jacobian,
+              residual, adjoints=None):
         self.presentation = presentation
         self.images = images
-        self._folds, self._adjoints, self._pairing = {}, None, None
+        self.relator_values = relator_values
+        self._jacobian = jacobian
+        self.relator_residual = float(residual)
+        self._folds, self._adjoints, self._pairing = {}, adjoints, None
         self._cohomology, self._strata = {}, {}
-        letters: dict = {}
-        folds = [_fold(images, r, letters, False)
-                 for r in presentation.relators]
-        self.relator_values = _read_only(
-            np.array([q for q, _ in folds]).reshape(-1, 4))
-        self._jacobian = _read_only(np.array([J for _, J in folds]).reshape(
-            -1, 3 * presentation.num_generators))
-        self.relator_residual = float(np.linalg.norm(
-            self.relator_values - su2.identity(), axis=1).max(initial=0.0))
-        gate_relators(self, tol)
 
     @classmethod
     def trivial(cls, presentation: Presentation) -> "Representation":
@@ -268,10 +266,88 @@ def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
     """The representation, if its relator residual is within tol (a
     NaN residual is not)."""
     if not rep.relator_residual <= tol:
-        raise ResidualError(
-            f"relator residual {rep.relator_residual:.3e} exceeds "
-            f"tolerance {tol:.1e}")
+        raise _residual_error(rep.relator_residual, tol)
     return rep
+
+
+def _residual_error(residual: float, tol: float) -> ResidualError:
+    return ResidualError(f"relator residual {residual:.3e} exceeds "
+                         f"tolerance {tol:.1e}")
+
+
+_NOT_UNIT = "images must be unit quaternions"
+
+
+def _unit(images: np.ndarray):
+    """Whether every image is a unit quaternion, for one (n, 4) image
+    array or for each row of a stack; written so that a NaN norm fails
+    it too."""
+    return np.all(np.abs(np.linalg.norm(images, axis=-1) - 1.0) <= 1e-9,
+                  axis=-1)
+
+
+def _relator_folds(presentation: Presentation, images: np.ndarray):
+    """(relator_values, Fox Jacobian, relator residual) of (n, 4) images
+    or, row by row, of an (..., n, 4) stack: each relator's holonomy and
+    Fox row from one fold, read-only, and the largest distance of a
+    holonomy from the identity."""
+    lead, n3 = images.shape[:-2], 3 * presentation.num_generators
+    letters: dict = {}
+    folds = [_fold(images, r, letters, False) for r in presentation.relators]
+    values = np.concatenate([q[..., None, :] for q, _ in folds]
+                            or [np.zeros(lead + (0, 4))], axis=-2)
+    jacobian = np.concatenate([J for _, J in folds]
+                              or [np.zeros(lead + (0, n3))], axis=-2)
+    residual = np.linalg.norm(values - su2.identity(), axis=-1).max(
+        axis=-1, initial=0.0)
+    return _read_only(values), _read_only(jacobian), residual
+
+
+def representations(presentation: Presentation, images,
+                    tol: float = RELATOR_TOL) -> list:
+    """One representation per row of an (N, n, 4) image stack, from one
+    stacked pass: the unit and relator gates, the relator folds and the
+    Ad stack, each kept as read-only views of its row.  A row that fails
+    a gate gives, in its place, the error its own construction raises."""
+    images = _read_only(np.array(images, dtype=float))
+    n = presentation.num_generators
+    if images.ndim != 3 or images.shape[1:] != (n, 4):
+        raise PresentationError(
+            f"need shape (N, {n}, 4) images, got {images.shape}")
+    unit = _unit(images).tolist()
+    # rows that fail the unit gate fold to garbage, never read
+    with np.errstate(all="ignore"):
+        values, jacobian, residual = _relator_folds(presentation, images)
+    adjoints = _read_only(su2.ad(images))
+    out = []
+    for i, (is_unit, r) in enumerate(zip(unit, residual.tolist())):
+        if not is_unit:
+            out.append(PresentationError(_NOT_UNIT))
+        elif not r <= tol:
+            out.append(_residual_error(r, tol))
+        else:
+            rep = Representation.__new__(Representation)
+            rep._keep(presentation, images[i], values[i], jacobian[i], r,
+                      adjoints[i])
+            out.append(rep)
+    return out
+
+
+def keep_folds(reps, words) -> np.ndarray:
+    """Fold each word once over the stacked images of representations
+    of one presentation, and keep each row's (q, J) on its
+    representation, as `Representation.fold` would; return the
+    holonomies as (N, len(words), 4)."""
+    if not reps:
+        return np.zeros((0, len(words), 4))
+    images = np.array([rep.images for rep in reps])
+    letters: dict = {}
+    folds = {w: tuple(_read_only(a) for a in _fold(images, w, letters, False))
+             for w in dict.fromkeys(words)}
+    for i, rep in enumerate(reps):
+        for w, (q, J) in folds.items():
+            rep._folds.setdefault(w, (q[i], J[i]))
+    return np.stack([folds[w][0] for w in words], axis=-2)
 
 
 def kept(memo: dict, key, compute, *args):
@@ -305,7 +381,9 @@ def fox_fold(images: np.ndarray, word: Word):
 def _fold(images: np.ndarray, word: Word, letters: dict, cup: bool):
     """`fox_fold`, sharing one-letter folds in `letters` across words
     folded with the same `cup`; without `cup` the fold is the pair
-    (q, J) and no W is formed."""
+    (q, J) and no W is formed.  Over an (N, n, 4) stack of images each
+    part gains a leading axis, and each row is its image array's own
+    fold bit for bit."""
     out = None
     for s, run in itertools.groupby(word):
         if s not in letters:
@@ -313,28 +391,35 @@ def _fold(images: np.ndarray, word: Word, letters: dict, cup: bool):
         t = _power(letters[s], len(list(run)))
         out = t if out is None else _compose(out, t)
     if out is None:
-        n3 = 3 * len(images)
-        out = su2.identity(), np.zeros((3, n3)), np.zeros((n3, n3))
+        lead, n3 = images.shape[:-2], 3 * images.shape[-2]
+        q = np.zeros(lead + (4,))
+        q[..., 0] = 1.0
+        out = q, np.zeros(lead + (3, n3)), np.zeros(lead + (n3, n3))
         return out if cup else out[:2]
     return out
+
+
+_EYE3 = np.eye(3)
 
 
 def _letter_fold(images: np.ndarray, s: int, cup: bool):
     """Fold of the one-letter word s: u(x^-1) = -Ad(x)^T u(x), and the
     chain -[x^-1 | x] pairs u(x) with itself.  W only with `cup`."""
-    n3 = 3 * len(images)
+    lead, n3 = images.shape[:-2], 3 * images.shape[-2]
     j = 3 * abs(s) - 3
-    x = np.array(images[abs(s) - 1], dtype=float)
+    x = np.array(images[..., abs(s) - 1, :], dtype=float)
+    J = np.zeros(lead + (3, n3))
     if s > 0:
-        q, J = x, np.eye(3, n3, j)
+        q = x
+        J[..., j:j + 3] = _EYE3
     else:
-        q, J = su2.inverse(x), np.zeros((3, n3))
-        J[:, j:j + 3] = -su2.ad(x).T
+        q = su2.inverse(x)
+        J[..., j:j + 3] = -su2.ad(x).mT
     if not cup:
         return q, J
-    W = np.zeros((n3, n3))
+    W = np.zeros(lead + (n3, n3))
     if s < 0:
-        np.fill_diagonal(W[j:j + 3, j:j + 3], 1.0)
+        W[..., j:j + 3, j:j + 3] = _EYE3
     return q, J, W
 
 
@@ -343,11 +428,10 @@ def _compose(a, b):
     = (q1 q2, J1 + Ad(q1) J2, W1 + W2 + J1^T Ad(q1) J2), or the same
     without the W terms for pairs (q, J)."""
     q1, J1, q2, J2 = a[0], a[1], b[0], b[1]
-    AJ2 = np.dot(su2.ad(q1), J2)     # np.dot: less overhead than @ here
+    AJ2 = su2.ad(q1) @ J2
     if len(a) == 2:
         return su2.multiply(q1, q2), J1 + AJ2
-    return (su2.multiply(q1, q2), J1 + AJ2,
-            a[2] + b[2] + np.dot(J1.T, AJ2))
+    return su2.multiply(q1, q2), J1 + AJ2, a[2] + b[2] + J1.mT @ AJ2
 
 
 def _power(t, k: int):
@@ -399,9 +483,8 @@ def polish(presentation: Presentation, images,
         u, *_ = np.linalg.lstsq(fox_jacobian_at(rep), -F, rcond=None)
         step = 1.0
         for _ in range(25):
-            cand = Representation(presentation, [
-                su2.multiply(su2.exp(step * u[3 * j:3 * j + 3]), x)
-                for j, x in enumerate(rep.images)], tol=np.inf)
+            cand = Representation(presentation, su2.multiply(
+                su2.exp((step * u).reshape(-1, 3)), rep.images), tol=np.inf)
             if cand.relator_residual < rep.relator_residual:
                 rep = cand
                 break

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .cohomology import (DEFAULT_TOL, cohomology, restrict_coefficients)
+from .cohomology import DEFAULT_TOL, cohomology
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
 from .presentations import (Presentation, Representation, Word, free_group,
@@ -91,30 +91,20 @@ def _classify_stratum(rep: Representation, tol: float) -> StratumLabel:
 
 def stratum_tangent_dim(rep: Representation,
                         tol: float = DEFAULT_TOL) -> int:
-    """Tangent dimension of the stratum through a free-group tuple.
+    """Tangent dimension of the stratum through a free-group tuple, read
+    from its label.
 
-    Stratum 0 is a point; stratum 1 is the torus-tuple family, whose
-    tangent space is h1 with coefficients along the stabilizer line;
-    stratum 3 has tangent dimension h1 = 3g - 3.  The computed value is
-    checked against those laws before being returned.
+    Stratum 0 is a point.  Stratum 1 is the torus-tuple family, whose
+    tangent space is h1 with coefficients along the stabilizer line; a
+    free group has no relators and the line's action is trivial, so that
+    h1 is g.  Stratum 3 has tangent dimension h1 = 3g - 3, from h0 = 0
+    by rank-nullity.
     """
     pres = rep.presentation
     if pres.kind != "free":
         raise DomainError("stratum tangent dims are defined over free groups")
     g = pres.num_generators
-    label = classify_stratum(rep, tol)
-    if label.i == 0:
-        return 0
-    if label.i == 1:
-        dim = restrict_coefficients(rep, "stabilizer", tol).h1
-        expected = g
-    else:
-        dim = cohomology(rep, tol).h1
-        expected = 3 * g - 3
-    if dim != expected:
-        raise DomainError(
-            f"stratum {label.i} tangent dim {dim} != expected {expected}")
-    return dim
+    return {0: 0, 1: g, 3: 3 * g - 3}[classify_stratum(rep, tol).i]
 
 
 def polarization_map(rep: Representation, curves) -> np.ndarray:

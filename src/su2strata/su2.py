@@ -8,6 +8,12 @@ this normalization.  exp(X) = (cos|X|, sin|X| X/|X|), so the adjoint
 action of exp(theta*e1) on the algebra is the rotation by 2*theta about
 axis 1, and trace(q) = 2*w.
 
+`multiply`, `ad`, `exp` and `inverse` also act row by row on stacks of
+shape (..., 4), or (..., 3) for `exp`: one vector is unpacked into
+Python floats and a stack into component arrays, and both run the same
+arithmetic, so each row of a stacked result equals its lone result bit
+for bit.
+
 Sign conventions matter here: elements with w < 0 are honest group
 elements (-identity is central and distinct from identity), so nothing
 in this module flips hemispheres the way rotation-only quaternion code
@@ -29,27 +35,37 @@ def identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _columns(q: np.ndarray) -> list:
+    """The components of a stack along its last axis, as arrays over the
+    leading axes: what `tolist` gives for one vector."""
+    return list(np.moveaxis(q, -1, 0))
+
+
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product, renormalized to stay on the unit sphere.
 
     Every product is renormalized, so a running product over a word
     never drifts off the sphere however long the word is; the division
-    costs one square root per letter.  Scalar components, because a
-    4-vector is too small for array operations to pay for themselves.
+    costs one square root per letter.  One product is taken in Python
+    floats, which beat any array call at that size.
     """
-    aw, ax, ay, az = a.tolist()
-    bw, bx, by, bz = b.tolist()
+    aw, ax, ay, az = a.tolist() if a.ndim == 1 else _columns(a)
+    bw, bx, by, bz = b.tolist() if b.ndim == 1 else _columns(b)
     w = aw * bw - ax * bx - ay * by - az * bz
     x = aw * bx + bw * ax + ay * bz - az * by
     y = aw * by + bw * ay + az * bx - ax * bz
     z = aw * bz + bw * az + ax * by - ay * bx
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return np.array([w / n, x / n, y / n, z / n])
+    s = w * w + x * x + y * y + z * z
+    if isinstance(s, float):
+        n = math.sqrt(s)
+        return np.array([w / n, x / n, y / n, z / n])
+    n = np.sqrt(s)
+    return np.stack([w / n, x / n, y / n, z / n], axis=-1)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
-    out[1:] = -out[1:]
+    out = np.array(a, dtype=float)
+    out[..., 1:] = -out[..., 1:]
     return out
 
 
@@ -59,16 +75,21 @@ def conjugate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def exp(x: np.ndarray) -> np.ndarray:
+    """Norms are square roots of `np.vecdot`, the dot `np.linalg.norm`
+    takes of one vector, so a stack's rows get their lone norms."""
     x = np.asarray(x, dtype=float)
-    theta = np.linalg.norm(x)
-    out = np.empty(4)
-    out[0] = np.cos(theta)
-    if theta < _SMALL:
-        # sin(t)/t to second order keeps exp smooth through 0
-        out[1:] = x * (1.0 - theta * theta / 6.0)
-    else:
-        out[1:] = x * (np.sin(theta) / theta)
-    return out / np.linalg.norm(out)
+    theta = np.sqrt(np.vecdot(x, x))
+    # sin(t)/t to second order keeps exp smooth through 0
+    small, series = theta < _SMALL, 1.0 - theta * theta / 6.0
+    ratio = np.sin(theta) / np.maximum(theta, _SMALL)
+    if x.ndim == 1:
+        scale = series if small else ratio
+        out = np.array([np.cos(theta), *(scale * c for c in x.tolist())])
+        return out / np.sqrt(np.vecdot(out, out))
+    scale = np.where(small, series, ratio)
+    out = np.stack([np.cos(theta), *(scale * c for c in _columns(x))],
+                   axis=-1)
+    return out / np.sqrt(np.vecdot(out, out))[..., None]
 
 
 def log(q: np.ndarray, antipode_tol: float = 1e-12) -> np.ndarray:
@@ -93,13 +114,16 @@ def log(q: np.ndarray, antipode_tol: float = 1e-12) -> np.ndarray:
 def ad(q: np.ndarray) -> np.ndarray:
     """Adjoint action on the algebra: the SO(3) matrix of x -> q x q^-1,
     (w^2 - |v|^2) I + 2 v v^T + 2 w [v]_x in scalar components."""
-    w, x, y, z = q.tolist()
+    w, x, y, z = q.tolist() if q.ndim == 1 else _columns(q)
     c = w * w - x * x - y * y - z * z
-    return np.array([
+    entries = [
         c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
         2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
         2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
-    ]).reshape(3, 3)
+    ]
+    if isinstance(c, float):
+        return np.array(entries).reshape(3, 3)
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def trace(q: np.ndarray) -> float:

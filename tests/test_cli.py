@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from su2strata import su2
+from su2strata import __version__, su2
 from su2strata.cli import dispatch
 from su2strata.presentations import presentation_to_json, free_group
 
@@ -384,6 +385,24 @@ def test_unknown_subcommand_is_exit_2(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.strip()
+
+
+def test_one_parser_serves_a_process(capsys, monkeypatch):
+    # the parser is built once and reused: a usage error and --version
+    # leave nothing behind that changes the reports parsed after them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.chdir(root)
+    code, out, err = run(capsys, "invariant", "--example", "lens", "--p")
+    assert (code, out) == (2, "") and "usage" in err
+    assert run(capsys, "--version")[:2] == (0, __version__ + "\n")
+    for name in ("classify-free3", "invariant-t3-M4"):
+        with open(os.path.join("tests", "golden", f"{name}.out.json"),
+                  encoding="utf-8") as f:
+            golden = json.load(f)
+        code, out, _ = run(capsys, *golden["argv"])
+        assert code == 0
+        assert out == json.dumps(golden["report"], sort_keys=True,
+                                 indent=2) + "\n"
 
 
 def test_strata_scan_rejects_genus_one(capsys):

@@ -51,7 +51,7 @@ def computed(monkeypatch):
 
 
 @pytest.mark.parametrize("images, stratum, expected", [
-    (common_axis_images, 1, [3, 1]),        # full, stabilizer
+    (common_axis_images, 1, [3]),           # tangent dim read from the label
     (haar_images, 3, [3]),
 ])
 def test_one_analysis_per_coefficient_system(computed, images, stratum,

@@ -111,6 +111,12 @@ def test_goldman_form_and_gram_match_oracle_off_cocycles(g):
     assert np.abs(gram_matrix(rep, vecs) - want).max() < 1e-12
 
 
+def _walked(images):
+    """The image arrays one fold walks: its (n, 4) images, or each row
+    of an (N, n, 4) stack, which a stacked fold walks once each."""
+    return images.reshape(-1, *images.shape[-2:])
+
+
 def test_lens_walks_its_relator_once_per_point(monkeypatch):
     relator = cyclic_group(31).relators[0]
     walked = []
@@ -118,7 +124,7 @@ def test_lens_walks_its_relator_once_per_point(monkeypatch):
 
     def counting(images, word, letters, cup):
         if word == relator:
-            walked.append(images.tobytes())
+            walked.extend(point.tobytes() for point in _walked(images))
         return fold(images, word, letters, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)
@@ -140,7 +146,7 @@ def test_lens_folds_each_handle_word_once_per_point(monkeypatch):
 
     def counting(images, word, letters, cup):
         if word in handle_words:
-            folded.append(word)
+            folded.extend([word] * len(_walked(images)))
         return fold(images, word, letters, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2strata import invariants
+from su2strata import invariants, su2
 from su2strata.cohomology import DEFAULT_TOL
 from su2strata.errors import DomainError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
@@ -31,9 +31,13 @@ from su2strata.presentations import (Representation, cyclic_group,
 coh = importlib.import_module("su2strata.cohomology")
 
 
+def torus_element(theta):
+    return su2.exp(theta * invariants._AXIS)
+
+
 def lens_rep(p, n):
     return Representation(cyclic_group(p),
-                          [invariants._torus_element(2.0 * math.pi * n / p)])
+                          [torus_element(2.0 * math.pi * n / p)])
 
 
 @pytest.fixture
@@ -98,8 +102,7 @@ def test_a_fresh_s1xs2_point_gives_the_filled_torsion(M, data):
     j = data.draw(st.integers(1, M - 1))
     points = enumerate_moduli("s1xs2", samples=M)
     (pt,) = [pt for pt in points if pt.point_id == f"s1xs2:j={j}/{M}"]
-    rep = Representation(free_group(1),
-                         [invariants._torus_element(j * (math.pi / M))])
+    rep = Representation(free_group(1), [torus_element(j * (math.pi / M))])
     fresh = heegaard_mv_torsion(s1xs2_heegaard(), rep)
     assert (fresh.value, fresh.log_value) == (pt.torsion.value,
                                               pt.torsion.log_value)
