@@ -27,11 +27,10 @@ from .presentations import (Presentation, Representation, Word,
                             circle_times_surface_group, commutator,
                             custom_group, cyclic_group, evaluate_images,
                             format_word, fox_fold, fox_jacobian_at,
-                            free_group, gate_relators, generator, keep_folds,
-                            parse_word, polish, polish_images,
-                            presentation_from_json, presentation_to_json,
-                            relator_residual, representation_from_json,
-                            representation_to_json, representations,
+                            free_group, gate_relators, generator, parse_word,
+                            polish, polish_images, presentation_from_json,
+                            presentation_to_json, relator_residual,
+                            representation_from_json, representation_to_json,
                             surface_group)
 from .strata import (StratumLabel, boundary_fibre_values, classify_stratum,
                      handlebody_representation, polarization_map,

@@ -41,9 +41,9 @@ from .cohomology import (DEFAULT_TOL, CoefficientSystem, fill_cohomology,
 from .conventions import MAX_T3_POINTS
 from .errors import (CleanIntersectionError, DomainError, InputError,
                      PresentationError)
-from .presentations import (Presentation, Representation, Word, commutator,
-                            cyclic_group, evaluate_images, free_group,
-                            generator, keep_folds, kept, representations,
+from .presentations import (Presentation, Representation, Word, _keep_folds,
+                            _representations, commutator, cyclic_group,
+                            evaluate_images, free_group, generator, kept,
                             surface_group)
 from .strata import StratumLabel, classify_stratum
 from .symplectic import pairing_matrix
@@ -276,18 +276,18 @@ def _heegaard_representations(heegaard: HeegaardData, n_reps,
     raises there, from one stacked fold of each handle word over all
     the reps' images; every fold is kept on the rep it belongs to."""
     h1_pres, h2_pres, s_pres = heegaard.presentations
-    h1s = representations(
-        h1_pres, keep_folds(n_reps, heegaard.handle1_to_manifold))
-    h2s = representations(
-        h2_pres, keep_folds(n_reps, heegaard.handle2_to_manifold))
+    h1s = _representations(
+        h1_pres, _keep_folds(n_reps, heegaard.handle1_to_manifold))
+    h2s = _representations(
+        h2_pres, _keep_folds(n_reps, heegaard.handle2_to_manifold))
     # a row's first error, in the order a lone call meets them
     out = [h1 if isinstance(h1, Exception) else h2
            for h1, h2 in zip(h1s, h2s)]
     ok = [i for i, e in enumerate(out) if not isinstance(e, Exception)]
-    via1 = keep_folds([h1s[i] for i in ok], heegaard.surface_to_handle1)
-    via2 = keep_folds([h2s[i] for i in ok], heegaard.surface_to_handle2)
+    via1 = _keep_folds([h1s[i] for i in ok], heegaard.surface_to_handle1)
+    via2 = _keep_folds([h2s[i] for i in ok], heegaard.surface_to_handle2)
     gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
-    for i, gap, sigma in zip(ok, gaps, representations(s_pres, via1)):
+    for i, gap, sigma in zip(ok, gaps, _representations(s_pres, via1)):
         if gap > 100 * tol:
             out[i] = DomainError(
                 f"the two handlebody routes disagree on the surface rep "
@@ -409,10 +409,10 @@ _AXIS = np.array([1.0, 0.0, 0.0])
 def _torus_chart(pres: Presentation, angles) -> list:
     """Representations with images exp(angle * i), one per row of an
     (N, n) angle array, from one stacked pass: the exps, what
-    `representations` keeps and the fingerprints, kept on each.  The
+    `_representations` keeps and the fingerprints, kept on each.  The
     first row that fails a gate raises its error."""
     images = su2.exp(np.array(angles, dtype=float)[..., None] * _AXIS)
-    reps = representations(pres, images)
+    reps = _representations(pres, images)
     for rep, fingerprint in zip(reps, _fingerprints(images)):
         if isinstance(rep, Exception):
             raise rep

@@ -204,7 +204,7 @@ class Representation:
     labels, restricted coefficient bases and Heegaard parts that
     `cohomology`, `strata` and `invariants` keep.  Errors are never
     kept.  The representations of a moduli chart are built together, by
-    `representations`, and keep read-only views of their rows of its
+    `_representations`, and keep read-only views of their rows of its
     stacked results.
     """
 
@@ -303,8 +303,7 @@ def _relator_folds(presentation: Presentation, images: np.ndarray):
     return _read_only(values), _read_only(jacobian), residual
 
 
-def representations(presentation: Presentation, images,
-                    tol: float = RELATOR_TOL) -> list:
+def _representations(presentation: Presentation, images) -> list:
     """One representation per row of an (N, n, 4) image stack, from one
     stacked pass: the unit and relator gates, the relator folds and the
     Ad stack, each kept as read-only views of its row.  A row that fails
@@ -323,8 +322,8 @@ def representations(presentation: Presentation, images,
     for i, (is_unit, r) in enumerate(zip(unit, residual.tolist())):
         if not is_unit:
             out.append(PresentationError(_NOT_UNIT))
-        elif not r <= tol:
-            out.append(_residual_error(r, tol))
+        elif not r <= RELATOR_TOL:
+            out.append(_residual_error(r, RELATOR_TOL))
         else:
             rep = Representation.__new__(Representation)
             rep._keep(presentation, images[i], values[i], jacobian[i], r,
@@ -333,7 +332,7 @@ def representations(presentation: Presentation, images,
     return out
 
 
-def keep_folds(reps, words) -> np.ndarray:
+def _keep_folds(reps, words) -> np.ndarray:
     """Fold each word once over the stacked images of representations
     of one presentation, and keep each row's (q, J) on its
     representation, as `Representation.fold` would; return the
@@ -423,15 +422,22 @@ def _letter_fold(images: np.ndarray, s: int, cup: bool):
     return q, J, W
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, by `np.dot` for one pair of matrices: less overhead than
+    @ at that size, and the same product bit for bit."""
+    return np.dot(a, b) if a.ndim == 2 else a @ b
+
+
 def _compose(a, b):
     """(q1, J1, W1)(q2, J2, W2)
     = (q1 q2, J1 + Ad(q1) J2, W1 + W2 + J1^T Ad(q1) J2), or the same
     without the W terms for pairs (q, J)."""
     q1, J1, q2, J2 = a[0], a[1], b[0], b[1]
-    AJ2 = su2.ad(q1) @ J2
+    AJ2 = _matmul(su2.ad(q1), J2)
     if len(a) == 2:
         return su2.multiply(q1, q2), J1 + AJ2
-    return su2.multiply(q1, q2), J1 + AJ2, a[2] + b[2] + J1.mT @ AJ2
+    return (su2.multiply(q1, q2), J1 + AJ2,
+            a[2] + b[2] + _matmul(J1.mT, AJ2))
 
 
 def _power(t, k: int):

@@ -49,14 +49,15 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     costs one square root per letter.  One product is taken in Python
     floats, which beat any array call at that size.
     """
-    aw, ax, ay, az = a.tolist() if a.ndim == 1 else _columns(a)
-    bw, bx, by, bz = b.tolist() if b.ndim == 1 else _columns(b)
+    lone = a.ndim == 1 == b.ndim
+    aw, ax, ay, az = a.tolist() if lone else _columns(a)
+    bw, bx, by, bz = b.tolist() if lone else _columns(b)
     w = aw * bw - ax * bx - ay * by - az * bz
     x = aw * bx + bw * ax + ay * bz - az * by
     y = aw * by + bw * ay + az * bx - ax * bz
     z = aw * bz + bw * az + ax * by - ay * bx
     s = w * w + x * x + y * y + z * z
-    if isinstance(s, float):
+    if lone:
         n = math.sqrt(s)
         return np.array([w / n, x / n, y / n, z / n])
     n = np.sqrt(s)
@@ -80,13 +81,14 @@ def exp(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     theta = np.sqrt(np.vecdot(x, x))
     # sin(t)/t to second order keeps exp smooth through 0
-    small, series = theta < _SMALL, 1.0 - theta * theta / 6.0
-    ratio = np.sin(theta) / np.maximum(theta, _SMALL)
+    small = theta < _SMALL
     if x.ndim == 1:
-        scale = series if small else ratio
+        scale = (1.0 - theta * theta / 6.0 if small
+                 else np.sin(theta) / theta)
         out = np.array([np.cos(theta), *(scale * c for c in x.tolist())])
         return out / np.sqrt(np.vecdot(out, out))
-    scale = np.where(small, series, ratio)
+    scale = np.where(small, 1.0 - theta * theta / 6.0,
+                     np.sin(theta) / np.maximum(theta, _SMALL))
     out = np.stack([np.cos(theta), *(scale * c for c in _columns(x))],
                    axis=-1)
     return out / np.sqrt(np.vecdot(out, out))[..., None]
@@ -114,14 +116,15 @@ def log(q: np.ndarray, antipode_tol: float = 1e-12) -> np.ndarray:
 def ad(q: np.ndarray) -> np.ndarray:
     """Adjoint action on the algebra: the SO(3) matrix of x -> q x q^-1,
     (w^2 - |v|^2) I + 2 v v^T + 2 w [v]_x in scalar components."""
-    w, x, y, z = q.tolist() if q.ndim == 1 else _columns(q)
+    lone = q.ndim == 1
+    w, x, y, z = q.tolist() if lone else _columns(q)
     c = w * w - x * x - y * y - z * z
     entries = [
         c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
         2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
         2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
     ]
-    if isinstance(c, float):
+    if lone:
         return np.array(entries).reshape(3, 3)
     return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 

@@ -161,6 +161,7 @@ def test_a_failing_rep_keeps_nothing_and_spares_its_batch_mates(analysed):
     analysed.clear()
     for rep in good:
         assert stratum_tangent_dim(rep) == 3
+        coh.restrict_coefficients(rep, "stabilizer")
     assert analysed == []
 
 
@@ -199,6 +200,7 @@ def test_each_system_is_analysed_once(analysed):
     for rep in (axis_rep, haar_rep):
         stratum_tangent_dim(rep)
         coh.cohomology(rep, 1e-8)
+    coh.restrict_coefficients(axis_rep, "stabilizer")
     assert analysed == []
     # the stabilizer line a clean check builds is the one filled
     pts = enumerate_moduli("t3", samples=2)
