@@ -9,8 +9,9 @@ evaluate to the identity.
 import numpy as np
 
 from su2strata import su2
-from su2strata.cohomology import build_d0, build_d1
-from su2strata.presentations import (Representation, fox_fold, parse_word,
+from su2strata.cohomology import build_d0
+from su2strata.presentations import (Representation, fox_fold,
+                                     fox_jacobian_at, parse_word,
                                      polish_images, surface_group)
 
 pres = surface_group(2)
@@ -29,6 +30,6 @@ for g, name in ((0, "a1"), (2, "b1")):  # 0-based generator index
     print(f"Ad(d/d{name}) of [a1,b1]:\n", J[:, 3 * g:3 * g + 3].round(4))
 
 d0 = build_d0(rep)
-d1 = build_d1(rep)
+d1 = fox_jacobian_at(rep)
 print("d0 shape:", d0.shape, " d1 shape:", d1.shape)
 print("|d1 @ d0| =", np.abs(d1 @ d0).max())

@@ -25,8 +25,8 @@ from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
-from .presentations import (Presentation, Representation, free_group,
-                            gate_relators, polish, presentation_from_json,
+from .presentations import (Representation, free_group, gate_relators,
+                            polish, presentation_from_json,
                             representation_from_json)
 from .strata import (classify_stratum, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
@@ -355,7 +355,7 @@ def _cmd_invariant(args) -> dict:
         _lens_parameter(args.q, "q")
     points = enumerate_moduli(
         args.example, p=args.p, q=args.q, samples=args.samples,
-        seed=args.seed, tol=args.tol)
+        tol=args.tol)
     if args.cs_table:
         points = apply_value_table(points, _load_table(args.cs_table, "cs"),
                                    "cs")
@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--samples", type=_sample_count, default=16)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="echoed in config; no built-in example is random")
     sp.add_argument("--cs-table", default=None,
                     help="JSON table of Chern-Simons values per point")
     sp.add_argument("--torsion-table", default=None,

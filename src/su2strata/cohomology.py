@@ -112,11 +112,6 @@ def build_d0(rep: Representation) -> np.ndarray:
     return system_d0(full_system(rep))
 
 
-def build_d1(rep: Representation) -> np.ndarray:
-    """(3m x 3n) Fox Jacobian, full algebra coefficients."""
-    return system_d1(full_system(rep))
-
-
 def system_d0(sys: CoefficientSystem) -> np.ndarray:
     """(nk x k) stacked blocks basis^T Ad(x_j) basis - I, read from the
     representation's kept Ad stack."""
@@ -352,12 +347,3 @@ def restrict_coefficients(rep: Representation, part: str,
     """Cohomology with coefficients in the stabilizer line or its
     orthocomplement (reducible nontrivial representations only)."""
     return system_cohomology(restricted_system(rep, part, tol), tol)
-
-
-def is_cocycle(rep: Representation, u: np.ndarray,
-               tol: float = DEFAULT_TOL) -> bool:
-    """Whether d1 annihilates u (u given as (n,3) or flat)."""
-    d1 = build_d1(rep)
-    if not d1.shape[0]:
-        return True
-    return float(np.linalg.norm(d1 @ np.ravel(u))) < tol

@@ -39,8 +39,7 @@ from .cohomology import (DEFAULT_TOL, CoefficientSystem, fill_cohomology,
                          fill_systems, pullback_matrix, stabilizer_axis,
                          system_cohomology)
 from .conventions import MAX_T3_POINTS
-from .errors import (CleanIntersectionError, DomainError, InputError,
-                     PresentationError)
+from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _keep_folds,
                             _representations, commutator, cyclic_group,
                             evaluate_images, free_group, generator, kept,
@@ -127,6 +126,7 @@ class InvariantResult:
 
 _FINGERPRINT_DECIMALS = 7
 _FINGERPRINT_SCALE = 10.0 ** _FINGERPRINT_DECIMALS
+_CONJUGATOR_TOL = 1e-7
 
 
 def trace_fingerprint(rep: Representation) -> tuple:
@@ -148,67 +148,37 @@ def _fingerprints(images: np.ndarray) -> list:
     return (np.round(traces, _FINGERPRINT_DECIMALS) + 0.0).tolist()
 
 
-def find_conjugator(rep1: Representation, rep2: Representation,
-                    tol: float = 1e-7):
+def find_conjugator(rep1: Representation, rep2: Representation):
     """Group element conjugating rep1 onto rep2, or None.
 
-    Aligns the first noncentral axis, then fixes the residual rotation
-    about it with a second independent axis, then verifies all images.
+    q x_j q^-1 = y_j is q x_j - y_j q = 0, linear in q in R^4: the
+    candidate is the right singular vector of the smallest singular
+    value of the stacked equations, kept if it conjugates every image
+    to within _CONJUGATOR_TOL.
     """
     a, b = rep1.images, rep2.images
     if a.shape != b.shape:
         return None
-    n = a.shape[0]
-    central_gate = 1e-6
-    noncentral = []
-    for j in range(n):
-        c1 = su2.is_central(a[j], central_gate)
-        c2 = su2.is_central(b[j], central_gate)
-        if c1 != c2:
-            return None
-        if c1:
-            if np.linalg.norm(a[j] - b[j]) > tol:
-                return None
-        else:
-            noncentral.append(j)
-    q = su2.identity()
-    if noncentral:
-        k = noncentral[0]
-        u = su2.axis_of(a[k], central_gate)
-        v = su2.axis_of(b[k], central_gate)
-        q = _axis_aligner(u, v)
-        cur = np.array([su2.conjugate(img, q) for img in a])
-        for l in noncentral[1:]:
-            p1 = su2.axis_of(cur[l], central_gate)
-            p2 = su2.axis_of(b[l], central_gate)
-            p1 = p1 - (p1 @ v) * v
-            p2 = p2 - (p2 @ v) * v
-            if np.linalg.norm(p1) > 1e-4 and np.linalg.norm(p2) > 1e-4:
-                psi = math.atan2(float(v @ np.cross(p1, p2)), float(p1 @ p2))
-                q2 = su2.exp(0.5 * psi * v)
-                q = su2.multiply(q2, q)
-                cur = np.array([su2.conjugate(img, q) for img in a])
-                break
-    else:
-        cur = a
-    if float(np.abs(cur - b).max()) < tol:
+    q = np.linalg.svd(_conjugation_equations(a, b))[2][-1]
+    cur = np.array([su2.conjugate(img, q) for img in a])
+    if float(np.abs(cur - b).max()) < _CONJUGATOR_TOL:
         return q
     return None
 
 
-def _axis_aligner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    c = float(u @ v)
-    if c > 1.0 - 1e-12:
-        return su2.identity()
-    if c < -1.0 + 1e-12:
-        w = np.cross(u, np.array([1.0, 0.0, 0.0]))
-        if np.linalg.norm(w) < 1e-6:
-            w = np.cross(u, np.array([0.0, 1.0, 0.0]))
-        w /= np.linalg.norm(w)
-        return su2.exp(0.5 * math.pi * w)
-    axis = np.cross(u, v)
-    axis /= np.linalg.norm(axis)
-    return su2.exp(0.5 * math.acos(max(-1.0, min(1.0, c))) * axis)
+def _conjugation_equations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4n x 4) matrix of q -> (q x_j - y_j q)_j, the blocks
+    R(x_j) - L(y_j) of right and left quaternion multiplication:
+    [[s, -d^T], [d, s I - [v]_x]] with s = w_x - w_y, d = v_x - v_y and
+    v = v_x + v_y."""
+    s = x[:, 0] - y[:, 0]
+    d1, d2, d3 = (x[:, 1:] - y[:, 1:]).T
+    v1, v2, v3 = (x[:, 1:] + y[:, 1:]).T
+    blocks = [[s, -d1, -d2, -d3],
+              [d1, s, v3, -v2],
+              [d2, -v3, s, v1],
+              [d3, v2, -v1, s]]
+    return np.moveaxis(np.array(blocks), 2, 0).reshape(-1, 4)
 
 
 def _fingerprint_steps(fingerprint) -> list:
@@ -236,7 +206,7 @@ class _FingerprintCells(dict):
                 if all(abs(a - b) <= 1 for a, b in zip(steps, prev)))
 
 
-def deduplicate_points(points, tol: float = 1e-7):
+def deduplicate_points(points):
     """Merge conjugate points, keeping the first of each class in order.
 
     Conjugate points can round one step (1e-7) apart in any fingerprint
@@ -247,7 +217,7 @@ def deduplicate_points(points, tol: float = 1e-7):
     kept: list = []
     for pt in points:
         steps = _fingerprint_steps(pt.fingerprint)
-        if not any(find_conjugator(pt.rep, prev.rep, tol) is not None
+        if not any(find_conjugator(pt.rep, prev.rep) is not None
                    for prev in cells.near(steps)):
             kept.append(pt)
             cells.add(steps, pt)
@@ -544,8 +514,7 @@ def _enumerate_t3(samples: int, tol: float):
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
-                     samples: int = 16, seed: int = 0,
-                     tol: float = DEFAULT_TOL):
+                     samples: int = 16, tol: float = DEFAULT_TOL):
     """Moduli points of a built-in example, deduplicated by trace
     fingerprint with exact conjugator confirmation."""
     if example == "s3":
@@ -560,17 +529,6 @@ def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
         points = _enumerate_t3(samples, tol)
     else:
         raise DomainError(f"unknown example {example!r}")
-    return deduplicate_points(points)
-
-
-def custom_points(presentation: Presentation, image_sets, component_dims,
-                  tol: float = DEFAULT_TOL):
-    """Moduli points from explicit candidate images; candidates that
-    violate the relators raise ResidualError."""
-    points = []
-    for idx, (images, dim) in enumerate(zip(image_sets, component_dims)):
-        rep = Representation(presentation, images)
-        points.append(_point(f"custom:{idx}", rep, int(dim), 1.0, tol))
     return deduplicate_points(points)
 
 

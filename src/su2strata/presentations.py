@@ -184,12 +184,6 @@ def circle_times_surface_group(g: int) -> Presentation:
     return Presentation(names, relators, "circle_times_surface", g)
 
 
-def custom_group(generators, relator_texts) -> Presentation:
-    names = _check_names(generators)
-    rels = tuple(parse_word(t, names) for t in relator_texts)
-    return Presentation(names, rels, "custom", 0)
-
-
 class Representation:
     """SU(2) images for each generator, relators satisfied within tol.
 

@@ -26,8 +26,8 @@ from . import su2
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
-from .presentations import (Presentation, Representation, Word, free_group,
-                            gate_relators, kept, polish, surface_group)
+from .presentations import (Representation, free_group, gate_relators, kept,
+                            polish, surface_group)
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,6 @@ def stratum_tangent_dim(rep: Representation,
         raise DomainError("stratum tangent dims are defined over free groups")
     g = pres.num_generators
     return {0: 0, 1: g, 3: 3 * g - 3}[classify_stratum(rep, tol).i]
-
-
-def polarization_map(rep: Representation, curves) -> np.ndarray:
-    """Traces of the holonomies along the supplied curve words."""
-    return np.array([su2.trace(rep.evaluate(w)) for w in curves])
-
-
-def boundary_fibre_values(g: int) -> np.ndarray:
-    """Polarization value of the handlebody locus: trace 2 per curve."""
-    return np.full(g, 2.0)
 
 
 def handlebody_representation(free_rep: Representation) -> Representation:

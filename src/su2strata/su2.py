@@ -138,24 +138,7 @@ def trace_pairing(x: np.ndarray, q: np.ndarray) -> float:
     return -2.0 * float(np.dot(x, q[1:]))
 
 
-def is_central(q: np.ndarray, tol: float) -> bool:
-    return bool(np.linalg.norm(q[1:]) < tol)
-
-
-def axis_of(q: np.ndarray, tol: float) -> np.ndarray:
-    """Unit rotation axis of a noncentral element."""
-    v = np.asarray(q, dtype=float)[1:]
-    s = np.linalg.norm(v)
-    if s < tol:
-        raise ValueError("central element has no axis")
-    return v / s
-
-
 def random_element(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed group element (normalized 4-dim Gaussian)."""
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
-
-
-def random_algebra(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return rng.normal(size=3) * scale

@@ -67,15 +67,6 @@ def _singular_values(f: np.ndarray) -> np.ndarray:
     return np.linalg.svd(f, compute_uv=False)
 
 
-def exactness_residual(seq: MetricSequence) -> float:
-    """Largest norm among consecutive composites."""
-    res = 0.0
-    for a, b in zip(seq.maps, seq.maps[1:]):
-        if a.size and b.size:
-            res = max(res, float(np.linalg.norm(b @ a)))
-    return res
-
-
 def sequence_torsion(seq: MetricSequence,
                      tol: float = DEFAULT_TOL) -> TorsionValue:
     """Torsion of an exact metrized sequence.
@@ -83,7 +74,10 @@ def sequence_torsion(seq: MetricSequence,
     Raises ExactnessError when composites fail to vanish or when the
     ranks do not satisfy rank f_{j-1} + rank f_j = dim V_j.
     """
-    res = exactness_residual(seq)
+    res = 0.0
+    for a, b in zip(seq.maps, seq.maps[1:]):
+        if a.size and b.size:
+            res = max(res, float(np.linalg.norm(b @ a)))
     if res > tol:
         raise ExactnessError(
             f"consecutive composite norm {res:.3e} exceeds {tol:.1e}")

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from su2strata import su2
-from su2strata.cohomology import (CoefficientSystem, build_d0, build_d1,
+from su2strata.cohomology import (DEFAULT_TOL, CoefficientSystem, build_d0,
                                   cocycle_value, cohomology, full_system,
-                                  is_cocycle, pullback_cocycle,
+                                  pullback_cocycle,
                                   restrict_coefficients, restricted_system,
                                   stabilizer_axis, system_cohomology,
                                   system_d0)
 from su2strata.errors import DomainError
 from su2strata.presentations import (Presentation, Representation, Word,
                                      circle_times_surface_group, cyclic_group,
-                                     free_group, generator, surface_group)
+                                     fox_jacobian_at, free_group, generator,
+                                     surface_group)
 from su2strata.strata import sample_surface_representation
 
 AXIS = np.array([1.0, 0.0, 0.0])
@@ -68,7 +69,7 @@ def test_surface_irreducible_h1():
 
 def test_d1_composed_with_d0_vanishes():
     rep = sample_surface_representation(2, seed=1)
-    assert np.abs(build_d1(rep) @ build_d0(rep)).max() < 1e-9
+    assert np.abs(fox_jacobian_at(rep) @ build_d0(rep)).max() < 1e-9
 
 
 def test_dimensions_are_conjugation_invariant():
@@ -105,7 +106,8 @@ def test_harmonic_basis_members_are_cocycles():
     n = rep.presentation.num_generators
     for c in range(s.h1):
         u = s.basis_h1[:, c].reshape(n, 3)
-        assert is_cocycle(rep, u)
+        assert np.linalg.norm(fox_jacobian_at(rep) @ np.ravel(u)) \
+            < DEFAULT_TOL
         # harmonic gauge: orthogonal to every coboundary
         assert np.abs(build_d0(rep).T @ s.basis_h1[:, c]).max() < 1e-9
 
@@ -171,7 +173,8 @@ def test_pullback_along_word_map():
     s = cohomology(free_rep)
     u = s.basis_h1[:, 0].reshape(g, 3)
     pb = pullback_cocycle(dst, src, word_map, u)
-    assert is_cocycle(surf_rep, pb)
+    assert np.linalg.norm(fox_jacobian_at(surf_rep) @ np.ravel(pb)) \
+        < DEFAULT_TOL
     assert np.allclose(pb[:g], u, atol=1e-12)
     assert np.allclose(pb[g:], 0.0, atol=1e-12)
 

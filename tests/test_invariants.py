@@ -12,7 +12,7 @@ from su2strata.errors import (CleanIntersectionError, DomainError, InputError,
                               ResidualError)
 from su2strata.invariants import (HeegaardData, ModuliPoint,
                                   apply_value_table, assemble_invariant,
-                                  clean_intersection_check, custom_points,
+                                  clean_intersection_check,
                                   deduplicate_points, enumerate_moduli,
                                   find_conjugator, heegaard_mv_torsion,
                                   heegaard_representations, lens_heegaard,
@@ -106,6 +106,50 @@ def test_deduplicate_merges_every_conjugate(seed, half_point):
     twin = rep.conjugated(su2.random_element(rng))
     merged = deduplicate_points([_point("a", rep), _point("b", twin)])
     assert [p.point_id for p in merged] == ["a"]
+
+
+_KINDS = ("haar", "axis", "central", "mixed")
+
+
+def _tuple(kind, n, rng):
+    """n images: Haar, on one random axis, all central, or each central
+    or on one axis at random."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    images = []
+    for _ in range(n):
+        if kind == "haar":
+            images.append(su2.random_element(rng))
+        elif kind == "central" or (kind == "mixed" and rng.random() < 0.5):
+            images.append(np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0, 0.0]))
+        else:
+            images.append(su2.exp(rng.uniform(0.0, 2 * math.pi) * axis))
+    return Representation(free_group(n), np.array(images))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_KINDS),
+       st.sampled_from(_KINDS), st.integers(1, 4), st.floats(-5.0, 0.0))
+def test_find_conjugator_solves_conjugates_and_refuses_others(
+        seed, kind, other_kind, n, log_eps):
+    rng = np.random.default_rng(seed)
+    rep = _tuple(kind, n, rng)
+    twin = rep.conjugated(su2.random_element(rng))
+    p = find_conjugator(rep, twin)
+    assert p is not None
+    assert np.abs(rep.conjugated(p).images - twin.images).max() < 1e-7
+    # an independent tuple, and the twin with one image moved off it
+    moved = twin.images.copy()
+    step = rng.normal(size=3)
+    step *= 10.0 ** log_eps / np.linalg.norm(step)
+    moved[0] = su2.multiply(su2.exp(step), moved[0])
+    fingerprint = trace_fingerprint(twin)
+    for other in (_tuple(other_kind, n, rng),
+                  Representation(free_group(n), moved)):
+        gap = max(abs(a - b) for a, b in
+                  zip(fingerprint, trace_fingerprint(other)))
+        if gap > 1e-6:
+            assert find_conjugator(rep, other) is None
 
 
 # -- Heegaard pipeline ---------------------------------------------------
@@ -275,14 +319,14 @@ def test_unknown_example():
         enumerate_moduli("k3")
 
 
-def test_custom_points_validate_relators():
+def test_explicit_candidates_validate_relators():
     pres = cyclic_group(4)
-    good = [su2.exp(math.pi / 2 * AXIS)]
-    bad = [su2.exp(0.5 * AXIS)]
-    pts = custom_points(pres, [good], [0])
+    rep = Representation(pres, [su2.exp(math.pi / 2 * AXIS)])
+    twin = rep.conjugated(su2.random_element(np.random.default_rng(3)))
+    pts = deduplicate_points([_point("a", rep), _point("b", twin)])
     assert len(pts) == 1 and pts[0].stratum.i == 1
     with pytest.raises(ResidualError):
-        custom_points(pres, [bad], [0])
+        Representation(pres, [su2.exp(0.5 * AXIS)])
 
 
 # -- tables --------------------------------------------------------------

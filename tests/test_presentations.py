@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from su2strata import su2
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.presentations import (EMPTY, Presentation, Representation,
-                                     Word, commutator, custom_group,
+                                     Word, commutator,
                                      cyclic_group, evaluate_images,
                                      format_word, fox_fold,
                                      fox_jacobian_at, free_group,
@@ -83,9 +83,9 @@ def test_parse_format_roundtrip():
 
 def test_generator_name_rules():
     with pytest.raises(PresentationError):
-        custom_group(("a", "A"), ())   # case-insensitively distinct
+        Presentation(("a", "A"), ())   # case-insensitively distinct
     with pytest.raises(PresentationError):
-        custom_group(("X",), ())       # needs a lowercase letter
+        Presentation(("X",), ())       # needs a lowercase letter
 
 
 def test_builtin_presentations():
@@ -303,7 +303,7 @@ def test_polish_recovers_residual():
     pres = surface_group(2)
     rep = _surface_rep(seed=4)
     rng = np.random.default_rng(5)
-    noisy = np.array([su2.multiply(su2.exp(1e-4 * su2.random_algebra(rng)),
+    noisy = np.array([su2.multiply(su2.exp(1e-4 * rng.normal(size=3)),
                                    img) for img in rep.images])
     assert relator_residual(pres, noisy) > 1e-6
     fixed = polish_images(pres, noisy)
@@ -323,7 +323,8 @@ def test_polish_stalls_on_impossible_data():
 
 def test_presentation_json_roundtrip():
     for pres in (free_group(2), surface_group(2), cyclic_group(5),
-                 custom_group(("u", "v"), ("u v U V",))):
+                 Presentation(("u", "v"),
+                              (parse_word("u v U V", ("u", "v")),))):
         data = presentation_to_json(pres)
         back = presentation_from_json(data)
         assert back == pres

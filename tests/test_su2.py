@@ -142,7 +142,7 @@ def test_trace_pairing_is_trace_derivative():
     rng = np.random.default_rng(5)
     for _ in range(50):
         q = su2.random_element(rng)
-        x = su2.random_algebra(rng)
+        x = rng.normal(size=3)
         f = lambda t: su2.trace(su2.multiply(su2.exp(t * x), q))
         fd = oracles.central_difference(f, 1e-6)
         assert abs(su2.trace_pairing(x, q) - fd) < 1e-7
@@ -153,16 +153,6 @@ def test_conjugate(a, b):
     expected = oracles.quat_mul(oracles.quat_mul(b, a),
                                 np.array([b[0], -b[1], -b[2], -b[3]]))
     assert np.allclose(su2.conjugate(a, b), expected, atol=1e-12)
-
-
-def test_central_and_axis():
-    assert su2.is_central(su2.identity(), 1e-9)
-    assert su2.is_central(np.array([-1.0, 0, 0, 0]), 1e-9)
-    q = su2.exp(0.4 * np.array([0.0, 0.0, 1.0]))
-    assert not su2.is_central(q, 1e-9)
-    assert np.allclose(su2.axis_of(q, 1e-9), [0, 0, 1])
-    with pytest.raises(ValueError):
-        su2.axis_of(su2.identity(), 1e-9)
 
 
 def test_haar_sampler_is_deterministic_and_unit():

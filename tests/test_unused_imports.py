@@ -1,0 +1,47 @@
+"""No module of the package imports a name it never uses.
+
+A stand-in for a linter's unused-import rule, read from each module's
+syntax tree: an imported name must appear as a name somewhere else in
+its module.  `__init__` is exempt, since its imports are the package's
+exports.
+"""
+
+import ast
+import glob
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "su2strata")
+MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                 if os.path.basename(p) != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_every_import_is_used(path):
+    with open(path) as f:
+        assert unused_imports(f.read()) == []
+
+
+def test_an_unused_import_is_found():
+    source = ("from .presentations import Presentation, Word\n"
+              "import numpy as np\n"
+              "x = np.zeros(3)\n"
+              "y: Word = None\n")
+    assert unused_imports(source) == [(1, "Presentation")]
