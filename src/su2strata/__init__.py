@@ -20,9 +20,9 @@ from .invariants import (CleanVerdict, HeegaardData, InvariantResult,
                          ModuliPoint, apply_value_table, assemble_invariant,
                          clean_intersection_check, deduplicate_points,
                          enumerate_moduli, find_conjugator,
-                         heegaard_mv_torsion, heegaard_representations,
-                         lens_heegaard, s1xs2_heegaard, stationary_phase_sum,
-                         t3_presentation, trace_fingerprint)
+                         heegaard_mv_torsion, lens_heegaard, s1xs2_heegaard,
+                         stationary_phase_sum, t3_presentation,
+                         trace_fingerprint)
 from .presentations import (Presentation, Representation, Word,
                             circle_times_surface_group, commutator,
                             cyclic_group, evaluate_images, format_word,

@@ -127,11 +127,17 @@ def _number(value, what: str, integer: bool = False):
     return int(x) if integer else x
 
 
-def _lens_parameter(value: int, what: str) -> int:
-    """A lens p or q, bounded before any word a^p is built."""
-    if not 1 <= value <= MAX_P:
-        raise InputError(f"lens {what} must be in 1..{MAX_P}, got {value}")
-    return value
+def _lens_parameters(p, q) -> None:
+    """Refuse a lens p (None if not given) and q unless each is in
+    1..MAX_P and gcd(p, q) = 1, before any word a^p is built."""
+    if p is None:
+        raise InputError("lens needs p")
+    for value, what in ((p, "p"), (q, "q")):
+        if not 1 <= value <= MAX_P:
+            raise InputError(
+                f"lens {what} must be in 1..{MAX_P}, got {value}")
+    if math.gcd(p, q) != 1:
+        raise InputError(f"lens needs gcd(p, q) = 1, got p = {p}, q = {q}")
 
 
 def _load_rep_file(path: str, polished: bool):
@@ -300,8 +306,9 @@ def _torsion_from_example(data: dict, tol: float) -> dict:
 
     name = data["example"]
     if name == "lens":
-        p = _lens_parameter(integer("p", 0), "p")
-        q = _lens_parameter(integer("q", 1), "q")
+        p = integer("p", None) if "p" in data else None
+        q = integer("q", 1)
+        _lens_parameters(p, q)
         n = integer("point", 1)
         if not 0 < n <= p // 2:
             raise InputError("lens point index must be in 1..p//2")
@@ -350,9 +357,8 @@ def _load_table(path: str, field: str) -> list:
 
 
 def _cmd_invariant(args) -> dict:
-    if args.example == "lens" and args.p is not None:
-        _lens_parameter(args.p, "p")
-        _lens_parameter(args.q, "q")
+    if args.example == "lens":
+        _lens_parameters(args.p, args.q)
     points = enumerate_moduli(
         args.example, p=args.p, q=args.q, samples=args.samples,
         tol=args.tol)
@@ -427,13 +433,12 @@ def _sample_count(text: str) -> int:
     return count
 
 
-def _add_common(sp, tol=True, fmt=True):
+def _add_common(sp, tol=True):
     if tol:
         sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="rank/exactness tolerance (default 1e-8)")
-    if fmt:
-        sp.add_argument("--format", choices=("json", "table"),
-                        default="json", help="output format")
+    sp.add_argument("--format", choices=("json", "table"), default="json",
+                    help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,17 +3,17 @@
 RELATOR_TOL is the default residual gate for accepting a
 representation's relators.  MAX_P bounds the lens p and q read from
 input, since words such as a^p are stored letter by letter.
-MAX_T3_POINTS bounds the t3 chart, whose points are all held in memory
-at once (about 13 kB each).  Reports emitted by the CLI embed
-CONVENTION_TAGS and SCHEMA_VERSION so that numbers can be compared
-across runs.
+MAX_CHART_POINTS bounds the s1xs2 and t3 charts, whose points are all
+held in memory at once (about 14 kB each).  Reports emitted by the CLI
+embed CONVENTION_TAGS and SCHEMA_VERSION so that numbers can be
+compared across runs.
 """
 
 RELATOR_TOL = 1e-9
 
 MAX_P = 10**6
 
-MAX_T3_POINTS = 20_000
+MAX_CHART_POINTS = 20_000
 
 CONVENTION_TAGS = {
     "metric": "ijk-orthonormal",

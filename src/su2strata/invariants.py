@@ -1,6 +1,6 @@
 """Flat moduli enumeration and stratified invariant sums.
 
-Built-in moduli drivers cover the genus-1 Heegaard examples (s3, s1xs2,
+Built-in moduli charts cover the genus-1 Heegaard examples (s3, s1xs2,
 lens(p,q)) and commuting triples (t3).  Chern-Simons values and
 spectral flows are external inputs everywhere: points default to
 cs = 0 and tables supplied by the caller override them; nothing here
@@ -8,20 +8,22 @@ computes either quantity.
 
 Positive-dimensional families integrate with a uniform-angle chart and
 trapezoidal weights on interior grid nodes; chart endpoints are
-isolated lower-stratum points of weight 1.  The t3 driver has no
-built-in Heegaard gluing, so its points carry torsion = None until the
-caller supplies values.
+isolated lower-stratum points of weight 1.
 
-The t3, lens and s1xs2 drivers build every representation of the
-chart first and fill its cohomology in one stacked analysis
-(`fill_cohomology`).  The lens and s1xs2 drivers then build every
-point's Heegaard parts (coefficient basis, handlebody and surface
-representations, kept on the point's representation) and fill the
+Every example is one chart driver (`_chart_points`) fed its rows and
+its splitting.  The driver builds every representation of the chart
+in one stacked pass and fills its cohomology in one stacked analysis
+(`fill_cohomology`).  With a splitting it then keeps every point's
+Heegaard parts (coefficient basis, handlebody and surface
+representations) on the point's representation and fills the
 cohomology of all their handlebody and surface systems in one more
-stacked analysis (`fill_systems`).  The per-point sequence that follows
-reads what is kept, so the point order, the verdicts and the first
-error raised are those of a point-by-point run; `heegaard_mv_torsion`
-called with no fill before it is a batch of one.
+stacked analysis (`fill_systems`).  Each point's torsion follows its
+stratum: the unit half-density at stratum 0, elsewhere the splitting's
+Mayer-Vietoris torsion.  t3 has no built-in splitting, so its other
+points carry torsion = None until the caller supplies values.  The
+points are read in order from what is kept, so the verdicts and the
+first error raised are those of a point-by-point run;
+`heegaard_mv_torsion` called with no fill before it is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import su2
 from .cohomology import (DEFAULT_TOL, CoefficientSystem, fill_cohomology,
                          fill_systems, pullback_matrix, stabilizer_axis,
                          system_cohomology)
-from .conventions import MAX_T3_POINTS
+from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _keep_folds,
                             _representations, commutator, cyclic_group,
@@ -230,45 +232,6 @@ def _free_presentation(names) -> Presentation:
     return Presentation(tuple(names), (), "free", len(names))
 
 
-def heegaard_representations(heegaard: HeegaardData, n_rep: Representation,
-                             tol: float = DEFAULT_TOL):
-    """Handlebody and surface representations induced by a manifold
-    rep; the two gluing routes must induce the same surface rep."""
-    (parts,) = _heegaard_representations(heegaard, [n_rep], tol)
-    if isinstance(parts, Exception):
-        raise parts
-    return parts
-
-
-def _heegaard_representations(heegaard: HeegaardData, n_reps,
-                              tol: float) -> list:
-    """`heegaard_representations` of each manifold rep, or the error it
-    raises there, from one stacked fold of each handle word over all
-    the reps' images; every fold is kept on the rep it belongs to."""
-    h1_pres, h2_pres, s_pres = heegaard.presentations
-    h1s = _representations(
-        h1_pres, _keep_folds(n_reps, heegaard.handle1_to_manifold))
-    h2s = _representations(
-        h2_pres, _keep_folds(n_reps, heegaard.handle2_to_manifold))
-    # a row's first error, in the order a lone call meets them
-    out = [h1 if isinstance(h1, Exception) else h2
-           for h1, h2 in zip(h1s, h2s)]
-    ok = [i for i, e in enumerate(out) if not isinstance(e, Exception)]
-    via1 = _keep_folds([h1s[i] for i in ok], heegaard.surface_to_handle1)
-    via2 = _keep_folds([h2s[i] for i in ok], heegaard.surface_to_handle2)
-    gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
-    for i, gap, sigma in zip(ok, gaps, _representations(s_pres, via1)):
-        if gap > 100 * tol:
-            out[i] = DomainError(
-                f"the two handlebody routes disagree on the surface rep "
-                f"(gap {gap:.3e}); gluing data is inconsistent")
-        elif isinstance(sigma, Exception):
-            out[i] = sigma
-        else:
-            out[i] = (h1s[i], h2s[i], sigma)
-    return out
-
-
 def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
     """Coefficients picked by stratum i: the full algebra at irreducible
     points, the stabilizer line at reducible ones."""
@@ -277,45 +240,61 @@ def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
     return stabilizer_axis(rep, tol).reshape(3, 1)
 
 
-def _heegaard_parts(heegaard: HeegaardData, n_rep: Representation,
-                    tol: float) -> tuple:
-    """(basis, h1_rep, h2_rep, sigma_rep) of a splitting at a manifold
-    rep, made once per (splitting, tol) and kept on the rep."""
-    return kept(n_rep._strata, (heegaard, tol), lambda: (
-        _heegaard_basis(n_rep, tol),
-        *heegaard_representations(heegaard, n_rep, tol)))
-
-
-def _heegaard_basis(n_rep: Representation, tol: float) -> np.ndarray:
-    label = classify_stratum(n_rep, tol)
-    if label.i == 0:
-        raise DomainError(
-            "stratum 0 uses the constant unit torsion, not the "
-            "Mayer-Vietoris assembly")
-    return _stratum_basis(n_rep, label.i, tol)
-
-
-def _fill_heegaard(heegaard: HeegaardData, reps, tol: float) -> None:
-    """Keep the Heegaard parts of each rep, from stacked folds over all
-    their images, and the summaries of all their handlebody and surface
-    systems, from one stacked analysis.  Raises nothing: a rep whose
-    parts fail keeps nothing for them, and its own
-    `heegaard_mv_torsion` raises the error."""
-    based = []
-    for rep in reps:
+def _heegaard_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
+    """(basis, h1_rep, h2_rep, sigma_rep) of a splitting at each
+    manifold rep, or the error a lone `heegaard_mv_torsion` raises
+    there, in its place.  Parts are kept on each rep per (splitting,
+    tol).  The reps without them get theirs from one stacked fold of
+    each handle word over all their images, and all their handlebody
+    and surface systems are analysed in one stacked pass."""
+    key = (heegaard, tol)
+    out = [rep._strata.get(key) for rep in n_reps]
+    todo = [i for i, parts in enumerate(out) if parts is None]
+    if not todo:
+        return out
+    for i in todo:
         try:
-            based.append((rep, _heegaard_basis(rep, tol)))
-        except DomainError:
-            continue
-    parts = _heegaard_representations(heegaard, [r for r, _ in based], tol)
+            label = classify_stratum(n_reps[i], tol)
+            if label.i == 0:
+                raise DomainError(
+                    "stratum 0 uses the constant unit torsion, not the "
+                    "Mayer-Vietoris assembly")
+            out[i] = _stratum_basis(n_reps[i], label.i, tol)
+        except DomainError as e:
+            out[i] = e
+    based = [i for i in todo if not isinstance(out[i], Exception)]
+    reps = [n_reps[i] for i in based]
+    h1_pres, h2_pres, s_pres = heegaard.presentations
+    h1s = _representations(
+        h1_pres, _keep_folds(reps, heegaard.handle1_to_manifold))
+    h2s = _representations(
+        h2_pres, _keep_folds(reps, heegaard.handle2_to_manifold))
+    # a rep's first error, in the order a lone call meets them
+    glued = []
+    for i, h1, h2 in zip(based, h1s, h2s):
+        if isinstance(h1, Exception) or isinstance(h2, Exception):
+            out[i] = h1 if isinstance(h1, Exception) else h2
+        else:
+            glued.append((i, h1, h2))
+    via1 = _keep_folds([h1 for _, h1, _ in glued], heegaard.surface_to_handle1)
+    via2 = _keep_folds([h2 for _, _, h2 in glued], heegaard.surface_to_handle2)
+    gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
     systems = []
-    for (rep, basis), subs in zip(based, parts):
-        if isinstance(subs, Exception):
-            continue
-        basis, *subs = rep._strata.setdefault((heegaard, tol),
-                                              (basis, *subs))
-        systems += [CoefficientSystem(sub, basis) for sub in subs]
+    for (i, h1, h2), gap, sigma in zip(glued, gaps,
+                                       _representations(s_pres, via1)):
+        if gap > 100 * tol:
+            out[i] = DomainError(
+                f"the two handlebody routes disagree on the surface rep "
+                f"(gap {gap:.3e}); gluing data is inconsistent")
+        elif isinstance(sigma, Exception):
+            out[i] = sigma
+        else:
+            basis = out[i]
+            out[i] = n_reps[i]._strata[key] = (basis, h1, h2, sigma)
+            systems += [CoefficientSystem(sub, basis)
+                        for sub in (h1, h2, sigma)]
     fill_systems(systems, tol)
+    return out
 
 
 def _h1_data(rep: Representation, basis: np.ndarray, tol: float):
@@ -335,9 +314,12 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
     """Mayer-Vietoris torsion of a splitting at a manifold rep, with
     coefficients picked by the rep's stratum (full algebra at
     irreducible points, the stabilizer line at reducible ones).  The
-    Heegaard parts and their summaries are those a chart's fill kept,
-    or are made here when none was."""
-    basis, h1_rep, h2_rep, sigma_rep = _heegaard_parts(heegaard, n_rep, tol)
+    Heegaard parts and their summaries are those a chart kept, or are
+    made here as a batch of one."""
+    (parts,) = _heegaard_parts(heegaard, [n_rep], tol)
+    if isinstance(parts, Exception):
+        raise parts
+    basis, h1_rep, h2_rep, sigma_rep = parts
     dn = _h1_data(n_rep, basis, tol)
     dh1 = _h1_data(h1_rep, basis, tol)
     dh2 = _h1_data(h2_rep, basis, tol)
@@ -376,20 +358,6 @@ def clean_intersection_check(point: ModuliPoint,
 _AXIS = np.array([1.0, 0.0, 0.0])
 
 
-def _torus_chart(pres: Presentation, angles) -> list:
-    """Representations with images exp(angle * i), one per row of an
-    (N, n) angle array, from one stacked pass: the exps, what
-    `_representations` keeps and the fingerprints, kept on each.  The
-    first row that fails a gate raises its error."""
-    images = su2.exp(np.array(angles, dtype=float)[..., None] * _AXIS)
-    reps = _representations(pres, images)
-    for rep, fingerprint in zip(reps, _fingerprints(images)):
-        if isinstance(rep, Exception):
-            raise rep
-        rep._strata["fingerprint"] = tuple(fingerprint)
-    return reps
-
-
 def lens_heegaard(p: int, q: int) -> HeegaardData:
     """Genus-1 splitting of lens(p, q): handle 1 kills the b-curve,
     handle 2 kills a^p b^q; the handle-2 core maps to a^(q^-1 mod p)."""
@@ -422,58 +390,6 @@ def s1xs2_heegaard() -> HeegaardData:
         handle2_to_manifold=(generator(0),))
 
 
-def _point(pid, rep, component_dim, weight, tol, torsion=None):
-    label = classify_stratum(rep, tol)
-    pt = ModuliPoint(
-        point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
-        weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion)
-    return replace(pt, clean=clean_intersection_check(pt, tol))
-
-
-def _enumerate_lens(p: int, q: int, tol: float):
-    heegaard = lens_heegaard(p, q)
-    pres = heegaard.presentation_n
-    reps = _torus_chart(pres, [[2.0 * math.pi * n / p]
-                               for n in range(p // 2 + 1)])
-    fill_cohomology(reps, tol)
-    _fill_heegaard(heegaard, reps, tol)
-    points = []
-    for n, rep in enumerate(reps):
-        pid = f"lens({p},{q}):n={n}"
-        label = classify_stratum(rep, tol)
-        if label.i == 0:
-            torsion = TorsionValue(1.0, 0.0)
-        else:
-            torsion = heegaard_mv_torsion(heegaard, rep, tol)
-        points.append(_point(pid, rep, 0, 1.0, tol, torsion))
-    return points
-
-
-def _enumerate_s3(tol: float):
-    heegaard = lens_heegaard(1, 1)
-    rep = Representation.trivial(heegaard.presentation_n)
-    return [_point("s3:trivial", rep, 0, 1.0, tol, TorsionValue(1.0, 0.0))]
-
-
-def _enumerate_s1xs2(samples: int, tol: float):
-    heegaard = s1xs2_heegaard()
-    pres = heegaard.presentation_n
-    M = _grid_size(samples)
-    delta = math.pi / M
-    trivial, *interior, central = _torus_chart(
-        pres, [[0.0], *([j * delta] for j in range(1, M)), [math.pi]])
-    fill_cohomology([trivial, *interior, central], tol)
-    _fill_heegaard(heegaard, interior, tol)
-    points = [_point("s1xs2:trivial", trivial, 0, 1.0, tol,
-                     TorsionValue(1.0, 0.0))]
-    for j, rep in enumerate(interior, 1):
-        torsion = heegaard_mv_torsion(heegaard, rep, tol)
-        points.append(_point(f"s1xs2:j={j}/{M}", rep, 1, delta, tol, torsion))
-    points.append(_point("s1xs2:central", central, 0, 1.0, tol,
-                         TorsionValue(1.0, 0.0)))
-    return points
-
-
 def t3_presentation() -> Presentation:
     gens = ("x", "y", "z")
     rels = (commutator(generator(0), generator(1)),
@@ -482,54 +398,99 @@ def t3_presentation() -> Presentation:
     return Presentation(gens, rels, "custom", 0)
 
 
-def _grid_size(samples: int) -> int:
+def _grid_size(example: str, samples: int, points: int) -> int:
+    """samples, if at least 2 and the chart's points are at most
+    MAX_CHART_POINTS: checked before any representation is built."""
     if samples < 2:
         raise InputError(f"samples must be at least 2, got {samples}")
+    if points > MAX_CHART_POINTS:
+        raise InputError(
+            f"{example} chart with samples {samples} has {points} points, "
+            f"more than {MAX_CHART_POINTS}")
     return samples
 
 
-def _enumerate_t3(samples: int, tol: float):
-    """Commuting triples: all images share an axis.  Chart
-    (t1, t2, t3) in [0, pi] x [0, 2pi)^2 modulo the axis flip; interior
-    t1 nodes carry trapezoid weights, the 8 all-central corners are
-    stratum-0 points.  The chart's 8 + (M-1) M^2 points are bounded by
-    MAX_T3_POINTS before any is built."""
-    M = _grid_size(samples)
-    if 8 + (M - 1) * M * M > MAX_T3_POINTS:
-        raise InputError(
-            f"t3 chart with samples {M} has {8 + (M - 1) * M * M} points, "
-            f"more than {MAX_T3_POINTS}")
-    d1 = math.pi / M
-    d2 = 2.0 * math.pi / M
-    chart = [(f"t3:central({int(c1 > 0)},{int(c2 > 0)},{int(c3 > 0)})",
-              (c1, c2, c3), 0, 1.0, TorsionValue(1.0, 0.0))
-             for c1, c2, c3 in itertools.product((0.0, math.pi), repeat=3)]
-    chart += [(f"t3:grid({i},{j},{k})/{M}", (i * d1, j * d2, k * d2), 3,
-               d1 * d2 * d2, None)
-              for i in range(1, M) for j in range(M) for k in range(M)]
-    reps = _torus_chart(t3_presentation(), [angles for _, angles, *_ in chart])
+def _point(pid, rep, component_dim, weight, heegaard, tol):
+    """A chart point with its torsion by stratum: the unit half-density
+    at stratum 0, elsewhere the splitting's Mayer-Vietoris torsion, or
+    None without a splitting."""
+    label = classify_stratum(rep, tol)
+    if label.i == 0:
+        torsion = TorsionValue(1.0, 0.0)
+    elif heegaard is None:
+        torsion = None
+    else:
+        torsion = heegaard_mv_torsion(heegaard, rep, tol)
+    pt = ModuliPoint(
+        point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
+        weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion)
+    return replace(pt, clean=clean_intersection_check(pt, tol))
+
+
+def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
+    """The points of a chart, one per row (point_id, angles,
+    component_dim, weight), with images exp(angle * i).  The chart's
+    representations come from one stacked pass over its images (the
+    exps, what `_representations` keeps and the fingerprints, kept on
+    each); the first row that fails a gate raises its error.  Their
+    cohomology is filled in one stacked analysis, and with a splitting
+    (None for none) their Heegaard parts next, before the points are
+    read in order."""
+    images = su2.exp(np.array([angles for _, angles, _, _ in rows],
+                              dtype=float)[..., None] * _AXIS)
+    reps = _representations(pres, images)
+    for rep, fingerprint in zip(reps, _fingerprints(images)):
+        if isinstance(rep, Exception):
+            raise rep
+        rep._strata["fingerprint"] = tuple(fingerprint)
     fill_cohomology(reps, tol)
-    return [_point(pid, rep, dim, weight, tol, torsion)
-            for (pid, _, dim, weight, torsion), rep in zip(chart, reps)]
+    if heegaard is not None:
+        _heegaard_parts(heegaard, reps, tol)
+    return [_point(pid, rep, dim, weight, heegaard, tol)
+            for (pid, _, dim, weight), rep in zip(rows, reps)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
                      samples: int = 16, tol: float = DEFAULT_TOL):
     """Moduli points of a built-in example, deduplicated by trace
-    fingerprint with exact conjugator confirmation."""
+    fingerprint with exact conjugator confirmation.  Each example gives
+    its chart's rows and its splitting."""
     if example == "s3":
-        points = _enumerate_s3(tol)
+        heegaard = lens_heegaard(1, 1)
+        rows = [("s3:trivial", [0.0], 0, 1.0)]
     elif example == "lens":
         if p is None:
             raise DomainError("lens needs p")
-        points = _enumerate_lens(p, q, tol)
+        heegaard = lens_heegaard(p, q)
+        rows = [(f"lens({p},{q}):n={n}", [2.0 * math.pi * n / p], 0, 1.0)
+                for n in range(p // 2 + 1)]
     elif example == "s1xs2":
-        points = _enumerate_s1xs2(samples, tol)
+        heegaard = s1xs2_heegaard()
+        M = _grid_size(example, samples, samples + 1)
+        delta = math.pi / M
+        rows = [("s1xs2:trivial", [0.0], 0, 1.0),
+                *((f"s1xs2:j={j}/{M}", [j * delta], 1, delta)
+                  for j in range(1, M)),
+                ("s1xs2:central", [math.pi], 0, 1.0)]
     elif example == "t3":
-        points = _enumerate_t3(samples, tol)
+        # commuting triples share an axis: chart (t1, t2, t3) in
+        # [0, pi] x [0, 2pi)^2 modulo the axis flip, with trapezoid
+        # weights on interior t1 nodes and the 8 all-central corners as
+        # stratum-0 points; no built-in splitting
+        M = _grid_size(example, samples, 8 + (samples - 1) * samples ** 2)
+        d1 = math.pi / M
+        d2 = 2.0 * math.pi / M
+        heegaard = None
+        rows = [(f"t3:central({int(c1 > 0)},{int(c2 > 0)},{int(c3 > 0)})",
+                 (c1, c2, c3), 0, 1.0)
+                for c1, c2, c3 in itertools.product((0.0, math.pi), repeat=3)]
+        rows += [(f"t3:grid({i},{j},{k})/{M}", (i * d1, j * d2, k * d2), 3,
+                  d1 * d2 * d2)
+                 for i in range(1, M) for j in range(M) for k in range(M)]
     else:
         raise DomainError(f"unknown example {example!r}")
-    return deduplicate_points(points)
+    pres = t3_presentation() if heegaard is None else heegaard.presentation_n
+    return deduplicate_points(_chart_points(pres, heegaard, rows, tol))
 
 
 def apply_value_table(points, table, field: str):

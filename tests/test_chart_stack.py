@@ -1,9 +1,9 @@
 """Moduli charts built in one stacked pass.
 
-The t3, lens and s1xs2 drivers build every representation of a chart
-from one pass over its images stacked as (N, n, 4): the exps, the
-relator folds, the unit and relator gates, the Ad stack and the trace
-fingerprints, and for lens and s1xs2 the handle-word folds.  Each
+The chart driver builds every representation of a t3, lens or s1xs2
+chart from one pass over its images stacked as (N, n, 4): the exps,
+the relator folds, the unit and relator gates, the Ad stack and the
+trace fingerprints, and for lens and s1xs2 the handle-word folds.  Each
 representation keeps read-only views of its row.  Here the stacked
 leaf products are held to the scalar ones bit for bit, every chart-built
 representation to the same images built alone, a bad row to the error
@@ -103,10 +103,10 @@ def test_a_lens_chart_keeps_what_its_points_fold_alone(p, q):
         alone = _assert_built_alone(pt.rep)
         if pt.stratum.i == 0:
             continue
-        chart_parts = invariants._heegaard_parts(heegaard, pt.rep,
-                                                 DEFAULT_TOL)
-        alone_parts = invariants._heegaard_parts(heegaard, alone,
-                                                 DEFAULT_TOL)
+        (chart_parts,) = invariants._heegaard_parts(heegaard, [pt.rep],
+                                                    DEFAULT_TOL)
+        (alone_parts,) = invariants._heegaard_parts(heegaard, [alone],
+                                                    DEFAULT_TOL)
         assert _same(chart_parts[0], alone_parts[0])
         for word in heegaard.handle2_to_manifold:
             assert all(_same(a, b) for a, b in zip(pt.rep.fold(word),
@@ -169,9 +169,10 @@ def test_a_bad_row_gives_the_error_built_alone(pres):
 
 def test_a_chart_raises_its_first_bad_row():
     pres = cyclic_group(5)
-    angles = [[0.0], [0.3], [0.5], [2 * math.pi / 5]]
+    rows = [(str(n), [angle], 0, 1.0)
+            for n, angle in enumerate([0.0, 0.3, 0.5, 2 * math.pi / 5])]
     with pytest.raises(ResidualError) as chart:
-        invariants._torus_chart(pres, angles)
+        invariants._chart_points(pres, None, rows, DEFAULT_TOL)
     with pytest.raises(ResidualError) as lone:
         Representation(pres, su2.exp(0.3 * invariants._AXIS))
     assert str(chart.value) == str(lone.value)

@@ -502,6 +502,52 @@ def test_t3_chart_bound_is_checked_before_any_rep(capsys, monkeypatch):
         raise AssertionError("a representation was built")
 
     monkeypatch.setattr(inv, "Representation", no_reps)
+    monkeypatch.setattr(inv, "_representations", no_reps)
     code, out, err = run(capsys, "invariant", "--example", "t3",
                          "--samples", "28")     # 8 + 27 * 28^2 points
     assert code == 2 and out == "" and "21176 points" in err
+
+
+def test_s1xs2_chart_bound_is_checked_before_any_rep(capsys, monkeypatch):
+    import su2strata.invariants as inv
+
+    def no_reps(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(inv, "_representations", no_reps)
+    code, out, err = run(capsys, "invariant", "--example", "s1xs2",
+                         "--samples", "20000")  # 20000 + 1 points
+    assert code == 2 and out == "" and "20001 points" in err
+
+
+def _no_chart(*args, **kwargs):
+    raise AssertionError("a chart was built")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "lens needs p"),
+    (["--q", "3"], "lens needs p"),
+    (["--p", "6", "--q", "4"], "gcd(p, q) = 1"),
+    (["--p", "6", "--q", "6"], "gcd(p, q) = 1"),
+])
+def test_invariant_lens_arguments_are_usage_errors(capsys, monkeypatch,
+                                                   argv, message):
+    # these used to exit 1 from the library's DomainError
+    import su2strata.cli as cli
+    monkeypatch.setattr(cli, "enumerate_moduli", _no_chart)
+    code, out, err = run(capsys, "invariant", "--example", "lens", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"example": "lens", "q": 1, "point": 1}, "lens needs p"),
+    ({"example": "lens", "p": 6, "q": 4, "point": 1}, "gcd(p, q) = 1"),
+])
+def test_torsion_lens_arguments_are_usage_errors(tmp_path, capsys,
+                                                 monkeypatch, payload,
+                                                 message):
+    import su2strata.cli as cli
+    monkeypatch.setattr(cli, "lens_heegaard", _no_chart)
+    code, out, err = run(capsys, "torsion",
+                         write_json(tmp_path / "lens.json", payload))
+    assert code == 2 and out == "" and message in err

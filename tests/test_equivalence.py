@@ -35,6 +35,7 @@ CASES = {
                             "--q", "7", "--k", "2"],
     "invariant-lens-52-3": ["invariant", "--example", "lens", "--p", "52",
                             "--q", "3", "--k", "2"],
+    "invariant-s3-k2": ["invariant", "--example", "s3", "--k", "2"],
     "invariant-s1xs2-8": ["invariant", "--example", "s1xs2",
                           "--samples", "8"],
     "invariant-t3-M4": ["invariant", "--example", "t3", "--samples", "4",
@@ -48,6 +49,8 @@ CASES = {
                             "--seed", "3"],
     "torsion-lens-101": ["torsion", os.path.join(GOLDEN,
                                                  "lens101-torsion.json")],
+    "torsion-s1xs2-8": ["torsion", os.path.join(GOLDEN,
+                                                "s1xs2-8-torsion.json")],
     "classify-free3": ["classify", FREE3],
     "classify-free4": ["classify", FREE4],
     **{f"torsion-volume-{name}": ["torsion", os.path.join(

@@ -134,7 +134,7 @@ def test_lens_walks_its_relator_once_per_point(monkeypatch):
 
 
 def test_lens_folds_each_handle_word_once_per_point(monkeypatch):
-    # each handle word's holonomy (heegaard_representations) and Fox row
+    # each handle word's holonomy (the Heegaard parts) and Fox row
     # (the restriction maps) come from the one fold its representation
     # keeps
     p, q = 101, 7
@@ -269,8 +269,8 @@ def test_lens_forms_w_only_for_its_surface_reps(cup_folds):
     p, q = 31, 7
     points = enumerate_moduli("lens", p=p, q=q)
     heegaard = lens_heegaard(p, q)
-    sigma = [invariants._heegaard_parts(heegaard, pt.rep, DEFAULT_TOL)[3]
-             for pt in points if pt.stratum.i != 0]
+    sigma = [parts[3] for parts in invariants._heegaard_parts(
+        heegaard, [pt.rep for pt in points if pt.stratum.i != 0], DEFAULT_TOL)]
     assert len(sigma) == p // 2
     assert Counter(cup_folds) == {s.images.tobytes(): 4 for s in sigma}
 

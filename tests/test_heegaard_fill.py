@@ -1,14 +1,14 @@
-"""The stacked Heegaard fill of the lens and s1xs2 charts.
+"""The stacked Heegaard parts of the lens and s1xs2 charts.
 
-Before their per-point loops, the lens and s1xs2 drivers keep every
-point's Heegaard parts (coefficient basis, handlebody and surface
-representations) on the point's representation and analyse all the
-handlebody and surface systems in one stacked pass.  Here each system
-is held to one analysis, the number of stacked passes to one that does
-not grow with p, `heegaard_mv_torsion` on a fresh, unfilled
-representation (a batch of one) to the chart's value bit for bit, and
-inconsistent gluing data to the error a lone call raises, at its own
-point, with nothing kept for it.
+Before it reads the points of a chart with a splitting, the chart
+driver keeps every point's Heegaard parts (coefficient basis,
+handlebody and surface representations) on the point's representation
+and analyses all the handlebody and surface systems in one stacked
+pass.  Here each system is held to one analysis, the number of stacked
+passes to one that does not grow with p, `heegaard_mv_torsion` on a
+fresh, unfilled representation (a batch of one) to the chart's value
+bit for bit, and inconsistent gluing data to the parts or the error a
+lone call gives, at its own point, with nothing kept for an error.
 """
 
 import importlib
@@ -67,8 +67,9 @@ def test_each_heegaard_system_is_analysed_once(analysed, example, heegaard,
     noncentral = [pt for pt in points if pt.stratum.i != 0]
     assert noncentral
     for pt in noncentral:
-        basis, *subs = invariants._heegaard_parts(heegaard, pt.rep,
-                                                  DEFAULT_TOL)
+        (parts,) = invariants._heegaard_parts(heegaard, [pt.rep],
+                                              DEFAULT_TOL)
+        basis, *subs = parts
         assert [counts[id(sub), basis.tobytes()] for sub in subs] == [1, 1, 1]
     assert set(counts.values()) == {1}
 
@@ -116,10 +117,21 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
                   handle2_to_manifold=(generator(0) ** 6,))
     reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
     coh.fill_cohomology(reps)
-    invariants._fill_heegaard(bad, reps, DEFAULT_TOL)
+    batch = invariants._heegaard_parts(bad, reps, DEFAULT_TOL)
     glued = {n for n, rep in enumerate(reps)
              if (bad, DEFAULT_TOL) in rep._strata}
     assert glued == {3, 6}
+    # at each position, the batch holds what a lone call gives there
+    for n, parts in enumerate(batch):
+        (lone,) = invariants._heegaard_parts(bad, [lens_rep(p, n)],
+                                             DEFAULT_TOL)
+        if n in glued:
+            assert parts[0].tobytes() == lone[0].tobytes()
+            assert [sub.images.tobytes() for sub in parts[1:]] == \
+                [sub.images.tobytes() for sub in lone[1:]]
+        else:
+            assert type(parts) is type(lone) and str(parts) == str(lone)
+    assert "stratum 0" in str(batch[0])
     for n, rep in enumerate(reps[1:], 1):
         fresh = lens_rep(p, n)
         if n in glued:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2strata import su2
+from su2strata import invariants, su2
+from su2strata.cohomology import DEFAULT_TOL
 from su2strata.errors import (CleanIntersectionError, DomainError, InputError,
                               ResidualError)
 from su2strata.invariants import (HeegaardData, ModuliPoint,
@@ -15,9 +16,9 @@ from su2strata.invariants import (HeegaardData, ModuliPoint,
                                   clean_intersection_check,
                                   deduplicate_points, enumerate_moduli,
                                   find_conjugator, heegaard_mv_torsion,
-                                  heegaard_representations, lens_heegaard,
-                                  s1xs2_heegaard, stationary_phase_sum,
-                                  t3_presentation, trace_fingerprint)
+                                  lens_heegaard, s1xs2_heegaard,
+                                  stationary_phase_sum, t3_presentation,
+                                  trace_fingerprint)
 from su2strata.presentations import (Representation, Word, cyclic_group,
                                      free_group, generator)
 from su2strata.strata import classify_stratum
@@ -161,9 +162,10 @@ def test_heegaard_data_validation():
                      (x, Word()), (x,), (x,))
 
 
-def test_heegaard_representations_agree_on_surface():
+def test_heegaard_parts_agree_on_surface():
     heegaard = lens_heegaard(5, 2)
-    h1, h2, sigma = heegaard_representations(heegaard, lens_rep(5, 1))
+    ((_, h1, h2, sigma),) = invariants._heegaard_parts(
+        heegaard, [lens_rep(5, 1)], DEFAULT_TOL)
     assert sigma.presentation.kind == "surface"
     # route 1: a1 -> x -> a
     assert np.allclose(sigma.images[0], lens_rep(5, 1).images[0])
@@ -308,7 +310,7 @@ def test_t3_grid_structure():
 
 def test_t3_chart_bound_is_inclusive(monkeypatch):
     import su2strata.invariants as inv
-    monkeypatch.setattr(inv, "MAX_T3_POINTS", 56)   # 8 + 3 * 4^2
+    monkeypatch.setattr(inv, "MAX_CHART_POINTS", 56)   # 8 + 3 * 4^2
     assert len(enumerate_moduli("t3", samples=4)) == 56
     with pytest.raises(InputError, match="108 points, more than 56"):
         enumerate_moduli("t3", samples=5)
