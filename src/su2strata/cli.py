@@ -129,7 +129,7 @@ def _number(value, what: str, integer: bool = False):
 
 def _lens_parameters(p, q) -> None:
     """Refuse a lens p (None if not given) and q unless each is in
-    1..MAX_P and gcd(p, q) = 1, before any word a^p is built."""
+    1..MAX_P and gcd(p, q) = 1, before any chart or point is built."""
     if p is None:
         raise InputError("lens needs p")
     for value, what in ((p, "p"), (q, "q")):

@@ -2,9 +2,9 @@
 
 RELATOR_TOL is the default residual gate for accepting a
 representation's relators.  MAX_P bounds the lens p and q read from
-input, since words such as a^p are stored letter by letter.
-MAX_CHART_POINTS bounds the s1xs2 and t3 charts, whose points are all
-held in memory at once (about 14 kB each).  Reports emitted by the CLI
+input; no rank rung certifies it yet (lens points near p/2 fail the d1
+rank test from p of about 1.2e4).  MAX_CHART_POINTS bounds the lens,
+s1xs2 and t3 charts, whose points are all held in memory at once.  Reports emitted by the CLI
 embed CONVENTION_TAGS and SCHEMA_VERSION so that numbers can be
 compared across runs.
 """

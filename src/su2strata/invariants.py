@@ -399,15 +399,20 @@ def t3_presentation() -> Presentation:
 
 
 def _grid_size(example: str, samples: int, points: int) -> int:
-    """samples, if at least 2 and the chart's points are at most
-    MAX_CHART_POINTS: checked before any representation is built."""
+    """samples, if at least 2 and the chart's points are bounded."""
     if samples < 2:
         raise InputError(f"samples must be at least 2, got {samples}")
-    if points > MAX_CHART_POINTS:
-        raise InputError(
-            f"{example} chart with samples {samples} has {points} points, "
-            f"more than {MAX_CHART_POINTS}")
+    _chart_bound(f"{example} chart with samples {samples}", points)
     return samples
+
+
+def _chart_bound(chart: str, points: int):
+    """Refuse a chart of more than MAX_CHART_POINTS points, whose
+    points would all be held in memory: checked before any
+    representation is built."""
+    if points > MAX_CHART_POINTS:
+        raise InputError(f"{chart} has {points} points, "
+                         f"more than {MAX_CHART_POINTS}")
 
 
 def _point(pid, rep, component_dim, weight, heegaard, tol):
@@ -461,6 +466,7 @@ def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
     elif example == "lens":
         if p is None:
             raise DomainError("lens needs p")
+        _chart_bound(f"lens chart with p {p}", p // 2 + 1)
         heegaard = lens_heegaard(p, q)
         rows = [(f"lens({p},{q}):n={n}", [2.0 * math.pi * n / p], 0, 1.0)
                 for n in range(p // 2 + 1)]

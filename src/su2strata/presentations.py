@@ -1,15 +1,15 @@
 """Finitely presented groups, words, representations, Fox calculus.
 
-Words are tuples of signed 1-based generator indices (+3 is the third
-generator, -3 its inverse) and are kept freely reduced.  The text form
-is whitespace separated with uppercase marking inverses: "a B c" means
-a b^-1 c.  Generator names therefore must contain a lowercase letter
-and be pairwise distinct case-insensitively.
+A word is kept freely reduced, as its runs: pairs (s, k) meaning s^k,
+with s a signed 1-based generator index (+3 is the third generator, -3
+its inverse) and k >= 1.  The text form is whitespace separated with
+uppercase marking inverses: "a B c" means a b^-1 c.  Generator names
+therefore must contain a lowercase letter and be pairwise distinct
+case-insensitively.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,55 +20,64 @@ from .errors import PresentationError, ResidualError
 
 
 class Word:
-    """Freely reduced word in abstract generators."""
+    """Freely reduced word in abstract generators, kept as its runs
+    ((s, k), ...), meaning s^k ..., with k >= 1 and neighbouring runs
+    on different generators.  `letters` expands them on demand."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("runs",)
 
     def __init__(self, letters=()):
-        self.letters = _reduce(tuple(int(s) for s in letters))
+        self.runs = _word((int(s), 1) for s in letters).runs
+
+    @property
+    def letters(self) -> tuple:
+        return tuple(s for s, k in self.runs for _ in range(k))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return _word(self.runs + other.runs)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-s for s in reversed(self.letters)))
+        return _word((-s, k) for s, k in reversed(self.runs))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
+        if len(self.runs) == 1:
+            (s, k), = self.runs
+            return _word(((s, k * n),))
         # free reduction is confluent: reducing the n copies at once
         # gives the same word as n successive products
-        return Word(self.letters * n)
+        return _word(self.runs * n)
 
     def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
+        return sum(k for _, k in self.runs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self.runs == other.runs
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.runs)
 
     def __repr__(self) -> str:
-        return f"Word({self.letters})"
+        return f"<Word {self.runs}>"
 
 
-def _reduce(letters: tuple) -> tuple:
-    out: list[int] = []
-    for s in letters:
+def _word(runs) -> Word:
+    """The freely reduced word of a sequence of runs (s, k), k >= 0: a
+    run merges with, cancels or shortens the run before it on its
+    generator."""
+    out: list = []
+    for s, k in runs:
         if s == 0:
             raise PresentationError("letter 0 is not a generator index")
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-EMPTY = Word()
+        if out and abs(out[-1][0]) == abs(s):
+            t, m = out.pop()
+            s, k = (s, m + k) if t == s else (t, m - k) if m > k else (s, k - m)
+        if k:
+            out.append((s, k))
+    word = Word.__new__(Word)
+    word.runs = tuple(out)
+    return word
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -95,7 +104,7 @@ def parse_word(text: str, generators: tuple) -> Word:
 
 def format_word(word: Word, generators: tuple) -> str:
     toks = []
-    for s in word:
+    for s in word.letters:
         name = generators[abs(s) - 1]
         toks.append(name if s > 0 else name.upper())
     return " ".join(toks)
@@ -125,7 +134,7 @@ class Presentation:
         object.__setattr__(self, "generators", _check_names(self.generators))
         n = len(self.generators)
         for r in self.relators:
-            for s in r:
+            for s, _ in r.runs:
                 if abs(s) > n:
                     raise PresentationError(
                         f"relator letter {s} exceeds generator count {n}")
@@ -133,15 +142,6 @@ class Presentation:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise PresentationError(f"no generator named {name!r}") from None
-
-    def word(self, text: str) -> Word:
-        return parse_word(text, self.generators)
 
 
 def _surface_names(g: int):
@@ -364,9 +364,9 @@ def fox_fold(images: np.ndarray, word: Word):
     x after prefix p and -[p x^-1 | x] at a letter x^-1.
 
     Fox calculus is a monoid homomorphism (Fox 1953), so the fold of a
-    concatenation is `_compose` of the halves' folds.  A run of one
-    letter is folded by squaring, so a^p costs O(log p) products.  This
-    is the one walk over word letters.
+    concatenation is `_compose` of the halves' folds.  Each run s^k is
+    folded by squaring, so a^p costs O(log p) products.  This is the
+    one walk over a word's runs.
     """
     return _fold(images, word, {}, True)
 
@@ -378,10 +378,10 @@ def _fold(images: np.ndarray, word: Word, letters: dict, cup: bool):
     part gains a leading axis, and each row is its image array's own
     fold bit for bit."""
     out = None
-    for s, run in itertools.groupby(word):
+    for s, k in word.runs:
         if s not in letters:
             letters[s] = _letter_fold(images, s, cup)
-        t = _power(letters[s], len(list(run)))
+        t = _power(letters[s], k)
         out = t if out is None else _compose(out, t)
     if out is None:
         lead, n3 = images.shape[:-2], 3 * images.shape[-2]
@@ -537,8 +537,8 @@ def presentation_from_json(data: dict) -> Presentation:
 
 
 def _validate_kind_structure(pres: Presentation):
-    """Relators of a named kind must match the canonical ones letter
-    for letter (names are free, structure is not)."""
+    """Relators of a named kind must be the canonical ones (names are
+    free, structure is not)."""
     builders = {
         "free": free_group, "surface": surface_group, "cyclic": cyclic_group,
         "circle_times_surface": circle_times_surface_group,
@@ -547,8 +547,7 @@ def _validate_kind_structure(pres: Presentation):
         return
     canon = builders[pres.kind](pres.parameter)
     if pres.num_generators != canon.num_generators or \
-            tuple(r.letters for r in pres.relators) != \
-            tuple(r.letters for r in canon.relators):
+            pres.relators != canon.relators:
         raise PresentationError(
             f"relators do not match the {pres.kind} structure")
 

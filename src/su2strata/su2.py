@@ -29,6 +29,7 @@ import numpy as np
 from .errors import AntipodeError
 
 _SMALL = 1e-9
+_ANTIPODE_TOL = 1e-12  # |v| below which log refuses w < 0
 
 
 def identity() -> np.ndarray:
@@ -94,7 +95,7 @@ def exp(x: np.ndarray) -> np.ndarray:
     return out / np.sqrt(np.vecdot(out, out))[..., None]
 
 
-def log(q: np.ndarray, antipode_tol: float = 1e-12) -> np.ndarray:
+def log(q: np.ndarray) -> np.ndarray:
     """Principal branch; |log| in [0, pi).
 
     Raises AntipodeError at (-1,0,0,0), where every direction is a
@@ -103,7 +104,7 @@ def log(q: np.ndarray, antipode_tol: float = 1e-12) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     w, v = q[0], q[1:]
     s = np.linalg.norm(v)
-    if w < 0.0 and s < antipode_tol:
+    if w < 0.0 and s < _ANTIPODE_TOL:
         raise AntipodeError("log has no principal branch at -identity")
     theta = np.arctan2(s, w)
     if s < _SMALL and w > 0.0:

@@ -520,6 +520,18 @@ def test_s1xs2_chart_bound_is_checked_before_any_rep(capsys, monkeypatch):
     assert code == 2 and out == "" and "20001 points" in err
 
 
+def test_lens_chart_bound_is_checked_before_any_rep(capsys, monkeypatch):
+    import su2strata.invariants as inv
+
+    def no_reps(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(inv, "_representations", no_reps)
+    code, out, err = run(capsys, "invariant", "--example", "lens",
+                         "--p", "40009")        # 40009 // 2 + 1 points
+    assert code == 2 and out == "" and "20005 points" in err
+
+
 def _no_chart(*args, **kwargs):
     raise AssertionError("a chart was built")
 

@@ -9,21 +9,18 @@ each (representation, basis, tol) is analysed once, and that the SVD
 count of a t3 chart does not grow with the chart.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2strata.cohomology as coh
 from su2strata import su2
 from su2strata.errors import ResidualError
 from su2strata.invariants import (clean_intersection_check, enumerate_moduli,
                                   t3_presentation)
 from su2strata.presentations import Representation, cyclic_group, free_group
 from su2strata.strata import classify_stratum, stratum_tangent_dim
-
-coh = importlib.import_module("su2strata.cohomology")
 
 PRESENTATIONS = {
     "free1": free_group(1),

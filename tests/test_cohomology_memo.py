@@ -8,21 +8,17 @@ that errors are never kept, and that a kept summary is exactly what a
 fresh computation gives.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2strata.cohomology as coh
 from su2strata import su2
 from su2strata.errors import ResidualError
 from su2strata.presentations import Representation, cyclic_group, free_group
 from su2strata.strata import classify_stratum, stratum_tangent_dim
 from su2strata.torsion import stratum_volume
-
-# the package re-exports the function `cohomology` under the module's name
-coh = importlib.import_module("su2strata.cohomology")
 
 
 def common_axis_images(rng, g):

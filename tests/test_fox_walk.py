@@ -174,6 +174,18 @@ def test_lens_products_per_point_are_logarithmic_in_p(monkeypatch):
     assert sum(calls) / len(points) <= 16 * math.log2(p)
 
 
+def test_lens_words_are_held_in_runs_whatever_p():
+    # stored letter by letter, a^p would be p entries
+    def stored(p):
+        h = lens_heegaard(p, 7)
+        words = [*cyclic_group(p).relators, *h.presentation_n.relators,
+                 *h.surface_to_handle1, *h.surface_to_handle2,
+                 *h.handle1_to_manifold, *h.handle2_to_manifold]
+        return sum(len(w.runs) for w in words)
+
+    assert stored(1009) == stored(999983)
+
+
 # -- the fold as a monoid homomorphism -----------------------------------
 
 IMAGES = np.array([su2.exp(v) for v in
@@ -220,7 +232,7 @@ def test_fold_matches_letter_by_letter_oracles(pairs):
     word = _word(pairs)
     q, J, W = fox_fold(IMAGES, word)
     m = np.eye(2)
-    for s in word:
+    for s in word.letters:
         f = oracles.su2_matrix(IMAGES[abs(s) - 1])
         m = m @ (f if s > 0 else f.conj().T)
     want_J = oracles.fox_jacobian([word.letters], IMAGES)

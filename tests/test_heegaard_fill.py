@@ -11,7 +11,6 @@ bit for bit, and inconsistent gluing data to the parts or the error a
 lone call gives, at its own point, with nothing kept for an error.
 """
 
-import importlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -20,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2strata.cohomology as coh
 from su2strata import invariants, su2
 from su2strata.cohomology import DEFAULT_TOL
 from su2strata.errors import DomainError
@@ -27,8 +27,6 @@ from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard)
 from su2strata.presentations import (Representation, cyclic_group,
                                      free_group, generator)
-
-coh = importlib.import_module("su2strata.cohomology")
 
 
 def torus_element(theta):

@@ -316,6 +316,14 @@ def test_t3_chart_bound_is_inclusive(monkeypatch):
         enumerate_moduli("t3", samples=5)
 
 
+def test_lens_chart_bound_is_inclusive(monkeypatch):
+    import su2strata.invariants as inv
+    monkeypatch.setattr(inv, "MAX_CHART_POINTS", 16)   # 31 // 2 + 1
+    assert len(enumerate_moduli("lens", p=31, q=7)) == 16
+    with pytest.raises(InputError, match="17 points, more than 16"):
+        enumerate_moduli("lens", p=33, q=7)
+
+
 def test_unknown_example():
     with pytest.raises(DomainError):
         enumerate_moduli("k3")

@@ -1,4 +1,5 @@
 import json
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from su2strata import su2
 from su2strata.errors import PresentationError, ResidualError
-from su2strata.presentations import (EMPTY, Presentation, Representation,
+from su2strata.presentations import (Presentation, Representation,
                                      Word, commutator,
                                      cyclic_group, evaluate_images,
                                      format_word, fox_fold,
@@ -32,6 +33,24 @@ def test_words_are_freely_reduced(ls):
     assert Word(red).letters == red  # reduction is idempotent
 
 
+@given(st.lists(st.tuples(letters, st.integers(1, 4)), max_size=8))
+def test_runs_are_the_grouped_letters(pairs):
+    w = Word([s for s, k in pairs for _ in range(k)])
+    assert w.runs == tuple((s, len(list(g))) for s, g in groupby(w.letters))
+    assert all(abs(s) != abs(t) for (s, _), (t, _) in zip(w.runs, w.runs[1:]))
+
+
+@pytest.mark.parametrize("p", [1, 2, 1009])
+def test_a_power_is_one_run_by_every_route(p):
+    a = generator(0)
+    routes = [a ** p, Word((1,) * p), parse_word(" ".join(["a"] * p), ("a",)),
+              (a ** -p).inverse(), cyclic_group(p).relators[0],
+              Word((1, 2)) * Word((-2,) + (1,) * (p - 1))]
+    for w in routes:
+        assert w.runs == ((1, p),) and len(w) == p
+        assert w == routes[0] and hash(w) == hash(routes[0])
+
+
 @given(st.lists(letters, max_size=8), st.lists(letters, max_size=8))
 def test_word_multiplication_cancels_at_the_seam(a, b):
     w = Word(tuple(a)) * Word(tuple(b))
@@ -41,15 +60,15 @@ def test_word_multiplication_cancels_at_the_seam(a, b):
 @given(st.lists(letters, max_size=8))
 def test_inverse_law(ls):
     w = Word(tuple(ls))
-    assert (w * w.inverse()) == EMPTY
-    assert (w.inverse() * w) == EMPTY
+    assert (w * w.inverse()) == Word()
+    assert (w.inverse() * w) == Word()
 
 
 def test_powers():
     a = generator(0)
     assert (a ** 3).letters == (1, 1, 1)
     assert (a ** -2).letters == (-1, -1)
-    assert (a ** 0) == EMPTY
+    assert (a ** 0) == Word()
     aba = Word((1, 2, -1))          # cancels across copies
     assert (aba ** 3).letters == (1, 2, 2, 2, -1)
     assert (aba ** -2).letters == (1, -2, -2, -1)
@@ -61,7 +80,7 @@ def test_power_is_the_iterated_product(u, v, n):
     # u v u^-1 cancels across copies whenever u is not empty
     w = Word(tuple(u)) * Word(tuple(v)) * Word(tuple(u)).inverse()
     base = w if n >= 0 else w.inverse()
-    want = EMPTY
+    want = Word()
     for _ in range(abs(n)):
         want = want * base
     assert w ** n == want
@@ -76,7 +95,7 @@ def test_parse_format_roundtrip():
     for text in ("a1 b1 A1 B1", "a2", "B2 a1 a1"):
         w = parse_word(text, pres.generators)
         assert format_word(w, pres.generators) == text
-    assert parse_word("", pres.generators) == EMPTY
+    assert parse_word("", pres.generators) == Word()
     with pytest.raises(PresentationError):
         parse_word("q7", pres.generators)
 
@@ -292,7 +311,7 @@ def test_long_word_stays_unit_and_matches_matrix_product():
     assert len(word) == 10_000
     got = evaluate_images(images, word)
     m = np.eye(2)
-    for s in word:
+    for s in word.letters:
         f = oracles.su2_matrix(images[abs(s) - 1])
         m = m @ (f if s > 0 else f.conj().T)
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12

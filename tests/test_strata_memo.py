@@ -10,13 +10,13 @@ test agrees with a per-image oracle.
 """
 
 import gc
-import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2strata.cohomology as coh
 from su2strata import strata, su2
 from su2strata.errors import BoundaryAmbiguousError, StratumConflictError
 from su2strata.presentations import Representation, free_group
@@ -24,9 +24,6 @@ from su2strata.strata import classify_stratum, stratum_tangent_dim
 from su2strata.torsion import stratum_volume
 
 import oracles
-
-# the package re-exports the function `cohomology` under the module's name
-coh = importlib.import_module("su2strata.cohomology")
 
 
 def common_axis_images(rng, g):

@@ -1,21 +1,22 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+package attribute shadows a submodule.
 
 A stand-in for a linter's unused-import rule, read from each module's
 syntax tree: an imported name must appear as a name somewhere else in
-its module.  `__init__` is exempt, since its imports are the package's
-exports.
+its module.  The package re-exports nothing, so `__init__` is held to
+the same rule.
 """
 
 import ast
 import glob
 import os
+import types
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "su2strata")
-MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
-                 if os.path.basename(p) != "__init__.py")
+MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
 
 
 def unused_imports(source: str) -> list:
@@ -41,7 +42,16 @@ def test_every_import_is_used(path):
 
 def test_an_unused_import_is_found():
     source = ("from .presentations import Presentation, Word\n"
+              "import itertools\n"
               "import numpy as np\n"
               "x = np.zeros(3)\n"
               "y: Word = None\n")
-    assert unused_imports(source) == [(1, "Presentation")]
+    assert unused_imports(source) == [(1, "Presentation"), (2, "itertools")]
+
+
+def test_a_submodule_import_gives_the_module():
+    # a package-level `from .cohomology import cohomology` would rebind
+    # the attribute this import reads to the function
+    import su2strata.cohomology as coh
+    assert isinstance(coh, types.ModuleType)
+    assert coh.__name__ == "su2strata.cohomology"
