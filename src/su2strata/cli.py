@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, su2
 from .cohomology import (DEFAULT_TOL, build_d0, cohomology,
                          fill_cohomology, restrict_coefficients)
-from .conventions import CONVENTION_TAGS, MAX_P, SCHEMA_VERSION
+from .conventions import CONVENTION_TAGS, MAX_GENUS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
@@ -30,28 +30,19 @@ from .presentations import (Representation, free_group, gate_relators,
                             representation_from_json)
 from .strata import (classify_stratum, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
-from .symplectic import pairing_matrix
+from .symplectic import gram_matrix, pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
 
 _SCAN_CHUNK = 1024  # strata-scan samples analysed together
 
 
-def _jsonify(obj):
+def _json_value(obj):
+    """JSON for complex numbers ({"im", "re"}) and numpy values."""
     if isinstance(obj, complex):
         return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -76,11 +67,12 @@ def _table_lines(obj, prefix=""):
 
 
 def _emit(report: dict, fmt: str) -> None:
-    report = _jsonify(report)
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(_table_lines(report)) + "\n")
+    # json's C encoder runs only without indent: the table's fast path
+    text = json.dumps(report, sort_keys=True, default=_json_value,
+                      indent=2 if fmt == "json" else None)
+    if fmt == "table":
+        text = "\n".join(_table_lines(json.loads(text)))
+    sys.stdout.write(text + "\n")
 
 
 def _report(command: str, config: dict, result: dict) -> dict:
@@ -140,6 +132,16 @@ def _lens_parameters(p, q) -> None:
         raise InputError(f"lens needs gcd(p, q) = 1, got p = {p}, q = {q}")
 
 
+def _genus(args) -> int:
+    """--genus, before any sample: below 2 exits 1, above MAX_GENUS 2."""
+    if args.genus < 2:
+        raise DomainError(f"{args.command} needs genus >= 2")
+    if args.genus > MAX_GENUS:
+        raise InputError(f"{args.command} genus must be at most "
+                         f"{MAX_GENUS}, got {args.genus}")
+    return args.genus
+
+
 def _load_rep_file(path: str, polished: bool):
     data = _fields(_load_json(path), "input", {"schema"},
                    ("presentation", "images"))
@@ -196,9 +198,7 @@ def _cmd_cohomology(args) -> dict:
 
 
 def _cmd_strata_scan(args) -> dict:
-    g = args.genus
-    if g < 2:
-        raise DomainError("strata-scan needs genus >= 2")
+    g = _genus(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, g]))
     pres = free_group(g)
     counts = {0: 0, 1: 0, 3: 0}
@@ -229,9 +229,7 @@ def _cmd_strata_scan(args) -> dict:
 
 
 def _cmd_symplectic_check(args) -> dict:
-    g = args.genus
-    if g < 2:
-        raise DomainError("symplectic-check needs genus >= 2")
+    g = _genus(args)
     anti = 0.0
     cob = 0.0
     iso = 0.0
@@ -242,7 +240,7 @@ def _cmd_symplectic_check(args) -> dict:
         rep = sample_surface_representation(g, args.seed + s, args.tol)
         basis_h1 = cohomology(rep, args.tol).basis_h1
         W = pairing_matrix(rep)
-        G = basis_h1.T @ W @ basis_h1
+        G = gram_matrix(rep, basis_h1.T)
         anti = max(anti, float(np.abs(G + G.T).max()))
         sv = np.linalg.svd(G, compute_uv=False)
         ranks.append(int(np.sum(sv > args.tol * max(1.0, sv[0]))))

@@ -15,11 +15,11 @@ come from singular values against an absolute threshold, with warnings
 when a value sits within a factor of ten of the threshold.
 
 There is one analysis, `_system_cohomologies`, and it takes a list of
-coefficient systems: any list is analysed in one stacked pass
-(`fill_systems`; `fill_cohomology` fills a moduli chart's full and
-stabilizer-line systems with it), and `system_cohomology` is the batch
-of one.  Each summary is kept on its representation per coefficient
-basis and tol.
+coefficient systems: `fill_systems` analyses the systems whose summary
+is not kept yet in one stacked pass (`fill_cohomology` fills a moduli
+chart's full and stabilizer-line systems with it), and
+`system_cohomology` is the batch of one.  Summaries are kept in their
+representation's memo per coefficient basis and tol.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import Representation, Word, fox_jacobian_at, kept
+from .presentations import (Representation, Word, fill, fox_jacobian_at,
+                            kept)
 
 DEFAULT_TOL = 1e-8
 
@@ -68,10 +69,9 @@ def restricted_system(rep: Representation, part: str,
     where the common rotation axis gives the canonical splitting.  Each
     (part, tol) basis is made and checked once and kept, read-only, on
     the representation (the basis, not the system, so nothing kept
-    refers back to its representation); errors are raised again on
-    every call.
+    refers back to its representation).
     """
-    basis = kept(rep._strata, (part, tol), _restricted_basis, rep, part, tol)
+    basis = kept(rep, ("basis", part, tol), _restricted_basis, rep, part, tol)
     return CoefficientSystem(rep, basis)
 
 
@@ -189,12 +189,13 @@ def _threshold_warnings(name: str, sv: np.ndarray, tol: float) -> list:
 
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
-    """H0/H1 summary of one coefficient system, computed (as a batch of
-    one) once per representation, coefficient basis and tol and kept on
-    the representation.  The summary is read-only because every later
-    call shares it.  Errors are not kept: they are raised again each
-    call."""
-    return kept(sys.rep._cohomology, _memo_key(sys, tol), _analysis, sys, tol)
+    """H0/H1 summary of one coefficient system: a batch of one, as in
+    `fill_systems`, raising its error; read-only, as calls share it."""
+    (summary,) = fill((sys.rep,), (_memo_key(sys, tol),),
+                      lambda _: _system_cohomologies([sys], tol))
+    if isinstance(summary, Exception):
+        raise summary
+    return summary
 
 
 def _memo_key(sys: CoefficientSystem, tol: float) -> tuple:
@@ -202,40 +203,24 @@ def _memo_key(sys: CoefficientSystem, tol: float) -> tuple:
     return (basis.dtype.str, basis.shape, basis.tobytes(), tol)
 
 
-def _analysis(sys: CoefficientSystem, tol: float) -> CohomologySummary:
-    (summary,) = _system_cohomologies([sys], tol)
-    if isinstance(summary, Exception):
-        raise summary
-    return summary
-
-
 def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> None:
     """Keep, from one stacked analysis, the full-coefficient summary of
     every representation and, where h0 = 1, its stabilizer-line summary:
-    what `system_cohomology` would keep for them.  A failing analysis
-    keeps and raises nothing here; its own call raises it."""
+    what `system_cohomology` would keep for them."""
     full = fill_systems([full_system(rep) for rep in reps], tol)
     fill_systems([CoefficientSystem(rep, s.basis_h0)
                   for rep, s in zip(reps, full)
-                  if s is not None and s.h0 == 1], tol)
+                  if not isinstance(s, Exception) and s.h0 == 1], tol)
 
 
 def fill_systems(systems, tol: float = DEFAULT_TOL) -> list:
-    """Keep, from one stacked analysis, the summary `system_cohomology`
-    would keep for each of any coefficient systems, and return each
-    kept summary, or None where its analysis fails (that system's own
-    call raises the error; nothing is kept for it).  Each
-    (representation, basis) not yet kept is analysed once."""
-    keys = [_memo_key(sys, tol) for sys in systems]
-    todo = {}
-    for sys, key in zip(systems, keys):
-        if key not in sys.rep._cohomology:
-            todo.setdefault((id(sys.rep), key), sys)
-    found = _system_cohomologies(list(todo.values()), tol)
-    for ((_, key), sys), summary in zip(todo.items(), found):
-        if not isinstance(summary, Exception):
-            sys.rep._cohomology[key] = summary
-    return [sys.rep._cohomology.get(key) for sys, key in zip(systems, keys)]
+    """The summary of each coefficient system, or its analysis's error
+    in its place; each (representation, basis) not yet kept is analysed
+    once, all in one stacked pass."""
+    return fill([sys.rep for sys in systems],
+                [_memo_key(sys, tol) for sys in systems],
+                lambda todo: _system_cohomologies([systems[i] for i in todo],
+                                                  tol))
 
 
 def _stack(arrays: list) -> np.ndarray:

@@ -4,9 +4,11 @@ RELATOR_TOL is the default residual gate for accepting a
 representation's relators.  MAX_P bounds the lens p and q read from
 input; no rank rung certifies it yet (lens points near p/2 fail the d1
 rank test from p of about 1.2e4).  MAX_CHART_POINTS bounds the lens,
-s1xs2 and t3 charts, whose points are all held in memory at once.  Reports emitted by the CLI
-embed CONVENTION_TAGS and SCHEMA_VERSION so that numbers can be
-compared across runs.
+s1xs2 and t3 charts, whose points are all held in memory at once.
+MAX_GENUS bounds strata-scan and symplectic-check, whose memory grows
+as genus^2 (a strata-scan chunk: about 340 MB at 32).
+Reports emitted by the CLI embed CONVENTION_TAGS and SCHEMA_VERSION so
+that numbers can be compared across runs.
 """
 
 RELATOR_TOL = 1e-9
@@ -14,6 +16,8 @@ RELATOR_TOL = 1e-9
 MAX_P = 10**6
 
 MAX_CHART_POINTS = 20_000
+
+MAX_GENUS = 32
 
 CONVENTION_TAGS = {
     "metric": "ijk-orthonormal",

@@ -13,17 +13,17 @@ isolated lower-stratum points of weight 1.
 Every example is one chart driver (`_chart_points`) fed its rows and
 its splitting.  The driver builds every representation of the chart
 in one stacked pass and fills its cohomology in one stacked analysis
-(`fill_cohomology`).  With a splitting it then keeps every point's
+(`fill_cohomology`).  With a splitting it then fills every point's
 Heegaard parts (coefficient basis, handlebody and surface
-representations) on the point's representation and fills the
-cohomology of all their handlebody and surface systems in one more
-stacked analysis (`fill_systems`).  Each point's torsion follows its
-stratum: the unit half-density at stratum 0, elsewhere the splitting's
-Mayer-Vietoris torsion.  t3 has no built-in splitting, so its other
-points carry torsion = None until the caller supplies values.  The
-points are read in order from what is kept, so the verdicts and the
-first error raised are those of a point-by-point run;
-`heegaard_mv_torsion` called with no fill before it is a batch of one.
+representations) into the point's memo and the cohomology of all
+their handlebody and surface systems in one more stacked analysis.
+Each point's torsion follows its stratum: the unit half-density at
+stratum 0, elsewhere the splitting's Mayer-Vietoris torsion.  t3 has
+no built-in splitting, so its other points carry torsion = None until
+the caller supplies values.  The points are read in order from what is
+kept, so the verdicts and the first error raised are those of a
+point-by-point run; `heegaard_mv_torsion` called with no fill before
+it is a batch of one.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _keep_folds,
                             _representations, commutator, cyclic_group,
-                            evaluate_images, free_group, generator, kept,
-                            surface_group)
+                            evaluate_images, fill, free_group, generator,
+                            kept, surface_group)
 from .strata import StratumLabel, classify_stratum
-from .symplectic import pairing_matrix
+from .symplectic import gram_matrix
 from .torsion import TorsionValue, mayer_vietoris_torsion
 
 
@@ -135,8 +135,7 @@ def trace_fingerprint(rep: Representation) -> tuple:
     """Traces of generators, ordered pairs, and the full product,
     rounded to 1e-7: computed once and kept on the representation,
     where a chart's stacked pass keeps its row."""
-    return kept(rep._strata, "fingerprint",
-                lambda: tuple(_fingerprints(rep.images)))
+    return kept(rep, "fingerprint", lambda: tuple(_fingerprints(rep.images)))
 
 
 def _fingerprints(images: np.ndarray) -> list:
@@ -162,8 +161,7 @@ def find_conjugator(rep1: Representation, rep2: Representation):
     if a.shape != b.shape:
         return None
     q = np.linalg.svd(_conjugation_equations(a, b))[2][-1]
-    cur = np.array([su2.conjugate(img, q) for img in a])
-    if float(np.abs(cur - b).max()) < _CONJUGATOR_TOL:
+    if float(np.abs(su2.conjugate(a, q) - b).max()) < _CONJUGATOR_TOL:
         return q
     return None
 
@@ -243,26 +241,27 @@ def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
 def _heegaard_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
     """(basis, h1_rep, h2_rep, sigma_rep) of a splitting at each
     manifold rep, or the error a lone `heegaard_mv_torsion` raises
-    there, in its place.  Parts are kept on each rep per (splitting,
-    tol).  The reps without them get theirs from one stacked fold of
-    each handle word over all their images, and all their handlebody
-    and surface systems are analysed in one stacked pass."""
-    key = (heegaard, tol)
-    out = [rep._strata.get(key) for rep in n_reps]
-    todo = [i for i, parts in enumerate(out) if parts is None]
-    if not todo:
-        return out
-    for i in todo:
+    there, in its place; kept per (splitting, tol)."""
+    return fill(n_reps, [(heegaard, tol)] * len(n_reps),
+                lambda todo: _glued_parts(heegaard, [n_reps[i] for i in todo],
+                                          tol))
+
+
+def _glued_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
+    """`_heegaard_parts` of reps without them: one stacked fold per
+    handle word, one stacked analysis of their systems."""
+    out: list = []
+    for rep in n_reps:
         try:
-            label = classify_stratum(n_reps[i], tol)
+            label = classify_stratum(rep, tol)
             if label.i == 0:
                 raise DomainError(
                     "stratum 0 uses the constant unit torsion, not the "
                     "Mayer-Vietoris assembly")
-            out[i] = _stratum_basis(n_reps[i], label.i, tol)
+            out.append(_stratum_basis(rep, label.i, tol))
         except DomainError as e:
-            out[i] = e
-    based = [i for i in todo if not isinstance(out[i], Exception)]
+            out.append(e)
+    based = [i for i, b in enumerate(out) if not isinstance(b, Exception)]
     reps = [n_reps[i] for i in based]
     h1_pres, h2_pres, s_pres = heegaard.presentations
     h1s = _representations(
@@ -290,7 +289,7 @@ def _heegaard_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
             out[i] = sigma
         else:
             basis = out[i]
-            out[i] = n_reps[i]._strata[key] = (basis, h1, h2, sigma)
+            out[i] = (basis, h1, h2, sigma)
             systems += [CoefficientSystem(sub, basis)
                         for sub in (h1, h2, sigma)]
     fill_systems(systems, tol)
@@ -333,7 +332,7 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
     # harmonic surface classes embedded in full algebra coordinates
     s_sys, s_sum = ds
     E = np.kron(np.eye(s_sys.n), basis) @ s_sum.basis_h1
-    omega = E.T @ pairing_matrix(sigma_rep) @ E
+    omega = gram_matrix(sigma_rep, E.T)
 
     return mayer_vietoris_torsion(r1, r2, rho1, rho2, omega, tol)
 
@@ -444,10 +443,11 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
     reps = _representations(pres, images)
-    for rep, fingerprint in zip(reps, _fingerprints(images)):
+    for rep in reps:
         if isinstance(rep, Exception):
             raise rep
-        rep._strata["fingerprint"] = tuple(fingerprint)
+    fill(reps, ["fingerprint"] * len(reps),
+         lambda todo: list(map(tuple, _fingerprints(images[todo]))))
     fill_cohomology(reps, tol)
     if heegaard is not None:
         _heegaard_parts(heegaard, reps, tol)

@@ -190,21 +190,17 @@ class Representation:
     The images are a read-only copy of what the caller passed; a
     non-finite or non-unit image is refused.  Each relator is folded
     once, here, to its holonomy (`relator_values`, read by the gate)
-    and its Fox row, both kept read-only; no cup-product matrix is
-    formed.  Everything else is computed on first use and kept
-    read-only too: the holonomy and Fox row of other words (`fold`),
-    the Ad stack (`adjoints`), the surface relator's cup-product matrix
-    (`symplectic.pairing_matrix`), and the cohomology summaries, stratum
-    labels, restricted coefficient bases and Heegaard parts that
-    `cohomology`, `strata` and `invariants` keep.  Errors are never
-    kept.  The representations of a moduli chart are built together, by
-    `_representations`, and keep read-only views of their rows of its
-    stacked results.
+    and its Fox row; no cup-product matrix is formed.  All else it
+    keeps, read-only, is in one memo that only `kept` (one value) and
+    `fill` (a batch) touch: folds of other words, the Ad stack, the
+    pairing matrix, cohomology summaries, stratum labels, restricted
+    bases, fingerprints and Heegaard parts.  Errors are never kept.  A
+    chart's representations are built together (`_representations`)
+    and keep read-only views of their rows of its stacked results.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
-                 "relator_residual", "_jacobian", "_pairing", "_folds",
-                 "_adjoints", "_cohomology", "_strata")
+                 "relator_residual", "_jacobian", "_kept")
 
     def __init__(self, presentation: Presentation, images,
                  tol: float = RELATOR_TOL):
@@ -218,15 +214,13 @@ class Representation:
         self._keep(presentation, images, *_relator_folds(presentation, images))
         gate_relators(self, tol)
 
-    def _keep(self, presentation, images, relator_values, jacobian,
-              residual, adjoints=None):
+    def _keep(self, presentation, images, relator_values, jacobian, residual):
         self.presentation = presentation
         self.images = images
         self.relator_values = relator_values
         self._jacobian = jacobian
         self.relator_residual = float(residual)
-        self._folds, self._adjoints, self._pairing = {}, adjoints, None
-        self._cohomology, self._strata = {}, {}
+        self._kept = {}
 
     @classmethod
     def trivial(cls, presentation: Presentation) -> "Representation":
@@ -240,20 +234,18 @@ class Representation:
     def fold(self, word: Word):
         """(q, J) of a word's `fox_fold` at these images, kept read-only,
         so the holonomy and the Fox row of one word share one fold."""
-        return kept(self._folds, word, lambda: tuple(
+        return kept(self, word, lambda: tuple(
             _read_only(a) for a in _fold(self.images, word, {}, False)))
 
     @property
     def adjoints(self) -> np.ndarray:
         """Read-only (n, 3, 3) stack of Ad(image), one `su2.ad` each."""
-        if self._adjoints is None:
-            self._adjoints = _read_only(np.array(
-                [su2.ad(x) for x in self.images]).reshape(-1, 3, 3))
-        return self._adjoints
+        return kept(self, "adjoints", lambda: _read_only(np.array(
+            [su2.ad(x) for x in self.images]).reshape(-1, 3, 3)))
 
     def conjugated(self, q: np.ndarray) -> "Representation":
-        images = np.array([su2.conjugate(img, q) for img in self.images])
-        return Representation(self.presentation, images, tol=np.inf)
+        return Representation(self.presentation,
+                              su2.conjugate(self.images, q), tol=np.inf)
 
 
 def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
@@ -311,7 +303,6 @@ def _representations(presentation: Presentation, images) -> list:
     # rows that fail the unit gate fold to garbage, never read
     with np.errstate(all="ignore"):
         values, jacobian, residual = _relator_folds(presentation, images)
-    adjoints = _read_only(su2.ad(images))
     out = []
     for i, (is_unit, r) in enumerate(zip(unit, residual.tolist())):
         if not is_unit:
@@ -320,35 +311,58 @@ def _representations(presentation: Presentation, images) -> list:
             out.append(_residual_error(r, RELATOR_TOL))
         else:
             rep = Representation.__new__(Representation)
-            rep._keep(presentation, images[i], values[i], jacobian[i], r,
-                      adjoints[i])
+            rep._keep(presentation, images[i], values[i], jacobian[i], r)
             out.append(rep)
+    reps = [rep for rep in out if isinstance(rep, Representation)]
+    fill(reps, ["adjoints"] * len(reps), lambda todo: _read_only(
+        su2.ad(np.array([reps[i].images for i in todo]))))
     return out
 
 
 def _keep_folds(reps, words) -> np.ndarray:
-    """Fold each word once over the stacked images of representations
-    of one presentation, and keep each row's (q, J) on its
-    representation, as `Representation.fold` would; return the
-    holonomies as (N, len(words), 4)."""
-    if not reps:
-        return np.zeros((0, len(words), 4))
-    images = np.array([rep.images for rep in reps])
-    letters: dict = {}
-    folds = {w: tuple(_read_only(a) for a in _fold(images, w, letters, False))
-             for w in dict.fromkeys(words)}
-    for i, rep in enumerate(reps):
-        for w, (q, J) in folds.items():
-            rep._folds.setdefault(w, (q[i], J[i]))
-    return np.stack([folds[w][0] for w in words], axis=-2)
+    """Keep on each representation (all of one presentation) each
+    word's fold, from one fold of the word over their stacked images;
+    return the holonomies as (N, len(words), 4)."""
+    k = len(words)
+
+    def folds(todo):
+        images = np.array([rep.images for rep in reps])
+        letters: dict = {}
+        stacked = {w: tuple(map(_read_only, _fold(images, w, letters, False)))
+                   for w in dict.fromkeys(words)}
+        rows = [(stacked[words[i % k]], i // k) for i in todo]
+        return [(q[r], J[r]) for (q, J), r in rows]
+
+    held = fill([rep for rep in reps for _ in words], list(words) * len(reps),
+                folds)
+    return np.array([q for q, _ in held]).reshape(len(reps), k, 4)
 
 
-def kept(memo: dict, key, compute, *args):
-    """memo[key], from compute(*args) on the first call only.  What
-    compute raises is raised again on every call and never kept."""
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
+def kept(rep: Representation, key, compute, *args):
+    """rep's value for key, compute(*args) once; errors are not kept."""
+    if key not in rep._kept:
+        rep._kept[key] = compute(*args)
+    return rep._kept[key]
+
+
+def fill(reps, keys, compute) -> list:
+    """What each reps[i] keeps for keys[i], or in its place the error
+    computing it gives.  Pairs not yet kept are computed in one call,
+    compute(todo), given each one's first index and returning a value
+    (never None) or an error for each; only values are kept."""
+    out, todo = [], {}
+    for i, (rep, key) in enumerate(zip(reps, keys)):
+        out.append(rep._kept.get(key))
+        if out[i] is None:
+            todo.setdefault((id(rep), key), []).append(i)
+    if todo:
+        for at, value in zip(todo.values(),
+                             compute([at[0] for at in todo.values()])):
+            if not isinstance(value, Exception):
+                reps[at[0]]._kept[keys[at[0]]] = value
+            for i in at:
+                out[i] = value
+    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ def _algebraic_stabilizer_dim(images: np.ndarray, tol: float) -> int:
 def classify_stratum(rep: Representation,
                      tol: float = DEFAULT_TOL) -> StratumLabel:
     """The representation's stratum, computed once per tol and kept."""
-    return kept(rep._strata, ("label", tol), _classify_stratum, rep, tol)
+    return kept(rep, ("label", tol), _classify_stratum, rep, tol)
 
 
 def _classify_stratum(rep: Representation, tol: float) -> StratumLabel:
@@ -141,7 +141,7 @@ def sample_stratum(g: int, i: int, seed: int,
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             angles = rng.uniform(0.2, np.pi - 0.2, size=g)
-            images = np.array([su2.exp(t * axis) for t in angles])
+            images = su2.exp(angles[:, None] * axis)
         else:
             images = np.array([su2.random_element(rng) for _ in range(g)])
         rep = Representation(pres, images)

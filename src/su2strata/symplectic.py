@@ -28,7 +28,7 @@ import numpy as np
 from . import su2
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError
-from .presentations import Representation, Word, fox_fold
+from .presentations import Representation, Word, _read_only, fox_fold, kept
 
 
 def pairing_matrix(rep: Representation) -> np.ndarray:
@@ -38,11 +38,8 @@ def pairing_matrix(rep: Representation) -> np.ndarray:
     kept on the representation; nothing else forms W."""
     if rep.presentation.kind != "surface":
         raise DomainError("the pairing needs a surface presentation")
-    if rep._pairing is None:
-        W = fox_fold(rep.images, rep.presentation.relators[0])[2]
-        W.flags.writeable = False
-        rep._pairing = W
-    return rep._pairing
+    return kept(rep, "pairing", lambda: _read_only(
+        fox_fold(rep.images, rep.presentation.relators[0])[2]))
 
 
 def goldman_form(rep: Representation, u: np.ndarray, v: np.ndarray) -> float:

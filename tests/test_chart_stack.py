@@ -128,7 +128,7 @@ def test_s1xs2_handle_folds_are_kept_on_each_point():
     assert len(interior) == 5
     for rep in interior:
         word = heegaard.handle1_to_manifold[0]
-        q, J = rep._folds[word]
+        q, J = rep._kept[word]
         assert _same(q, rep.images[0]) and not J.flags.writeable
 
 

@@ -410,6 +410,33 @@ def test_strata_scan_rejects_genus_one(capsys):
     assert code == 1 and "genus" in err
 
 
+def _no_samples(*args, **kwargs):
+    raise AssertionError("a sample was drawn")
+
+
+@pytest.mark.parametrize("command", ["strata-scan", "symplectic-check"])
+def test_genus_bound_is_checked_before_any_sample(capsys, monkeypatch,
+                                                  command):
+    # a genus this large used to go on to build its free group and draw
+    import su2strata.cli as cli
+    for name in ("free_group", "sample_surface_representation"):
+        monkeypatch.setattr(cli, name, _no_samples)
+    monkeypatch.setattr(su2, "random_element", _no_samples)
+    code, out, err = run(capsys, command, "--genus", "1000000000")
+    assert code == 2 and out == ""
+    assert "at most 32, got 1000000000" in err
+
+
+@pytest.mark.parametrize("command", ["strata-scan", "symplectic-check"])
+def test_genus_bound_is_inclusive(capsys, monkeypatch, command):
+    import su2strata.cli as cli
+    monkeypatch.setattr(cli, "MAX_GENUS", 3)
+    code, out, _ = run(capsys, command, "--genus", "3", "--samples", "1")
+    assert code == 0 and json.loads(out)["result"]["genus"] == 3
+    code, out, err = run(capsys, command, "--genus", "4", "--samples", "1")
+    assert code == 2 and out == "" and "at most 3, got 4" in err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["strata-scan", "--genus", "2", "--samples", "5"],

@@ -117,7 +117,7 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
     coh.fill_cohomology(reps)
     batch = invariants._heegaard_parts(bad, reps, DEFAULT_TOL)
     glued = {n for n, rep in enumerate(reps)
-             if (bad, DEFAULT_TOL) in rep._strata}
+             if (bad, DEFAULT_TOL) in rep._kept}
     assert glued == {3, 6}
     # at each position, the batch holds what a lone call gives there
     for n, parts in enumerate(batch):
@@ -142,7 +142,7 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
             heegaard_mv_torsion(bad, fresh)
         assert str(filled.value) == str(lone.value)
         assert "gluing data is inconsistent" in str(lone.value)
-        assert (bad, DEFAULT_TOL) not in rep._strata
+        assert (bad, DEFAULT_TOL) not in rep._kept
     # in the chart, the first failing point (n = 1) raises first
     monkeypatch.setattr(invariants, "lens_heegaard", lambda p, q: bad)
     with pytest.raises(DomainError) as chart:

@@ -10,10 +10,11 @@ from su2strata import su2
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.presentations import (Presentation, Representation,
                                      Word, commutator,
-                                     cyclic_group, evaluate_images,
+                                     cyclic_group, evaluate_images, fill,
                                      format_word, fox_fold,
                                      fox_jacobian_at, free_group,
-                                     gate_relators, generator, parse_word,
+                                     gate_relators, generator, kept,
+                                     parse_word,
                                      polish_images,
                                      presentation_from_json,
                                      presentation_to_json, relator_residual,
@@ -379,3 +380,23 @@ def test_representation_json_missing_image():
     del data["a1"]
     with pytest.raises(PresentationError):
         representation_from_json(data, rep.presentation)
+
+
+def test_fill_computes_each_missing_pair_once_and_keeps_only_values():
+    a = Representation.trivial(free_group(1))
+    b = Representation.trivial(free_group(2))
+    calls = []
+
+    def compute(todo):
+        calls.append(todo)
+        return [ValueError("no") if i == 1 else f"v{i}" for i in todo]
+
+    # (a, k) twice, (b, k) failing, (b, j): one call, first indices
+    got = fill([a, b, a, b], ["k", "k", "k", "j"], compute)
+    assert calls == [[0, 1, 3]]
+    assert [got[0], got[2], got[3]] == ["v0", "v0", "v3"]
+    assert isinstance(got[1], ValueError)
+    assert fill([a, b, b], ["k", "j", "j"], compute) == ["v0", "v3", "v3"]
+    assert len(calls) == 1                   # nothing missing, no call
+    assert kept(b, "k", lambda: "w") == "w"  # the error was not kept
+    assert kept(b, "k", lambda: "x") == "w"
