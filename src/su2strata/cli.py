@@ -33,7 +33,9 @@ from .strata import (classify_stratum, handlebody_representation,
 from .symplectic import gram_matrix, pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
 
-_SCAN_CHUNK = 1024  # strata-scan samples analysed together
+# strata-scan analyses max(1, _SCAN_BUDGET // g**2) samples together, so
+# a chunk holds about as many (3g x 3g) matrices at every genus
+_SCAN_BUDGET = 1024 * 8**2
 
 
 def _json_value(obj):
@@ -206,10 +208,11 @@ def _cmd_strata_scan(args) -> dict:
     h1m5 = {0: set(), 1: set(), 3: set()}
     # samples are drawn in order and analysed a chunk at a time, so
     # memory stays bounded however many are asked for
-    for start in range(0, args.samples, _SCAN_CHUNK):
+    chunk = max(1, _SCAN_BUDGET // g**2)
+    for start in range(0, args.samples, chunk):
         reps = [Representation(pres, np.array(
                     [su2.random_element(rng) for _ in range(g)]))
-                for _ in range(min(_SCAN_CHUNK, args.samples - start))]
+                for _ in range(min(chunk, args.samples - start))]
         fill_cohomology(reps, args.tol)
         for rep in reps:
             label = classify_stratum(rep, args.tol)

@@ -12,7 +12,9 @@ d0 reads the representation's kept Ad stack.
 H^0 and H^1 are presentation-independent; nothing above degree one is
 exposed because the 2-complex ceases to model the group there.  Ranks
 come from singular values against an absolute threshold, with warnings
-when a value sits within a factor of ten of the threshold.
+when a value sits within a factor of ten of the threshold.  The H^1
+basis is harmonic: ker d1 ∩ ker d0ᵀ, the null space of d1 stacked on
+d0ᵀ.
 
 There is one analysis, `_system_cohomologies`, and it takes a list of
 coefficient systems: `fill_systems` analyses the systems whose summary
@@ -229,8 +231,8 @@ def _stack(arrays: list) -> np.ndarray:
 
 def _system_cohomologies(systems, tol: float) -> list:
     """The summary of each system, or the error its analysis raises.
-    d0 and d1 are stacked per shape (k, n, m), one SVD per stack, and
-    the harmonic step is one SVD per shape and (rank d0, rank d1); a
+    d0 and d1 are stacked per shape (k, n, m), and each shape takes
+    three stacked SVDs: of d0, of d1 and of d1 stacked on d0ᵀ; a
     stacked SVD gives each matrix what its own SVD gives.  The checks
     run per system, in the order a lone analysis meets them."""
     out: list = [None] * len(systems)
@@ -244,18 +246,16 @@ def _system_cohomologies(systems, tol: float) -> list:
             continue
         d0 = system_d0(sys)
         d1 = system_d1(sys)
-        if d1.shape[0]:
-            comp = float(np.linalg.norm(d1 @ d0))
-            if comp > 100 * tol:
-                out[i] = ResidualError(
-                    f"d1 d0 composite norm {comp:.3e}; complex is broken")
-                continue
+        comp = float(np.linalg.norm(d1 @ d0))
+        if comp > 100 * tol:
+            out[i] = ResidualError(
+                f"d1 d0 composite norm {comp:.3e}; complex is broken")
+            continue
         shapes.setdefault((sys.k, *d1.shape), []).append((i, d0, d1))
-    for (k, mk, nk), group in shapes.items():
+    for group in shapes.values():
         idx = [i for i, _, _ in group]
         try:
-            _shape_cohomologies(out, idx, k, mk, nk,
-                                _stack([d0 for _, d0, _ in group]),
+            _shape_cohomologies(out, idx, _stack([d0 for _, d0, _ in group]),
                                 _stack([d1 for _, _, d1 in group]), tol)
         except np.linalg.LinAlgError as e:
             for i in idx:
@@ -263,63 +263,46 @@ def _system_cohomologies(systems, tol: float) -> list:
     return out
 
 
-def _shape_cohomologies(out: list, idx: list, k: int, mk: int, nk: int,
-                        D0: np.ndarray, D1: np.ndarray, tol: float) -> None:
+def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
+                        D1: np.ndarray, tol: float) -> None:
     """Fill out[idx] from the stacked d0 (N, nk, k) and d1 (N, mk, nk)
-    of one shape."""
-    U0, S0, VT0 = np.linalg.svd(D0)
+    of one shape.  d1 and d0ᵀ have orthogonal row spaces, so d1 stacked
+    on d0ᵀ has rank rank d0 + rank d1, and its trailing right singular
+    vectors span the harmonic space."""
+    nk, k = D0.shape[1:]
+    _, S0, VT0 = np.linalg.svd(D0, full_matrices=False)
+    S1 = np.linalg.svd(D1, compute_uv=False)
+    _, SH, VTH = np.linalg.svd(np.concatenate([D1, D0.swapaxes(1, 2)],
+                                              axis=1))
     ranks0, sv0 = (S0 > tol).sum(axis=1).tolist(), S0.tolist()
-    if mk:
-        _, S1, VT1 = np.linalg.svd(D1)
-        ranks1, sv1 = (S1 > tol).sum(axis=1).tolist(), S1.tolist()
-    else:
-        ranks1, sv1 = [0] * len(idx), [[]] * len(idx)
-    harmonic: dict = {}
-    for g, (rank0, rank1) in enumerate(zip(ranks0, ranks1)):
-        if nk - rank1 - rank0 < 0:
-            out[idx[g]] = RankAmbiguityError(
-                f"negative h1 = {nk - rank1} - {rank0}; rank thresholds "
-                f"failed")
-        elif nk - rank1 - rank0:
-            harmonic.setdefault((rank0, rank1), []).append(g)
-    bases = {}
-    for (rank0, rank1), gs in harmonic.items():
-        part = gs if len(gs) < len(idx) else slice(None)
-        im0 = U0[part][:, :, :rank0]
-        ker1 = VT1[part][:, rank1:].swapaxes(1, 2) if mk else np.eye(nk)
-        um, sm, _ = np.linalg.svd(
-            ker1 - im0 @ (im0.swapaxes(1, 2) @ ker1), full_matrices=False)
-        keep = sm > 0.5
-        bases.update(zip(gs, zip(um, keep, keep.sum(axis=1).tolist())))
+    ranks1, sv1 = (S1 > tol).sum(axis=1).tolist(), S1.tolist()
+    ranksh = (SH > tol).sum(axis=1).tolist()
     for g, i in enumerate(idx):
-        if out[i] is not None:
-            continue
-        rank0, z1 = ranks0[g], nk - ranks1[g]
+        rank0, rank1 = ranks0[g], ranks1[g]
+        z1 = nk - rank1
         h0, h1 = k - rank0, z1 - rank0
-        if h1:
-            um, keep, count = bases[g]
-            if count != h1:
-                out[i] = RankAmbiguityError(
-                    f"harmonic projection produced {count} vectors, "
-                    f"expected {h1}")
-                continue
-            basis_h1 = _canonical_signs(um[:, keep])
-        else:
-            basis_h1 = np.zeros((nk, 0))
-        if k == 3 and h0 not in (0, 1, 3):
+        if h1 < 0:
+            out[i] = RankAmbiguityError(
+                f"negative h1 = {z1} - {rank0}; rank thresholds failed")
+        elif ranksh[g] != rank0 + rank1:
+            out[i] = RankAmbiguityError(
+                f"d1 stacked on d0^T has rank {ranksh[g]}, expected "
+                f"rank d0 + rank d1 = {rank0 + rank1}")
+        elif k == 3 and h0 not in (0, 1, 3):
             out[i] = RankAmbiguityError(
                 f"h0 = {h0} is impossible for full coefficients; "
                 f"tolerance {tol:.1e} is misplaced")
-            continue
-        basis_h0 = _canonical_signs(VT0[g, rank0:].T)
-        basis_h0.flags.writeable = basis_h1.flags.writeable = False
-        out[i] = CohomologySummary(
-            h0=h0, h1=h1, z1=z1, coefficient_dim=k,
-            basis_h0=basis_h0, basis_h1=basis_h1,
-            singular_values=MappingProxyType(
-                {"d0": tuple(sv0[g]), "d1": tuple(sv1[g])}),
-            warnings=tuple(_threshold_warnings("d0", sv0[g], tol)
-                           + _threshold_warnings("d1", sv1[g], tol)))
+        else:
+            basis_h0 = _canonical_signs(VT0[g, rank0:].T)
+            basis_h1 = _canonical_signs(VTH[g, rank0 + rank1:].T)
+            basis_h0.flags.writeable = basis_h1.flags.writeable = False
+            out[i] = CohomologySummary(
+                h0=h0, h1=h1, z1=z1, coefficient_dim=k,
+                basis_h0=basis_h0, basis_h1=basis_h1,
+                singular_values=MappingProxyType(
+                    {"d0": tuple(sv0[g]), "d1": tuple(sv1[g])}),
+                warnings=tuple(_threshold_warnings("d0", sv0[g], tol)
+                               + _threshold_warnings("d1", sv1[g], tol)))
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:

@@ -5,8 +5,11 @@ representation's relators.  MAX_P bounds the lens p and q read from
 input; no rank rung certifies it yet (lens points near p/2 fail the d1
 rank test from p of about 1.2e4).  MAX_CHART_POINTS bounds the lens,
 s1xs2 and t3 charts, whose points are all held in memory at once.
-MAX_GENUS bounds strata-scan and symplectic-check, whose memory grows
-as genus^2 (a strata-scan chunk: about 340 MB at 32).
+MAX_GENUS bounds strata-scan and symplectic-check.  A strata-scan chunk
+holds a fixed budget of (3g x 3g) matrices, so its peak memory stays
+flat in genus (about 46 MB RSS); one symplectic-check sample folds a
+dense (6g x 6g) W per surface letter, so its memory grows as genus^3
+(about 165 MB RSS at 48, 336 MB at 64).
 Reports emitted by the CLI embed CONVENTION_TAGS and SCHEMA_VERSION so
 that numbers can be compared across runs.
 """
@@ -17,7 +20,7 @@ MAX_P = 10**6
 
 MAX_CHART_POINTS = 20_000
 
-MAX_GENUS = 32
+MAX_GENUS = 48
 
 CONVENTION_TAGS = {
     "metric": "ijk-orthonormal",

@@ -133,6 +133,8 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", _check_names(self.generators))
         n = len(self.generators)
+        if not n:
+            raise PresentationError("a presentation needs a generator")
         for r in self.relators:
             for s, _ in r.runs:
                 if abs(s) > n:

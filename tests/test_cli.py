@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,7 +425,7 @@ def test_genus_bound_is_checked_before_any_sample(capsys, monkeypatch,
     monkeypatch.setattr(su2, "random_element", _no_samples)
     code, out, err = run(capsys, command, "--genus", "1000000000")
     assert code == 2 and out == ""
-    assert "at most 32, got 1000000000" in err
+    assert "at most 48, got 1000000000" in err
 
 
 @pytest.mark.parametrize("command", ["strata-scan", "symplectic-check"])
@@ -435,6 +436,28 @@ def test_genus_bound_is_inclusive(capsys, monkeypatch, command):
     assert code == 0 and json.loads(out)["result"]["genus"] == 3
     code, out, err = run(capsys, command, "--genus", "4", "--samples", "1")
     assert code == 2 and out == "" and "at most 3, got 4" in err
+
+
+def test_strata_scan_report_does_not_depend_on_the_chunk(capsys,
+                                                         monkeypatch):
+    import su2strata.cli as cli
+    argv = ("strata-scan", "--genus", "9", "--samples", "40")
+    code, whole, _ = run(capsys, *argv)    # one chunk at the default
+    monkeypatch.setattr(cli, "_SCAN_BUDGET", 1)     # one sample a chunk
+    code_single, single, _ = run(capsys, *argv)
+    assert code == code_single == 0 and single == whole
+
+
+def test_strata_scan_memory_does_not_grow_with_genus(capsys):
+    # a fixed 1024-sample chunk peaked near 75 MiB at genus 32
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "strata-scan", "--genus", "32",
+                         "--samples", "256")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 25 * 2**20
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

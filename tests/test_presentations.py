@@ -106,6 +106,8 @@ def test_generator_name_rules():
         Presentation(("a", "A"), ())   # case-insensitively distinct
     with pytest.raises(PresentationError):
         Presentation(("X",), ())       # needs a lowercase letter
+    with pytest.raises(PresentationError, match="needs a generator"):
+        Presentation((), ())
 
 
 def test_builtin_presentations():
