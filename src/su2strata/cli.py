@@ -274,6 +274,8 @@ def _torsion_from_sequence(spec: dict, tol: float) -> dict:
     _fields(spec, "sequence", required=("dims", "maps"))
     dims, maps = spec["dims"], spec["maps"]
     try:
+        if not all(type(d) is int and d >= 0 for d in dims):
+            raise InputError(f"dims must be non-negative integers, got {dims}")
         if len(maps) != len(dims) - 1:
             raise InputError(f"{len(dims)} spaces need {len(dims) - 1} "
                              f"maps, got {len(maps)}")

@@ -13,17 +13,18 @@ isolated lower-stratum points of weight 1.
 Every example is one chart driver (`_chart_points`) fed its rows and
 its splitting.  The driver builds every representation of the chart
 in one stacked pass and fills its cohomology in one stacked analysis
-(`fill_cohomology`).  With a splitting it then fills every point's
-Heegaard parts (coefficient basis, handlebody and surface
-representations) into the point's memo and the cohomology of all
-their handlebody and surface systems in one more stacked analysis.
-Each point's torsion follows its stratum: the unit half-density at
-stratum 0, elsewhere the splitting's Mayer-Vietoris torsion.  t3 has
-no built-in splitting, so its other points carry torsion = None until
-the caller supplies values.  The points are read in order from what is
-kept, so the verdicts and the first error raised are those of a
-point-by-point run; `heegaard_mv_torsion` called with no fill before
-it is a batch of one.
+(`fill_cohomology`).  With a splitting, one Mayer-Vietoris builder
+(`_glued_torsions`) then makes every point's handlebody and surface
+representations, analyses their systems and the point's own in one
+more stacked analysis, and keeps only each point's torsion in its
+memo.  Each point's torsion follows its stratum: the unit
+half-density at stratum 0, elsewhere the splitting's Mayer-Vietoris
+torsion.  t3 has no built-in splitting, so its other points carry
+torsion = None until the caller supplies values.  The points are read
+in order, each torsion or error in its place, so the verdicts and the
+first error raised are those of a point-by-point run;
+`heegaard_mv_torsion` called with no fill before it is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class HeegaardData:
     handle2_to_manifold: tuple
 
     def __post_init__(self):
-        # a splitting keys the Heegaard parts kept on each point's
+        # a splitting keys the torsion kept on each point's
         # representation, so its sequences are held as tuples
         for f in fields(self)[2:]:
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
@@ -238,18 +239,20 @@ def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
     return stabilizer_axis(rep, tol).reshape(3, 1)
 
 
-def _heegaard_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
-    """(basis, h1_rep, h2_rep, sigma_rep) of a splitting at each
-    manifold rep, or the error a lone `heegaard_mv_torsion` raises
-    there, in its place; kept per (splitting, tol)."""
+def _mv_torsions(heegaard: HeegaardData, n_reps, tol: float) -> list:
+    """The Mayer-Vietoris torsion of a splitting at each manifold rep,
+    or the error a lone `heegaard_mv_torsion` raises there, in its
+    place; kept per (splitting, tol)."""
     return fill(n_reps, [(heegaard, tol)] * len(n_reps),
-                lambda todo: _glued_parts(heegaard, [n_reps[i] for i in todo],
-                                          tol))
+                lambda todo: _glued_torsions(
+                    heegaard, [n_reps[i] for i in todo], tol))
 
 
-def _glued_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
-    """`_heegaard_parts` of reps without them: one stacked fold per
-    handle word, one stacked analysis of their systems."""
+def _glued_torsions(heegaard: HeegaardData, n_reps, tol: float) -> list:
+    """`_mv_torsions` of reps without them: one stacked fold per handle
+    word, one stacked analysis of the manifold, handle and surface
+    systems not yet kept, then each rep's sequence.  The handle and
+    surface representations are made here and not kept."""
     out: list = []
     for rep in n_reps:
         try:
@@ -278,7 +281,7 @@ def _glued_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
     via1 = _keep_folds([h1 for _, h1, _ in glued], heegaard.surface_to_handle1)
     via2 = _keep_folds([h2 for _, _, h2 in glued], heegaard.surface_to_handle2)
     gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
-    systems = []
+    systems = {}
     for (i, h1, h2), gap, sigma in zip(glued, gaps,
                                        _representations(s_pres, via1)):
         if gap > 100 * tol:
@@ -288,53 +291,42 @@ def _glued_parts(heegaard: HeegaardData, n_reps, tol: float) -> list:
         elif isinstance(sigma, Exception):
             out[i] = sigma
         else:
-            basis = out[i]
-            out[i] = (basis, h1, h2, sigma)
-            systems += [CoefficientSystem(sub, basis)
-                        for sub in (h1, h2, sigma)]
-    fill_systems(systems, tol)
+            systems[i] = [CoefficientSystem(sub, out[i])
+                          for sub in (n_reps[i], h1, h2, sigma)]
+    summaries = iter(fill_systems(
+        [sys for four in systems.values() for sys in four], tol))
+    for i, (n_sys, h1_sys, h2_sys, s_sys) in systems.items():
+        sums = [next(summaries) for _ in range(4)]
+        errors = [s for s in sums if isinstance(s, Exception)]
+        if errors:
+            out[i] = errors[0]
+            continue
+        bn, b1, b2, bs = (s.basis_h1 for s in sums)
+        # restrictions in harmonic h1 coordinates, and the harmonic
+        # surface classes embedded in full algebra coordinates
+        r1 = b1.T @ pullback_matrix(n_sys, heegaard.handle1_to_manifold) @ bn
+        r2 = b2.T @ pullback_matrix(n_sys, heegaard.handle2_to_manifold) @ bn
+        rho1 = bs.T @ pullback_matrix(h1_sys, heegaard.surface_to_handle1) @ b1
+        rho2 = bs.T @ pullback_matrix(h2_sys, heegaard.surface_to_handle2) @ b2
+        E = np.kron(np.eye(s_sys.n), s_sys.basis) @ bs
+        try:
+            out[i] = mayer_vietoris_torsion(
+                r1, r2, rho1, rho2, gram_matrix(s_sys.rep, E.T), tol)
+        except DomainError as e:
+            out[i] = e
     return out
-
-
-def _h1_data(rep: Representation, basis: np.ndarray, tol: float):
-    sys = CoefficientSystem(rep, basis)
-    return sys, system_cohomology(sys, tol)
-
-
-def _restriction_matrix(target, source, word_map) -> np.ndarray:
-    """Matrix of the cocycle pullback in harmonic h1 coordinates."""
-    (_, t_sum), (s_sys, s_sum) = target, source
-    return t_sum.basis_h1.T @ pullback_matrix(s_sys, word_map) \
-        @ s_sum.basis_h1
 
 
 def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
                         tol: float = DEFAULT_TOL) -> TorsionValue:
     """Mayer-Vietoris torsion of a splitting at a manifold rep, with
     coefficients picked by the rep's stratum (full algebra at
-    irreducible points, the stabilizer line at reducible ones).  The
-    Heegaard parts and their summaries are those a chart kept, or are
-    made here as a batch of one."""
-    (parts,) = _heegaard_parts(heegaard, [n_rep], tol)
-    if isinstance(parts, Exception):
-        raise parts
-    basis, h1_rep, h2_rep, sigma_rep = parts
-    dn = _h1_data(n_rep, basis, tol)
-    dh1 = _h1_data(h1_rep, basis, tol)
-    dh2 = _h1_data(h2_rep, basis, tol)
-    ds = _h1_data(sigma_rep, basis, tol)
-
-    r1 = _restriction_matrix(dh1, dn, heegaard.handle1_to_manifold)
-    r2 = _restriction_matrix(dh2, dn, heegaard.handle2_to_manifold)
-    rho1 = _restriction_matrix(ds, dh1, heegaard.surface_to_handle1)
-    rho2 = _restriction_matrix(ds, dh2, heegaard.surface_to_handle2)
-
-    # harmonic surface classes embedded in full algebra coordinates
-    s_sys, s_sum = ds
-    E = np.kron(np.eye(s_sys.n), basis) @ s_sum.basis_h1
-    omega = gram_matrix(sigma_rep, E.T)
-
-    return mayer_vietoris_torsion(r1, r2, rho1, rho2, omega, tol)
+    irreducible points, the stabilizer line at reducible ones): the
+    value a chart kept, or `_mv_torsions`' batch of one."""
+    (torsion,) = _mv_torsions(heegaard, [n_rep], tol)
+    if isinstance(torsion, Exception):
+        raise torsion
+    return torsion
 
 
 # -- clean intersection -----------------------------------------------
@@ -347,7 +339,8 @@ def clean_intersection_check(point: ModuliPoint,
     i = point.stratum.i
     if i == 0:
         return CleanVerdict(True, 0, point.component_dim, point.component_dim)
-    _, summary = _h1_data(point.rep, _stratum_basis(point.rep, i, tol), tol)
+    summary = system_cohomology(
+        CoefficientSystem(point.rep, _stratum_basis(point.rep, i, tol)), tol)
     return CleanVerdict(summary.h1 == point.component_dim, i,
                         point.component_dim, summary.h1)
 
@@ -414,17 +407,15 @@ def _chart_bound(chart: str, points: int):
                          f"more than {MAX_CHART_POINTS}")
 
 
-def _point(pid, rep, component_dim, weight, heegaard, tol):
+def _point(pid, rep, component_dim, weight, torsion, tol):
     """A chart point with its torsion by stratum: the unit half-density
-    at stratum 0, elsewhere the splitting's Mayer-Vietoris torsion, or
-    None without a splitting."""
+    at stratum 0, elsewhere `torsion`, the splitting's Mayer-Vietoris
+    torsion or its error (raised here), or None without a splitting."""
     label = classify_stratum(rep, tol)
     if label.i == 0:
         torsion = TorsionValue(1.0, 0.0)
-    elif heegaard is None:
-        torsion = None
-    else:
-        torsion = heegaard_mv_torsion(heegaard, rep, tol)
+    elif isinstance(torsion, Exception):
+        raise torsion
     pt = ModuliPoint(
         point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
         weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion)
@@ -438,8 +429,8 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     exps, what `_representations` keeps and the fingerprints, kept on
     each); the first row that fails a gate raises its error.  Their
     cohomology is filled in one stacked analysis, and with a splitting
-    (None for none) their Heegaard parts next, before the points are
-    read in order."""
+    (None for none) their Mayer-Vietoris torsions next, before the
+    points are read in order."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
     reps = _representations(pres, images)
@@ -449,10 +440,11 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     fill(reps, ["fingerprint"] * len(reps),
          lambda todo: list(map(tuple, _fingerprints(images[todo]))))
     fill_cohomology(reps, tol)
-    if heegaard is not None:
-        _heegaard_parts(heegaard, reps, tol)
-    return [_point(pid, rep, dim, weight, heegaard, tol)
-            for (pid, _, dim, weight), rep in zip(rows, reps)]
+    torsions = ([None] * len(reps) if heegaard is None
+                else _mv_torsions(heegaard, reps, tol))
+    return [_point(pid, rep, dim, weight, torsion, tol)
+            for (pid, _, dim, weight), rep, torsion in zip(rows, reps,
+                                                           torsions)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,

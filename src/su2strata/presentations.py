@@ -90,15 +90,15 @@ def generator(i: int) -> Word:
 
 
 def parse_word(text: str, generators: tuple) -> Word:
-    lower = {name: k + 1 for k, name in enumerate(generators)}
+    """The word of `format_word`'s text: a token is a generator or, if
+    it is a generator's name.upper(), that generator's inverse."""
+    index = {name.upper(): -k - 1 for k, name in enumerate(generators)}
+    index.update({name: k + 1 for k, name in enumerate(generators)})
     letters = []
     for tok in text.split():
-        if tok in lower:
-            letters.append(lower[tok])
-        elif tok.lower() in lower and tok != tok.lower():
-            letters.append(-lower[tok.lower()])
-        else:
+        if tok not in index:
             raise PresentationError(f"unknown generator token {tok!r}")
+        letters.append(index[tok])
     return Word(letters)
 
 
@@ -196,9 +196,10 @@ class Representation:
     keeps, read-only, is in one memo that only `kept` (one value) and
     `fill` (a batch) touch: folds of other words, the Ad stack, the
     pairing matrix, cohomology summaries, stratum labels, restricted
-    bases, fingerprints and Heegaard parts.  Errors are never kept.  A
-    chart's representations are built together (`_representations`)
-    and keep read-only views of their rows of its stacked results.
+    bases, fingerprints and Mayer-Vietoris torsions.  Errors are never
+    kept.  A chart's representations are built together
+    (`_representations`) and keep read-only views of their rows of its
+    stacked results.
     """
 
     __slots__ = ("presentation", "images", "relator_values",

@@ -6,8 +6,9 @@ the relator folds, the unit and relator gates, the Ad stack and the
 trace fingerprints, and for lens and s1xs2 the handle-word folds.  Each
 representation keeps read-only views of its row.  Here the stacked
 leaf products are held to the scalar ones bit for bit, every chart-built
-representation to the same images built alone, a bad row to the error
-its lone construction raises, and the leaf-op calls of a t3 chart to a
+representation to the same images built alone, a lens point's kept
+torsion to the one its images give alone, a bad row to the error its
+lone construction raises, and the leaf-op calls of a t3 chart to a
 count that does not grow with the chart.
 """
 
@@ -23,9 +24,9 @@ from su2strata import invariants, su2
 from su2strata.cohomology import (DEFAULT_TOL, cohomology,
                                   restrict_coefficients)
 from su2strata.errors import PresentationError, ResidualError
-from su2strata.invariants import (enumerate_moduli, lens_heegaard,
-                                  s1xs2_heegaard, t3_presentation,
-                                  trace_fingerprint)
+from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
+                                  lens_heegaard, s1xs2_heegaard,
+                                  t3_presentation, trace_fingerprint)
 from su2strata.presentations import (Representation, _representations,
                                      cyclic_group, fox_jacobian_at,
                                      surface_group)
@@ -103,22 +104,13 @@ def test_a_lens_chart_keeps_what_its_points_fold_alone(p, q):
         alone = _assert_built_alone(pt.rep)
         if pt.stratum.i == 0:
             continue
-        (chart_parts,) = invariants._heegaard_parts(heegaard, [pt.rep],
-                                                    DEFAULT_TOL)
-        (alone_parts,) = invariants._heegaard_parts(heegaard, [alone],
-                                                    DEFAULT_TOL)
-        assert _same(chart_parts[0], alone_parts[0])
         for word in heegaard.handle2_to_manifold:
             assert all(_same(a, b) for a, b in zip(pt.rep.fold(word),
                                                    alone.fold(word)))
-        for sub, lone in zip(chart_parts[1:], alone_parts[1:]):
-            assert _same(sub.images, lone.images)
-            assert _same(sub.relator_values, lone.relator_values)
-            assert _same(sub.adjoints, lone.adjoints)
-        h2, lone_h2 = chart_parts[2], alone_parts[2]
-        for word in heegaard.surface_to_handle2:
-            assert all(_same(a, b) for a, b in zip(h2.fold(word),
-                                                   lone_h2.fold(word)))
+        kept = pt.rep._kept[heegaard, DEFAULT_TOL]
+        lone = heegaard_mv_torsion(heegaard, alone)
+        assert kept is pt.torsion
+        assert (kept.value, kept.log_value) == (lone.value, lone.log_value)
 
 
 def test_s1xs2_handle_folds_are_kept_on_each_point():

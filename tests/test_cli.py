@@ -204,17 +204,18 @@ def test_torsion_non_exact_sequence_is_domain_error(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("maps", [
+@pytest.mark.parametrize("sequence", [
     # one map too many: was an IndexError traceback
-    [[[1.0], [1.0]], [[1.0, -1.0]], [[1.0]]],
-    [[[1.0], [1.0]]],
+    {"dims": [1, 2, 1], "maps": [[[1.0], [1.0]], [[1.0, -1.0]], [[1.0]]]},
+    {"dims": [1, 2, 1], "maps": [[[1.0], [1.0]]]},
     # a NaN entry: was an SVD that did not converge
-    [[[float("nan")], [1.0]], [[1.0, -1.0]]],
-    [[[1.0], [1.0]], [[float("inf"), -1.0]]],
+    {"dims": [1, 2, 1], "maps": [[[float("nan")], [1.0]], [[1.0, -1.0]]]},
+    {"dims": [1, 2, 1], "maps": [[[1.0], [1.0]], [[float("inf"), -1.0]]]},
+    # a negative dim: was reshaped to an inferred -1, a domain error
+    {"dims": [-1, 2], "maps": [[1, 0, 0, 1]]},
 ])
-def test_torsion_rejects_malformed_sequence_maps(tmp_path, capsys, maps):
-    path = write_json(tmp_path / "bad.json",
-                      {"sequence": {"dims": [1, 2, 1], "maps": maps}})
+def test_torsion_rejects_malformed_sequence_maps(tmp_path, capsys, sequence):
+    path = write_json(tmp_path / "bad.json", {"sequence": sequence})
     code, out, err = run(capsys, "torsion", path)
     assert code == 2 and out == "" and err.startswith("input error:")
 

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2strata import invariants, presentations, su2
-from su2strata.cohomology import (DEFAULT_TOL, cohomology, full_system,
-                                  restricted_system, system_d1)
+from su2strata import presentations, su2
+from su2strata.cohomology import (cohomology, full_system, restricted_system,
+                                  system_d1)
 from su2strata.errors import DomainError
 from su2strata.invariants import (enumerate_moduli, lens_heegaard,
                                   t3_presentation)
@@ -134,7 +134,7 @@ def test_lens_walks_its_relator_once_per_point(monkeypatch):
 
 
 def test_lens_folds_each_handle_word_once_per_point(monkeypatch):
-    # each handle word's holonomy (the Heegaard parts) and Fox row
+    # each handle word's holonomy (the handlebody reps) and Fox row
     # (the restriction maps) come from the one fold its representation
     # keeps
     p, q = 101, 7
@@ -280,11 +280,11 @@ def test_lens_forms_w_only_for_its_surface_reps(cup_folds):
     # block per letter of a b A B
     p, q = 31, 7
     points = enumerate_moduli("lens", p=p, q=q)
-    heegaard = lens_heegaard(p, q)
-    sigma = [parts[3] for parts in invariants._heegaard_parts(
-        heegaard, [pt.rep for pt in points if pt.stratum.i != 0], DEFAULT_TOL)]
+    # a point's surface rep sends a to its image and b to 1
+    sigma = [np.array([pt.rep.images[0], su2.identity()])
+             for pt in points if pt.stratum.i != 0]
     assert len(sigma) == p // 2
-    assert Counter(cup_folds) == {s.images.tobytes(): 4 for s in sigma}
+    assert Counter(cup_folds) == {s.tobytes(): 4 for s in sigma}
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])

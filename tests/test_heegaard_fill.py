@@ -1,28 +1,31 @@
-"""The stacked Heegaard parts of the lens and s1xs2 charts.
+"""The stacked Mayer-Vietoris torsions of the lens and s1xs2 charts.
 
-Before it reads the points of a chart with a splitting, the chart
-driver keeps every point's Heegaard parts (coefficient basis,
-handlebody and surface representations) on the point's representation
-and analyses all the handlebody and surface systems in one stacked
-pass.  Here each system is held to one analysis, the number of stacked
-passes to one that does not grow with p, `heegaard_mv_torsion` on a
-fresh, unfilled representation (a batch of one) to the chart's value
-bit for bit, and inconsistent gluing data to the parts or the error a
-lone call gives, at its own point, with nothing kept for an error.
+Before it reads the points of a chart with a splitting,
+`_chart_points` runs one Mayer-Vietoris builder over all of them: it
+makes each point's handlebody and surface representations, analyses
+their systems and the point's own in one stacked pass, and keeps only
+each point's torsion on the point's representation.  Here each system is
+held to one analysis, also when that analysis fails, the number of
+stacked passes to one that does not grow with p, `heegaard_mv_torsion`
+on a fresh, unfilled representation (a batch of one) to the chart's
+value bit for bit, and inconsistent gluing data to the torsion or the
+error a lone call gives, at its own point, with nothing kept for an
+error.
 """
 
 import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
 from su2strata import invariants, su2
-from su2strata.cohomology import DEFAULT_TOL
-from su2strata.errors import DomainError
+from su2strata.cohomology import DEFAULT_TOL, stabilizer_axis
+from su2strata.errors import DomainError, RankAmbiguityError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard)
 from su2strata.presentations import (Representation, cyclic_group,
@@ -62,14 +65,42 @@ def test_each_heegaard_system_is_analysed_once(analysed, example, heegaard,
     points = enumerate_moduli(example, **kwargs)
     counts = Counter((id(rep), basis) for call in analysed
                      for rep, basis in call)
+    assert set(counts.values()) == {1}
     noncentral = [pt for pt in points if pt.stratum.i != 0]
     assert noncentral
+    # each noncentral point's own system, coefficients by stratum ...
     for pt in noncentral:
-        (parts,) = invariants._heegaard_parts(heegaard, [pt.rep],
-                                              DEFAULT_TOL)
-        basis, *subs = parts
-        assert [counts[id(sub), basis.tobytes()] for sub in subs] == [1, 1, 1]
-    assert set(counts.values()) == {1}
+        basis = (np.eye(3) if pt.stratum.i == 3
+                 else stabilizer_axis(pt.rep).reshape(3, 1))
+        assert counts[id(pt.rep), basis.tobytes()] == 1
+    # ... and one handle-1, one handle-2 and one surface system for it
+    made = Counter(rep.presentation for call in analysed for rep, _ in call
+                   if rep.presentation != heegaard.presentation_n)
+    assert made == {pres: len(noncentral) for pres in heegaard.presentations}
+
+
+def test_a_failing_heegaard_system_is_analysed_once(monkeypatch):
+    refused = []
+    compute = coh._system_cohomologies
+
+    def refusing(systems, tol):
+        out = compute(systems, tol)
+        for i, sys in enumerate(systems):
+            if sys.rep.presentation.kind == "surface":
+                refused.append(sys.rep)
+                out[i] = RankAmbiguityError("surface system refused")
+        return out
+
+    monkeypatch.setattr(coh, "_system_cohomologies", refusing)
+    with pytest.raises(RankAmbiguityError, match="surface system refused"):
+        heegaard_mv_torsion(lens_heegaard(7, 3), lens_rep(7, 1))
+    assert len(refused) == 1
+    # a chart analyses each point's surface system once, then raises
+    # the first point's error
+    refused.clear()
+    with pytest.raises(RankAmbiguityError, match="surface system refused"):
+        enumerate_moduli("lens", p=7, q=3)
+    assert len(refused) == 7 // 2
 
 
 def test_lens_analyses_do_not_grow_with_p(analysed):
@@ -115,20 +146,20 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
                   handle2_to_manifold=(generator(0) ** 6,))
     reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
     coh.fill_cohomology(reps)
-    batch = invariants._heegaard_parts(bad, reps, DEFAULT_TOL)
+    batch = invariants._mv_torsions(bad, reps, DEFAULT_TOL)
     glued = {n for n, rep in enumerate(reps)
              if (bad, DEFAULT_TOL) in rep._kept}
     assert glued == {3, 6}
     # at each position, the batch holds what a lone call gives there
-    for n, parts in enumerate(batch):
-        (lone,) = invariants._heegaard_parts(bad, [lens_rep(p, n)],
-                                             DEFAULT_TOL)
+    for n, torsion in enumerate(batch):
+        (lone,) = invariants._mv_torsions(bad, [lens_rep(p, n)],
+                                          DEFAULT_TOL)
         if n in glued:
-            assert parts[0].tobytes() == lone[0].tobytes()
-            assert [sub.images.tobytes() for sub in parts[1:]] == \
-                [sub.images.tobytes() for sub in lone[1:]]
+            assert torsion is reps[n]._kept[bad, DEFAULT_TOL]
+            assert (torsion.value, torsion.log_value) == (lone.value,
+                                                          lone.log_value)
         else:
-            assert type(parts) is type(lone) and str(parts) == str(lone)
+            assert type(torsion) is type(lone) and str(torsion) == str(lone)
     assert "stratum 0" in str(batch[0])
     for n, rep in enumerate(reps[1:], 1):
         fresh = lens_rep(p, n)
@@ -153,7 +184,7 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
 
 
 def test_a_splitting_given_as_lists_keys_like_its_tuple_twin():
-    # the parts are kept per splitting, so its sequences must hash
+    # the torsion is kept per splitting, so its sequences must hash
     lens = lens_heegaard(7, 3)
     listed = replace(lens, **{f: list(getattr(lens, f)) for f in (
         "handle1_generators", "handle2_generators", "surface_to_handle1",

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2strata import invariants, su2
-from su2strata.cohomology import DEFAULT_TOL
 from su2strata.errors import (CleanIntersectionError, DomainError, InputError,
                               ResidualError)
 from su2strata.invariants import (HeegaardData, ModuliPoint,
@@ -162,10 +161,14 @@ def test_heegaard_data_validation():
                      (x, Word()), (x,), (x,))
 
 
-def test_heegaard_parts_agree_on_surface():
-    heegaard = lens_heegaard(5, 2)
-    ((_, h1, h2, sigma),) = invariants._heegaard_parts(
-        heegaard, [lens_rep(5, 1)], DEFAULT_TOL)
+def test_heegaard_parts_agree_on_surface(monkeypatch):
+    # the surface rep the builder pairs on, seen through gram_matrix
+    paired = []
+    gram = invariants.gram_matrix
+    monkeypatch.setattr(invariants, "gram_matrix",
+                        lambda rep, rows: paired.append(rep) or gram(rep, rows))
+    heegaard_mv_torsion(lens_heegaard(5, 2), lens_rep(5, 1))
+    (sigma,) = paired
     assert sigma.presentation.kind == "surface"
     # route 1: a1 -> x -> a
     assert np.allclose(sigma.images[0], lens_rep(5, 1).images[0])

@@ -99,6 +99,13 @@ def test_parse_format_roundtrip():
     assert parse_word("", pres.generators) == Word()
     with pytest.raises(PresentationError):
         parse_word("q7", pres.generators)
+    # a mixed-case name's inverse is its name.upper(), and only that
+    names = ("aB", "c")
+    mixed = Presentation(names, (parse_word("aB c AB", names),))
+    assert mixed.relators[0].letters == (1, 2, -1)
+    assert presentation_from_json(presentation_to_json(mixed)) == mixed
+    with pytest.raises(PresentationError):
+        parse_word("aB", ("ab",))
 
 
 def test_generator_name_rules():
