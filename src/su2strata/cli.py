@@ -19,16 +19,16 @@ import numpy as np
 
 from . import __version__, su2
 from .cohomology import (DEFAULT_TOL, build_d0, cohomology,
-                         fill_cohomology, restrict_coefficients)
+                         restrict_coefficients)
 from .conventions import CONVENTION_TAGS, MAX_GENUS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
 from .presentations import (Representation, free_group, gate_relators,
-                            polish, presentation_from_json,
+                            polish, presentation_from_json, raised,
                             representation_from_json)
-from .strata import (classify_stratum, handlebody_representation,
+from .strata import (classify_stratum, fill_labels, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
 from .symplectic import gram_matrix, pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
@@ -213,12 +213,11 @@ def _cmd_strata_scan(args) -> dict:
         reps = [Representation(pres, np.array(
                     [su2.random_element(rng) for _ in range(g)]))
                 for _ in range(min(chunk, args.samples - start))]
-        fill_cohomology(reps, args.tol)
-        for rep in reps:
-            label = classify_stratum(rep, args.tol)
-            counts[label.i] += 1
-            tangent[label.i].add(stratum_tangent_dim(rep, args.tol))
-            h1m5[label.i].add(cohomology(rep, args.tol).h1)
+        for rep, label in zip(reps, fill_labels(reps, args.tol)):
+            i = raised(label).i
+            counts[i] += 1
+            tangent[i].add(stratum_tangent_dim(rep, args.tol))
+            h1m5[i].add(cohomology(rep, args.tol).h1)
     result = {
         "genus": g,
         "samples": args.samples,

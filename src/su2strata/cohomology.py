@@ -6,22 +6,19 @@ For a representation x of <g_1..g_n | r_1..r_m> the cochain complex is
                                  d1 = Fox Jacobian of the relators,
 
 with coefficients in the algebra or an Ad-invariant subspace of it.
-Fox rows come from `presentations.fox_fold`: d1 stacks the relators',
-and a cocycle's value on a word is that word's row applied to it.
-d0 reads the representation's kept Ad stack.
-H^0 and H^1 are presentation-independent; nothing above degree one is
-exposed because the 2-complex ceases to model the group there.  Ranks
-come from singular values against an absolute threshold, with warnings
-when a value sits within a factor of ten of the threshold.  The H^1
-basis is harmonic: ker d1 ∩ ker d0ᵀ, the null space of d1 stacked on
-d0ᵀ.
+d0 reads the representation's kept Ad stack and d1 its relators' Fox
+rows (`presentations.fox_fold`).  H^0 and H^1 are presentation-
+independent; nothing above degree one is exposed because the 2-complex
+ceases to model the group there.  Ranks come from singular values
+against an absolute threshold, with warnings when a value sits within a
+factor of ten of it.  The H^1 basis is harmonic: ker d1 ∩ ker d0ᵀ, the
+null space of d1 stacked on d0ᵀ.
 
-There is one analysis, `_system_cohomologies`, and it takes a list of
-coefficient systems: `fill_systems` analyses the systems whose summary
-is not kept yet in one stacked pass (`fill_cohomology` fills a moduli
-chart's full and stabilizer-line systems with it), and
-`system_cohomology` is the batch of one.  Summaries are kept in their
-representation's memo per coefficient basis and tol.
+There is one analysis, `_system_cohomologies`: systems are grouped by
+shape, and each group is built, checked, decomposed and sign-fixed as
+one stack.  `fill_systems` runs it on the systems not kept yet, and
+`system_cohomology`, `system_d0` and `system_d1` are batches of one.
+Summaries are kept in their representation's memo per basis and tol.
 """
 
 from __future__ import annotations
@@ -32,8 +29,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import (Representation, Word, fill, fox_jacobian_at,
-                            kept)
+from .presentations import (Representation, Word, _read_only, fill,
+                            fox_jacobian_at, kept, raised)
 
 DEFAULT_TOL = 1e-8
 
@@ -116,24 +113,37 @@ def build_d0(rep: Representation) -> np.ndarray:
 
 def system_d0(sys: CoefficientSystem) -> np.ndarray:
     """(nk x k) stacked blocks basis^T Ad(x_j) basis - I, read from the
-    representation's kept Ad stack."""
-    b, k = sys.basis, sys.k
-    return (b.T @ sys.rep.adjoints @ b - np.eye(k)).reshape(-1, k)
+    representation's kept Ad stack: `_differentials`' batch of one."""
+    return _differentials([sys])[0][0]
 
 
 def system_d1(sys: CoefficientSystem) -> np.ndarray:
     """(mk x nk) relator differential: the full Fox Jacobian in the
-    system's basis.  On an Ad-invariant subspace that is the Fox
-    Jacobian of the restricted action."""
-    return _in_basis(sys, fox_jacobian_at(sys.rep))
+    system's basis, `_differentials`' batch of one.  On an Ad-invariant
+    subspace that is the Fox Jacobian of the restricted action."""
+    return _differentials([sys])[1][0]
 
 
-def _in_basis(sys: CoefficientSystem, J: np.ndarray) -> np.ndarray:
-    """A (3m x 3n) matrix of Fox rows with each 3x3 block compressed to
-    basis^T block basis, as (mk x nk)."""
-    m, n, k = J.shape[0] // 3, sys.n, sys.k
-    rows = sys.basis.T @ J.reshape(m, 3, 3 * n)
-    return (rows.reshape(m * k, n, 3) @ sys.basis).reshape(m * k, n * k)
+def _differentials(systems) -> tuple:
+    """The stacked d0 (N, nk, k) and d1 (N, mk, nk) of systems of one
+    shape (k, n, m), over contiguous stacks: a strided operand would
+    take another matmul route, whose last bits differ."""
+    B = np.array([sys.basis for sys in systems])
+    A = np.array([sys.rep.adjoints for sys in systems])
+    J = np.array([fox_jacobian_at(sys.rep) for sys in systems])
+    k = B.shape[2]
+    D0 = (B.mT[:, None] @ A @ B[:, None] - _FULL_BASIS[:k, :k]).reshape(
+        len(B), -1, k)
+    return D0, (_in_basis(B, J) if J.size  # J is empty without relators
+                else np.zeros((len(B), 0, D0.shape[1])))
+
+
+def _in_basis(B: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """(N, mk, nk): each (3m x 3n) matrix of Fox rows in J with every
+    3x3 block compressed to basis^T block basis, bases B (N, 3, k)."""
+    N, k, m, n = len(B), B.shape[2], J.shape[1] // 3, J.shape[2] // 3
+    R = B.mT[:, None] @ J.reshape(N, m, 3, 3 * n)
+    return (R.reshape(N, m * k, n, 3) @ B[:, None]).reshape(N, m * k, n * k)
 
 
 def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarray:
@@ -146,9 +156,9 @@ def pullback_matrix(source_sys: CoefficientSystem, word_map) -> np.ndarray:
     """Matrix of u -> (u(w) for w in word_map): the words' Fox rows in
     the source system's basis, stacked.  The folds are the source
     representation's kept ones, shared with `Representation.evaluate`."""
-    rep = source_sys.rep
-    J = np.array([rep.fold(w)[1] for w in word_map])
-    return _in_basis(source_sys, J.reshape(-1, 3 * source_sys.n))
+    J = np.array([source_sys.rep.fold(w)[1] for w in word_map])
+    return _in_basis(np.array([source_sys.basis]),
+                     J.reshape(1, -1, 3 * source_sys.n))[0]
 
 
 def pullback_cocycle(target_sys: CoefficientSystem,
@@ -173,42 +183,16 @@ class CohomologySummary:
     warnings: tuple
 
 
-def _canonical_signs(B: np.ndarray) -> np.ndarray:
-    """B with each column negated where its largest-magnitude entry
-    (the first, on ties) is negative."""
-    top = B[np.abs(B).argmax(axis=0), np.arange(B.shape[1])]
-    return np.where(top < 0, -B, B)
-
-
-def _threshold_warnings(name: str, sv: np.ndarray, tol: float) -> list:
-    out = []
-    for s in sv:
-        if tol / 10 < s < tol * 10:
-            out.append(f"{name} singular value {s:.3e} within 10x of "
-                       f"threshold {tol:.1e}")
-    return out
-
-
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
-    """H0/H1 summary of one coefficient system: a batch of one, as in
-    `fill_systems`, raising its error; read-only, as calls share it."""
-    (summary,) = fill((sys.rep,), (_memo_key(sys, tol),),
-                      lambda _: _system_cohomologies([sys], tol))
-    if isinstance(summary, Exception):
-        raise summary
-    return summary
-
-
-def _memo_key(sys: CoefficientSystem, tol: float) -> tuple:
-    basis = sys.basis
-    return (basis.dtype.str, basis.shape, basis.tobytes(), tol)
+    """H0/H1 summary of one coefficient system: `fill_systems`' batch
+    of one, raising its error; read-only, as calls share it."""
+    return raised(fill_systems((sys,), tol)[0])
 
 
 def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> None:
-    """Keep, from one stacked analysis, the full-coefficient summary of
-    every representation and, where h0 = 1, its stabilizer-line summary:
-    what `system_cohomology` would keep for them."""
+    """Keep every representation's full-coefficient summary and, where
+    h0 = 1, its stabilizer-line summary, each from one stacked pass."""
     full = fill_systems([full_system(rep) for rep in reps], tol)
     fill_systems([CoefficientSystem(rep, s.basis_h0)
                   for rep, s in zip(reps, full)
@@ -217,24 +201,18 @@ def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> None:
 
 def fill_systems(systems, tol: float = DEFAULT_TOL) -> list:
     """The summary of each coefficient system, or its analysis's error
-    in its place; each (representation, basis) not yet kept is analysed
-    once, all in one stacked pass."""
+    in its place; those not kept yet are analysed in one stacked pass."""
     return fill([sys.rep for sys in systems],
-                [_memo_key(sys, tol) for sys in systems],
+                [(sys.basis.dtype.str, sys.basis.shape, sys.basis.tobytes(),
+                  tol) for sys in systems],
                 lambda todo: _system_cohomologies([systems[i] for i in todo],
                                                   tol))
 
 
-def _stack(arrays: list) -> np.ndarray:
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _system_cohomologies(systems, tol: float) -> list:
     """The summary of each system, or the error its analysis raises.
-    d0 and d1 are stacked per shape (k, n, m), and each shape takes
-    three stacked SVDs: of d0, of d1 and of d1 stacked on d0ᵀ; a
-    stacked SVD gives each matrix what its own SVD gives.  The checks
-    run per system, in the order a lone analysis meets them."""
+    A stacked matmul or SVD gives each matrix what its own gives, so a
+    summary does not depend on the batch it is analysed in."""
     out: list = [None] * len(systems)
     shapes: dict = {}
     for i, sys in enumerate(systems):
@@ -243,37 +221,47 @@ def _system_cohomologies(systems, tol: float) -> list:
             out[i] = ResidualError(
                 f"relator residual {rep.relator_residual:.3e} too large "
                 f"for cohomology at tolerance {tol:.1e}")
-            continue
-        d0 = system_d0(sys)
-        d1 = system_d1(sys)
-        comp = float(np.linalg.norm(d1 @ d0))
-        if comp > 100 * tol:
-            out[i] = ResidualError(
-                f"d1 d0 composite norm {comp:.3e}; complex is broken")
-            continue
-        shapes.setdefault((sys.k, *d1.shape), []).append((i, d0, d1))
-    for group in shapes.values():
-        idx = [i for i, _, _ in group]
+        else:
+            shapes.setdefault((sys.k, sys.n, len(rep.presentation.relators)),
+                              []).append(i)
+    for idx in shapes.values():
+        D0, D1 = _differentials([systems[i] for i in idx])
+        if D1.size:
+            comps = np.sqrt(((D1 @ D0) ** 2).sum(axis=(1, 2))).tolist()
+            for i, comp in zip(idx, comps):
+                if comp > 100 * tol:
+                    out[i] = ResidualError(
+                        f"d1 d0 composite norm {comp:.3e}; complex is broken")
+            whole = [g for g, i in enumerate(idx) if out[i] is None]
+            idx, D0, D1 = [idx[g] for g in whole], D0[whole], D1[whole]
         try:
-            _shape_cohomologies(out, idx, _stack([d0 for _, d0, _ in group]),
-                                _stack([d1 for _, _, d1 in group]), tol)
+            _shape_cohomologies(out, idx, D0, D1, tol)
         except np.linalg.LinAlgError as e:
             for i in idx:
                 out[i] = e
     return out
 
 
+def _signed(VT: np.ndarray) -> np.ndarray:
+    """A read-only stack of right singular vectors, each row negated
+    where its largest-magnitude entry (the first, on ties) is negative."""
+    R = VT.reshape(-1, VT.shape[-1])
+    top = R[np.arange(len(R)), np.abs(R).argmax(axis=1)]
+    return _read_only(np.where(top[:, None] < 0, -R, R)).reshape(VT.shape)
+
+
 def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
                         D1: np.ndarray, tol: float) -> None:
     """Fill out[idx] from the stacked d0 (N, nk, k) and d1 (N, mk, nk)
-    of one shape.  d1 and d0ᵀ have orthogonal row spaces, so d1 stacked
-    on d0ᵀ has rank rank d0 + rank d1, and its trailing right singular
-    vectors span the harmonic space."""
+    of one shape, by three stacked SVDs.  d1 and d0ᵀ have orthogonal
+    row spaces, so d1 stacked on d0ᵀ has rank rank d0 + rank d1, and
+    its trailing right singular vectors span the harmonic space."""
     nk, k = D0.shape[1:]
     _, S0, VT0 = np.linalg.svd(D0, full_matrices=False)
-    S1 = np.linalg.svd(D1, compute_uv=False)
-    _, SH, VTH = np.linalg.svd(np.concatenate([D1, D0.swapaxes(1, 2)],
-                                              axis=1))
+    S1 = (np.linalg.svd(D1, compute_uv=False) if D1.size
+          else np.zeros((len(D1), 0)))
+    _, SH, VTH = np.linalg.svd(np.concatenate([D1, D0.mT], axis=1))
+    VT0, VTH = _signed(VT0), _signed(VTH)
     ranks0, sv0 = (S0 > tol).sum(axis=1).tolist(), S0.tolist()
     ranks1, sv1 = (S1 > tol).sum(axis=1).tolist(), S1.tolist()
     ranksh = (SH > tol).sum(axis=1).tolist()
@@ -293,16 +281,17 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
                 f"h0 = {h0} is impossible for full coefficients; "
                 f"tolerance {tol:.1e} is misplaced")
         else:
-            basis_h0 = _canonical_signs(VT0[g, rank0:].T)
-            basis_h1 = _canonical_signs(VTH[g, rank0 + rank1:].T)
-            basis_h0.flags.writeable = basis_h1.flags.writeable = False
             out[i] = CohomologySummary(
                 h0=h0, h1=h1, z1=z1, coefficient_dim=k,
-                basis_h0=basis_h0, basis_h1=basis_h1,
+                basis_h0=VT0[g, rank0:].T,
+                basis_h1=VTH[g, rank0 + rank1:].T,
                 singular_values=MappingProxyType(
                     {"d0": tuple(sv0[g]), "d1": tuple(sv1[g])}),
-                warnings=tuple(_threshold_warnings("d0", sv0[g], tol)
-                               + _threshold_warnings("d1", sv1[g], tol)))
+                warnings=tuple(
+                    f"{name} singular value {s:.3e} within 10x of "
+                    f"threshold {tol:.1e}"
+                    for name, sv in (("d0", sv0[g]), ("d1", sv1[g]))
+                    for s in sv if tol / 10 < s < tol * 10))
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:

@@ -12,19 +12,17 @@ isolated lower-stratum points of weight 1.
 
 Every example is one chart driver (`_chart_points`) fed its rows and
 its splitting.  The driver builds every representation of the chart
-in one stacked pass and fills its cohomology in one stacked analysis
-(`fill_cohomology`).  With a splitting, one Mayer-Vietoris builder
-(`_glued_torsions`) then makes every point's handlebody and surface
-representations, analyses their systems and the point's own in one
-more stacked analysis, and keeps only each point's torsion in its
-memo.  Each point's torsion follows its stratum: the unit
-half-density at stratum 0, elsewhere the splitting's Mayer-Vietoris
-torsion.  t3 has no built-in splitting, so its other points carry
-torsion = None until the caller supplies values.  The points are read
-in order, each torsion or error in its place, so the verdicts and the
-first error raised are those of a point-by-point run;
-`heegaard_mv_torsion` called with no fill before it is a batch of
-one.
+in one stacked pass, fills its cohomology in one stacked analysis and
+its labels in one axis test.  With a splitting, one Mayer-Vietoris
+builder (`_glued_torsions`) then makes every point's handlebody and
+surface representations, analyses their systems and the point's own
+in one more stacked analysis, and keeps each point's torsion.  A
+point's torsion follows its stratum: the unit half-density at stratum
+0, elsewhere the splitting's torsion; t3 has no built-in splitting, so
+its other points carry torsion = None until the caller supplies
+values.  Each label, torsion or error sits in its point's place, so
+the verdicts and the first error raised are those of a point-by-point
+run; `heegaard_mv_torsion` with no fill before it is a batch of one.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _keep_folds,
                             _representations, commutator, cyclic_group,
                             evaluate_images, fill, free_group, generator,
-                            kept, surface_group)
-from .strata import StratumLabel, classify_stratum
+                            kept, raised, surface_group)
+from .strata import StratumLabel, classify_stratum, fill_labels
 from .symplectic import gram_matrix
 from .torsion import TorsionValue, mayer_vietoris_torsion
 
@@ -73,10 +71,11 @@ class HeegaardData:
     handle2_to_manifold: tuple
 
     def __post_init__(self):
-        # a splitting keys the torsion kept on each point's
-        # representation, so its sequences are held as tuples
+        # a splitting keys each point's kept torsion: tuples, hashed once
         for f in fields(self)[2:]:
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self))))
         g = self.genus
         if len(self.handle1_generators) != g or \
                 len(self.handle2_generators) != g:
@@ -87,6 +86,9 @@ class HeegaardData:
         if len(self.handle1_to_manifold) != g or \
                 len(self.handle2_to_manifold) != g:
             raise DomainError("manifold maps need genus entries")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def presentations(self) -> tuple:
@@ -234,9 +236,7 @@ def _free_presentation(names) -> Presentation:
 def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
     """Coefficients picked by stratum i: the full algebra at irreducible
     points, the stabilizer line at reducible ones."""
-    if i == 3:
-        return np.eye(3)
-    return stabilizer_axis(rep, tol).reshape(3, 1)
+    return np.eye(3) if i == 3 else stabilizer_axis(rep, tol).reshape(3, 1)
 
 
 def _mv_torsions(heegaard: HeegaardData, n_reps, tol: float) -> list:
@@ -323,10 +323,7 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
     coefficients picked by the rep's stratum (full algebra at
     irreducible points, the stabilizer line at reducible ones): the
     value a chart kept, or `_mv_torsions`' batch of one."""
-    (torsion,) = _mv_torsions(heegaard, [n_rep], tol)
-    if isinstance(torsion, Exception):
-        raise torsion
-    return torsion
+    return raised(_mv_torsions(heegaard, [n_rep], tol)[0])
 
 
 # -- clean intersection -----------------------------------------------
@@ -336,13 +333,16 @@ def clean_intersection_check(point: ModuliPoint,
     """Declared component dimension against h1 of the manifold
     presentation at the point (coefficients by stratum).  Stratum 0
     passes vacuously."""
-    i = point.stratum.i
-    if i == 0:
-        return CleanVerdict(True, 0, point.component_dim, point.component_dim)
+    return _clean_verdict(point.rep, point.stratum, point.component_dim, tol)
+
+
+def _clean_verdict(rep: Representation, label: StratumLabel,
+                   declared: int, tol: float) -> CleanVerdict:
+    if label.i == 0:
+        return CleanVerdict(True, 0, declared, declared)
     summary = system_cohomology(
-        CoefficientSystem(point.rep, _stratum_basis(point.rep, i, tol)), tol)
-    return CleanVerdict(summary.h1 == point.component_dim, i,
-                        point.component_dim, summary.h1)
+        CoefficientSystem(rep, _stratum_basis(rep, label.i, tol)), tol)
+    return CleanVerdict(summary.h1 == declared, label.i, declared, summary.h1)
 
 
 # -- built-in moduli drivers ------------------------------------------
@@ -407,44 +407,37 @@ def _chart_bound(chart: str, points: int):
                          f"more than {MAX_CHART_POINTS}")
 
 
-def _point(pid, rep, component_dim, weight, torsion, tol):
-    """A chart point with its torsion by stratum: the unit half-density
-    at stratum 0, elsewhere `torsion`, the splitting's Mayer-Vietoris
-    torsion or its error (raised here), or None without a splitting."""
-    label = classify_stratum(rep, tol)
-    if label.i == 0:
-        torsion = TorsionValue(1.0, 0.0)
-    elif isinstance(torsion, Exception):
-        raise torsion
-    pt = ModuliPoint(
+def _point(pid, rep, label, component_dim, weight, torsion, tol):
+    """A chart point, built once, with its torsion by stratum (the unit
+    half-density at stratum 0, else the splitting's or None) and its
+    clean verdict; a label or torsion that is an error is raised."""
+    torsion = (TorsionValue(1.0, 0.0) if raised(label).i == 0
+               else raised(torsion))
+    return ModuliPoint(
         point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
-        weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion)
-    return replace(pt, clean=clean_intersection_check(pt, tol))
+        weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion,
+        clean=_clean_verdict(rep, label, component_dim, tol))
 
 
 def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     """The points of a chart, one per row (point_id, angles,
-    component_dim, weight), with images exp(angle * i).  The chart's
-    representations come from one stacked pass over its images (the
-    exps, what `_representations` keeps and the fingerprints, kept on
-    each); the first row that fails a gate raises its error.  Their
-    cohomology is filled in one stacked analysis, and with a splitting
-    (None for none) their Mayer-Vietoris torsions next, before the
+    component_dim, weight), with images exp(angle * i), built in one
+    stacked pass; the first row that fails a gate raises its error.
+    Their cohomology, labels and, with a splitting (None for none),
+    torsions are filled a stack at a time, errors in place, before the
     points are read in order."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
-    reps = _representations(pres, images)
-    for rep in reps:
-        if isinstance(rep, Exception):
-            raise rep
+    reps = [raised(rep) for rep in _representations(pres, images)]
     fill(reps, ["fingerprint"] * len(reps),
          lambda todo: list(map(tuple, _fingerprints(images[todo]))))
     fill_cohomology(reps, tol)
+    labels = fill_labels(reps, tol)
     torsions = ([None] * len(reps) if heegaard is None
                 else _mv_torsions(heegaard, reps, tol))
-    return [_point(pid, rep, dim, weight, torsion, tol)
-            for (pid, _, dim, weight), rep, torsion in zip(rows, reps,
-                                                           torsions)]
+    return [_point(pid, rep, label, dim, weight, torsion, tol)
+            for (pid, _, dim, weight), rep, label, torsion
+            in zip(rows, reps, labels, torsions)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,

@@ -353,6 +353,13 @@ def fill(reps, keys, compute) -> list:
     computing it gives.  Pairs not yet kept are computed in one call,
     compute(todo), given each one's first index and returning a value
     (never None) or an error for each; only values are kept."""
+    if len(reps) == 1:      # a lone read skips the grouping
+        value = reps[0]._kept.get(keys[0])
+        if value is None:
+            (value,) = compute([0])
+            if not isinstance(value, Exception):
+                reps[0]._kept[keys[0]] = value
+        return [value]
     out, todo = [], {}
     for i, (rep, key) in enumerate(zip(reps, keys)):
         out.append(rep._kept.get(key))
@@ -366,6 +373,13 @@ def fill(reps, keys, compute) -> list:
             for i in at:
                 out[i] = value
     return out
+
+
+def raised(value):
+    """value, or the error a batch put in its place, raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -10,10 +10,9 @@ common rotation axis with at least one noncentral image give i = 1
 Classification has two verdicts, the numeric rank of d0 and the
 common-axis test on the images, and they must agree.  A representation
 whose smallest nonzero d0 singular value falls within a factor of ten
-of the threshold refuses classification instead of guessing.  Both
-verdicts are computed once per representation and tolerance, and the
-label is kept on the representation; errors are raised again on every
-call.
+of the threshold refuses classification instead of guessing.  Labels
+are kept per tol, errors raised again on every call; `fill_labels`
+classifies a batch with one axis test over its stacked images.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .cohomology import DEFAULT_TOL, cohomology
+from .cohomology import DEFAULT_TOL, fill_systems, full_system
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
-from .presentations import (Representation, free_group, gate_relators, kept,
-                            polish, surface_group)
+from .presentations import (Representation, fill, free_group, gate_relators,
+                            polish, raised, surface_group)
 
 
 @dataclass(frozen=True)
@@ -47,46 +46,59 @@ class StratumLabel:
 _H0_TO_STRATUM = {3: 0, 1: 1, 0: 3}
 
 
-def _algebraic_stabilizer_dim(images: np.ndarray, tol: float) -> int:
-    """3 if all images are within tol of +-identity, 1 if the noncentral
-    images share a rotation axis, else 0; one pass over the (n, 4)
-    image array."""
-    v = images[:, 1:]
-    s = np.linalg.norm(v, axis=1)
+def _axis_stabilizer_dims(images: np.ndarray, tol: float) -> list:
+    """The axis verdict of each row of an (N, n, 4) image stack: 3 if
+    every image is within tol of +-identity, 1 if the noncentral images
+    share the first one's rotation axis, else 0."""
+    v = images[..., 1:]
+    s = np.sqrt((v * v).sum(axis=-1))
     noncentral = s >= tol
     if not noncentral.any():
-        return 3
-    axes = v[noncentral] / s[noncentral, None]
-    # cross products of the first axis with the others, as np.cross
-    # forms them but without its per-call set-up
-    a, b = axes[0], axes[1:]
-    cross = a[[1, 2, 0]] * b[:, [2, 0, 1]] - a[[2, 0, 1]] * b[:, [1, 2, 0]]
-    return 0 if (np.linalg.norm(cross, axis=1) > tol).any() else 1
+        return [3] * len(images)
+    # unit axes written out twice, so that the cross products with the
+    # first axis, formed as np.cross forms them, read shifted slices
+    axes = np.concatenate([v, v], axis=-1) / np.where(noncentral, s, 1.0)[
+        ..., None]
+    a = axes[np.arange(len(axes)), noncentral.argmax(axis=-1)][:, None]
+    cross = a[..., 1:4] * axes[..., 2:5] - a[..., 2:5] * axes[..., 1:4]
+    apart = (np.sqrt((cross * cross).sum(axis=-1)) > tol) & noncentral
+    return np.where(noncentral.any(axis=-1),
+                    np.where(apart.any(axis=-1), 0, 1), 3).tolist()
 
 
 def classify_stratum(rep: Representation,
                      tol: float = DEFAULT_TOL) -> StratumLabel:
-    """The representation's stratum, computed once per tol and kept."""
-    return kept(rep, ("label", tol), _classify_stratum, rep, tol)
+    """The representation's stratum: `fill_labels`' batch of one."""
+    return raised(fill_labels((rep,), tol)[0])
 
 
-def _classify_stratum(rep: Representation, tol: float) -> StratumLabel:
-    summary = cohomology(rep, tol)
-    sv0 = np.array(summary.singular_values["d0"])
-    nonzero = sv0[sv0 > tol]
-    if nonzero.size and nonzero.min() < 10 * tol:
-        raise BoundaryAmbiguousError(
-            f"smallest nonzero d0 singular value {nonzero.min():.3e} is "
+def fill_labels(reps, tol: float = DEFAULT_TOL) -> list:
+    """Each representation's label, or in its place the error its
+    classification raises; those not kept yet are classified at once."""
+    def classify(todo):
+        batch = [reps[i] for i in todo]
+        summaries = fill_systems([full_system(rep) for rep in batch], tol)
+        dims = _axis_stabilizer_dims(np.array([r.images for r in batch]), tol)
+        return [_label(*args, tol) for args in zip(batch, summaries, dims)]
+    return fill(reps, [("label", tol)] * len(reps), classify)
+
+
+def _label(rep: Representation, summary, axis_dim: int, tol: float):
+    """rep's label from its summary and axis verdict, or an error."""
+    if isinstance(summary, Exception):
+        return summary
+    h0 = summary.h0
+    nonzero = [s for s in summary.singular_values["d0"] if s > tol]
+    if nonzero and min(nonzero) < 10 * tol:
+        return BoundaryAmbiguousError(
+            f"smallest nonzero d0 singular value {min(nonzero):.3e} is "
             f"within 10x of threshold {tol:.1e}")
-    numeric = summary.h0
-    algebraic = _algebraic_stabilizer_dim(rep.images, tol)
-    if numeric != algebraic:
-        raise StratumConflictError(
-            f"rank verdict h0={numeric} vs axis verdict {algebraic}; "
+    if h0 != axis_dim:
+        return StratumConflictError(
+            f"rank verdict h0={h0} vs axis verdict {axis_dim}; "
             f"tolerance {tol:.1e} failed")
-    central = bool(numeric == 3 and (rep.images[:, 0] < 0).any())
-    return StratumLabel(i=_H0_TO_STRATUM[numeric], stabilizer_dim=numeric,
-                        central_flag=central)
+    central = bool(h0 == 3 and (rep.images[:, 0] < 0).any())
+    return StratumLabel(_H0_TO_STRATUM[h0], h0, central)
 
 
 def stratum_tangent_dim(rep: Representation,

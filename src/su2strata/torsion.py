@@ -61,12 +61,6 @@ class MetricSequence:
         object.__setattr__(self, "maps", maps)
 
 
-def _singular_values(f: np.ndarray) -> np.ndarray:
-    if f.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(f, compute_uv=False)
-
-
 def sequence_torsion(seq: MetricSequence,
                      tol: float = DEFAULT_TOL) -> TorsionValue:
     """Torsion of an exact metrized sequence.
@@ -76,15 +70,14 @@ def sequence_torsion(seq: MetricSequence,
     """
     res = 0.0
     for a, b in zip(seq.maps, seq.maps[1:]):
-        if a.size and b.size:
-            res = max(res, float(np.linalg.norm(b @ a)))
+        res = max(res, float(np.linalg.norm(b @ a)))
     if res > tol:
         raise ExactnessError(
             f"consecutive composite norm {res:.3e} exceeds {tol:.1e}")
     ranks = []
     svs = []
     for f in seq.maps:
-        sv = _singular_values(f)
+        sv = np.linalg.svd(f, compute_uv=False)
         sv = sv[sv > tol]
         svs.append(sv)
         ranks.append(len(sv))

@@ -6,16 +6,19 @@ one SVD per stack of equal-shape matrices.  These tests pin that a
 batch gives exactly what single calls give (errors included), that an
 error in a batch keeps nothing and does not spoil its batch-mates, that
 each (representation, basis, tol) is analysed once, and that the SVD
-count of a t3 chart does not grow with the chart.
+count of a t3 chart, its stacked d0/d1 builds and its label passes do
+not grow with the chart.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
-from su2strata import su2
+from su2strata import strata, su2
 from su2strata.errors import ResidualError
 from su2strata.invariants import (clean_intersection_check, enumerate_moduli,
                                   t3_presentation)
@@ -36,7 +39,7 @@ PRESENTATIONS = {
     "cyclic5": cyclic_group(5),
 }
 KINDS = ("haar", "axis", "central", "near-axis", "near-central")
-BASES = ("full", "line", "plane")
+BASES = ("full", "line", "line-view", "plane")
 
 
 def unit(v):
@@ -73,6 +76,12 @@ def basis_for(axis, kind):
         return np.eye(3)
     if kind == "line":
         return axis.reshape(3, 1)
+    if kind == "line-view":
+        # the axis as the first column of a matrix: a strided view, as a
+        # basis_h0 slice is
+        view = np.column_stack([axis, axis, axis])[:, :1]
+        assert not view.flags.c_contiguous
+        return view
     return np.linalg.svd(axis.reshape(1, 3))[2][1:].T
 
 
@@ -111,6 +120,9 @@ def assert_same_summary(a, b):
                           st.sampled_from(KINDS), st.sampled_from(BASES),
                           st.integers(0, 3)), min_size=1, max_size=10),
        st.sampled_from([1e-8, 1e-6]))
+# a strided line basis, analysed beside a mate of its shape and alone
+@example(seed=0, specs=[("t3", "axis", "line-view", 0),
+                        ("t3", "axis", "line", 1)], tol=1e-8)
 def test_a_batch_gives_what_single_calls_give(seed, specs, tol):
     batch_systems, single_systems = build(seed, specs, tol)
     batch = coh._system_cohomologies(batch_systems, tol)
@@ -172,13 +184,16 @@ def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
     rng = np.random.default_rng(4)
     broken, mate = common_axis_rep(rng), common_axis_rep(rng)
     other = common_axis_rep(rng, g=2)
-    d0 = coh.system_d0
+    build = coh._differentials
 
-    def nan_d0(sys):
-        out = d0(sys)
-        return np.full_like(out, np.nan) if sys.rep is broken else out
+    def nan_d0(systems):
+        D0, D1 = build(systems)
+        for g, sys in enumerate(systems):
+            if sys.rep is broken:
+                D0[g] = np.nan
+        return D0, D1
 
-    monkeypatch.setattr(coh, "system_d0", nan_d0)
+    monkeypatch.setattr(coh, "_differentials", nan_d0)
     coh.fill_cohomology([broken, mate, other])
     assert summaries(broken) == 0 and summaries(mate) == 0
     assert summaries(other) == 2
@@ -214,18 +229,19 @@ def test_each_system_is_analysed_once(analysed):
 
 
 def test_t3_svd_count_does_not_grow_with_the_chart(monkeypatch):
-    svd = np.linalg.svd
+    """Nor do the stacked d0/d1 builds or the stacked label passes."""
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    for module, name in ((np.linalg, "svd"), (coh, "_differentials"),
+                         (strata, "_axis_stabilizer_dims")):
+        def counting(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
     counts = []
     for M in (4, 6):
         calls.clear()
         pts = enumerate_moduli("t3", samples=M)
         assert len(pts) == 8 + (M - 1) * M * M
-        counts.append(len(calls))
+        counts.append(Counter(calls))
     assert counts[0] == counts[1]
+    assert counts[0]["_differentials"] and counts[0]["_axis_stabilizer_dims"]

@@ -8,9 +8,9 @@ each point's torsion on the point's representation.  Here each system is
 held to one analysis, also when that analysis fails, the number of
 stacked passes to one that does not grow with p, `heegaard_mv_torsion`
 on a fresh, unfilled representation (a batch of one) to the chart's
-value bit for bit, and inconsistent gluing data to the torsion or the
+value bit for bit, inconsistent gluing data to the torsion or the
 error a lone call gives, at its own point, with nothing kept for an
-error.
+error, and a splitting, which keys the kept torsion, to one hash.
 """
 
 import math
@@ -28,7 +28,7 @@ from su2strata.cohomology import DEFAULT_TOL, stabilizer_axis
 from su2strata.errors import DomainError, RankAmbiguityError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard)
-from su2strata.presentations import (Representation, cyclic_group,
+from su2strata.presentations import (Representation, Word, cyclic_group,
                                      free_group, generator)
 
 
@@ -192,3 +192,20 @@ def test_a_splitting_given_as_lists_keys_like_its_tuple_twin():
     assert listed == lens and hash(listed) == hash(lens)
     rep = lens_rep(7, 1)
     assert heegaard_mv_torsion(listed, rep) == heegaard_mv_torsion(lens, rep)
+
+
+def test_a_splitting_is_hashed_once(monkeypatch):
+    # each kept-torsion read hashes its (splitting, tol) key
+    splitting, rep = lens_heegaard(51, 7), lens_rep(51, 1)
+    torsion = heegaard_mv_torsion(splitting, rep)
+    hash(splitting)
+    calls = []
+    word_hash = Word.__hash__
+    monkeypatch.setattr(Word, "__hash__",
+                        lambda w: calls.append(w) or word_hash(w))
+    for _ in range(3):
+        hash(splitting)
+        assert heegaard_mv_torsion(splitting, rep) is torsion
+    assert calls == []
+    twin = lens_heegaard(51, 7)
+    assert twin == splitting and hash(twin) == hash(splitting)

@@ -61,20 +61,20 @@ def near_tol_images(rng, g, tol):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """What was actually computed, in order: "label" per stratum label,
-    the part per restricted system."""
+    """What was actually computed, in order: "label" per stratum label
+    (a row of a stacked axis test), the part per restricted system."""
     log = []
-    label, restricted = strata._classify_stratum, coh._restricted_basis
+    axis, restricted = strata._axis_stabilizer_dims, coh._restricted_basis
 
-    def counting_label(rep, tol):
-        log.append("label")
-        return label(rep, tol)
+    def counting_label(images, tol):
+        log.extend(["label"] * len(images))
+        return axis(images, tol)
 
     def counting_restricted(rep, part, tol):
         log.append(part)
         return restricted(rep, part, tol)
 
-    monkeypatch.setattr(strata, "_classify_stratum", counting_label)
+    monkeypatch.setattr(strata, "_axis_stabilizer_dims", counting_label)
     monkeypatch.setattr(coh, "_restricted_basis", counting_restricted)
     return log
 
@@ -186,8 +186,8 @@ def test_array_axis_test_matches_per_image_oracle(seed, g, kind, tol):
         images = near_tol_images(rng, g, tol)
     else:
         images = TUPLES[kind](rng, g)
-    assert strata._algebraic_stabilizer_dim(images, tol) == \
-        oracles.axis_stabilizer_dim(images, tol)
+    assert strata._axis_stabilizer_dims(images[None], tol) == \
+        [oracles.axis_stabilizer_dim(images, tol)]
 
 
 def test_near_tol_tuples_fall_on_both_sides():
