@@ -312,8 +312,9 @@ def _torsion_from_example(data: dict, tol: float) -> dict:
         q = integer("q", 1)
         _lens_parameters(p, q)
         n = integer("point", 1)
-        if not 0 < n <= p // 2:
-            raise InputError("lens point index must be in 1..p//2")
+        # point p/2 of an even p is central, like point 0
+        if not 0 < n <= (p - 1) // 2:
+            raise InputError("lens point index must be in 1..(p-1)//2")
         heegaard = lens_heegaard(p, q)
         theta = 2.0 * math.pi * n / p
     elif name == "s1xs2":

@@ -190,13 +190,15 @@ def system_cohomology(sys: CoefficientSystem,
     return raised(fill_systems((sys,), tol)[0])
 
 
-def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> None:
+def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> list:
     """Keep every representation's full-coefficient summary and, where
-    h0 = 1, its stabilizer-line summary, each from one stacked pass."""
+    h0 = 1, its stabilizer-line summary, each from one stacked pass;
+    return the full summaries, errors in place."""
     full = fill_systems([full_system(rep) for rep in reps], tol)
     fill_systems([CoefficientSystem(rep, s.basis_h0)
                   for rep, s in zip(reps, full)
                   if not isinstance(s, Exception) and s.h0 == 1], tol)
+    return full
 
 
 def fill_systems(systems, tol: float = DEFAULT_TOL) -> list:

@@ -12,17 +12,20 @@ isolated lower-stratum points of weight 1.
 
 Every example is one chart driver (`_chart_points`) fed its rows and
 its splitting.  The driver builds every representation of the chart
-in one stacked pass, fills its cohomology in one stacked analysis and
-its labels in one axis test.  With a splitting, one Mayer-Vietoris
-builder (`_glued_torsions`) then makes every point's handlebody and
-surface representations, analyses their systems and the point's own
-in one more stacked analysis, and keeps each point's torsion.  A
-point's torsion follows its stratum: the unit half-density at stratum
-0, elsewhere the splitting's torsion; t3 has no built-in splitting, so
-its other points carry torsion = None until the caller supplies
-values.  Each label, torsion or error sits in its point's place, so
-the verdicts and the first error raised are those of a point-by-point
-run; `heegaard_mv_torsion` with no fill before it is a batch of one.
+in one stacked pass, fills its cohomology in one stacked analysis, its
+labels in one axis test and its clean verdicts in one fill.  With a
+splitting, one Mayer-Vietoris builder (`_glued_torsions`) then makes
+every point's handlebody and surface representations, analyses their
+systems and the point's own in one more stacked analysis, and forms
+the restriction maps, the surface Gram matrices and the torsion
+sequences as stacked products, one stack per shape; there is no
+per-point step.  A point's torsion follows its stratum: the unit
+half-density at stratum 0, elsewhere the splitting's torsion; t3 has
+no built-in splitting, so its other points carry torsion = None until
+the caller supplies values.  Each label, verdict, torsion or error
+sits in its point's place, so the verdicts and the first error raised
+are those of a point-by-point run; `heegaard_mv_torsion` and
+`clean_intersection_check` with no fill before them are batches of one.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from functools import cached_property
 import numpy as np
 
 from . import su2
-from .cohomology import (DEFAULT_TOL, CoefficientSystem, fill_cohomology,
-                         fill_systems, pullback_matrix, stabilizer_axis,
-                         system_cohomology)
+from .cohomology import (_FULL_BASIS, DEFAULT_TOL, CoefficientSystem,
+                         _in_basis, cohomology, fill_cohomology,
+                         fill_systems)
 from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _keep_folds,
@@ -46,8 +49,8 @@ from .presentations import (Presentation, Representation, Word, _keep_folds,
                             evaluate_images, fill, free_group, generator,
                             kept, raised, surface_group)
 from .strata import StratumLabel, classify_stratum, fill_labels
-from .symplectic import gram_matrix
-from .torsion import TorsionValue, mayer_vietoris_torsion
+from .symplectic import fill_pairings
+from .torsion import TorsionValue, _mayer_vietoris_torsions
 
 
 @dataclass(frozen=True)
@@ -233,57 +236,60 @@ def _free_presentation(names) -> Presentation:
     return Presentation(tuple(names), (), "free", len(names))
 
 
-def _stratum_basis(rep: Representation, i: int, tol: float) -> np.ndarray:
-    """Coefficients picked by stratum i: the full algebra at irreducible
-    points, the stabilizer line at reducible ones."""
-    return np.eye(3) if i == 3 else stabilizer_axis(rep, tol).reshape(3, 1)
+def _stratum_bases(labels, summaries) -> list:
+    """The coefficients each rep's label picks, made once from its
+    full-coefficient summary: the full algebra at irreducible points,
+    the stabilizer line (the summary's h0 basis) at reducible ones and
+    None at stratum 0, or in its place its label's error."""
+    return [label if isinstance(label, Exception) else None if label.i == 0
+            else _FULL_BASIS if label.i == 3 else s.basis_h0
+            for label, s in zip(labels, summaries)]
 
 
-def _mv_torsions(heegaard: HeegaardData, n_reps, tol: float) -> list:
+def _mv_torsions(heegaard: HeegaardData, n_reps, bases, tol: float) -> list:
     """The Mayer-Vietoris torsion of a splitting at each manifold rep,
-    or the error a lone `heegaard_mv_torsion` raises there, in its
-    place; kept per (splitting, tol)."""
+    with its `_stratum_bases` coefficients, or the error a lone
+    `heegaard_mv_torsion` raises there, in its place; kept per
+    (splitting, tol)."""
     return fill(n_reps, [(heegaard, tol)] * len(n_reps),
                 lambda todo: _glued_torsions(
-                    heegaard, [n_reps[i] for i in todo], tol))
+                    heegaard, [n_reps[i] for i in todo],
+                    [bases[i] for i in todo], tol))
 
 
-def _glued_torsions(heegaard: HeegaardData, n_reps, tol: float) -> list:
+def _glued_torsions(heegaard: HeegaardData, n_reps, bases,
+                    tol: float) -> list:
     """`_mv_torsions` of reps without them: one stacked fold per handle
     word, one stacked analysis of the manifold, handle and surface
-    systems not yet kept, then each rep's sequence.  The handle and
-    surface representations are made here and not kept."""
-    out: list = []
-    for rep in n_reps:
-        try:
-            label = classify_stratum(rep, tol)
-            if label.i == 0:
-                raise DomainError(
-                    "stratum 0 uses the constant unit torsion, not the "
-                    "Mayer-Vietoris assembly")
-            out.append(_stratum_basis(rep, label.i, tol))
-        except DomainError as e:
-            out.append(e)
+    systems not yet kept, then, per shape of the four summaries, the
+    restriction maps, the surface Gram matrix and the sequence as
+    stacked products.  The handle and surface representations are made
+    here and not kept."""
+    out = [DomainError("stratum 0 uses the constant unit torsion, not "
+                       "the Mayer-Vietoris assembly") if b is None else b
+           for b in bases]
     based = [i for i, b in enumerate(out) if not isinstance(b, Exception)]
     reps = [n_reps[i] for i in based]
     h1_pres, h2_pres, s_pres = heegaard.presentations
-    h1s = _representations(
-        h1_pres, _keep_folds(reps, heegaard.handle1_to_manifold))
-    h2s = _representations(
-        h2_pres, _keep_folds(reps, heegaard.handle2_to_manifold))
-    # a rep's first error, in the order a lone call meets them
+    q1, fox1 = _keep_folds(reps, heegaard.handle1_to_manifold)
+    q2, fox2 = _keep_folds(reps, heegaard.handle2_to_manifold)
+    # a rep's first error, in the order a lone call meets them; each
+    # glued rep keeps its rows b in fox1/fox2 and c in the surface folds
     glued = []
-    for i, h1, h2 in zip(based, h1s, h2s):
+    for b, (i, h1, h2) in enumerate(zip(based, _representations(h1_pres, q1),
+                                        _representations(h2_pres, q2))):
         if isinstance(h1, Exception) or isinstance(h2, Exception):
             out[i] = h1 if isinstance(h1, Exception) else h2
         else:
-            glued.append((i, h1, h2))
-    via1 = _keep_folds([h1 for _, h1, _ in glued], heegaard.surface_to_handle1)
-    via2 = _keep_folds([h2 for _, _, h2 in glued], heegaard.surface_to_handle2)
+            glued.append((i, b, h1, h2))
+    via1, fox_s1 = _keep_folds([h1 for _, _, h1, _ in glued],
+                               heegaard.surface_to_handle1)
+    via2, fox_s2 = _keep_folds([h2 for _, _, _, h2 in glued],
+                               heegaard.surface_to_handle2)
     gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
-    systems = {}
-    for (i, h1, h2), gap, sigma in zip(glued, gaps,
-                                       _representations(s_pres, via1)):
+    systems = []
+    for c, ((i, b, h1, h2), gap, sigma) in enumerate(
+            zip(glued, gaps, _representations(s_pres, via1))):
         if gap > 100 * tol:
             out[i] = DomainError(
                 f"the two handlebody routes disagree on the surface rep "
@@ -291,29 +297,41 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, tol: float) -> list:
         elif isinstance(sigma, Exception):
             out[i] = sigma
         else:
-            systems[i] = [CoefficientSystem(sub, out[i])
-                          for sub in (n_reps[i], h1, h2, sigma)]
+            systems.append((i, b, c, sigma, [
+                CoefficientSystem(sub, out[i])
+                for sub in (n_reps[i], h1, h2, sigma)]))
     summaries = iter(fill_systems(
-        [sys for four in systems.values() for sys in four], tol))
-    for i, (n_sys, h1_sys, h2_sys, s_sys) in systems.items():
+        [sys for *_, four in systems for sys in four], tol))
+    shapes: dict = {}
+    for i, b, c, sigma, _ in systems:
         sums = [next(summaries) for _ in range(4)]
         errors = [s for s in sums if isinstance(s, Exception)]
         if errors:
             out[i] = errors[0]
-            continue
-        bn, b1, b2, bs = (s.basis_h1 for s in sums)
+        else:
+            shapes.setdefault((out[i].shape[1], *(s.h1 for s in sums)),
+                              []).append((i, b, c, sigma, sums))
+    n = s_pres.num_generators
+    for group in shapes.values():
+        idx, b, c, sigmas, sums = map(list, zip(*group))
+        B = np.array([out[i] for i in idx])
+        # harmonic bases, each stacked with its lone layout, so that
+        # every product below gives each row its lone product
+        bn, b1, b2, bs = (np.array([s.basis_h1.T for s in col])
+                          for col in zip(*sums))
         # restrictions in harmonic h1 coordinates, and the harmonic
-        # surface classes embedded in full algebra coordinates
-        r1 = b1.T @ pullback_matrix(n_sys, heegaard.handle1_to_manifold) @ bn
-        r2 = b2.T @ pullback_matrix(n_sys, heegaard.handle2_to_manifold) @ bn
-        rho1 = bs.T @ pullback_matrix(h1_sys, heegaard.surface_to_handle1) @ b1
-        rho2 = bs.T @ pullback_matrix(h2_sys, heegaard.surface_to_handle2) @ b2
-        E = np.kron(np.eye(s_sys.n), s_sys.basis) @ bs
-        try:
-            out[i] = mayer_vietoris_torsion(
-                r1, r2, rho1, rho2, gram_matrix(s_sys.rep, E.T), tol)
-        except DomainError as e:
-            out[i] = e
+        # surface classes embedded in full algebra coordinates by
+        # kron(I_n, basis), its products formed as np.kron forms them
+        r1 = b1 @ _in_basis(B, fox1[b]) @ bn.mT
+        r2 = b2 @ _in_basis(B, fox2[b]) @ bn.mT
+        rho1 = bs @ _in_basis(B, fox_s1[c]) @ b1.mT
+        rho2 = bs @ _in_basis(B, fox_s2[c]) @ b2.mT
+        E = (np.eye(n)[:, None, :, None] * B[:, None, :, None, :]).reshape(
+            len(B), 3 * n, -1) @ bs.mT
+        W = np.array(fill_pairings(sigmas))
+        for i, t in zip(idx, _mayer_vietoris_torsions(
+                r1, r2, rho1, rho2, E.mT @ W @ E, tol)):
+            out[i] = t
     return out
 
 
@@ -323,7 +341,9 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
     coefficients picked by the rep's stratum (full algebra at
     irreducible points, the stabilizer line at reducible ones): the
     value a chart kept, or `_mv_torsions`' batch of one."""
-    return raised(_mv_torsions(heegaard, [n_rep], tol)[0])
+    bases = _stratum_bases([classify_stratum(n_rep, tol)],
+                           [cohomology(n_rep, tol)])
+    return raised(_mv_torsions(heegaard, [n_rep], bases, tol)[0])
 
 
 # -- clean intersection -----------------------------------------------
@@ -332,17 +352,27 @@ def clean_intersection_check(point: ModuliPoint,
                              tol: float = DEFAULT_TOL) -> CleanVerdict:
     """Declared component dimension against h1 of the manifold
     presentation at the point (coefficients by stratum).  Stratum 0
-    passes vacuously."""
-    return _clean_verdict(point.rep, point.stratum, point.component_dim, tol)
+    passes vacuously.  `_clean_verdicts`' batch of one."""
+    labels = [point.stratum]
+    return raised(_clean_verdicts(
+        [point.rep], labels, [point.component_dim],
+        _stratum_bases(labels, [cohomology(point.rep, tol)]), tol)[0])
 
 
-def _clean_verdict(rep: Representation, label: StratumLabel,
-                   declared: int, tol: float) -> CleanVerdict:
-    if label.i == 0:
-        return CleanVerdict(True, 0, declared, declared)
-    summary = system_cohomology(
-        CoefficientSystem(rep, _stratum_basis(rep, label.i, tol)), tol)
-    return CleanVerdict(summary.h1 == declared, label.i, declared, summary.h1)
+def _clean_verdicts(reps, labels, declared, bases, tol: float) -> list:
+    """Each point's clean verdict from its stratum system (its
+    `_stratum_bases` coefficients), all read in one fill, or in its
+    place its label's or its system's error."""
+    sums = iter(fill_systems([CoefficientSystem(rep, b)
+                              for rep, b in zip(reps, bases)
+                              if isinstance(b, np.ndarray)], tol))
+    out = []
+    for label, dim, b in zip(labels, declared, bases):
+        s = next(sums) if isinstance(b, np.ndarray) else b
+        out.append(CleanVerdict(True, 0, dim, dim) if s is None
+                   else s if isinstance(s, Exception)
+                   else CleanVerdict(s.h1 == dim, label.i, dim, s.h1))
+    return out
 
 
 # -- built-in moduli drivers ------------------------------------------
@@ -407,37 +437,41 @@ def _chart_bound(chart: str, points: int):
                          f"more than {MAX_CHART_POINTS}")
 
 
-def _point(pid, rep, label, component_dim, weight, torsion, tol):
+def _point(pid, rep, label, component_dim, weight, torsion, clean):
     """A chart point, built once, with its torsion by stratum (the unit
     half-density at stratum 0, else the splitting's or None) and its
-    clean verdict; a label or torsion that is an error is raised."""
+    clean verdict; a label, torsion or verdict that is an error is
+    raised, in that order."""
     torsion = (TorsionValue(1.0, 0.0) if raised(label).i == 0
                else raised(torsion))
     return ModuliPoint(
         point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
         weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion,
-        clean=_clean_verdict(rep, label, component_dim, tol))
+        clean=raised(clean))
 
 
 def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     """The points of a chart, one per row (point_id, angles,
     component_dim, weight), with images exp(angle * i), built in one
     stacked pass; the first row that fails a gate raises its error.
-    Their cohomology, labels and, with a splitting (None for none),
-    torsions are filled a stack at a time, errors in place, before the
-    points are read in order."""
+    Their cohomology, labels, stratum bases, clean verdicts and, with a
+    splitting (None for none), torsions are filled a stack at a time,
+    errors in place, before the points are read in order."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
     reps = [raised(rep) for rep in _representations(pres, images)]
     fill(reps, ["fingerprint"] * len(reps),
          lambda todo: list(map(tuple, _fingerprints(images[todo]))))
-    fill_cohomology(reps, tol)
+    summaries = fill_cohomology(reps, tol)
     labels = fill_labels(reps, tol)
+    bases = _stratum_bases(labels, summaries)
     torsions = ([None] * len(reps) if heegaard is None
-                else _mv_torsions(heegaard, reps, tol))
-    return [_point(pid, rep, label, dim, weight, torsion, tol)
-            for (pid, _, dim, weight), rep, label, torsion
-            in zip(rows, reps, labels, torsions)]
+                else _mv_torsions(heegaard, reps, bases, tol))
+    cleans = _clean_verdicts(reps, labels, [dim for _, _, dim, _ in rows],
+                             bases, tol)
+    return [_point(pid, rep, label, dim, weight, torsion, clean)
+            for (pid, _, dim, weight), rep, label, torsion, clean
+            in zip(rows, reps, labels, torsions, cleans)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,

@@ -322,10 +322,11 @@ def _representations(presentation: Presentation, images) -> list:
     return out
 
 
-def _keep_folds(reps, words) -> np.ndarray:
+def _keep_folds(reps, words) -> tuple:
     """Keep on each representation (all of one presentation) each
     word's fold, from one fold of the word over their stacked images;
-    return the holonomies as (N, len(words), 4)."""
+    return the holonomies as (N, len(words), 4) and the Fox rows as
+    (N, 3 len(words), 3n)."""
     k = len(words)
 
     def folds(todo):
@@ -338,7 +339,9 @@ def _keep_folds(reps, words) -> np.ndarray:
 
     held = fill([rep for rep in reps for _ in words], list(words) * len(reps),
                 folds)
-    return np.array([q for q, _ in held]).reshape(len(reps), k, 4)
+    J = np.array([J for _, J in held])     # (0,) for no reps
+    return (np.array([q for q, _ in held]).reshape(len(reps), k, 4),
+            J.reshape((len(reps), 3 * k) + J.shape[2:]))
 
 
 def kept(rep: Representation, key, compute, *args):

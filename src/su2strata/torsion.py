@@ -9,7 +9,12 @@ maps at odd positions (1-indexed, left to right) contribute to the
 numerator, even positions to the denominator.  Scaling map j by c
 therefore scales the torsion by c^(rank_j) for odd j and c^(-rank_j)
 for even j.  Values accumulate in log space.  Only absolute values are
-produced; no orientation of determinant lines is chosen.
+produced; no orientation of determinant lines is chosen.  Sequences
+of one shape are stacked (`_sequence_torsions`, and the Mayer-Vietoris
+assembly `_mayer_vietoris_torsions` above it), each map's SVD taken
+once over the stack and each row's torsion or first error returned in
+its place; `sequence_torsion` and `mayer_vietoris_torsion` are their
+batches of one.
 
 A stratum's volume is the torsion of 0 -> g -> g^n -> H^1 -> 0 with d0
 first and H^1 in its orthonormal harmonic basis, so it is the product
@@ -25,7 +30,7 @@ import numpy as np
 
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError, ExactnessError
-from .presentations import Representation
+from .presentations import Representation, raised
 from .strata import classify_stratum
 
 _CONVENTION = "odd-position maps to numerator"
@@ -63,35 +68,48 @@ class MetricSequence:
 
 def sequence_torsion(seq: MetricSequence,
                      tol: float = DEFAULT_TOL) -> TorsionValue:
-    """Torsion of an exact metrized sequence.
+    """Torsion of an exact metrized sequence: `_sequence_torsions`'
+    batch of one.
 
     Raises ExactnessError when composites fail to vanish or when the
     ranks do not satisfy rank f_{j-1} + rank f_j = dim V_j.
     """
-    res = 0.0
-    for a, b in zip(seq.maps, seq.maps[1:]):
-        res = max(res, float(np.linalg.norm(b @ a)))
-    if res > tol:
-        raise ExactnessError(
-            f"consecutive composite norm {res:.3e} exceeds {tol:.1e}")
-    ranks = []
-    svs = []
-    for f in seq.maps:
-        sv = np.linalg.svd(f, compute_uv=False)
-        sv = sv[sv > tol]
-        svs.append(sv)
-        ranks.append(len(sv))
-    bounded = [0] + ranks + [0]
-    for i, d in enumerate(seq.dims):
-        if bounded[i] + bounded[i + 1] != d:
-            raise ExactnessError(
-                f"rank defect at space {i+1}: {bounded[i]} + {bounded[i+1]} "
-                f"!= dim {d}")
-    log_t = 0.0
-    for j, sv in enumerate(svs, start=1):
-        sign = 1.0 if j % 2 == 1 else -1.0
-        log_t += sign * float(np.sum(np.log(sv)))
-    return TorsionValue(value=float(np.exp(log_t)), log_value=log_t)
+    return raised(_sequence_torsions(
+        seq.dims, [f[None] for f in seq.maps], tol)[0])
+
+
+def _sequence_torsions(dims, maps, tol: float) -> list:
+    """The torsion of each of N sequences of one shape, maps[j] their
+    stacked (N, dims[j+1], dims[j]) j-th maps, or in its place the
+    ExactnessError its lone call raises.  Each map's singular values
+    come from one stacked SVD, which gives each matrix what its own
+    gives, and its logs are summed over the exact rows in one pass."""
+    n = len(maps[0]) if maps else 1     # a lone space has no maps
+    res = np.zeros(n)
+    for a, b in zip(maps, maps[1:]):
+        res = np.fmax(res, np.sqrt(((b @ a) ** 2).sum(axis=(1, 2))))
+    svs = [np.linalg.svd(f, compute_uv=False) for f in maps]
+    ranks = np.array([(sv > tol).sum(axis=1) for sv in svs], dtype=int)
+    out: list = []
+    for r, rank in zip(res.tolist(), ranks.reshape(-1, n).T.tolist()):
+        b = [0, *rank, 0]
+        j = next((j for j, d in enumerate(dims) if b[j] + b[j + 1] != d),
+                 None)
+        out.append(
+            ExactnessError(f"consecutive composite norm {r:.3e} exceeds "
+                           f"{tol:.1e}") if r > tol else
+            ExactnessError(f"rank defect at space {j+1}: {b[j]} + "
+                           f"{b[j+1]} != dim {dims[j]}") if j is not None
+            else None)
+    ok = [i for i, t in enumerate(out) if t is None]
+    log_t, rank = np.zeros(len(ok)), 0
+    for j, sv in enumerate(svs):
+        rank = dims[j] - rank       # what exactness leaves map j
+        part = np.log(sv[ok, :rank]).sum(axis=1)
+        log_t = log_t + part if j % 2 == 0 else log_t - part
+    for i, v, lv in zip(ok, np.exp(log_t).tolist(), log_t.tolist()):
+        out[i] = TorsionValue(value=v, log_value=lv)
+    return out
 
 
 def stratum_volume(rep: Representation,
@@ -155,27 +173,29 @@ def mayer_vietoris_torsion(r1: np.ndarray, r2: np.ndarray,
 
     The unit metric volumes of the four spaces are the half-density
     normalization, so the returned scalar is already measured against
-    them.
+    them.  A lone call is `_mayer_vietoris_torsions`' batch of one.
     """
-    r1 = np.atleast_2d(np.asarray(r1, dtype=float))
-    r2 = np.atleast_2d(np.asarray(r2, dtype=float))
-    rho1 = np.atleast_2d(np.asarray(rho1, dtype=float))
-    rho2 = np.atleast_2d(np.asarray(rho2, dtype=float))
-    omega_gram = np.atleast_2d(np.asarray(omega_gram, dtype=float))
-    nN = r1.shape[1]
-    a, b = r1.shape[0], r2.shape[0]
-    s = rho1.shape[0]
+    maps = [np.atleast_2d(np.asarray(m, dtype=float))
+            for m in (r1, r2, rho1, rho2, omega_gram)]
+    r1, r2, rho1, rho2, omega_gram = maps
+    nN, a, b, s = r1.shape[1], r1.shape[0], r2.shape[0], rho1.shape[0]
     if r2.shape[1] != nN or rho1.shape[1] != a or rho2.shape[1] != b \
             or omega_gram.shape != (s, s) or rho2.shape[0] != s:
         raise DomainError("restriction map shapes are inconsistent")
-    j1 = rho1 @ r1
-    j2 = rho2 @ r2
-    if j1.size and float(np.linalg.norm(j1 - j2)) > 100 * tol:
-        raise ExactnessError(
-            "the two handlebody routes give different composite "
-            f"restrictions (gap {np.linalg.norm(j1 - j2):.3e})")
-    alpha = np.vstack([r1, r2])
-    beta = np.hstack([rho1, -rho2])
-    gamma = (omega_gram @ j1).T
-    seq = MetricSequence((nN, a + b, s, nN), (alpha, beta, gamma))
-    return sequence_torsion(seq, tol)
+    return raised(_mayer_vietoris_torsions(*(m[None] for m in maps), tol)[0])
+
+
+def _mayer_vietoris_torsions(r1, r2, rho1, rho2, omega, tol: float) -> list:
+    """`mayer_vietoris_torsion` of each row of (N, ...) stacks of one
+    shape, or in its place the error its lone call raises: one stacked
+    product per map and one `_sequence_torsions`."""
+    j1, j2 = rho1 @ r1, rho2 @ r2
+    gaps = np.sqrt(((j1 - j2) ** 2).sum(axis=(1, 2))).tolist()
+    nN, s = r1.shape[2], rho1.shape[1]
+    torsions = _sequence_torsions(
+        (nN, r1.shape[1] + r2.shape[1], s, nN),
+        (np.concatenate([r1, r2], axis=1),
+         np.concatenate([rho1, -rho2], axis=2), (omega @ j1).mT), tol)
+    return [ExactnessError("the two handlebody routes give different "
+                           f"composite restrictions (gap {gap:.3e})")
+            if gap > 100 * tol else t for gap, t in zip(gaps, torsions)]

@@ -181,6 +181,20 @@ def test_torsion_example_mode(tmp_path, capsys):
     assert abs(json.loads(out)["result"]["torsion"] - 0.2) < 1e-9
 
 
+def test_torsion_example_lens_point_must_be_noncentral(tmp_path, capsys):
+    # point 4 is p/2 at p = 8, a central point: refused as input
+    path = write_json(tmp_path / "half.json",
+                      {"example": "lens", "p": 8, "q": 3, "point": 4})
+    code, out, err = run(capsys, "torsion", path)
+    assert code == 2 and out == "" and "1..(p-1)//2" in err
+    # at p = 9 it is the last noncentral point
+    path = write_json(tmp_path / "last.json",
+                      {"example": "lens", "p": 9, "q": 2, "point": 4})
+    code, out, _ = run(capsys, "torsion", path)
+    assert code == 0
+    assert abs(json.loads(out)["result"]["torsion"] - 1.0 / 9) < 1e-9
+
+
 def test_torsion_example_s1xs2(tmp_path, capsys):
     path = write_json(tmp_path / "ex2.json",
                       {"example": "s1xs2", "samples": 8, "point": 3})

@@ -275,16 +275,16 @@ def test_t3_charts_and_polish_candidates_form_no_w(cup_folds):
 
 
 def test_lens_forms_w_only_for_its_surface_reps(cup_folds):
-    # the lens point reps never form W; each noncentral point's genus-1
-    # surface rep forms it once, for its Mayer-Vietoris omega, one W
-    # block per letter of a b A B
+    # the lens point reps never form W; the noncentral points' genus-1
+    # surface reps form it once, over their stacked images, for their
+    # Mayer-Vietoris omegas, one W block per letter of a b A B
     p, q = 31, 7
     points = enumerate_moduli("lens", p=p, q=q)
     # a point's surface rep sends a to its image and b to 1
-    sigma = [np.array([pt.rep.images[0], su2.identity()])
-             for pt in points if pt.stratum.i != 0]
+    sigma = np.array([[pt.rep.images[0], su2.identity()]
+                      for pt in points if pt.stratum.i != 0])
     assert len(sigma) == p // 2
-    assert Counter(cup_folds) == {s.tobytes(): 4 for s in sigma}
+    assert Counter(cup_folds) == {sigma.tobytes(): 4}
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])

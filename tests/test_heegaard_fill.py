@@ -3,10 +3,12 @@
 Before it reads the points of a chart with a splitting,
 `_chart_points` runs one Mayer-Vietoris builder over all of them: it
 makes each point's handlebody and surface representations, analyses
-their systems and the point's own in one stacked pass, and keeps only
-each point's torsion on the point's representation.  Here each system is
+their systems and the point's own in one stacked pass, forms the
+torsion sequences as stacked products per shape, and keeps only each
+point's torsion on the point's representation.  Here each system is
 held to one analysis, also when that analysis fails, the number of
-stacked passes to one that does not grow with p, `heegaard_mv_torsion`
+stacked passes, SVDs and cup folds to counts that do not grow with p,
+each stacked Gram row to the oracle pairing, `heegaard_mv_torsion`
 on a fresh, unfilled representation (a batch of one) to the chart's
 value bit for bit, inconsistent gluing data to the torsion or the
 error a lone call gives, at its own point, with nothing kept for an
@@ -23,13 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
-from su2strata import invariants, su2
+from su2strata import invariants, presentations, su2
 from su2strata.cohomology import DEFAULT_TOL, stabilizer_axis
 from su2strata.errors import DomainError, RankAmbiguityError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard)
 from su2strata.presentations import (Representation, Word, cyclic_group,
                                      free_group, generator)
+from su2strata.strata import fill_labels
+
+import oracles
 
 
 def torus_element(theta):
@@ -39,6 +44,13 @@ def torus_element(theta):
 def lens_rep(p, n):
     return Representation(cyclic_group(p),
                           [torus_element(2.0 * math.pi * n / p)])
+
+
+def mv_torsions(splitting, reps):
+    """`_mv_torsions` of reps, with the coefficients their labels pick."""
+    bases = invariants._stratum_bases(fill_labels(reps, DEFAULT_TOL),
+                                      coh.fill_cohomology(reps))
+    return invariants._mv_torsions(splitting, reps, bases, DEFAULT_TOL)
 
 
 @pytest.fixture
@@ -112,6 +124,62 @@ def test_lens_analyses_do_not_grow_with_p(analysed):
     assert sizes[21] == sizes[83]
 
 
+def test_lens_svds_and_cup_folds_do_not_grow_with_p(monkeypatch):
+    # the Mayer-Vietoris tail is stacked per shape: its SVDs and the
+    # surface relator's cup fold run once a chart, not once a point
+    calls = Counter()
+    svd, fold = np.linalg.svd, presentations._fold
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_fold(images, word, letters, cup):
+        calls["cup"] += cup
+        return fold(images, word, letters, cup)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(presentations, "_fold", counting_fold)
+    sizes = {}
+    for p in (21, 83):
+        calls.clear()
+        enumerate_moduli("lens", p=p, q=5)
+        sizes[p] = dict(calls)
+    assert sizes[21] == sizes[83] and sizes[21]["cup"] == 1
+
+
+@pytest.mark.parametrize("example, kwargs", [
+    ("lens", {"p": 23, "q": 4}), ("lens", {"p": 30, "q": 7}),
+    ("s1xs2", {"samples": 9})])
+def test_each_stacked_gram_row_is_the_oracle_pairing(monkeypatch, example,
+                                                     kwargs):
+    # the omega rows the builder hands the sequence, against the cup
+    # product summed letter by letter on each row's surface rep
+    seen = []
+    pairings, torsions = (invariants.fill_pairings,
+                          invariants._mayer_vietoris_torsions)
+    monkeypatch.setattr(invariants, "fill_pairings",
+                        lambda reps: seen.append(reps) or pairings(reps))
+    monkeypatch.setattr(
+        invariants, "_mayer_vietoris_torsions",
+        lambda *args: seen.append(args[4]) or torsions(*args))
+    points = enumerate_moduli(example, **kwargs)
+    sigmas, omegas = seen
+    noncentral = [pt for pt in points if pt.stratum.i != 0]
+    assert len(sigmas) == len(omegas) == len(noncentral)
+    for pt, sigma, omega in zip(noncentral, sigmas, omegas):
+        # the row's surface rep is its point's: a -> the point's image
+        assert sigma.images[0].tobytes() == pt.rep.images[0].tobytes()
+        basis = stabilizer_axis(pt.rep).reshape(3, 1)
+        classes = coh.system_cohomology(
+            coh.CoefficientSystem(sigma, basis)).basis_h1
+        E = np.kron(np.eye(2), basis) @ classes
+        letters = sigma.presentation.relators[0].letters
+        want = [[oracles.goldman_pairing(letters, sigma.images, u, v)
+                 for v in E.T] for u in E.T]
+        assert np.abs(omega - want).max() < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 150), st.integers(1, 149), st.data())
 def test_a_fresh_lens_point_gives_the_filled_torsion(p, q, data):
@@ -146,14 +214,13 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
                   handle2_to_manifold=(generator(0) ** 6,))
     reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
     coh.fill_cohomology(reps)
-    batch = invariants._mv_torsions(bad, reps, DEFAULT_TOL)
+    batch = mv_torsions(bad, reps)
     glued = {n for n, rep in enumerate(reps)
              if (bad, DEFAULT_TOL) in rep._kept}
     assert glued == {3, 6}
     # at each position, the batch holds what a lone call gives there
     for n, torsion in enumerate(batch):
-        (lone,) = invariants._mv_torsions(bad, [lens_rep(p, n)],
-                                          DEFAULT_TOL)
+        (lone,) = mv_torsions(bad, [lens_rep(p, n)])
         if n in glued:
             assert torsion is reps[n]._kept[bad, DEFAULT_TOL]
             assert (torsion.value, torsion.log_value) == (lone.value,

@@ -19,7 +19,7 @@ from su2strata.invariants import (HeegaardData, ModuliPoint,
                                   stationary_phase_sum, t3_presentation,
                                   trace_fingerprint)
 from su2strata.presentations import (Representation, Word, cyclic_group,
-                                     free_group, generator)
+                                     fox_fold, free_group, generator)
 from su2strata.strata import classify_stratum
 from su2strata.torsion import TorsionValue
 
@@ -162,17 +162,25 @@ def test_heegaard_data_validation():
 
 
 def test_heegaard_parts_agree_on_surface(monkeypatch):
-    # the surface rep the builder pairs on, seen through gram_matrix
+    # the surface reps the builder pairs on, one batch per shape group,
+    # seen through the pairing matrices it keeps on them
     paired = []
-    gram = invariants.gram_matrix
-    monkeypatch.setattr(invariants, "gram_matrix",
-                        lambda rep, rows: paired.append(rep) or gram(rep, rows))
+    fill = invariants.fill_pairings
+    monkeypatch.setattr(invariants, "fill_pairings",
+                        lambda reps: paired.append(reps) or fill(reps))
     heegaard_mv_torsion(lens_heegaard(5, 2), lens_rep(5, 1))
-    (sigma,) = paired
-    assert sigma.presentation.kind == "surface"
-    # route 1: a1 -> x -> a
-    assert np.allclose(sigma.images[0], lens_rep(5, 1).images[0])
-    assert np.allclose(sigma.images[1], su2.identity(), atol=1e-12)
+    points = enumerate_moduli("lens", p=5, q=2)
+    lone, chart = paired
+    assert len(lone) == 1 and len(chart) == 2
+    for sigma, rep in zip([*lone, *chart], [lens_rep(5, 1)] + [
+            pt.rep for pt in points if pt.stratum.i != 0]):
+        assert sigma.presentation.kind == "surface"
+        # route 1: a1 -> x -> a
+        assert np.allclose(sigma.images[0], rep.images[0])
+        assert np.allclose(sigma.images[1], su2.identity(), atol=1e-12)
+        # the kept row is the surface relator's own W at these images
+        want = fox_fold(sigma.images, sigma.presentation.relators[0])[2]
+        assert sigma._kept["pairing"].tobytes() == want.tobytes()
 
 
 def test_lens_mv_torsion_is_one_over_p():

@@ -251,3 +251,58 @@ def test_mv_lens_style_empty_ends():
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     t = mayer_vietoris_torsion(r1, r2, rho1, rho2, omega)
     assert abs(t.value - 1.0 / p) < 1e-12
+
+
+# -- stacked sequences ---------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_stacked_torsion_rows_are_lone_and_oracle_torsions(seed, n_spaces):
+    # draws grouped by dims give same-shape stacks; each row is its
+    # lone call bit for bit, the top-form oracle's value, and a row
+    # made inexact fails in place without moving its mates
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for _ in range(24):
+        dims, maps, _, _ = oracles.random_exact_sequence(rng, n_spaces)
+        groups.setdefault(tuple(dims), []).append(maps)
+    for dims, rows in groups.items():
+        stacks = [np.array(col) for col in zip(*rows)]
+        got = torsion._sequence_torsions(dims, stacks, 1e-8)
+        for maps, t in zip(rows, got):
+            lone = sequence_torsion(MetricSequence(dims, maps))
+            assert (t.value, t.log_value) == (lone.value, lone.log_value)
+            want, _ = oracles.top_form_torsion(dims, maps)
+            assert abs(t.value - want) <= 1e-12 * want
+        bad = int(rng.integers(len(rows)))
+        zeroed = [s.copy() for s in stacks]
+        for s in zeroed:
+            s[bad] = 0.0      # every map zero: a rank defect
+        broken = torsion._sequence_torsions(dims, zeroed, 1e-8)
+        assert isinstance(broken[bad], ExactnessError)
+        with pytest.raises(ExactnessError) as lone:
+            sequence_torsion(MetricSequence(dims, [s[bad] for s in zeroed]))
+        assert str(lone.value) == str(broken[bad])
+        assert [t for i, t in enumerate(broken) if i != bad] == \
+            [t for i, t in enumerate(got) if i != bad]
+
+
+def test_stacked_mayer_vietoris_rows_fail_in_place():
+    # the circle example, its route-disagreeing twin and a row whose
+    # pairing leaves the sequence inexact, stacked as one shape
+    r = np.array([[1.0]])
+    rho1 = np.array([[1.0], [0.0]])
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rows = [(r, r, rho1, rho1, omega),
+            (r, r, rho1, np.array([[0.0], [1.0]]), omega),
+            (r, r, rho1, rho1, np.zeros((2, 2)))]
+    got = torsion._mayer_vietoris_torsions(
+        *(np.array(col) for col in zip(*rows)), 1e-8)
+    for row, t in zip(rows, got):
+        try:
+            lone = mayer_vietoris_torsion(*row)
+        except ExactnessError as e:
+            assert type(t) is ExactnessError and str(t) == str(e)
+        else:
+            assert t == lone and abs(t.value - 1.0) < 1e-12
+    assert "routes" in str(got[1]) and "rank defect" in str(got[2])
