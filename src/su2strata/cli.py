@@ -77,11 +77,6 @@ def _emit(report: dict, fmt: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _report(command: str, config: dict, result: dict) -> dict:
-    return {"schema": SCHEMA_VERSION, "command": command, "config": config,
-            "conventions": dict(CONVENTION_TAGS), "result": result}
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -159,6 +154,7 @@ def _load_rep_file(path: str, polished: bool):
 
 
 # -- handlers ----------------------------------------------------------
+# each returns its report's result; `dispatch` wraps it in the report
 
 def _cmd_classify(args) -> dict:
     rep = _load_rep_file(args.input, args.polish)
@@ -174,8 +170,7 @@ def _cmd_classify(args) -> dict:
     }
     if rep.presentation.kind == "free":
         result["tangent_dim"] = stratum_tangent_dim(rep, args.tol)
-    config = {"tol": args.tol, "input": args.input, "polish": args.polish}
-    return _report("classify", config, result)
+    return result
 
 
 def _cmd_cohomology(args) -> dict:
@@ -184,7 +179,7 @@ def _cmd_cohomology(args) -> dict:
         summary = cohomology(rep, args.tol)
     else:
         summary = restrict_coefficients(rep, args.coefficients, args.tol)
-    result = {
+    return {
         "coefficients": args.coefficients,
         "coefficient_dim": summary.coefficient_dim,
         "h0": summary.h0,
@@ -194,9 +189,6 @@ def _cmd_cohomology(args) -> dict:
                             for k, v in summary.singular_values.items()},
         "warnings": list(summary.warnings),
     }
-    config = {"tol": args.tol, "input": args.input, "polish": args.polish,
-              "coefficients": args.coefficients}
-    return _report("cohomology", config, result)
 
 
 def _cmd_strata_scan(args) -> dict:
@@ -218,16 +210,13 @@ def _cmd_strata_scan(args) -> dict:
             counts[i] += 1
             tangent[i].add(stratum_tangent_dim(rep, args.tol))
             h1m5[i].add(cohomology(rep, args.tol).h1)
-    result = {
+    return {
         "genus": g,
         "samples": args.samples,
         "counts": {str(k): v for k, v in counts.items()},
         "tangent_dims": {str(k): sorted(v) for k, v in tangent.items()},
         "h1_values": {str(k): sorted(v) for k, v in h1m5.items()},
     }
-    config = {"tol": args.tol, "seed": args.seed, "genus": g,
-              "samples": args.samples}
-    return _report("strata-scan", config, result)
 
 
 def _cmd_symplectic_check(args) -> dict:
@@ -256,7 +245,7 @@ def _cmd_symplectic_check(args) -> dict:
         hrep = handlebody_representation(Representation(free_pres, free_imgs))
         GH = pairing_matrix(hrep)[:3 * g, :3 * g]
         iso = max(iso, float(np.abs(GH).max()))
-    result = {
+    return {
         "genus": g,
         "samples": args.samples,
         "antisymmetry_max": anti,
@@ -264,9 +253,6 @@ def _cmd_symplectic_check(args) -> dict:
         "gram_ranks": sorted(set(ranks)),
         "handlebody_isotropy_max": iso,
     }
-    config = {"tol": args.tol, "seed": args.seed, "genus": g,
-              "samples": args.samples}
-    return _report("symplectic-check", config, result)
 
 
 def _torsion_from_sequence(spec: dict, tol: float) -> dict:
@@ -342,13 +328,10 @@ def _cmd_torsion(args) -> dict:
     extra = ("p", "q", "point", "samples") if modes[0] == "example" else ()
     _fields(data, "torsion input", {"schema", modes[0], *extra})
     if modes[0] == "sequence":
-        result = _torsion_from_sequence(data["sequence"], args.tol)
-    elif modes[0] == "volume":
-        result = _torsion_from_volume(data["volume"], args.tol)
-    else:
-        result = _torsion_from_example(data, args.tol)
-    config = {"tol": args.tol, "input": args.input}
-    return _report("torsion", config, result)
+        return _torsion_from_sequence(data["sequence"], args.tol)
+    if modes[0] == "volume":
+        return _torsion_from_volume(data["volume"], args.tol)
+    return _torsion_from_example(data, args.tol)
 
 
 def _load_table(path: str, field: str) -> list:
@@ -389,7 +372,7 @@ def _cmd_invariant(args) -> dict:
             } if pt.clean else None,
             "fingerprint": list(pt.fingerprint),
         })
-    result = {
+    return {
         "example": args.example,
         "k": inv.k,
         "total": inv.total,
@@ -398,10 +381,6 @@ def _cmd_invariant(args) -> dict:
         "point_count": inv.point_count,
         "points": point_rows,
     }
-    config = {"tol": args.tol, "seed": args.seed, "samples": args.samples,
-              "example": args.example, "p": args.p, "q": args.q, "k": args.k,
-              "cs_table": args.cs_table, "torsion_table": args.torsion_table}
-    return _report("invariant", config, result)
 
 
 def _cmd_fg_sum(args) -> dict:
@@ -412,9 +391,7 @@ def _cmd_fg_sum(args) -> dict:
                         _number(row["flow"], "entry flow", integer=True),
                         _number(row["cs"], "entry cs")))
     value = stationary_phase_sum(triples, args.k)
-    result = {"k": args.k, "entry_count": len(triples), "value": value}
-    config = {"k": args.k, "entries": args.entries}
-    return _report("fg-sum", config, result)
+    return {"k": args.k, "entry_count": len(triples), "value": value}
 
 
 # -- wiring ------------------------------------------------------------
@@ -531,7 +508,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        report = args.func(args)
+        result = args.func(args)
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
@@ -539,10 +516,14 @@ def dispatch(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 1
     if args.command == "fg-sum" and args.format == "table":
-        z = report["result"]["value"]
-        sys.stdout.write(_fmt_complex(z) + "\n")
+        sys.stdout.write(_fmt_complex(result["value"]) + "\n")
         return 0
-    _emit(report, args.format)
+    # a report's config is its parsed arguments
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "format", "func")}
+    _emit({"schema": SCHEMA_VERSION, "command": args.command,
+           "config": config, "conventions": dict(CONVENTION_TAGS),
+           "result": result}, args.format)
     return 0
 
 

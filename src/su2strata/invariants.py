@@ -14,12 +14,13 @@ Every example is one chart driver (`_chart_points`) fed its rows and
 its splitting.  The driver builds every representation of the chart
 in one stacked pass, fills its cohomology in one stacked analysis, its
 labels in one axis test and its clean verdicts in one fill.  With a
-splitting, one Mayer-Vietoris builder (`_glued_torsions`) then makes
-every point's handlebody and surface representations, analyses their
+splitting, one Mayer-Vietoris builder (`_glued_torsions`) then folds
+the handle and surface words over the chart's stacks, makes every
+point's handlebody and surface representations, analyses their
 systems and the point's own in one more stacked analysis, and forms
 the restriction maps, the surface Gram matrices and the torsion
 sequences as stacked products, one stack per shape; there is no
-per-point step.  A point's torsion follows its stratum: the unit
+per-point step, and a point keeps only its torsion.  A point's torsion follows its stratum: the unit
 half-density at stratum 0, elsewhere the splitting's torsion; t3 has
 no built-in splitting, so its other points carry torsion = None until
 the caller supplies values.  Each label, verdict, torsion or error
@@ -44,12 +45,11 @@ from .cohomology import (_FULL_BASIS, DEFAULT_TOL, CoefficientSystem,
                          fill_systems)
 from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
-from .presentations import (Presentation, Representation, Word, _keep_folds,
+from .presentations import (Presentation, Representation, Word, _fold_words,
                             _representations, commutator, cyclic_group,
-                            evaluate_images, fill, free_group, generator,
-                            kept, raised, surface_group)
+                            evaluate_images, fill, fox_fold, free_group,
+                            generator, kept, raised, surface_group)
 from .strata import StratumLabel, classify_stratum, fill_labels
-from .symplectic import fill_pairings
 from .torsion import TorsionValue, _mayer_vietoris_torsions
 
 
@@ -259,61 +259,60 @@ def _mv_torsions(heegaard: HeegaardData, n_reps, bases, tol: float) -> list:
 
 def _glued_torsions(heegaard: HeegaardData, n_reps, bases,
                     tol: float) -> list:
-    """`_mv_torsions` of reps without them: one stacked fold per handle
-    word, one stacked analysis of the manifold, handle and surface
-    systems not yet kept, then, per shape of the four summaries, the
-    restriction maps, the surface Gram matrix and the sequence as
-    stacked products.  The handle and surface representations are made
-    here and not kept."""
+    """`_mv_torsions` of reps without them, over stacks with one row per
+    rep that has a basis: one fold of each handle word over the chart
+    images and of each surface word over the handle holonomies, one
+    stacked analysis of the manifold, handle and surface systems not
+    yet kept, one W of the surface relator, then, per shape of the four
+    summaries, the restriction maps, the surface Gram matrix and the
+    sequence as stacked products.  The handle and surface
+    representations are made here and not kept; rows that fail a gate
+    are folded too, and nothing reads them."""
     out = [DomainError("stratum 0 uses the constant unit torsion, not "
                        "the Mayer-Vietoris assembly") if b is None else b
            for b in bases]
-    based = [i for i, b in enumerate(out) if not isinstance(b, Exception)]
-    reps = [n_reps[i] for i in based]
+    rows = [i for i, b in enumerate(out) if not isinstance(b, Exception)]
+    if not rows:
+        return out
     h1_pres, h2_pres, s_pres = heegaard.presentations
-    q1, fox1 = _keep_folds(reps, heegaard.handle1_to_manifold)
-    q2, fox2 = _keep_folds(reps, heegaard.handle2_to_manifold)
-    # a rep's first error, in the order a lone call meets them; each
-    # glued rep keeps its rows b in fox1/fox2 and c in the surface folds
-    glued = []
-    for b, (i, h1, h2) in enumerate(zip(based, _representations(h1_pres, q1),
-                                        _representations(h2_pres, q2))):
+    images = np.array([n_reps[i].images for i in rows])
+    q1, fox1 = _fold_words(images, heegaard.handle1_to_manifold)
+    q2, fox2 = _fold_words(images, heegaard.handle2_to_manifold)
+    via1, fox_s1 = _fold_words(q1, heegaard.surface_to_handle1)
+    via2, fox_s2 = _fold_words(q2, heegaard.surface_to_handle2)
+    gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
+    # a rep's first error, in the order a lone call meets them
+    systems = []
+    for r, (i, h1, h2, gap, sigma) in enumerate(zip(
+            rows, _representations(h1_pres, q1),
+            _representations(h2_pres, q2), gaps,
+            _representations(s_pres, via1))):
         if isinstance(h1, Exception) or isinstance(h2, Exception):
             out[i] = h1 if isinstance(h1, Exception) else h2
-        else:
-            glued.append((i, b, h1, h2))
-    via1, fox_s1 = _keep_folds([h1 for _, _, h1, _ in glued],
-                               heegaard.surface_to_handle1)
-    via2, fox_s2 = _keep_folds([h2 for _, _, _, h2 in glued],
-                               heegaard.surface_to_handle2)
-    gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
-    systems = []
-    for c, ((i, b, h1, h2), gap, sigma) in enumerate(
-            zip(glued, gaps, _representations(s_pres, via1))):
-        if gap > 100 * tol:
+        elif gap > 100 * tol:
             out[i] = DomainError(
                 f"the two handlebody routes disagree on the surface rep "
                 f"(gap {gap:.3e}); gluing data is inconsistent")
         elif isinstance(sigma, Exception):
             out[i] = sigma
         else:
-            systems.append((i, b, c, sigma, [
-                CoefficientSystem(sub, out[i])
-                for sub in (n_reps[i], h1, h2, sigma)]))
+            systems.append((i, r, [CoefficientSystem(sub, out[i])
+                                   for sub in (n_reps[i], h1, h2, sigma)]))
     summaries = iter(fill_systems(
         [sys for *_, four in systems for sys in four], tol))
     shapes: dict = {}
-    for i, b, c, sigma, _ in systems:
+    for i, r, _ in systems:
         sums = [next(summaries) for _ in range(4)]
         errors = [s for s in sums if isinstance(s, Exception)]
         if errors:
             out[i] = errors[0]
         else:
             shapes.setdefault((out[i].shape[1], *(s.h1 for s in sums)),
-                              []).append((i, b, c, sigma, sums))
+                              []).append((i, r, sums))
+    W = fox_fold(via1, s_pres.relators[0])[2]
     n = s_pres.num_generators
     for group in shapes.values():
-        idx, b, c, sigmas, sums = map(list, zip(*group))
+        idx, r, sums = map(list, zip(*group))
         B = np.array([out[i] for i in idx])
         # harmonic bases, each stacked with its lone layout, so that
         # every product below gives each row its lone product
@@ -322,15 +321,14 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, bases,
         # restrictions in harmonic h1 coordinates, and the harmonic
         # surface classes embedded in full algebra coordinates by
         # kron(I_n, basis), its products formed as np.kron forms them
-        r1 = b1 @ _in_basis(B, fox1[b]) @ bn.mT
-        r2 = b2 @ _in_basis(B, fox2[b]) @ bn.mT
-        rho1 = bs @ _in_basis(B, fox_s1[c]) @ b1.mT
-        rho2 = bs @ _in_basis(B, fox_s2[c]) @ b2.mT
+        r1 = b1 @ _in_basis(B, fox1[r]) @ bn.mT
+        r2 = b2 @ _in_basis(B, fox2[r]) @ bn.mT
+        rho1 = bs @ _in_basis(B, fox_s1[r]) @ b1.mT
+        rho2 = bs @ _in_basis(B, fox_s2[r]) @ b2.mT
         E = (np.eye(n)[:, None, :, None] * B[:, None, :, None, :]).reshape(
             len(B), 3 * n, -1) @ bs.mT
-        W = np.array(fill_pairings(sigmas))
         for i, t in zip(idx, _mayer_vietoris_torsions(
-                r1, r2, rho1, rho2, E.mT @ W @ E, tol)):
+                r1, r2, rho1, rho2, E.mT @ W[r] @ E, tol)):
             out[i] = t
     return out
 

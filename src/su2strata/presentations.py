@@ -194,10 +194,10 @@ class Representation:
     once, here, to its holonomy (`relator_values`, read by the gate)
     and its Fox row; no cup-product matrix is formed.  All else it
     keeps, read-only, is in one memo that only `kept` (one value) and
-    `fill` (a batch) touch: folds of other words, the Ad stack, the
-    pairing matrix, cohomology summaries, stratum labels, restricted
-    bases, fingerprints and Mayer-Vietoris torsions.  Errors are never
-    kept.  A chart's representations are built together
+    `fill` (a batch) touch: the folds `fold` is asked for, the Ad
+    stack, the pairing matrix, cohomology summaries, stratum labels,
+    restricted bases, fingerprints and Mayer-Vietoris torsions.  Errors
+    are never kept.  A chart's representations are built together
     (`_representations`) and keep read-only views of their rows of its
     stacked results.
     """
@@ -277,19 +277,12 @@ def _unit(images: np.ndarray):
 
 def _relator_folds(presentation: Presentation, images: np.ndarray):
     """(relator_values, Fox Jacobian, relator residual) of (n, 4) images
-    or, row by row, of an (..., n, 4) stack: each relator's holonomy and
-    Fox row from one fold, read-only, and the largest distance of a
-    holonomy from the identity."""
-    lead, n3 = images.shape[:-2], 3 * presentation.num_generators
-    letters: dict = {}
-    folds = [_fold(images, r, letters, False) for r in presentation.relators]
-    values = np.concatenate([q[..., None, :] for q, _ in folds]
-                            or [np.zeros(lead + (0, 4))], axis=-2)
-    jacobian = np.concatenate([J for _, J in folds]
-                              or [np.zeros(lead + (0, n3))], axis=-2)
+    or, row by row, of an (..., n, 4) stack: the relators' `_fold_words`
+    and the largest distance of a holonomy from the identity."""
+    values, jacobian = _fold_words(images, presentation.relators)
     residual = np.linalg.norm(values - su2.identity(), axis=-1).max(
         axis=-1, initial=0.0)
-    return _read_only(values), _read_only(jacobian), residual
+    return values, jacobian, residual
 
 
 def _representations(presentation: Presentation, images) -> list:
@@ -322,26 +315,19 @@ def _representations(presentation: Presentation, images) -> list:
     return out
 
 
-def _keep_folds(reps, words) -> tuple:
-    """Keep on each representation (all of one presentation) each
-    word's fold, from one fold of the word over their stacked images;
-    return the holonomies as (N, len(words), 4) and the Fox rows as
-    (N, 3 len(words), 3n)."""
-    k = len(words)
-
-    def folds(todo):
-        images = np.array([rep.images for rep in reps])
-        letters: dict = {}
-        stacked = {w: tuple(map(_read_only, _fold(images, w, letters, False)))
-                   for w in dict.fromkeys(words)}
-        rows = [(stacked[words[i % k]], i // k) for i in todo]
-        return [(q[r], J[r]) for (q, J), r in rows]
-
-    held = fill([rep for rep in reps for _ in words], list(words) * len(reps),
-                folds)
-    J = np.array([J for _, J in held])     # (0,) for no reps
-    return (np.array([q for q, _ in held]).reshape(len(reps), k, 4),
-            J.reshape((len(reps), 3 * k) + J.shape[2:]))
+def _fold_words(images: np.ndarray, words) -> tuple:
+    """The holonomies (..., k, 4) and the stacked Fox rows (..., 3k, 3n)
+    of k words at (n, 4) images or, row by row, at an (N, n, 4) stack,
+    read-only: each distinct word folded once, one-letter folds
+    shared, nothing kept."""
+    lead, n3 = images.shape[:-2], 3 * images.shape[-2]
+    letters: dict = {}
+    folds = {w: _fold(images, w, letters, False) for w in dict.fromkeys(words)}
+    q = np.zeros(lead + (len(words), 4))
+    J = np.zeros(lead + (len(words), 3, n3))
+    for i, w in enumerate(words):
+        q[..., i, :], J[..., i, :, :] = folds[w]
+    return _read_only(q), _read_only(J.reshape(lead + (3 * len(words), n3)))
 
 
 def kept(rep: Representation, key, compute, *args):
@@ -559,12 +545,20 @@ def presentation_from_json(data: dict) -> Presentation:
         raise PresentationError(f"unknown presentation fields {sorted(unknown)}")
     if data.get("schema", 1) != 1:
         raise PresentationError("unsupported schema version")
-    names = _check_names(data.get("generators", ()))
+    names, texts = data.get("generators", []), data.get("relators", [])
+    for what, items in (("generators", names), ("relators", texts)):
+        if not isinstance(items, list) or \
+                not all(isinstance(t, str) for t in items):
+            raise PresentationError(f"{what} must be a list of strings")
+    names = _check_names(names)
     kind = data.get("kind", "custom")
     if kind not in _KIND_FIELDS:
         raise PresentationError(f"unknown kind {kind!r}")
-    rels = tuple(parse_word(t, names) for t in data.get("relators", ()))
-    param = int(data.get(_KIND_FIELDS[kind], 0)) if _KIND_FIELDS[kind] else 0
+    rels = tuple(parse_word(t, names) for t in texts)
+    field = _KIND_FIELDS[kind]
+    param = data.get(field, 0) if field else 0
+    if type(param) is not int:
+        raise PresentationError(f"{field} must be an integer, got {param!r}")
     pres = Presentation(names, rels, kind, param)
     _validate_kind_structure(pres)
     return pres
@@ -572,16 +566,21 @@ def presentation_from_json(data: dict) -> Presentation:
 
 def _validate_kind_structure(pres: Presentation):
     """Relators of a named kind must be the canonical ones (names are
-    free, structure is not)."""
+    free, structure is not).  The generator count the parameter implies
+    is checked first, so no canonical presentation is built for a
+    parameter the generators do not match."""
     builders = {
-        "free": free_group, "surface": surface_group, "cyclic": cyclic_group,
-        "circle_times_surface": circle_times_surface_group,
+        "free": (free_group, lambda g: g),
+        "surface": (surface_group, lambda g: 2 * g),
+        "cyclic": (cyclic_group, lambda p: 1),
+        "circle_times_surface": (circle_times_surface_group,
+                                 lambda g: 2 * g + 1),
     }
     if pres.kind not in builders:
         return
-    canon = builders[pres.kind](pres.parameter)
-    if pres.num_generators != canon.num_generators or \
-            pres.relators != canon.relators:
+    build, count = builders[pres.kind]
+    if pres.num_generators != count(pres.parameter) or \
+            pres.relators != build(pres.parameter).relators:
         raise PresentationError(
             f"relators do not match the {pres.kind} structure")
 

@@ -17,9 +17,8 @@ metric.
 The pairing is bilinear, so it is held as one (3n x 3n) matrix W: the
 cup-product part of the surface relator's Fox fold
 (`presentations.fox_fold`), folded when the pairing is first asked
-for, or for many representations at once over their stacked images
-(`fill_pairings`).  Cocycles are (n, 3) arrays, one algebra vector
-per generator, or their flat form.
+for and kept on the representation.  Cocycles are (n, 3) arrays, one
+algebra vector per generator, or their flat form.
 """
 
 from __future__ import annotations
@@ -29,32 +28,17 @@ import numpy as np
 from . import su2
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError
-from .presentations import Representation, Word, _read_only, fill, fox_fold
+from .presentations import Representation, Word, _read_only, fox_fold, kept
 
 
 def pairing_matrix(rep: Representation) -> np.ndarray:
     """The read-only (3n x 3n) matrix W with
-    pairing(u, v) = ravel(u) @ W @ ravel(v): `fill_pairings`' batch of
-    one."""
-    return fill_pairings([rep])[0]
-
-
-def fill_pairings(reps) -> list:
-    """The W of each representation of one surface presentation, the
-    cup-product matrix of its relator's fold, formed on first use and
-    kept (nothing else forms W): a lone one through the scalar leaf ops,
-    several over their stacked images, each row its lone fold bit for
-    bit."""
-    pres = reps[0].presentation
-    if pres.kind != "surface":
+    pairing(u, v) = ravel(u) @ W @ ravel(v): the cup-product matrix of
+    the surface relator's fold, formed on first use and kept."""
+    if rep.presentation.kind != "surface":
         raise DomainError("the pairing needs a surface presentation")
-
-    def fold(todo):
-        images = np.array([reps[i].images for i in todo])
-        W = _read_only(fox_fold(images[0] if len(todo) == 1 else images,
-                                pres.relators[0])[2])
-        return [W] if W.ndim == 2 else list(W)
-    return fill(reps, ["pairing"] * len(reps), fold)
+    return kept(rep, "pairing", lambda: _read_only(
+        fox_fold(rep.images, rep.presentation.relators[0])[2]))
 
 
 def goldman_form(rep: Representation, u: np.ndarray, v: np.ndarray) -> float:

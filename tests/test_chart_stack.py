@@ -3,13 +3,13 @@
 The chart driver builds every representation of a t3, lens or s1xs2
 chart from one pass over its images stacked as (N, n, 4): the exps,
 the relator folds, the unit and relator gates, the Ad stack and the
-trace fingerprints, and for lens and s1xs2 the handle-word folds.  Each
-representation keeps read-only views of its row.  Here the stacked
-leaf products are held to the scalar ones bit for bit, every chart-built
-representation to the same images built alone, a lens point's kept
-torsion to the one its images give alone, a bad row to the error its
-lone construction raises, and the leaf-op calls of a t3 chart to a
-count that does not grow with the chart.
+trace fingerprints.  Each representation keeps read-only views of its
+row.  Here the stacked leaf products are held to the scalar ones bit
+for bit, every chart-built representation to the same images built
+alone, a lens point's kept torsion to the one its images give alone, a
+lens or s1xs2 point to its torsion and no word fold kept, a bad row to
+the error its lone construction raises, and the leaf-op calls of a t3
+chart to a count that does not grow with the chart.
 """
 
 import math
@@ -27,9 +27,9 @@ from su2strata.errors import PresentationError, ResidualError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard,
                                   t3_presentation, trace_fingerprint)
-from su2strata.presentations import (Representation, _representations,
-                                     cyclic_group, fox_jacobian_at,
-                                     surface_group)
+from su2strata.presentations import (Representation, Word,
+                                     _representations, cyclic_group,
+                                     fox_jacobian_at, surface_group)
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
 
@@ -113,15 +113,18 @@ def test_a_lens_chart_keeps_what_its_points_fold_alone(p, q):
         assert (kept.value, kept.log_value) == (lone.value, lone.log_value)
 
 
-def test_s1xs2_handle_folds_are_kept_on_each_point():
-    heegaard = s1xs2_heegaard()
-    points = enumerate_moduli("s1xs2", samples=6)
-    interior = [pt.rep for pt in points if pt.stratum.i == 1]
-    assert len(interior) == 5
-    for rep in interior:
-        word = heegaard.handle1_to_manifold[0]
-        q, J = rep._kept[word]
-        assert _same(q, rep.images[0]) and not J.flags.writeable
+def test_chart_points_keep_their_torsion_and_no_word_folds():
+    # the builder folds the handle and surface words over the chart's
+    # stacks and keeps nothing of those folds on a point
+    for heegaard, points in (
+            (lens_heegaard(31, 7), enumerate_moduli("lens", p=31, q=7)),
+            (s1xs2_heegaard(), enumerate_moduli("s1xs2", samples=6))):
+        noncentral = [pt for pt in points if pt.stratum.i != 0]
+        assert noncentral
+        for pt in points:
+            assert not any(isinstance(key, Word) for key in pt.rep._kept)
+        for pt in noncentral:
+            assert pt.rep._kept[(heegaard, DEFAULT_TOL)] is pt.torsion
 
 
 def _bad_rows(pres, good):

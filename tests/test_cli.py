@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,10 @@ import pytest
 from su2strata import __version__, su2
 from su2strata.cli import dispatch
 from su2strata.presentations import presentation_to_json, free_group
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run(capsys, *argv):
@@ -348,6 +355,38 @@ def test_malformed_images_are_exit_2_with_or_without_polish(
     argv = ["classify", path] + (["--polish"] if polish else [])
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("input error:")
+
+
+def _bound_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("presentation", [
+    {"generators": ["a", "b"], "relators": ["a b A B"], "kind": "surface",
+     "genus": 200000},
+    {"generators": ["a", "b"], "relators": ["a b A B"], "kind": "surface",
+     "genus": 10**9},
+    {"generators": ["x"], "kind": "free", "genus": 1e300},
+    {"generators": ["x"], "kind": "free", "genus": 10**9},
+    {"generators": ["x"], "kind": "free", "genus": "abc"},
+    {"generators": ["x"], "kind": "free", "genus": 1.5},
+    {"generators": ["x"], "relators": 5},
+    {"generators": [1]},
+    {"generators": ["x"], "relators": [7]},
+])
+def test_malformed_presentations_are_exit_2_at_once(tmp_path, presentation):
+    # run apart, bounded in time and memory: a parameter the generators
+    # do not match must be refused before anything of its size is built
+    payload = {"presentation": presentation, "images": {"x": [1.0, 0, 0, 0]}}
+    path = write_json(tmp_path / "bad.json", payload)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "su2strata", "classify", path], env=env,
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_bound_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:")
 
 
 def test_classify_boundary_ambiguous_is_exit_1(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Each demo script runs to completion against the current package."""
+"""Each demo script, and the README's library tour, runs to completion
+against the current package."""
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -16,3 +18,15 @@ def test_demo_exits_zero(path):
     proc = subprocess.run([sys.executable, path], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_tour_prints_its_lines():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        (block,) = re.findall(r"```python\n(.*?)```", f.read(), re.S)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "StratumLabel(i=3, stabilizer_dim=0, central_flag=False)", "6"]

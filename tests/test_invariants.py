@@ -162,25 +162,40 @@ def test_heegaard_data_validation():
 
 
 def test_heegaard_parts_agree_on_surface(monkeypatch):
-    # the surface reps the builder pairs on, one batch per shape group,
-    # seen through the pairing matrices it keeps on them
-    paired = []
-    fill = invariants.fill_pairings
-    monkeypatch.setattr(invariants, "fill_pairings",
-                        lambda reps: paired.append(reps) or fill(reps))
+    # the surface reps the builder makes, one stack a call, and the W it
+    # forms over their stacked images
+    made, formed = [], []
+    representations, fold = invariants._representations, invariants.fox_fold
+
+    def making(pres, images):
+        out = representations(pres, images)
+        if pres.kind == "surface":
+            made.append(out)
+        return out
+
+    def forming(images, word):
+        out = fold(images, word)
+        formed.append(out[2])
+        return out
+
+    monkeypatch.setattr(invariants, "_representations", making)
+    monkeypatch.setattr(invariants, "fox_fold", forming)
     heegaard_mv_torsion(lens_heegaard(5, 2), lens_rep(5, 1))
     points = enumerate_moduli("lens", p=5, q=2)
-    lone, chart = paired
-    assert len(lone) == 1 and len(chart) == 2
+    lone, chart = made
+    assert len(lone) == 1 and len(chart) == 2 and len(formed) == 2
     for sigma, rep in zip([*lone, *chart], [lens_rep(5, 1)] + [
             pt.rep for pt in points if pt.stratum.i != 0]):
         assert sigma.presentation.kind == "surface"
         # route 1: a1 -> x -> a
         assert np.allclose(sigma.images[0], rep.images[0])
         assert np.allclose(sigma.images[1], su2.identity(), atol=1e-12)
-        # the kept row is the surface relator's own W at these images
-        want = fox_fold(sigma.images, sigma.presentation.relators[0])[2]
-        assert sigma._kept["pairing"].tobytes() == want.tobytes()
+    # each row of a stacked W is its surface rep's own W, bit for bit
+    for sigmas, W in zip(made, formed):
+        assert len(W) == len(sigmas)
+        for sigma, row in zip(sigmas, W):
+            want = fox_fold(sigma.images, sigma.presentation.relators[0])[2]
+            assert row.tobytes() == want.tobytes()
 
 
 def test_lens_mv_torsion_is_one_over_p():
