@@ -148,10 +148,11 @@ def _fingerprints(images: np.ndarray) -> list:
     """`trace_fingerprint` of (n, 4) images as a list, or of each row of
     an (N, n, 4) stack as a list of lists."""
     n = images.shape[-2]
-    gens = [images[..., i, :] for i in range(n)]
-    pairs = [su2.multiply(a, b) for a, b in itertools.combinations(gens, 2)]
+    i, j = np.triu_indices(n, 1)    # the pairs i < j, in lexical order
+    pairs = su2.multiply(images[..., i, :], images[..., j, :])
     full = evaluate_images(images, Word(range(1, n + 1)))
-    traces = 2.0 * np.stack([*gens, *pairs, full], axis=-2)[..., 0]
+    traces = 2.0 * np.concatenate(
+        (images[..., 0], pairs[..., 0], full[..., :1]), axis=-1)
     return (np.round(traces, _FINGERPRINT_DECIMALS) + 0.0).tolist()
 
 

@@ -9,10 +9,13 @@ action of exp(theta*e1) on the algebra is the rotation by 2*theta about
 axis 1, and trace(q) = 2*w.
 
 `multiply`, `ad`, `exp` and `inverse` also act row by row on stacks of
-shape (..., 4), or (..., 3) for `exp`: one vector is unpacked into
-Python floats and a stack into component arrays, and both run the same
-arithmetic, so each row of a stacked result equals its lone result bit
-for bit.
+shape (..., 4), or (..., 3) for `exp`.  One vector is unpacked into
+Python floats, which beat any array call at that size.  A stack is
+computed in a few whole-array calls: its products are gathered at once
+(an outer product, or a gather by index), laid out signed, and each
+entry is summed in the order the lone formula sums it, so each row of a
+stacked result equals its lone result bit for bit.  einsum and matmul
+forms are not used: they sum in their own order and move last bits.
 
 Sign conventions matter here: elements with w < 0 are honest group
 elements (-identity is central and distinct from identity), so nothing
@@ -31,15 +34,25 @@ from .errors import AntipodeError
 _SMALL = 1e-9
 _ANTIPODE_TOL = 1e-12  # |v| below which log refuses w < 0
 
+# A stacked product gathers term t of component k into slot 4t + k from
+# the flat outer product, a_i b_j in slot 4i + j, signed as in the lone
+# formula (a - b is a + -b in IEEE arithmetic, signed zeros included).
+_MUL_TERMS = np.array([0, 1, 2, 3, 5, 4, 8, 12, 10, 11, 13, 6, 15, 14, 7, 9])
+_MUL_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0,
+                       -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+# A stacked Ad gathers the products ww xx yy zz xy wz xz wy yz wx and
+# (2x)x (2y)y (2z)z into P (2 (x x) differs where x x is subnormal).
+# Flat entries 1..7 are 2 (P[a] + S P[b]); the diagonal 0, 4, 8 is
+# c + (2x)x ..., written last, over the dummy pair at entry 4.
+_AD_LEFT = np.array([0, 1, 2, 3, 1, 0, 1, 0, 2, 0, 1, 2, 3])
+_AD_RIGHT = np.array([0, 1, 2, 3, 2, 3, 3, 2, 3, 1, 1, 2, 3])
+_AD_SCALE = np.array([1.0] * 10 + [2.0] * 3)
+_AD_PAIRS = np.array([4, 6, 4, 0, 8, 6, 8, 5, 7, 5, 0, 9, 7, 9])
+_AD_SIGNS = np.array([1.0] * 7 + [-1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
 
 def identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def _columns(q: np.ndarray) -> list:
-    """The components of a stack along its last axis, as arrays over the
-    leading axes: what `tolist` gives for one vector."""
-    return list(np.moveaxis(q, -1, 0))
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,19 +63,23 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     costs one square root per letter.  One product is taken in Python
     floats, which beat any array call at that size.
     """
-    lone = a.ndim == 1 == b.ndim
-    aw, ax, ay, az = a.tolist() if lone else _columns(a)
-    bw, bx, by, bz = b.tolist() if lone else _columns(b)
-    w = aw * bw - ax * bx - ay * by - az * bz
-    x = aw * bx + bw * ax + ay * bz - az * by
-    y = aw * by + bw * ay + az * bx - ax * bz
-    z = aw * bz + bw * az + ax * by - ay * bx
-    s = w * w + x * x + y * y + z * z
-    if lone:
-        n = math.sqrt(s)
+    if a.ndim == 1 == b.ndim:
+        aw, ax, ay, az = a.tolist()
+        bw, bx, by, bz = b.tolist()
+        w = aw * bw - ax * bx - ay * by - az * bz
+        x = aw * bx + bw * ax + ay * bz - az * by
+        y = aw * by + bw * ay + az * bx - ax * bz
+        z = aw * bz + bw * az + ax * by - ay * bx
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         return np.array([w / n, x / n, y / n, z / n])
-    n = np.sqrt(s)
-    return np.stack([w / n, x / n, y / n, z / n], axis=-1)
+    ab = a[..., :, None] * b[..., None, :]
+    terms = ab.reshape(ab.shape[:-2] + (16,)).take(_MUL_TERMS, -1) * _MUL_SIGNS
+    q = terms[..., 0:4] + terms[..., 4:8]
+    q += terms[..., 8:12]
+    q += terms[..., 12:16]
+    sq = q * q
+    n = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])
+    return q / n[..., None]
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -90,8 +107,8 @@ def exp(x: np.ndarray) -> np.ndarray:
         return out / np.sqrt(np.vecdot(out, out))
     scale = np.where(small, 1.0 - theta * theta / 6.0,
                      np.sin(theta) / np.maximum(theta, _SMALL))
-    out = np.stack([np.cos(theta), *(scale * c for c in _columns(x))],
-                   axis=-1)
+    out = np.concatenate((np.cos(theta)[..., None], scale[..., None] * x),
+                         axis=-1)
     return out / np.sqrt(np.vecdot(out, out))[..., None]
 
 
@@ -117,17 +134,21 @@ def log(q: np.ndarray) -> np.ndarray:
 def ad(q: np.ndarray) -> np.ndarray:
     """Adjoint action on the algebra: the SO(3) matrix of x -> q x q^-1,
     (w^2 - |v|^2) I + 2 v v^T + 2 w [v]_x in scalar components."""
-    lone = q.ndim == 1
-    w, x, y, z = q.tolist() if lone else _columns(q)
-    c = w * w - x * x - y * y - z * z
-    entries = [
-        c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
-        2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
-        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
-    ]
-    if lone:
-        return np.array(entries).reshape(3, 3)
-    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
+    if q.ndim == 1:
+        w, x, y, z = q.tolist()
+        c = w * w - x * x - y * y - z * z
+        return np.array([
+            c + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
+        ]).reshape(3, 3)
+    p = q.take(_AD_LEFT, axis=-1) * _AD_SCALE * q.take(_AD_RIGHT, axis=-1)
+    c = p[..., 0] - p[..., 1] - p[..., 2] - p[..., 3]
+    pairs = p.take(_AD_PAIRS, axis=-1) * _AD_SIGNS
+    out = np.empty(q.shape[:-1] + (9,))
+    np.multiply(2.0, pairs[..., :7] + pairs[..., 7:], out=out[..., 1:8])
+    np.add(c[..., None], p[..., 10:], out=out[..., ::4])
+    return out.reshape(q.shape[:-1] + (3, 3))
 
 
 def trace(q: np.ndarray) -> float:

@@ -205,23 +205,26 @@ def fox_cohomology_dims(relators, quats, tol=1e-9):
 def harmonic_basis(relators, quats, tol=1e-9):
     """(3n x h1) orthonormal basis of the harmonic 1-cochains by the
     projector route: ker d1 as the Gram-Schmidt complement of d1's rows,
-    each of its vectors with its component in im d0 projected off, and
-    the survivors orthonormalised (twice, for a basis orthonormal to
-    rounding).  d0 stacks the blocks Ad(x_j) - I and d1 is fox_jacobian;
-    im d0 lies in ker d1, so what is left is its orthogonal complement
-    there.
+    each of its vectors orthogonalised against im d0 and the vectors
+    already kept, twice ("twice is enough": one pass loses orthogonality
+    to im d0 when vectors are nearly dependent), and kept if it is still
+    longer than tol.  d0 stacks the blocks Ad(x_j) - I and d1 is
+    fox_jacobian; im d0 lies in ker d1, so what is left is its
+    orthogonal complement there.
     """
     d0 = np.vstack([adjoint_matrix(np.asarray(q, dtype=float)) - np.eye(3)
                     for q in quats])
     d1 = fox_jacobian(relators, quats)
     im0 = gram_schmidt(list(d0.T), tol)
     ker1 = complement_basis(gram_schmidt(list(d1), tol), d1.shape[1], tol)
-    rest = []
+    basis = []
     for v in ker1:
-        for b in im0:
-            v = v - (b @ v) * b
-        rest.append(v)
-    basis = gram_schmidt(gram_schmidt(rest, tol), tol)
+        for _ in range(2):
+            for b in im0 + basis:
+                v = v - (b @ v) * b
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            basis.append(v / nrm)
     return np.array(basis).reshape(-1, d1.shape[1]).T
 
 

@@ -10,7 +10,7 @@ match `oracles.fox_cohomology_dims`.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -36,6 +36,7 @@ def assert_harmonic_matches_oracle(rep):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([0, 1, 3]))
+@example(seed=142, g=7, i=3)    # nearly dependent ker d1 vectors
 def test_free_tuples_in_every_stratum(seed, g, i):
     assume(g > 1 or i != 3)     # one image has an axis: no stratum 3 at g = 1
     assert_harmonic_matches_oracle(sample_stratum(g, i, seed))

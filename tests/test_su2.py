@@ -169,3 +169,68 @@ def test_ad_moves_exp(q, v):
     left = su2.conjugate(su2.exp(v), q)
     right = su2.exp(su2.ad(q) @ v)
     assert np.allclose(left, right, atol=1e-10)
+
+
+# exact rows: ±identity, axis quaternions, signed zeros, and a row with
+# w w - y y = 0 and x x subnormal, where (2 x) x differs from 2 (x x)
+EXACT_UNITS = [np.array(v) for v in (
+    [1.0, 0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, -0.0], [0.0, 1.0, 0.0, 0.0],
+    [-0.0, 0.0, -1.0, 0.0], [0.0, -0.0, 0.0, 1.0], [0.6, -0.0, 0.8, -0.0],
+    [-0.0, -0.6, 0.0, -0.8], [0.5 ** 0.5, 1e-159, 0.5 ** 0.5, 0.0])]
+EXACT_VECTORS = [np.array(v) for v in (
+    [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-12, 0.0, -0.0],
+    [0.0, np.pi / 2, 0.0], [-0.0, 0.0, -np.pi])]
+
+
+@st.composite
+def stacks(draw, rows, exact, shape=None):
+    """An (N, w) or (N, k, w) stack of drawn and exact rows, or one of
+    the given shape."""
+    if shape is None:
+        shape = draw(st.sampled_from([(), (1,), (3,)]))
+        shape = (draw(st.integers(1, 5)),) + shape + (len(exact[0]),)
+    count = int(np.prod(shape[:-1]))
+    row = st.one_of(rows, st.sampled_from(exact))
+    return np.array(draw(st.lists(row, min_size=count, max_size=count)),
+                    dtype=float).reshape(shape)
+
+
+def assert_rows_are_lone(f, *args):
+    """Each row of f over stacks is f over that row, bit for bit (signed
+    zeros too); a (4,) argument is broadcast against every row."""
+    out = f(*args)
+    for i in np.ndindex(np.broadcast_shapes(*(a.shape[:-1] for a in args))):
+        lone = f(*(a if a.ndim == 1 else a[i] for a in args))
+        assert out[i].tobytes() == lone.tobytes()
+
+
+def strided_views(q):
+    """q and, for an (N, k, w) stack, its columns q[..., j, :]."""
+    columns = [q[..., j, :] for j in range(q.shape[1])] if q.ndim == 3 else []
+    return [q] + columns
+
+
+@settings(max_examples=60)
+@given(stacks(unit_quaternions(), EXACT_UNITS))
+def test_stacked_ad_rows_are_lone_calls(q):
+    for view in strided_views(q):
+        assert_rows_are_lone(su2.ad, view)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_stacked_multiply_rows_are_lone_calls(data):
+    a = data.draw(stacks(unit_quaternions(), EXACT_UNITS))
+    b = data.draw(stacks(unit_quaternions(), EXACT_UNITS, a.shape))
+    lone = data.draw(st.one_of(unit_quaternions(), st.sampled_from(EXACT_UNITS)))
+    for u, v in zip(strided_views(a), strided_views(b)):
+        assert_rows_are_lone(su2.multiply, u, v)
+        assert_rows_are_lone(su2.multiply, u, lone)
+        assert_rows_are_lone(su2.multiply, lone, v)
+
+
+@settings(max_examples=60)
+@given(stacks(algebra_vectors(), EXACT_VECTORS))
+def test_stacked_exp_rows_are_lone_calls(x):
+    for view in strided_views(x):
+        assert_rows_are_lone(su2.exp, view)
