@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__, su2
-from .cohomology import (DEFAULT_TOL, build_d0, cohomology,
-                         restrict_coefficients)
+from .cohomology import (DEFAULT_TOL, _system_cohomologies, build_d0,
+                         cohomology, full_system, restrict_coefficients)
 from .conventions import CONVENTION_TAGS, MAX_GENUS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
@@ -28,7 +28,7 @@ from .invariants import (apply_value_table, assemble_invariant,
 from .presentations import (Representation, free_group, gate_relators,
                             polish, presentation_from_json, raised,
                             representation_from_json)
-from .strata import (classify_stratum, fill_labels, handlebody_representation,
+from .strata import (_labels, classify_stratum, handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
 from .symplectic import gram_matrix, pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
@@ -199,17 +199,21 @@ def _cmd_strata_scan(args) -> dict:
     tangent = {0: set(), 1: set(), 3: set()}
     h1m5 = {0: set(), 1: set(), 3: set()}
     # samples are drawn in order and analysed a chunk at a time, so
-    # memory stays bounded however many are asked for
+    # memory stays bounded however many are asked for; a sample's
+    # tangent dim is `stratum_tangent_dim`'s, read from its label
     chunk = max(1, _SCAN_BUDGET // g**2)
     for start in range(0, args.samples, chunk):
-        reps = [Representation(pres, np.array(
-                    [su2.random_element(rng) for _ in range(g)]))
-                for _ in range(min(chunk, args.samples - start))]
-        for rep, label in zip(reps, fill_labels(reps, args.tol)):
+        images = np.array([[su2.random_element(rng) for _ in range(g)]
+                           for _ in range(min(chunk, args.samples - start))])
+        summaries = _system_cohomologies(
+            [full_system(Representation(pres, im)) for im in images],
+            args.tol)
+        for summary, label in zip(summaries,
+                                  _labels(images, summaries, args.tol)):
             i = raised(label).i
             counts[i] += 1
-            tangent[i].add(stratum_tangent_dim(rep, args.tol))
-            h1m5[i].add(cohomology(rep, args.tol).h1)
+            tangent[i].add({0: 0, 1: g, 3: 3 * g - 3}[i])
+            h1m5[i].add(summary.h1)
     return {
         "genus": g,
         "samples": args.samples,

@@ -16,9 +16,10 @@ null space of d1 stacked on d0ᵀ.
 
 There is one analysis, `_system_cohomologies`: systems are grouped by
 shape, and each group is built, checked, decomposed and sign-fixed as
-one stack.  `fill_systems` runs it on the systems not kept yet, and
-`system_cohomology`, `system_d0` and `system_d1` are batches of one.
-Summaries are kept in their representation's memo per basis and tol.
+one stack.  A moduli chart calls it on its columns of systems and keeps
+nothing; `system_cohomology`, `system_d0` and `system_d1` are batches of
+one, and the lone summary is kept in its representation's memo per
+basis and tol.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import (Representation, Word, _read_only, fill,
+from .presentations import (Representation, Word, _read_only,
                             fox_jacobian_at, kept, raised)
 
 DEFAULT_TOL = 1e-8
@@ -185,30 +186,12 @@ class CohomologySummary:
 
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
-    """H0/H1 summary of one coefficient system: `fill_systems`' batch
-    of one, raising its error; read-only, as calls share it."""
-    return raised(fill_systems((sys,), tol)[0])
-
-
-def fill_cohomology(reps, tol: float = DEFAULT_TOL) -> list:
-    """Keep every representation's full-coefficient summary and, where
-    h0 = 1, its stabilizer-line summary, each from one stacked pass;
-    return the full summaries, errors in place."""
-    full = fill_systems([full_system(rep) for rep in reps], tol)
-    fill_systems([CoefficientSystem(rep, s.basis_h0)
-                  for rep, s in zip(reps, full)
-                  if not isinstance(s, Exception) and s.h0 == 1], tol)
-    return full
-
-
-def fill_systems(systems, tol: float = DEFAULT_TOL) -> list:
-    """The summary of each coefficient system, or its analysis's error
-    in its place; those not kept yet are analysed in one stacked pass."""
-    return fill([sys.rep for sys in systems],
-                [(sys.basis.dtype.str, sys.basis.shape, sys.basis.tobytes(),
-                  tol) for sys in systems],
-                lambda todo: _system_cohomologies([systems[i] for i in todo],
-                                                  tol))
+    """H0/H1 summary of one coefficient system, kept per basis and tol:
+    `_system_cohomologies`' batch of one, raising its error; read-only,
+    as calls share it."""
+    basis = sys.basis
+    return kept(sys.rep, (basis.dtype.str, basis.shape, basis.tobytes(), tol),
+                lambda: raised(_system_cohomologies([sys], tol)[0]))
 
 
 def _system_cohomologies(systems, tol: float) -> list:

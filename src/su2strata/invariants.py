@@ -12,21 +12,24 @@ isolated lower-stratum points of weight 1.
 
 Every example is one chart driver (`_chart_points`) fed its rows and
 its splitting.  The driver builds every representation of the chart
-in one stacked pass, fills its cohomology in one stacked analysis, its
-labels in one axis test and its clean verdicts in one fill.  With a
-splitting, one Mayer-Vietoris builder (`_glued_torsions`) then folds
-the handle and surface words over the chart's stacks, makes every
-point's handlebody and surface representations, analyses their
-systems and the point's own in one more stacked analysis, and forms
-the restriction maps, the surface Gram matrices and the torsion
-sequences as stacked products, one stack per shape; there is no
-per-point step, and a point keeps only its torsion.  A point's torsion follows its stratum: the unit
+in one stacked pass, analyses their full-coefficient systems in one
+stacked analysis, labels them in one axis test and analyses the
+stabilizer lines of the reducible ones in one more, and passes these
+as plain per-point columns.  With a splitting, one Mayer-Vietoris
+builder (`_glued_torsions`) then folds the handle and surface words
+over the chart's stacks, makes every point's handlebody and surface
+representations, analyses their systems in one more stacked analysis,
+and forms the restriction maps, the surface Gram matrices and the
+torsion sequences as stacked products, one stack per shape; there is
+no per-point step.  A point's torsion follows its stratum: the unit
 half-density at stratum 0, elsewhere the splitting's torsion; t3 has
 no built-in splitting, so its other points carry torsion = None until
 the caller supplies values.  Each label, verdict, torsion or error
 sits in its point's place, so the verdicts and the first error raised
-are those of a point-by-point run; `heegaard_mv_torsion` and
-`clean_intersection_check` with no fill before them are batches of one.
+are those of a point-by-point run.  A chart keeps nothing on its
+representations but their rows of its Ad stack; `heegaard_mv_torsion`
+and `clean_intersection_check` are batches of one, whose values lone
+calls keep.
 """
 
 from __future__ import annotations
@@ -41,15 +44,15 @@ import numpy as np
 
 from . import su2
 from .cohomology import (_FULL_BASIS, DEFAULT_TOL, CoefficientSystem,
-                         _in_basis, cohomology, fill_cohomology,
-                         fill_systems)
+                         _in_basis, _system_cohomologies, cohomology,
+                         full_system)
 from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _fold_words,
                             _representations, commutator, cyclic_group,
-                            evaluate_images, fill, fox_fold, free_group,
+                            evaluate_images, fox_fold, free_group,
                             generator, kept, raised, surface_group)
-from .strata import StratumLabel, classify_stratum, fill_labels
+from .strata import StratumLabel, _labels, classify_stratum
 from .torsion import TorsionValue, _mayer_vietoris_torsions
 
 
@@ -74,11 +77,10 @@ class HeegaardData:
     handle2_to_manifold: tuple
 
     def __post_init__(self):
-        # a splitting keys each point's kept torsion: tuples, hashed once
+        # a splitting keys a lone call's kept torsion: its sequences are
+        # stored as tuples, so that it hashes
         for f in fields(self)[2:]:
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
-        object.__setattr__(self, "_hash", hash(tuple(
-            getattr(self, f.name) for f in fields(self))))
         g = self.genus
         if len(self.handle1_generators) != g or \
                 len(self.handle2_generators) != g:
@@ -89,9 +91,6 @@ class HeegaardData:
         if len(self.handle1_to_manifold) != g or \
                 len(self.handle2_to_manifold) != g:
             raise DomainError("manifold maps need genus entries")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def presentations(self) -> tuple:
@@ -139,8 +138,8 @@ _CONJUGATOR_TOL = 1e-7
 
 def trace_fingerprint(rep: Representation) -> tuple:
     """Traces of generators, ordered pairs, and the full product,
-    rounded to 1e-7: computed once and kept on the representation,
-    where a chart's stacked pass keeps its row."""
+    rounded to 1e-7: computed once and kept on the representation; a
+    chart takes its points' from one stacked `_fingerprints`."""
     return kept(rep, "fingerprint", lambda: tuple(_fingerprints(rep.images)))
 
 
@@ -237,38 +236,39 @@ def _free_presentation(names) -> Presentation:
     return Presentation(tuple(names), (), "free", len(names))
 
 
-def _stratum_bases(labels, summaries) -> list:
+def _stratum_systems(reps, labels, summaries, tol: float) -> tuple:
     """The coefficients each rep's label picks, made once from its
-    full-coefficient summary: the full algebra at irreducible points,
-    the stabilizer line (the summary's h0 basis) at reducible ones and
-    None at stratum 0, or in its place its label's error."""
-    return [label if isinstance(label, Exception) else None if label.i == 0
-            else _FULL_BASIS if label.i == 3 else s.basis_h0
-            for label, s in zip(labels, summaries)]
+    full-coefficient summary, and the summary of that system: the full
+    algebra and that summary at irreducible points, the stabilizer line
+    (the summary's h0 basis) and its summary, from one stacked analysis
+    of the lines, at reducible ones, and None at stratum 0.  Two
+    columns, each entry a value or, in its place, its label's error or
+    its line's."""
+    bases = [label if isinstance(label, Exception) else None if label.i == 0
+             else _FULL_BASIS if label.i == 3 else s.basis_h0
+             for label, s in zip(labels, summaries)]
+    out = [s if b is _FULL_BASIS else b for b, s in zip(bases, summaries)]
+    # the stabilizer lines are the entries of out still holding a basis
+    lines = [i for i, b in enumerate(out) if isinstance(b, np.ndarray)]
+    for i, s in zip(lines, _system_cohomologies(
+            [CoefficientSystem(reps[i], bases[i]) for i in lines], tol)):
+        out[i] = s
+    return bases, out
 
 
-def _mv_torsions(heegaard: HeegaardData, n_reps, bases, tol: float) -> list:
-    """The Mayer-Vietoris torsion of a splitting at each manifold rep,
-    with its `_stratum_bases` coefficients, or the error a lone
-    `heegaard_mv_torsion` raises there, in its place; kept per
-    (splitting, tol)."""
-    return fill(n_reps, [(heegaard, tol)] * len(n_reps),
-                lambda todo: _glued_torsions(
-                    heegaard, [n_reps[i] for i in todo],
-                    [bases[i] for i in todo], tol))
-
-
-def _glued_torsions(heegaard: HeegaardData, n_reps, bases,
+def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
                     tol: float) -> list:
-    """`_mv_torsions` of reps without them, over stacks with one row per
-    rep that has a basis: one fold of each handle word over the chart
+    """The Mayer-Vietoris torsion of a splitting at each manifold rep,
+    given the two `_stratum_systems` columns, or in its place the error
+    a lone `heegaard_mv_torsion` raises there.  Stacks have one row per rep
+    that has a basis: one fold of each handle word over the chart
     images and of each surface word over the handle holonomies, one
-    stacked analysis of the manifold, handle and surface systems not
-    yet kept, one W of the surface relator, then, per shape of the four
-    summaries, the restriction maps, the surface Gram matrix and the
-    sequence as stacked products.  The handle and surface
-    representations are made here and not kept; rows that fail a gate
-    are folded too, and nothing reads them."""
+    stacked analysis of the handle and surface systems, one W of the
+    surface relator, then, per shape of the four summaries, the
+    restriction maps, the surface Gram matrix and the sequence as
+    stacked products.  The handle and surface representations are made
+    here and not kept; rows that fail a gate are folded too, and
+    nothing reads them."""
     out = [DomainError("stratum 0 uses the constant unit torsion, not "
                        "the Mayer-Vietoris assembly") if b is None else b
            for b in bases]
@@ -298,12 +298,12 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, bases,
             out[i] = sigma
         else:
             systems.append((i, r, [CoefficientSystem(sub, out[i])
-                                   for sub in (n_reps[i], h1, h2, sigma)]))
-    summaries = iter(fill_systems(
-        [sys for *_, four in systems for sys in four], tol))
+                                   for sub in (h1, h2, sigma)]))
+    handles = iter(_system_cohomologies(
+        [sys for *_, three in systems for sys in three], tol))
     shapes: dict = {}
     for i, r, _ in systems:
-        sums = [next(summaries) for _ in range(4)]
+        sums = [summaries[i], *(next(handles) for _ in range(3))]
         errors = [s for s in sums if isinstance(s, Exception)]
         if errors:
             out[i] = errors[0]
@@ -338,11 +338,12 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
                         tol: float = DEFAULT_TOL) -> TorsionValue:
     """Mayer-Vietoris torsion of a splitting at a manifold rep, with
     coefficients picked by the rep's stratum (full algebra at
-    irreducible points, the stabilizer line at reducible ones): the
-    value a chart kept, or `_mv_torsions`' batch of one."""
-    bases = _stratum_bases([classify_stratum(n_rep, tol)],
-                           [cohomology(n_rep, tol)])
-    return raised(_mv_torsions(heegaard, [n_rep], bases, tol)[0])
+    irreducible points, the stabilizer line at reducible ones), kept per
+    splitting and tol: `_glued_torsions`' batch of one."""
+    return kept(n_rep, (heegaard, tol), lambda: raised(_glued_torsions(
+        heegaard, [n_rep], *_stratum_systems(
+            [n_rep], [classify_stratum(n_rep, tol)],
+            [cohomology(n_rep, tol)], tol), tol)[0]))
 
 
 # -- clean intersection -----------------------------------------------
@@ -352,26 +353,19 @@ def clean_intersection_check(point: ModuliPoint,
     """Declared component dimension against h1 of the manifold
     presentation at the point (coefficients by stratum).  Stratum 0
     passes vacuously.  `_clean_verdicts`' batch of one."""
-    labels = [point.stratum]
     return raised(_clean_verdicts(
-        [point.rep], labels, [point.component_dim],
-        _stratum_bases(labels, [cohomology(point.rep, tol)]), tol)[0])
+        [point.stratum], [point.component_dim], _stratum_systems(
+            [point.rep], [point.stratum], [cohomology(point.rep, tol)],
+            tol)[1])[0])
 
 
-def _clean_verdicts(reps, labels, declared, bases, tol: float) -> list:
-    """Each point's clean verdict from its stratum system (its
-    `_stratum_bases` coefficients), all read in one fill, or in its
-    place its label's or its system's error."""
-    sums = iter(fill_systems([CoefficientSystem(rep, b)
-                              for rep, b in zip(reps, bases)
-                              if isinstance(b, np.ndarray)], tol))
-    out = []
-    for label, dim, b in zip(labels, declared, bases):
-        s = next(sums) if isinstance(b, np.ndarray) else b
-        out.append(CleanVerdict(True, 0, dim, dim) if s is None
-                   else s if isinstance(s, Exception)
-                   else CleanVerdict(s.h1 == dim, label.i, dim, s.h1))
-    return out
+def _clean_verdicts(labels, declared, summaries) -> list:
+    """Each point's clean verdict from the summary of its stratum system
+    (`_stratum_systems`), or in its place that summary's error."""
+    return [CleanVerdict(True, 0, dim, dim) if s is None
+            else s if isinstance(s, Exception)
+            else CleanVerdict(s.h1 == dim, label.i, dim, s.h1)
+            for label, dim, s in zip(labels, declared, summaries)]
 
 
 # -- built-in moduli drivers ------------------------------------------
@@ -436,7 +430,8 @@ def _chart_bound(chart: str, points: int):
                          f"more than {MAX_CHART_POINTS}")
 
 
-def _point(pid, rep, label, component_dim, weight, torsion, clean):
+def _point(pid, rep, label, component_dim, weight, fingerprint, torsion,
+           clean):
     """A chart point, built once, with its torsion by stratum (the unit
     half-density at stratum 0, else the splitting's or None) and its
     clean verdict; a label, torsion or verdict that is an error is
@@ -445,7 +440,7 @@ def _point(pid, rep, label, component_dim, weight, torsion, clean):
                else raised(torsion))
     return ModuliPoint(
         point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
-        weight=weight, fingerprint=trace_fingerprint(rep), torsion=torsion,
+        weight=weight, fingerprint=tuple(fingerprint), torsion=torsion,
         clean=raised(clean))
 
 
@@ -453,24 +448,24 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     """The points of a chart, one per row (point_id, angles,
     component_dim, weight), with images exp(angle * i), built in one
     stacked pass; the first row that fails a gate raises its error.
-    Their cohomology, labels, stratum bases, clean verdicts and, with a
-    splitting (None for none), torsions are filled a stack at a time,
-    errors in place, before the points are read in order."""
+    Their fingerprints, full summaries, labels, stratum summaries,
+    clean verdicts and, with a splitting (None for none), torsions are
+    columns computed a stack at a time, errors in place, before the
+    points are read in order."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
     reps = [raised(rep) for rep in _representations(pres, images)]
-    fill(reps, ["fingerprint"] * len(reps),
-         lambda todo: list(map(tuple, _fingerprints(images[todo]))))
-    summaries = fill_cohomology(reps, tol)
-    labels = fill_labels(reps, tol)
-    bases = _stratum_bases(labels, summaries)
+    fulls = _system_cohomologies([full_system(rep) for rep in reps], tol)
+    labels = _labels(images, fulls, tol)
+    bases, summaries = _stratum_systems(reps, labels, fulls, tol)
     torsions = ([None] * len(reps) if heegaard is None
-                else _mv_torsions(heegaard, reps, bases, tol))
-    cleans = _clean_verdicts(reps, labels, [dim for _, _, dim, _ in rows],
-                             bases, tol)
-    return [_point(pid, rep, label, dim, weight, torsion, clean)
-            for (pid, _, dim, weight), rep, label, torsion, clean
-            in zip(rows, reps, labels, torsions, cleans)]
+                else _glued_torsions(heegaard, reps, bases, summaries, tol))
+    cleans = _clean_verdicts(labels, [dim for _, _, dim, _ in rows],
+                             summaries)
+    return [_point(pid, rep, label, dim, weight, fingerprint, torsion, clean)
+            for (pid, _, dim, weight), rep, label, fingerprint, torsion, clean
+            in zip(rows, reps, labels, _fingerprints(images), torsions,
+                   cleans)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
@@ -519,7 +514,8 @@ def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
 
 def apply_value_table(points, table, field: str):
     """Override per-point values (cs_value or torsion) from a list of
-    {point_id|fingerprint, value} entries.  An entry updates every point
+    {point_id|fingerprint, value} entries, each naming one of the two.
+    An entry updates every point
     it matches (a fingerprint matches within one rounding step in every
     component, as in dedup) and later entries override earlier ones.
     Unmatched or malformed entries are errors; unmatched points keep
@@ -538,6 +534,9 @@ def apply_value_table(points, table, field: str):
             raise InputError(f"table entry missing {field!r}")
         if not keys <= {"point_id", "fingerprint", field}:
             raise InputError(f"unknown table fields {sorted(keys)}")
+        if {"point_id", "fingerprint"} <= keys:
+            raise InputError(
+                f"table entry names both point_id and fingerprint: {entry}")
         if "point_id" in entry:
             if not isinstance(entry["point_id"], str):
                 raise InputError(f"point_id must be a string: {entry}")

@@ -193,13 +193,14 @@ class Representation:
     non-finite or non-unit image is refused.  Each relator is folded
     once, here, to its holonomy (`relator_values`, read by the gate)
     and its Fox row; no cup-product matrix is formed.  All else it
-    keeps, read-only, is in one memo that only `kept` (one value) and
-    `fill` (a batch) touch: the folds `fold` is asked for, the Ad
-    stack, the pairing matrix, cohomology summaries, stratum labels,
-    restricted bases, fingerprints and Mayer-Vietoris torsions.  Errors
-    are never kept.  A chart's representations are built together
+    keeps, read-only, is in one memo that only `kept` touches and that
+    serves lone calls: the folds `fold` is asked for, the Ad stack, the
+    pairing matrix, cohomology summaries, stratum labels, restricted
+    bases, fingerprints and Mayer-Vietoris torsions.  Errors are never
+    kept.  A chart's representations are built together
     (`_representations`) and keep read-only views of their rows of its
-    stacked results.
+    stacked results; the chart passes what it computes about them as
+    columns, and keeps only their rows of its Ad stack.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
@@ -309,9 +310,10 @@ def _representations(presentation: Presentation, images) -> list:
             rep = Representation.__new__(Representation)
             rep._keep(presentation, images[i], values[i], jacobian[i], r)
             out.append(rep)
-    reps = [rep for rep in out if isinstance(rep, Representation)]
-    fill(reps, ["adjoints"] * len(reps), lambda todo: _read_only(
-        su2.ad(np.array([reps[i].images for i in todo]))))
+    built = [i for i, rep in enumerate(out)
+             if isinstance(rep, Representation)]
+    for i, adjoints in zip(built, _read_only(su2.ad(images[built]))):
+        out[i]._kept["adjoints"] = adjoints
     return out
 
 
@@ -335,33 +337,6 @@ def kept(rep: Representation, key, compute, *args):
     if key not in rep._kept:
         rep._kept[key] = compute(*args)
     return rep._kept[key]
-
-
-def fill(reps, keys, compute) -> list:
-    """What each reps[i] keeps for keys[i], or in its place the error
-    computing it gives.  Pairs not yet kept are computed in one call,
-    compute(todo), given each one's first index and returning a value
-    (never None) or an error for each; only values are kept."""
-    if len(reps) == 1:      # a lone read skips the grouping
-        value = reps[0]._kept.get(keys[0])
-        if value is None:
-            (value,) = compute([0])
-            if not isinstance(value, Exception):
-                reps[0]._kept[keys[0]] = value
-        return [value]
-    out, todo = [], {}
-    for i, (rep, key) in enumerate(zip(reps, keys)):
-        out.append(rep._kept.get(key))
-        if out[i] is None:
-            todo.setdefault((id(rep), key), []).append(i)
-    if todo:
-        for at, value in zip(todo.values(),
-                             compute([at[0] for at in todo.values()])):
-            if not isinstance(value, Exception):
-                reps[at[0]]._kept[keys[at[0]]] = value
-            for i in at:
-                out[i] = value
-    return out
 
 
 def raised(value):

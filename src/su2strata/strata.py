@@ -10,9 +10,11 @@ common rotation axis with at least one noncentral image give i = 1
 Classification has two verdicts, the numeric rank of d0 and the
 common-axis test on the images, and they must agree.  A representation
 whose smallest nonzero d0 singular value falls within a factor of ten
-of the threshold refuses classification instead of guessing.  Labels
-are kept per tol, errors raised again on every call; `fill_labels`
-classifies a batch with one axis test over its stacked images.
+of the threshold refuses classification instead of guessing.  `_labels`
+classifies a stack of images from their full-coefficient summaries
+with one axis test; a moduli chart or a strata scan passes it its
+columns, and `classify_stratum` is its batch of one, kept per tol,
+errors raised again on every call.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .cohomology import DEFAULT_TOL, fill_systems, full_system
+from .cohomology import DEFAULT_TOL, cohomology
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
-from .presentations import (Representation, fill, free_group, gate_relators,
+from .presentations import (Representation, free_group, gate_relators, kept,
                             polish, raised, surface_group)
 
 
@@ -68,23 +70,24 @@ def _axis_stabilizer_dims(images: np.ndarray, tol: float) -> list:
 
 def classify_stratum(rep: Representation,
                      tol: float = DEFAULT_TOL) -> StratumLabel:
-    """The representation's stratum: `fill_labels`' batch of one."""
-    return raised(fill_labels((rep,), tol)[0])
+    """The representation's stratum, kept per tol: `_labels`' batch of
+    one."""
+    return kept(rep, ("label", tol), lambda: raised(_labels(
+        rep.images[None], [cohomology(rep, tol)], tol)[0]))
 
 
-def fill_labels(reps, tol: float = DEFAULT_TOL) -> list:
-    """Each representation's label, or in its place the error its
-    classification raises; those not kept yet are classified at once."""
-    def classify(todo):
-        batch = [reps[i] for i in todo]
-        summaries = fill_systems([full_system(rep) for rep in batch], tol)
-        dims = _axis_stabilizer_dims(np.array([r.images for r in batch]), tol)
-        return [_label(*args, tol) for args in zip(batch, summaries, dims)]
-    return fill(reps, [("label", tol)] * len(reps), classify)
+def _labels(images: np.ndarray, summaries, tol: float) -> list:
+    """The label of each row of an (N, n, 4) image stack, from its
+    full-coefficient summary and one axis test over the stack, or in
+    its place the summary's error or the error its classification
+    raises."""
+    dims = _axis_stabilizer_dims(images, tol)
+    return [_label(*args, tol) for args in zip(images, summaries, dims)]
 
 
-def _label(rep: Representation, summary, axis_dim: int, tol: float):
-    """rep's label from its summary and axis verdict, or an error."""
+def _label(images: np.ndarray, summary, axis_dim: int, tol: float):
+    """The label of (n, 4) images from their summary and axis verdict,
+    or an error."""
     if isinstance(summary, Exception):
         return summary
     h0 = summary.h0
@@ -97,7 +100,7 @@ def _label(rep: Representation, summary, axis_dim: int, tol: float):
         return StratumConflictError(
             f"rank verdict h0={h0} vs axis verdict {axis_dim}; "
             f"tolerance {tol:.1e} failed")
-    central = bool(h0 == 3 and (rep.images[:, 0] < 0).any())
+    central = bool(h0 == 3 and (images[:, 0] < 0).any())
     return StratumLabel(_H0_TO_STRATUM[h0], h0, central)
 
 

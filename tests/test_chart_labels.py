@@ -1,10 +1,11 @@
 """Stratum labels over a stack.
 
-`fill_labels` classifies the representations of a batch with one axis
-test over their stacked images, and a lone `classify_stratum` is its
-batch of one.  These tests hold each row of the stacked axis test to
-the per-image oracle, and each label of a batch or a chart to a fresh
-lone classification of the same images, errors by type and message.
+`strata._labels` classifies a stack of images from their
+full-coefficient summaries with one axis test over the stack, and a
+lone `classify_stratum` is its batch of one.  These tests hold each row
+of the stacked axis test to the per-image oracle, and each label of a
+stack or a chart to a fresh lone classification of the same images,
+errors by type and message.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2strata import strata, su2
+from su2strata.cohomology import _system_cohomologies, full_system
 from su2strata.invariants import enumerate_moduli
 from su2strata.presentations import Representation, free_group
-from su2strata.strata import classify_stratum, fill_labels
+from su2strata.strata import classify_stratum
 
 import oracles
 
@@ -88,7 +90,9 @@ def test_a_stacked_label_is_a_lone_label(seed, rows, tol):
     rng = np.random.default_rng(seed)
     stack = [row_images(rng, kinds, tol) for kinds in rows]
     pres = free_group(len(rows[0]))
-    labels = fill_labels([Representation(pres, im) for im in stack], tol)
+    summaries = _system_cohomologies(
+        [full_system(Representation(pres, im)) for im in stack], tol)
+    labels = strata._labels(np.array(stack), summaries, tol)
     for images, got in zip(stack, labels):
         assert_lone(got, pres, images, tol)
 
@@ -99,6 +103,7 @@ def test_a_stacked_label_is_a_lone_label(seed, rows, tol):
     ("s1xs2", {"samples": 8}),
 ])
 def test_chart_labels_are_lone_labels(example, kwargs):
+    # a chart keeps no label: a lone call classifies the point afresh
     for pt in enumerate_moduli(example, **kwargs):
-        assert classify_stratum(pt.rep) is pt.stratum
+        assert classify_stratum(pt.rep) == pt.stratum
         assert_lone(pt.stratum, pt.rep.presentation, pt.rep.images, 1e-8)

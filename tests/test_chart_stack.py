@@ -4,12 +4,14 @@ The chart driver builds every representation of a t3, lens or s1xs2
 chart from one pass over its images stacked as (N, n, 4): the exps,
 the relator folds, the unit and relator gates, the Ad stack and the
 trace fingerprints.  Each representation keeps read-only views of its
-row.  Here the stacked leaf products are held to the scalar ones bit
-for bit, every chart-built representation to the same images built
-alone, a lens point's kept torsion to the one its images give alone, a
-lens or s1xs2 point to its torsion and no word fold kept, a bad row to
-the error its lone construction raises, and the leaf-op calls of a t3
-chart to a count that does not grow with the chart.
+row; what the chart computes about it is passed as columns.  Here the
+stacked leaf products are held to the scalar ones bit for bit, every
+chart-built representation to the same images built alone, a lens
+point's torsion and fingerprint to the ones its images give alone, a
+chart point to nothing kept but its Ad rows, a chart to one analysis
+per stacked stage, a bad row to the error its lone construction
+raises, and the leaf-op calls of a t3 chart to a count that does not
+grow with the chart.
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import su2strata.cohomology as coh
 from su2strata import invariants, su2
 from su2strata.cohomology import (DEFAULT_TOL, cohomology,
                                   restrict_coefficients)
@@ -27,9 +30,9 @@ from su2strata.errors import PresentationError, ResidualError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard,
                                   t3_presentation, trace_fingerprint)
-from su2strata.presentations import (Representation, Word,
-                                     _representations, cyclic_group,
-                                     fox_jacobian_at, surface_group)
+from su2strata.presentations import (Representation, _representations,
+                                     cyclic_group, fox_jacobian_at,
+                                     surface_group)
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
 
@@ -107,24 +110,45 @@ def test_a_lens_chart_keeps_what_its_points_fold_alone(p, q):
         for word in heegaard.handle2_to_manifold:
             assert all(_same(a, b) for a, b in zip(pt.rep.fold(word),
                                                    alone.fold(word)))
-        kept = pt.rep._kept[heegaard, DEFAULT_TOL]
         lone = heegaard_mv_torsion(heegaard, alone)
-        assert kept is pt.torsion
-        assert (kept.value, kept.log_value) == (lone.value, lone.log_value)
+        assert (pt.torsion.value, pt.torsion.log_value) == (lone.value,
+                                                            lone.log_value)
+        assert pt.fingerprint == trace_fingerprint(alone)
 
 
-def test_chart_points_keep_their_torsion_and_no_word_folds():
-    # the builder folds the handle and surface words over the chart's
-    # stacks and keeps nothing of those folds on a point
-    for heegaard, points in (
-            (lens_heegaard(31, 7), enumerate_moduli("lens", p=31, q=7)),
-            (s1xs2_heegaard(), enumerate_moduli("s1xs2", samples=6))):
-        noncentral = [pt for pt in points if pt.stratum.i != 0]
-        assert noncentral
-        for pt in points:
-            assert not any(isinstance(key, Word) for key in pt.rep._kept)
-        for pt in noncentral:
-            assert pt.rep._kept[(heegaard, DEFAULT_TOL)] is pt.torsion
+@pytest.mark.parametrize("example, kwargs", [
+    ("s3", {}), ("lens", {"p": 31, "q": 7}), ("s1xs2", {"samples": 6}),
+    ("t3", {"samples": 3})])
+def test_chart_points_keep_only_their_ad_rows(example, kwargs):
+    # the chart passes its fingerprints, summaries, labels, torsions and
+    # verdicts as columns: a point's memo holds only its Ad stack
+    for pt in enumerate_moduli(example, **kwargs):
+        assert list(pt.rep._kept) == ["adjoints"]
+
+
+@pytest.mark.parametrize("example, sizes, stages", [
+    ("lens", [{"p": 21, "q": 5}, {"p": 83, "q": 5}], 3),
+    ("s1xs2", [{"samples": 6}, {"samples": 12}], 3),
+    ("t3", [{"samples": 3}, {"samples": 5}], 2)])
+def test_a_chart_runs_one_analysis_per_stacked_stage(monkeypatch, example,
+                                                     sizes, stages):
+    # the full systems, the stabilizer lines and, with a splitting, the
+    # handle and surface systems: one stacked analysis each
+    calls = []
+    compute = coh._system_cohomologies
+
+    def counting(systems, tol):
+        calls.append(len(systems))
+        return compute(systems, tol)
+
+    for module in (coh, invariants):
+        monkeypatch.setattr(module, "_system_cohomologies", counting)
+    counts = []
+    for kwargs in sizes:
+        calls.clear()
+        enumerate_moduli(example, **kwargs)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= stages
 
 
 def _bad_rows(pres, good):

@@ -429,6 +429,26 @@ def test_invariant_unmatched_table_entry_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fingerprint", [[9, 9, 9], None])
+def test_a_table_entry_naming_id_and_fingerprint_is_exit_2(tmp_path, capsys,
+                                                           fingerprint):
+    # refused whether the fingerprint matches no point or the named one
+    if fingerprint is None:
+        code, out, _ = run(capsys, "invariant", "--example", "lens",
+                           "--p", "5", "--q", "1", "--k", "1")
+        assert code == 0
+        (fingerprint,) = [pt["fingerprint"]
+                          for pt in json.loads(out)["result"]["points"]
+                          if pt["id"] == "lens(5,1):n=1"]
+    path = write_json(tmp_path / "cs.json", {"entries": [
+        {"point_id": "lens(5,1):n=1", "fingerprint": fingerprint,
+         "cs": 0.25}]})
+    code, out, err = run(capsys, "invariant", "--example", "lens", "--p",
+                         "5", "--q", "1", "--k", "1", "--cs-table", path)
+    assert code == 2 and out == ""
+    assert "both point_id and fingerprint" in err
+
+
 def test_no_subcommand_is_exit_2(capsys):
     assert run(capsys, )[0] == 2
 

@@ -1,13 +1,13 @@
 """One stacked cohomology analysis for many coefficient systems.
 
-`fill_cohomology` keeps, for a whole chart of representations, the
-summaries that one-at-a-time `system_cohomology` calls would keep, from
-one SVD per stack of equal-shape matrices.  These tests pin that a
-batch gives exactly what single calls give (errors included), that an
-error in a batch keeps nothing and does not spoil its batch-mates, that
-each (representation, basis, tol) is analysed once, and that the SVD
-count of a t3 chart, its stacked d0/d1 builds and its label passes do
-not grow with the chart.
+`_system_cohomologies` analyses a whole chart's systems from one SVD
+per stack of equal-shape matrices, and a chart passes its summaries on
+as columns without keeping them.  These tests pin that a stack gives
+exactly what single calls give (errors included), that an error in a
+stack does not spoil its stack-mates and is not kept, that each
+(representation, basis, tol) is analysed once by a chart and once by
+lone calls, and that the SVD count of a t3 chart, its stacked d0/d1
+builds and its label passes do not grow with the chart.
 """
 
 from collections import Counter
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
-from su2strata import strata, su2
+from su2strata import invariants, strata, su2
 from su2strata.errors import ResidualError
 from su2strata.invariants import (clean_intersection_check, enumerate_moduli,
                                   t3_presentation)
@@ -145,7 +145,8 @@ def analysed(monkeypatch):
         seen.extend((sys.rep, sys.k) for sys in systems)
         return compute(systems, tol)
 
-    monkeypatch.setattr(coh, "_system_cohomologies", counting)
+    for module in (coh, invariants):
+        monkeypatch.setattr(module, "_system_cohomologies", counting)
     return seen
 
 
@@ -165,19 +166,23 @@ def test_a_failing_rep_keeps_nothing_and_spares_its_batch_mates(analysed):
     rng = np.random.default_rng(3)
     good = [common_axis_rep(rng), common_axis_rep(rng)]
     bad = bad_cyclic_rep()
-    coh.fill_cohomology([good[0], bad, good[1]])
-    assert summaries(bad) == 0
-    assert [summaries(r) for r in good] == [2, 2]   # full and line
+    stack = coh._system_cohomologies(
+        [coh.full_system(rep) for rep in (good[0], bad, good[1])], 1e-8)
+    assert isinstance(stack[1], ResidualError)
+    assert [summaries(rep) for rep in (good[0], bad, good[1])] == [0, 0, 0]
     analysed.clear()
     for _ in range(2):
-        with pytest.raises(ResidualError):
+        with pytest.raises(ResidualError) as lone:
             coh.cohomology(bad)
+        assert str(lone.value) == str(stack[1])
     assert analysed == [(bad, 3), (bad, 3)]
     analysed.clear()
-    for rep in good:
+    for rep, got in zip(good, stack[::2]):
+        assert_same_summary(got, coh.cohomology(rep))
         assert stratum_tangent_dim(rep) == 3
         coh.restrict_coefficients(rep, "stabilizer")
-    assert analysed == []
+    assert analysed == [(good[0], 3), (good[0], 1), (good[1], 3),
+                        (good[1], 1)]
 
 
 def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
@@ -194,9 +199,10 @@ def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
         return D0, D1
 
     monkeypatch.setattr(coh, "_differentials", nan_d0)
-    coh.fill_cohomology([broken, mate, other])
-    assert summaries(broken) == 0 and summaries(mate) == 0
-    assert summaries(other) == 2
+    stack = coh._system_cohomologies(
+        [coh.full_system(rep) for rep in (broken, mate, other)], 1e-8)
+    assert all(isinstance(s, np.linalg.LinAlgError) for s in stack[:2])
+    assert_same_summary(stack[2], coh.cohomology(other))
     with pytest.raises(np.linalg.LinAlgError):
         coh.cohomology(broken)
     analysed.clear()
@@ -210,22 +216,19 @@ def test_each_system_is_analysed_once(analysed):
     haar_rep = Representation(free_group(3), [
         su2.random_element(rng) for _ in range(3)])
     for _ in range(2):
-        coh.fill_cohomology([axis_rep, haar_rep, axis_rep])
-    assert sorted(k for _, k in analysed) == [1, 3, 3]
-    assert len(analysed) == len({(id(r), k) for r, k in analysed})
+        assert [classify_stratum(r).i for r in (axis_rep, haar_rep)] == [1, 3]
+        for rep in (axis_rep, haar_rep):
+            stratum_tangent_dim(rep)
+            coh.cohomology(rep, 1e-8)
+        coh.restrict_coefficients(axis_rep, "stabilizer")
+    assert analysed == [(axis_rep, 3), (haar_rep, 3), (axis_rep, 1)]
+    # a chart analyses each of its systems once, and a lone clean check
+    # of a point gives the chart's verdict
     analysed.clear()
-    assert [classify_stratum(r).i for r in (axis_rep, haar_rep)] == [1, 3]
-    for rep in (axis_rep, haar_rep):
-        stratum_tangent_dim(rep)
-        coh.cohomology(rep, 1e-8)
-    coh.restrict_coefficients(axis_rep, "stabilizer")
-    assert analysed == []
-    # the stabilizer line a clean check builds is the one filled
     pts = enumerate_moduli("t3", samples=2)
-    analysed.clear()
+    assert len(analysed) == len({(id(r), k) for r, k in analysed})
     for pt in pts:
-        clean_intersection_check(pt)
-    assert analysed == []
+        assert clean_intersection_check(pt) == pt.clean
 
 
 def test_t3_svd_count_does_not_grow_with_the_chart(monkeypatch):

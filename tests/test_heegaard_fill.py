@@ -1,18 +1,18 @@
 """The stacked Mayer-Vietoris torsions of the lens and s1xs2 charts.
 
 Before it reads the points of a chart with a splitting,
-`_chart_points` runs one Mayer-Vietoris builder over all of them: it
-makes each point's handlebody and surface representations, analyses
-their systems and the point's own in one stacked pass, forms the
-torsion sequences as stacked products per shape, and keeps only each
-point's torsion on the point's representation.  Here each system is
+`_chart_points` runs one Mayer-Vietoris builder over all of them: given
+the columns of the points' stratum bases and summaries, it makes each
+point's handlebody and surface representations, analyses their systems
+in one stacked pass, and forms the torsion sequences as stacked
+products per shape, keeping nothing on the points.  Here each system is
 held to one analysis, also when that analysis fails, the number of
 stacked passes, SVDs and cup folds to counts that do not grow with p,
-each stacked Gram row to the oracle pairing, `heegaard_mv_torsion`
-on a fresh, unfilled representation (a batch of one) to the chart's
-value bit for bit, inconsistent gluing data to the torsion or the
-error a lone call gives, at its own point, with nothing kept for an
-error, and a splitting, which keys the kept torsion, to one hash.
+each stacked Gram row to the oracle pairing, `heegaard_mv_torsion` on
+a fresh representation (a batch of one) to the chart's value bit for
+bit, inconsistent gluing data to the torsion or the error a lone call
+gives, at its own point, with nothing kept for an error, and a
+splitting given as lists to its tuple twin.
 """
 
 import math
@@ -25,14 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
-from su2strata import invariants, presentations, su2
+from su2strata import invariants, presentations, strata, su2
 from su2strata.cohomology import DEFAULT_TOL, stabilizer_axis
 from su2strata.errors import DomainError, RankAmbiguityError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard)
-from su2strata.presentations import (Representation, Word, cyclic_group,
+from su2strata.presentations import (Representation, cyclic_group,
                                      free_group, generator, surface_group)
-from su2strata.strata import fill_labels
 
 import oracles
 
@@ -47,10 +46,23 @@ def lens_rep(p, n):
 
 
 def mv_torsions(splitting, reps):
-    """`_mv_torsions` of reps, with the coefficients their labels pick."""
-    bases = invariants._stratum_bases(fill_labels(reps, DEFAULT_TOL),
-                                      coh.fill_cohomology(reps))
-    return invariants._mv_torsions(splitting, reps, bases, DEFAULT_TOL)
+    """`_glued_torsions` of reps, given the columns a chart gives it:
+    the coefficients their labels pick and those systems' summaries."""
+    fulls = coh._system_cohomologies([coh.full_system(rep) for rep in reps],
+                                     DEFAULT_TOL)
+    labels = strata._labels(np.array([rep.images for rep in reps]), fulls,
+                            DEFAULT_TOL)
+    return invariants._glued_torsions(
+        splitting, reps,
+        *invariants._stratum_systems(reps, labels, fulls, DEFAULT_TOL),
+        DEFAULT_TOL)
+
+
+def patch_analysis(monkeypatch, analysis):
+    """Put analysis in place of `_system_cohomologies` in each module
+    that calls it."""
+    for module in (coh, invariants):
+        monkeypatch.setattr(module, "_system_cohomologies", analysis)
 
 
 @pytest.fixture
@@ -63,7 +75,7 @@ def analysed(monkeypatch):
         calls.append([(sys.rep, sys.basis.tobytes()) for sys in systems])
         return compute(systems, tol)
 
-    monkeypatch.setattr(coh, "_system_cohomologies", counting)
+    patch_analysis(monkeypatch, counting)
     return calls
 
 
@@ -103,7 +115,7 @@ def test_a_failing_heegaard_system_is_analysed_once(monkeypatch):
                 out[i] = RankAmbiguityError("surface system refused")
         return out
 
-    monkeypatch.setattr(coh, "_system_cohomologies", refusing)
+    patch_analysis(monkeypatch, refusing)
     with pytest.raises(RankAmbiguityError, match="surface system refused"):
         heegaard_mv_torsion(lens_heegaard(7, 3), lens_rep(7, 1))
     assert len(refused) == 1
@@ -211,16 +223,16 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
     bad = replace(lens_heegaard(p, 1),
                   handle2_to_manifold=(generator(0) ** 6,))
     reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
-    coh.fill_cohomology(reps)
     batch = mv_torsions(bad, reps)
-    glued = {n for n, rep in enumerate(reps)
-             if (bad, DEFAULT_TOL) in rep._kept}
+    glued = {n for n, torsion in enumerate(batch)
+             if not isinstance(torsion, Exception)}
     assert glued == {3, 6}
-    # at each position, the batch holds what a lone call gives there
+    # the stacked builder keeps nothing, and at each position holds
+    # what a lone call gives there
     for n, torsion in enumerate(batch):
+        assert (bad, DEFAULT_TOL) not in reps[n]._kept
         (lone,) = mv_torsions(bad, [lens_rep(p, n)])
         if n in glued:
-            assert torsion is reps[n]._kept[bad, DEFAULT_TOL]
             assert (torsion.value, torsion.log_value) == (lone.value,
                                                           lone.log_value)
         else:
@@ -229,14 +241,15 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
     for n, rep in enumerate(reps[1:], 1):
         fresh = lens_rep(p, n)
         if n in glued:
-            assert heegaard_mv_torsion(bad, rep) == \
-                heegaard_mv_torsion(bad, fresh)
+            torsion = heegaard_mv_torsion(bad, rep)
+            assert torsion == heegaard_mv_torsion(bad, fresh)
+            assert torsion == batch[n]
             continue
         with pytest.raises(DomainError) as filled:
             heegaard_mv_torsion(bad, rep)
         with pytest.raises(DomainError) as lone:
             heegaard_mv_torsion(bad, fresh)
-        assert str(filled.value) == str(lone.value)
+        assert str(filled.value) == str(lone.value) == str(batch[n])
         assert "gluing data is inconsistent" in str(lone.value)
         assert (bad, DEFAULT_TOL) not in rep._kept
     # in the chart, the first failing point (n = 1) raises first
@@ -249,7 +262,7 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
 
 
 def test_a_splitting_given_as_lists_keys_like_its_tuple_twin():
-    # the torsion is kept per splitting, so its sequences must hash
+    # a lone torsion is kept per splitting, so its sequences must hash
     lens = lens_heegaard(7, 3)
     listed = replace(lens, **{f: list(getattr(lens, f)) for f in (
         "handle1_generators", "handle2_generators", "surface_to_handle1",
@@ -257,20 +270,4 @@ def test_a_splitting_given_as_lists_keys_like_its_tuple_twin():
     assert listed == lens and hash(listed) == hash(lens)
     rep = lens_rep(7, 1)
     assert heegaard_mv_torsion(listed, rep) == heegaard_mv_torsion(lens, rep)
-
-
-def test_a_splitting_is_hashed_once(monkeypatch):
-    # each kept-torsion read hashes its (splitting, tol) key
-    splitting, rep = lens_heegaard(51, 7), lens_rep(51, 1)
-    torsion = heegaard_mv_torsion(splitting, rep)
-    hash(splitting)
-    calls = []
-    word_hash = Word.__hash__
-    monkeypatch.setattr(Word, "__hash__",
-                        lambda w: calls.append(w) or word_hash(w))
-    for _ in range(3):
-        hash(splitting)
-        assert heegaard_mv_torsion(splitting, rep) is torsion
-    assert calls == []
-    twin = lens_heegaard(51, 7)
-    assert twin == splitting and hash(twin) == hash(splitting)
+    assert heegaard_mv_torsion(lens, rep) is heegaard_mv_torsion(listed, rep)

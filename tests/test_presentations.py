@@ -10,7 +10,7 @@ from su2strata import su2
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.presentations import (Presentation, Representation,
                                      Word, commutator,
-                                     cyclic_group, evaluate_images, fill,
+                                     cyclic_group, evaluate_images,
                                      format_word, fox_fold,
                                      fox_jacobian_at, free_group,
                                      gate_relators, generator, kept,
@@ -391,21 +391,19 @@ def test_representation_json_missing_image():
         representation_from_json(data, rep.presentation)
 
 
-def test_fill_computes_each_missing_pair_once_and_keeps_only_values():
-    a = Representation.trivial(free_group(1))
-    b = Representation.trivial(free_group(2))
+def test_kept_computes_once_and_keeps_only_values():
+    rep = Representation.trivial(free_group(1))
     calls = []
 
-    def compute(todo):
-        calls.append(todo)
-        return [ValueError("no") if i == 1 else f"v{i}" for i in todo]
+    def compute(value):
+        calls.append(value)
+        if isinstance(value, Exception):
+            raise value
+        return value
 
-    # (a, k) twice, (b, k) failing, (b, j): one call, first indices
-    got = fill([a, b, a, b], ["k", "k", "k", "j"], compute)
-    assert calls == [[0, 1, 3]]
-    assert [got[0], got[2], got[3]] == ["v0", "v0", "v3"]
-    assert isinstance(got[1], ValueError)
-    assert fill([a, b, b], ["k", "j", "j"], compute) == ["v0", "v3", "v3"]
-    assert len(calls) == 1                   # nothing missing, no call
-    assert kept(b, "k", lambda: "w") == "w"  # the error was not kept
-    assert kept(b, "k", lambda: "x") == "w"
+    for _ in range(2):      # an error is raised again, not kept
+        with pytest.raises(ValueError):
+            kept(rep, "k", compute, ValueError("no"))
+    assert kept(rep, "k", compute, "v") == "v"
+    assert kept(rep, "k", compute, "w") == "v"
+    assert len(calls) == 3 and list(rep._kept) == ["k"]

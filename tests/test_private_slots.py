@@ -1,9 +1,11 @@
 """Only `presentations` touches what a representation keeps.
 
 Every value a `Representation` keeps sits in its one memo, read and
-written through `presentations.kept` and `presentations.fill`.  Here
-each module's syntax tree is searched for an attribute, or a string
-such as a `getattr` argument, that names a private slot of
+written through `presentations.kept` by lone calls; a chart's only
+write is each representation's row of its Ad stack, made where the
+chart's representations are built (`presentations._representations`).
+Here each module's syntax tree is searched for an attribute, or a
+string such as a `getattr` argument, that names a private slot of
 `Representation`; only `presentations` may name one.
 """
 
