@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .cohomology import (DEFAULT_TOL, _system_cohomologies, build_d0,
                          cohomology, full_system, restrict_coefficients)
 from .conventions import CONVENTION_TAGS, MAX_GENUS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
-from .invariants import (apply_value_table, assemble_invariant,
+from .invariants import (_json_float, apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
 from .presentations import (Representation, free_group, gate_relators,
@@ -68,12 +69,59 @@ def _table_lines(obj, prefix=""):
     return lines
 
 
+def _leaf(value):
+    """The JSON text json.dumps gives a scalar, or None for other values."""
+    if isinstance(value, float):
+        return (float.__repr__(value) if -math.inf < value < math.inf
+                else "NaN" if value != value
+                else "Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value) if isinstance(value, int) else None
+
+
+def _write(obj, out: list, pad: str) -> None:
+    """Append to out the text of json.dumps(obj, sort_keys=True,
+    indent=2, default=_json_value) at the line break and indent `pad`:
+    scalars by `_leaf`, a list of scalars in one join, any other value
+    by `_json_value`.  A dict key that is not a str raises TypeError in
+    the key encoder, where json.dumps would write it as a string."""
+    text, inner = _leaf(obj), pad + "  "
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        texts = list(map(_leaf, obj))
+        if obj and None not in texts:
+            out.append("[" + inner + ("," + inner).join(texts) + pad + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "]" if obj else "[]")
+    else:
+        _write(_json_value(obj), out, pad)
+
+
 def _emit(report: dict, fmt: str) -> None:
-    # json's C encoder runs only without indent: the table's fast path
-    text = json.dumps(report, sort_keys=True, default=_json_value,
-                      indent=2 if fmt == "json" else None)
+    # json.dumps with indent runs the pure-Python encoder, so a json
+    # report is `_write`'s one pass; a table reads the C encoder's text
     if fmt == "table":
-        text = "\n".join(_table_lines(json.loads(text)))
+        text = "\n".join(_table_lines(json.loads(json.dumps(
+            report, sort_keys=True, default=_json_value))))
+    else:
+        _write(report, out := [], "\n")
+        text = "".join(out)
     sys.stdout.write(text + "\n")
 
 
@@ -105,11 +153,9 @@ def _fields(data, what: str, allowed=(), required=()) -> dict:
 
 
 def _number(value, what: str, integer: bool = False):
-    """A finite float, or an int if asked, from a JSON value."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    """A finite float, or an int if asked, from a JSON number
+    (`_json_float`: a str or a bool is refused)."""
+    x = _json_float(value)
     if not math.isfinite(x) or (integer and not x.is_integer()):
         kind = "an integer" if integer else "a finite number"
         raise InputError(f"{what} must be {kind}, got {value!r}")

@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -187,47 +187,49 @@ def _conjugation_equations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(blocks), 2, 0).reshape(-1, 4)
 
 
-def _fingerprint_steps(fingerprint) -> list:
-    """A fingerprint in rounding steps (1e-7), offset half a cell so the
-    traces 0, +-1, +-2 sit mid-cell."""
-    return [round(v * _FINGERPRINT_SCALE) + 512 for v in fingerprint]
-
-
-class _FingerprintCells(dict):
-    """Items filed by fingerprint steps in cells of 1024 steps, the one
-    matcher of dedup and table entries: prints a step apart lie in the
-    same or neighbouring cells, at most two a component."""
-
-    def add(self, steps: list, item) -> None:
-        self.setdefault(tuple(k >> 10 for k in steps), []).append(
-            (steps, item))
-
-    def near(self, steps: list):
-        """The filed items within a step in every component, lazily."""
-        lo = tuple([(k - 1) >> 10 for k in steps])
-        hi = tuple([(k + 1) >> 10 for k in steps])
-        probes = ((lo,) if lo == hi
-                  else itertools.product(*map(set, zip(lo, hi))))
-        return (item for cell in probes for prev, item in self.get(cell, ())
-                if all(abs(a - b) <= 1 for a, b in zip(steps, prev)))
+def _within_a_step(prints: list, queries: list) -> tuple:
+    """The (query, print) index pairs of fingerprints within one rounding
+    step (1e-7) in every component, by query then print, with every
+    fingerprint quantised in one call as round() rounds; prints of other
+    lengths are padded apart.  Each row's key is one fixed positive
+    weighting of its steps, so rows within a step have keys within the
+    weights' sum: one window per query of the sorted print keys gives
+    the candidates, and every component is then compared."""
+    F = np.array(list(itertools.zip_longest(*prints, *queries,
+                                            fillvalue=100.0)),
+                 dtype=float, ndmin=2).T
+    S = np.rint(F * _FINGERPRINT_SCALE).astype(np.int64)
+    # pseudo-random weights, so that no family of traces shares a key
+    w = np.arange(S.shape[1]) * 7919 % 1021 + 1
+    keys, n = S @ w, len(prints)
+    order = np.argsort(keys[:n])
+    ranked = keys[:n][order]
+    start = np.searchsorted(ranked, keys[n:] - w.sum())
+    count = np.searchsorted(ranked, keys[n:] + w.sum(), "right") - start
+    q = np.repeat(np.arange(len(queries)), count)
+    p = order[np.arange(count.sum())
+              + np.repeat(start - np.cumsum(count) + count, count)]
+    near = (np.abs(S[n:][q] - S[p]) <= 1).all(axis=1)
+    by = np.lexsort((p[near], q[near]))
+    return q[near][by].tolist(), p[near][by].tolist()
 
 
 def deduplicate_points(points):
     """Merge conjugate points, keeping the first of each class in order.
 
     Conjugate points can round one step (1e-7) apart in any fingerprint
-    component, so kept points within a step in every component are
-    candidates; only a confirmed conjugator merges.
+    component, so the earlier kept points within a step in every
+    component, all found by one `_within_a_step`, are candidates; only
+    a confirmed conjugator merges.
     """
-    cells = _FingerprintCells()
-    kept: list = []
-    for pt in points:
-        steps = _fingerprint_steps(pt.fingerprint)
-        if not any(find_conjugator(pt.rep, prev.rep) is not None
-                   for prev in cells.near(steps)):
-            kept.append(pt)
-            cells.add(steps, pt)
-    return kept
+    points = list(points)
+    prints = [pt.fingerprint for pt in points]
+    merged: set = set()
+    for i, j in zip(*_within_a_step(prints, prints)):
+        if j < i and i not in merged and j not in merged and find_conjugator(
+                points[i].rep, points[j].rep) is not None:
+            merged.add(i)
+    return [pt for i, pt in enumerate(points) if i not in merged]
 
 
 # -- Heegaard Mayer-Vietoris pipeline ---------------------------------
@@ -512,62 +514,83 @@ def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
     return deduplicate_points(_chart_points(pres, heegaard, rows, tol))
 
 
+def _json_float(value) -> float:
+    """A JSON number as a float, else NaN, a str or a bool included: the
+    one rule for numbers read from JSON input."""
+    try:
+        return math.nan if isinstance(value, (str, bool)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _table_key(entry, field: str):
+    """A value-table entry's point_id, or its fingerprint with each
+    component clamped to [-4, 4], where an inf, NaN or huge entry lies
+    off every trace; or, in its place, the error a malformed entry
+    raises."""
+    if not isinstance(entry, dict):
+        return InputError("table entries must be objects")
+    keys = set(entry)
+    if field not in entry:
+        return InputError(f"table entry missing {field!r}")
+    if not keys <= {"point_id", "fingerprint", field}:
+        return InputError(f"unknown table fields {sorted(keys)}")
+    if {"point_id", "fingerprint"} <= keys:
+        return InputError(
+            f"table entry names both point_id and fingerprint: {entry}")
+    if "point_id" in entry:
+        if not isinstance(entry["point_id"], str):
+            return InputError(f"point_id must be a string: {entry}")
+        return entry["point_id"]
+    if "fingerprint" not in entry:
+        return InputError("table entry needs point_id or fingerprint")
+    fp = entry["fingerprint"]
+    if not isinstance(fp, (list, tuple)) or not all(
+            [isinstance(v, (int, float)) and v is not True and v is not False
+             for v in fp]):
+        return InputError(f"fingerprint must list numbers: {entry}")
+    # NaN fails both comparisons and goes to -4, as max(-4.0, nan) does
+    return [4.0 if v > 4.0 else v if v >= -4.0 else -4.0 for v in fp]
+
+
 def apply_value_table(points, table, field: str):
     """Override per-point values (cs_value or torsion) from a list of
     {point_id|fingerprint, value} entries, each naming one of the two.
-    An entry updates every point
-    it matches (a fingerprint matches within one rounding step in every
-    component, as in dedup) and later entries override earlier ones.
-    Unmatched or malformed entries are errors; unmatched points keep
-    their defaults."""
-    out = list(points)
+    An entry updates every point it matches (a fingerprint matches as in
+    dedup, every entry through one `_within_a_step`), and later entries
+    override earlier ones.  Entries are checked in order, values must
+    be JSON numbers (`_json_float`), and the first unmatched or
+    malformed entry raises; then each touched point is rebuilt once.
+    Unmatched points keep their defaults."""
+    points, entries = list(points), list(table)
     by_id: dict = {}
-    by_fp = _FingerprintCells()
-    for i, pt in enumerate(out):
+    for i, pt in enumerate(points):
         by_id.setdefault(pt.point_id, []).append(i)
-        by_fp.add(_fingerprint_steps(pt.fingerprint), i)
-    for entry in table:
-        if not isinstance(entry, dict):
-            raise InputError("table entries must be objects")
-        keys = set(entry)
-        if field not in entry:
-            raise InputError(f"table entry missing {field!r}")
-        if not keys <= {"point_id", "fingerprint", field}:
-            raise InputError(f"unknown table fields {sorted(keys)}")
-        if {"point_id", "fingerprint"} <= keys:
-            raise InputError(
-                f"table entry names both point_id and fingerprint: {entry}")
-        if "point_id" in entry:
-            if not isinstance(entry["point_id"], str):
-                raise InputError(f"point_id must be a string: {entry}")
-            hits = by_id.get(entry["point_id"], [])
-        elif "fingerprint" in entry:
-            fp = entry["fingerprint"]
-            if not isinstance(fp, (list, tuple)) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in fp):
-                raise InputError(f"fingerprint must list numbers: {entry}")
-            # an inf, NaN or huge entry goes to +-4, where no trace lies
-            hits = list(by_fp.near(_fingerprint_steps(
-                min(4.0, max(-4.0, v)) for v in fp)))
-        else:
-            raise InputError("table entry needs point_id or fingerprint")
+    keys = [_table_key(entry, field) for entry in entries]
+    prints = [k for k in keys if isinstance(k, list)]
+    q, p = _within_a_step([pt.fingerprint for pt in points], prints)
+    bounds = np.searchsorted(q, range(len(prints) + 1)).tolist()
+    fp_hits = map(p.__getitem__, map(slice, bounds, bounds[1:]))
+    values: dict = {}
+    for entry, key in zip(entries, keys):
+        hits = next(fp_hits) if isinstance(key, list) \
+            else by_id.get(raised(key), [])
         if not hits:
             raise InputError(f"table entry matches no point: {entry}")
-        try:
-            v = float(entry[field])
-        except (TypeError, ValueError):
-            v = math.nan
+        v = _json_float(entry[field])
         if not math.isfinite(v):
             raise InputError(f"{field} must be a finite number: {entry}")
         if field == "torsion" and v <= 0:
             raise InputError("torsion values must be positive")
-        for i in hits:
-            if field == "cs":
-                out[i] = replace(out[i], cs_value=v % 1.0)
-            else:
-                out[i] = replace(out[i], torsion=TorsionValue(v, math.log(v)))
-    return out
+        values.update(dict.fromkeys(hits, v))
+    cs = field == "cs"
+    for i, v in values.items():
+        pt = points[i]
+        points[i] = ModuliPoint(
+            pt.point_id, pt.rep, pt.stratum, pt.component_dim, pt.weight,
+            pt.fingerprint, v % 1.0 if cs else pt.cs_value,
+            pt.torsion if cs else TorsionValue(v, math.log(v)), pt.clean)
+    return points
 
 
 # -- invariant sums ----------------------------------------------------

@@ -291,3 +291,27 @@ def stratum_volume(quats, stratum):
     if stratum == 1:
         return float(sum(3.0 - np.trace(a) for a in ads))
     return 1.0
+
+
+def fingerprints_match(a, b):
+    """The matching rule of dedup and value tables, one pair at a time:
+    equal lengths, and every component within one rounding step (1e-7),
+    each value first clamped to [-4, 4] (NaN to -4) and then rounded to
+    a whole number of steps, ties to even."""
+    def steps(v):
+        v = -4.0 if v != v else min(4.0, max(-4.0, v))
+        return round(v * 1e7)
+    return len(a) == len(b) and all(abs(steps(x) - steps(y)) <= 1
+                                    for x, y in zip(a, b))
+
+
+def deduplicate(points, conjugate):
+    """Points in order, less each one that matches the fingerprint of
+    an earlier kept point (`fingerprints_match`) conjugate to it by
+    `conjugate(point, kept)`."""
+    kept = []
+    for pt in points:
+        if not any(fingerprints_match(pt.fingerprint, k.fingerprint)
+                   and conjugate(pt, k) for k in kept):
+            kept.append(pt)
+    return kept

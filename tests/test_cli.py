@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2strata import __version__, su2
-from su2strata.cli import dispatch
+from su2strata.cli import _json_value, _write, dispatch
 from su2strata.presentations import presentation_to_json, free_group
 
 
@@ -304,6 +306,44 @@ def test_fg_sum_json_mode(tmp_path, capsys):
     assert abs(v["re"]) < 1e-12 and abs(v["im"]) < 1e-12
 
 
+# -- the report writer ---------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, -1e300]),
+    st.integers(-2**70, 2**70), st.booleans(), st.none(),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\t",
+                     "é€😀", "\u2028"]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.lists(st.floats(), max_size=4).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(
+        lambda v: np.array(v).reshape(2, 2)))
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    for report in (value, {"result": value, "schema": 1}):
+        out: list = []
+        _write(report, out, "\n")
+        assert "".join(out) == json.dumps(report, sort_keys=True, indent=2,
+                                          default=_json_value)
+
+
+@pytest.mark.parametrize("report", [
+    {1: 0.5}, {"a": {None: 1}}, {"a": [{2.5: "x"}]}, {"a": 1, True: 2}])
+def test_the_report_writer_refuses_a_key_that_is_not_a_str(report):
+    # json.dumps would write these keys as strings; a report has none
+    with pytest.raises(TypeError):
+        _write(report, [], "\n")
+
+
 # -- failure modes -------------------------------------------------------
 
 def test_missing_file_is_exit_2(capsys):
@@ -413,12 +453,34 @@ def test_fg_sum_rejects_extra_entry_fields(tmp_path, capsys):
     {"torsion": "inf", "flow": 0, "cs": 0.1},
     {"torsion": 1.0, "flow": 0, "cs": "inf"},
     {"torsion": 1.0, "flow": 1.5, "cs": 0.1},       # was truncated to 1
+    # numbers must be JSON numbers: these used to read as 0.25, 1 and 0.5
+    {"torsion": "0.25", "flow": True, "cs": "0.5"},
+    {"torsion": 1.0, "flow": 0, "cs": "0.5"},
+    {"torsion": 1.0, "flow": False, "cs": 0.1},
+    {"torsion": True, "flow": 0, "cs": 0.1},
+    {"torsion": 1.0, "flow": 10**400, "cs": 0.1},   # was a traceback
 ])
 def test_fg_sum_rejects_non_finite_and_fractional_entries(
         tmp_path, capsys, entry):
     path = write_json(tmp_path / "e.json", {"entries": [entry]})
     code, out, err = run(capsys, "fg-sum", "--k", "2", "--entries", path)
     assert code == 2 and out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("torsion", {"point_id": "s3:trivial", "torsion": "0.5"}),
+    ("cs", {"point_id": "s3:trivial", "cs": True}),
+    ("cs", {"point_id": "s3:trivial", "cs": False}),
+    ("cs", {"fingerprint": [2.0, 2.0], "cs": "0.25"}),
+    ("cs", {"point_id": "s3:trivial", "cs": 10**400}),   # was a traceback
+])
+def test_table_values_must_be_json_numbers(tmp_path, capsys, table, entry):
+    # a str or a bool used to be read as the number it spells
+    path = write_json(tmp_path / "t.json", {"entries": [entry]})
+    code, out, err = run(capsys, "invariant", "--example", "s3",
+                         f"--{table}-table", path)
+    assert code == 2 and out == ""
+    assert f"{table} must be a finite number" in err
 
 
 def test_invariant_unmatched_table_entry_is_exit_2(tmp_path, capsys):
@@ -570,10 +632,12 @@ def test_torsion_lens_parameters_are_bounded(tmp_path, capsys, payload):
     {"example": "lens", "p": 7, "q": 1, "point": 1},
     {"example": "s1xs2", "samples": 8, "point": 3},
 ])
-@pytest.mark.parametrize("bad", ["abc", 7.9])
+@pytest.mark.parametrize("bad", ["abc", 7.9, "7", True,
+                                 pytest.param(10**400, id="10**400")])
 def test_torsion_example_fields_must_be_integers(tmp_path, capsys,
                                                  payload, bad):
-    # "abc" used to crash with a traceback, 7.9 to be read as 7
+    # "abc" and 10**400 used to crash with a traceback, 7.9 to be read
+    # as 7, and "7" and true as the numbers they spell
     assert run(capsys, "torsion",
                write_json(tmp_path / "ok.json", payload))[0] == 0
     for field in [f for f in payload if f != "example"]:

@@ -2,7 +2,9 @@
 
 Each case runs one CLI command in-process and compares its exit code
 and JSON report with tests/golden/<name>.out.json: ints, strings, bools
-and nulls exactly, floats to 1e-12 (relative above magnitude 1).  From
+and nulls exactly, floats to 1e-12 (relative above magnitude 1).  A
+report's text must also be laid out as json.dumps(indent=2,
+sort_keys=True) lays out its parsed value.  From
 the repository root and with OPENBLAS_NUM_THREADS=1,
 
     PYTHONPATH=src python tests/test_equivalence.py
@@ -61,12 +63,15 @@ CASES = {
 }
 
 
-def run_case(argv) -> dict:
+def run_case(argv) -> tuple:
+    """A case's record (argv, exit code and parsed report) and its
+    stdout."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = dispatch(list(argv))
     report = json.loads(out.getvalue()) if code == 0 else None
-    return {"argv": list(argv), "exit": code, "report": report}
+    return {"argv": list(argv), "exit": code, "report": report}, \
+        out.getvalue()
 
 
 def mismatches(got, want, path="") -> list:
@@ -96,9 +101,14 @@ def test_report_matches_golden(name, monkeypatch):
     with open(os.path.join(GOLDEN, f"{name}.out.json"),
               encoding="utf-8") as f:
         want = json.load(f)
-    got = run_case(CASES[name])
+    got, stdout = run_case(CASES[name])
     assert got["argv"] == want["argv"]
     assert mismatches(got, want) == []
+    if got["exit"] == 0:
+        # the layout too, which parsing hides: a two-space indent, sorted
+        # keys and one closing newline
+        assert stdout == json.dumps(got["report"], indent=2,
+                                    sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":
@@ -108,6 +118,6 @@ if __name__ == "__main__":
         if os.path.exists(path):
             continue
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(run_case(argv), f, indent=1, sort_keys=True)
+            json.dump(run_case(argv)[0], f, indent=1, sort_keys=True)
             f.write("\n")
         print("wrote", path)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from su2strata import invariants, su2
 from su2strata.errors import (CleanIntersectionError, DomainError, InputError,
                               ResidualError)
@@ -78,6 +80,10 @@ def _point(pid, rep):
                        fingerprint=trace_fingerprint(rep))
 
 
+def _conjugate(pt, kept):
+    return find_conjugator(pt.rep, kept.rep) is not None
+
+
 def test_deduplicate_merges_conjugates_only():
     rng = np.random.default_rng(2)
     rep = Representation(
@@ -85,9 +91,10 @@ def test_deduplicate_merges_conjugates_only():
     twin = rep.conjugated(su2.random_element(rng))
     other = Representation(
         free_group(2), np.array([su2.random_element(rng) for _ in range(2)]))
-    merged = deduplicate_points([_point("a", rep), _point("b", twin),
-                                 _point("c", other)])
+    points = [_point("a", rep), _point("b", twin), _point("c", other)]
+    merged = deduplicate_points(points)
     assert [p.point_id for p in merged] == ["a", "c"]
+    assert merged == oracles.deduplicate(points, _conjugate)
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,8 +111,27 @@ def test_deduplicate_merges_every_conjugate(seed, half_point):
     rep = Representation(free_group(2),
                          np.array([first, su2.random_element(rng)]))
     twin = rep.conjugated(su2.random_element(rng))
-    merged = deduplicate_points([_point("a", rep), _point("b", twin)])
+    points = [_point("a", rep), _point("b", twin)]
+    merged = deduplicate_points(points)
     assert [p.point_id for p in merged] == ["a"]
+    assert merged == oracles.deduplicate(points, _conjugate)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_deduplicate_is_the_point_by_point_rule_on_a_chart_with_twins(seed):
+    # a t3 chart with conjugated twins of some of its points, shuffled:
+    # twins round up to a step apart, so every window of the matcher runs
+    rng = np.random.default_rng(seed)
+    chart = enumerate_moduli("t3", samples=4)
+    twins = [_point(f"twin{k}", chart[k].rep.conjugated(
+                 su2.random_element(rng)))
+             for k in rng.choice(len(chart), 12, replace=False)]
+    points = [*chart, *twins]
+    points = [points[k] for k in rng.permutation(len(points))]
+    merged = deduplicate_points(points)
+    assert merged == oracles.deduplicate(points, _conjugate)
+    assert len(merged) == len(chart)
 
 
 _KINDS = ("haar", "axis", "central", "mixed")
@@ -419,6 +445,115 @@ def test_fingerprint_entry_matches_within_one_rounding_step():
     with pytest.raises(InputError, match="matches no point"):
         apply_value_table(pts, [{"fingerprint": far, "torsion": 2.0}],
                           "torsion")
+
+
+@functools.cache
+def _chart(name):
+    return (enumerate_moduli("t3", samples=4) if name == "t3"
+            else enumerate_moduli("lens", p=12, q=5))
+
+
+# a component moved by whole and half steps (the halves are rounding
+# ties, or next to one), or replaced by a value clamped to -4 or 4
+_MOVES = st.one_of(st.sampled_from([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2]),
+                   st.sampled_from([math.nan, math.inf, -math.inf, 10**400,
+                                    -10**400, 4.0, -4.0, 4.0000001]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["t3", "lens"]), st.data())
+def test_table_hits_are_the_brute_force_matches(chart, data):
+    pts = _chart(chart)
+    fp = list(data.draw(st.sampled_from(pts)).fingerprint)
+    moves = data.draw(st.lists(_MOVES, min_size=len(fp), max_size=len(fp)))
+    fp = [v + m * 1e-7 if abs(m) <= 2 else m for v, m in zip(fp, moves)]
+    fp = fp[:data.draw(st.integers(1, len(fp)))] + data.draw(
+        st.lists(st.floats(-2.0, 2.0), max_size=1))   # lengths that differ
+    want = [pt.point_id for pt in pts
+            if oracles.fingerprints_match(pt.fingerprint, fp)]
+    if not want:
+        with pytest.raises(InputError, match="matches no point"):
+            apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}], "cs")
+        return
+    out = apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}], "cs")
+    assert [pt.point_id for pt in out if pt.cs_value == 0.5] == want
+
+
+@pytest.mark.parametrize("chart", ["t3", "lens"])
+@pytest.mark.parametrize("move", [-1, 1])
+def test_an_entry_a_step_off_in_every_component_still_matches(chart, move):
+    # the farthest a match can lie: the matcher's key window edge
+    pts = _chart(chart)
+    for pt in pts:
+        fp = [v + move * 1e-7 for v in pt.fingerprint]
+        out = apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}], "cs")
+        assert [p.point_id for p in out if p.cs_value == 0.5] == [
+            p.point_id for p in pts
+            if oracles.fingerprints_match(p.fingerprint, fp)]
+        assert pt.cs_value != 0.5 and out[pts.index(pt)].cs_value == 0.5
+
+
+def test_a_half_step_tie_rounds_to_even():
+    # the trace 0 is step 0; 0.5 and 1.5 steps round to 0 and 2, so the
+    # first matches and the second does not (half away from zero would
+    # round 0.5 to 1, and match just the same)
+    pts = _chart("t3")
+    pt = next(p for p in pts if p.point_id == "t3:grid(1,1,0)/4")
+    assert pt.fingerprint[1] == 0.0
+    for tie, hit in ((0.5e-7, True), (1.5e-7, False), (-1.5e-7, False)):
+        fp = list(pt.fingerprint)
+        fp[1] = tie
+        assert oracles.fingerprints_match(pt.fingerprint, fp) == hit
+        if hit:
+            out = apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}],
+                                    "cs")
+            assert [p.point_id for p in out if p.cs_value == 0.5] \
+                == [pt.point_id]
+        else:
+            with pytest.raises(InputError, match="matches no point"):
+                apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}],
+                                  "cs")
+
+
+_ENTRIES = [
+    {"point_id": "lens(5,1):n=1", "torsion": 0.5},
+    {"fingerprint": [0.618034, 0.618034], "torsion": 2.0},
+    {"point_id": "ghost", "torsion": 0.5},
+    {"fingerprint": [9, 9], "torsion": 0.5},
+    {"fingerprint": [9, 9], "torsion": "x"},       # unmatched before bad
+    {"point_id": "lens(5,1):n=2", "torsion": "0.5"},
+    {"point_id": "lens(5,1):n=2", "torsion": -1.0},
+    {"point_id": "lens(5,1):n=2", "torsion": True},
+    {"point_id": "lens(5,1):n=2", "cs": 0.5},
+    5,
+    {"point_id": 3, "torsion": 0.5},
+    {"fingerprint": "ab", "torsion": 0.5},
+    {"fingerprint": [1.0, False], "torsion": 0.5},
+    {"torsion": 0.5},
+    {"point_id": "lens(5,1):n=1", "fingerprint": [9, 9], "torsion": 0.5},
+    {"point_id": "lens(5,1):n=1", "torsion": 0.5, "x": 1},
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_ENTRIES), max_size=5))
+def test_a_table_raises_the_error_of_its_first_failing_entry(table):
+    # entries are checked one at a time, in order, as a lone entry is
+    pts = enumerate_moduli("lens", p=5, q=1)
+
+    def lone_error(entry):
+        try:
+            apply_value_table(pts, [entry], "torsion")
+        except InputError as e:
+            return str(e)
+
+    first = next(filter(None, map(lone_error, table)), None)
+    if first is None:
+        apply_value_table(pts, table, "torsion")
+    else:
+        with pytest.raises(InputError) as e:
+            apply_value_table(pts, table, "torsion")
+        assert str(e.value) == first
 
 
 @pytest.mark.parametrize("entry", [
