@@ -23,13 +23,15 @@ from .cohomology import (DEFAULT_TOL, _system_cohomologies, build_d0,
                          cohomology, full_system, restrict_coefficients)
 from .conventions import CONVENTION_TAGS, MAX_GENUS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
-from .invariants import (_json_float, apply_value_table, assemble_invariant,
+from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
-from .presentations import (Representation, free_group, gate_relators,
+from .presentations import (Representation, _fields, _json_float,
+                            _representations, free_group, gate_relators,
                             polish, presentation_from_json, raised,
                             representation_from_json)
-from .strata import (_labels, classify_stratum, handlebody_representation,
+from .strata import (_labels, _tangent_dim, classify_stratum,
+                     handlebody_representation,
                      sample_surface_representation, stratum_tangent_dim)
 from .symplectic import gram_matrix, pairing_matrix
 from .torsion import MetricSequence, sequence_torsion, stratum_volume
@@ -135,23 +137,6 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {e}") from None
 
 
-def _fields(data, what: str, allowed=(), required=()) -> dict:
-    """`data` if it is a JSON object holding all `required` fields, no
-    fields beyond them and `allowed`, and schema 1 if it names one;
-    `what` names the object in errors."""
-    if not isinstance(data, dict):
-        raise InputError(f"{what} must be a JSON object")
-    unknown = set(data) - set(allowed) - set(required)
-    if unknown:
-        raise InputError(f"unknown {what} fields {sorted(unknown)}")
-    missing = [f for f in required if f not in data]
-    if missing:
-        raise InputError(f"{what} needs fields {missing}")
-    if data.get("schema", 1) != 1:
-        raise InputError("unsupported schema version")
-    return data
-
-
 def _number(value, what: str, integer: bool = False):
     """A finite float, or an int if asked, from a JSON number
     (`_json_float`: a str or a bool is refused)."""
@@ -188,15 +173,12 @@ def _genus(args) -> int:
 def _load_rep_file(path: str, polished: bool):
     data = _fields(_load_json(path), "input", {"schema"},
                    ("presentation", "images"))
-    try:
-        pres = presentation_from_json(data["presentation"])
-        if not polished:
-            return representation_from_json(data["images"], pres)
-        # parse without the residual gate, project, then gate
-        rough = representation_from_json(data["images"], pres, tol=np.inf)
-        return gate_relators(polish(pres, rough.images))
-    except PresentationError as e:
-        raise InputError(str(e)) from None
+    pres = presentation_from_json(data["presentation"])
+    if not polished:
+        return representation_from_json(data["images"], pres)
+    # parse without the residual gate, project, then gate
+    rough = representation_from_json(data["images"], pres, tol=np.inf)
+    return gate_relators(polish(pres, rough.images))
 
 
 # -- handlers ----------------------------------------------------------
@@ -242,29 +224,28 @@ def _cmd_strata_scan(args) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, g]))
     pres = free_group(g)
     counts = {0: 0, 1: 0, 3: 0}
-    tangent = {0: set(), 1: set(), 3: set()}
     h1m5 = {0: set(), 1: set(), 3: set()}
     # samples are drawn in order and analysed a chunk at a time, so
-    # memory stays bounded however many are asked for; a sample's
-    # tangent dim is `stratum_tangent_dim`'s, read from its label
+    # memory stays bounded however many are asked for; the samples of a
+    # stratum share `stratum_tangent_dim`, read from their label
     chunk = max(1, _SCAN_BUDGET // g**2)
     for start in range(0, args.samples, chunk):
         images = np.array([[su2.random_element(rng) for _ in range(g)]
                            for _ in range(min(chunk, args.samples - start))])
         summaries = _system_cohomologies(
-            [full_system(Representation(pres, im)) for im in images],
-            args.tol)
+            [full_system(raised(rep))
+             for rep in _representations(pres, images)], args.tol)
         for summary, label in zip(summaries,
                                   _labels(images, summaries, args.tol)):
             i = raised(label).i
             counts[i] += 1
-            tangent[i].add({0: 0, 1: g, 3: 3 * g - 3}[i])
             h1m5[i].add(summary.h1)
     return {
         "genus": g,
         "samples": args.samples,
         "counts": {str(k): v for k, v in counts.items()},
-        "tangent_dims": {str(k): sorted(v) for k, v in tangent.items()},
+        "tangent_dims": {str(k): [_tangent_dim(k, g)] if n else []
+                         for k, n in counts.items()},
         "h1_values": {str(k): sorted(v) for k, v in h1m5.items()},
     }
 
@@ -314,23 +295,23 @@ def _torsion_from_sequence(spec: dict, tol: float) -> dict:
         if len(maps) != len(dims) - 1:
             raise InputError(f"{len(dims)} spaces need {len(dims) - 1} "
                              f"maps, got {len(maps)}")
-        maps = tuple(np.array(m, dtype=float).reshape((dims[j + 1], dims[j]))
+        # a ragged map's rows are objects of its array, read as NaN
+        maps = tuple(np.reshape([_json_float(v) for v in
+                                 np.array(m, dtype=object).flat],
+                                (dims[j + 1], dims[j]))
                      for j, m in enumerate(maps))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sequence data: {e}") from None
     if not all(np.isfinite(f).all() for f in maps):
-        raise InputError("sequence maps must have finite entries")
+        raise InputError("sequence maps must hold finite numbers")
     t = sequence_torsion(MetricSequence(tuple(dims), maps), tol)
     return {"mode": "sequence", "torsion": t.value, "log_torsion": t.log_value}
 
 
 def _torsion_from_volume(spec: dict, tol: float) -> dict:
     _fields(spec, "volume", required=("presentation", "images"))
-    try:
-        pres = presentation_from_json(spec["presentation"])
-        rep = representation_from_json(spec["images"], pres)
-    except PresentationError as e:
-        raise InputError(str(e)) from None
+    pres = presentation_from_json(spec["presentation"])
+    rep = representation_from_json(spec["images"], pres)
     t = stratum_volume(rep, tol)
     label = classify_stratum(rep, tol)
     return {"mode": "volume", "stratum": label.i, "torsion": t.value,
@@ -559,7 +540,7 @@ def dispatch(argv=None) -> int:
         return int(e.code or 0)
     try:
         result = args.func(args)
-    except InputError as e:
+    except (InputError, PresentationError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
     except DomainError as e:

@@ -1,7 +1,8 @@
 """Exception taxonomy.
 
 DomainError covers violated mathematical preconditions (the CLI maps it
-to exit code 1); InputError covers malformed files and options (exit 2).
+to exit code 1); InputError covers malformed files and options (exit 2),
+as does PresentationError, which the CLI only meets in what it reads.
 """
 
 

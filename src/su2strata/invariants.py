@@ -48,8 +48,9 @@ from .cohomology import (_FULL_BASIS, DEFAULT_TOL, CoefficientSystem,
                          full_system)
 from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
-from .presentations import (Presentation, Representation, Word, _fold_words,
-                            _representations, commutator, cyclic_group,
+from .presentations import (Presentation, Representation, Word, _fields,
+                            _fold_words, _json_float, _representations,
+                            commutator, cyclic_group,
                             evaluate_images, fox_fold, free_group,
                             generator, kept, raised, surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
@@ -514,41 +515,29 @@ def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
     return deduplicate_points(_chart_points(pres, heegaard, rows, tol))
 
 
-def _json_float(value) -> float:
-    """A JSON number as a float, else NaN, a str or a bool included: the
-    one rule for numbers read from JSON input."""
-    try:
-        return math.nan if isinstance(value, (str, bool)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
-
 def _table_key(entry, field: str):
-    """A value-table entry's point_id, or its fingerprint with each
-    component clamped to [-4, 4], where an inf, NaN or huge entry lies
-    off every trace; or, in its place, the error a malformed entry
-    raises."""
-    if not isinstance(entry, dict):
-        return InputError("table entries must be objects")
-    keys = set(entry)
-    if field not in entry:
-        return InputError(f"table entry missing {field!r}")
-    if not keys <= {"point_id", "fingerprint", field}:
-        return InputError(f"unknown table fields {sorted(keys)}")
-    if {"point_id", "fingerprint"} <= keys:
-        return InputError(
-            f"table entry names both point_id and fingerprint: {entry}")
-    if "point_id" in entry:
-        if not isinstance(entry["point_id"], str):
-            return InputError(f"point_id must be a string: {entry}")
-        return entry["point_id"]
-    if "fingerprint" not in entry:
-        return InputError("table entry needs point_id or fingerprint")
-    fp = entry["fingerprint"]
-    if not isinstance(fp, (list, tuple)) or not all(
-            [isinstance(v, (int, float)) and v is not True and v is not False
-             for v in fp]):
-        return InputError(f"fingerprint must list numbers: {entry}")
+    """A value-table entry's point_id, or its fingerprint read by
+    `_json_float` with each component clamped to [-4, 4], where an inf,
+    NaN or huge entry lies off every trace; or, in its place, the error
+    a malformed entry raises."""
+    try:
+        _fields(entry, "table entry", ("point_id", "fingerprint"), (field,))
+        if "point_id" in entry and "fingerprint" in entry:
+            raise InputError(
+                f"table entry names both point_id and fingerprint: {entry}")
+        if "point_id" in entry:
+            if not isinstance(entry["point_id"], str):
+                raise InputError(f"point_id must be a string: {entry}")
+            return entry["point_id"]
+        if "fingerprint" not in entry:
+            raise InputError("table entry needs point_id or fingerprint")
+        fp = entry["fingerprint"]
+        fp = [_json_float(v, None) for v in fp] \
+            if isinstance(fp, (list, tuple)) else [None]
+        if None in fp:
+            raise InputError(f"fingerprint must list numbers: {entry}")
+    except InputError as e:
+        return e
     # NaN fails both comparisons and goes to -4, as max(-4.0, nan) does
     return [4.0 if v > 4.0 else v if v >= -4.0 else -4.0 for v in fp]
 
@@ -633,13 +622,12 @@ def stationary_phase_sum(entries, k: int) -> complex:
         raise DomainError("level k must be an integer")
     total = 0.0 + 0.0j
     for entry in entries:
-        t, flow, cs = entry
-        t, cs = float(t), float(cs)
+        t, flow, cs = map(_json_float, entry)
         if not (math.isfinite(t) and math.isfinite(cs)):
             raise DomainError("torsion and cs entries must be finite")
         if t <= 0:
             raise DomainError("torsion entries must be positive")
-        if not math.isfinite(flow) or int(flow) != flow:
+        if not flow.is_integer():
             raise DomainError("spectral flow must be an integer")
         total += math.sqrt(t) * cmath.exp(-2j * math.pi * flow / 4.0) \
             * cmath.exp(2j * math.pi * cs * (k + 2))

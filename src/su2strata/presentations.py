@@ -6,17 +6,21 @@ its inverse) and k >= 1.  The text form is whitespace separated with
 uppercase marking inverses: "a B c" means a b^-1 c.  Generator names
 therefore must contain a lowercase letter and be pairwise distinct
 case-insensitively.
+
+Its JSON forms hold the two rules that every reader of outside JSON
+uses: `_fields` for objects and `_json_float` for numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import su2
 from .conventions import RELATOR_TOL
-from .errors import PresentationError, ResidualError
+from .errors import InputError, PresentationError, ResidualError
 
 
 class Word:
@@ -495,6 +499,36 @@ def polish(presentation: Presentation, images,
 # JSON forms.  Presentations: {"generators": [...], "relators": ["a b A B"],
 # "kind": "surface", "genus": 1}.  Representations: {gen name: [w,x,y,z]}.
 
+def _fields(data, what: str, allowed=(), required=(), error=InputError):
+    """`data` if it is a JSON object holding all `required` fields, no
+    fields beyond them and `allowed`, and schema 1 if it names one (a
+    required field named "schema" is not a schema); `what` names the
+    object in the `error` raised otherwise."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object")
+    unknown = set(data) - set(allowed) - set(required)
+    if unknown:
+        raise error(f"unknown {what} fields {sorted(unknown)}")
+    missing = [f for f in required if f not in data]
+    if missing:
+        raise error(f"{what} needs fields {missing}")
+    if "schema" not in required and _json_float(data.get("schema", 1)) != 1:
+        raise error("unsupported schema version")
+    return data
+
+
+def _json_float(value, other=math.nan) -> float:
+    """A JSON number as a float, an int beyond the float range as an
+    infinity of its sign; anything else, a str, a bool or None included,
+    reads as `other`: the one rule for numbers read from JSON input."""
+    try:
+        return other if isinstance(value, (str, bool)) else float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        return other
+
+
 _KIND_FIELDS = {"free": "genus", "surface": "genus", "cyclic": "p",
                 "circle_times_surface": "genus", "custom": None}
 
@@ -512,14 +546,8 @@ def presentation_to_json(pres: Presentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> Presentation:
-    if not isinstance(data, dict):
-        raise PresentationError("presentation JSON must be an object")
-    allowed = {"schema", "generators", "relators", "kind", "genus", "p"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise PresentationError(f"unknown presentation fields {sorted(unknown)}")
-    if data.get("schema", 1) != 1:
-        raise PresentationError("unsupported schema version")
+    _fields(data, "presentation", ("schema", "generators", "relators", "kind",
+                                   "genus", "p"), error=PresentationError)
     names, texts = data.get("generators", []), data.get("relators", [])
     for what, items in (("generators", names), ("relators", texts)):
         if not isinstance(items, list) or \
@@ -567,21 +595,15 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(data: dict, pres: Presentation,
                              tol: float = RELATOR_TOL) -> Representation:
-    if not isinstance(data, dict):
-        raise PresentationError("representation JSON must be an object")
-    unknown = set(data) - set(pres.generators) - {"schema"}
-    if unknown:
-        raise PresentationError(f"unknown representation fields {sorted(unknown)}")
+    _fields(data, "representation", ("schema",), pres.generators,
+            error=PresentationError)
     images = []
     for name in pres.generators:
-        if name not in data:
-            raise PresentationError(f"missing image for generator {name!r}")
-        vals = data[name]
-        if not isinstance(vals, list) or len(vals) != 4:
+        image = data[name]
+        if not isinstance(image, list) or len(image) != 4:
             raise PresentationError(f"image of {name!r} must be [w,x,y,z]")
-        try:
-            images.append([float(v) for v in vals])
-        except (TypeError, ValueError):
+        images.append([_json_float(v) for v in image])
+        if not all(map(math.isfinite, images[-1])):
             raise PresentationError(
-                f"image of {name!r} must hold numbers") from None
+                f"image of {name!r} must hold finite numbers")
     return Representation(pres, np.array(images), tol=tol)

@@ -118,8 +118,12 @@ def stratum_tangent_dim(rep: Representation,
     pres = rep.presentation
     if pres.kind != "free":
         raise DomainError("stratum tangent dims are defined over free groups")
-    g = pres.num_generators
-    return {0: 0, 1: g, 3: 3 * g - 3}[classify_stratum(rep, tol).i]
+    return _tangent_dim(classify_stratum(rep, tol).i, pres.num_generators)
+
+
+def _tangent_dim(stratum: int, g: int) -> int:
+    """`stratum_tangent_dim` of a genus-g free-group tuple in `stratum`."""
+    return {0: 0, 1: g, 3: 3 * g - 3}[stratum]
 
 
 def handlebody_representation(free_rep: Representation) -> Representation:

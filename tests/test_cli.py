@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from hypothesis import strategies as st
 
 from su2strata import __version__, su2
 from su2strata.cli import _json_value, _write, dispatch
-from su2strata.presentations import presentation_to_json, free_group
+from su2strata.errors import DomainError
+from su2strata.invariants import stationary_phase_sum
+from su2strata.presentations import (_json_float, free_group,
+                                     presentation_to_json)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -236,6 +241,11 @@ def test_torsion_non_exact_sequence_is_domain_error(tmp_path, capsys):
     {"dims": [1, 2, 1], "maps": [[[1.0], [1.0]], [[float("inf"), -1.0]]]},
     # a negative dim: was reshaped to an inferred -1, a domain error
     {"dims": [-1, 2], "maps": [[1, 0, 0, 1]]},
+    # entries must be JSON numbers: "1" and true were read as 1, and
+    # 10**400 was an OverflowError traceback
+    {"dims": [1, 2, 1], "maps": [[["1"], [1.0]], [[1.0, -1.0]]]},
+    {"dims": [1, 2, 1], "maps": [[[True], [1.0]], [[1.0, -1.0]]]},
+    {"dims": [1, 2, 1], "maps": [[[10**400], [1.0]], [[1.0, -1.0]]]},
 ])
 def test_torsion_rejects_malformed_sequence_maps(tmp_path, capsys, sequence):
     path = write_json(tmp_path / "bad.json", {"sequence": sequence})
@@ -359,8 +369,10 @@ def test_unknown_top_level_field_is_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown input fields" in err
 
 
-def test_bad_schema_version_is_exit_2(tmp_path, capsys):
-    payload = {"schema": 2,
+@pytest.mark.parametrize("schema", [2, True, "1"])
+def test_bad_schema_version_is_exit_2(tmp_path, capsys, schema):
+    # true used to pass as schema 1
+    payload = {"schema": schema,
                "presentation": presentation_to_json(free_group(1)),
                "images": {"x1": [1.0, 0, 0, 0]}}
     path = write_json(tmp_path / "x.json", payload)
@@ -383,6 +395,9 @@ def test_invalid_json_is_exit_2(tmp_path, capsys):
     {"a": [1.0, 0, 0, 0], "e": [1.0, 0, 0, 0]},     # unknown image field
     {"a": [math.nan, 0, 0, 0]},                     # not finite
     {"a": [1.0, math.inf, 0, 0]},
+    {"a": ["1", 0, 0, 0]},                          # read as 1 before
+    {"a": [True, 0, 0, 0]},
+    {"a": [10**400, 0, 0, 0]},                      # was a traceback
 ])
 def test_malformed_images_are_exit_2_with_or_without_polish(
         tmp_path, capsys, images, polish):
@@ -481,6 +496,50 @@ def test_table_values_must_be_json_numbers(tmp_path, capsys, table, entry):
                          f"--{table}-table", path)
     assert code == 2 and out == ""
     assert f"{table} must be a finite number" in err
+
+
+_JSON_SCALARS = st.one_of(
+    st.floats(), st.integers(-10**400, 10**400), st.booleans(), st.none(),
+    st.floats().map(repr), st.integers(-10**400, 10**400).map(str))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_SCALARS)
+def test_every_reader_takes_a_number_iff_json_float_reads_it_finite(
+        tmp_path_factory, x):
+    # one rule for numbers: fg-sum entries, table values, sequence maps
+    # and the library's stationary phase entries each take x exactly
+    # when `_json_float` reads it as finite, and a positive one where
+    # the reader needs that; whatever else they refuse is domain work
+    finite = math.isfinite(_json_float(x))
+    positive = finite and _json_float(x) > 0
+    integral = finite and _json_float(x).is_integer()
+    path = tmp_path_factory.getbasetemp() / "scalar.json"
+
+    def code(argv, payload):
+        path.write_text(json.dumps(payload))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return dispatch([*argv, str(path)])
+
+    fg_sum = ["fg-sum", "--k", "2", "--entries"]
+    for entry, takes in (({"torsion": x, "flow": 0, "cs": 0.0}, finite),
+                         ({"torsion": 1.0, "flow": x, "cs": 0.0}, integral),
+                         ({"torsion": 1.0, "flow": 0, "cs": x}, finite)):
+        assert (code(fg_sum, {"entries": [entry]}) == 2) != takes
+    for table, takes in (("cs", finite), ("torsion", positive)):
+        argv = ["invariant", "--example", "s3", f"--{table}-table"]
+        entries = [{"point_id": "s3:trivial", table: x}]
+        assert code(argv, {"entries": entries}) == (0 if takes else 2)
+    sequence = {"dims": [1, 1], "maps": [[[x]]]}
+    assert (code(["torsion"], {"sequence": sequence}) == 2) != finite
+    for entry, takes in (((x, 0, 0.0), positive), ((1.0, x, 0.0), integral),
+                         ((1.0, 0, x), finite)):
+        try:
+            stationary_phase_sum([entry], 2)
+        except DomainError:
+            assert not takes
+        else:
+            assert takes
 
 
 def test_invariant_unmatched_table_entry_is_exit_2(tmp_path, capsys):

@@ -695,3 +695,10 @@ def test_stationary_phase_validates_entries():
                   (1.0, math.nan, 0.0), (1.0, math.inf, 0.0)]:
         with pytest.raises(DomainError):
             stationary_phase_sum([entry], k=1)
+
+
+@pytest.mark.parametrize("entry", [("0.25", True, "0.5"), (1.0, True, 0.0)])
+def test_stationary_phase_reads_entries_as_json_numbers(entry):
+    # a str or a bool used to be read as the number it spells
+    with pytest.raises(DomainError):
+        stationary_phase_sum([entry], k=1)

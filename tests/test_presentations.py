@@ -383,6 +383,14 @@ def test_representation_json_roundtrip():
         representation_from_json(data, rep.presentation)
 
 
+def test_a_generator_named_schema_is_read_as_an_image():
+    # a required field named "schema" is the generator's, not a version
+    pres = Presentation(("schema", "x"), ())
+    rep = representation_from_json(
+        {"schema": [0.0, 1.0, 0.0, 0.0], "x": [1.0, 0.0, 0.0, 0.0]}, pres)
+    assert rep.images.tolist() == [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+
+
 def test_representation_json_missing_image():
     rep = _surface_rep(seed=7)
     data = representation_to_json(rep)
