@@ -15,11 +15,13 @@ factor of ten of it.  The H^1 basis is harmonic: ker d1 ∩ ker d0ᵀ, the
 null space of d1 stacked on d0ᵀ.
 
 There is one analysis, `_system_cohomologies`: systems are grouped by
-shape, and each group is built, checked, decomposed and sign-fixed as
-one stack.  A moduli chart calls it on its columns of systems and keeps
-nothing; `system_cohomology`, `system_d0` and `system_d1` are batches of
-one, and the lone summary is kept in its representation's memo per
-basis and tol.
+shape, and each group is built, checked and decomposed as one stack.
+Each valid row's summary is a read-only view of its group's record: a
+basis is a slice of a VT stack, sign-fixed whole on the first basis
+read, and the other fields are formed when read.  A moduli chart calls
+it on its columns of systems and keeps nothing; `system_cohomology`,
+`system_d0` and `system_d1` are batches of one, and the lone summary is
+kept in its representation's memo per basis and tol.
 """
 
 from __future__ import annotations
@@ -172,16 +174,62 @@ def pullback_cocycle(target_sys: CoefficientSystem,
     return pb.reshape(target_sys.n, target_sys.k)
 
 
-@dataclass(frozen=True)
 class CohomologySummary:
-    h0: int
-    h1: int
-    z1: int                    # dim ker d1, the cocycle space
-    coefficient_dim: int
-    basis_h0: np.ndarray       # (k, h0), read-only
-    basis_h1: np.ndarray       # (n*k, h1), harmonic gauge, read-only
-    singular_values: MappingProxyType  # "d0"/"d1" -> tuple of floats
-    warnings: tuple
+    """H0/H1 of one coefficient system: its row of one shape group's
+    `_Analysis`, each field formed when read.  Fields are properties
+    without setters, so assigning one raises AttributeError."""
+
+    __slots__ = ("_of", "_row")
+
+    def __init__(self, of, row: int):
+        self._of, self._row = of, row
+
+    h0 = property(lambda s: s._of.k - s._of.ranks0[s._row])
+    h1 = property(lambda s: s.z1 - s._of.ranks0[s._row])
+    z1 = property(lambda s: s._of.nk - s._of.ranks1[s._row])  # dim ker d1
+    coefficient_dim = property(lambda s: s._of.k)
+    # (k, h0) and, in the harmonic gauge, (n*k, h1); read-only
+    basis_h0 = property(lambda s: s._of.basis(0, s._row))
+    basis_h1 = property(lambda s: s._of.basis(1, s._row))
+    # "d0"/"d1" -> tuple of floats, and the near-threshold warnings
+    singular_values = property(lambda s: s._of.formed(0, s._row))
+    warnings = property(lambda s: s._of.formed(1, s._row))
+
+
+class _Analysis:
+    """One shape group's stacked analysis, which its rows' summaries
+    read: k, nk, tol, S0 and S1 with their rank lists, and the VT stacks
+    of d0 and of d1 stacked on d0ᵀ, each signed whole by `_signed` on
+    its first basis read.  Row values formed on first read are kept."""
+
+    def __init__(self, k, nk, tol, S0, S1, VT0, VTH):
+        self.k, self.nk, self.tol, self.S0, self.S1 = k, nk, tol, S0, S1
+        self.ranks0 = (S0 > tol).sum(axis=1).tolist()
+        self.ranks1 = (S1 > tol).sum(axis=1).tolist()
+        self.VT, self.signed, self.rows = [VT0, VTH], [False, False], {}
+
+    def basis(self, i: int, g: int) -> np.ndarray:
+        """Row g's H0 (i = 0) or harmonic H1 (i = 1) basis: the right
+        singular vectors past the rank, as columns."""
+        if not self.signed[i]:
+            self.VT[i], self.signed[i] = _signed(self.VT[i]), True
+        rank = self.ranks0[g] + (self.ranks1[g] if i else 0)
+        return self.VT[i][g, rank:].T
+
+    def formed(self, i: int, g: int):
+        """Row g's singular values (i = 0) or warnings (i = 1)."""
+        if (i, g) in self.rows:
+            return self.rows[i, g]
+        if i == 0:
+            value = MappingProxyType({"d0": tuple(self.S0[g].tolist()),
+                                      "d1": tuple(self.S1[g].tolist())})
+        else:
+            value = tuple(f"{name} singular value {s:.3e} within 10x of "
+                          f"threshold {self.tol:.1e}"
+                          for name, sv in self.formed(0, g).items()
+                          for s in sv if self.tol / 10 < s < self.tol * 10)
+        self.rows[i, g] = value
+        return value
 
 
 def system_cohomology(sys: CoefficientSystem,
@@ -246,12 +294,10 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
     S1 = (np.linalg.svd(D1, compute_uv=False) if D1.size
           else np.zeros((len(D1), 0)))
     _, SH, VTH = np.linalg.svd(np.concatenate([D1, D0.mT], axis=1))
-    VT0, VTH = _signed(VT0), _signed(VTH)
-    ranks0, sv0 = (S0 > tol).sum(axis=1).tolist(), S0.tolist()
-    ranks1, sv1 = (S1 > tol).sum(axis=1).tolist(), S1.tolist()
+    of = _Analysis(k, nk, tol, S0, S1, VT0, VTH)
     ranksh = (SH > tol).sum(axis=1).tolist()
     for g, i in enumerate(idx):
-        rank0, rank1 = ranks0[g], ranks1[g]
+        rank0, rank1 = of.ranks0[g], of.ranks1[g]
         z1 = nk - rank1
         h0, h1 = k - rank0, z1 - rank0
         if h1 < 0:
@@ -266,17 +312,7 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
                 f"h0 = {h0} is impossible for full coefficients; "
                 f"tolerance {tol:.1e} is misplaced")
         else:
-            out[i] = CohomologySummary(
-                h0=h0, h1=h1, z1=z1, coefficient_dim=k,
-                basis_h0=VT0[g, rank0:].T,
-                basis_h1=VTH[g, rank0 + rank1:].T,
-                singular_values=MappingProxyType(
-                    {"d0": tuple(sv0[g]), "d1": tuple(sv1[g])}),
-                warnings=tuple(
-                    f"{name} singular value {s:.3e} within 10x of "
-                    f"threshold {tol:.1e}"
-                    for name, sv in (("d0", sv0[g]), ("d1", sv1[g]))
-                    for s in sv if tol / 10 < s < tol * 10))
+            out[i] = CohomologySummary(of, g)
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:

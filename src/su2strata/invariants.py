@@ -621,7 +621,7 @@ def stationary_phase_sum(entries, k: int) -> complex:
     if int(k) != k:
         raise DomainError("level k must be an integer")
     total = 0.0 + 0.0j
-    for entry in entries:
+    for i, entry in enumerate(entries):
         t, flow, cs = map(_json_float, entry)
         if not (math.isfinite(t) and math.isfinite(cs)):
             raise DomainError("torsion and cs entries must be finite")
@@ -629,6 +629,9 @@ def stationary_phase_sum(entries, k: int) -> complex:
             raise DomainError("torsion entries must be positive")
         if not flow.is_integer():
             raise DomainError("spectral flow must be an integer")
-        total += math.sqrt(t) * cmath.exp(-2j * math.pi * flow / 4.0) \
-            * cmath.exp(2j * math.pi * cs * (k + 2))
+        phases = (-2j * math.pi * flow / 4.0, 2j * math.pi * cs * (k + 2))
+        if not all(map(cmath.isfinite, phases)):
+            raise DomainError(f"entry {i} (flow {flow}, cs {cs}): its "
+                              f"phase overflows at level {k}")
+        total += math.sqrt(t) * cmath.exp(phases[0]) * cmath.exp(phases[1])
     return 0.5 * cmath.exp(3j * math.pi / 4.0) * total

@@ -13,6 +13,7 @@ uses: `_fields` for objects and `_json_float` for numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,12 +162,14 @@ def _surface_relator(g: int) -> Word:
     return r
 
 
+@functools.lru_cache(maxsize=64)   # presentations are immutable
 def free_group(g: int) -> Presentation:
     if g < 1:
         raise PresentationError("free group needs g >= 1")
     return Presentation(tuple(f"x{i+1}" for i in range(g)), (), "free", g)
 
 
+@functools.lru_cache(maxsize=64)
 def surface_group(g: int) -> Presentation:
     if g < 1:
         raise PresentationError("surface group needs g >= 1")

@@ -536,10 +536,26 @@ def test_every_reader_takes_a_number_iff_json_float_reads_it_finite(
                          ((1.0, 0, x), finite)):
         try:
             stationary_phase_sum([entry], 2)
-        except DomainError:
-            assert not takes
+        except DomainError as e:
+            # a taken number may still make the phase overflow
+            assert not takes or "phase overflows" in str(e)
         else:
             assert takes
+
+
+@pytest.mark.parametrize("entry", [
+    {"torsion": 1.0, "flow": 0, "cs": 1e308},
+    {"torsion": 1.0, "flow": 10**308, "cs": 0.0},
+])
+def test_fg_sum_refuses_an_overflowing_phase_with_exit_1(tmp_path, capsys,
+                                                         entry):
+    # both used to exit 0 and print "re": NaN
+    path = write_json(tmp_path / "e.json",
+                      {"entries": [{"torsion": 4.0, "flow": 1, "cs": 0.5},
+                                   entry]})
+    code, out, err = run(capsys, "fg-sum", "--k", "2", "--entries", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: entry 1 ") and "phase overflows" in err
 
 
 def test_invariant_unmatched_table_entry_is_exit_2(tmp_path, capsys):

@@ -697,6 +697,23 @@ def test_stationary_phase_validates_entries():
             stationary_phase_sum([entry], k=1)
 
 
+@pytest.mark.parametrize("entry, k", [
+    ((1.0, 0, 1e308), 2),               # 2 pi cs (k + 2) overflows
+    ((1.0, 10**308, 0.25), 2),          # 2 pi flow / 4 overflows
+    ((1.0, 0, 1e300), 10**10),          # a finite cs at a huge level
+])
+def test_stationary_phase_refuses_a_phase_that_overflows(entry, k):
+    # the sum used to be nan+nanj; the error names the entry
+    with pytest.raises(DomainError, match="entry 1 .*phase overflows"):
+        stationary_phase_sum([(1.0, 0, 0.25), entry], k=k)
+
+
+def test_stationary_phase_takes_a_large_finite_phase():
+    # cmath.exp of a huge but finite phase is finite, and so is the sum
+    val = stationary_phase_sum([(1.0, 10**300, 1e300)], k=2)
+    assert cmath.isfinite(val) and abs(val) <= 0.5 + 1e-12
+
+
 @pytest.mark.parametrize("entry", [("0.25", True, "0.5"), (1.0, True, 0.0)])
 def test_stationary_phase_reads_entries_as_json_numbers(entry):
     # a str or a bool used to be read as the number it spells
