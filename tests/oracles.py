@@ -72,13 +72,21 @@ def leibniz_det(m):
     return total
 
 
+def _project_out(v, basis):
+    """v less its components along the orthonormal `basis`, projected
+    out twice: one classical pass loses orthogonality in proportion to
+    how nearly v lies in the span, and a second pass restores it."""
+    for _ in range(2):
+        for b in basis:
+            v = v - (b @ v) * b
+    return v
+
+
 def gram_schmidt(columns, tol=1e-10):
     """Orthonormal basis of the span, as a list of vectors."""
     basis = []
     for c in columns:
-        v = np.array(c, dtype=float)
-        for b in basis:
-            v = v - (b @ v) * b
+        v = _project_out(np.array(c, dtype=float), basis)
         nrm = np.linalg.norm(v)
         if nrm > tol:
             basis.append(v / nrm)
@@ -92,9 +100,7 @@ def complement_basis(basis, dim, tol=1e-10):
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        v = e
-        for b in current:
-            v = v - (b @ v) * b
+        v = _project_out(e, current)
         nrm = np.linalg.norm(v)
         if nrm > tol:
             v = v / nrm
