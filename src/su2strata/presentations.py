@@ -246,7 +246,7 @@ class Representation:
         """(q, J) of a word's `fox_fold` at these images, kept read-only,
         so the holonomy and the Fox row of one word share one fold."""
         return kept(self, word, lambda: tuple(
-            _read_only(a) for a in _fold(self.images, word, {}, False)))
+            _read_only(a) for a in _fold(self.images, word, False)))
 
     @property
     def adjoints(self) -> np.ndarray:
@@ -327,11 +327,9 @@ def _representations(presentation: Presentation, images) -> list:
 def _fold_words(images: np.ndarray, words) -> tuple:
     """The holonomies (..., k, 4) and the stacked Fox rows (..., 3k, 3n)
     of k words at (n, 4) images or, row by row, at an (N, n, 4) stack,
-    read-only: each distinct word folded once, one-letter folds
-    shared, nothing kept."""
+    read-only: each distinct word folded once, nothing kept."""
     lead, n3 = images.shape[:-2], 3 * images.shape[-2]
-    letters: dict = {}
-    folds = {w: _fold(images, w, letters, False) for w in dict.fromkeys(words)}
+    folds = {w: _fold(images, w, False) for w in dict.fromkeys(words)}
     q = np.zeros(lead + (len(words), 4))
     J = np.zeros(lead + (len(words), 3, n3))
     for i, w in enumerate(words):
@@ -366,56 +364,134 @@ def fox_fold(images: np.ndarray, word: Word):
     x after prefix p and -[p x^-1 | x] at a letter x^-1.
 
     Fox calculus is a monoid homomorphism (Fox 1953), so the fold of a
-    concatenation is `_compose` of the halves' folds.  Each run s^k is
-    folded by squaring, so a^p costs O(log p) products.  This is the
-    one walk over a word's runs.
+    concatenation is `_compose` of the halves' folds, and the fold of a
+    word is the left fold of `_compose` over its runs' folds.  `_fold`
+    computes that left fold bit for bit in one scan over the runs.  A
+    run's fold lives in its generator's 3x3 block, and a run s^k is
+    folded by squaring, so a^p costs O(log p) products.
     """
-    return _fold(images, word, {}, True)
-
-
-def _fold(images: np.ndarray, word: Word, letters: dict, cup: bool):
-    """`fox_fold`, sharing one-letter folds in `letters` across words
-    folded with the same `cup`; without `cup` the fold is the pair
-    (q, J) and no W is formed.  Over an (N, n, 4) stack of images each
-    part gains a leading axis, and each row is its image array's own
-    fold bit for bit."""
-    out = None
-    for s, k in word.runs:
-        if s not in letters:
-            letters[s] = _letter_fold(images, s, cup)
-        t = _power(letters[s], k)
-        out = t if out is None else _compose(out, t)
-    if out is None:
-        lead, n3 = images.shape[:-2], 3 * images.shape[-2]
-        q = np.zeros(lead + (4,))
-        q[..., 0] = 1.0
-        out = q, np.zeros(lead + (3, n3)), np.zeros(lead + (n3, n3))
-        return out if cup else out[:2]
-    return out
+    return _fold(images, word, True)
 
 
 _EYE3 = np.eye(3)
 
 
-def _letter_fold(images: np.ndarray, s: int, cup: bool):
-    """Fold of the one-letter word s: u(x^-1) = -Ad(x)^T u(x), and the
-    chain -[x^-1 | x] pairs u(x) with itself.  W only with `cup`."""
-    lead, n3 = images.shape[:-2], 3 * images.shape[-2]
-    j = 3 * abs(s) - 3
-    x = np.array(images[..., abs(s) - 1, :], dtype=float)
-    J = np.zeros(lead + (3, n3))
-    if s > 0:
-        q = x
-        J[..., j:j + 3] = _EYE3
-    else:
-        q = su2.inverse(x)
-        J[..., j:j + 3] = -su2.ad(x).mT
+def _fold(images: np.ndarray, word: Word, cup: bool):
+    """`fox_fold`; without `cup` the fold is the pair (q, J) and no W is
+    formed.  Over an (N, n, 4) stack of images each part gains a leading
+    axis, and each row is its image array's own fold bit for bit.
+
+    A one-run word is its run's fold, placed in its generator's block.
+    A longer word is one scan: run r has the 3x3 fold (q_r, B_r, W_r)
+    at generator c_r; the prefixes P_r = q_0 ... q_(r-1) come from one
+    `su2.running_product`, their Ad and the inverse letters' from one
+    `su2.ad`, and C_r = Ad(P_r) B_r (C_0 = B_0) from one stacked
+    product.  J's block c sums the C_r on c, and at each run r on c, W's
+    column block c gains W_r on its diagonal, then J_(<r)^T C_r: the
+    left fold's additions in its order, less those of exact zeros.  The
+    runs are taken by rank on their generator (every generator's first
+    run, then its second, ...), so no step puts two runs in one block,
+    and nothing larger than a few times W is formed."""
+    lead, n = images.shape[:-2], images.shape[-2]
+    runs = word.runs
+    if len(runs) < 2:
+        J = np.zeros(lead + (3, 3 * n))
+        W = np.zeros(lead + (3 * n, 3 * n)) if cup else None
+        if runs:
+            (s, k), = runs
+            j = 3 * abs(s) - 3
+            q, J[..., j:j + 3], *Wr = _power(_letter_fold(images, s, cup), k)
+            if cup:
+                W[..., j:j + 3, j:j + 3] = Wr[0]
+        else:
+            q = np.zeros(lead + (4,))
+            q[..., 0] = 1.0
+        return (q, J, W) if cup else (q, J)
+    columns, inv, signs, slots, WG, before, powers = _scan_plan(runs, n)
+    R = len(runs)
+    x = images.take(columns, axis=-2)
+    q = x * signs
+    B = np.empty(lead + (R, 3, 3))
+    B[...] = _EYE3
+    if cup and powers:
+        WG = np.array(np.broadcast_to(WG, lead + WG.shape))
+    for r, s, k, o in powers:
+        q[..., r, :], B[..., r, :, :], *w = \
+            _power(_letter_fold(images, s, cup), k)
+        if cup:
+            WG[..., o, abs(s) - 1, :, :] = w[0]
+    P = su2.running_product(q)
+    A = su2.ad(np.concatenate((x.take(inv, axis=-2), P[..., :-1, :]),
+                              axis=-2))
+    B[..., inv, :, :] = -A[..., :len(inv), :, :].mT
+    C = np.zeros(lead + (R + 1, 3, 3))      # row R is the zero block
+    C[..., 0, :, :] = B[..., 0, :, :]
+    np.matmul(A[..., len(inv):, :, :], B[..., 1:, :, :],
+              out=C[..., 1:R, :, :])
+    # G[o, c]: the C of generator c's o-th run, zero at o = 0 and past
+    # its last; H[o, c]: J's block c after those o runs
+    G = C.take(slots, axis=-3)
+    H = np.array(G)
+    for o in range(1, len(slots)):
+        H[..., o, :, :, :] += H[..., o - 1, :, :, :]
+    J = H[..., -1, :, :, :].swapaxes(-3, -2).reshape(lead + (3, 3 * n))
     if not cup:
-        return q, J
-    W = np.zeros(lead + (n3, n3))
-    if s < 0:
-        W[..., j:j + 3, j:j + 3] = _EYE3
-    return q, J, W
+        return P[..., -1, :], J
+    W4 = np.zeros(lead + (n, n, 3, 3))      # [c, c'] is W's block (c', c)
+    diagonal = W4.reshape(lead + (n * n, 3, 3))[..., ::n + 1, :, :]
+    H = H.reshape(lead + (-1, 3, 3))
+    for o, index in enumerate(before):
+        diagonal += WG[..., o, :, :, :]
+        W4 += H.take(index, axis=-3).mT @ G[..., o + 1, :, None, :, :]
+    d = len(lead)
+    W = W4.transpose(*range(d), d + 1, d + 2, d, d + 3)
+    return P[..., -1, :], J, W.reshape(lead + (3 * n, 3 * n))
+
+
+@functools.lru_cache(maxsize=256)   # words are immutable
+def _scan_plan(runs: tuple, n: int) -> tuple:
+    """What `_fold`'s scan of a word on n generators needs of the word
+    alone, as read-only arrays: each run's generator; the inverse
+    letters (runs x^-1) and their signs on q; `slots[o, c]`, the run
+    that is generator c's o-th (o >= 1), else R; `diagonals[o, c]`, the
+    W_r of c's (o + 1)-th run, I at an inverse letter, else 0; and
+    `before[o][c, c']`, the index into H's flat (o', c') axis of J's
+    block c' just before c's (o + 1)-th run.  Last, each run of k > 1,
+    as (r, s, k, o) with o its rank on its generator."""
+    R = len(runs)
+    columns = np.array([abs(s) - 1 for s, _ in runs])
+    inverses = np.array([r for r, (s, k) in enumerate(runs)
+                         if s < 0 and k == 1], dtype=int)
+    signs = np.ones((R, 4))
+    signs[inverses, 1:] = -1.0
+    # seen[r, c]: the runs on generator c before run r
+    seen = np.zeros((R + 1, n), dtype=int)
+    seen[np.arange(1, R + 1), columns] = 1
+    seen = np.cumsum(seen, axis=0)
+    rank = seen[np.arange(R), columns]
+    slots = np.full((seen[-1].max() + 1, n), R)
+    slots[rank + 1, columns] = np.arange(R)
+    cups = np.zeros((R + 1, 3, 3))
+    cups[inverses] = _EYE3
+    arrays = (columns, inverses, signs, slots, cups[slots[1:]],
+              seen[slots[1:]] * n + np.arange(n))
+    return (*map(_read_only, arrays), tuple(
+        (r, s, k, int(rank[r])) for r, (s, k) in enumerate(runs) if k > 1))
+
+
+def _letter_fold(images: np.ndarray, s: int, cup: bool):
+    """3x3 fold of the one-letter word s in its generator's block:
+    u(x^-1) = -Ad(x)^T u(x), and the chain -[x^-1 | x] pairs u(x) with
+    itself.  W only with `cup`."""
+    lead = images.shape[:-2]
+    x = np.array(images[..., abs(s) - 1, :], dtype=float)
+    if s > 0:
+        q, B, W = x, np.zeros(lead + (3, 3)), np.zeros(lead + (3, 3))
+        B[...] = _EYE3
+    else:
+        q, B, W = su2.inverse(x), -su2.ad(x).mT, np.zeros(lead + (3, 3))
+        W[...] = _EYE3
+    return (q, B, W) if cup else (q, B)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -445,7 +521,7 @@ def _power(t, k: int):
 
 
 def evaluate_images(images: np.ndarray, word: Word) -> np.ndarray:
-    return _fold(images, word, {}, False)[0]
+    return _fold(images, word, False)[0]
 
 
 def relator_residual(presentation: Presentation, images: np.ndarray) -> float:

@@ -9,13 +9,16 @@ action of exp(theta*e1) on the algebra is the rotation by 2*theta about
 axis 1, and trace(q) = 2*w.
 
 `multiply`, `ad`, `exp` and `inverse` also act row by row on stacks of
-shape (..., 4), or (..., 3) for `exp`.  One vector is unpacked into
+shape (..., 4), or (..., 3) for `exp`, and `running_product` on stacks
+of sequences (..., R, 4).  One vector, or one sequence, is unpacked into
 Python floats, which beat any array call at that size.  A stack is
 computed in a few whole-array calls: its products are gathered at once
 (an outer product, or a gather by index), laid out signed, and each
 entry is summed in the order the lone formula sums it, so each row of a
-stacked result equals its lone result bit for bit.  einsum and matmul
-forms are not used: they sum in their own order and move last bits.
+stacked result equals its lone result bit for bit.  `multiply` and `ad`
+lay a stack out components first, so each of those calls runs along
+the whole stack, not over many rows of four.  einsum and matmul forms
+are not used: they sum in their own order and move last bits.
 
 Sign conventions matter here: elements with w < 0 are honest group
 elements (-identity is central and distinct from identity), so nothing
@@ -39,16 +42,17 @@ _ANTIPODE_TOL = 1e-12  # |v| below which log refuses w < 0
 # formula (a - b is a + -b in IEEE arithmetic, signed zeros included).
 _MUL_TERMS = np.array([0, 1, 2, 3, 5, 4, 8, 12, 10, 11, 13, 6, 15, 14, 7, 9])
 _MUL_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0,
-                       -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+                       -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])[:, None]
 # A stacked Ad gathers the products ww xx yy zz xy wz xz wy yz wx and
 # (2x)x (2y)y (2z)z into P (2 (x x) differs where x x is subnormal).
 # Flat entries 1..7 are 2 (P[a] + S P[b]); the diagonal 0, 4, 8 is
 # c + (2x)x ..., written last, over the dummy pair at entry 4.
 _AD_LEFT = np.array([0, 1, 2, 3, 1, 0, 1, 0, 2, 0, 1, 2, 3])
 _AD_RIGHT = np.array([0, 1, 2, 3, 2, 3, 3, 2, 3, 1, 1, 2, 3])
-_AD_SCALE = np.array([1.0] * 10 + [2.0] * 3)
+_AD_SCALE = np.array([1.0] * 10 + [2.0] * 3)[:, None]
 _AD_PAIRS = np.array([4, 6, 4, 0, 8, 6, 8, 5, 7, 5, 0, 9, 7, 9])
-_AD_SIGNS = np.array([1.0] * 7 + [-1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_AD_SIGNS = np.array([1.0] * 7
+                     + [-1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])[:, None]
 
 
 def identity() -> np.ndarray:
@@ -64,22 +68,56 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     floats, which beat any array call at that size.
     """
     if a.ndim == 1 == b.ndim:
-        aw, ax, ay, az = a.tolist()
-        bw, bx, by, bz = b.tolist()
-        w = aw * bw - ax * bx - ay * by - az * bz
-        x = aw * bx + bw * ax + ay * bz - az * by
-        y = aw * by + bw * ay + az * bx - ax * bz
-        z = aw * bz + bw * az + ax * by - ay * bx
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        return np.array([w / n, x / n, y / n, z / n])
-    ab = a[..., :, None] * b[..., None, :]
-    terms = ab.reshape(ab.shape[:-2] + (16,)).take(_MUL_TERMS, -1) * _MUL_SIGNS
-    q = terms[..., 0:4] + terms[..., 4:8]
-    q += terms[..., 8:12]
-    q += terms[..., 12:16]
+        return np.array(_product(a.tolist(), b.tolist()))
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape
+    return _hamilton(a.reshape(-1, 4).T, b.reshape(-1, 4).T).T.reshape(shape)
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`multiply` of the columns of two (4, M) arrays, components first,
+    so each entry is one long row of the stack."""
+    ab = a[:, None] * b[None, :]
+    terms = ab.reshape(16, -1).take(_MUL_TERMS, axis=0) * _MUL_SIGNS
+    q = terms[0:4] + terms[4:8]
+    q += terms[8:12]
+    q += terms[12:16]
     sq = q * q
-    n = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])
-    return q / n[..., None]
+    return q / np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
+
+
+def _product(a, b) -> tuple:
+    """`multiply` of two quaternions given as 4 Python floats each."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + bw * ax + ay * bz - az * by
+    y = aw * by + bw * ay + az * bx - ax * bz
+    z = aw * bz + bw * az + ax * by - ay * bx
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def running_product(q: np.ndarray) -> np.ndarray:
+    """The prefix products q[0], q[0] q[1], q[0] q[1] q[2], ... of an
+    (R, 4) sequence, R >= 1, or of each row of an (..., R, 4) stack:
+    the first is q[0] itself, each next is `multiply` of the one before
+    and the next element, so every prefix is the product a left fold
+    of `multiply` gives it, bit for bit."""
+    if q.ndim == 2:
+        rows = q.tolist()
+        p = rows[0]
+        out = list(p)
+        for b in rows[1:]:
+            p = _product(p, b)
+            out += p
+        return np.array(out).reshape(-1, 4)
+    shape = q.shape
+    out = q.reshape((-1,) + shape[-2:]).transpose(1, 2, 0).copy()
+    for r in range(1, shape[-2]):
+        out[r] = _hamilton(out[r - 1], out[r])
+    return out.transpose(2, 0, 1).reshape(shape)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -142,13 +180,15 @@ def ad(q: np.ndarray) -> np.ndarray:
             2.0 * (x * y + w * z), c + 2.0 * y * y, 2.0 * (y * z - w * x),
             2.0 * (x * z - w * y), 2.0 * (y * z + w * x), c + 2.0 * z * z,
         ]).reshape(3, 3)
-    p = q.take(_AD_LEFT, axis=-1) * _AD_SCALE * q.take(_AD_RIGHT, axis=-1)
-    c = p[..., 0] - p[..., 1] - p[..., 2] - p[..., 3]
-    pairs = p.take(_AD_PAIRS, axis=-1) * _AD_SIGNS
-    out = np.empty(q.shape[:-1] + (9,))
-    np.multiply(2.0, pairs[..., :7] + pairs[..., 7:], out=out[..., 1:8])
-    np.add(c[..., None], p[..., 10:], out=out[..., ::4])
-    return out.reshape(q.shape[:-1] + (3, 3))
+    # components first, so each entry is one long row of the stack
+    shape, q = q.shape[:-1], q.reshape(-1, 4).T
+    p = q.take(_AD_LEFT, axis=0) * _AD_SCALE * q.take(_AD_RIGHT, axis=0)
+    c = p[0] - p[1] - p[2] - p[3]
+    pairs = p.take(_AD_PAIRS, axis=0) * _AD_SIGNS
+    out = np.empty((9, q.shape[1]))
+    np.multiply(2.0, pairs[:7] + pairs[7:], out=out[1:8])
+    np.add(c, p[10:], out=out[::4])
+    return out.T.reshape(shape + (3, 3))
 
 
 def trace(q: np.ndarray) -> float:

@@ -117,9 +117,9 @@ def test_polish_folds_the_polished_relator_once(tmp_path, capsys,
     folded, at_return = [], []
     fold, polish = presentations._fold, cli.polish
 
-    def counting(images, word, letters, cup):
+    def counting(images, word, cup):
         folded.append(word)
-        return fold(images, word, letters, cup)
+        return fold(images, word, cup)
 
     def recording(*args, **kwargs):
         rep = polish(*args, **kwargs)

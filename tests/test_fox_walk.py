@@ -7,18 +7,21 @@ stabilizer-line and complement bases) and the surface pairing
 compared with tests/oracles.py, which builds the same objects letter by
 letter from 2x2 complex matrix products and imports nothing from the
 package.  The fold itself is checked as a monoid homomorphism, on words
-with long runs folded by squaring, and a lens enumeration is held to
-one fold of its relator and of each handle word, and O(log p)
-quaternion products per point.  W is formed only where a pairing reads
-it: once per surface representation, by `pairing_matrix`.
+with long runs folded by squaring; its one-scan form is held to the
+left fold of `_compose` over the run folds byte for byte, to at most
+two `su2.ad` calls a word and to memory of a few W; and a lens
+enumeration is held to one fold of its relator and of each handle word,
+and O(log p) quaternion products per point.  W is formed only where a
+pairing reads it: once per surface representation, by `pairing_matrix`.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2strata import presentations, su2
@@ -122,10 +125,10 @@ def test_lens_walks_its_relator_once_per_point(monkeypatch):
     walked = []
     fold = presentations._fold       # behind fox_fold and relator folds
 
-    def counting(images, word, letters, cup):
+    def counting(images, word, cup):
         if word == relator:
             walked.extend(point.tobytes() for point in _walked(images))
-        return fold(images, word, letters, cup)
+        return fold(images, word, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)
     points = enumerate_moduli("lens", p=31, q=7)
@@ -144,10 +147,10 @@ def test_lens_folds_each_handle_word_once_per_point(monkeypatch):
     folded = []
     fold = presentations._fold
 
-    def counting(images, word, letters, cup):
+    def counting(images, word, cup):
         if word in handle_words:
             folded.extend([word] * len(_walked(images)))
-        return fold(images, word, letters, cup)
+        return fold(images, word, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)
     points = enumerate_moduli("lens", p=p, q=q)
@@ -243,6 +246,110 @@ def test_fold_matches_letter_by_letter_oracles(pairs):
         assert abs(u @ W @ v - want) <= 1e-12 * (1 + len(word)) ** 2
 
 
+# -- the scan against the left fold ---------------------------------------
+
+# rows with exact zeros and -identity, where a sum's order shows in the
+# sign of a zero
+EXACT_ROWS = [np.array(v) for v in ([0.0, 1.0, 0.0, 0.0],
+                                    [0.6, -0.0, 0.8, -0.0],
+                                    [-1.0, 0.0, 0.0, 0.0])]
+long_runs = st.lists(st.tuples(st.sampled_from([1, 2, 3, -1, -2, -3]),
+                               st.integers(1, 500)), max_size=6)
+
+
+def _left_fold(images, word):
+    """(q, J, W) of a word as the left fold of `presentations._compose`
+    over its runs' own folds, each placed in its generator's block of a
+    dense J and W."""
+    n3 = 3 * len(images)
+    out = su2.identity(), np.zeros((3, n3)), np.zeros((n3, n3))
+    for r, (s, k) in enumerate(word.runs):
+        j = 3 * abs(s) - 3
+        q, B, Wr = presentations._power(
+            presentations._letter_fold(images, s, True), k)
+        J, W = np.zeros((3, n3)), np.zeros((n3, n3))
+        J[:, j:j + 3], W[j:j + 3, j:j + 3] = B, Wr
+        out = (q, J, W) if r == 0 else presentations._compose(out, (q, J, W))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_runs, st.integers(0, 2**32 - 1),
+       st.sampled_from([None, *range(len(EXACT_ROWS))]))
+@example([], 0, None)
+@example([(1, 500)], 1, 2)
+@example([(1, 1), (2, 1), (-1, 1), (-2, 1)], 2, 0)
+@example([(2, 3), (-1, 500), (3, 1), (1, 1), (-2, 2), (-3, 1)], 3, 1)
+@example([(-1, 1), (2, 1), (-1, 1), (3, 7), (-1, 1)], 4, 0)
+@example([(-1, 1), (2, 1)], 5, 0)
+def test_scan_is_the_left_fold_of_the_run_folds(pairs, seed, exact):
+    # byte for byte, for one image array and for each row of a stack
+    word = _word(pairs)
+    stack = np.array([su2.random_element(np.random.default_rng([seed, i]))
+                      for i in range(9)]).reshape(3, 3, 4)
+    if exact is not None:
+        stack[:, 0] = EXACT_ROWS[exact]
+    for cup in (False, True):
+        stacked = presentations._fold(stack, word, cup)
+        for i, images in enumerate(stack):
+            want = [a.tobytes() for a in _left_fold(images, word)[:2 + cup]]
+            lone = presentations._fold(images, word, cup)
+            assert [a.tobytes() for a in lone] == want
+            assert [a[i].tobytes() for a in stacked] == want
+
+
+def test_a_fold_takes_its_ads_in_at_most_two_calls_whatever_its_length(
+        monkeypatch):
+    # the prefixes' and inverse letters' Ad come from one stacked call,
+    # for one image array and for a chart-like stack alike; walking the
+    # letters one by one would take one call each
+    calls = []
+    ad = su2.ad
+
+    def counting(q):
+        calls.append(q.shape)
+        return ad(q)
+
+    monkeypatch.setattr(su2, "ad", counting)
+    rng = np.random.default_rng(7)
+    words = [surface_group(g).relators[0] for g in (1, 2, 8, 32)]
+    for length in (2, 9, 64, 400):
+        letters, gen = [], 0
+        for _ in range(length):   # neighbours on other generators: runs of 1
+            gen = (gen + int(rng.integers(1, 3))) % 3
+            letters.append(int(rng.choice([-1, 1])) * (gen + 1))
+        words.append(Word(letters))
+    assert len(words[-1]) == 400
+    for word in words:
+        n = max(abs(s) for s, _ in word.runs)
+        for images in (IMAGES[:n] if n <= 3 else
+                       np.tile(su2.identity(), (n, 1)),
+                       np.tile(su2.exp(np.array([0.1, 0.2, 0.3])),
+                               (4, n, 1))):
+            for cup in (False, True):
+                calls.clear()
+                presentations._fold(images, word, cup)
+                assert 1 <= len(calls) <= 2
+
+
+def test_cup_fold_memory_grows_as_genus_squared():
+    # a letter's W is one 3x3 block, so a fold of 4g letters holds a few
+    # arrays of W's (6g x 6g) size, not a dense W per letter
+    g = 32
+    images = np.array([su2.random_element(np.random.default_rng([g, i]))
+                       for i in range(2 * g)])
+    relator = surface_group(g).relators[0]
+    presentations._scan_plan.cache_clear()   # its first build counts too
+    tracemalloc.start()
+    try:
+        _, _, W = fox_fold(images, relator)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.nbytes == (6 * g) ** 2 * 8
+    assert peak < 4 * W.nbytes
+
+
 def test_pairing_matrix_needs_surface_kind():
     rep = Representation.trivial(free_group(2))
     with pytest.raises(DomainError):
@@ -253,17 +360,16 @@ def test_pairing_matrix_needs_surface_kind():
 
 @pytest.fixture
 def cup_folds(monkeypatch):
-    """Images at which a one-letter fold formed a W block."""
+    """Images at which a fold formed a W."""
     seen = []
-    letter_fold = presentations._letter_fold
+    fold = presentations._fold
 
-    def counting(images, s, cup):
-        out = letter_fold(images, s, cup)
-        if len(out) == 3:
+    def counting(images, word, cup):
+        if cup:
             seen.append(images.tobytes())
-        return out
+        return fold(images, word, cup)
 
-    monkeypatch.setattr(presentations, "_letter_fold", counting)
+    monkeypatch.setattr(presentations, "_fold", counting)
     return seen
 
 
@@ -277,14 +383,14 @@ def test_t3_charts_and_polish_candidates_form_no_w(cup_folds):
 def test_lens_forms_w_only_for_its_surface_reps(cup_folds):
     # the lens point reps never form W; the noncentral points' genus-1
     # surface reps form it once, over their stacked images, for their
-    # Mayer-Vietoris omegas, one W block per letter of a b A B
+    # Mayer-Vietoris omegas, in one fold of a b A B
     p, q = 31, 7
     points = enumerate_moduli("lens", p=p, q=q)
     # a point's surface rep sends a to its image and b to 1
     sigma = np.array([[pt.rep.images[0], su2.identity()]
                       for pt in points if pt.stratum.i != 0])
     assert len(sigma) == p // 2
-    assert Counter(cup_folds) == {sigma.tobytes(): 4}
+    assert Counter(cup_folds) == {sigma.tobytes(): 1}
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -294,9 +400,9 @@ def test_pairing_matrix_is_the_relator_folds_w_once(g, monkeypatch):
     cups = []
     fold = presentations._fold
 
-    def counting(images, word, letters, cup):
+    def counting(images, word, cup):
         cups.append(cup)
-        return fold(images, word, letters, cup)
+        return fold(images, word, cup)
 
     monkeypatch.setattr(presentations, "_fold", counting)
     W = pairing_matrix(rep)

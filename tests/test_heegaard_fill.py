@@ -146,9 +146,9 @@ def test_lens_svds_and_cup_folds_do_not_grow_with_p(monkeypatch):
         calls["svd"] += 1
         return svd(*args, **kwargs)
 
-    def counting_fold(images, word, letters, cup):
+    def counting_fold(images, word, cup):
         calls["cup"] += cup
-        return fold(images, word, letters, cup)
+        return fold(images, word, cup)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(presentations, "_fold", counting_fold)

@@ -130,9 +130,9 @@ def test_surface_sampler_folds_the_polished_relator_once(monkeypatch):
     folded, at_return = [], []
     fold, polish = presentations._fold, strata.polish
 
-    def counting(images, word, letters, cup):
+    def counting(images, word, cup):
         folded.append(word)
-        return fold(images, word, letters, cup)
+        return fold(images, word, cup)
 
     def recording(*args, **kwargs):
         rep = polish(*args, **kwargs)

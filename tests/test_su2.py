@@ -234,3 +234,18 @@ def test_stacked_multiply_rows_are_lone_calls(data):
 def test_stacked_exp_rows_are_lone_calls(x):
     for view in strided_views(x):
         assert_rows_are_lone(su2.exp, view)
+
+
+@settings(max_examples=60)
+@given(stacks(unit_quaternions(), EXACT_UNITS))
+def test_running_product_is_the_left_fold_of_multiply(q):
+    # an (N, 4) array is one sequence; an (N, k, 4) stack holds N of them
+    stacked = su2.running_product(q)
+    for i, seq in enumerate([q] if q.ndim == 2 else q):
+        want = [seq[0]]
+        for b in seq[1:]:
+            want.append(su2.multiply(want[-1], b))
+        lone = su2.running_product(seq)
+        assert lone.tobytes() == np.array(want).tobytes()
+        if q.ndim == 3:
+            assert stacked[i].tobytes() == lone.tobytes()
