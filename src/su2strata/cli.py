@@ -27,8 +27,8 @@ from .invariants import (apply_value_table, assemble_invariant,
                          enumerate_moduli, heegaard_mv_torsion,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
 from .presentations import (Representation, _fields, _json_float,
-                            _representations, free_group, gate_relators,
-                            polish, presentation_from_json, raised,
+                            _representations, free_group, polish,
+                            presentation_from_json, raised,
                             representation_from_json)
 from .strata import (_labels, _tangent_dim, classify_stratum,
                      handlebody_representation,
@@ -176,9 +176,9 @@ def _load_rep_file(path: str, polished: bool):
     pres = presentation_from_json(data["presentation"])
     if not polished:
         return representation_from_json(data["images"], pres)
-    # parse without the residual gate, project, then gate
+    # parse without the residual gate; what polish returns passes it
     rough = representation_from_json(data["images"], pres, tol=np.inf)
-    return gate_relators(polish(pres, rough.images))
+    return polish(pres, rough.images)
 
 
 # -- handlers ----------------------------------------------------------

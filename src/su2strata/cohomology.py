@@ -130,7 +130,9 @@ def system_d1(sys: CoefficientSystem) -> np.ndarray:
 def _differentials(systems) -> tuple:
     """The stacked d0 (N, nk, k) and d1 (N, mk, nk) of systems of one
     shape (k, n, m), over contiguous stacks: a strided operand would
-    take another matmul route, whose last bits differ."""
+    take another matmul route, whose last bits differ.  The empty-d1
+    forks here and in `_system_cohomologies` and `_shape_cohomologies`
+    stay: without them a free-census op took 20–40 µs more, of 170."""
     B = np.array([sys.basis for sys in systems])
     A = np.array([sys.rep.adjoints for sys in systems])
     J = np.array([fox_jacobian_at(sys.rep) for sys in systems])

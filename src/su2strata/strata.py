@@ -27,8 +27,8 @@ from . import su2
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
-from .presentations import (Representation, free_group, gate_relators, kept,
-                            polish, raised, surface_group)
+from .presentations import (Representation, free_group, kept, polish, raised,
+                            surface_group)
 
 
 @dataclass(frozen=True)
@@ -173,18 +173,17 @@ def sample_stratum(g: int, i: int, seed: int,
 
 
 def sample_surface_representation(g: int, seed: int,
-                                  tol: float = DEFAULT_TOL,
-                                  max_tries: int = 40) -> Representation:
+                                  tol: float = DEFAULT_TOL) -> Representation:
     """Random irreducible relator-satisfying genus-g surface tuple,
     produced by polishing a Haar draw onto the relator set."""
     pres = surface_group(g)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, g, 99]))
-    for _ in range(max_tries):
+    for _ in range(40):
         images = np.array([su2.random_element(rng) for _ in range(2 * g)])
         try:
-            rep = gate_relators(polish(pres, images, tol=1e-12))
+            rep = polish(pres, images)
             if classify_stratum(rep, tol).i == 3:
                 return rep
         except DomainError:
             continue
-    raise SamplingError(f"no irreducible surface sample in {max_tries} tries")
+    raise SamplingError("no irreducible surface sample in 40 tries")

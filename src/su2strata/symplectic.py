@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import su2
-from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError
 from .presentations import Representation, Word, _read_only, fox_fold, kept
 
@@ -60,26 +59,3 @@ def trace_derivative(rep: Representation, word: Word, u: np.ndarray) -> float:
     q, J = rep.fold(word)
     return su2.trace_pairing(J @ np.ravel(u), q)
 
-
-def fibre_tangent_basis(rep: Representation, curves,
-                        tol: float = DEFAULT_TOL):
-    """Orthonormal cocycle basis of the polarization fibre directions.
-
-    Returns harmonic-gauge h1 classes whose trace derivatives vanish
-    along every supplied curve word.
-    """
-    summary = cohomology(rep, tol)
-    B = summary.basis_h1
-    n = rep.presentation.num_generators
-    if B.shape[1] == 0:
-        return []
-    T = np.array([[trace_derivative(rep, w, b) for b in B.T]
-                  for w in curves], dtype=float)
-    if T.size == 0:
-        null = np.eye(B.shape[1])
-    else:
-        _, sv, vt = np.linalg.svd(T)
-        rank = int(np.sum(sv > tol * max(1.0, float(sv[0]) if sv.size else 1.0)))
-        null = vt[rank:].T
-    out = B @ null
-    return [out[:, c].reshape(n, 3) for c in range(out.shape[1])]

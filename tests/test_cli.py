@@ -17,12 +17,21 @@ from su2strata import __version__, su2
 from su2strata.cli import _json_value, _write, dispatch
 from su2strata.errors import DomainError
 from su2strata.invariants import stationary_phase_sum
-from su2strata.presentations import (_json_float, free_group,
-                                     presentation_to_json)
+from su2strata.presentations import _json_float
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
+
+
+# presentations as an input file spells them
+FREE1 = {"generators": ["x1"], "relators": [], "kind": "free", "genus": 1}
+FREE2 = {"generators": ["x1", "x2"], "relators": [], "kind": "free",
+         "genus": 2}
+CYCLIC3 = {"generators": ["a"], "relators": ["a a a"], "kind": "cyclic",
+           "p": 3}
+CYCLIC4 = {"generators": ["a"], "relators": ["a a a a"], "kind": "cyclic",
+           "p": 4}
 
 
 def run(capsys, *argv):
@@ -41,7 +50,7 @@ def rep_file(tmp_path, name="rep.json"):
     q2 = su2.exp(0.4 * np.array([0.0, 1.0, 0.0]))
     payload = {
         "schema": 1,
-        "presentation": presentation_to_json(free_group(2)),
+        "presentation": FREE2,
         "images": {"x1": list(q1), "x2": list(q2)},
     }
     return write_json(tmp_path / name, payload)
@@ -73,7 +82,7 @@ def test_classify_table_format(tmp_path, capsys):
 def test_cohomology_coefficient_choices(tmp_path, capsys):
     theta = np.array([1.0, 0.0, 0.0])
     payload = {
-        "presentation": presentation_to_json(free_group(2)),
+        "presentation": FREE2,
         "images": {"x1": list(su2.exp(0.5 * theta)),
                    "x2": list(su2.exp(1.1 * theta))},
     }
@@ -93,10 +102,9 @@ def test_cohomology_coefficient_choices(tmp_path, capsys):
 
 
 def test_polish_recovers_noisy_input(tmp_path, capsys):
-    from su2strata.presentations import cyclic_group
     # unit norm but off the relator variety by ~2e-3
     noisy = list(su2.exp((math.pi / 2 + 5e-4) * np.array([0.0, 0.0, 1.0])))
-    payload = {"presentation": presentation_to_json(cyclic_group(4)),
+    payload = {"presentation": CYCLIC4,
                "images": {"a": noisy}}
     path = write_json(tmp_path / "noisy.json", payload)
     code, _, err = run(capsys, "classify", path)
@@ -109,10 +117,9 @@ def test_polish_recovers_noisy_input(tmp_path, capsys):
 def test_polish_folds_the_polished_relator_once(tmp_path, capsys,
                                                 monkeypatch):
     from su2strata import cli, presentations
-    from su2strata.presentations import cyclic_group
     noisy = list(su2.exp((math.pi / 2 + 5e-4) * np.array([0.0, 0.0, 1.0])))
     path = write_json(tmp_path / "noisy.json", {
-        "presentation": presentation_to_json(cyclic_group(4)),
+        "presentation": CYCLIC4,
         "images": {"a": noisy}})
     folded, at_return = [], []
     fold, polish = presentations._fold, cli.polish
@@ -176,7 +183,7 @@ def test_torsion_sequence_mode(tmp_path, capsys):
 
 def test_torsion_volume_mode(tmp_path, capsys):
     payload = {"volume": {
-        "presentation": presentation_to_json(free_group(2)),
+        "presentation": FREE2,
         "images": {"x1": list(su2.exp(0.6 * np.array([1.0, 0, 0]))),
                    "x2": list(su2.exp(0.9 * np.array([0, 1.0, 0])))}}}
     path = write_json(tmp_path / "vol.json", payload)
@@ -362,7 +369,7 @@ def test_missing_file_is_exit_2(capsys):
 
 
 def test_unknown_top_level_field_is_exit_2(tmp_path, capsys):
-    payload = {"presentation": presentation_to_json(free_group(1)),
+    payload = {"presentation": FREE1,
                "images": {"x1": [1.0, 0, 0, 0]}, "extra": 1}
     path = write_json(tmp_path / "x.json", payload)
     code, _, err = run(capsys, "classify", path)
@@ -373,7 +380,7 @@ def test_unknown_top_level_field_is_exit_2(tmp_path, capsys):
 def test_bad_schema_version_is_exit_2(tmp_path, capsys, schema):
     # true used to pass as schema 1
     payload = {"schema": schema,
-               "presentation": presentation_to_json(free_group(1)),
+               "presentation": FREE1,
                "images": {"x1": [1.0, 0, 0, 0]}}
     path = write_json(tmp_path / "x.json", payload)
     code, _, err = run(capsys, "classify", path)
@@ -403,8 +410,7 @@ def test_malformed_images_are_exit_2_with_or_without_polish(
         tmp_path, capsys, images, polish):
     # --polish parses through the same checks as the plain path; the
     # relator makes polish do real work on whatever it is handed
-    from su2strata.presentations import cyclic_group
-    payload = {"presentation": presentation_to_json(cyclic_group(3)),
+    payload = {"presentation": CYCLIC3,
                "images": images}
     path = write_json(tmp_path / "bad.json", payload)
     argv = ["classify", path] + (["--polish"] if polish else [])
@@ -447,7 +453,7 @@ def test_malformed_presentations_are_exit_2_at_once(tmp_path, presentation):
 def test_classify_boundary_ambiguous_is_exit_1(tmp_path, capsys):
     # two tiny rotations about distinct axes sit inside the rank
     # threshold band, which classify must refuse rather than guess
-    payload = {"presentation": presentation_to_json(free_group(2)),
+    payload = {"presentation": FREE2,
                "images": {
                    "x1": list(su2.exp(2e-8 * np.array([1.0, 0, 0]))),
                    "x2": list(su2.exp(2e-8 * np.array([0, 1.0, 0])))}}

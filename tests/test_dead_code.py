@@ -1,19 +1,43 @@
-"""No module-level private function or class of the package goes unused.
+"""No module-level function or class of the package goes unused.
 
 A stand-in for a linter's dead-code rule, read from the syntax trees of
-every module: a private (`_name`) function or class defined at a
-module's top level must be named, as a name, an attribute or an import,
-by some top-level statement of the package other than its own
-definition, so a helper that only calls itself counts as unused.
+every module.  A function or class defined at a module's top level is
+named when some top-level statement of the package other than its own
+definition names it, as a name, an attribute or an import, so a helper
+that only calls itself counts as unused.  Two rules read that one walk:
+
+- a private (`_name`) one must be named;
+- a public one must be named, or be on SURFACE, which says who outside
+  the package uses it.  An entry that is gone, or that the package now
+  names, is stale.  An entry that only the bench uses must be a traced
+  function in `bench/spans.py`'s TRACED, read from its syntax tree; once
+  the bench drops it, the rule points at the code to delete.
 """
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "su2strata")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "su2strata")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+SPANS = os.path.join(ROOT, "bench", "spans.py")
+
+BENCH = "bench only"
+# `<module>.<name>` -> who uses it
+SURFACE = {
+    "su2.trace": "demos/quaternion_tour.py",
+    "presentations.polish_images": "README tour, demos/fox_jacobian.py",
+    "strata.sample_stratum": "acceptance tests, demos/strata_census.py",
+    "symplectic.goldman_form": "demos/goldman_audit.py",
+    "symplectic.trace_derivative": "acceptance test 06",
+    "cohomology.system_d1": BENCH,
+    "cohomology.cocycle_value": BENCH,
+    "cohomology.pullback_cocycle": BENCH,
+    "invariants.trace_fingerprint": BENCH,
+    "invariants.clean_intersection_check": BENCH,
+    "torsion.mayer_vietoris_torsion": BENCH,
+}
 
 
 def _names(node) -> set:
@@ -29,28 +53,71 @@ def _names(node) -> set:
     return out
 
 
-def unused_privates(sources: dict) -> list:
-    """(module, line, name) of each private top-level function or class
-    that no other top-level statement of `sources` names."""
+def definitions(sources: dict) -> list:
+    """((module, line, name), named) for each top-level function or
+    class of `sources`, dunders aside: named is whether another
+    top-level statement names it."""
     statements = [(module, stmt) for module, source in sources.items()
                   for stmt in ast.parse(source).body]
     named = [_names(stmt) for _, stmt in statements]
-    out = []
-    for k, (module, stmt) in enumerate(statements):
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
-                stmt.name.startswith("_") and not stmt.name.startswith("__"):
-            if not any(stmt.name in names
-                       for j, names in enumerate(named) if j != k):
-                out.append((module, stmt.lineno, stmt.name))
+    return [((module, stmt.lineno, stmt.name),
+             any(stmt.name in names for j, names in enumerate(named)
+                 if j != k))
+            for k, (module, stmt) in enumerate(statements)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("__")]
+
+
+def unused_privates(sources: dict) -> list:
+    """(module, line, name) of each private top-level function or class
+    that no other top-level statement of `sources` names."""
+    return sorted(d for d, named in definitions(sources)
+                  if d[2].startswith("_") and not named)
+
+
+def surface_breaches(sources: dict, surface: dict, traced: dict) -> list:
+    """What the public rule finds in `sources`: each public name that
+    nothing names and `surface` does not list, each stale `surface`
+    entry, and each bench-only entry that `traced` lacks."""
+    public = {f"{module[:-3]}.{name}": named
+              for (module, _, name), named in definitions(sources)
+              if not name.startswith("_")}
+    out = [f"{q} is unused" for q, named in public.items()
+           if not named and q not in surface]
+    for q, user in surface.items():
+        module, name = q.split(".")
+        if q not in public:
+            out.append(f"{q} is listed but gone")
+        elif public[q]:
+            out.append(f"{q} is listed but named in the package")
+        if user == BENCH and name not in traced.get(module, ()):
+            out.append(f"{q} is listed for the bench but not traced")
     return sorted(out)
 
 
-def test_every_private_helper_is_used():
+def _sources() -> dict:
     sources = {}
     for path in MODULES:
         with open(path) as f:
             sources[os.path.basename(path)] = f.read()
-    assert unused_privates(sources) == []
+    return sources
+
+
+def _traced() -> dict:
+    with open(SPANS) as f:
+        tree = ast.parse(f.read())
+    (value,) = [stmt.value for stmt in tree.body
+                if isinstance(stmt, ast.Assign)
+                and [ast.unparse(t) for t in stmt.targets] == ["TRACED"]]
+    return ast.literal_eval(value)
+
+
+def test_every_private_helper_is_used():
+    assert unused_privates(_sources()) == []
+
+
+def test_every_public_name_is_used_or_on_the_surface():
+    assert surface_breaches(_sources(), SURFACE, _traced()) == []
 
 
 def test_an_unused_private_helper_is_found():
@@ -66,3 +133,21 @@ def test_an_unused_private_helper_is_found():
     }
     assert unused_privates(sources) == [("a.py", 3, "_recursive"),
                                         ("a.py", 5, "_Orphan")]
+
+
+def test_an_unlisted_stale_or_untraced_public_name_is_found():
+    sources = {
+        "a.py": ("def helper():\n    return 1\n"
+                 "def orphan():\n    return orphan()\n"
+                 "def listed():\n    return helper()\n"
+                 "def benched():\n    pass\n"
+                 "class Untraced:\n    pass\n"),
+        "b.py": "from .a import imported\ndef imported():\n    pass\n",
+    }
+    surface = {"a.listed": "README", "a.helper": "README",
+               "a.gone": "demo", "a.benched": BENCH, "a.Untraced": BENCH}
+    assert surface_breaches(sources, surface, {"a": ("benched",)}) == [
+        "a.Untraced is listed for the bench but not traced",
+        "a.gone is listed but gone",
+        "a.helper is listed but named in the package",
+        "a.orphan is unused"]

@@ -12,9 +12,12 @@ the repository root and with OPENBLAS_NUM_THREADS=1,
 writes the golden of every case whose file is missing and leaves the
 others alone.  A new case is captured that way; a change that means to
 alter a report deletes that case's golden, reruns the script and says
-so in its change notes.
+so in its change notes.  It also prints, per case, the sha256 of its
+stdout in --format json and in --format table, so a `diff` of two
+trees' printouts compares their reports byte for byte.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -63,15 +66,20 @@ CASES = {
 }
 
 
-def run_case(argv) -> tuple:
-    """A case's record (argv, exit code and parsed report) and its
-    stdout."""
+def run_command(argv) -> tuple:
+    """A command's exit code and stdout, run in-process."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = dispatch(list(argv))
-    report = json.loads(out.getvalue()) if code == 0 else None
-    return {"argv": list(argv), "exit": code, "report": report}, \
-        out.getvalue()
+    return code, out.getvalue()
+
+
+def run_case(argv) -> tuple:
+    """A case's record (argv, exit code and parsed report) and its
+    stdout."""
+    code, stdout = run_command(argv)
+    report = json.loads(stdout) if code == 0 else None
+    return {"argv": list(argv), "exit": code, "report": report}, stdout
 
 
 def mismatches(got, want, path="") -> list:
@@ -114,10 +122,14 @@ def test_report_matches_golden(name, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     for name, argv in CASES.items():
+        record, stdout = run_case(argv)
+        table = run_command(argv + ["--format", "table"])[1]
+        print(name, *(hashlib.sha256(out.encode()).hexdigest()
+                      for out in (stdout, table)))
         path = os.path.join(GOLDEN, f"{name}.out.json")
         if os.path.exists(path):
             continue
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(run_case(argv)[0], f, indent=1, sort_keys=True)
+            json.dump(record, f, indent=1, sort_keys=True)
             f.write("\n")
         print("wrote", path)

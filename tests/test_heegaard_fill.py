@@ -11,8 +11,9 @@ stacked passes, SVDs and cup folds to counts that do not grow with p,
 each stacked Gram row to the oracle pairing, `heegaard_mv_torsion` on
 a fresh representation (a batch of one) to the chart's value bit for
 bit, inconsistent gluing data to the torsion or the error a lone call
-gives, at its own point, with nothing kept for an error, and a
-splitting given as lists to its tuple twin.
+gives, at its own point, with nothing kept for an error, a splitting
+given as lists to its tuple twin, and lens(12007, 7) to torsion 1/p at
+point 1 (at point p // 2 it still fails, an expected failure).
 """
 
 import math
@@ -202,6 +203,22 @@ def test_a_fresh_lens_point_gives_the_filled_torsion(p, q, data):
     fresh = heegaard_mv_torsion(lens_heegaard(p, q), lens_rep(p, n))
     assert (fresh.value, fresh.log_value) == (pt.torsion.value,
                                               pt.torsion.log_value)
+
+
+def test_a_large_lens_at_its_first_point_has_torsion_one_over_p():
+    p = 12007
+    t = heegaard_mv_torsion(lens_heegaard(p, 7), lens_rep(p, 1))
+    assert abs(t.value - 1 / p) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=RankAmbiguityError,
+                   reason="ROADMAP item 1: the absolute d1 rank threshold")
+def test_a_large_lens_at_its_middle_point_has_torsion_one_over_p():
+    # near p // 2, two singular values of d1 that should be zero are
+    # about eps * p^2 and clear the absolute threshold: h1 reads 0 - 2
+    p = 12007
+    t = heegaard_mv_torsion(lens_heegaard(p, 7), lens_rep(p, p // 2))
+    assert abs(t.value - 1 / p) < 1e-9
 
 
 @settings(max_examples=15, deadline=None)

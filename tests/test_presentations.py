@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from su2strata import su2
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.presentations import (Presentation, Representation,
-                                     Word, commutator,
-                                     cyclic_group, evaluate_images,
-                                     format_word, fox_fold,
+                                     Word, circle_times_surface_group,
+                                     commutator, cyclic_group,
+                                     evaluate_images, fox_fold,
                                      fox_jacobian_at, free_group,
                                      gate_relators, generator, kept,
                                      parse_word,
                                      polish_images,
                                      presentation_from_json,
-                                     presentation_to_json, relator_residual,
+                                     relator_residual,
                                      representation_from_json,
-                                     representation_to_json, surface_group)
+                                     surface_group)
 
 import oracles
 
@@ -91,11 +91,11 @@ def test_commutator_letters():
     assert commutator(generator(0), generator(1)).letters == (1, 2, -1, -2)
 
 
-def test_parse_format_roundtrip():
+def test_parse_word_reads_letters():
     pres = surface_group(2)
-    for text in ("a1 b1 A1 B1", "a2", "B2 a1 a1"):
-        w = parse_word(text, pres.generators)
-        assert format_word(w, pres.generators) == text
+    for text, letters in (("a1 b1 A1 B1", (1, 3, -1, -3)), ("a2", (2,)),
+                          ("B2 a1 a1", (-4, 1, 1))):
+        assert parse_word(text, pres.generators).letters == letters
     assert parse_word("", pres.generators) == Word()
     with pytest.raises(PresentationError):
         parse_word("q7", pres.generators)
@@ -103,7 +103,8 @@ def test_parse_format_roundtrip():
     names = ("aB", "c")
     mixed = Presentation(names, (parse_word("aB c AB", names),))
     assert mixed.relators[0].letters == (1, 2, -1)
-    assert presentation_from_json(presentation_to_json(mixed)) == mixed
+    assert presentation_from_json(
+        {"generators": ["aB", "c"], "relators": ["aB c AB"]}) == mixed
     with pytest.raises(PresentationError):
         parse_word("aB", ("ab",))
 
@@ -124,7 +125,6 @@ def test_builtin_presentations():
     assert s.relators[0].letters == (1, 3, -1, -3, 2, 4, -2, -4)
     c = cyclic_group(5)
     assert c.relators[0].letters == (1,) * 5
-    from su2strata.presentations import circle_times_surface_group
     cs = circle_times_surface_group(2)
     assert cs.generators[-1] == "c"
     assert len(cs.relators) == 1 + 4
@@ -351,17 +351,29 @@ def test_polish_stalls_on_impossible_data():
 # -- JSON --------------------------------------------------------------
 
 def test_presentation_json_roundtrip():
-    for pres in (free_group(2), surface_group(2), cyclic_group(5),
-                 Presentation(("u", "v"),
-                              (parse_word("u v U V", ("u", "v")),))):
-        data = presentation_to_json(pres)
-        back = presentation_from_json(data)
-        assert back == pres
+    # each kind's JSON, as an input file spells it, reads back to the
+    # presentation its builder makes
+    for data, pres in (
+            ({"generators": ["x1", "x2"], "relators": [], "kind": "free",
+              "genus": 2}, free_group(2)),
+            ({"generators": ["a1", "a2", "b1", "b2"],
+              "relators": ["a1 b1 A1 B1 a2 b2 A2 B2"], "kind": "surface",
+              "genus": 2}, surface_group(2)),
+            ({"generators": ["a"], "relators": ["a a a a a"],
+              "kind": "cyclic", "p": 5}, cyclic_group(5)),
+            ({"generators": ["a1", "b1", "c"],
+              "relators": ["a1 b1 A1 B1", "c a1 C A1", "c b1 C B1"],
+              "kind": "circle_times_surface", "genus": 1},
+             circle_times_surface_group(1)),
+            ({"generators": ["u", "v"], "relators": ["u v U V"]},
+             Presentation(("u", "v"),
+                          (commutator(generator(0), generator(1)),)))):
+        assert presentation_from_json(data) == pres
 
 
 def test_presentation_json_fail_closed():
-    data = presentation_to_json(free_group(2))
-    data["extra"] = 1
+    data = {"generators": ["x1", "x2"], "relators": [], "kind": "free",
+            "genus": 2, "extra": 1}
     with pytest.raises(PresentationError):
         presentation_from_json(data)
     with pytest.raises(PresentationError):
@@ -374,13 +386,13 @@ def test_presentation_json_fail_closed():
 
 
 def test_representation_json_roundtrip():
-    rep = _surface_rep(seed=6)
-    data = representation_to_json(rep)
-    back = representation_from_json(data, rep.presentation)
-    assert np.allclose(back.images, rep.images)
+    # commuting images satisfy the genus-1 relator
+    data = {"a1": [0.6, 0.8, 0.0, 0.0], "b1": [0.0, 1.0, 0.0, 0.0]}
+    back = representation_from_json(data, surface_group(1))
+    assert back.images.tolist() == [data["a1"], data["b1"]]
     data["zz"] = [1, 0, 0, 0]
-    with pytest.raises(PresentationError):
-        representation_from_json(data, rep.presentation)
+    with pytest.raises(PresentationError, match="unknown"):
+        representation_from_json(data, surface_group(1))
 
 
 def test_a_generator_named_schema_is_read_as_an_image():
@@ -392,11 +404,9 @@ def test_a_generator_named_schema_is_read_as_an_image():
 
 
 def test_representation_json_missing_image():
-    rep = _surface_rep(seed=7)
-    data = representation_to_json(rep)
-    del data["a1"]
-    with pytest.raises(PresentationError):
-        representation_from_json(data, rep.presentation)
+    with pytest.raises(PresentationError, match="needs fields"):
+        representation_from_json({"b1": [1.0, 0.0, 0.0, 0.0]},
+                                 surface_group(1))
 
 
 def test_kept_computes_once_and_keeps_only_values():

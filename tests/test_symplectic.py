@@ -4,12 +4,10 @@ import pytest
 from su2strata import su2
 from su2strata.cohomology import build_d0, cohomology, full_system
 from su2strata.errors import DomainError
-from su2strata.presentations import (Representation, Word, free_group,
-                                     parse_word)
+from su2strata.presentations import Representation, Word, free_group
 from su2strata.strata import (handlebody_representation,
                               sample_surface_representation)
-from su2strata.symplectic import (fibre_tangent_basis, goldman_form,
-                                  gram_matrix, trace_derivative)
+from su2strata.symplectic import goldman_form, gram_matrix, trace_derivative
 
 import oracles
 
@@ -108,22 +106,6 @@ def test_trace_derivative_matches_finite_differences():
         fd = oracles.central_difference(flowed_trace, 1e-5)
         exact = trace_derivative(rep, w, u)
         assert abs(exact - fd) < 1e-6 * max(1.0, abs(exact))
-
-
-def test_fibre_tangent_basis_dimensions():
-    """Null directions of the polarization differential at a generic
-    irreducible point: 3g - 3 curves cut h1 = 6g - 6 down to 3g - 3."""
-    g = 2
-    rep = sample_surface_representation(g, seed=9)
-    pres = rep.presentation
-    curves = [parse_word(t, pres.generators)
-              for t in ("a1", "a2", "a1 a2")]
-    basis = fibre_tangent_basis(rep, curves)
-    assert len(basis) >= 3 * g - 3
-    # members really are null directions of every trace function
-    for u in basis:
-        for w in curves:
-            assert abs(trace_derivative(rep, w, u)) < 1e-8
 
 
 def test_gram_matrix_shape_and_skewness():
