@@ -15,13 +15,16 @@ factor of ten of it.  The H^1 basis is harmonic: ker d1 ∩ ker d0ᵀ, the
 null space of d1 stacked on d0ᵀ.
 
 There is one analysis, `_system_cohomologies`: systems are grouped by
-shape, and each group is built, checked and decomposed as one stack.
+shape, and each group is built, checked and decomposed as one stack:
+d0 with vectors, d1 and the harmonic stack with singular values only.
 Each valid row's summary is a read-only view of its group's record: a
 basis is a slice of a VT stack, sign-fixed whole on the first basis
-read, and the other fields are formed when read.  A moduli chart calls
-it on its columns of systems and keeps nothing; `system_cohomology`,
-`system_d0` and `system_d1` are batches of one, and the lone summary is
-kept in its representation's memo per basis and tol.
+read (the harmonic one is decomposed then, once per group, so a
+`LinAlgError` there propagates from `basis_h1`), and the other fields
+are formed when read.  A moduli chart calls it on its columns of
+systems and keeps nothing; `system_cohomology`, `system_d0` and
+`system_d1` are batches of one, and the lone summary is kept in its
+representation's memo per basis and tol.
 """
 
 from __future__ import annotations
@@ -200,21 +203,23 @@ class CohomologySummary:
 
 class _Analysis:
     """One shape group's stacked analysis, which its rows' summaries
-    read: k, nk, tol, S0 and S1 with their rank lists, and the VT stacks
-    of d0 and of d1 stacked on d0ᵀ, each signed whole by `_signed` on
-    its first basis read.  Row values formed on first read are kept."""
+    read: k, nk, tol, S0 and S1 with their rank lists, d0's VT stack
+    and the read-only harmonic stack H.  A degree's first basis read
+    signs its VT stack whole by `_signed`; H's is made then, by one
+    SVD for the group.  Row values formed on first read are kept."""
 
-    def __init__(self, k, nk, tol, S0, S1, VT0, VTH):
+    def __init__(self, k, nk, tol, S0, S1, VT0, H):
         self.k, self.nk, self.tol, self.S0, self.S1 = k, nk, tol, S0, S1
         self.ranks0 = (S0 > tol).sum(axis=1).tolist()
         self.ranks1 = (S1 > tol).sum(axis=1).tolist()
-        self.VT, self.signed, self.rows = [VT0, VTH], [False, False], {}
+        self.VT, self.signed, self.rows = [VT0, H], [False, False], {}
 
     def basis(self, i: int, g: int) -> np.ndarray:
         """Row g's H0 (i = 0) or harmonic H1 (i = 1) basis: the right
         singular vectors past the rank, as columns."""
         if not self.signed[i]:
-            self.VT[i], self.signed[i] = _signed(self.VT[i]), True
+            VT = np.linalg.svd(self.VT[1])[2] if i else self.VT[0]
+            self.VT[i], self.signed[i] = _signed(VT), True
         rank = self.ranks0[g] + (self.ranks1[g] if i else 0)
         return self.VT[i][g, rank:].T
 
@@ -288,15 +293,18 @@ def _signed(VT: np.ndarray) -> np.ndarray:
 def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
                         D1: np.ndarray, tol: float) -> None:
     """Fill out[idx] from the stacked d0 (N, nk, k) and d1 (N, mk, nk)
-    of one shape, by three stacked SVDs.  d1 and d0ᵀ have orthogonal
-    row spaces, so d1 stacked on d0ᵀ has rank rank d0 + rank d1, and
-    its trailing right singular vectors span the harmonic space."""
+    of one shape: d0's SVD with vectors, and d1's and the harmonic
+    stack H's (d1 on d0ᵀ) values only.  d1 and d0ᵀ have orthogonal row
+    spaces, so H has rank rank d0 + rank d1, and its trailing right
+    singular vectors (decomposed on the first `basis_h1` read) span the
+    harmonic space."""
     nk, k = D0.shape[1:]
     _, S0, VT0 = np.linalg.svd(D0, full_matrices=False)
     S1 = (np.linalg.svd(D1, compute_uv=False) if D1.size
           else np.zeros((len(D1), 0)))
-    _, SH, VTH = np.linalg.svd(np.concatenate([D1, D0.mT], axis=1))
-    of = _Analysis(k, nk, tol, S0, S1, VT0, VTH)
+    H = _read_only(np.concatenate([D1, D0.mT], axis=1))
+    SH = np.linalg.svd(H, compute_uv=False)
+    of = _Analysis(k, nk, tol, S0, S1, VT0, H)
     ranksh = (SH > tol).sum(axis=1).tolist()
     for g, i in enumerate(idx):
         rank0, rank1 = of.ranks0[g], of.ranks1[g]

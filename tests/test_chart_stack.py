@@ -28,8 +28,8 @@ from su2strata.cohomology import (DEFAULT_TOL, cohomology,
                                   restrict_coefficients)
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
-                                  lens_heegaard, s1xs2_heegaard,
-                                  t3_presentation, trace_fingerprint)
+                                  lens_heegaard, t3_presentation,
+                                  trace_fingerprint)
 from su2strata.presentations import (Representation, _representations,
                                      cyclic_group, fox_jacobian_at,
                                      surface_group)

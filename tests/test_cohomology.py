@@ -9,7 +9,7 @@ from su2strata.cohomology import (DEFAULT_TOL, CoefficientSystem, build_d0,
                                   stabilizer_axis, system_cohomology,
                                   system_d0)
 from su2strata.errors import DomainError
-from su2strata.presentations import (Presentation, Representation, Word,
+from su2strata.presentations import (Representation, Word,
                                      circle_times_surface_group, cyclic_group,
                                      fox_jacobian_at, free_group, generator,
                                      surface_group)

@@ -3,8 +3,10 @@
 A stand-in for a linter's dead-code rule, read from the syntax trees of
 every module.  A function or class defined at a module's top level is
 named when some top-level statement of the package other than its own
-definition names it, as a name, an attribute or an import, so a helper
-that only calls itself counts as unused.  Two rules read that one walk:
+definition names it, as a name read at module level, an attribute or
+an import, so a helper that only calls itself counts as unused, and so
+does one whose name is elsewhere only stored or a function's local.
+Two rules read that one walk:
 
 - a private (`_name`) one must be named;
 - a public one must be named, or be on SURFACE, which says who outside
@@ -41,16 +43,52 @@ SURFACE = {
 
 
 def _names(node) -> set:
-    """Every identifier a statement names."""
+    """Every identifier a statement reads at module level: a name read
+    where no enclosing function binds it, an attribute, or a `from`
+    import.  A name only stored, or read as a function's local, does
+    not count."""
     out = set()
-    for sub in ast.walk(node):
+
+    def visit(sub, local):
+        if isinstance(sub, (ast.FunctionDef, ast.Lambda)):
+            local = local | _locals(sub)
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            if isinstance(sub.ctx, ast.Load) and sub.id not in local:
+                out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
+        for child in ast.iter_child_nodes(sub):
+            visit(child, local)
+
+    visit(node, frozenset())
     return out
+
+
+def _locals(fn) -> set:
+    """The names a function or lambda binds: its arguments, and what its
+    own body stores, defines or imports, nested scopes aside, less the
+    names it declares global."""
+    a = fn.args
+    bound = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                 a.vararg, a.kwarg) if arg}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
+            bound.add(sub.id)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in sub.names)
+        elif isinstance(sub, ast.Global):
+            declared.update(sub.names)
+        if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(sub.name)
+        elif not isinstance(sub, ast.Lambda):
+            todo += ast.iter_child_nodes(sub)
+    return bound - declared
 
 
 def definitions(sources: dict) -> list:
@@ -128,18 +166,24 @@ def test_an_unused_private_helper_is_found():
                  "def public():\n    return _used()\n"),
         "b.py": ("from .a import _imported\n"
                  "def _imported():\n    pass\n"
+                 "def _argument():\n    pass\n"
                  "def _by_attribute():\n    pass\n"
-                 "x = module._by_attribute\n"),
+                 "x = module._by_attribute\n"
+                 "def _shadowed():\n    pass\n"
+                 "def f(_argument):\n    _shadowed = _argument\n    return _shadowed\n"),
     }
     assert unused_privates(sources) == [("a.py", 3, "_recursive"),
-                                        ("a.py", 5, "_Orphan")]
+                                        ("a.py", 5, "_Orphan"),
+                                        ("b.py", 4, "_argument"),
+                                        ("b.py", 9, "_shadowed")]
 
 
 def test_an_unlisted_stale_or_untraced_public_name_is_found():
     sources = {
         "a.py": ("def helper():\n    return 1\n"
                  "def orphan():\n    return orphan()\n"
-                 "def listed():\n    return helper()\n"
+                 "def listed():\n    extra = helper()\n    return extra\n"
+                 "def extra():\n    pass\n"
                  "def benched():\n    pass\n"
                  "class Untraced:\n    pass\n"),
         "b.py": "from .a import imported\ndef imported():\n    pass\n",
@@ -148,6 +192,7 @@ def test_an_unlisted_stale_or_untraced_public_name_is_found():
                "a.gone": "demo", "a.benched": BENCH, "a.Untraced": BENCH}
     assert surface_breaches(sources, surface, {"a": ("benched",)}) == [
         "a.Untraced is listed for the bench but not traced",
+        "a.extra is unused",
         "a.gone is listed but gone",
         "a.helper is listed but named in the package",
         "a.orphan is unused"]

@@ -18,8 +18,7 @@ from su2strata.invariants import (HeegaardData, ModuliPoint,
                                   deduplicate_points, enumerate_moduli,
                                   find_conjugator, heegaard_mv_torsion,
                                   lens_heegaard, s1xs2_heegaard,
-                                  stationary_phase_sum, t3_presentation,
-                                  trace_fingerprint)
+                                  stationary_phase_sum, trace_fingerprint)
 from su2strata.presentations import (Representation, Word, cyclic_group,
                                      fox_fold, free_group, generator)
 from su2strata.strata import classify_stratum

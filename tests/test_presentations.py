@@ -1,9 +1,8 @@
-import json
 from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from su2strata import su2

@@ -5,7 +5,7 @@ from su2strata import presentations, strata, su2
 from su2strata.errors import (BoundaryAmbiguousError, DomainError,
                               SamplingError)
 from su2strata.presentations import (Representation, Word, free_group,
-                                     parse_word, surface_group)
+                                     parse_word)
 from su2strata.strata import (classify_stratum, handlebody_representation,
                               sample_stratum, sample_surface_representation,
                               stratum_tangent_dim)

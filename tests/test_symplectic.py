@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from su2strata import su2
-from su2strata.cohomology import build_d0, cohomology, full_system
+from su2strata.cohomology import build_d0, cohomology
 from su2strata.errors import DomainError
 from su2strata.presentations import Representation, Word, free_group
 from su2strata.strata import (handlebody_representation,

@@ -9,9 +9,8 @@ from su2strata import su2, torsion
 from su2strata.errors import DomainError, ExactnessError
 from su2strata.presentations import Representation, free_group
 from su2strata.strata import classify_stratum, sample_stratum
-from su2strata.torsion import (MetricSequence, TorsionValue,
-                               mayer_vietoris_torsion, sequence_torsion,
-                               stratum_volume)
+from su2strata.torsion import (MetricSequence, mayer_vietoris_torsion,
+                               sequence_torsion, stratum_volume)
 
 import oracles
 

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no
-package attribute shadows a submodule.
+"""No module of the package or of its tests imports a name it never
+uses, and no package attribute shadows a submodule.
 
 A stand-in for a linter's unused-import rule, read from each module's
 syntax tree: an imported name must appear as a name somewhere else in
@@ -14,9 +14,9 @@ import types
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "su2strata")
-MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "su2strata", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "tests", "*.py")))
 
 
 def unused_imports(source: str) -> list:
