@@ -19,7 +19,7 @@ print("generators:", pres.generators)
 print("relator:", pres.relators[0].letters)
 
 rng = np.random.default_rng(7)
-imgs = np.array([su2.random_element(rng) for _ in range(4)])
+imgs = su2.random_element(rng, (4,))
 imgs = polish_images(pres, imgs)  # Gauss-Newton onto the relator variety
 rep = Representation(pres, imgs)
 print("relator residual after polish:", rep.relator_residual)

@@ -35,7 +35,7 @@ worst = max(abs(goldman_form(rep, cob, b)) for b in basis)
 print("max pairing against a coboundary:", worst)
 
 # the handlebody locus b_i -> identity is isotropic
-free_imgs = np.array([su2.random_element(rng) for _ in range(g)])
+free_imgs = su2.random_element(rng, (g,))
 hrep = handlebody_representation(Representation(free_group(g), free_imgs))
 pulled = []
 for j in range(g):

@@ -28,7 +28,7 @@ rng = np.random.default_rng(0)
 
 counts = {0: 0, 1: 0, 3: 0}
 for _ in range(500):
-    images = np.array([su2.random_element(rng) for _ in range(g)])
+    images = su2.random_element(rng, (g,))
     counts[classify_stratum(Representation(pres, images)).i] += 1
 print("census of 500 Haar tuples at g=3:", counts)
 print()

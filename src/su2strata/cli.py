@@ -230,8 +230,8 @@ def _cmd_strata_scan(args) -> dict:
     # stratum share `stratum_tangent_dim`, read from their label
     chunk = max(1, _SCAN_BUDGET // g**2)
     for start in range(0, args.samples, chunk):
-        images = np.array([[su2.random_element(rng) for _ in range(g)]
-                           for _ in range(min(chunk, args.samples - start))])
+        images = su2.random_element(
+            rng, (min(chunk, args.samples - start), g))
         summaries = _system_cohomologies(
             [full_system(raised(rep))
              for rep in _representations(pres, images)], args.tol)
@@ -272,7 +272,7 @@ def _cmd_symplectic_check(args) -> dict:
         cob = max(cob, float(np.abs(cobc @ W @ basis_h1).max()))
         # handlebody-locus tangents pass through the b -> 1 embedding: the
         # a-generator coordinates, the first 3g of the surface's 6g
-        free_imgs = np.array([su2.random_element(rng) for _ in range(g)])
+        free_imgs = su2.random_element(rng, (g,))
         hrep = handlebody_representation(Representation(free_pres, free_imgs))
         GH = pairing_matrix(hrep)[:3 * g, :3 * g]
         iso = max(iso, float(np.abs(GH).max()))

@@ -163,7 +163,7 @@ def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarr
 def pullback_matrix(source_sys: CoefficientSystem, word_map) -> np.ndarray:
     """Matrix of u -> (u(w) for w in word_map): the words' Fox rows in
     the source system's basis, stacked.  The folds are the source
-    representation's kept ones, shared with `Representation.evaluate`."""
+    representation's kept ones, from `Representation.fold`."""
     J = np.array([source_sys.rep.fold(w)[1] for w in word_map])
     return _in_basis(np.array([source_sys.basis]),
                      J.reshape(1, -1, 3 * source_sys.n))[0]

@@ -37,8 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,13 +64,12 @@ class HeegaardData:
     surface_to_handle* give the image of each surface generator as a
     word in that handlebody's free generators; handle*_to_manifold give
     the image of each handlebody generator as a word in the manifold
-    presentation's generators.
+    presentation's generators.  The handlebodies are free(g) and the
+    surface is surface(g).
     """
 
     genus: int
     presentation_n: Presentation
-    handle1_generators: tuple
-    handle2_generators: tuple
     surface_to_handle1: tuple
     surface_to_handle2: tuple
     handle1_to_manifold: tuple
@@ -83,23 +81,12 @@ class HeegaardData:
         for f in fields(self)[2:]:
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         g = self.genus
-        if len(self.handle1_generators) != g or \
-                len(self.handle2_generators) != g:
-            raise DomainError("each handlebody needs exactly genus generators")
         if len(self.surface_to_handle1) != 2 * g or \
                 len(self.surface_to_handle2) != 2 * g:
             raise DomainError("surface maps need 2*genus entries")
         if len(self.handle1_to_manifold) != g or \
                 len(self.handle2_to_manifold) != g:
             raise DomainError("manifold maps need genus entries")
-
-    @cached_property
-    def presentations(self) -> tuple:
-        """The handle-1, handle-2 and surface presentations, built once
-        per splitting."""
-        return (_free_presentation(self.handle1_generators),
-                _free_presentation(self.handle2_generators),
-                surface_group(self.genus))
 
 
 @dataclass(frozen=True)
@@ -235,10 +222,6 @@ def deduplicate_points(points):
 
 # -- Heegaard Mayer-Vietoris pipeline ---------------------------------
 
-def _free_presentation(names) -> Presentation:
-    return Presentation(tuple(names), (), "free", len(names))
-
-
 def _stratum_systems(reps, labels, summaries, tol: float) -> tuple:
     """The coefficients each rep's label picks, made once from its
     full-coefficient summary, and the summary of that system: the full
@@ -278,7 +261,7 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
     rows = [i for i, b in enumerate(out) if not isinstance(b, Exception)]
     if not rows:
         return out
-    h1_pres, h2_pres, s_pres = heegaard.presentations
+    handle, s_pres = free_group(heegaard.genus), surface_group(heegaard.genus)
     images = np.array([n_reps[i].images for i in rows])
     q1, fox1 = _fold_words(images, heegaard.handle1_to_manifold)
     q2, fox2 = _fold_words(images, heegaard.handle2_to_manifold)
@@ -288,8 +271,8 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
     # a rep's first error, in the order a lone call meets them
     systems = []
     for r, (i, h1, h2, gap, sigma) in enumerate(zip(
-            rows, _representations(h1_pres, q1),
-            _representations(h2_pres, q2), gaps,
+            rows, _representations(handle, q1),
+            _representations(handle, q2), gaps,
             _representations(s_pres, via1))):
         if isinstance(h1, Exception) or isinstance(h2, Exception):
             out[i] = h1 if isinstance(h1, Exception) else h2
@@ -386,8 +369,6 @@ def lens_heegaard(p: int, q: int) -> HeegaardData:
     return HeegaardData(
         genus=1,
         presentation_n=cyclic_group(p),
-        handle1_generators=("x",),
-        handle2_generators=("y",),
         surface_to_handle1=(x, Word()),
         surface_to_handle2=(x ** q, x ** (-p)),
         handle1_to_manifold=(generator(0),),
@@ -400,8 +381,6 @@ def s1xs2_heegaard() -> HeegaardData:
     return HeegaardData(
         genus=1,
         presentation_n=free_group(1),
-        handle1_generators=("x",),
-        handle2_generators=("y",),
         surface_to_handle1=(x, Word()),
         surface_to_handle2=(x, Word()),
         handle1_to_manifold=(generator(0),),
@@ -413,7 +392,7 @@ def t3_presentation() -> Presentation:
     rels = (commutator(generator(0), generator(1)),
             commutator(generator(0), generator(2)),
             commutator(generator(1), generator(2)))
-    return Presentation(gens, rels, "custom", 0)
+    return Presentation(gens, rels)
 
 
 def _grid_size(example: str, samples: int, points: int) -> int:
@@ -572,13 +551,10 @@ def apply_value_table(points, table, field: str):
         if field == "torsion" and v <= 0:
             raise InputError("torsion values must be positive")
         values.update(dict.fromkeys(hits, v))
-    cs = field == "cs"
     for i, v in values.items():
-        pt = points[i]
-        points[i] = ModuliPoint(
-            pt.point_id, pt.rep, pt.stratum, pt.component_dim, pt.weight,
-            pt.fingerprint, v % 1.0 if cs else pt.cs_value,
-            pt.torsion if cs else TorsionValue(v, math.log(v)), pt.clean)
+        points[i] = (replace(points[i], cs_value=v % 1.0) if field == "cs"
+                     else replace(points[i],
+                                  torsion=TorsionValue(v, math.log(v))))
     return points
 
 

@@ -125,7 +125,6 @@ class Presentation:
     generators: tuple
     relators: tuple
     kind: str = "custom"
-    parameter: int = 0  # genus for free/surface kinds, p for cyclic
 
     def __post_init__(self):
         object.__setattr__(self, "generators", _check_names(self.generators))
@@ -158,20 +157,20 @@ def _surface_relator(g: int) -> Word:
 def free_group(g: int) -> Presentation:
     if g < 1:
         raise PresentationError("free group needs g >= 1")
-    return Presentation(tuple(f"x{i+1}" for i in range(g)), (), "free", g)
+    return Presentation(tuple(f"x{i+1}" for i in range(g)), (), "free")
 
 
 @functools.lru_cache(maxsize=64)
 def surface_group(g: int) -> Presentation:
     if g < 1:
         raise PresentationError("surface group needs g >= 1")
-    return Presentation(_surface_names(g), (_surface_relator(g),), "surface", g)
+    return Presentation(_surface_names(g), (_surface_relator(g),), "surface")
 
 
 def cyclic_group(p: int) -> Presentation:
     if p < 1:
         raise PresentationError("cyclic group needs p >= 1")
-    return Presentation(("a",), (generator(0) ** p,), "cyclic", p)
+    return Presentation(("a",), (generator(0) ** p,), "cyclic")
 
 
 def circle_times_surface_group(g: int) -> Presentation:
@@ -182,7 +181,7 @@ def circle_times_surface_group(g: int) -> Presentation:
     c = generator(2 * g)
     relators = (_surface_relator(g),)
     relators += tuple(commutator(c, generator(i)) for i in range(2 * g))
-    return Presentation(names, relators, "circle_times_surface", g)
+    return Presentation(names, relators, "circle_times_surface")
 
 
 class Representation:
@@ -231,9 +230,6 @@ class Representation:
         images = np.tile(su2.identity(), (n, 1))
         return cls(presentation, images)
 
-    def evaluate(self, word: Word) -> np.ndarray:
-        return self.fold(word)[0]
-
     def fold(self, word: Word):
         """(q, J) of a word's `fox_fold` at these images, kept read-only,
         so the holonomy and the Fox row of one word share one fold."""
@@ -247,10 +243,6 @@ class Representation:
         for one stacked call, and 3% less over free groups of rank 2..8."""
         return kept(self, "adjoints", lambda: _read_only(np.array(
             [su2.ad(x) for x in self.images]).reshape(-1, 3, 3)))
-
-    def conjugated(self, q: np.ndarray) -> "Representation":
-        return Representation(self.presentation,
-                              su2.conjugate(self.images, q), tol=np.inf)
 
 
 def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
@@ -530,26 +522,28 @@ def fox_jacobian_at(rep: Representation) -> np.ndarray:
     return rep._jacobian
 
 
-def polish_images(presentation: Presentation, images,
-                  max_iter: int = 60) -> np.ndarray:
+def polish_images(presentation: Presentation, images) -> np.ndarray:
     """Gauss-Newton projection onto the relator-satisfying set: the
     images of `polish`'s representation."""
-    return np.array(polish(presentation, images, max_iter).images)
+    return np.array(polish(presentation, images).images)
 
 
-def polish(presentation: Presentation, images,
-           max_iter: int = 60) -> Representation:
+_POLISH_STEPS = 60
+
+
+def polish(presentation: Presentation, images) -> Representation:
     """Gauss-Newton projection onto the relator-satisfying set.
 
     Flows images by exp(u_j) * x_j where u solves the Fox-Jacobian
-    least-squares system against the relator logarithms.  Backtracks
-    when a step does not decrease the residual.  Each candidate's
-    residual, relator logarithms and Jacobian come from one fold.  The
-    last candidate is returned if its residual is within POLISH_TOL;
-    otherwise, a NaN residual included, polish raises ResidualError.
+    least-squares system against the relator logarithms, for at most
+    _POLISH_STEPS steps.  Backtracks when a step does not decrease the
+    residual.  Each candidate's residual, relator logarithms and
+    Jacobian come from one fold.  The last candidate is returned if its
+    residual is within POLISH_TOL; otherwise, a NaN residual included,
+    polish raises ResidualError.
     """
     rep = Representation(presentation, images, tol=np.inf)
-    for _ in range(max_iter):
+    for _ in range(_POLISH_STEPS):
         if rep.relator_residual <= POLISH_TOL:
             break
         F = np.concatenate([su2.log(q) for q in rep.relator_values])
@@ -603,8 +597,16 @@ def _json_float(value, other=math.nan) -> float:
         return other
 
 
-_KIND_FIELDS = {"free": "genus", "surface": "genus", "cyclic": "p",
-                "circle_times_surface": "genus", "custom": None}
+# kind -> (its parameter's JSON field, its constructor, its generator count);
+# a custom presentation has no parameter and any relators
+_KINDS = {
+    "free": ("genus", free_group, lambda g: g),
+    "surface": ("genus", surface_group, lambda g: 2 * g),
+    "cyclic": ("p", cyclic_group, lambda p: 1),
+    "circle_times_surface": ("genus", circle_times_surface_group,
+                             lambda g: 2 * g + 1),
+    "custom": None,
+}
 
 
 def presentation_from_json(data: dict) -> Presentation:
@@ -617,37 +619,23 @@ def presentation_from_json(data: dict) -> Presentation:
             raise PresentationError(f"{what} must be a list of strings")
     names = _check_names(names)
     kind = data.get("kind", "custom")
-    if kind not in _KIND_FIELDS:
+    if kind not in _KINDS:
         raise PresentationError(f"unknown kind {kind!r}")
     rels = tuple(parse_word(t, names) for t in texts)
-    field = _KIND_FIELDS[kind]
-    param = data.get(field, 0) if field else 0
+    if kind == "custom":
+        return Presentation(names, rels)
+    field, build, count = _KINDS[kind]
+    param = data.get(field, 0)
     if type(param) is not int:
         raise PresentationError(f"{field} must be an integer, got {param!r}")
-    pres = Presentation(names, rels, kind, param)
-    _validate_kind_structure(pres)
+    pres = Presentation(names, rels, kind)
+    # relators of a named kind must be the canonical ones (names are
+    # free, structure is not); the generator count the parameter
+    # implies is checked first, so no canonical presentation is built
+    # for a parameter the generators do not match
+    if len(names) != count(param) or rels != build(param).relators:
+        raise PresentationError(f"relators do not match the {kind} structure")
     return pres
-
-
-def _validate_kind_structure(pres: Presentation):
-    """Relators of a named kind must be the canonical ones (names are
-    free, structure is not).  The generator count the parameter implies
-    is checked first, so no canonical presentation is built for a
-    parameter the generators do not match."""
-    builders = {
-        "free": (free_group, lambda g: g),
-        "surface": (surface_group, lambda g: 2 * g),
-        "cyclic": (cyclic_group, lambda p: 1),
-        "circle_times_surface": (circle_times_surface_group,
-                                 lambda g: 2 * g + 1),
-    }
-    if pres.kind not in builders:
-        return
-    build, count = builders[pres.kind]
-    if pres.num_generators != count(pres.parameter) or \
-            pres.relators != build(pres.parameter).relators:
-        raise PresentationError(
-            f"relators do not match the {pres.kind} structure")
 
 
 def representation_from_json(data: dict, pres: Presentation,

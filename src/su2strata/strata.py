@@ -138,14 +138,16 @@ def handlebody_representation(free_rep: Representation) -> Representation:
     return Representation(surface_group(g), images)
 
 
-def sample_stratum(g: int, i: int, seed: int,
-                   tol: float = DEFAULT_TOL,
-                   max_tries: int = 100) -> Representation:
+_SAMPLE_TRIES = 100
+
+
+def sample_stratum(g: int, i: int, seed: int) -> Representation:
     """Deterministic sample from stratum i of the free(g) tuple space.
 
     i = 0 returns the trivial tuple, i = 1 a common-axis tuple with
     random angles, i = 3 a Haar tuple; i = 1 and i = 3 draws are
-    rejection-sampled until the classifier confirms the stratum.
+    rejection-sampled, at most _SAMPLE_TRIES times, until the
+    classifier confirms the stratum at DEFAULT_TOL.
     """
     if g < 1:
         raise DomainError("need g >= 1")
@@ -155,21 +157,21 @@ def sample_stratum(g: int, i: int, seed: int,
     if i == 0:
         return Representation.trivial(pres)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, g, i]))
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         if i == 1:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             angles = rng.uniform(0.2, np.pi - 0.2, size=g)
             images = su2.exp(angles[:, None] * axis)
         else:
-            images = np.array([su2.random_element(rng) for _ in range(g)])
+            images = su2.random_element(rng, (g,))
         rep = Representation(pres, images)
         try:
-            if classify_stratum(rep, tol).i == i:
+            if classify_stratum(rep).i == i:
                 return rep
         except (BoundaryAmbiguousError, StratumConflictError):
             continue
-    raise SamplingError(f"no stratum-{i} sample in {max_tries} tries")
+    raise SamplingError(f"no stratum-{i} sample in {_SAMPLE_TRIES} tries")
 
 
 def sample_surface_representation(g: int, seed: int,
@@ -179,7 +181,7 @@ def sample_surface_representation(g: int, seed: int,
     pres = surface_group(g)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, g, 99]))
     for _ in range(40):
-        images = np.array([su2.random_element(rng) for _ in range(2 * g)])
+        images = su2.random_element(rng, (2 * g,))
         try:
             rep = polish(pres, images)
             if classify_stratum(rep, tol).i == 3:

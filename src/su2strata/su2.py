@@ -200,7 +200,10 @@ def trace_pairing(x: np.ndarray, q: np.ndarray) -> float:
     return -2.0 * float(np.dot(x, q[1:]))
 
 
-def random_element(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed group element (normalized 4-dim Gaussian)."""
-    q = rng.normal(size=4)
-    return q / np.linalg.norm(q)
+def random_element(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Haar-distributed group elements (normalized 4-dim Gaussians), an
+    array of the given shape of them, (*shape, 4).  The draws fill the
+    array in C order, and a norm is the square root of `np.vecdot`, as
+    in `exp`, so a stack equals that many lone draws bit for bit."""
+    q = rng.normal(size=(*shape, 4))
+    return q / np.sqrt(np.vecdot(q, q))[..., None]

@@ -33,14 +33,11 @@ from .errors import DomainError, ExactnessError
 from .presentations import Representation, raised
 from .strata import classify_stratum
 
-_CONVENTION = "odd-position maps to numerator"
-
 
 @dataclass(frozen=True)
 class TorsionValue:
     value: float
     log_value: float
-    convention_note: str = _CONVENTION
 
 
 @dataclass(frozen=True)

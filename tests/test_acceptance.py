@@ -24,7 +24,8 @@ from su2strata import su2
 from su2strata.cohomology import (build_d0, cohomology, restrict_coefficients)
 from su2strata.invariants import enumerate_moduli, stationary_phase_sum
 from su2strata.presentations import (Representation, Word,
-                                     circle_times_surface_group, free_group)
+                                     circle_times_surface_group,
+                                     evaluate_images, free_group)
 from su2strata.strata import (classify_stratum, handlebody_representation,
                               sample_stratum, sample_surface_representation,
                               stratum_tangent_dim)
@@ -158,8 +159,7 @@ def test_acceptance_06_trace_derivative_fd():
         def flowed(t):
             imgs = np.array([su2.multiply(su2.exp(t * u[j]), rep.images[j])
                              for j in range(g)])
-            return su2.trace(
-                Representation(pres, imgs, tol=np.inf).evaluate(w))
+            return su2.trace(evaluate_images(imgs, w))
 
         exact = trace_derivative(rep, w, u)
         fd = oracles.central_difference(flowed, 1e-5)

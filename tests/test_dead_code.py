@@ -1,14 +1,19 @@
-"""No module-level function or class of the package goes unused.
+"""No function, class or class member of the package goes unused.
 
 A stand-in for a linter's dead-code rule, read from the syntax trees of
 every module.  A function or class defined at a module's top level is
 named when some top-level statement of the package other than its own
-definition names it, as a name read at module level, an attribute or
-an import, so a helper that only calls itself counts as unused, and so
-does one whose name is elsewhere only stored or a function's local.
-Two rules read that one walk:
+definition names it: as a name read at module level, as `<module>.<name>`
+read through its own module, or in an import.  So a helper that only
+calls itself counts as unused, and so does one whose name is elsewhere
+only stored, a function's local, or the attribute of something else.
+A member of a class (a method or property, a class attribute, a
+dataclass field or a `__slots__` entry; dunders aside) is named when
+some statement of the package outside its own definition reads it as
+an attribute, `x.name`.  Two rules read that one walk:
 
-- a private (`_name`) one must be named;
+- a private one (`_name`, or a member of a private class) must be
+  named;
 - a public one must be named, or be on SURFACE, which says who outside
   the package uses it.  An entry that is gone, or that the package now
   names, is stale.  An entry that only the bench uses must be a traced
@@ -19,6 +24,7 @@ Two rules read that one walk:
 import ast
 import glob
 import os
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "su2strata")
@@ -26,13 +32,15 @@ MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
 SPANS = os.path.join(ROOT, "bench", "spans.py")
 
 BENCH = "bench only"
-# `<module>.<name>` -> who uses it
+# `<module>.<name>` or `<module>.<class>.<member>` -> who uses it
 SURFACE = {
     "su2.trace": "demos/quaternion_tour.py",
+    "presentations.Word.letters": "README, demos/fox_jacobian.py",
     "presentations.polish_images": "README tour, demos/fox_jacobian.py",
     "strata.sample_stratum": "acceptance tests, demos/strata_census.py",
     "symplectic.goldman_form": "demos/goldman_audit.py",
     "symplectic.trace_derivative": "acceptance test 06",
+    "presentations.relator_residual": BENCH,
     "cohomology.system_d1": BENCH,
     "cohomology.cocycle_value": BENCH,
     "cohomology.pullback_cocycle": BENCH,
@@ -42,11 +50,12 @@ SURFACE = {
 }
 
 
-def _names(node) -> set:
+def _names(node, modules) -> set:
     """Every identifier a statement reads at module level: a name read
-    where no enclosing function binds it, an attribute, or a `from`
-    import.  A name only stored, or read as a function's local, does
-    not count."""
+    where no enclosing function binds it, `<module>.<name>` for an
+    attribute read of one of `modules`, or a `from` import.  A name only
+    stored, read as a function's local or read as the attribute of
+    anything else does not count."""
     out = set()
 
     def visit(sub, local):
@@ -56,7 +65,9 @@ def _names(node) -> set:
             if isinstance(sub.ctx, ast.Load) and sub.id not in local:
                 out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            if isinstance(sub.ctx, ast.Load) and isinstance(
+                    sub.value, ast.Name) and sub.value.id in modules:
+                out.add(f"{sub.value.id}.{sub.attr}")
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
         for child in ast.iter_child_nodes(sub):
@@ -91,26 +102,71 @@ def _locals(fn) -> set:
     return bound - declared
 
 
+def _reads(node) -> Counter:
+    """How often a node reads each attribute, `x.name` in Load context."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def _members(cls) -> list:
+    """(line, name, node) of each member a class body defines, dunders
+    aside: its methods and properties, its class attributes and
+    dataclass fields, and the names in its `__slots__`."""
+    out = []
+    for node in cls.body:
+        names = []
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.AnnAssign):
+            names = [ast.unparse(node.target)]
+        elif isinstance(node, ast.Assign):
+            names = [ast.unparse(t) for t in node.targets]
+            if names == ["__slots__"]:
+                names = list(ast.literal_eval(node.value))
+        out += [(node.lineno, name, node) for name in names
+                if not name.startswith("__")]
+    return out
+
+
 def definitions(sources: dict) -> list:
     """((module, line, name), named) for each top-level function or
-    class of `sources`, dunders aside: named is whether another
-    top-level statement names it."""
+    class of `sources`, and as `<class>.<member>` for each member of
+    such a class, dunders aside.  named is whether another top-level
+    statement names the function or class, or whether a statement
+    outside the member's own definition reads the member."""
+    modules = {module[:-3] for module in sources}
     statements = [(module, stmt) for module, source in sources.items()
                   for stmt in ast.parse(source).body]
-    named = [_names(stmt) for _, stmt in statements]
-    return [((module, stmt.lineno, stmt.name),
-             any(stmt.name in names for j, names in enumerate(named)
-                 if j != k))
-            for k, (module, stmt) in enumerate(statements)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("__")]
+    named = [_names(stmt, modules) for _, stmt in statements]
+    reads = sum(map(_reads, (stmt for _, stmt in statements)), Counter())
+    out = []
+    for k, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or \
+                stmt.name.startswith("__"):
+            continue
+        keys = {stmt.name, f"{module[:-3]}.{stmt.name}"}
+        out.append(((module, stmt.lineno, stmt.name),
+                    any(keys & names for j, names in enumerate(named)
+                        if j != k)))
+        if isinstance(stmt, ast.ClassDef):
+            out += [((module, line, f"{stmt.name}.{name}"),
+                     reads[name] > _reads(node)[name])
+                    for line, name, node in _members(stmt)]
+    return out
+
+
+def _private(name: str) -> bool:
+    """Whether a function, class or `<class>.<member>` is private: its
+    name, or its class's, starts with an underscore."""
+    return any(part.startswith("_") for part in name.split("."))
 
 
 def unused_privates(sources: dict) -> list:
-    """(module, line, name) of each private top-level function or class
-    that no other top-level statement of `sources` names."""
+    """(module, line, name) of each private definition that nothing
+    else in `sources` names."""
     return sorted(d for d, named in definitions(sources)
-                  if d[2].startswith("_") and not named)
+                  if _private(d[2]) and not named)
 
 
 def surface_breaches(sources: dict, surface: dict, traced: dict) -> list:
@@ -119,11 +175,11 @@ def surface_breaches(sources: dict, surface: dict, traced: dict) -> list:
     entry, and each bench-only entry that `traced` lacks."""
     public = {f"{module[:-3]}.{name}": named
               for (module, _, name), named in definitions(sources)
-              if not name.startswith("_")}
+              if not _private(name)}
     out = [f"{q} is unused" for q, named in public.items()
            if not named and q not in surface]
     for q, user in surface.items():
-        module, name = q.split(".")
+        module, name = q.split(".", 1)
         if q not in public:
             out.append(f"{q} is listed but gone")
         elif public[q]:
@@ -168,14 +224,21 @@ def test_an_unused_private_helper_is_found():
                  "def _imported():\n    pass\n"
                  "def _argument():\n    pass\n"
                  "def _by_attribute():\n    pass\n"
-                 "x = module._by_attribute\n"
+                 "x = b._by_attribute\n"
                  "def _shadowed():\n    pass\n"
-                 "def f(_argument):\n    _shadowed = _argument\n    return _shadowed\n"),
+                 "def f(_argument):\n    _shadowed = _argument\n    return _shadowed\n"
+                 "def _by_other():\n    pass\n"
+                 "y = rep._by_other\n"
+                 "class _Box:\n    size = 1\n"
+                 "    def _peek(self):\n        return self.size\n"
+                 "box = _Box()\n"),
     }
     assert unused_privates(sources) == [("a.py", 3, "_recursive"),
                                         ("a.py", 5, "_Orphan"),
                                         ("b.py", 4, "_argument"),
-                                        ("b.py", 9, "_shadowed")]
+                                        ("b.py", 9, "_shadowed"),
+                                        ("b.py", 14, "_by_other"),
+                                        ("b.py", 19, "_Box._peek")]
 
 
 def test_an_unlisted_stale_or_untraced_public_name_is_found():
@@ -187,12 +250,25 @@ def test_an_unlisted_stale_or_untraced_public_name_is_found():
                  "def benched():\n    pass\n"
                  "class Untraced:\n    pass\n"),
         "b.py": "from .a import imported\ndef imported():\n    pass\n",
+        "c.py": ("@dataclass\nclass Point:\n    x: float\n"
+                 "    dead: float = 0.0\n"
+                 "    def norm(self):\n        return abs(self.x)\n"
+                 "    def dead_method(self):\n"
+                 "        return self.dead_method()\n"
+                 "def residual():\n    pass\n"
+                 "p = Point(1.0)\n"
+                 "y = p.norm() + p.residual\n"),
     }
     surface = {"a.listed": "README", "a.helper": "README",
-               "a.gone": "demo", "a.benched": BENCH, "a.Untraced": BENCH}
+               "a.gone": "demo", "a.benched": BENCH, "a.Untraced": BENCH,
+               "c.Point.norm": "README"}
     assert surface_breaches(sources, surface, {"a": ("benched",)}) == [
         "a.Untraced is listed for the bench but not traced",
         "a.extra is unused",
         "a.gone is listed but gone",
         "a.helper is listed but named in the package",
-        "a.orphan is unused"]
+        "a.orphan is unused",
+        "c.Point.dead is unused",
+        "c.Point.dead_method is unused",
+        "c.Point.norm is listed but named in the package",
+        "c.residual is unused"]

@@ -98,10 +98,14 @@ def test_each_heegaard_system_is_analysed_once(analysed, example, heegaard,
         basis = (np.eye(3) if pt.stratum.i == 3
                  else stabilizer_axis(pt.rep).reshape(3, 1))
         assert counts[id(pt.rep), basis.tobytes()] == 1
-    # ... and one handle-1, one handle-2 and one surface system for it
-    made = Counter(rep.presentation for call in analysed for rep, _ in call
-                   if rep.presentation != heegaard.presentation_n)
-    assert made == {pres: len(noncentral) for pres in heegaard.presentations}
+    # ... and, in the splitting's one analysis, two free(g) handle
+    # systems and one surface system for it
+    (splitting,) = [call for call in analysed if any(
+        rep.presentation.kind == "surface" for rep, _ in call)]
+    g = heegaard.genus
+    made = Counter(rep.presentation for rep, _ in splitting)
+    assert made == {free_group(g): 2 * len(noncentral),
+                    surface_group(g): len(noncentral)}
 
 
 def test_a_failing_heegaard_system_is_analysed_once(monkeypatch):
@@ -282,8 +286,8 @@ def test_a_splitting_given_as_lists_keys_like_its_tuple_twin():
     # a lone torsion is kept per splitting, so its sequences must hash
     lens = lens_heegaard(7, 3)
     listed = replace(lens, **{f: list(getattr(lens, f)) for f in (
-        "handle1_generators", "handle2_generators", "surface_to_handle1",
-        "surface_to_handle2", "handle1_to_manifold", "handle2_to_manifold")})
+        "surface_to_handle1", "surface_to_handle2", "handle1_to_manifold",
+        "handle2_to_manifold")})
     assert listed == lens and hash(listed) == hash(lens)
     rep = lens_rep(7, 1)
     assert heegaard_mv_torsion(listed, rep) == heegaard_mv_torsion(lens, rep)

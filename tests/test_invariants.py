@@ -32,6 +32,11 @@ def lens_rep(p, n):
                           [su2.exp(2 * math.pi * n / p * AXIS)])
 
 
+def _conjugated(rep, q):
+    return Representation(rep.presentation, su2.conjugate(rep.images, q),
+                          tol=np.inf)
+
+
 # -- fingerprints and conjugators ---------------------------------------
 
 def test_fingerprint_is_conjugation_invariant():
@@ -39,7 +44,7 @@ def test_fingerprint_is_conjugation_invariant():
     rep = Representation(
         free_group(3), np.array([su2.random_element(rng) for _ in range(3)]))
     q = su2.random_element(rng)
-    assert trace_fingerprint(rep) == trace_fingerprint(rep.conjugated(q))
+    assert trace_fingerprint(rep) == trace_fingerprint(_conjugated(rep, q))
 
 
 def test_fingerprint_separates_lens_points():
@@ -54,10 +59,10 @@ def test_find_conjugator_on_random_pairs():
             free_group(2),
             np.array([su2.random_element(rng) for _ in range(2)]))
         q = su2.random_element(rng)
-        found = find_conjugator(rep, rep.conjugated(q))
+        found = find_conjugator(rep, _conjugated(rep, q))
         assert found is not None
-        assert np.abs(rep.conjugated(found).images
-                      - rep.conjugated(q).images).max() < 1e-7
+        assert np.abs(_conjugated(rep, found).images
+                      - _conjugated(rep, q).images).max() < 1e-7
 
 
 def test_find_conjugator_rejects_nonconjugate():
@@ -87,7 +92,7 @@ def test_deduplicate_merges_conjugates_only():
     rng = np.random.default_rng(2)
     rep = Representation(
         free_group(2), np.array([su2.random_element(rng) for _ in range(2)]))
-    twin = rep.conjugated(su2.random_element(rng))
+    twin = _conjugated(rep, su2.random_element(rng))
     other = Representation(
         free_group(2), np.array([su2.random_element(rng) for _ in range(2)]))
     points = [_point("a", rep), _point("b", twin), _point("c", other)]
@@ -109,7 +114,7 @@ def test_deduplicate_merges_every_conjugate(seed, half_point):
         first = np.array([w, *(math.sqrt(1.0 - w * w) * axis)])
     rep = Representation(free_group(2),
                          np.array([first, su2.random_element(rng)]))
-    twin = rep.conjugated(su2.random_element(rng))
+    twin = _conjugated(rep, su2.random_element(rng))
     points = [_point("a", rep), _point("b", twin)]
     merged = deduplicate_points(points)
     assert [p.point_id for p in merged] == ["a"]
@@ -123,8 +128,8 @@ def test_deduplicate_is_the_point_by_point_rule_on_a_chart_with_twins(seed):
     # twins round up to a step apart, so every window of the matcher runs
     rng = np.random.default_rng(seed)
     chart = enumerate_moduli("t3", samples=4)
-    twins = [_point(f"twin{k}", chart[k].rep.conjugated(
-                 su2.random_element(rng)))
+    twins = [_point(f"twin{k}", _conjugated(chart[k].rep,
+                                            su2.random_element(rng)))
              for k in rng.choice(len(chart), 12, replace=False)]
     points = [*chart, *twins]
     points = [points[k] for k in rng.permutation(len(points))]
@@ -159,10 +164,10 @@ def test_find_conjugator_solves_conjugates_and_refuses_others(
         seed, kind, other_kind, n, log_eps):
     rng = np.random.default_rng(seed)
     rep = _tuple(kind, n, rng)
-    twin = rep.conjugated(su2.random_element(rng))
+    twin = _conjugated(rep, su2.random_element(rng))
     p = find_conjugator(rep, twin)
     assert p is not None
-    assert np.abs(rep.conjugated(p).images - twin.images).max() < 1e-7
+    assert np.abs(_conjugated(rep, p).images - twin.images).max() < 1e-7
     # an independent tuple, and the twin with one image moved off it
     moved = twin.images.copy()
     step = rng.normal(size=3)
@@ -181,9 +186,11 @@ def test_find_conjugator_solves_conjugates_and_refuses_others(
 
 def test_heegaard_data_validation():
     x = generator(0)
-    with pytest.raises(DomainError):
-        HeegaardData(1, cyclic_group(2), ("x", "y"), ("z",), (x, Word()),
-                     (x, Word()), (x,), (x,))
+    with pytest.raises(DomainError, match="surface maps"):
+        HeegaardData(1, cyclic_group(2), (x,), (x, Word()), (x,), (x,))
+    with pytest.raises(DomainError, match="manifold maps"):
+        HeegaardData(1, cyclic_group(2), (x, Word()), (x, Word()), (x, x),
+                     (x,))
 
 
 def test_heegaard_parts_agree_on_surface(monkeypatch):
@@ -383,7 +390,7 @@ def test_unknown_example():
 def test_explicit_candidates_validate_relators():
     pres = cyclic_group(4)
     rep = Representation(pres, [su2.exp(math.pi / 2 * AXIS)])
-    twin = rep.conjugated(su2.random_element(np.random.default_rng(3)))
+    twin = _conjugated(rep, su2.random_element(np.random.default_rng(3)))
     pts = deduplicate_points([_point("a", rep), _point("b", twin)])
     assert len(pts) == 1 and pts[0].stratum.i == 1
     with pytest.raises(ResidualError):
@@ -642,7 +649,7 @@ def test_conjugation_leaves_invariant_data_unchanged():
     q = su2.random_element(np.random.default_rng(3))
     heegaard = lens_heegaard(5, 1)
     for pt in pts:
-        conj = pt.rep.conjugated(q)
+        conj = _conjugated(pt.rep, q)
         assert trace_fingerprint(conj) == pt.fingerprint
         if pt.stratum.i == 1:
             t = heegaard_mv_torsion(heegaard, conj)

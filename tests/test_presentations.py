@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from su2strata import su2
+from su2strata import presentations, su2
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.presentations import (Presentation, Representation,
                                      Word, circle_times_surface_group,
@@ -206,8 +206,7 @@ def fd_relator_jacobian(pres, images, t):
                 step = np.zeros(3)
                 step[c] = sign * t
                 bumped[j] = su2.multiply(su2.exp(step), images[j])
-                rep = Representation(pres, bumped, tol=np.inf)
-                F = np.concatenate([su2.log(rep.evaluate(r))
+                F = np.concatenate([su2.log(evaluate_images(bumped, r))
                                     for r in pres.relators])
                 J[:, 3 * j + c] += sign * F / (2 * t)
     return J
@@ -286,10 +285,11 @@ def test_trivial_representation():
 def test_conjugated_representation():
     rep = _surface_rep(seed=3)
     q = su2.random_element(np.random.default_rng(9))
-    conj = rep.conjugated(q)
+    conj = Representation(rep.presentation, su2.conjugate(rep.images, q),
+                          tol=np.inf)
     w = Word((1, 3, -2))
-    assert np.allclose(conj.evaluate(w),
-                       su2.conjugate(rep.evaluate(w), q), atol=1e-10)
+    assert np.allclose(conj.fold(w)[0],
+                       su2.conjugate(rep.fold(w)[0], q), atol=1e-10)
 
 
 def test_representation_owns_read_only_images():
@@ -338,13 +338,14 @@ def test_polish_recovers_residual():
     assert relator_residual(pres, fixed) <= 1e-12
 
 
-def test_polish_stalls_on_impossible_data():
+def test_polish_stalls_on_impossible_data(monkeypatch):
     # cyclic(2) wants a^2 = 1; an angle far from any solution still
-    # converges (the set is reachable), so use max_iter starvation
+    # converges (the set is reachable), so starve polish of steps
+    monkeypatch.setattr(presentations, "_POLISH_STEPS", 0)
     pres = cyclic_group(2)
     bad = su2.exp(0.7 * np.array([1.0, 0, 0]))
     with pytest.raises(ResidualError):
-        polish_images(pres, np.array([bad]), max_iter=0)
+        polish_images(pres, np.array([bad]))
 
 
 # -- JSON --------------------------------------------------------------

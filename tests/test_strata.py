@@ -4,8 +4,8 @@ import pytest
 from su2strata import presentations, strata, su2
 from su2strata.errors import (BoundaryAmbiguousError, DomainError,
                               SamplingError)
-from su2strata.presentations import (Representation, Word, free_group,
-                                     parse_word)
+from su2strata.presentations import (Representation, Word, evaluate_images,
+                                     free_group, parse_word)
 from su2strata.strata import (classify_stratum, handlebody_representation,
                               sample_stratum, sample_surface_representation,
                               stratum_tangent_dim)
@@ -76,31 +76,35 @@ def test_samplers_are_deterministic():
     assert not np.array_equal(a.images, c.images)
 
 
-def test_sampler_rejects_bad_labels():
+def test_sampler_rejects_bad_labels(monkeypatch):
     with pytest.raises(DomainError):
         sample_stratum(2, 2, seed=0)
-    with pytest.raises(SamplingError):
-        # an absurd tolerance makes every draw boundary-ambiguous
-        sample_stratum(2, 3, seed=0, tol=0.5, max_tries=3)
+
+    def ambiguous(*args):
+        raise BoundaryAmbiguousError("every draw is near the boundary")
+
+    monkeypatch.setattr(strata, "classify_stratum", ambiguous)
+    with pytest.raises(SamplingError, match="no stratum-3 sample in 100"):
+        sample_stratum(2, 3, seed=0)
 
 
 def test_polarization_values():
     pres = free_group(2)
     curves = [parse_word(t, pres.generators) for t in ("x1", "x2", "x1 x2")]
     rep = Representation.trivial(pres)
-    assert [su2.trace(rep.evaluate(w)) for w in curves] == [2.0, 2.0, 2.0]
+    assert [su2.trace(rep.fold(w)[0]) for w in curves] == [2.0, 2.0, 2.0]
     rep = Representation(pres, np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
-    assert [su2.trace(rep.evaluate(w)) for w in curves] == [-2.0, 2.0, -2.0]
+    assert [su2.trace(rep.fold(w)[0]) for w in curves] == [-2.0, 2.0, -2.0]
 
 
 def test_polarization_is_conjugation_invariant():
     rep = sample_stratum(2, 3, seed=9)
     q = su2.random_element(np.random.default_rng(2))
     curves = [Word((1, 2)), Word((1, -2, 1))]
-    twin = rep.conjugated(q)
+    twin = su2.conjugate(rep.images, q)
     for w in curves:
-        assert abs(su2.trace(rep.evaluate(w))
-                   - su2.trace(twin.evaluate(w))) < 1e-10
+        assert abs(su2.trace(rep.fold(w)[0])
+                   - su2.trace(evaluate_images(twin, w))) < 1e-10
 
 
 def test_handlebody_embedding():
@@ -114,7 +118,7 @@ def test_handlebody_embedding():
               parse_word("b2 b1", pres.generators),
               parse_word("a1 b1 A1", pres.generators)]
     for w in curves:
-        assert abs(su2.trace(srep.evaluate(w)) - 2.0) < 1e-12
+        assert abs(su2.trace(srep.fold(w)[0]) - 2.0) < 1e-12
 
 
 def test_surface_sampler_lands_on_relator_set():

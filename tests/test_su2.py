@@ -162,6 +162,19 @@ def test_haar_sampler_is_deterministic_and_unit():
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("g", [2, 5, 48])
+def test_a_stacked_draw_is_that_many_lone_draws(g):
+    # a (n, g) stack takes the stream n * g lone draws take, each lone
+    # draw a Gaussian 4-vector over its np.linalg.norm, bit for bit
+    for seed in range(4):
+        stack = su2.random_element(np.random.default_rng(seed), (7, g))
+        rng, lone = np.random.default_rng(seed), np.random.default_rng(seed)
+        for q in stack.reshape(-1, 4):
+            v = rng.normal(size=4)
+            assert q.tobytes() == (v / np.linalg.norm(v)).tobytes()
+            assert q.tobytes() == su2.random_element(lone).tobytes()
+
+
 @settings(max_examples=25)
 @given(unit_quaternions(), algebra_vectors())
 def test_ad_moves_exp(q, v):

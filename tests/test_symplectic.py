@@ -4,7 +4,8 @@ import pytest
 from su2strata import su2
 from su2strata.cohomology import build_d0, cohomology
 from su2strata.errors import DomainError
-from su2strata.presentations import Representation, Word, free_group
+from su2strata.presentations import (Representation, Word, evaluate_images,
+                                     free_group)
 from su2strata.strata import (handlebody_representation,
                               sample_surface_representation)
 from su2strata.symplectic import goldman_form, gram_matrix, trace_derivative
@@ -100,8 +101,7 @@ def test_trace_derivative_matches_finite_differences():
         def flowed_trace(t):
             imgs = np.array([su2.multiply(su2.exp(t * u[j]), rep.images[j])
                              for j in range(len(u))])
-            return su2.trace(
-                Representation(rep.presentation, imgs, tol=np.inf).evaluate(w))
+            return su2.trace(evaluate_images(imgs, w))
 
         fd = oracles.central_difference(flowed_trace, 1e-5)
         exact = trace_derivative(rep, w, u)
