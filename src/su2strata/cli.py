@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -50,80 +51,78 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.6f}{z.imag:+.6f}i"
-
-
 def _table_lines(obj, prefix=""):
-    lines = []
+    if isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
+        obj = dict(enumerate(obj))      # rows in order, by index
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            lines.extend(_table_lines(obj[k], f"{prefix}{k}."))
-    elif isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
-        for i, v in enumerate(obj):
-            lines.extend(_table_lines(v, f"{prefix}{i}."))
-    else:
-        if isinstance(obj, list):
-            text = ", ".join(str(v) for v in obj)
-        else:
-            text = str(obj)
-        lines.append(f"{prefix[:-1]} = {text}")
-    return lines
+        return [line for k in sorted(obj)
+                for line in _table_lines(obj[k], f"{prefix}{k}.")]
+    text = ", ".join(map(str, obj)) if isinstance(obj, list) else str(obj)
+    return [f"{prefix[:-1]} = {text}"]
 
 
-def _leaf(value):
-    """The JSON text json.dumps gives a scalar, or None for other values."""
+def _texts(values, pad: str) -> list:
+    """json.dumps(v, sort_keys=True, indent=2, default=_json_value) of
+    each of `values` at the line break and indent `pad`, a column at a
+    time: finite floats, ints or strs in one map, dicts that share a
+    non-empty key set by one column per key and one row template,
+    non-empty lists by one column of their items, any other column
+    value by value.  A key that is not a str raises TypeError."""
+    inner, kinds = pad + "  ", set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int or kind is float and math.isfinite(sum(values)):
+        return list(map(kind.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is dict and (keys := values[0].keys()) and \
+            all(map(keys.__eq__, map(dict.keys, values))):
+        keys = sorted(keys)
+        row = "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+            for k in keys) + pad + "}"
+        return list(map(row.__mod__, zip(*(
+            _texts([v[k] for v in values], inner) for k in keys))))
+    if (kind is list or kind is tuple) and all(values):
+        items = iter(_texts([v for row in values for v in row], inner))
+        return ["[" + inner + ("," + inner).join(
+            itertools.islice(items, len(row))) + pad + "]" for row in values]
+    return [_text(v, pad) for v in values]
+
+
+def _text(value, pad: str) -> str:
+    """`_texts` of one value, a dict key by key and a list as a column;
+    NaN, infinities, bools, None and subclasses as json.dumps has them."""
+    kind = type(value)
+    if kind is int or kind is float and -math.inf < value < math.inf:
+        return kind.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _text(value[k], inner)
+            for k in sorted(value)]) + pad + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + ("," + inner).join(_texts(value, inner)) \
+            + pad + "]" if value else "[]"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
         return (float.__repr__(value) if -math.inf < value < math.inf
                 else "NaN" if value != value
                 else "Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    return int.__repr__(value) if isinstance(value, int) else None
-
-
-def _write(obj, out: list, pad: str) -> None:
-    """Append to out the text of json.dumps(obj, sort_keys=True,
-    indent=2, default=_json_value) at the line break and indent `pad`:
-    scalars by `_leaf`, a list of scalars in one join, any other value
-    by `_json_value`.  A dict key that is not a str raises TypeError in
-    the key encoder, where json.dumps would write it as a string."""
-    text, inner = _leaf(obj), pad + "  "
-    if text is not None:
-        out.append(text)
-    elif isinstance(obj, dict):
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(obj[key], out, inner)
-            sep = "," + inner
-        out.append(pad + "}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)):
-        texts = list(map(_leaf, obj))
-        if obj and None not in texts:
-            out.append("[" + inner + ("," + inner).join(texts) + pad + "]")
-            return
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _write(value, out, inner)
-            sep = "," + inner
-        out.append(pad + "]" if obj else "[]")
-    else:
-        _write(_json_value(obj), out, pad)
+    return _text(_json_value(value), pad)
 
 
 def _emit(report: dict, fmt: str) -> None:
-    # json.dumps with indent runs the pure-Python encoder, so a json
-    # report is `_write`'s one pass; a table reads the C encoder's text
+    # `_text` in place of json.dumps's pure-Python indented encoder
     if fmt == "table":
         text = "\n".join(_table_lines(json.loads(json.dumps(
             report, sort_keys=True, default=_json_value))))
     else:
-        _write(report, out := [], "\n")
-        text = "".join(out)
+        text = _text(report, "\n")
     sys.stdout.write(text + "\n")
 
 
@@ -213,8 +212,7 @@ def _cmd_cohomology(args) -> dict:
         "h0": summary.h0,
         "h1": summary.h1,
         "z1": summary.z1,
-        "singular_values": {k: list(v)
-                            for k, v in summary.singular_values.items()},
+        "singular_values": dict(summary.singular_values),
         "warnings": list(summary.warnings),
     }
 
@@ -386,23 +384,21 @@ def _cmd_invariant(args) -> dict:
         points = apply_value_table(
             points, _load_table(args.torsion_table, "torsion"), "torsion")
     inv = assemble_invariant(points, args.k)
-    point_rows = []
-    for pt in points:
-        point_rows.append({
-            "id": pt.point_id,
-            "stratum": pt.stratum.i,
-            "central": pt.stratum.central_flag,
-            "component_dim": pt.component_dim,
-            "weight": pt.weight,
-            "cs": pt.cs_value,
-            "torsion": pt.torsion.value if pt.torsion else None,
-            "clean": {
-                "passes": pt.clean.passes,
-                "declared_dim": pt.clean.declared_dim,
-                "cohomology_dim": pt.clean.cohomology_dim,
-            } if pt.clean else None,
-            "fingerprint": list(pt.fingerprint),
-        })
+    point_rows = [{
+        "id": pt.point_id,
+        "stratum": pt.stratum.i,
+        "central": pt.stratum.central_flag,
+        "component_dim": pt.component_dim,
+        "weight": pt.weight,
+        "cs": pt.cs_value,
+        "torsion": pt.torsion.value if pt.torsion else None,
+        "clean": {
+            "passes": pt.clean.passes,
+            "declared_dim": pt.clean.declared_dim,
+            "cohomology_dim": pt.clean.cohomology_dim,
+        } if pt.clean else None,
+        "fingerprint": list(pt.fingerprint),
+    } for pt in points]
     return {
         "example": args.example,
         "k": inv.k,
@@ -547,7 +543,8 @@ def dispatch(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 1
     if args.command == "fg-sum" and args.format == "table":
-        sys.stdout.write(_fmt_complex(result["value"]) + "\n")
+        z = result["value"]
+        sys.stdout.write(f"{z.real:.6f}{z.imag:+.6f}i\n")
         return 0
     # a report's config is its parsed arguments
     config = {k: v for k, v in vars(args).items()

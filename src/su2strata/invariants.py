@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -552,9 +552,11 @@ def apply_value_table(points, table, field: str):
             raise InputError("torsion values must be positive")
         values.update(dict.fromkeys(hits, v))
     for i, v in values.items():
-        points[i] = (replace(points[i], cs_value=v % 1.0) if field == "cs"
-                     else replace(points[i],
-                                  torsion=TorsionValue(v, math.log(v))))
+        # `replace` by name, without its walk over fields() or __init__
+        old, points[i] = points[i], object.__new__(ModuliPoint)
+        vars(points[i]).update(vars(old), **(
+            {"cs_value": v % 1.0} if field == "cs"
+            else {"torsion": TorsionValue(v, math.log(v))}))
     return points
 
 

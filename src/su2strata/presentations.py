@@ -259,14 +259,15 @@ def _residual_error(residual: float, tol: float) -> ResidualError:
 
 
 _NOT_UNIT = "images must be unit quaternions"
+_IDENTITY = su2.identity()
 
 
 def _unit(images: np.ndarray):
     """Whether every image is a unit quaternion, for one (n, 4) image
     array or for each row of a stack; written so that a NaN norm fails
     it too."""
-    return np.all(np.abs(np.linalg.norm(images, axis=-1) - 1.0) <= 1e-9,
-                  axis=-1)
+    return np.all(np.abs(np.sqrt(np.square(images).sum(axis=-1)) - 1.0)
+                  <= 1e-9, axis=-1)
 
 
 def _relator_folds(presentation: Presentation, images: np.ndarray):
@@ -274,7 +275,7 @@ def _relator_folds(presentation: Presentation, images: np.ndarray):
     or, row by row, of an (..., n, 4) stack: the relators' `_fold_words`
     and the largest distance of a holonomy from the identity."""
     values, jacobian = _fold_words(images, presentation.relators)
-    residual = np.linalg.norm(values - su2.identity(), axis=-1).max(
+    residual = np.sqrt(np.square(values - _IDENTITY).sum(axis=-1)).max(
         axis=-1, initial=0.0)
     return values, jacobian, residual
 

@@ -158,7 +158,7 @@ def log(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     w, v = q[0], q[1:]
-    s = np.linalg.norm(v)
+    s = np.sqrt(v.dot(v))     # np.linalg.norm(v), without its wrapper
     if w < 0.0 and s < _ANTIPODE_TOL:
         raise AntipodeError("log has no principal branch at -identity")
     theta = np.arctan2(s, w)

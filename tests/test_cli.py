@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2strata import __version__, su2
-from su2strata.cli import _json_value, _write, dispatch
+from su2strata.cli import _json_value, _text, _texts, dispatch
 from su2strata.errors import DomainError
-from su2strata.invariants import stationary_phase_sum
+from su2strata.invariants import enumerate_moduli, stationary_phase_sum
 from su2strata.presentations import _json_float
 
 
@@ -330,35 +330,87 @@ _SCALARS = st.one_of(
     st.integers(-2**70, 2**70), st.booleans(), st.none(),
     st.text(max_size=6),
     st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\t",
-                     "é€😀", "\u2028"]),
+                     "é€😀", "\u2028", "%", "%s"]),
     st.complex_numbers(allow_nan=True, allow_infinity=True),
     st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
     st.lists(st.floats(), max_size=4).map(np.array),
     st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(
         lambda v: np.array(v).reshape(2, 2)))
+# columns the writer takes in one map, and the mixes it must not
+_COLUMNS = st.one_of(
+    st.lists(st.floats(), max_size=5),
+    st.lists(st.lists(st.floats(), min_size=1, max_size=3), max_size=4),
+    st.lists(st.integers() | st.booleans(), max_size=5),
+    st.lists(st.floats() | st.floats().map(np.float64), max_size=5),
+    st.lists(st.text(max_size=3), max_size=5))
+_KEYS = st.text(alphabet='ab%"\\é', max_size=3)
+
+
+def _records(inner):
+    """Lists of dicts that share 0 to 3 keys."""
+    return st.lists(_KEYS, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            dict.fromkeys(keys, inner)), max_size=4))
+
+
 _VALUES = st.recursive(
-    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    _SCALARS | _COLUMNS, lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    | st.dictionaries(_KEYS | st.text(max_size=4), inner, max_size=4)
+    | _records(inner)
+    | st.lists(inner | st.sampled_from([{}, [], ()]), max_size=4),
     max_leaves=24)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, default=_json_value)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_VALUES)
 def test_the_report_writer_writes_what_json_dumps_writes(value):
+    column = value if isinstance(value, list) else [value]
+    assert _texts(column, "\n") == list(map(_dumps, column))
     for report in (value, {"result": value, "schema": 1}):
-        out: list = []
-        _write(report, out, "\n")
-        assert "".join(out) == json.dumps(report, sort_keys=True, indent=2,
-                                          default=_json_value)
+        assert _text(report, "\n") == _dumps(report)
 
 
 @pytest.mark.parametrize("report", [
     {1: 0.5}, {"a": {None: 1}}, {"a": [{2.5: "x"}]}, {"a": 1, True: 2}])
 def test_the_report_writer_refuses_a_key_that_is_not_a_str(report):
-    # json.dumps would write these keys as strings; a report has none
-    with pytest.raises(TypeError):
-        _write(report, [], "\n")
+    # json.dumps would write these keys as strings; a report has none,
+    # alone or in a column of records
+    for write in (lambda: _text(report, "\n"),
+                  lambda: _texts([report, report], "\n")):
+        with pytest.raises(TypeError):
+            write()
+
+
+def _t3_torsion_table(path, samples):
+    """A torsion table for the t3 chart keying every other point by id
+    and the rest by fingerprint."""
+    entries = [{"point_id": pt.point_id} if n % 2
+               else {"fingerprint": list(pt.fingerprint)}
+               for n, pt in enumerate(enumerate_moduli("t3",
+                                                       samples=samples))]
+    for n, entry in enumerate(entries):
+        entry["torsion"] = 0.5 + n / len(entries)
+    return write_json(path, {"entries": entries})
+
+
+@pytest.mark.parametrize("example", ["lens", "t3"])
+def test_a_large_report_is_laid_out_as_json_dumps_lays_it_out(
+        tmp_path, capsys, example):
+    # sizes no golden reaches: 1002 lens rows, or 188 t3 rows whose
+    # torsion comes from a table
+    argv = (("--p", "2003", "--q", "7") if example == "lens" else
+            ("--samples", "6", "--torsion-table",
+             _t3_torsion_table(tmp_path / "t3.json", 6)))
+    code, out, _ = run(capsys, "invariant", "--example", example, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["result"]["points"]) > 180
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # -- failure modes -------------------------------------------------------

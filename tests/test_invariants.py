@@ -1,7 +1,9 @@
 import cmath
 import functools
+import json
 import math
-from dataclasses import replace
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -430,6 +432,26 @@ def test_fingerprint_entry_updates_every_matching_point():
     out = apply_value_table(pts, table, "cs")
     # both carriers of the fingerprint take it; the later id entry wins
     assert [pt.cs_value for pt in out] == [0.0, 0.3, 0.6]
+
+
+@pytest.mark.parametrize("field", ["cs", "torsion"])
+def test_a_rebuilt_point_is_what_replace_gives(field):
+    # the M = 4 t3 golden tables key points by id and by fingerprint
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        f"t3-M4-{field}.json")
+    with open(path, encoding="utf-8") as f:
+        table = json.load(f)["entries"]
+    pts = enumerate_moduli("t3", samples=4)
+    out = apply_value_table(pts, table, field)
+    assert len(out) == len(pts) == len(table)
+    for old, new in zip(pts, out):
+        v = new.cs_value if field == "cs" else new.torsion.value
+        want = (replace(old, cs_value=v) if field == "cs"
+                else replace(old, torsion=TorsionValue(v, math.log(v))))
+        assert type(new) is ModuliPoint and new is not old
+        for f in fields(ModuliPoint):
+            assert getattr(new, f.name) == getattr(want, f.name), f.name
+        assert vars(new) == vars(want)
 
 
 def test_fingerprint_entry_matches_within_one_rounding_step():

@@ -1,12 +1,14 @@
+import math
 from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2strata import presentations, su2
-from su2strata.errors import PresentationError, ResidualError
+from su2strata.errors import (AntipodeError, PresentationError,
+                              ResidualError)
 from su2strata.presentations import (Presentation, Representation,
                                      Word, circle_times_surface_group,
                                      commutator, cyclic_group,
@@ -425,3 +427,63 @@ def test_kept_computes_once_and_keeps_only_values():
     assert kept(rep, "k", compute, "v") == "v"
     assert kept(rep, "k", compute, "w") == "v"
     assert len(calls) == 3 and list(rep._kept) == ["k"]
+
+
+# -- norms ---------------------------------------------------------------
+
+_NORM_PRESENTATIONS = (free_group(1), free_group(2), cyclic_group(3),
+                       surface_group(1))
+# entries at scales 1e-200 to 1e200, unit-ish ones, zeros and NaN
+_ENTRIES = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+              st.integers(-200, 200)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("nan")]))
+
+
+def _log_by_norm(q):
+    """su2.log with the norm taken by np.linalg.norm."""
+    w, v = q[0], q[1:]
+    s = np.linalg.norm(v)
+    if w < 0.0 and s < su2._ANTIPODE_TOL:
+        return None
+    if s < su2._SMALL and w > 0.0:
+        return v / w
+    return v * (np.arctan2(s, w) / s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_NORM_PRESENTATIONS),
+       st.sampled_from([None, 0, 1, 2, 3]), st.data())
+def test_the_unwrapped_norms_are_np_linalg_norms_bit_for_bit(pres, rows, data):
+    # the unit gate, the relator residual and su2.log take their norms as
+    # np.linalg.norm does, for lone arrays (rows None) and stacks, empty
+    # ones, non-unit images, NaN and relator-free presentations included
+    n = pres.num_generators
+    shape = (n, 4) if rows is None else (rows, n, 4)
+    images = np.array(data.draw(st.lists(
+        _ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)
+    ))).reshape(shape)
+    with np.errstate(all="ignore"):
+        if data.draw(st.booleans()):
+            # unit images, or images on the unit gate's edge, where the
+            # last bit of a norm decides
+            images = images / np.linalg.norm(images, axis=-1, keepdims=True) \
+                * data.draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
+        unit = np.all(np.abs(np.linalg.norm(images, axis=-1) - 1.0) <= 1e-9,
+                      axis=-1)
+        assert np.array_equal(presentations._unit(images), unit)
+        # a lone array is folded once it passes the unit gate, each row
+        # of a stack whatever it holds
+        if rows is not None or unit:
+            values, _, residual = presentations._relator_folds(pres, images)
+            want = np.linalg.norm(values - su2.identity(), axis=-1).max(
+                axis=-1, initial=0.0)
+            assert np.asarray(residual).tobytes() == want.tobytes()
+        for q in images.reshape(-1, 4):
+            want = _log_by_norm(q)
+            if want is None:
+                with pytest.raises(AntipodeError):
+                    su2.log(q)
+            else:
+                assert su2.log(q).tobytes() == want.tobytes()
