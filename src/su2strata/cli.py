@@ -118,11 +118,9 @@ def _text(value, pad: str) -> str:
 
 def _emit(report: dict, fmt: str) -> None:
     # `_text` in place of json.dumps's pure-Python indented encoder
+    text = _text(report, "\n")
     if fmt == "table":
-        text = "\n".join(_table_lines(json.loads(json.dumps(
-            report, sort_keys=True, default=_json_value))))
-    else:
-        text = _text(report, "\n")
+        text = "\n".join(_table_lines(json.loads(text)))
     sys.stdout.write(text + "\n")
 
 

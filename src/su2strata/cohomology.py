@@ -23,8 +23,9 @@ read (the harmonic one is decomposed then, once per group, so a
 `LinAlgError` there propagates from `basis_h1`), and the other fields
 are formed when read.  A moduli chart calls it on its columns of
 systems and keeps nothing; `system_cohomology`, `system_d0` and
-`system_d1` are batches of one, and the lone summary is kept in its
-representation's memo per basis and tol.
+`system_d1` are batches of one.  `cohomology` keeps a representation's
+full-coefficient summary in its memo per tol; a restricted system is
+made and analysed on each call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, RankAmbiguityError, ResidualError
-from .presentations import (Representation, Word, _read_only,
+from .presentations import (Representation, Word, _fold_words, _read_only,
                             fox_jacobian_at, kept, raised)
 
 DEFAULT_TOL = 1e-8
@@ -71,17 +72,9 @@ def restricted_system(rep: Representation, part: str,
     """Coefficients along the stabilizer axis or its orthocomplement.
 
     Defined only at reducible nontrivial representations (h0 = 1),
-    where the common rotation axis gives the canonical splitting.  Each
-    (part, tol) basis is made and checked once and kept, read-only, on
-    the representation (the basis, not the system, so nothing kept
-    refers back to its representation).
+    where the common rotation axis gives the canonical splitting.  The
+    basis is made and checked for Ad-invariance on every call.
     """
-    basis = kept(rep, ("basis", part, tol), _restricted_basis, rep, part, tol)
-    return CoefficientSystem(rep, basis)
-
-
-def _restricted_basis(rep: Representation, part: str,
-                      tol: float) -> np.ndarray:
     axis = stabilizer_axis(rep, tol)
     if part == "stabilizer":
         basis = axis.reshape(3, 1)
@@ -101,7 +94,7 @@ def _restricted_basis(rep: Representation, part: str,
         raise DomainError(
             f"coefficient subspace not Ad-invariant at generator {j}: "
             f"leak {leaks[j]:.3e}")
-    return basis
+    return CoefficientSystem(rep, basis)
 
 
 def stabilizer_axis(rep: Representation, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -162,11 +155,9 @@ def cocycle_value(sys: CoefficientSystem, u: np.ndarray, word: Word) -> np.ndarr
 
 def pullback_matrix(source_sys: CoefficientSystem, word_map) -> np.ndarray:
     """Matrix of u -> (u(w) for w in word_map): the words' Fox rows in
-    the source system's basis, stacked.  The folds are the source
-    representation's kept ones, from `Representation.fold`."""
-    J = np.array([source_sys.rep.fold(w)[1] for w in word_map])
-    return _in_basis(np.array([source_sys.basis]),
-                     J.reshape(1, -1, 3 * source_sys.n))[0]
+    the source system's basis, stacked, from one `_fold_words`."""
+    J = _fold_words(source_sys.rep.images, word_map)[1]
+    return _in_basis(np.array([source_sys.basis]), J[None])[0]
 
 
 def pullback_cocycle(target_sys: CoefficientSystem,
@@ -241,12 +232,9 @@ class _Analysis:
 
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
-    """H0/H1 summary of one coefficient system, kept per basis and tol:
-    `_system_cohomologies`' batch of one, raising its error; read-only,
-    as calls share it."""
-    basis = sys.basis
-    return kept(sys.rep, (basis.dtype.str, basis.shape, basis.tobytes(), tol),
-                lambda: raised(_system_cohomologies([sys], tol)[0]))
+    """H0/H1 summary of one coefficient system: `_system_cohomologies`'
+    batch of one, raising its error."""
+    return raised(_system_cohomologies([sys], tol)[0])
 
 
 def _system_cohomologies(systems, tol: float) -> list:
@@ -326,8 +314,11 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:
-    """Full-coefficient twisted cohomology summary."""
-    return system_cohomology(full_system(rep), tol)
+    """Full-coefficient twisted cohomology summary, kept per tol and
+    read-only, as the classification, the tangent dimension and the
+    volume of one representation share it."""
+    return kept(rep, ("cohomology", tol),
+                lambda: system_cohomology(full_system(rep), tol))
 
 
 def restrict_coefficients(rep: Representation, part: str,

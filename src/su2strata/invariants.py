@@ -28,8 +28,8 @@ the caller supplies values.  Each label, verdict, torsion or error
 sits in its point's place, so the verdicts and the first error raised
 are those of a point-by-point run.  A chart keeps nothing on its
 representations but their rows of its Ad stack; `heegaard_mv_torsion`
-and `clean_intersection_check` are batches of one, whose values lone
-calls keep.
+and `clean_intersection_check` are batches of one that keep nothing
+either: they read their representation's kept label and summary.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .presentations import (Presentation, Representation, Word, _fields,
                             _fold_words, _json_float, _representations,
                             commutator, cyclic_group,
                             evaluate_images, fox_fold, free_group,
-                            generator, kept, raised, surface_group)
+                            generator, raised, surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
 from .torsion import TorsionValue, _mayer_vietoris_torsions
 
@@ -76,10 +76,6 @@ class HeegaardData:
     handle2_to_manifold: tuple
 
     def __post_init__(self):
-        # a splitting keys a lone call's kept torsion: its sequences are
-        # stored as tuples, so that it hashes
-        for f in fields(self)[2:]:
-            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         g = self.genus
         if len(self.surface_to_handle1) != 2 * g or \
                 len(self.surface_to_handle2) != 2 * g:
@@ -126,9 +122,9 @@ _CONJUGATOR_TOL = 1e-7
 
 def trace_fingerprint(rep: Representation) -> tuple:
     """Traces of generators, ordered pairs, and the full product,
-    rounded to 1e-7: computed once and kept on the representation; a
-    chart takes its points' from one stacked `_fingerprints`."""
-    return kept(rep, "fingerprint", lambda: tuple(_fingerprints(rep.images)))
+    rounded to 1e-7; a chart takes its points' from one stacked
+    `_fingerprints`."""
+    return tuple(_fingerprints(rep.images))
 
 
 def _fingerprints(images: np.ndarray) -> list:
@@ -324,12 +320,11 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
                         tol: float = DEFAULT_TOL) -> TorsionValue:
     """Mayer-Vietoris torsion of a splitting at a manifold rep, with
     coefficients picked by the rep's stratum (full algebra at
-    irreducible points, the stabilizer line at reducible ones), kept per
-    splitting and tol: `_glued_torsions`' batch of one."""
-    return kept(n_rep, (heegaard, tol), lambda: raised(_glued_torsions(
-        heegaard, [n_rep], *_stratum_systems(
-            [n_rep], [classify_stratum(n_rep, tol)],
-            [cohomology(n_rep, tol)], tol), tol)[0]))
+    irreducible points, the stabilizer line at reducible ones):
+    `_glued_torsions`' batch of one."""
+    return raised(_glued_torsions(heegaard, [n_rep], *_stratum_systems(
+        [n_rep], [classify_stratum(n_rep, tol)], [cohomology(n_rep, tol)],
+        tol), tol)[0])
 
 
 # -- clean intersection -----------------------------------------------

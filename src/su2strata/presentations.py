@@ -190,12 +190,11 @@ class Representation:
     The images are a read-only copy of what the caller passed; a
     non-finite or non-unit image is refused.  Each relator is folded
     once, here, to its holonomy (`relator_values`, read by the gate)
-    and its Fox row; no cup-product matrix is formed.  All else it
-    keeps, read-only, is in one memo that only `kept` touches and that
-    serves lone calls: the folds `fold` is asked for, the Ad stack, the
-    pairing matrix, cohomology summaries, stratum labels, restricted
-    bases, fingerprints and Mayer-Vietoris torsions.  Errors are never
-    kept.  A chart's representations are built together
+    and its Fox row; no cup-product matrix is formed.  Beyond these it
+    keeps, read-only, in one memo that only `kept` touches, what lone
+    calls read more than once: the Ad stack, the pairing matrix, and
+    per tol the full-coefficient summary and the stratum label.  Errors
+    are never kept.  A chart's representations are built together
     (`_representations`) and keep read-only views of their rows of its
     stacked results; the chart passes what it computes about them as
     columns, and keeps only their rows of its Ad stack.
@@ -229,12 +228,6 @@ class Representation:
         n = presentation.num_generators
         images = np.tile(su2.identity(), (n, 1))
         return cls(presentation, images)
-
-    def fold(self, word: Word):
-        """(q, J) of a word's `fox_fold` at these images, kept read-only,
-        so the holonomy and the Fox row of one word share one fold."""
-        return kept(self, word, lambda: tuple(
-            _read_only(a) for a in _fold(self.images, word, False)))
 
     @property
     def adjoints(self) -> np.ndarray:
@@ -324,10 +317,10 @@ def _fold_words(images: np.ndarray, words) -> tuple:
     return _read_only(q), _read_only(J.reshape(lead + (3 * len(words), n3)))
 
 
-def kept(rep: Representation, key, compute, *args):
-    """rep's value for key, compute(*args) once; errors are not kept."""
+def kept(rep: Representation, key, compute):
+    """rep's value for key, compute() once; errors are not kept."""
     if key not in rep._kept:
-        rep._kept[key] = compute(*args)
+        rep._kept[key] = compute()
     return rep._kept[key]
 
 

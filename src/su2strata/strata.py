@@ -13,8 +13,8 @@ whose smallest nonzero d0 singular value falls within a factor of ten
 of the threshold refuses classification instead of guessing.  `_labels`
 classifies a stack of images from their full-coefficient summaries
 with one axis test; a moduli chart or a strata scan passes it its
-columns, and `classify_stratum` is its batch of one, kept per tol,
-errors raised again on every call.
+columns, and `classify_stratum` is its batch of one, kept per tol
+beside the full summary it reads, errors raised again on every call.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import su2
 from .errors import DomainError
-from .presentations import Representation, Word, _read_only, fox_fold, kept
+from .presentations import (Representation, Word, _fold_words, _read_only,
+                            fox_fold, kept)
 
 
 def pairing_matrix(rep: Representation) -> np.ndarray:
@@ -55,7 +56,7 @@ def gram_matrix(rep: Representation, cocycles) -> np.ndarray:
 def trace_derivative(rep: Representation, word: Word, u: np.ndarray) -> float:
     """Derivative of trace(holonomy(word)) along the cocycle flow
     images -> exp(t u) images: the real trace of u(word) = J u against
-    the holonomy q, both from the word's kept fold."""
-    q, J = rep.fold(word)
-    return su2.trace_pairing(J @ np.ravel(u), q)
+    the holonomy q, both from one `_fold_words`."""
+    q, J = _fold_words(rep.images, (word,))
+    return su2.trace_pairing(J @ np.ravel(u), q[0])
 

@@ -6,8 +6,10 @@ through permutation expansion, torsion through Gram-Schmidt bases and
 hand determinants rather than SVDs.
 """
 
+import decimal
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -297,6 +299,37 @@ def stratum_volume(quats, stratum):
     if stratum == 1:
         return float(sum(3.0 - np.trace(a) for a in ads))
     return 1.0
+
+
+def exact_log_volume(quats, stratum) -> decimal.Decimal:
+    """log of the stratum volume of float images, in exact arithmetic:
+    d0^T d0 = 4(tr M I - M) with M = V^T V over the images' vector parts
+    V, formed in `fractions`, then half the log of its determinant at
+    stratum 3, or of the sum of its principal 2x2 minors (the product
+    of its two nonzero eigenvalues) at stratum 1, in `decimal` at 60
+    digits.  For images off the unit sphere by d_j the exact d0^T d0
+    gains sum_j d_j^2 on its diagonal, about 1e-32, which is dropped."""
+    V = [[Fraction(float(x)) for x in q[1:]] for q in quats]
+    M = [[sum(v[a] * v[b] for v in V) for b in range(3)] for a in range(3)]
+    trace = M[0][0] + M[1][1] + M[2][2]
+    A = [[4 * ((trace if a == b else 0) - M[a][b]) for b in range(3)]
+         for a in range(3)]
+    if stratum == 3:
+        x = sum(math.prod(A[i][p[i]] for i in range(3)) * _sign(p)
+                for p in itertools.permutations(range(3)))
+    elif stratum == 1:
+        x = sum(A[a][a] * A[b][b] - A[a][b] * A[b][a]
+                for a, b in itertools.combinations(range(3), 2))
+    else:
+        return decimal.Decimal(0)
+    ctx = decimal.Context(prec=60)
+    return ctx.divide(ctx.subtract(ctx.ln(decimal.Decimal(x.numerator)),
+                                   ctx.ln(decimal.Decimal(x.denominator))), 2)
+
+
+def _sign(p) -> int:
+    """The sign of a permutation of range(len(p)), by its inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
 
 
 def fingerprints_match(a, b):

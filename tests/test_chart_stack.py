@@ -30,9 +30,9 @@ from su2strata.errors import PresentationError, ResidualError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, t3_presentation,
                                   trace_fingerprint)
-from su2strata.presentations import (Representation, _representations,
-                                     cyclic_group, fox_jacobian_at,
-                                     surface_group)
+from su2strata.presentations import (Representation, _fold_words,
+                                     _representations, cyclic_group,
+                                     fox_jacobian_at, surface_group)
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
 
@@ -107,9 +107,10 @@ def test_a_lens_chart_keeps_what_its_points_fold_alone(p, q):
         alone = _assert_built_alone(pt.rep)
         if pt.stratum.i == 0:
             continue
-        for word in heegaard.handle2_to_manifold:
-            assert all(_same(a, b) for a, b in zip(pt.rep.fold(word),
-                                                   alone.fold(word)))
+        words = heegaard.handle2_to_manifold
+        assert all(_same(a, b) for a, b in zip(
+            _fold_words(pt.rep.images, words),
+            _fold_words(alone.images, words)))
         lone = heegaard_mv_torsion(heegaard, alone)
         assert (pt.torsion.value, pt.torsion.log_value) == (lone.value,
                                                             lone.log_value)

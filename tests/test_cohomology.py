@@ -11,8 +11,8 @@ from su2strata.cohomology import (DEFAULT_TOL, CoefficientSystem, build_d0,
 from su2strata.errors import DomainError
 from su2strata.presentations import (Representation, Word,
                                      circle_times_surface_group, cyclic_group,
-                                     fox_jacobian_at, free_group, generator,
-                                     surface_group)
+                                     evaluate_images, fox_jacobian_at,
+                                     free_group, generator, surface_group)
 from su2strata.strata import sample_surface_representation
 
 AXIS = np.array([1.0, 0.0, 0.0])
@@ -123,13 +123,14 @@ def test_cocycle_rule_on_words():
     w2 = Word((4, 2, -1))
     lhs = cocycle_value(sys, u, w1 * w2)
     rhs = cocycle_value(sys, u, w1) + \
-        su2.ad(rep.fold(w1)[0]) @ cocycle_value(sys, u, w2)
+        su2.ad(evaluate_images(rep.images, w1)) @ cocycle_value(sys, u, w2)
     assert np.allclose(lhs, rhs, atol=1e-10)
     # u(w^-1) = -Ad(w^-1) u(w)
     winv = w1.inverse()
     assert np.allclose(
         cocycle_value(sys, u, winv),
-        -su2.ad(rep.fold(winv)[0]) @ cocycle_value(sys, u, w1), atol=1e-10)
+        -su2.ad(evaluate_images(rep.images, winv))
+        @ cocycle_value(sys, u, w1), atol=1e-10)
 
 
 def test_restricted_system_requires_single_axis():

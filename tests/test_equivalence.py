@@ -56,6 +56,10 @@ CASES = {
                                                  "lens101-torsion.json")],
     "torsion-s1xs2-8": ["torsion", os.path.join(GOLDEN,
                                                 "s1xs2-8-torsion.json")],
+    "torsion-sequence": ["torsion", os.path.join(GOLDEN,
+                                                 "sequence-torsion.json")],
+    "fg-sum-k2": ["fg-sum", "--k", "2", "--entries",
+                  os.path.join(GOLDEN, "fg-entries.json")],
     "classify-free3": ["classify", FREE3],
     "classify-free4": ["classify", FREE4],
     **{f"torsion-volume-{name}": ["torsion", os.path.join(

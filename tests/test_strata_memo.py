@@ -1,12 +1,12 @@
 """One stratum analysis per representation and tolerance.
 
-`classify_stratum` keeps its label, and `restricted_system` each
-(part, tol) basis, on the representation, beside the cohomology
-summaries; `system_d0` reads one kept Ad stack for every coefficient
+`classify_stratum` keeps its label on the representation, beside the
+full-coefficient summary; `restricted_system` checks its basis on every
+call, and `system_d0` reads one kept Ad stack for every coefficient
 basis.  These tests pin how often each piece is computed, that what is
-kept cannot be written to, that errors are never kept, that a kept
-label is what a fresh classification gives, and that the array axis
-test agrees with a per-image oracle.
+kept or shared cannot be written to, that errors are never kept, that a
+kept label is what a fresh classification gives, and that the array
+axis test agrees with a per-image oracle.
 """
 
 import gc
@@ -64,18 +64,18 @@ def computed(monkeypatch):
     """What was actually computed, in order: "label" per stratum label
     (a row of a stacked axis test), the part per restricted system."""
     log = []
-    axis, restricted = strata._axis_stabilizer_dims, coh._restricted_basis
+    axis, restricted = strata._axis_stabilizer_dims, coh.restricted_system
 
     def counting_label(images, tol):
         log.extend(["label"] * len(images))
         return axis(images, tol)
 
-    def counting_restricted(rep, part, tol):
+    def counting_restricted(rep, part, tol=coh.DEFAULT_TOL):
         log.append(part)
         return restricted(rep, part, tol)
 
     monkeypatch.setattr(strata, "_axis_stabilizer_dims", counting_label)
-    monkeypatch.setattr(coh, "_restricted_basis", counting_restricted)
+    monkeypatch.setattr(coh, "restricted_system", counting_restricted)
     return log
 
 
@@ -126,13 +126,18 @@ def test_each_tolerance_is_its_own_label(computed):
     assert fine is not coarse and computed == ["label", "label"]
     assert classify_stratum(rep, 1e-8) is fine
     assert classify_stratum(rep, 1e-6) is coarse
+    # a restricted basis is made again on each call, from the kept
+    # summary's h0 basis
     for tol in (1e-8, 1e-6):
-        assert coh.restricted_system(rep, "complement", tol).basis is \
-            coh.restricted_system(rep, "complement", tol).basis
-    assert computed == ["label", "label", "complement", "complement"]
+        a, b = (coh.restricted_system(rep, "complement", tol).basis
+                for _ in range(2))
+        assert a is not b and np.array_equal(a, b)
+    assert computed == ["label", "label"] + ["complement"] * 4
 
 
 def test_ad_stack_and_kept_bases_are_read_only():
+    # a restricted basis is shared with its summary's h0 basis or made
+    # by an SVD, and read-only either way
     rng = np.random.default_rng(5)
     rep = Representation(free_group(3), common_axis_images(rng, 3))
     ads = rep.adjoints
@@ -207,9 +212,8 @@ def test_nothing_kept_refers_back_to_its_representation():
         stratum_tangent_dim(rep)
         stratum_volume(rep)
         coh.restrict_coefficients(rep, "stabilizer")
-        # the Ad stack, the label, the stabilizer basis and the full
-        # and line summaries
-        assert len(rep._kept) == 5
+        # the Ad stack, the full summary and the label
+        assert len(rep._kept) == 3
         del rep
         assert gc.collect() == 0
     finally:

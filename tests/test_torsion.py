@@ -1,14 +1,16 @@
 import json
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2strata import su2, torsion
 from su2strata.cli import dispatch
-from su2strata.errors import DomainError, ExactnessError
+from su2strata.errors import (BoundaryAmbiguousError, DomainError,
+                              ExactnessError, StratumConflictError)
 from su2strata.presentations import Representation, free_group
 from su2strata.strata import classify_stratum, sample_stratum
 from su2strata.torsion import (MetricSequence, mayer_vietoris_torsion,
@@ -202,6 +204,50 @@ def test_volume_law_holds_near_the_boundary():
         t1 = stratum_volume(rep)
         t2 = stratum_volume(_conjugated(rep, su2.random_element(rng)))
         assert abs(t1.log_value - t2.log_value) < 1e-9 + 16 * eps * cond
+
+
+def gapped_images(rng, g, gap):
+    """A genus-g tuple whose later axes lie about `gap` off the first,
+    each in its own random direction; gap 0 puts all on one axis."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    axes = [axis]
+    for _ in range(g - 1):
+        d = rng.normal(size=3)
+        d -= d.dot(axis) * axis
+        a = axis + gap * d / np.linalg.norm(d)
+        axes.append(a / np.linalg.norm(a))
+    return np.array([su2.exp(rng.uniform(0.6, np.pi - 0.6) * a)
+                     for a in axes])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5),
+       st.one_of(st.just(0.0), st.floats(-6.85, -2.0).map(lambda e: 10**e)))
+@example(seed=0, g=3, gap=0.0)
+@example(seed=1, g=3, gap=1e-2)
+@example(seed=2, g=3, gap=1e-4)
+@example(seed=3, g=3, gap=1e-5)
+@example(seed=4, g=3, gap=1e-6)
+@example(seed=5, g=3, gap=3e-7)
+@example(seed=6, g=3, gap=1.5e-7)
+def test_an_accepted_volume_is_within_the_law_slack_of_the_exact_log(
+        seed, g, gap):
+    """The log volume of every tuple the classifier accepts lies within
+    the runtime law's slack, 32 n eps sum(1 / sigma) over d0's kept
+    singular values, of the exact log (`oracles.exact_log_volume`), with
+    no 1e-9 floor."""
+    rep = Representation(free_group(g), gapped_images(
+        np.random.default_rng(seed), g, gap))
+    try:
+        stratum = classify_stratum(rep).i
+    except (BoundaryAmbiguousError, StratumConflictError):
+        return
+    sv = np.array(torsion.cohomology(rep).singular_values["d0"])
+    slack = 32 * g * np.finfo(float).eps * np.sum(1 / sv[sv > 1e-8])
+    exact = oracles.exact_log_volume(rep.images, stratum)
+    error = abs(float(exact - Decimal(stratum_volume(rep).log_value)))
+    assert error <= slack
 
 
 def _conjugated(rep, q):
