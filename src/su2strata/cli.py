@@ -29,7 +29,7 @@ from .invariants import (apply_value_table, assemble_invariant,
                          lens_heegaard, s1xs2_heegaard, stationary_phase_sum)
 from .presentations import (Representation, _fields, _json_float,
                             _representations, free_group, polish,
-                            presentation_from_json, raised,
+                            presentation_from_json,
                             representation_from_json)
 from .strata import (_labels, _tangent_dim, classify_stratum,
                      handlebody_representation,
@@ -229,13 +229,12 @@ def _cmd_strata_scan(args) -> dict:
         images = su2.random_element(
             rng, (min(chunk, args.samples - start), g))
         summaries = _system_cohomologies(
-            [full_system(raised(rep))
-             for rep in _representations(pres, images)], args.tol)
+            [full_system(rep) for rep in _representations(pres, images)],
+            args.tol)
         for summary, label in zip(summaries,
                                   _labels(images, summaries, args.tol)):
-            i = raised(label).i
-            counts[i] += 1
-            h1m5[i].add(summary.h1)
+            counts[label.i] += 1
+            h1m5[label.i].add(summary.h1)
     return {
         "genus": g,
         "samples": args.samples,

@@ -17,7 +17,8 @@ null space of d1 stacked on d0ᵀ.
 There is one analysis, `_system_cohomologies`: systems are grouped by
 shape, and each group is built, checked and decomposed as one stack:
 d0 with vectors, d1 and the harmonic stack with singular values only.
-Each valid row's summary is a read-only view of its group's record: a
+The first system to fail a check raises its error; there are no
+partial results.  Each summary is a read-only view of its group's record: a
 basis is a slice of a VT stack, sign-fixed whole on the first basis
 read (the harmonic one is decomposed then, once per group, so a
 `LinAlgError` there propagates from `basis_h1`), and the other fields
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, RankAmbiguityError, ResidualError
 from .presentations import (Representation, Word, _fold_words, _read_only,
-                            fox_jacobian_at, kept, raised)
+                            fox_jacobian_at, kept)
 
 DEFAULT_TOL = 1e-8
 
@@ -233,40 +234,35 @@ class _Analysis:
 def system_cohomology(sys: CoefficientSystem,
                       tol: float = DEFAULT_TOL) -> CohomologySummary:
     """H0/H1 summary of one coefficient system: `_system_cohomologies`'
-    batch of one, raising its error."""
-    return raised(_system_cohomologies([sys], tol)[0])
+    batch of one."""
+    return _system_cohomologies([sys], tol)[0]
 
 
 def _system_cohomologies(systems, tol: float) -> list:
-    """The summary of each system, or the error its analysis raises.
-    A stacked matmul or SVD gives each matrix what its own gives, so a
-    summary does not depend on the batch it is analysed in."""
+    """The summary of each system.  The checks run in order, each over
+    its rows: the relator residual of every system, then, shape group
+    by shape group, d1 d0 and the ranks; the first row to fail raises
+    the error its lone analysis raises.  A stacked matmul or SVD gives
+    each matrix what its own gives, so a summary does not depend on the
+    batch it is analysed in."""
     out: list = [None] * len(systems)
     shapes: dict = {}
     for i, sys in enumerate(systems):
         rep = sys.rep
         if rep.relator_residual > 10 * tol:
-            out[i] = ResidualError(
+            raise ResidualError(
                 f"relator residual {rep.relator_residual:.3e} too large "
                 f"for cohomology at tolerance {tol:.1e}")
-        else:
-            shapes.setdefault((sys.k, sys.n, len(rep.presentation.relators)),
-                              []).append(i)
+        shapes.setdefault((sys.k, sys.n, len(rep.presentation.relators)),
+                          []).append(i)
     for idx in shapes.values():
         D0, D1 = _differentials([systems[i] for i in idx])
-        if D1.size:
-            comps = np.sqrt(((D1 @ D0) ** 2).sum(axis=(1, 2))).tolist()
-            for i, comp in zip(idx, comps):
-                if comp > 100 * tol:
-                    out[i] = ResidualError(
-                        f"d1 d0 composite norm {comp:.3e}; complex is broken")
-            whole = [g for g, i in enumerate(idx) if out[i] is None]
-            idx, D0, D1 = [idx[g] for g in whole], D0[whole], D1[whole]
-        try:
-            _shape_cohomologies(out, idx, D0, D1, tol)
-        except np.linalg.LinAlgError as e:
-            for i in idx:
-                out[i] = e
+        comps = np.sqrt(((D1 @ D0) ** 2).sum(axis=(1, 2))) if D1.size else ()
+        for comp in comps:
+            if comp > 100 * tol:
+                raise ResidualError(
+                    f"d1 d0 composite norm {comp:.3e}; complex is broken")
+        _shape_cohomologies(out, idx, D0, D1, tol)
     return out
 
 
@@ -285,7 +281,7 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
     stack H's (d1 on d0ᵀ) values only.  d1 and d0ᵀ have orthogonal row
     spaces, so H has rank rank d0 + rank d1, and its trailing right
     singular vectors (decomposed on the first `basis_h1` read) span the
-    harmonic space."""
+    harmonic space.  The first row whose ranks fail raises."""
     nk, k = D0.shape[1:]
     _, S0, VT0 = np.linalg.svd(D0, full_matrices=False)
     S1 = (np.linalg.svd(D1, compute_uv=False) if D1.size
@@ -299,18 +295,17 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
         z1 = nk - rank1
         h0, h1 = k - rank0, z1 - rank0
         if h1 < 0:
-            out[i] = RankAmbiguityError(
+            raise RankAmbiguityError(
                 f"negative h1 = {z1} - {rank0}; rank thresholds failed")
-        elif ranksh[g] != rank0 + rank1:
-            out[i] = RankAmbiguityError(
+        if ranksh[g] != rank0 + rank1:
+            raise RankAmbiguityError(
                 f"d1 stacked on d0^T has rank {ranksh[g]}, expected "
                 f"rank d0 + rank d1 = {rank0 + rank1}")
-        elif k == 3 and h0 not in (0, 1, 3):
-            out[i] = RankAmbiguityError(
+        if k == 3 and h0 not in (0, 1, 3):
+            raise RankAmbiguityError(
                 f"h0 = {h0} is impossible for full coefficients; "
                 f"tolerance {tol:.1e} is misplaced")
-        else:
-            out[i] = CohomologySummary(of, g)
+        out[i] = CohomologySummary(of, g)
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:

@@ -24,9 +24,9 @@ torsion sequences as stacked products, one stack per shape; there is
 no per-point step.  A point's torsion follows its stratum: the unit
 half-density at stratum 0, elsewhere the splitting's torsion; t3 has
 no built-in splitting, so its other points carry torsion = None until
-the caller supplies values.  Each label, verdict, torsion or error
-sits in its point's place, so the verdicts and the first error raised
-are those of a point-by-point run.  A chart keeps nothing on its
+the caller supplies values.  Each stage checks its rows in order, and
+the first row that fails raises the error a lone call raises there, so
+a chart that returns has no failed point.  A chart keeps nothing on its
 representations but their rows of its Ad stack; `heegaard_mv_torsion`
 and `clean_intersection_check` are batches of one that keep nothing
 either: they read their representation's kept label and summary.
@@ -51,7 +51,7 @@ from .presentations import (Presentation, Representation, Word, _fields,
                             _fold_words, _json_float, _representations,
                             commutator, cyclic_group,
                             evaluate_images, fox_fold, free_group,
-                            generator, raised, surface_group)
+                            generator, surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
 from .torsion import TorsionValue, _mayer_vietoris_torsions
 
@@ -88,7 +88,6 @@ class HeegaardData:
 @dataclass(frozen=True)
 class CleanVerdict:
     passes: bool
-    stratum: int
     declared_dim: int
     cohomology_dim: int
 
@@ -224,14 +223,11 @@ def _stratum_systems(reps, labels, summaries, tol: float) -> tuple:
     algebra and that summary at irreducible points, the stabilizer line
     (the summary's h0 basis) and its summary, from one stacked analysis
     of the lines, at reducible ones, and None at stratum 0.  Two
-    columns, each entry a value or, in its place, its label's error or
-    its line's."""
-    bases = [label if isinstance(label, Exception) else None if label.i == 0
-             else _FULL_BASIS if label.i == 3 else s.basis_h0
-             for label, s in zip(labels, summaries)]
-    out = [s if b is _FULL_BASIS else b for b, s in zip(bases, summaries)]
-    # the stabilizer lines are the entries of out still holding a basis
-    lines = [i for i, b in enumerate(out) if isinstance(b, np.ndarray)]
+    columns; the first line whose analysis fails raises."""
+    bases = [None if label.i == 0 else _FULL_BASIS if label.i == 3
+             else s.basis_h0 for label, s in zip(labels, summaries)]
+    out = [s if label.i == 3 else None for label, s in zip(labels, summaries)]
+    lines = [i for i, label in enumerate(labels) if label.i == 1]
     for i, s in zip(lines, _system_cohomologies(
             [CoefficientSystem(reps[i], bases[i]) for i in lines], tol)):
         out[i] = s
@@ -240,63 +236,46 @@ def _stratum_systems(reps, labels, summaries, tol: float) -> tuple:
 
 def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
                     tol: float) -> list:
-    """The Mayer-Vietoris torsion of a splitting at each manifold rep,
-    given the two `_stratum_systems` columns, or in its place the error
-    a lone `heegaard_mv_torsion` raises there.  Stacks have one row per rep
-    that has a basis: one fold of each handle word over the chart
-    images and of each surface word over the handle holonomies, one
-    stacked analysis of the handle and surface systems, one W of the
-    surface relator, then, per shape of the four summaries, the
-    restriction maps, the surface Gram matrix and the sequence as
-    stacked products.  The handle and surface representations are made
-    here and not kept; rows that fail a gate are folded too, and
-    nothing reads them."""
-    out = [DomainError("stratum 0 uses the constant unit torsion, not "
-                       "the Mayer-Vietoris assembly") if b is None else b
-           for b in bases]
-    rows = [i for i, b in enumerate(out) if not isinstance(b, Exception)]
-    if not rows:
-        return out
+    """The Mayer-Vietoris torsion of a splitting at each manifold rep
+    that has a stratum basis, given its rows of the two
+    `_stratum_systems` columns.  Each check runs over every row, in the
+    order a lone `heegaard_mv_torsion` meets them, and the first row
+    that fails raises that call's error.  Stacks have one row per rep:
+    one fold of each handle word over the chart images and of each
+    surface word over the handle holonomies, one stacked analysis of
+    the handle and surface systems, one W of the surface relator, then,
+    per shape of the four summaries, the restriction maps, the surface
+    Gram matrix and the sequence as stacked products.  The handle and
+    surface representations are made here and not kept."""
+    if not n_reps:
+        return []
     handle, s_pres = free_group(heegaard.genus), surface_group(heegaard.genus)
-    images = np.array([n_reps[i].images for i in rows])
+    images = np.array([rep.images for rep in n_reps])
     q1, fox1 = _fold_words(images, heegaard.handle1_to_manifold)
     q2, fox2 = _fold_words(images, heegaard.handle2_to_manifold)
     via1, fox_s1 = _fold_words(q1, heegaard.surface_to_handle1)
     via2, fox_s2 = _fold_words(q2, heegaard.surface_to_handle2)
-    gaps = np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist()
-    # a rep's first error, in the order a lone call meets them
-    systems = []
-    for r, (i, h1, h2, gap, sigma) in enumerate(zip(
-            rows, _representations(handle, q1),
-            _representations(handle, q2), gaps,
-            _representations(s_pres, via1))):
-        if isinstance(h1, Exception) or isinstance(h2, Exception):
-            out[i] = h1 if isinstance(h1, Exception) else h2
-        elif gap > 100 * tol:
-            out[i] = DomainError(
+    subs = [_representations(handle, q1), _representations(handle, q2)]
+    for gap in np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist():
+        if gap > 100 * tol:
+            raise DomainError(
                 f"the two handlebody routes disagree on the surface rep "
                 f"(gap {gap:.3e}); gluing data is inconsistent")
-        elif isinstance(sigma, Exception):
-            out[i] = sigma
-        else:
-            systems.append((i, r, [CoefficientSystem(sub, out[i])
-                                   for sub in (h1, h2, sigma)]))
+    subs.append(_representations(s_pres, via1))
     handles = iter(_system_cohomologies(
-        [sys for *_, three in systems for sys in three], tol))
+        [CoefficientSystem(sub, b) for b, *three in zip(bases, *subs)
+         for sub in three], tol))
     shapes: dict = {}
-    for i, r, _ in systems:
-        sums = [summaries[i], *(next(handles) for _ in range(3))]
-        errors = [s for s in sums if isinstance(s, Exception)]
-        if errors:
-            out[i] = errors[0]
-        else:
-            shapes.setdefault((out[i].shape[1], *(s.h1 for s in sums)),
-                              []).append((i, r, sums))
+    for r, (b, s) in enumerate(zip(bases, summaries)):
+        sums = [s, *(next(handles) for _ in range(3))]
+        shapes.setdefault((b.shape[1], *(x.h1 for x in sums)),
+                          []).append((r, sums))
     W = fox_fold(via1, s_pres.relators[0])[2]
     n = s_pres.num_generators
+    out: list = [None] * len(n_reps)
     for group in shapes.values():
-        idx, r, sums = map(list, zip(*group))
-        B = np.array([out[i] for i in idx])
+        r, sums = map(list, zip(*group))
+        B = np.array([bases[i] for i in r])
         # harmonic bases, each stacked with its lone layout, so that
         # every product below gives each row its lone product
         bn, b1, b2, bs = (np.array([s.basis_h1.T for s in col])
@@ -310,7 +289,7 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
         rho2 = bs @ _in_basis(B, fox_s2[r]) @ b2.mT
         E = (np.eye(n)[:, None, :, None] * B[:, None, :, None, :]).reshape(
             len(B), 3 * n, -1) @ bs.mT
-        for i, t in zip(idx, _mayer_vietoris_torsions(
+        for i, t in zip(r, _mayer_vietoris_torsions(
                 r1, r2, rho1, rho2, E.mT @ W[r] @ E, tol)):
             out[i] = t
     return out
@@ -320,11 +299,14 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
                         tol: float = DEFAULT_TOL) -> TorsionValue:
     """Mayer-Vietoris torsion of a splitting at a manifold rep, with
     coefficients picked by the rep's stratum (full algebra at
-    irreducible points, the stabilizer line at reducible ones):
-    `_glued_torsions`' batch of one."""
-    return raised(_glued_torsions(heegaard, [n_rep], *_stratum_systems(
-        [n_rep], [classify_stratum(n_rep, tol)], [cohomology(n_rep, tol)],
-        tol), tol)[0])
+    irreducible points, the stabilizer line at reducible ones; stratum
+    0 is refused): `_glued_torsions`' batch of one."""
+    label = classify_stratum(n_rep, tol)
+    if label.i == 0:
+        raise DomainError("stratum 0 uses the constant unit torsion, not "
+                          "the Mayer-Vietoris assembly")
+    return _glued_torsions(heegaard, [n_rep], *_stratum_systems(
+        [n_rep], [label], [cohomology(n_rep, tol)], tol), tol)[0]
 
 
 # -- clean intersection -----------------------------------------------
@@ -334,19 +316,17 @@ def clean_intersection_check(point: ModuliPoint,
     """Declared component dimension against h1 of the manifold
     presentation at the point (coefficients by stratum).  Stratum 0
     passes vacuously.  `_clean_verdicts`' batch of one."""
-    return raised(_clean_verdicts(
-        [point.stratum], [point.component_dim], _stratum_systems(
-            [point.rep], [point.stratum], [cohomology(point.rep, tol)],
-            tol)[1])[0])
+    return _clean_verdicts([point.component_dim], _stratum_systems(
+        [point.rep], [point.stratum], [cohomology(point.rep, tol)],
+        tol)[1])[0]
 
 
-def _clean_verdicts(labels, declared, summaries) -> list:
+def _clean_verdicts(declared, summaries) -> list:
     """Each point's clean verdict from the summary of its stratum system
-    (`_stratum_systems`), or in its place that summary's error."""
-    return [CleanVerdict(True, 0, dim, dim) if s is None
-            else s if isinstance(s, Exception)
-            else CleanVerdict(s.h1 == dim, label.i, dim, s.h1)
-            for label, dim, s in zip(labels, declared, summaries)]
+    (`_stratum_systems`)."""
+    return [CleanVerdict(True, dim, dim) if s is None
+            else CleanVerdict(s.h1 == dim, dim, s.h1)
+            for dim, s in zip(declared, summaries)]
 
 
 # -- built-in moduli drivers ------------------------------------------
@@ -407,39 +387,31 @@ def _chart_bound(chart: str, points: int):
                          f"more than {MAX_CHART_POINTS}")
 
 
-def _point(pid, rep, label, component_dim, weight, fingerprint, torsion,
-           clean):
-    """A chart point, built once, with its torsion by stratum (the unit
-    half-density at stratum 0, else the splitting's or None) and its
-    clean verdict; a label, torsion or verdict that is an error is
-    raised, in that order."""
-    torsion = (TorsionValue(1.0, 0.0) if raised(label).i == 0
-               else raised(torsion))
-    return ModuliPoint(
-        point_id=pid, rep=rep, stratum=label, component_dim=component_dim,
-        weight=weight, fingerprint=tuple(fingerprint), torsion=torsion,
-        clean=raised(clean))
-
-
 def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     """The points of a chart, one per row (point_id, angles,
     component_dim, weight), with images exp(angle * i), built in one
-    stacked pass; the first row that fails a gate raises its error.
-    Their fingerprints, full summaries, labels, stratum summaries,
-    clean verdicts and, with a splitting (None for none), torsions are
-    columns computed a stack at a time, errors in place, before the
-    points are read in order."""
+    stacked pass.  Their fingerprints, full summaries, labels, stratum
+    summaries, clean verdicts and torsions by stratum (the unit
+    half-density at stratum 0, else the splitting's, or None without
+    one) are columns computed a stack at a time, each stage raising its
+    first failing row, before the points are built."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
-    reps = [raised(rep) for rep in _representations(pres, images)]
+    reps = _representations(pres, images)
     fulls = _system_cohomologies([full_system(rep) for rep in reps], tol)
     labels = _labels(images, fulls, tol)
     bases, summaries = _stratum_systems(reps, labels, fulls, tol)
-    torsions = ([None] * len(reps) if heegaard is None
-                else _glued_torsions(heegaard, reps, bases, summaries, tol))
-    cleans = _clean_verdicts(labels, [dim for _, _, dim, _ in rows],
-                             summaries)
-    return [_point(pid, rep, label, dim, weight, fingerprint, torsion, clean)
+    torsions = [TorsionValue(1.0, 0.0) if b is None else None for b in bases]
+    if heegaard is not None:
+        glued = [i for i, b in enumerate(bases) if b is not None]
+        columns = ([col[i] for i in glued] for col in (reps, bases, summaries))
+        for i, t in zip(glued, _glued_torsions(heegaard, *columns, tol)):
+            torsions[i] = t
+    cleans = _clean_verdicts([dim for _, _, dim, _ in rows], summaries)
+    return [ModuliPoint(point_id=pid, rep=rep, stratum=label,
+                        component_dim=dim, weight=weight,
+                        fingerprint=tuple(fingerprint), torsion=torsion,
+                        clean=clean)
             for (pid, _, dim, weight), rep, label, fingerprint, torsion, clean
             in zip(rows, reps, labels, _fingerprints(images), torsions,
                    cleans)]
@@ -536,8 +508,10 @@ def apply_value_table(points, table, field: str):
     fp_hits = map(p.__getitem__, map(slice, bounds, bounds[1:]))
     values: dict = {}
     for entry, key in zip(entries, keys):
+        if isinstance(key, InputError):
+            raise key
         hits = next(fp_hits) if isinstance(key, list) \
-            else by_id.get(raised(key), [])
+            else by_id.get(key, [])
         if not hits:
             raise InputError(f"table entry matches no point: {entry}")
         v = _json_float(entry[field])

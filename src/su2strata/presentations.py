@@ -242,13 +242,9 @@ def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
     """The representation, if its relator residual is within tol (a
     NaN residual is not)."""
     if not rep.relator_residual <= tol:
-        raise _residual_error(rep.relator_residual, tol)
+        raise ResidualError(f"relator residual {rep.relator_residual:.3e} "
+                            f"exceeds tolerance {tol:.1e}")
     return rep
-
-
-def _residual_error(residual: float, tol: float) -> ResidualError:
-    return ResidualError(f"relator residual {residual:.3e} exceeds "
-                         f"tolerance {tol:.1e}")
 
 
 _NOT_UNIT = "images must be unit quaternions"
@@ -275,32 +271,25 @@ def _relator_folds(presentation: Presentation, images: np.ndarray):
 
 def _representations(presentation: Presentation, images) -> list:
     """One representation per row of an (N, n, 4) image stack, from one
-    stacked pass: the unit and relator gates, the relator folds and the
-    Ad stack, each kept as read-only views of its row.  A row that fails
-    a gate gives, in its place, the error its own construction raises."""
+    stacked pass: the unit gate over every row, the relator folds, the
+    relator gate over every row and the Ad stack, each kept as
+    read-only views of its row.  The first row to fail the first gate
+    that any row fails raises the error its own construction raises."""
     images = _read_only(np.array(images, dtype=float))
     n = presentation.num_generators
     if images.ndim != 3 or images.shape[1:] != (n, 4):
         raise PresentationError(
             f"need shape (N, {n}, 4) images, got {images.shape}")
-    unit = _unit(images).tolist()
-    # rows that fail the unit gate fold to garbage, never read
-    with np.errstate(all="ignore"):
-        values, jacobian, residual = _relator_folds(presentation, images)
+    if not _unit(images).all():
+        raise PresentationError(_NOT_UNIT)
+    values, jacobian, residual = _relator_folds(presentation, images)
     out = []
-    for i, (is_unit, r) in enumerate(zip(unit, residual.tolist())):
-        if not is_unit:
-            out.append(PresentationError(_NOT_UNIT))
-        elif not r <= RELATOR_TOL:
-            out.append(_residual_error(r, RELATOR_TOL))
-        else:
-            rep = Representation.__new__(Representation)
-            rep._keep(presentation, images[i], values[i], jacobian[i], r)
-            out.append(rep)
-    built = [i for i, rep in enumerate(out)
-             if isinstance(rep, Representation)]
-    for i, adjoints in zip(built, _read_only(su2.ad(images[built]))):
-        out[i]._kept["adjoints"] = adjoints
+    for i, r in enumerate(residual.tolist()):
+        rep = Representation.__new__(Representation)
+        rep._keep(presentation, images[i], values[i], jacobian[i], r)
+        out.append(gate_relators(rep))
+    for rep, adjoints in zip(out, _read_only(su2.ad(images))):
+        rep._kept["adjoints"] = adjoints
     return out
 
 
@@ -322,13 +311,6 @@ def kept(rep: Representation, key, compute):
     if key not in rep._kept:
         rep._kept[key] = compute()
     return rep._kept[key]
-
-
-def raised(value):
-    """value, or the error a batch put in its place, raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

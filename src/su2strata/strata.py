@@ -12,9 +12,10 @@ common-axis test on the images, and they must agree.  A representation
 whose smallest nonzero d0 singular value falls within a factor of ten
 of the threshold refuses classification instead of guessing.  `_labels`
 classifies a stack of images from their full-coefficient summaries
-with one axis test; a moduli chart or a strata scan passes it its
-columns, and `classify_stratum` is its batch of one, kept per tol
-beside the full summary it reads, errors raised again on every call.
+with one axis test, and its first row that fails raises; a moduli
+chart or a strata scan passes it its columns, and `classify_stratum` is
+its batch of one, kept per tol beside the full summary it reads, errors
+raised again on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import su2
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
-from .presentations import (Representation, free_group, kept, polish, raised,
+from .presentations import (Representation, free_group, kept, polish,
                             surface_group)
 
 
@@ -72,32 +73,31 @@ def classify_stratum(rep: Representation,
                      tol: float = DEFAULT_TOL) -> StratumLabel:
     """The representation's stratum, kept per tol: `_labels`' batch of
     one."""
-    return kept(rep, ("label", tol), lambda: raised(_labels(
-        rep.images[None], [cohomology(rep, tol)], tol)[0]))
+    return kept(rep, ("label", tol), lambda: _labels(
+        rep.images[None], [cohomology(rep, tol)], tol)[0])
 
 
 def _labels(images: np.ndarray, summaries, tol: float) -> list:
     """The label of each row of an (N, n, 4) image stack, from its
-    full-coefficient summary and one axis test over the stack, or in
-    its place the summary's error or the error its classification
+    full-coefficient summary and one axis test over the stack; the
+    first row that fails raises the error its lone classification
     raises."""
     dims = _axis_stabilizer_dims(images, tol)
     return [_label(*args, tol) for args in zip(images, summaries, dims)]
 
 
 def _label(images: np.ndarray, summary, axis_dim: int, tol: float):
-    """The label of (n, 4) images from their summary and axis verdict,
-    or an error."""
-    if isinstance(summary, Exception):
-        return summary
+    """The label of (n, 4) images from their summary and axis verdict.
+    The d0 values above tol are its first 3 - h0, as the analysis
+    ranked them."""
     h0 = summary.h0
-    nonzero = [s for s in summary.singular_values["d0"] if s > tol]
-    if nonzero and min(nonzero) < 10 * tol:
-        return BoundaryAmbiguousError(
-            f"smallest nonzero d0 singular value {min(nonzero):.3e} is "
+    nonzero = summary.singular_values["d0"][:3 - h0]
+    if nonzero and nonzero[-1] < 10 * tol:
+        raise BoundaryAmbiguousError(
+            f"smallest nonzero d0 singular value {nonzero[-1]:.3e} is "
             f"within 10x of threshold {tol:.1e}")
     if h0 != axis_dim:
-        return StratumConflictError(
+        raise StratumConflictError(
             f"rank verdict h0={h0} vs axis verdict {axis_dim}; "
             f"tolerance {tol:.1e} failed")
     central = bool(h0 == 3 and (images[:, 0] < 0).any())

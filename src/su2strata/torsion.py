@@ -12,9 +12,9 @@ for even j.  Values accumulate in log space.  Only absolute values are
 produced; no orientation of determinant lines is chosen.  Sequences
 of one shape are stacked (`_sequence_torsions`, and the Mayer-Vietoris
 assembly `_mayer_vietoris_torsions` above it), each map's SVD taken
-once over the stack and each row's torsion or first error returned in
-its place; `sequence_torsion` and `mayer_vietoris_torsion` are their
-batches of one.
+once over the stack, and the first row that fails a check raises;
+`sequence_torsion` and `mayer_vietoris_torsion` are their batches of
+one.
 
 A stratum's volume is the torsion of 0 -> g -> g^n -> H^1 -> 0 with d0
 first and H^1 in its orthonormal harmonic basis, so it is the product
@@ -30,7 +30,7 @@ import numpy as np
 
 from .cohomology import DEFAULT_TOL, cohomology
 from .errors import DomainError, ExactnessError
-from .presentations import Representation, raised
+from .presentations import Representation
 from .strata import classify_stratum
 
 
@@ -71,42 +71,37 @@ def sequence_torsion(seq: MetricSequence,
     Raises ExactnessError when composites fail to vanish or when the
     ranks do not satisfy rank f_{j-1} + rank f_j = dim V_j.
     """
-    return raised(_sequence_torsions(
-        seq.dims, [f[None] for f in seq.maps], tol)[0])
+    return _sequence_torsions(seq.dims, [f[None] for f in seq.maps], tol)[0]
 
 
 def _sequence_torsions(dims, maps, tol: float) -> list:
     """The torsion of each of N sequences of one shape, maps[j] their
-    stacked (N, dims[j+1], dims[j]) j-th maps, or in its place the
-    ExactnessError its lone call raises.  Each map's singular values
-    come from one stacked SVD, which gives each matrix what its own
-    gives, and its logs are summed over the exact rows in one pass."""
+    stacked (N, dims[j+1], dims[j]) j-th maps; the first inexact row
+    raises the ExactnessError its lone call raises.  Each map's
+    singular values come from one stacked SVD, which gives each matrix
+    what its own gives, and its logs are summed in one pass."""
     n = len(maps[0]) if maps else 1     # a lone space has no maps
     res = np.zeros(n)
     for a, b in zip(maps, maps[1:]):
         res = np.fmax(res, np.sqrt(((b @ a) ** 2).sum(axis=(1, 2))))
     svs = [np.linalg.svd(f, compute_uv=False) for f in maps]
     ranks = np.array([(sv > tol).sum(axis=1) for sv in svs], dtype=int)
-    out: list = []
     for r, rank in zip(res.tolist(), ranks.reshape(-1, n).T.tolist()):
+        if r > tol:
+            raise ExactnessError(f"consecutive composite norm {r:.3e} "
+                                 f"exceeds {tol:.1e}")
         b = [0, *rank, 0]
-        j = next((j for j, d in enumerate(dims) if b[j] + b[j + 1] != d),
-                 None)
-        out.append(
-            ExactnessError(f"consecutive composite norm {r:.3e} exceeds "
-                           f"{tol:.1e}") if r > tol else
-            ExactnessError(f"rank defect at space {j+1}: {b[j]} + "
-                           f"{b[j+1]} != dim {dims[j]}") if j is not None
-            else None)
-    ok = [i for i, t in enumerate(out) if t is None]
-    log_t, rank = np.zeros(len(ok)), 0
+        for j, d in enumerate(dims):
+            if b[j] + b[j + 1] != d:
+                raise ExactnessError(f"rank defect at space {j+1}: {b[j]} "
+                                     f"+ {b[j+1]} != dim {d}")
+    log_t, rank = np.zeros(n), 0
     for j, sv in enumerate(svs):
         rank = dims[j] - rank       # what exactness leaves map j
-        part = np.log(sv[ok, :rank]).sum(axis=1)
+        part = np.log(sv[:, :rank]).sum(axis=1)
         log_t = log_t + part if j % 2 == 0 else log_t - part
-    for i, v, lv in zip(ok, np.exp(log_t).tolist(), log_t.tolist()):
-        out[i] = TorsionValue(value=v, log_value=lv)
-    return out
+    return [TorsionValue(value=v, log_value=lv)
+            for v, lv in zip(np.exp(log_t).tolist(), log_t.tolist())]
 
 
 def stratum_volume(rep: Representation,
@@ -114,7 +109,8 @@ def stratum_volume(rep: Representation,
     """Torsion volume of the stratum through a free-group tuple: 1 at
     stratum 0, else the product of d0's nonzero singular values (at
     stratum 1 the complement factor; d0 vanishes on the stabilizer
-    line, so that factor is 1).  Conjugation-invariant.
+    line, so that factor is 1): its first 3 - h0 values, the rank the
+    analysis decided.  Conjugation-invariant.
 
     The log is checked against `_log_volume_law`, a law of the images
     alone.  It may differ by 1e-9 plus what d0's rounding explains
@@ -127,8 +123,8 @@ def stratum_volume(rep: Representation,
     label = classify_stratum(rep, tol)
     if label.i == 0:
         return TorsionValue(1.0, 0.0)
-    sv = np.array(cohomology(rep, tol).singular_values["d0"])
-    kept = sv[sv > tol]
+    kept = np.array(cohomology(rep, tol).singular_values["d0"][
+        :3 - label.stabilizer_dim])
     log_t = float(np.sum(np.log(kept)))
     law = _log_volume_law(rep.images, label.stabilizer_dim)
     slack = 32 * pres.num_generators * np.finfo(float).eps * np.sum(1 / kept)
@@ -179,20 +175,21 @@ def mayer_vietoris_torsion(r1: np.ndarray, r2: np.ndarray,
     if r2.shape[1] != nN or rho1.shape[1] != a or rho2.shape[1] != b \
             or omega_gram.shape != (s, s) or rho2.shape[0] != s:
         raise DomainError("restriction map shapes are inconsistent")
-    return raised(_mayer_vietoris_torsions(*(m[None] for m in maps), tol)[0])
+    return _mayer_vietoris_torsions(*(m[None] for m in maps), tol)[0]
 
 
 def _mayer_vietoris_torsions(r1, r2, rho1, rho2, omega, tol: float) -> list:
     """`mayer_vietoris_torsion` of each row of (N, ...) stacks of one
-    shape, or in its place the error its lone call raises: one stacked
-    product per map and one `_sequence_torsions`."""
+    shape: one stacked product per map and one `_sequence_torsions`.
+    The routes of every row are compared first, and the first row that
+    fails raises the error its lone call raises."""
     j1, j2 = rho1 @ r1, rho2 @ r2
-    gaps = np.sqrt(((j1 - j2) ** 2).sum(axis=(1, 2))).tolist()
+    for gap in np.sqrt(((j1 - j2) ** 2).sum(axis=(1, 2))).tolist():
+        if gap > 100 * tol:
+            raise ExactnessError("the two handlebody routes give different "
+                                 f"composite restrictions (gap {gap:.3e})")
     nN, s = r1.shape[2], rho1.shape[1]
-    torsions = _sequence_torsions(
+    return _sequence_torsions(
         (nN, r1.shape[1] + r2.shape[1], s, nN),
         (np.concatenate([r1, r2], axis=1),
          np.concatenate([rho1, -rho2], axis=2), (omega @ j1).mT), tol)
-    return [ExactnessError("the two handlebody routes give different "
-                           f"composite restrictions (gap {gap:.3e})")
-            if gap > 100 * tol else t for gap, t in zip(gaps, torsions)]

@@ -4,8 +4,10 @@
 full-coefficient summaries with one axis test over the stack, and a
 lone `classify_stratum` is its batch of one.  These tests hold each row
 of the stacked axis test to the per-image oracle, and each label of a
-stack or a chart to a fresh lone classification of the same images,
-errors by type and message.
+stack or a chart to a fresh lone classification of the same images; a
+stack with a failing row raises the lone error of its first failing
+row in the first stage that fails (the analysis, then the labels), by
+type and message.
 """
 
 import numpy as np
@@ -14,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2strata import strata, su2
-from su2strata.cohomology import _system_cohomologies, full_system
+from su2strata.cohomology import (_system_cohomologies, cohomology,
+                                  full_system)
 from su2strata.invariants import enumerate_moduli
 from su2strata.presentations import Representation, free_group
 from su2strata.strata import classify_stratum
 
 import oracles
+from test_cohomology_batch import outcome
 
 KINDS = ("haar", "axis", "central", "near-axis", "near-central")
 TOLS = (1e-8, 1e-6)
@@ -90,11 +94,22 @@ def test_a_stacked_label_is_a_lone_label(seed, rows, tol):
     rng = np.random.default_rng(seed)
     stack = [row_images(rng, kinds, tol) for kinds in rows]
     pres = free_group(len(rows[0]))
-    summaries = _system_cohomologies(
-        [full_system(Representation(pres, im)) for im in stack], tol)
-    labels = strata._labels(np.array(stack), summaries, tol)
-    for images, got in zip(stack, labels):
-        assert_lone(got, pres, images, tol)
+    stages = [[outcome(f, Representation(pres, images), tol)
+               for images in stack] for f in (cohomology, classify_stratum)]
+    errors = [e for stage in stages for e in stage
+              if isinstance(e, Exception)]
+
+    def labels():
+        summaries = _system_cohomologies(
+            [full_system(Representation(pres, im)) for im in stack], tol)
+        return strata._labels(np.array(stack), summaries, tol)
+
+    if not errors:
+        assert labels() == stages[1]
+        return
+    with pytest.raises(type(errors[0])) as got:
+        labels()
+    assert str(got.value) == str(errors[0])
 
 
 @pytest.mark.parametrize("example, kwargs", [

@@ -9,9 +9,9 @@ stacked leaf products are held to the scalar ones bit for bit, every
 chart-built representation to the same images built alone, a lens
 point's torsion and fingerprint to the ones its images give alone, a
 chart point to nothing kept but its Ad rows, a chart to one analysis
-per stacked stage, a bad row to the error its lone construction
-raises, and the leaf-op calls of a t3 chart to a count that does not
-grow with the chart.
+per stacked stage, a stack with a bad row to the error the bad row's
+lone construction raises, and the leaf-op calls of a t3 chart to a
+count that does not grow with the chart.
 """
 
 import math
@@ -175,16 +175,14 @@ def test_a_bad_row_gives_the_error_built_alone(pres):
     else:
         angles = np.array([[0.4] * n, [1.1] * n])
         good = su2.exp(angles[..., None] * np.array([0.0, 0.6, 0.8]))
+    for rep in _representations(pres, good):
+        _assert_built_alone(rep)
     for stack, k in _bad_rows(pres, good):
-        built = _representations(pres, stack)
-        for i, rep in enumerate(built):
-            if i != k:
-                assert isinstance(rep, Representation)
-                continue
-            with pytest.raises((PresentationError, ResidualError)) as lone:
-                Representation(pres, stack[i])
-            assert type(rep) is type(lone.value)
-            assert str(rep) == str(lone.value)
+        with pytest.raises((PresentationError, ResidualError)) as lone:
+            Representation(pres, stack[k])
+        with pytest.raises(type(lone.value)) as built:
+            _representations(pres, stack)
+        assert str(built.value) == str(lone.value)
 
 
 def test_a_chart_raises_its_first_bad_row():

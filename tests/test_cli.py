@@ -644,6 +644,48 @@ def test_a_table_entry_naming_id_and_fingerprint_is_exit_2(tmp_path, capsys,
     assert "both point_id and fingerprint" in err
 
 
+FREE3 = {"generators": ["x1", "x2", "x3"], "relators": [], "kind": "free",
+         "genus": 3}
+_NEAR = np.array([math.cos(3e-8), math.sin(3e-8), 0.0])
+
+
+@pytest.mark.parametrize("argv, files, code, err", [
+    (["invariant", "--example", "lens", "--p", "12007", "--q", "7"], {}, 1,
+     "error: negative h1 = 0 - 2; rank thresholds failed\n"),
+    (["torsion", "{lens}"],
+     {"lens": {"example": "lens", "p": 12007, "q": 7, "point": 6003}}, 1,
+     "error: negative h1 = 0 - 2; rank thresholds failed\n"),
+    # two axes 3e-8 apart: a BoundaryAmbiguousError
+    (["classify", "{near}"],
+     {"near": {"presentation": FREE3, "images": {
+         "x1": list(su2.exp(0.7 * np.array([1.0, 0.0, 0.0]))),
+         "x2": list(su2.exp(0.4 * _NEAR)),
+         "x3": list(su2.exp(1.1 * np.array([1.0, 0.0, 0.0])))}}}, 1,
+     "error: smallest nonzero d0 singular value 2.202e-08 is within 10x "
+     "of threshold 1.0e-08\n"),
+    (["cohomology", os.path.join(os.path.dirname(__file__), "golden",
+                                 "free4-stratum3.json"),
+      "--coefficients", "stabilizer"], {}, 1,
+     "error: h0 = 0: no canonical axis splitting\n"),
+    (["torsion", "{seq}"],
+     {"seq": {"sequence": {"dims": [2, 2],
+                           "maps": [[[1.0, 0.0], [0.0, 0.0]]]}}}, 1,
+     "error: rank defect at space 1: 0 + 1 != dim 2\n"),
+    (["invariant", "--example", "t3", "--samples", "2"], {}, 1,
+     "error: point t3:grid(1,0,0)/2 has no torsion value; supply one\n"),
+    (["invariant", "--example", "t3", "--samples", "2", "--torsion-table",
+      "{table}"],
+     {"table": {"entries": [{"point_id": "t3:ghost", "torsion": 1.0}]}}, 2,
+     "input error: table entry matches no point: "
+     "{'point_id': 't3:ghost', 'torsion': 1.0}\n"),
+])
+def test_a_failing_command_gives_its_exit_code_and_message(
+        tmp_path, capsys, argv, files, code, err):
+    paths = {name: write_json(tmp_path / f"{name}.json", payload)
+             for name, payload in files.items()}
+    assert run(capsys, *(a.format(**paths) for a in argv)) == (code, "", err)
+
+
 def test_no_subcommand_is_exit_2(capsys):
     assert run(capsys, )[0] == 2
 

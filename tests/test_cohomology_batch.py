@@ -3,8 +3,10 @@
 `_system_cohomologies` analyses a whole chart's systems from one SVD
 per stack of equal-shape matrices, and a chart passes its summaries on
 as columns without keeping them.  These tests pin that a stack gives
-exactly what single calls give (errors included), that an error in a
-stack does not spoil its stack-mates and is not kept, that each
+exactly what single calls give, that a stack with a failing system
+raises the lone error of its first failing system in the first check
+that fails, that a failed stack keeps nothing on any of its systems'
+representations, that each
 (representation, basis, tol) is analysed once by a chart and once by
 lone calls, and that the SVD count of a t3 chart, its stacked d0/d1
 builds and its label passes do not grow with the chart.
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
 from su2strata import invariants, strata, su2
-from su2strata.errors import ResidualError
+from su2strata.errors import RankAmbiguityError, ResidualError
 from su2strata.invariants import (clean_intersection_check, enumerate_moduli,
                                   t3_presentation)
 from su2strata.presentations import Representation, cyclic_group, free_group
@@ -104,6 +106,27 @@ def build(seed, specs, tol):
     return copies
 
 
+def outcome(f, *args):
+    """f(*args), or the error it raises."""
+    try:
+        return f(*args)
+    except Exception as e:      # noqa: BLE001 - the same error, any type
+        return e
+
+
+def check_order(i, systems, error) -> tuple:
+    """Where the stacked analysis meets system i's lone error: the
+    relator residuals of every system first, then, shape group by shape
+    group in order of first appearance, d1 d0 before the ranks."""
+    def shape(sys):
+        return sys.k, sys.n, len(sys.rep.presentation.relators)
+    if "too large for cohomology" in str(error):
+        return 0, 0, 0, i
+    group = min(j for j, sys in enumerate(systems)
+                if shape(sys) == shape(systems[i]))
+    return 1, group, "composite norm" not in str(error), i
+
+
 def assert_same_summary(a, b):
     assert (a.h0, a.h1, a.z1, a.coefficient_dim) == \
         (b.h0, b.h1, b.z1, b.coefficient_dim)
@@ -125,14 +148,19 @@ def assert_same_summary(a, b):
                         ("t3", "axis", "line", 1)], tol=1e-8)
 def test_a_batch_gives_what_single_calls_give(seed, specs, tol):
     batch_systems, single_systems = build(seed, specs, tol)
-    batch = coh._system_cohomologies(batch_systems, tol)
-    for got, sys in zip(batch, single_systems):
-        try:
-            want = coh.system_cohomology(sys, tol)
-        except Exception as e:      # noqa: BLE001 - the same error, any type
-            assert type(got) is type(e) and str(got) == str(e)
-        else:
+    lone = [outcome(coh.system_cohomology, sys, tol)
+            for sys in single_systems]
+    failed = [i for i, s in enumerate(lone) if isinstance(s, Exception)]
+    if not failed:
+        for got, want in zip(coh._system_cohomologies(batch_systems, tol),
+                             lone):
             assert_same_summary(got, want)
+        return
+    first = lone[min(failed, key=lambda i: check_order(
+        i, single_systems, lone[i]))]
+    with pytest.raises(type(first)) as got:
+        coh._system_cohomologies(batch_systems, tol)
+    assert str(got.value) == str(first)
 
 
 @pytest.fixture
@@ -166,19 +194,19 @@ def test_a_failing_rep_keeps_nothing_and_spares_its_batch_mates(analysed):
     rng = np.random.default_rng(3)
     good = [common_axis_rep(rng), common_axis_rep(rng)]
     bad = bad_cyclic_rep()
-    stack = coh._system_cohomologies(
-        [coh.full_system(rep) for rep in (good[0], bad, good[1])], 1e-8)
-    assert isinstance(stack[1], ResidualError)
+    with pytest.raises(ResidualError) as stack:
+        coh._system_cohomologies(
+            [coh.full_system(rep) for rep in (good[0], bad, good[1])], 1e-8)
     assert [summaries(rep) for rep in (good[0], bad, good[1])] == [0, 0, 0]
     analysed.clear()
     for _ in range(2):
         with pytest.raises(ResidualError) as lone:
             coh.cohomology(bad)
-        assert str(lone.value) == str(stack[1])
+        assert str(lone.value) == str(stack.value)
     assert analysed == [(bad, 3), (bad, 3)]
     analysed.clear()
-    for rep, got in zip(good, stack[::2]):
-        assert_same_summary(got, coh.cohomology(rep))
+    for rep in good:
+        coh.cohomology(rep)
         assert stratum_tangent_dim(rep) == 3
         coh.restrict_coefficients(rep, "stabilizer")
     assert analysed == [(good[0], 3), (good[0], 1), (good[1], 3),
@@ -188,7 +216,6 @@ def test_a_failing_rep_keeps_nothing_and_spares_its_batch_mates(analysed):
 def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
     rng = np.random.default_rng(4)
     broken, mate = common_axis_rep(rng), common_axis_rep(rng)
-    other = common_axis_rep(rng, g=2)
     build = coh._differentials
 
     def nan_d0(systems):
@@ -199,15 +226,31 @@ def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
         return D0, D1
 
     monkeypatch.setattr(coh, "_differentials", nan_d0)
-    stack = coh._system_cohomologies(
-        [coh.full_system(rep) for rep in (broken, mate, other)], 1e-8)
-    assert all(isinstance(s, np.linalg.LinAlgError) for s in stack[:2])
-    assert_same_summary(stack[2], coh.cohomology(other))
+    with pytest.raises(np.linalg.LinAlgError):
+        coh._system_cohomologies(
+            [coh.full_system(rep) for rep in (broken, mate)], 1e-8)
     with pytest.raises(np.linalg.LinAlgError):
         coh.cohomology(broken)
     analysed.clear()
     assert classify_stratum(mate).i == 1
     assert analysed == [(mate, 3)]
+
+
+def test_the_earlier_check_fails_first():
+    # a tuple whose d0 has rank one (h0 = 2, refused after the SVDs)
+    # ahead of a rep off its relator (refused before any stack is
+    # built): alone, the first fails first; stacked, the second does
+    rank_one = Representation(free_group(2), [
+        su2.exp(4e-9 * axis) for axis in np.eye(3)[:2]])
+    bad = bad_cyclic_rep()
+    with pytest.raises(RankAmbiguityError, match="h0 = 2 is impossible"):
+        coh.cohomology(rank_one)
+    with pytest.raises(ResidualError) as lone:
+        coh.cohomology(bad)
+    with pytest.raises(ResidualError) as stack:
+        coh._system_cohomologies(
+            [coh.full_system(rep) for rep in (rank_one, bad)], 1e-8)
+    assert str(stack.value) == str(lone.value)
 
 
 def test_each_system_is_analysed_once(analysed):

@@ -6,7 +6,9 @@ slices of its VT stacks, each stack signed by one `_signed` pass on the
 first basis read, and the singular values and warnings formed on first
 read and kept.  These tests pin that every field of every row, read in
 any order, is bit for bit what the same system gives alone and what an
-eager construction from a fresh stacked SVD gives; that the free-census
+eager construction from a fresh stacked SVD gives, and that a stack
+with a rep off its relator raises that rep's lone error before any
+other row's; that the free-census
 path signs nothing and a t3 chart signs each VT stack at most once; and
 that no field of a summary can be assigned.
 """
@@ -21,13 +23,15 @@ from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
 from su2strata import su2
+from su2strata.errors import ResidualError
 from su2strata.invariants import enumerate_moduli
 from su2strata.presentations import Representation, free_group
 from su2strata.strata import classify_stratum, stratum_tangent_dim
 from su2strata.torsion import stratum_volume
 
 from test_cohomology_batch import (BASES, KINDS, PRESENTATIONS,
-                                   bad_cyclic_rep, build)
+                                   bad_cyclic_rep, build, check_order,
+                                   outcome)
 
 FIELDS = ("h0", "h1", "z1", "coefficient_dim", "basis_h0", "basis_h1",
           "singular_values", "warnings")
@@ -113,11 +117,19 @@ def test_every_field_read_in_any_order_is_the_lone_and_eager_value(
     for copy in (systems, lone_systems):
         copy.insert(at, coh.full_system(bad_cyclic_rep()))
     with mock.patch.object(coh, "_differentials", rank_one_d0(broken)):
-        got = coh._system_cohomologies(systems, tol)
-        lone = [coh._system_cohomologies([sys], tol)[0]
+        lone = [outcome(coh._system_cohomologies, [sys], tol)
                 for sys in lone_systems]
-        rows = [i for i, s in enumerate(got)
-                if isinstance(s, coh.CohomologySummary)]
+        # the residual check runs over every row before any stack, so
+        # a residual error is raised ahead of every broken row's
+        rows = [i for i, s in enumerate(lone) if isinstance(s, list)]
+        earliest = min(set(range(len(lone))) - set(rows), key=lambda i:
+                       check_order(i, lone_systems, lone[i]))
+        with pytest.raises(ResidualError) as failed:
+            coh._system_cohomologies(systems, tol)
+        assert str(failed.value) == str(lone[earliest])
+        got = dict(zip(rows, coh._system_cohomologies(
+            [systems[i] for i in rows], tol)))
+        lone = {i: lone[i][0] for i in rows}
         shapes: dict = {}
         for i in rows:
             sys = systems[i]
@@ -127,9 +139,6 @@ def test_every_field_read_in_any_order_is_the_lone_and_eager_value(
         want = {}
         for idx in shapes.values():
             want.update(zip(idx, eager([systems[i] for i in idx], tol)))
-    for g, (a, b) in enumerate(zip(got, lone)):
-        if g not in rows:
-            assert type(a) is type(b) and str(a) == str(b)
     reads = [(i, name) for i in rows for name in FIELDS]
     rnd.shuffle(reads)
     first = {}

@@ -19,6 +19,11 @@ an attribute, `x.name`.  Two rules read that one walk:
   names, is stale.  An entry that only the bench uses must be a traced
   function in `bench/spans.py`'s TRACED, read from its syntax tree; once
   the bench drops it, the rule points at the code to delete.
+
+A third rule keeps errors from becoming values: every exception of a
+class that `errors.py` defines, or numpy's `LinAlgError`, that the
+package makes must be made as the operand of a `raise`.  So no stage
+can put an error in a row's place, return one or keep one for later.
 """
 
 import ast
@@ -189,6 +194,26 @@ def surface_breaches(sources: dict, surface: dict, traced: dict) -> list:
     return sorted(out)
 
 
+def unraised_errors(sources: dict) -> list:
+    """(module, line, class) of each call in `sources` that makes an
+    exception of a class `errors.py` defines, or a `LinAlgError`, and is
+    not the operand of a `raise`."""
+    classes = {stmt.name for stmt in ast.parse(sources["errors.py"]).body
+               if isinstance(stmt, ast.ClassDef)} | {"LinAlgError"}
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        raised = {id(node.exc) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call) in raised:
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name in classes:
+                out.append((module, call.lineno, name))
+    return sorted(out)
+
+
 def _sources() -> dict:
     sources = {}
     for path in MODULES:
@@ -208,6 +233,10 @@ def _traced() -> dict:
 
 def test_every_private_helper_is_used():
     assert unused_privates(_sources()) == []
+
+
+def test_every_error_made_is_raised():
+    assert unraised_errors(_sources()) == []
 
 
 def test_every_public_name_is_used_or_on_the_surface():
@@ -272,3 +301,26 @@ def test_an_unlisted_stale_or_untraced_public_name_is_found():
         "c.Point.dead_method is unused",
         "c.Point.norm is listed but named in the package",
         "c.residual is unused"]
+
+
+def test_an_error_made_and_not_raised_is_found():
+    sources = {
+        "errors.py": ("class DomainError(Exception):\n    pass\n"
+                      "class RankError(DomainError):\n    pass\n"),
+        "a.py": ("def f(x):\n"
+                 "    if x:\n        raise RankError('raised')\n"
+                 "    out = [DomainError('in place')]\n"
+                 "    return RankError('returned')\n"
+                 "def g(e):\n"
+                 "    raise errors.DomainError('through its module') from e\n"
+                 "def h():\n"
+                 "    return np.linalg.LinAlgError('made')\n"
+                 "def k(e):\n"
+                 "    if isinstance(e, RankError):\n        raise e\n"
+                 "    raise _wrapped(RankError('wrapped'))\n"
+                 "    return ValueError('not a package error')\n"),
+    }
+    assert unraised_errors(sources) == [("a.py", 4, "DomainError"),
+                                        ("a.py", 5, "RankError"),
+                                        ("a.py", 9, "LinAlgError"),
+                                        ("a.py", 13, "RankError")]

@@ -75,9 +75,10 @@ def test_a_d1_that_does_not_vanish_on_im_d0_is_refused():
     rng = np.random.default_rng(0)
     d0 = np.linalg.qr(rng.normal(size=(6, 3)))[0]
     out = [None]
-    coh._shape_cohomologies(out, [0], d0[None], d0.T[None], TOL)
-    assert isinstance(out[0], RankAmbiguityError)
-    assert "rank 3" in str(out[0]) and "= 6" in str(out[0])
+    with pytest.raises(RankAmbiguityError) as refused:
+        coh._shape_cohomologies(out, [0], d0[None], d0.T[None], TOL)
+    assert "rank 3" in str(refused.value) and "= 6" in str(refused.value)
+    assert out == [None]
 
 
 @pytest.fixture

@@ -10,8 +10,9 @@ held to one analysis, also when that analysis fails, the number of
 stacked passes, SVDs and cup folds to counts that do not grow with p,
 each stacked Gram row to the oracle pairing, `heegaard_mv_torsion` on
 a fresh representation (a batch of one) to the chart's value bit for
-bit, inconsistent gluing data to the torsion or the error a lone call
-gives, at its own point, with nothing kept for an error, a splitting
+bit, inconsistent gluing data to the torsion a lone call gives where
+it glues and, in a stack, to the error of its first point that does
+not, with nothing kept for an error, a splitting
 given as lists to its tuple twin, and lens(12007, 7) to torsion 1/p at
 point 1 (at point p // 2 it still fails, an expected failure).
 """
@@ -47,8 +48,9 @@ def lens_rep(p, n):
 
 
 def mv_torsions(splitting, reps):
-    """`_glued_torsions` of reps, given the columns a chart gives it:
-    the coefficients their labels pick and those systems' summaries."""
+    """`_glued_torsions` of reps off stratum 0, given the columns a
+    chart gives it: the coefficients their labels pick and those
+    systems' summaries."""
     fulls = coh._system_cohomologies([coh.full_system(rep) for rep in reps],
                                      DEFAULT_TOL)
     labels = strata._labels(np.array([rep.images for rep in reps]), fulls,
@@ -114,18 +116,19 @@ def test_a_failing_heegaard_system_is_analysed_once(monkeypatch):
 
     def refusing(systems, tol):
         out = compute(systems, tol)
-        for i, sys in enumerate(systems):
-            if sys.rep.presentation.kind == "surface":
-                refused.append(sys.rep)
-                out[i] = RankAmbiguityError("surface system refused")
+        surfaces = [sys.rep for sys in systems
+                    if sys.rep.presentation.kind == "surface"]
+        refused.extend(surfaces)
+        if surfaces:
+            raise RankAmbiguityError("surface system refused")
         return out
 
     patch_analysis(monkeypatch, refusing)
     with pytest.raises(RankAmbiguityError, match="surface system refused"):
         heegaard_mv_torsion(lens_heegaard(7, 3), lens_rep(7, 1))
     assert len(refused) == 1
-    # a chart analyses each point's surface system once, then raises
-    # the first point's error
+    # a chart analyses every point's surface system in one stack, once,
+    # and raises
     refused.clear()
     with pytest.raises(RankAmbiguityError, match="surface system refused"):
         enumerate_moduli("lens", p=7, q=3)
@@ -243,37 +246,37 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
     p = 15
     bad = replace(lens_heegaard(p, 1),
                   handle2_to_manifold=(generator(0) ** 6,))
-    reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
-    batch = mv_torsions(bad, reps)
-    glued = {n for n, torsion in enumerate(batch)
-             if not isinstance(torsion, Exception)}
+    lone = {}
+    for n in range(p // 2 + 1):
+        try:
+            lone[n] = heegaard_mv_torsion(bad, lens_rep(p, n))
+        except DomainError as e:
+            lone[n] = e
+    glued = {n for n, t in lone.items() if not isinstance(t, Exception)}
     assert glued == {3, 6}
-    # the stacked builder keeps nothing, and at each position holds
-    # what a lone call gives there
-    for n, torsion in enumerate(batch):
-        assert list(reps[n]._kept) == ["adjoints"]
-        (lone,) = mv_torsions(bad, [lens_rep(p, n)])
-        if n in glued:
-            assert (torsion.value, torsion.log_value) == (lone.value,
-                                                          lone.log_value)
-        else:
-            assert type(torsion) is type(lone) and str(torsion) == str(lone)
-    assert "stratum 0" in str(batch[0])
+    assert "stratum 0" in str(lone[0])
+    # the stacked builder keeps nothing; the points that glue give what
+    # a lone call gives there, and a stack with a point that does not
+    # raises its first such point's error
+    reps = [lens_rep(p, n) for n in range(p // 2 + 1)]
+    for torsion, n in zip(mv_torsions(bad, [reps[n] for n in sorted(glued)]),
+                          sorted(glued)):
+        assert (torsion.value, torsion.log_value) == (lone[n].value,
+                                                      lone[n].log_value)
+    with pytest.raises(DomainError) as stacked:
+        mv_torsions(bad, reps[1:])
+    assert str(stacked.value) == str(lone[1])
     for n, rep in enumerate(reps[1:], 1):
-        fresh = lens_rep(p, n)
+        assert list(rep._kept) == ["adjoints"]
         if n in glued:
-            torsion = heegaard_mv_torsion(bad, rep)
-            assert torsion == heegaard_mv_torsion(bad, fresh)
-            assert torsion == batch[n]
+            assert heegaard_mv_torsion(bad, rep) == lone[n]
             continue
         with pytest.raises(DomainError) as filled:
             heegaard_mv_torsion(bad, rep)
-        with pytest.raises(DomainError) as lone:
-            heegaard_mv_torsion(bad, fresh)
         assert set(rep._kept) == {"adjoints", ("cohomology", DEFAULT_TOL),
                                   ("label", DEFAULT_TOL)}
-        assert str(filled.value) == str(lone.value) == str(batch[n])
-        assert "gluing data is inconsistent" in str(lone.value)
+        assert str(filled.value) == str(lone[n])
+        assert "gluing data is inconsistent" in str(filled.value)
     # in the chart, the first failing point (n = 1) raises first
     monkeypatch.setattr(invariants, "lens_heegaard", lambda p, q: bad)
     with pytest.raises(DomainError) as chart:

@@ -318,8 +318,8 @@ def test_mv_lens_style_empty_ends():
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_stacked_torsion_rows_are_lone_and_oracle_torsions(seed, n_spaces):
     # draws grouped by dims give same-shape stacks; each row is its
-    # lone call bit for bit, the top-form oracle's value, and a row
-    # made inexact fails in place without moving its mates
+    # lone call bit for bit and the top-form oracle's value, and a
+    # stack with a row made inexact raises that row's lone error
     rng = np.random.default_rng(seed)
     groups = {}
     for _ in range(24):
@@ -337,31 +337,35 @@ def test_stacked_torsion_rows_are_lone_and_oracle_torsions(seed, n_spaces):
         zeroed = [s.copy() for s in stacks]
         for s in zeroed:
             s[bad] = 0.0      # every map zero: a rank defect
-        broken = torsion._sequence_torsions(dims, zeroed, 1e-8)
-        assert isinstance(broken[bad], ExactnessError)
+        with pytest.raises(ExactnessError) as broken:
+            torsion._sequence_torsions(dims, zeroed, 1e-8)
         with pytest.raises(ExactnessError) as lone:
             sequence_torsion(MetricSequence(dims, [s[bad] for s in zeroed]))
-        assert str(lone.value) == str(broken[bad])
-        assert [t for i, t in enumerate(broken) if i != bad] == \
-            [t for i, t in enumerate(got) if i != bad]
+        assert str(lone.value) == str(broken.value)
 
 
 def test_stacked_mayer_vietoris_rows_fail_in_place():
-    # the circle example, its route-disagreeing twin and a row whose
-    # pairing leaves the sequence inexact, stacked as one shape
+    # the circle example, a row whose pairing leaves the sequence
+    # inexact and a route-disagreeing twin, stacked as one shape: the
+    # routes are compared before any sequence is checked, so the stack
+    # raises the third row's lone error, not the second's
     r = np.array([[1.0]])
     rho1 = np.array([[1.0], [0.0]])
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     rows = [(r, r, rho1, rho1, omega),
-            (r, r, rho1, np.array([[0.0], [1.0]]), omega),
-            (r, r, rho1, rho1, np.zeros((2, 2)))]
-    got = torsion._mayer_vietoris_torsions(
-        *(np.array(col) for col in zip(*rows)), 1e-8)
-    for row, t in zip(rows, got):
-        try:
-            lone = mayer_vietoris_torsion(*row)
-        except ExactnessError as e:
-            assert type(t) is ExactnessError and str(t) == str(e)
-        else:
-            assert t == lone and abs(t.value - 1.0) < 1e-12
-    assert "routes" in str(got[1]) and "rank defect" in str(got[2])
+            (r, r, rho1, rho1, np.zeros((2, 2))),
+            (r, r, rho1, np.array([[0.0], [1.0]]), omega)]
+
+    def stacked(rows):
+        return torsion._mayer_vietoris_torsions(
+            *(np.array(col) for col in zip(*rows)), 1e-8)
+
+    (t,) = stacked(rows[:1])
+    assert t == mayer_vietoris_torsion(*rows[0])
+    assert abs(t.value - 1.0) < 1e-12
+    for k, message in ((1, "rank defect"), (2, "routes")):
+        with pytest.raises(ExactnessError, match=message) as lone:
+            mayer_vietoris_torsion(*rows[k])
+        with pytest.raises(ExactnessError) as got:
+            stacked(rows[:k + 1])
+        assert str(got.value) == str(lone.value)
