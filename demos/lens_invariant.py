@@ -1,9 +1,10 @@
 """Assemble the level-k invariant sum for a lens space.
 
 Points are enumerated from the Heegaard gluing, deduplicated by trace
-fingerprint plus explicit conjugator search, checked for clean
-intersection, and summed per stratum with externally supplied phase
-values.  cs entries here are the standard -q* n^2 / p mod 1 family.
+fingerprint plus explicit conjugator search, and summed per stratum with
+externally supplied phase values; enumeration raises at a point whose
+intersection is not clean, so every point printed has passed.  cs
+entries here are the standard -q* n^2 / p mod 1 family.
 """
 from su2strata.invariants import (apply_value_table, assemble_invariant,
                                   enumerate_moduli)
@@ -13,7 +14,7 @@ points = enumerate_moduli("lens", p=p, q=q)
 print(f"lens({p},{q}) moduli points:")
 for pt in points:
     print(f"  {pt.point_id:16s} stratum={pt.stratum.i} "
-          f"tau={pt.torsion.value:.4f} clean={pt.clean.passes}")
+          f"tau={pt.torsion.value:.4f}")
 
 table = [{"point_id": f"lens({p},{q}):n={n}", "cs": (-n * n * 1.0 / p) % 1.0}
          for n in range(p // 2 + 1)]

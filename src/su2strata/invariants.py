@@ -24,12 +24,13 @@ torsion sequences as stacked products, one stack per shape; there is
 no per-point step.  A point's torsion follows its stratum: the unit
 half-density at stratum 0, elsewhere the splitting's torsion; t3 has
 no built-in splitting, so its other points carry torsion = None until
-the caller supplies values.  Each stage checks its rows in order, and
-the first row that fails raises the error a lone call raises there, so
-a chart that returns has no failed point.  A chart keeps nothing on its
-representations but their rows of its Ad stack; `heegaard_mv_torsion`
-and `clean_intersection_check` are batches of one that keep nothing
-either: they read their representation's kept label and summary.
+the caller supplies values.  Each stage checks its rows in order, the
+last one clean intersection (a declared dimension is h1 of its stratum
+system), and the first row that fails raises the error a lone call
+raises there, so a chart that returns has no failed point.  A chart
+keeps nothing on its representations but their Ad stack rows;
+`heegaard_mv_torsion` and `clean_intersection_check` are batches of one
+that keep nothing either: they read a rep's kept label and summary.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ class HeegaardData:
 
 
 @dataclass(frozen=True)
-class CleanVerdict:
-    passes: bool
-    declared_dim: int
-    cohomology_dim: int
-
-
-@dataclass(frozen=True)
 class ModuliPoint:
     point_id: str
     rep: Representation
@@ -102,7 +96,6 @@ class ModuliPoint:
     fingerprint: tuple
     cs_value: float = 0.0
     torsion: TorsionValue | None = None
-    clean: CleanVerdict | None = None
 
 
 @dataclass(frozen=True)
@@ -311,22 +304,23 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
 
 # -- clean intersection -----------------------------------------------
 
-def clean_intersection_check(point: ModuliPoint,
-                             tol: float = DEFAULT_TOL) -> CleanVerdict:
-    """Declared component dimension against h1 of the manifold
-    presentation at the point (coefficients by stratum).  Stratum 0
-    passes vacuously.  `_clean_verdicts`' batch of one."""
-    return _clean_verdicts([point.component_dim], _stratum_systems(
-        [point.rep], [point.stratum], [cohomology(point.rep, tol)],
-        tol)[1])[0]
+def clean_intersection_check(point: ModuliPoint, tol: float = DEFAULT_TOL):
+    """Raise `CleanIntersectionError` unless the declared component
+    dimension is h1 of the manifold presentation at the point
+    (coefficients by stratum); stratum 0 passes vacuously.
+    `_check_clean`'s batch of one."""
+    _check_clean([point.point_id], [point.component_dim], _stratum_systems(
+        [point.rep], [point.stratum], [cohomology(point.rep, tol)], tol)[1])
 
 
-def _clean_verdicts(declared, summaries) -> list:
-    """Each point's clean verdict from the summary of its stratum system
-    (`_stratum_systems`)."""
-    return [CleanVerdict(True, dim, dim) if s is None
-            else CleanVerdict(s.h1 == dim, dim, s.h1)
-            for dim, s in zip(declared, summaries)]
+def _check_clean(ids, declared, summaries):
+    """Raise `CleanIntersectionError` at the first point whose declared
+    component dimension is not h1 of its stratum system's summary
+    (`_stratum_systems`); a point without one, at stratum 0, passes."""
+    for pid, dim, s in zip(ids, declared, summaries):
+        if s is not None and s.h1 != dim:
+            raise CleanIntersectionError(
+                f"point {pid}: declared dim {dim} != cohomology dim {s.h1}")
 
 
 # -- built-in moduli drivers ------------------------------------------
@@ -391,10 +385,10 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
     """The points of a chart, one per row (point_id, angles,
     component_dim, weight), with images exp(angle * i), built in one
     stacked pass.  Their fingerprints, full summaries, labels, stratum
-    summaries, clean verdicts and torsions by stratum (the unit
-    half-density at stratum 0, else the splitting's, or None without
-    one) are columns computed a stack at a time, each stage raising its
-    first failing row, before the points are built."""
+    summaries and torsions by stratum (the unit half-density at stratum
+    0, else the splitting's, or None without one) are columns computed
+    a stack at a time, each stage raising its first failing row, and
+    the clean check (`_check_clean`) runs last, before the points."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
     reps = _representations(pres, images)
@@ -407,14 +401,13 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
         columns = ([col[i] for i in glued] for col in (reps, bases, summaries))
         for i, t in zip(glued, _glued_torsions(heegaard, *columns, tol)):
             torsions[i] = t
-    cleans = _clean_verdicts([dim for _, _, dim, _ in rows], summaries)
+    ids, _, dims, _ = zip(*rows)
+    _check_clean(ids, dims, summaries)
     return [ModuliPoint(point_id=pid, rep=rep, stratum=label,
                         component_dim=dim, weight=weight,
-                        fingerprint=tuple(fingerprint), torsion=torsion,
-                        clean=clean)
-            for (pid, _, dim, weight), rep, label, fingerprint, torsion, clean
-            in zip(rows, reps, labels, _fingerprints(images), torsions,
-                   cleans)]
+                        fingerprint=tuple(fingerprint), torsion=torsion)
+            for (pid, _, dim, weight), rep, label, fingerprint, torsion
+            in zip(rows, reps, labels, _fingerprints(images), torsions)]
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
@@ -534,19 +527,15 @@ def apply_value_table(points, table, field: str):
 def assemble_invariant(points, k: int) -> InvariantResult:
     """Stratified sum of weight * exp(2 pi i k cs) * torsion.
 
-    Refuses points with failing clean-intersection verdicts or missing
-    torsion.  The total is the exact sum of the per-stratum values in
-    stratum order.
+    Refuses points with missing torsion; a chart refuses a failed clean
+    intersection before it returns.  The total is the exact sum of the
+    per-stratum values in stratum order.
     """
     if int(k) != k:
         raise DomainError("level k must be an integer")
     per = {0: 0.0 + 0.0j, 1: 0.0 + 0.0j, 3: 0.0 + 0.0j}
     bound = 0.0
     for pt in points:
-        if pt.clean is not None and not pt.clean.passes:
-            raise CleanIntersectionError(
-                f"point {pt.point_id}: declared dim {pt.clean.declared_dim} "
-                f"!= cohomology dim {pt.clean.cohomology_dim}")
         if pt.torsion is None:
             raise DomainError(
                 f"point {pt.point_id} has no torsion value; supply one")

@@ -296,13 +296,12 @@ def _representations(presentation: Presentation, images) -> list:
 def _fold_words(images: np.ndarray, words) -> tuple:
     """The holonomies (..., k, 4) and the stacked Fox rows (..., 3k, 3n)
     of k words at (n, 4) images or, row by row, at an (N, n, 4) stack,
-    read-only: each distinct word folded once, nothing kept."""
+    read-only: each word folded once, nothing kept."""
     lead, n3 = images.shape[:-2], 3 * images.shape[-2]
-    folds = {w: _fold(images, w, False) for w in dict.fromkeys(words)}
     q = np.zeros(lead + (len(words), 4))
     J = np.zeros(lead + (len(words), 3, n3))
     for i, w in enumerate(words):
-        q[..., i, :], J[..., i, :, :] = folds[w]
+        q[..., i, :], J[..., i, :, :] = _fold(images, w, False)
     return _read_only(q), _read_only(J.reshape(lead + (3 * len(words), n3)))
 
 
@@ -456,22 +455,16 @@ def _letter_fold(images: np.ndarray, s: int, cup: bool):
     return (q, B, W) if cup else (q, B)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, by `np.dot` for one pair of matrices: less overhead than
-    @ at that size, and the same product bit for bit."""
-    return np.dot(a, b) if a.ndim == 2 else a @ b
-
-
 def _compose(a, b):
     """(q1, J1, W1)(q2, J2, W2)
     = (q1 q2, J1 + Ad(q1) J2, W1 + W2 + J1^T Ad(q1) J2), or the same
     without the W terms for pairs (q, J)."""
     q1, J1, q2, J2 = a[0], a[1], b[0], b[1]
-    AJ2 = _matmul(su2.ad(q1), J2)
+    AJ2 = su2.ad(q1) @ J2
     if len(a) == 2:
         return su2.multiply(q1, q2), J1 + AJ2
     return (su2.multiply(q1, q2), J1 + AJ2,
-            a[2] + b[2] + _matmul(J1.mT, AJ2))
+            a[2] + b[2] + J1.mT @ AJ2)
 
 
 def _power(t, k: int):

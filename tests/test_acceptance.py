@@ -22,7 +22,8 @@ import numpy as np
 import oracles
 from su2strata import su2
 from su2strata.cohomology import (build_d0, cohomology, restrict_coefficients)
-from su2strata.invariants import enumerate_moduli, stationary_phase_sum
+from su2strata.invariants import (clean_intersection_check,
+                                  enumerate_moduli, stationary_phase_sum)
 from su2strata.presentations import (Representation, Word,
                                      circle_times_surface_group,
                                      evaluate_images, free_group)
@@ -284,7 +285,7 @@ def test_acceptance_09_lens_enumeration():
         central = [pt.stratum.central_flag for pt in pts]
         central_ok = central[0] is False and \
             (p % 2 != 0 or central[-1] is True)
-        clean_ok = all(pt.clean.passes for pt in pts)
+        clean_ok = all(clean_intersection_check(pt) is None for pt in pts)
         ok = ok and count_ok and strata == want and central_ok and clean_ok
         details.append(f"p={p}: n={len(pts)}, strata={strata}")
     assert _verdict(9, ok, "; ".join(details))

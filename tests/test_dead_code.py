@@ -22,8 +22,11 @@ an attribute, `x.name`.  Two rules read that one walk:
 
 A third rule keeps errors from becoming values: every exception of a
 class that `errors.py` defines, or numpy's `LinAlgError`, that the
-package makes must be made as the operand of a `raise`.  So no stage
-can put an error in a row's place, return one or keep one for later.
+package makes must be made as the operand of a `raise`, and a name
+bound by `except ... as e` must not be returned, yielded, assigned,
+put in a list, tuple, set or dict, or appended, outside the functions
+KEPT_ERRORS lists with their reasons.  So no stage can put an error in
+a row's place, return one or keep one for later.
 """
 
 import ast
@@ -52,6 +55,12 @@ SURFACE = {
     "invariants.trace_fingerprint": BENCH,
     "invariants.clean_intersection_check": BENCH,
     "torsion.mayer_vietoris_torsion": BENCH,
+}
+
+# `<module>.<function>` -> why it may keep an error it caught
+KEPT_ERRORS = {
+    "invariants._table_key": "a value table is outside input, checked in "
+                             "entry order after every key is read",
 }
 
 
@@ -214,6 +223,45 @@ def unraised_errors(sources: dict) -> list:
     return sorted(out)
 
 
+def _hands_on(node, name: str) -> bool:
+    """Whether `node` hands the bare name on as a value: returns, yields
+    or assigns it, puts it in a display, or passes it to an append."""
+    def bare(v):
+        return isinstance(v, ast.Name) and v.id == name and isinstance(
+            v.ctx, ast.Load) or isinstance(v, ast.IfExp) and (
+                bare(v.body) or bare(v.orelse))
+    if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom, ast.Assign,
+                         ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+        return bare(node.value)
+    if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+        return any(map(bare, node.elts))
+    if isinstance(node, ast.Dict):
+        return any(map(bare, node.keys + node.values))
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "attr", None) == "append" and any(map(bare, node.args))
+
+
+def kept_errors(sources: dict, allowed: dict) -> list:
+    """(module, line, scope) of each place in `sources` that hands on a
+    name bound by `except ... as e` (`_hands_on`), where scope is the
+    `<module>.<function>` (or `.<class>.<method>`) it lies in, unless
+    `allowed` lists that scope."""
+    out = []
+    for module, source in sources.items():
+        todo = [(module[:-3], stmt) for stmt in ast.parse(source).body]
+        while todo:
+            scope, node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            if isinstance(node, ast.ExceptHandler) and node.name and \
+                    scope not in allowed:
+                out += [(module, sub.lineno, scope) for stmt in node.body
+                        for sub in ast.walk(stmt)
+                        if _hands_on(sub, node.name)]
+            todo += [(scope, child) for child in ast.iter_child_nodes(node)]
+    return sorted(out)
+
+
 def _sources() -> dict:
     sources = {}
     for path in MODULES:
@@ -237,6 +285,13 @@ def test_every_private_helper_is_used():
 
 def test_every_error_made_is_raised():
     assert unraised_errors(_sources()) == []
+
+
+def test_no_caught_error_is_kept_but_where_listed():
+    assert kept_errors(_sources(), KEPT_ERRORS) == []
+    # the one listed site still keeps what it catches
+    assert [scope for _, _, scope in kept_errors(_sources(), {})] == \
+        ["invariants._table_key"]
 
 
 def test_every_public_name_is_used_or_on_the_surface():
@@ -324,3 +379,42 @@ def test_an_error_made_and_not_raised_is_found():
                                         ("a.py", 5, "RankError"),
                                         ("a.py", 9, "LinAlgError"),
                                         ("a.py", 13, "RankError")]
+
+
+def test_a_caught_error_kept_as_a_value_is_found():
+    sources = {
+        "a.py": ("def f(x):\n"
+                 "    try:\n        return g(x)\n"
+                 "    except ValueError as e:\n        return e\n"
+                 "def h(rows):\n"
+                 "    out = []\n"
+                 "    for r in rows:\n"
+                 "        try:\n            out.append(g(r))\n"
+                 "        except KeyError as e:\n"
+                 "            out.append(e)\n"
+                 "            kept = e\n"
+                 "            yield {r: e}, (None if r else e)\n"
+                 "    return out\n"
+                 "class Box:\n"
+                 "    def open(self):\n"
+                 "        try:\n            pass\n"
+                 "        except OSError as err:\n"
+                 "            self.last = [err]\n"
+                 "def ok(x):\n"
+                 "    try:\n        return g(x)\n"
+                 "    except ValueError as e:\n"
+                 "        log(str(e), e.args)\n"
+                 "        if isinstance(e, KeyError):\n            raise e\n"
+                 "        raise RuntimeError(f'bad {e}') from e\n"
+                 "    except TypeError:\n        return None\n"
+                 "def listed(x):\n"
+                 "    try:\n        return g(x)\n"
+                 "    except ValueError as e:\n        return e\n"),
+    }
+    assert kept_errors(sources, {"a.listed": "a reason"}) == [
+        ("a.py", 5, "a.f"),
+        ("a.py", 12, "a.h"),
+        ("a.py", 13, "a.h"),
+        ("a.py", 14, "a.h"),
+        ("a.py", 14, "a.h"),
+        ("a.py", 21, "a.Box.open")]

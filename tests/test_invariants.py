@@ -285,23 +285,47 @@ def test_lens_heegaard_validates_parameters():
 
 def test_clean_check_passes_on_drivers():
     pt = enumerate_moduli("s1xs2", samples=6)[2]
-    assert pt.stratum.i == 1
-    verdict = clean_intersection_check(pt)
-    assert verdict.passes and verdict.cohomology_dim == 1
+    assert pt.stratum.i == 1 and pt.component_dim == 1
+    assert clean_intersection_check(pt) is None
 
 
 def test_clean_check_fails_on_declared_mismatch():
-    import dataclasses
     pt = enumerate_moduli("s1xs2", samples=6)[2]
-    bad = dataclasses.replace(pt, component_dim=2)
-    verdict = clean_intersection_check(bad)
-    assert not verdict.passes
-    assert (verdict.declared_dim, verdict.cohomology_dim) == (2, 1)
+    bad = replace(pt, component_dim=2)
+    with pytest.raises(CleanIntersectionError) as err:
+        clean_intersection_check(bad)
+    assert str(err.value) == \
+        "point s1xs2:j=2/6: declared dim 2 != cohomology dim 1"
 
 
 def test_clean_check_vacuous_on_trivial_stratum():
     pt = enumerate_moduli("s3")[0]
-    assert clean_intersection_check(pt).passes
+    assert clean_intersection_check(replace(pt, component_dim=5)) is None
+
+
+def s1xs2_rows(M, bad=()):
+    """The rows of enumerate_moduli's s1xs2 chart at M, with declared
+    dimension 2 in place of 1 at each j in `bad`."""
+    delta = math.pi / M
+    return [("s1xs2:trivial", [0.0], 0, 1.0),
+            *((f"s1xs2:j={j}/{M}", [j * delta], 2 if j in bad else 1, delta)
+              for j in range(1, M)),
+            ("s1xs2:central", [math.pi], 0, 1.0)]
+
+
+def test_a_chart_raises_its_first_unclean_point():
+    chart = functools.partial(invariants._chart_points, free_group(1),
+                              s1xs2_heegaard(), tol=1e-8)
+    pts = chart(s1xs2_rows(6))
+    assert [(pt.point_id, pt.fingerprint, pt.weight) for pt in pts] == [
+        (pt.point_id, pt.fingerprint, pt.weight)
+        for pt in enumerate_moduli("s1xs2", samples=6)]
+    with pytest.raises(CleanIntersectionError) as err:
+        chart(s1xs2_rows(6, bad=(2, 4)))
+    with pytest.raises(CleanIntersectionError) as lone:
+        clean_intersection_check(replace(pts[2], component_dim=2))
+    assert str(err.value) == str(lone.value) == \
+        "point s1xs2:j=2/6: declared dim 2 != cohomology dim 1"
 
 
 # -- enumeration ---------------------------------------------------------
@@ -320,14 +344,14 @@ def test_lens_5_1_points():
     assert [p.stratum.i for p in pts] == [0, 1, 1]
     for p in pts[1:]:
         assert abs(p.torsion.value - 0.2) < 1e-9
-        assert p.clean.passes
+        assert clean_intersection_check(p) is None
 
 
 def test_lens_counts_match_floor_formula():
     for p in (2, 3, 5, 8):
         pts = enumerate_moduli("lens", p=p, q=1)
         assert len(pts) == p // 2 + 1
-        assert all(pt.clean.passes for pt in pts)
+        assert all(clean_intersection_check(pt) is None for pt in pts)
 
 
 def test_lens_requires_coprime_parameters():
@@ -365,7 +389,7 @@ def test_t3_grid_structure():
     assert len(family) == (M - 1) * M * M
     assert all(p.torsion is None for p in family)
     assert all(p.component_dim == 3 for p in family)
-    assert all(p.clean.passes for p in pts)
+    assert all(clean_intersection_check(p) is None for p in pts)
 
 
 def test_t3_chart_bound_is_inclusive(monkeypatch):
@@ -657,13 +681,16 @@ def test_assemble_is_k_independent_at_zero_cs():
 
 
 def test_assemble_refuses_failing_verdict():
-    import dataclasses
-    pts = enumerate_moduli("s1xs2", samples=4)
-    bad = dataclasses.replace(pts[1], component_dim=2)
-    bad = dataclasses.replace(bad, clean=clean_intersection_check(bad))
-    with pytest.raises(CleanIntersectionError) as err:
-        assemble_invariant([pts[0], bad], 1)
-    assert bad.point_id in str(err.value)
+    # a failing point never reaches the sum: its chart refuses it, as
+    # the lone check does
+    with pytest.raises(CleanIntersectionError) as chart:
+        invariants._chart_points(free_group(1), s1xs2_heegaard(),
+                                 s1xs2_rows(4, bad=(1,)), 1e-8)
+    bad = replace(enumerate_moduli("s1xs2", samples=4)[1], component_dim=2)
+    with pytest.raises(CleanIntersectionError) as lone:
+        clean_intersection_check(bad)
+    assert bad.point_id in str(chart.value)
+    assert str(chart.value) == str(lone.value)
 
 
 def test_conjugation_leaves_invariant_data_unchanged():
