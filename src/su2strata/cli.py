@@ -64,8 +64,8 @@ def _table_lines(obj, prefix=""):
 def _texts(values, pad: str) -> list:
     """json.dumps(v, sort_keys=True, indent=2, default=_json_value) of
     each of `values` at the line break and indent `pad`, a column at a
-    time: finite floats, ints or strs in one map, dicts that share a
-    non-empty key set by one column per key and one row template,
+    time: finite floats, ints, bools or strs in one map, dicts that
+    share a non-empty key set by one column per key and one row template,
     non-empty lists by one column of their items, any other column
     value by value.  A key that is not a str raises TypeError."""
     inner, kinds = pad + "  ", set(map(type, values))
@@ -74,6 +74,8 @@ def _texts(values, pad: str) -> list:
         return list(map(kind.__repr__, values))
     if kind is str:
         return list(map(encode_basestring_ascii, values))
+    if kind is bool:
+        return list(map(("false", "true").__getitem__, values))
     if kind is dict and (keys := values[0].keys()) and \
             all(map(keys.__eq__, map(dict.keys, values))):
         keys = sorted(keys)
@@ -371,29 +373,23 @@ def _load_table(path: str, field: str) -> list:
 def _cmd_invariant(args) -> dict:
     if args.example == "lens":
         _lens_parameters(args.p, args.q)
-    points = enumerate_moduli(
-        args.example, p=args.p, q=args.q, samples=args.samples,
-        tol=args.tol)
-    if args.cs_table:
-        points = apply_value_table(points, _load_table(args.cs_table, "cs"),
-                                   "cs")
-    if args.torsion_table:
-        points = apply_value_table(
-            points, _load_table(args.torsion_table, "torsion"), "torsion")
-    inv = assemble_invariant(points, args.k)
+    chart = enumerate_moduli(args.example, p=args.p, q=args.q,
+                             samples=args.samples, tol=args.tol)
+    for field, path in (("cs", args.cs_table),
+                        ("torsion", args.torsion_table)):
+        if path:
+            chart = apply_value_table(chart, _load_table(path, field), field)
+    inv = assemble_invariant(chart, args.k)
     point_rows = [{
-        "id": pt.point_id,
-        "stratum": pt.stratum.i,
-        "central": pt.stratum.central_flag,
-        "component_dim": pt.component_dim,
-        "weight": pt.weight,
-        "cs": pt.cs_value,
-        "torsion": pt.torsion.value if pt.torsion else None,
+        "id": pid, "stratum": label.i, "central": label.central_flag,
+        "component_dim": dim, "weight": weight, "cs": cs,
+        "torsion": t.value if t else None,
         # the chart refused any point whose clean intersection fails
-        "clean": {"passes": True, "declared_dim": pt.component_dim,
-                  "cohomology_dim": pt.component_dim},
-        "fingerprint": list(pt.fingerprint),
-    } for pt in points]
+        "clean": {"passes": True, "declared_dim": dim, "cohomology_dim": dim},
+        "fingerprint": fp,
+    } for pid, label, dim, weight, cs, t, fp in zip(
+        chart.ids, chart.labels, chart.dims, chart.weights, chart.cs,
+        chart.torsions, chart.fingerprints.tolist())]
     return {
         "example": args.example,
         "k": inv.k,

@@ -10,27 +10,28 @@ Positive-dimensional families integrate with a uniform-angle chart and
 trapezoidal weights on interior grid nodes; chart endpoints are
 isolated lower-stratum points of weight 1.
 
-Every example is one chart driver (`_chart_points`) fed its rows and
-its splitting.  The driver builds every representation of the chart
-in one stacked pass, analyses their full-coefficient systems in one
-stacked analysis, labels them in one axis test and analyses the
-stabilizer lines of the reducible ones in one more, and passes these
-as plain per-point columns.  With a splitting, one Mayer-Vietoris
-builder (`_glued_torsions`) then folds the handle and surface words
-over the chart's stacks, makes every point's handlebody and surface
-representations, analyses their systems in one more stacked analysis,
-and forms the restriction maps, the surface Gram matrices and the
-torsion sequences as stacked products, one stack per shape; there is
-no per-point step.  A point's torsion follows its stratum: the unit
-half-density at stratum 0, elsewhere the splitting's torsion; t3 has
-no built-in splitting, so its other points carry torsion = None until
-the caller supplies values.  Each stage checks its rows in order, the
-last one clean intersection (a declared dimension is h1 of its stratum
+Every example is one chart driver (`_chart_points`) fed its rows and its
+splitting.  The driver builds every representation of the chart in one
+stacked pass, analyses their full-coefficient systems in one stacked
+analysis, labels them in one axis test and analyses the stabilizer lines
+of the reducible ones in one more, and returns one `Chart` of columns.
+With a splitting, one Mayer-Vietoris builder (`_glued_torsions`) then
+folds the handle and surface words over the chart's stacks, makes every
+point's handlebody and surface representations, analyses their systems
+in one more stacked analysis, and forms the restriction maps, the
+surface Gram matrices and the torsion sequences as stacked products, one
+stack per shape.  A point's torsion follows its stratum: the unit
+half-density at stratum 0, elsewhere the splitting's torsion; t3 has no
+built-in splitting, so its other points carry torsion = None until the
+caller supplies values.  Each stage checks its rows in order, the last
+one clean intersection (a declared dimension is h1 of its stratum
 system), and the first row that fails raises the error a lone call
 raises there, so a chart that returns has no failed point.  A chart
 keeps nothing on its representations but their Ad stack rows;
 `heegaard_mv_torsion` and `clean_intersection_check` are batches of one
 that keep nothing either: they read a rep's kept label and summary.
+Built-in charts are fundamental domains for conjugation, so no dedup
+runs; `deduplicate_points` stays for the bench.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .cohomology import (_FULL_BASIS, DEFAULT_TOL, CoefficientSystem,
 from .conventions import MAX_CHART_POINTS
 from .errors import CleanIntersectionError, DomainError, InputError
 from .presentations import (Presentation, Representation, Word, _fields,
-                            _fold_words, _json_float, _representations,
-                            commutator, cyclic_group,
+                            _fold_words, _json_float, _read_only,
+                            _representations, commutator, cyclic_group,
                             evaluate_images, fox_fold, free_group,
                             generator, surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
@@ -92,10 +93,30 @@ class ModuliPoint:
     rep: Representation
     stratum: StratumLabel
     component_dim: int
-    weight: float
     fingerprint: tuple
-    cs_value: float = 0.0
-    torsion: TorsionValue | None = None
+
+
+class Chart:
+    """A moduli chart as columns in point order: unique ids, reps,
+    labels, component dims, weights, an (N, k) read-only fingerprint
+    array, cs values and torsions (None until a table gives one); an
+    index, a slice or iteration reads `ModuliPoint` rows."""
+
+    __slots__ = ("ids", "reps", "labels", "dims", "weights",
+                 "fingerprints", "cs", "torsions")
+
+    def __init__(self, *columns):
+        for slot, column in zip(self.__slots__, columns):
+            setattr(self, slot, column)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
+        return ModuliPoint(self.ids[i], self.reps[i], self.labels[i],
+                           self.dims[i], tuple(self.fingerprints[i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -116,19 +137,19 @@ def trace_fingerprint(rep: Representation) -> tuple:
     """Traces of generators, ordered pairs, and the full product,
     rounded to 1e-7; a chart takes its points' from one stacked
     `_fingerprints`."""
-    return tuple(_fingerprints(rep.images))
+    return tuple(_fingerprints(rep.images).tolist())
 
 
-def _fingerprints(images: np.ndarray) -> list:
-    """`trace_fingerprint` of (n, 4) images as a list, or of each row of
-    an (N, n, 4) stack as a list of lists."""
+def _fingerprints(images: np.ndarray) -> np.ndarray:
+    """`trace_fingerprint` of (n, 4) images as an array, or of each row
+    of an (N, n, 4) stack as an (N, k) array."""
     n = images.shape[-2]
     i, j = np.triu_indices(n, 1)    # the pairs i < j, in lexical order
     pairs = su2.multiply(images[..., i, :], images[..., j, :])
     full = evaluate_images(images, Word(range(1, n + 1)))
     traces = 2.0 * np.concatenate(
         (images[..., 0], pairs[..., 0], full[..., :1]), axis=-1)
-    return (np.round(traces, _FINGERPRINT_DECIMALS) + 0.0).tolist()
+    return np.round(traces, _FINGERPRINT_DECIMALS) + 0.0
 
 
 def find_conjugator(rep1: Representation, rep2: Representation):
@@ -163,18 +184,16 @@ def _conjugation_equations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(blocks), 2, 0).reshape(-1, 4)
 
 
-def _within_a_step(prints: list, queries: list) -> tuple:
-    """The (query, print) index pairs of fingerprints within one rounding
-    step (1e-7) in every component, by query then print, with every
-    fingerprint quantised in one call as round() rounds; prints of other
-    lengths are padded apart.  Each row's key is one fixed positive
+def _within_a_step(prints: np.ndarray, queries: np.ndarray) -> tuple:
+    """The (query, print) index pairs of the rows of two equal-width
+    fingerprint arrays within one rounding step (1e-7) in every
+    component, by query then print, with every fingerprint quantised in
+    one call as round() rounds.  Each row's key is one fixed positive
     weighting of its steps, so rows within a step have keys within the
     weights' sum: one window per query of the sorted print keys gives
     the candidates, and every component is then compared."""
-    F = np.array(list(itertools.zip_longest(*prints, *queries,
-                                            fillvalue=100.0)),
-                 dtype=float, ndmin=2).T
-    S = np.rint(F * _FINGERPRINT_SCALE).astype(np.int64)
+    S = np.rint(np.concatenate((prints, queries))
+                * _FINGERPRINT_SCALE).astype(np.int64)
     # pseudo-random weights, so that no family of traces shares a key
     w = np.arange(S.shape[1]) * 7919 % 1021 + 1
     keys, n = S @ w, len(prints)
@@ -199,7 +218,9 @@ def deduplicate_points(points):
     a confirmed conjugator merges.
     """
     points = list(points)
-    prints = [pt.fingerprint for pt in points]
+    if not points:
+        return []
+    prints = np.array([pt.fingerprint for pt in points], dtype=float)
     merged: set = set()
     for i, j in zip(*_within_a_step(prints, prints)):
         if j < i and i not in merged and j not in merged and find_conjugator(
@@ -381,14 +402,14 @@ def _chart_bound(chart: str, points: int):
                          f"more than {MAX_CHART_POINTS}")
 
 
-def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
-    """The points of a chart, one per row (point_id, angles,
-    component_dim, weight), with images exp(angle * i), built in one
-    stacked pass.  Their fingerprints, full summaries, labels, stratum
-    summaries and torsions by stratum (the unit half-density at stratum
-    0, else the splitting's, or None without one) are columns computed
-    a stack at a time, each stage raising its first failing row, and
-    the clean check (`_check_clean`) runs last, before the points."""
+def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> Chart:
+    """The chart of one point per row (point_id, angles, component_dim,
+    weight), with images exp(angle * i), built in one stacked pass.  Its
+    fingerprints, full summaries, labels, stratum summaries and torsions
+    by stratum (the unit half-density at stratum 0, else the
+    splitting's, or None without one) are columns computed a stack at a
+    time, each stage raising its first failing row, and the clean check
+    (`_check_clean`) runs last; cs values start at 0."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
     reps = _representations(pres, images)
@@ -401,20 +422,17 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> list:
         columns = ([col[i] for i in glued] for col in (reps, bases, summaries))
         for i, t in zip(glued, _glued_torsions(heegaard, *columns, tol)):
             torsions[i] = t
-    ids, _, dims, _ = zip(*rows)
+    ids, _, dims, weights = zip(*rows)
     _check_clean(ids, dims, summaries)
-    return [ModuliPoint(point_id=pid, rep=rep, stratum=label,
-                        component_dim=dim, weight=weight,
-                        fingerprint=tuple(fingerprint), torsion=torsion)
-            for (pid, _, dim, weight), rep, label, fingerprint, torsion
-            in zip(rows, reps, labels, _fingerprints(images), torsions)]
+    return Chart(ids, reps, labels, dims, weights,
+                 _read_only(_fingerprints(images)), [0.0] * len(ids), torsions)
 
 
 def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
                      samples: int = 16, tol: float = DEFAULT_TOL):
-    """Moduli points of a built-in example, deduplicated by trace
-    fingerprint with exact conjugator confirmation.  Each example gives
-    its chart's rows and its splitting."""
+    """The chart of a built-in example, from its rows and splitting: a
+    fundamental domain for conjugation (lens n <= p//2, s1xs2 angles in
+    [0, pi], t3 first angles in (0, pi) and the central corners)."""
     if example == "s3":
         heegaard = lens_heegaard(1, 1)
         rows = [("s3:trivial", [0.0], 0, 1.0)]
@@ -451,60 +469,58 @@ def enumerate_moduli(example: str, *, p: int = None, q: int = 1,
     else:
         raise DomainError(f"unknown example {example!r}")
     pres = t3_presentation() if heegaard is None else heegaard.presentation_n
-    return deduplicate_points(_chart_points(pres, heegaard, rows, tol))
+    return _chart_points(pres, heegaard, rows, tol)
 
 
 def _table_key(entry, field: str):
-    """A value-table entry's point_id, or its fingerprint read by
-    `_json_float` with each component clamped to [-4, 4], where an inf,
-    NaN or huge entry lies off every trace; or, in its place, the error
-    a malformed entry raises."""
+    """A value-table entry's point_id, or its fingerprint: as given if
+    all floats, else by `_json_float` (an int may overflow a float)."""
+    _fields(entry, "table entry", ("point_id", "fingerprint"), (field,))
+    if "point_id" in entry and "fingerprint" in entry:
+        raise InputError(
+            f"table entry names both point_id and fingerprint: {entry}")
+    if "point_id" in entry:
+        if not isinstance(entry["point_id"], str):
+            raise InputError(f"point_id must be a string: {entry}")
+        return entry["point_id"]
+    if "fingerprint" not in entry:
+        raise InputError("table entry needs point_id or fingerprint")
+    fp = entry["fingerprint"]
+    if isinstance(fp, (list, tuple)) and not set(map(type, fp)) <= {float}:
+        fp = [_json_float(v, None) for v in fp]
+    if not isinstance(fp, (list, tuple)) or None in fp:
+        raise InputError(f"fingerprint must list numbers: {entry}")
+    return fp
+
+
+def apply_value_table(chart: Chart, table, field: str) -> Chart:
+    """The chart sharing every column of `chart` but the cs or torsion
+    one, which {point_id|fingerprint, value} entries set at every point
+    they match, the last value winning.  Fingerprints of the chart's
+    width, clamped to [-4, 4], are one array matched by one
+    `_within_a_step`; others match nothing.  Entries are checked in
+    order (values by `_json_float`); the first that fails raises."""
+    entries, keys = list(table), []
     try:
-        _fields(entry, "table entry", ("point_id", "fingerprint"), (field,))
-        if "point_id" in entry and "fingerprint" in entry:
-            raise InputError(
-                f"table entry names both point_id and fingerprint: {entry}")
-        if "point_id" in entry:
-            if not isinstance(entry["point_id"], str):
-                raise InputError(f"point_id must be a string: {entry}")
-            return entry["point_id"]
-        if "fingerprint" not in entry:
-            raise InputError("table entry needs point_id or fingerprint")
-        fp = entry["fingerprint"]
-        fp = [_json_float(v, None) for v in fp] \
-            if isinstance(fp, (list, tuple)) else [None]
-        if None in fp:
-            raise InputError(f"fingerprint must list numbers: {entry}")
-    except InputError as e:
-        return e
-    # NaN fails both comparisons and goes to -4, as max(-4.0, nan) does
-    return [4.0 if v > 4.0 else v if v >= -4.0 else -4.0 for v in fp]
-
-
-def apply_value_table(points, table, field: str):
-    """Override per-point values (cs_value or torsion) from a list of
-    {point_id|fingerprint, value} entries, each naming one of the two.
-    An entry updates every point it matches (a fingerprint matches as in
-    dedup, every entry through one `_within_a_step`), and later entries
-    override earlier ones.  Entries are checked in order, values must
-    be JSON numbers (`_json_float`), and the first unmatched or
-    malformed entry raises; then each touched point is rebuilt once.
-    Unmatched points keep their defaults."""
-    points, entries = list(points), list(table)
-    by_id: dict = {}
-    for i, pt in enumerate(points):
-        by_id.setdefault(pt.point_id, []).append(i)
-    keys = [_table_key(entry, field) for entry in entries]
-    prints = [k for k in keys if isinstance(k, list)]
-    q, p = _within_a_step([pt.fingerprint for pt in points], prints)
-    bounds = np.searchsorted(q, range(len(prints) + 1)).tolist()
-    fp_hits = map(p.__getitem__, map(slice, bounds, bounds[1:]))
-    values: dict = {}
-    for entry, key in zip(entries, keys):
-        if isinstance(key, InputError):
-            raise key
-        hits = next(fp_hits) if isinstance(key, list) \
-            else by_id.get(key, [])
+        for entry in entries:
+            keys.append(_table_key(entry, field))
+    except InputError:
+        pass    # raised again below, once the entries before it pass
+    width = chart.fingerprints.shape[1]
+    fps = [n for n, key in enumerate(keys)
+           if not isinstance(key, str) and len(key) == width]
+    F = np.array([keys[n] for n in fps], dtype=float).reshape(-1, width)
+    # NaN fails the comparison and goes to -4, as max(-4.0, nan) does
+    q, p = _within_a_step(chart.fingerprints,
+                          np.where(F >= -4.0, np.minimum(F, 4.0), -4.0))
+    ids = dict(zip(chart.ids, range(len(chart))))
+    matches = [[ids[key]] if isinstance(key, str) and key in ids else []
+               for key in keys]
+    for i, j in zip(q, p):
+        matches[fps[i]].append(j)
+    name = "cs" if field == "cs" else "torsions"
+    column = list(getattr(chart, name))
+    for entry, hits in zip(entries, matches):
         if not hits:
             raise InputError(f"table entry matches no point: {entry}")
         v = _json_float(entry[field])
@@ -512,39 +528,39 @@ def apply_value_table(points, table, field: str):
             raise InputError(f"{field} must be a finite number: {entry}")
         if field == "torsion" and v <= 0:
             raise InputError("torsion values must be positive")
-        values.update(dict.fromkeys(hits, v))
-    for i, v in values.items():
-        # `replace` by name, without its walk over fields() or __init__
-        old, points[i] = points[i], object.__new__(ModuliPoint)
-        vars(points[i]).update(vars(old), **(
-            {"cs_value": v % 1.0} if field == "cs"
-            else {"torsion": TorsionValue(v, math.log(v))}))
-    return points
+        value = v % 1.0 if field == "cs" else TorsionValue(v, math.log(v))
+        for i in hits:
+            column[i] = value
+    if len(keys) < len(entries):
+        _table_key(entries[len(keys)], field)
+    return Chart(*(column if slot == name else getattr(chart, slot)
+                   for slot in Chart.__slots__))
 
 
 # -- invariant sums ----------------------------------------------------
 
-def assemble_invariant(points, k: int) -> InvariantResult:
+def assemble_invariant(chart: Chart, k: int) -> InvariantResult:
     """Stratified sum of weight * exp(2 pi i k cs) * torsion.
 
     Refuses points with missing torsion; a chart refuses a failed clean
-    intersection before it returns.  The total is the exact sum of the
-    per-stratum values in stratum order.
+    intersection before it returns.  Columns are summed in point order,
+    and the total is the exact sum of the per-stratum values in stratum
+    order.
     """
     if int(k) != k:
         raise DomainError("level k must be an integer")
     per = {0: 0.0 + 0.0j, 1: 0.0 + 0.0j, 3: 0.0 + 0.0j}
     bound = 0.0
-    for pt in points:
-        if pt.torsion is None:
-            raise DomainError(
-                f"point {pt.point_id} has no torsion value; supply one")
-        phase = cmath.exp(2j * math.pi * k * pt.cs_value)
-        per[pt.stratum.i] += pt.weight * phase * pt.torsion.value
-        bound += pt.weight * pt.torsion.value
+    for pid, label, weight, cs, t in zip(
+            chart.ids, chart.labels, chart.weights, chart.cs, chart.torsions):
+        if t is None:
+            raise DomainError(f"point {pid} has no torsion value; supply one")
+        phase = cmath.exp(2j * math.pi * k * cs)
+        per[label.i] += weight * phase * t.value
+        bound += weight * t.value
     total = per[0] + per[1] + per[3]
     return InvariantResult(k=int(k), total=total, per_stratum=per,
-                           magnitude_bound=bound, point_count=len(points))
+                           magnitude_bound=bound, point_count=len(chart))
 
 
 def stationary_phase_sum(entries, k: int) -> complex:

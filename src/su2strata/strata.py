@@ -87,14 +87,12 @@ def _labels(images: np.ndarray, summaries, tol: float) -> list:
 
 
 def _label(images: np.ndarray, summary, axis_dim: int, tol: float):
-    """The label of (n, 4) images from their summary and axis verdict.
-    The d0 values above tol are its first 3 - h0, as the analysis
-    ranked them."""
-    h0 = summary.h0
-    nonzero = summary.singular_values["d0"][:3 - h0]
-    if nonzero and nonzero[-1] < 10 * tol:
+    """The label of (n, 4) images from their summary and axis verdict;
+    the smallest kept d0 value is read from its group's stacked S0."""
+    of, g, h0 = summary._of, summary._row, summary.h0
+    if h0 < 3 and of.S0[g, 2 - h0] < 10 * tol:
         raise BoundaryAmbiguousError(
-            f"smallest nonzero d0 singular value {nonzero[-1]:.3e} is "
+            f"smallest nonzero d0 singular value {of.S0[g, 2 - h0]:.3e} is "
             f"within 10x of threshold {tol:.1e}")
     if h0 != axis_dim:
         raise StratumConflictError(

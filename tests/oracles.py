@@ -7,6 +7,7 @@ hand determinants rather than SVDs.
 """
 
 import decimal
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -354,3 +355,79 @@ def deduplicate(points, conjugate):
                    and conjugate(pt, k) for k in kept):
             kept.append(pt)
     return kept
+
+
+def conjugate_pairs(tuples, tol=1e-9):
+    """The index pairs (i, j), i < j, of image tuples whose traces agree
+    within tol, pair by pair: of every image, of every product of two
+    images in order, and of the full product, each formed through 2x2
+    complex matrices.  For tuples of commuting images on one axis these
+    traces decide conjugacy in SU(2): the image traces fix each angle up
+    to sign, the pair traces fix the relative signs, and a common sign
+    flip is conjugation by an element off the axis."""
+    def traces(images):
+        ms = [su2_matrix(q) for q in images]
+        pairs = [a @ b for a, b in itertools.combinations(ms, 2)]
+        full = functools.reduce(np.matmul, ms)
+        return [np.trace(m).real for m in (*ms, *pairs, full)]
+
+    ts = [traces(t) for t in tuples]
+    return [(i, j) for i, j in itertools.combinations(range(len(ts)), 2)
+            if all(abs(a - b) <= tol for a, b in zip(ts[i], ts[j]))]
+
+
+def _number(v):
+    """v as a finite float if it is a JSON number (an int or a float,
+    not a bool) within the float range, else None."""
+    if type(v) not in (int, float):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def apply_table(ids, prints, values, table, field):
+    """The column of per-point values that a value table gives, entry by
+    entry and in order: each entry is checked alone, then sets every
+    point whose id it names, or whose fingerprint it matches
+    (`fingerprints_match`), to v mod 1 for cs and to v for torsion; a
+    later entry overrides an earlier one.  The first entry that fails
+    raises ValueError carrying the library's message."""
+    values = list(values)
+    for entry in table:
+        if not isinstance(entry, dict):
+            raise ValueError("table entry must be a JSON object")
+        unknown = set(entry) - {"point_id", "fingerprint", field}
+        if unknown:
+            raise ValueError(f"unknown table entry fields {sorted(unknown)}")
+        if field not in entry:
+            raise ValueError(f"table entry needs fields {[field]}")
+        if "point_id" in entry and "fingerprint" in entry:
+            raise ValueError(
+                f"table entry names both point_id and fingerprint: {entry}")
+        if "point_id" in entry:
+            if type(entry["point_id"]) is not str:
+                raise ValueError(f"point_id must be a string: {entry}")
+            hits = [i for i, pid in enumerate(ids)
+                    if pid == entry["point_id"]]
+        elif "fingerprint" not in entry:
+            raise ValueError("table entry needs point_id or fingerprint")
+        else:
+            fp = entry["fingerprint"]
+            if type(fp) not in (list, tuple) or any(
+                    type(v) not in (int, float) for v in fp):
+                raise ValueError(f"fingerprint must list numbers: {entry}")
+            hits = [i for i, p in enumerate(prints)
+                    if fingerprints_match(p, fp)]
+        if not hits:
+            raise ValueError(f"table entry matches no point: {entry}")
+        v = _number(entry[field])
+        if v is None:
+            raise ValueError(f"{field} must be a finite number: {entry}")
+        if field == "torsion" and v <= 0:
+            raise ValueError("torsion values must be positive")
+        for i in hits:
+            values[i] = v % 1.0 if field == "cs" else v
+    return values

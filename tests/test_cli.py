@@ -386,6 +386,56 @@ def test_the_report_writer_refuses_a_key_that_is_not_a_str(report):
             write()
 
 
+def test_a_bool_column_is_written_in_one_map(monkeypatch):
+    # records with a bool key, as an invariant report's `central` and
+    # `clean.passes` columns are: the bools go by the column branch, and
+    # the lone-value writer sees none of them
+    import su2strata.cli as cli
+    lone = []
+    text = cli._text
+
+    def lone_text(value, pad):
+        lone.append(value)
+        return text(value, pad)
+
+    monkeypatch.setattr(cli, "_text", lone_text)
+    rows = [{"central": c, "clean": {"passes": True}, "id": f"p{n}"}
+            for n, c in enumerate([False, True, True, False])]
+    assert _texts(rows, "\n") == list(map(_dumps, rows))
+    assert _texts([True, False], "\n  ") == ["true", "false"]
+    assert lone == []
+
+
+def test_an_invariant_report_builds_no_point_and_merges_nothing(
+        capsys, monkeypatch):
+    # a chart is columns from driver to writer: no `ModuliPoint` is made
+    # and no runtime dedup runs, counted without any timing
+    from su2strata import invariants
+    counts = {"points": 0, "dedup": 0}
+    init, dedup = invariants.ModuliPoint.__init__, \
+        invariants.deduplicate_points
+
+    def counted_init(self, *args, **kwargs):
+        counts["points"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_dedup(points):
+        counts["dedup"] += 1
+        return dedup(points)
+
+    monkeypatch.setattr(invariants.ModuliPoint, "__init__", counted_init)
+    monkeypatch.setattr(invariants, "deduplicate_points", counted_dedup)
+    table = os.path.join(os.path.dirname(__file__), "golden",
+                         "t3-M4-torsion.json")
+    code, out, _ = run(capsys, "invariant", "--example", "t3", "--samples",
+                       "4", "--torsion-table", table)
+    assert code == 0 and len(json.loads(out)["result"]["points"]) == 56
+    assert counts == {"points": 0, "dedup": 0}
+    # the counters are live: a row read from a chart is counted
+    enumerate_moduli("s3")[0]
+    assert counts == {"points": 1, "dedup": 0}
+
+
 def _t3_torsion_table(path, samples):
     """A torsion table for the t3 chart keying every other point by id
     and the rest by fingerprint."""

@@ -53,15 +53,13 @@ SURFACE = {
     "cohomology.cocycle_value": BENCH,
     "cohomology.pullback_cocycle": BENCH,
     "invariants.trace_fingerprint": BENCH,
+    "invariants.deduplicate_points": BENCH,
     "invariants.clean_intersection_check": BENCH,
     "torsion.mayer_vietoris_torsion": BENCH,
 }
 
-# `<module>.<function>` -> why it may keep an error it caught
-KEPT_ERRORS = {
-    "invariants._table_key": "a value table is outside input, checked in "
-                             "entry order after every key is read",
-}
+# `<module>.<function>` -> why it may keep an error it caught; none may
+KEPT_ERRORS = {}
 
 
 def _names(node, modules) -> set:
@@ -289,9 +287,8 @@ def test_every_error_made_is_raised():
 
 def test_no_caught_error_is_kept_but_where_listed():
     assert kept_errors(_sources(), KEPT_ERRORS) == []
-    # the one listed site still keeps what it catches
-    assert [scope for _, _, scope in kept_errors(_sources(), {})] == \
-        ["invariants._table_key"]
+    # and no site keeps what it catches, listed or not
+    assert kept_errors(_sources(), {}) == []
 
 
 def test_every_public_name_is_used_or_on_the_surface():

@@ -205,11 +205,11 @@ def test_a_fresh_lens_point_gives_the_filled_torsion(p, q, data):
     if math.gcd(p, q) != 1:
         q = 1
     n = data.draw(st.integers(1, (p - 1) // 2))
-    points = enumerate_moduli("lens", p=p, q=q)
-    (pt,) = [pt for pt in points if pt.point_id == f"lens({p},{q}):n={n}"]
+    chart = enumerate_moduli("lens", p=p, q=q)
+    (t,) = [t for pid, t in zip(chart.ids, chart.torsions)
+            if pid == f"lens({p},{q}):n={n}"]
     fresh = heegaard_mv_torsion(lens_heegaard(p, q), lens_rep(p, n))
-    assert (fresh.value, fresh.log_value) == (pt.torsion.value,
-                                              pt.torsion.log_value)
+    assert (fresh.value, fresh.log_value) == (t.value, t.log_value)
 
 
 def test_a_large_lens_at_its_first_point_has_torsion_one_over_p():
@@ -232,12 +232,12 @@ def test_a_large_lens_at_its_middle_point_has_torsion_one_over_p():
 @given(st.integers(2, 40), st.data())
 def test_a_fresh_s1xs2_point_gives_the_filled_torsion(M, data):
     j = data.draw(st.integers(1, M - 1))
-    points = enumerate_moduli("s1xs2", samples=M)
-    (pt,) = [pt for pt in points if pt.point_id == f"s1xs2:j={j}/{M}"]
+    chart = enumerate_moduli("s1xs2", samples=M)
+    (t,) = [t for pid, t in zip(chart.ids, chart.torsions)
+            if pid == f"s1xs2:j={j}/{M}"]
     rep = Representation(free_group(1), [torus_element(j * (math.pi / M))])
     fresh = heegaard_mv_torsion(s1xs2_heegaard(), rep)
-    assert (fresh.value, fresh.log_value) == (pt.torsion.value,
-                                              pt.torsion.log_value)
+    assert (fresh.value, fresh.log_value) == (t.value, t.log_value)
 
 
 def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):

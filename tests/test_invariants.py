@@ -3,18 +3,18 @@ import functools
 import json
 import math
 import os
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from su2strata import invariants, su2
 from su2strata.errors import (CleanIntersectionError, DomainError, InputError,
                               ResidualError)
-from su2strata.invariants import (HeegaardData, ModuliPoint,
+from su2strata.invariants import (Chart, HeegaardData, ModuliPoint,
                                   apply_value_table, assemble_invariant,
                                   clean_intersection_check,
                                   deduplicate_points, enumerate_moduli,
@@ -82,8 +82,7 @@ def test_find_conjugator_central_mismatch():
 
 def _point(pid, rep):
     return ModuliPoint(point_id=pid, rep=rep, stratum=classify_stratum(rep),
-                       component_dim=0, weight=1.0,
-                       fingerprint=trace_fingerprint(rep))
+                       component_dim=0, fingerprint=trace_fingerprint(rep))
 
 
 def _conjugate(pt, kept):
@@ -101,6 +100,7 @@ def test_deduplicate_merges_conjugates_only():
     merged = deduplicate_points(points)
     assert [p.point_id for p in merged] == ["a", "c"]
     assert merged == oracles.deduplicate(points, _conjugate)
+    assert deduplicate_points([]) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,21 +243,21 @@ def test_lens_mv_torsion_is_one_over_p():
 @pytest.mark.parametrize("q", [7, 500])
 def test_lens_torsion_laws_at_p_1009(q):
     p = 1009
-    points = enumerate_moduli("lens", p=p, q=q)
-    assert len(points) == p // 2 + 1
-    assert [pt.point_id for pt in points if pt.stratum.i == 0] == \
+    chart = enumerate_moduli("lens", p=p, q=q)
+    assert len(chart) == p // 2 + 1
+    assert [pt.point_id for pt in chart if pt.stratum.i == 0] == \
         [f"lens({p},{q}):n=0"]
-    for pt in points:
-        want = 1.0 if pt.stratum.i == 0 else 1.0 / p
-        assert abs(pt.torsion.value - want) < 1e-9 * want, pt.point_id
+    for pid, label, t in zip(chart.ids, chart.labels, chart.torsions):
+        want = 1.0 if label.i == 0 else 1.0 / p
+        assert abs(t.value - want) < 1e-9 * want, pid
 
 
 @pytest.mark.parametrize("samples", [16, 500])
 def test_s1xs2_interior_torsion_is_one(samples):
-    points = enumerate_moduli("s1xs2", samples=samples)
-    interior = [pt for pt in points if pt.component_dim == 1]
+    chart = enumerate_moduli("s1xs2", samples=samples)
+    interior = [t for dim, t in zip(chart.dims, chart.torsions) if dim == 1]
     assert len(interior) == samples - 1
-    assert all(abs(pt.torsion.value - 1.0) < 1e-9 for pt in interior)
+    assert all(abs(t.value - 1.0) < 1e-9 for t in interior)
 
 
 def test_s1xs2_family_torsion_is_one():
@@ -316,10 +316,9 @@ def s1xs2_rows(M, bad=()):
 def test_a_chart_raises_its_first_unclean_point():
     chart = functools.partial(invariants._chart_points, free_group(1),
                               s1xs2_heegaard(), tol=1e-8)
-    pts = chart(s1xs2_rows(6))
-    assert [(pt.point_id, pt.fingerprint, pt.weight) for pt in pts] == [
-        (pt.point_id, pt.fingerprint, pt.weight)
-        for pt in enumerate_moduli("s1xs2", samples=6)]
+    pts, want = chart(s1xs2_rows(6)), enumerate_moduli("s1xs2", samples=6)
+    assert (pts.ids, pts.fingerprints.tolist(), pts.weights) == \
+        (want.ids, want.fingerprints.tolist(), want.weights)
     with pytest.raises(CleanIntersectionError) as err:
         chart(s1xs2_rows(6, bad=(2, 4)))
     with pytest.raises(CleanIntersectionError) as lone:
@@ -335,15 +334,15 @@ def test_lens_2_1_points():
     assert [p.point_id for p in pts] == ["lens(2,1):n=0", "lens(2,1):n=1"]
     assert [p.stratum.i for p in pts] == [0, 0]
     assert [p.stratum.central_flag for p in pts] == [False, True]
-    assert all(p.torsion.value == 1.0 for p in pts)
+    assert all(t.value == 1.0 for t in pts.torsions)
 
 
 def test_lens_5_1_points():
     pts = enumerate_moduli("lens", p=5, q=1)
     assert len(pts) == 3
     assert [p.stratum.i for p in pts] == [0, 1, 1]
-    for p in pts[1:]:
-        assert abs(p.torsion.value - 0.2) < 1e-9
+    for p, t in zip(pts[1:], pts.torsions[1:]):
+        assert abs(t.value - 0.2) < 1e-9
         assert clean_intersection_check(p) is None
 
 
@@ -365,7 +364,7 @@ def test_s3_single_trivial_point():
     pts = enumerate_moduli("s3")
     assert len(pts) == 1
     assert pts[0].stratum.i == 0 and not pts[0].stratum.central_flag
-    assert pts[0].torsion.value == 1.0
+    assert pts.torsions[0].value == 1.0
 
 
 def test_s1xs2_family_structure():
@@ -376,7 +375,7 @@ def test_s1xs2_family_structure():
     assert pts[-1].stratum.central_flag
     interior = pts[1:-1]
     assert all(p.stratum.i == 1 for p in interior)
-    assert all(abs(p.weight - math.pi / M) < 1e-12 for p in interior)
+    assert all(abs(w - math.pi / M) < 1e-12 for w in pts.weights[1:-1])
     assert all(p.component_dim == 1 for p in interior)
 
 
@@ -387,7 +386,8 @@ def test_t3_grid_structure():
     family = [p for p in pts if p.stratum.i == 1]
     assert len(centrals) == 8
     assert len(family) == (M - 1) * M * M
-    assert all(p.torsion is None for p in family)
+    assert all(t is None for label, t in zip(pts.labels, pts.torsions)
+               if label.i == 1)
     assert all(p.component_dim == 3 for p in family)
     assert all(clean_intersection_check(p) is None for p in pts)
 
@@ -406,6 +406,39 @@ def test_lens_chart_bound_is_inclusive(monkeypatch):
     assert len(enumerate_moduli("lens", p=31, q=7)) == 16
     with pytest.raises(InputError, match="17 points, more than 16"):
         enumerate_moduli("lens", p=33, q=7)
+
+
+_DOMAINS = [
+    *(("lens", {"p": p, "q": q}, p // 2 + 1)
+      for p in (1, 2, 3, 5, 8, 12, 31, 52) for q in (1, 2, 3, 5, 7)
+      if math.gcd(p, q) == 1),
+    *(("s1xs2", {"samples": M}, M + 1) for M in (2, 3, 8, 16, 40)),
+    *(("t3", {"samples": M}, 8 + (M - 1) * M * M) for M in range(2, 7)),
+]
+
+
+def test_each_chart_is_a_fundamental_domain():
+    # no two points of a built-in chart are conjugate, by a pairwise
+    # trace oracle, and each chart has its closed-form count of classes;
+    # so a chart needs no dedup, and enumerate_moduli runs none
+    for example, kwargs, count in _DOMAINS:
+        chart = enumerate_moduli(example, **kwargs)
+        assert len(chart) == count, (example, kwargs)
+        images = [rep.images for rep in chart.reps]
+        assert oracles.conjugate_pairs(images) == [], (example, kwargs)
+
+
+def test_the_trace_oracle_finds_a_conjugate_pair():
+    # the law above is not vacuous: a conjugated copy of a chart point
+    # is found, and so is the axis flip of a t3 point
+    chart = enumerate_moduli("t3", samples=3)
+    rep = chart.reps[10]
+    q = su2.random_element(np.random.default_rng(4))
+    images = [r.images for r in chart.reps]
+    assert oracles.conjugate_pairs(
+        [*images, _conjugated(rep, q).images]) == [(10, len(chart))]
+    flip = np.array([[w, -x, -y, -z] for w, x, y, z in rep.images])
+    assert oracles.conjugate_pairs([*images, flip]) == [(10, len(chart))]
 
 
 def test_unknown_example():
@@ -430,8 +463,8 @@ def test_apply_cs_table_by_id_and_fingerprint():
     table = [{"point_id": "lens(5,1):n=1", "cs": 0.2},
              {"fingerprint": list(pts[2].fingerprint), "cs": 0.8}]
     out = apply_value_table(pts, table, "cs")
-    assert out[1].cs_value == 0.2 and out[2].cs_value == 0.8
-    assert out[0].cs_value == 0.0  # untouched default
+    assert out.cs[1] == 0.2 and out.cs[2] == 0.8
+    assert out.cs[0] == 0.0  # untouched default
 
 
 def test_apply_table_rejects_unmatched_and_malformed():
@@ -447,15 +480,25 @@ def test_apply_table_rejects_unmatched_and_malformed():
             pts, [{"point_id": "s3:trivial", "torsion": -1.0}], "torsion")
 
 
+def _picked(chart, rows, ids):
+    """A chart of the given rows of `chart`, under new ids."""
+    def pick(column):
+        return [column[i] for i in rows]
+
+    return Chart(ids, pick(chart.reps), pick(chart.labels), pick(chart.dims),
+                 pick(chart.weights), chart.fingerprints[rows],
+                 pick(chart.cs), pick(chart.torsions))
+
+
 def test_fingerprint_entry_updates_every_matching_point():
-    pts = enumerate_moduli("lens", p=5, q=1)
-    twin = replace(pts[1], point_id="twin")
-    pts = [pts[0], pts[1], twin]
+    pts = _picked(enumerate_moduli("lens", p=5, q=1), [0, 1, 1],
+                  ["lens(5,1):n=0", "lens(5,1):n=1", "twin"])
+    twin = pts[2]
     table = [{"fingerprint": list(twin.fingerprint), "cs": 0.3},
              {"point_id": "twin", "cs": 0.6}]
     out = apply_value_table(pts, table, "cs")
     # both carriers of the fingerprint take it; the later id entry wins
-    assert [pt.cs_value for pt in out] == [0.0, 0.3, 0.6]
+    assert out.cs == [0.0, 0.3, 0.6]
 
 
 @pytest.mark.parametrize("field", ["cs", "torsion"])
@@ -465,17 +508,22 @@ def test_a_rebuilt_point_is_what_replace_gives(field):
                         f"t3-M4-{field}.json")
     with open(path, encoding="utf-8") as f:
         table = json.load(f)["entries"]
+    # the chart a table gives is the old one with the one column it
+    # sets replaced: every other column is the old chart's own
     pts = enumerate_moduli("t3", samples=4)
     out = apply_value_table(pts, table, field)
+    assert type(out) is Chart and out is not pts
     assert len(out) == len(pts) == len(table)
-    for old, new in zip(pts, out):
-        v = new.cs_value if field == "cs" else new.torsion.value
-        want = (replace(old, cs_value=v) if field == "cs"
-                else replace(old, torsion=TorsionValue(v, math.log(v))))
-        assert type(new) is ModuliPoint and new is not old
-        for f in fields(ModuliPoint):
-            assert getattr(new, f.name) == getattr(want, f.name), f.name
-        assert vars(new) == vars(want)
+    name = "cs" if field == "cs" else "torsions"
+    for slot in Chart.__slots__:
+        assert (getattr(out, slot) is getattr(pts, slot)) == \
+            (slot != name), slot
+    assert list(out) == list(pts)
+    assert _values(out, field) == oracles.apply_table(
+        pts.ids, pts.fingerprints.tolist(), _values(pts, field), table, field)
+    if field == "torsion":
+        assert out.torsions == [TorsionValue(t.value, math.log(t.value))
+                                for t in out.torsions]
 
 
 def test_fingerprint_entry_matches_within_one_rounding_step():
@@ -489,8 +537,8 @@ def test_fingerprint_entry_matches_within_one_rounding_step():
             fp[j] += step
             out = apply_value_table(
                 pts, [{"fingerprint": fp, "torsion": 2.0}], "torsion")
-            hit = [p.point_id for p in out if p.torsion is not None
-                   and p.torsion.value == 2.0]
+            hit = [pid for pid, t in zip(out.ids, out.torsions)
+                   if t is not None and t.value == 2.0]
             assert hit == [pt.point_id]
     far = list(pt.fingerprint)
     far[0] += 0.01
@@ -516,7 +564,7 @@ _MOVES = st.one_of(st.sampled_from([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2]),
 @given(st.sampled_from(["t3", "lens"]), st.data())
 def test_table_hits_are_the_brute_force_matches(chart, data):
     pts = _chart(chart)
-    fp = list(data.draw(st.sampled_from(pts)).fingerprint)
+    fp = data.draw(st.sampled_from(pts.fingerprints.tolist()))
     moves = data.draw(st.lists(_MOVES, min_size=len(fp), max_size=len(fp)))
     fp = [v + m * 1e-7 if abs(m) <= 2 else m for v, m in zip(fp, moves)]
     fp = fp[:data.draw(st.integers(1, len(fp)))] + data.draw(
@@ -528,7 +576,7 @@ def test_table_hits_are_the_brute_force_matches(chart, data):
             apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}], "cs")
         return
     out = apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}], "cs")
-    assert [pt.point_id for pt in out if pt.cs_value == 0.5] == want
+    assert [pid for pid, cs in zip(out.ids, out.cs) if cs == 0.5] == want
 
 
 @pytest.mark.parametrize("chart", ["t3", "lens"])
@@ -536,13 +584,13 @@ def test_table_hits_are_the_brute_force_matches(chart, data):
 def test_an_entry_a_step_off_in_every_component_still_matches(chart, move):
     # the farthest a match can lie: the matcher's key window edge
     pts = _chart(chart)
-    for pt in pts:
+    for n, pt in enumerate(pts):
         fp = [v + move * 1e-7 for v in pt.fingerprint]
         out = apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}], "cs")
-        assert [p.point_id for p in out if p.cs_value == 0.5] == [
+        assert [pid for pid, cs in zip(out.ids, out.cs) if cs == 0.5] == [
             p.point_id for p in pts
             if oracles.fingerprints_match(p.fingerprint, fp)]
-        assert pt.cs_value != 0.5 and out[pts.index(pt)].cs_value == 0.5
+        assert pts.cs[n] != 0.5 and out.cs[n] == 0.5
 
 
 def test_a_half_step_tie_rounds_to_even():
@@ -559,7 +607,7 @@ def test_a_half_step_tie_rounds_to_even():
         if hit:
             out = apply_value_table(pts, [{"fingerprint": fp, "cs": 0.5}],
                                     "cs")
-            assert [p.point_id for p in out if p.cs_value == 0.5] \
+            assert [pid for pid, cs in zip(out.ids, out.cs) if cs == 0.5] \
                 == [pt.point_id]
         else:
             with pytest.raises(InputError, match="matches no point"):
@@ -628,40 +676,161 @@ def test_apply_table_rejects_malformed_entries(entry):
 
 def test_torsion_table_fills_t3_family():
     pts = enumerate_moduli("t3", samples=2)
-    family = [p for p in pts if p.torsion is None]
+    family = [pid for pid, t in zip(pts.ids, pts.torsions) if t is None]
     with pytest.raises(DomainError):
         assemble_invariant(pts, 1)
-    table = [{"point_id": p.point_id, "torsion": 1.0} for p in family]
+    table = [{"point_id": pid, "torsion": 1.0} for pid in family]
     filled = apply_value_table(pts, table, "torsion")
     inv = assemble_invariant(filled, 1)
     assert inv.point_count == len(pts)
 
 
+def _values(chart, field):
+    """A chart's cs column, or its torsion values (None where unset)."""
+    return list(chart.cs) if field == "cs" else [
+        t.value if t else None for t in chart.torsions]
+
+
+@functools.cache
+def _table_chart(name):
+    return (enumerate_moduli("t3", samples=3) if name == "t3"
+            else enumerate_moduli("lens", p=12, q=5))
+
+
+def _moved(fp, how, j, bad):
+    """A chart fingerprint as an entry gives it: exact, one step off in
+    component j, a component short or long, or with `bad` at j."""
+    fp = list(fp)
+    j %= len(fp)
+    if how == "step":
+        fp[j] += 1e-7
+    elif how == "short":
+        fp.pop()
+    elif how == "long":
+        fp.append(1.0)
+    elif how == "bad":
+        fp[j] = bad
+    return fp
+
+
+_BAD_COMPONENTS = st.sampled_from(
+    ["1.0", True, False, None, math.nan, math.inf, -math.inf, 10**400,
+     -10**400])
+_BAD_VALUES = st.sampled_from(
+    ["0.5", True, None, math.nan, math.inf, 10**400, 0.0, -1.0])
+
+
+def _mostly(good, bad):
+    """Draws of `good`, and of `bad` about one time in six."""
+    return st.sampled_from([good] * 5 + [bad]).flatmap(lambda s: s)
+
+
+def _entries(name, field):
+    """Value tables for the named chart: entries by id or by fingerprint
+    (exact, a step off, the wrong width or with a bad component), with a
+    value that is a number or not, now and then a malformed key, and at
+    most one entry that is not an object or names the other field."""
+    chart = _table_chart(name)
+    fingerprints = st.builds(
+        _moved, st.sampled_from(chart.fingerprints.tolist()),
+        _mostly(st.sampled_from(["exact", "step"]),
+                st.sampled_from(["short", "long", "bad"])),
+        st.integers(0, 6), _BAD_COMPONENTS)
+    keys = _mostly(
+        st.one_of(st.sampled_from(chart.ids).map(lambda i: {"point_id": i}),
+                  fingerprints.map(lambda fp: {"fingerprint": fp})),
+        st.sampled_from([{"point_id": "ghost"}, {"point_id": 3}, {},
+                         {"point_id": chart.ids[1], "fingerprint": [1.0]},
+                         {"point_id": chart.ids[1], "x": 1}]))
+    entries = st.builds(lambda key, v: {**key, field: v}, keys,
+                        _mostly(st.floats(0.05, 3.0), _BAD_VALUES))
+    odd = _mostly(st.none(), st.one_of(
+        st.just(5), st.sampled_from(["cs", "torsion"]).map(
+            lambda f: {"point_id": chart.ids[0], f: 0.5})))
+    return st.builds(lambda table, entry, at: table if entry is None else
+                     [*table[:at], entry, *table[at:]],
+                     st.lists(entries, max_size=5), odd, st.integers(0, 5))
+
+
+_CASES = st.tuples(st.sampled_from(["t3", "lens"]),
+                   st.sampled_from(["cs", "torsion"])).flatmap(
+    lambda nf: st.tuples(st.just(nf[0]), st.just(nf[1]), _entries(*nf)))
+_LENS_1 = [1.7320508, 1.7320508]     # lens(12, 5) point 1's fingerprint
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CASES)
+@example(("lens", "cs", [{"point_id": "lens(12,5):n=1", "cs": 0.25},
+                         {"fingerprint": _LENS_1, "cs": 1.75}]))
+@example(("lens", "torsion", [
+    {"point_id": "lens(12,5):n=2", "torsion": 2.0},
+    {"fingerprint": [1.7320508, 1.7320509], "torsion": 0.5},
+    {"point_id": "lens(12,5):n=2", "torsion": 3.0}]))
+@example(("lens", "torsion", [{"point_id": "lens(12,5):n=2", "torsion": 2},
+                              {"point_id": "ghost", "torsion": 1.0}]))
+@example(("lens", "cs", [{"point_id": "lens(12,5):n=0", "cs": 0.5},
+                         {"fingerprint": [1.0, "1.0"], "cs": 0.5},
+                         {"point_id": "ghost", "cs": 0.1}]))
+@example(("lens", "cs", [{"fingerprint": [True, 1.7320508], "cs": 0.5}]))
+@example(("lens", "cs", [{"fingerprint": [1.7320508], "cs": 0.5}]))
+@example(("lens", "torsion", [{"point_id": "lens(12,5):n=3",
+                               "torsion": True}]))
+@example(("lens", "torsion", [{"point_id": "lens(12,5):n=3",
+                               "torsion": 0.0}]))
+@example(("t3", "torsion", [{"fingerprint": [2.0] * 7, "torsion": 1.5},
+                            {"fingerprint": [2.0, 2.0], "torsion": 1.0}]))
+@example(("t3", "cs", [{"point_id": "t3:grid(1,0,0)/3", "cs": 0.5},
+                       {"fingerprint": [math.nan, math.inf, 10**400,
+                                        -10**400, 1.0, 1.0, 1.0],
+                        "cs": 0.1}]))
+@example(("t3", "cs", [{"point_id": "t3:grid(2,1,2)/3", "cs": math.nan}]))
+@example(("t3", "cs", [{"point_id": "t3:grid(2,1,2)/3", "cs": 0.5,
+                        "fingerprint": [2.0] * 7}, 5]))
+@example(("t3", "torsion", [{"point_id": "t3:grid(2,1,2)/3", "cs": 0.5}]))
+@example(("t3", "torsion", [5, {"point_id": "ghost", "torsion": 1.0}]))
+def test_a_table_sets_what_the_brute_force_reference_sets(case):
+    # the one-pass reader gives the column the entry-by-entry reference
+    # gives, or raises the message of the same first failing entry
+    name, field, table = case
+    chart = _table_chart(name)
+    try:
+        want = oracles.apply_table(chart.ids, chart.fingerprints.tolist(),
+                                   _values(chart, field), table, field)
+    except ValueError as e:
+        with pytest.raises(InputError) as got:
+            apply_value_table(chart, table, field)
+        assert str(got.value) == str(e)
+        return
+    assert _values(apply_value_table(chart, table, field), field) == want
+
+
 # -- assembly ------------------------------------------------------------
 
-def _isolated(pid, cs, torsion, i=0):
+def _isolated(*points):
+    """A chart of trivial points of weight 1, one per (id, cs, torsion)."""
     rep = Representation.trivial(cyclic_group(1))
-    from su2strata.strata import classify_stratum
-    return ModuliPoint(point_id=pid, rep=rep, stratum=classify_stratum(rep),
-                       component_dim=0, weight=1.0,
-                       fingerprint=trace_fingerprint(rep), cs_value=cs,
-                       torsion=TorsionValue(torsion, math.log(torsion)))
+    n = len(points)
+    ids, cs, torsions = zip(*points) if points else ((), (), ())
+    return Chart(ids, [rep] * n, [classify_stratum(rep)] * n, [0] * n,
+                 [1.0] * n, np.array([trace_fingerprint(rep)] * n,
+                                     ndmin=2), list(cs),
+                 [TorsionValue(t, math.log(t)) for t in torsions])
 
 
 def test_assemble_trivial_point():
-    inv = assemble_invariant([_isolated("x", 0.0, 1.0)], k=5)
+    inv = assemble_invariant(_isolated(("x", 0.0, 1.0)), k=5)
     assert inv.per_stratum[0] == 1.0 + 0.0j
     assert inv.total == 1.0 + 0.0j
 
 
 def test_assemble_opposite_phases_cancel():
-    pts = [_isolated("x", 0.0, 1.0), _isolated("y", 0.5, 1.0)]
+    pts = _isolated(("x", 0.0, 1.0), ("y", 0.5, 1.0))
     inv = assemble_invariant(pts, k=1)
     assert abs(inv.total) < 1e-12
 
 
 def test_assemble_empty_is_zero():
-    inv = assemble_invariant([], k=3)
+    inv = assemble_invariant(_isolated(), k=3)
     assert inv.total == 0.0 + 0.0j
 
 
@@ -697,12 +866,12 @@ def test_conjugation_leaves_invariant_data_unchanged():
     pts = enumerate_moduli("lens", p=5, q=1)
     q = su2.random_element(np.random.default_rng(3))
     heegaard = lens_heegaard(5, 1)
-    for pt in pts:
+    for pt, torsion in zip(pts, pts.torsions):
         conj = _conjugated(pt.rep, q)
         assert trace_fingerprint(conj) == pt.fingerprint
         if pt.stratum.i == 1:
             t = heegaard_mv_torsion(heegaard, conj)
-            assert abs(t.value - pt.torsion.value) < 1e-9
+            assert abs(t.value - torsion.value) < 1e-9
 
 
 # -- stationary phase ----------------------------------------------------
