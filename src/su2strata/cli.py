@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, su2
-from .cohomology import (DEFAULT_TOL, _system_cohomologies, build_d0,
-                         cohomology, full_system, restrict_coefficients)
+from .cohomology import (DEFAULT_TOL, _full_cohomologies, build_d0,
+                         cohomology, restrict_coefficients)
 from .conventions import CONVENTION_TAGS, MAX_GENUS, MAX_P, SCHEMA_VERSION
 from .errors import DomainError, InputError, PresentationError
 from .invariants import (apply_value_table, assemble_invariant,
@@ -230,9 +230,8 @@ def _cmd_strata_scan(args) -> dict:
     for start in range(0, args.samples, chunk):
         images = su2.random_element(
             rng, (min(chunk, args.samples - start), g))
-        summaries = _system_cohomologies(
-            [full_system(rep) for rep in _representations(pres, images)],
-            args.tol)
+        summaries = _full_cohomologies(*_representations(pres, images)[1:],
+                                       args.tol)
         for summary, label in zip(summaries,
                                   _labels(images, summaries, args.tol)):
             counts[label.i] += 1

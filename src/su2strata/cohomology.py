@@ -14,19 +14,20 @@ against an absolute threshold, with warnings when a value sits within a
 factor of ten of it.  The H^1 basis is harmonic: ker d1 ∩ ker d0ᵀ, the
 null space of d1 stacked on d0ᵀ.
 
-There is one analysis, `_system_cohomologies`: systems are grouped by
-shape, and each group is built, checked and decomposed as one stack:
-d0 with vectors, d1 and the harmonic stack with singular values only.
-The first system to fail a check raises its error; there are no
-partial results.  Each summary is a read-only view of its group's record: a
-basis is a slice of a VT stack, sign-fixed whole on the first basis
+There is one analysis, `_stack_cohomologies`, of one shape group's
+basis, Ad and Fox-row stacks: d0 with vectors, d1 and the harmonic
+stack with singular values only.  The first row to fail a check raises
+its error; there are no partial results.  `_system_cohomologies` is its
+object wrapper: it checks every system's relator residual, then groups
+and stacks the systems; a moduli chart passes the stacks it folded and
+keeps nothing.  Each summary is a read-only view of its group's record:
+a basis is a slice of a VT stack, sign-fixed whole on the first basis
 read (the harmonic one is decomposed then, once per group, so a
-`LinAlgError` there propagates from `basis_h1`), and the other fields
-are formed when read.  A moduli chart calls it on its columns of
-systems and keeps nothing; `system_cohomology`, `system_d0` and
-`system_d1` are batches of one.  `cohomology` keeps a representation's
-full-coefficient summary in its memo per tol; a restricted system is
-made and analysed on each call.
+`LinAlgError` there propagates from `basis_h1`), `_bases` reads many
+rows' as one slice, and the other fields are formed when read.
+`system_cohomology`, `system_d0` and `system_d1` are batches of one.
+`cohomology` keeps a representation's full-coefficient summary in its
+memo per tol; a restricted system is made and analysed on each call.
 """
 
 from __future__ import annotations
@@ -114,25 +115,29 @@ def build_d0(rep: Representation) -> np.ndarray:
 def system_d0(sys: CoefficientSystem) -> np.ndarray:
     """(nk x k) stacked blocks basis^T Ad(x_j) basis - I, read from the
     representation's kept Ad stack: `_differentials`' batch of one."""
-    return _differentials([sys])[0][0]
+    return _differentials(*_stacks([sys]))[0][0]
 
 
 def system_d1(sys: CoefficientSystem) -> np.ndarray:
     """(mk x nk) relator differential: the full Fox Jacobian in the
     system's basis, `_differentials`' batch of one.  On an Ad-invariant
     subspace that is the Fox Jacobian of the restricted action."""
-    return _differentials([sys])[1][0]
+    return _differentials(*_stacks([sys]))[1][0]
 
 
-def _differentials(systems) -> tuple:
-    """The stacked d0 (N, nk, k) and d1 (N, mk, nk) of systems of one
-    shape (k, n, m), over contiguous stacks: a strided operand would
-    take another matmul route, whose last bits differ.  The empty-d1
-    forks here and in `_system_cohomologies` and `_shape_cohomologies`
-    stay: without them a free-census op took 20–40 µs more, of 170."""
-    B = np.array([sys.basis for sys in systems])
-    A = np.array([sys.rep.adjoints for sys in systems])
-    J = np.array([fox_jacobian_at(sys.rep) for sys in systems])
+def _stacks(systems) -> tuple:
+    """The basis, Ad and Fox-row stacks of systems of one shape."""
+    return (np.array([sys.basis for sys in systems]),
+            np.array([sys.rep.adjoints for sys in systems]),
+            np.array([fox_jacobian_at(sys.rep) for sys in systems]))
+
+
+def _differentials(B: np.ndarray, A: np.ndarray, J: np.ndarray) -> tuple:
+    """The stacked d0 (N, nk, k) and d1 (N, mk, nk) of one shape's
+    contiguous basis (N, 3, k), Ad (N, n, 3, 3) and Fox-row (N, 3m, 3n)
+    stacks (a strided operand takes another matmul route, whose last
+    bits differ).  The empty-d1 forks here and in the analysis stay:
+    without them a free-census op took 20–40 µs more, of 170."""
     k = B.shape[2]
     D0 = (B.mT[:, None] @ A @ B[:, None] - _FULL_BASIS[:k, :k]).reshape(
         len(B), -1, k)
@@ -186,19 +191,30 @@ class CohomologySummary:
     z1 = property(lambda s: s._of.nk - s._of.ranks1[s._row])  # dim ker d1
     coefficient_dim = property(lambda s: s._of.k)
     # (k, h0) and, in the harmonic gauge, (n*k, h1); read-only
-    basis_h0 = property(lambda s: s._of.basis(0, s._row))
-    basis_h1 = property(lambda s: s._of.basis(1, s._row))
+    basis_h0 = property(lambda s: s._of.bases(0, s._row).T)
+    basis_h1 = property(lambda s: s._of.bases(1, s._row).T)
     # "d0"/"d1" -> tuple of floats, and the near-threshold warnings
     singular_values = property(lambda s: s._of.formed(0, s._row))
     warnings = property(lambda s: s._of.formed(1, s._row))
+
+
+def _smallest_kept_d0(summary: CohomologySummary) -> float:
+    """The smallest d0 singular value a summary's rank keeps."""
+    return summary._of.S0[summary._row, summary._of.ranks0[summary._row] - 1]
+
+
+def _bases(summaries, i: int) -> np.ndarray:
+    """The H0 (i = 0) or harmonic H1 (i = 1) bases, as rows, of
+    summaries of one analysis and one rank: one `_Analysis.bases` slice."""
+    return summaries[0]._of.bases(i, [s._row for s in summaries])
 
 
 class _Analysis:
     """One shape group's stacked analysis, which its rows' summaries
     read: k, nk, tol, S0 and S1 with their rank lists, d0's VT stack
     and the read-only harmonic stack H.  A degree's first basis read
-    signs its VT stack whole by `_signed`; H's is made then, by one
-    SVD for the group.  Row values formed on first read are kept."""
+    signs its VT stack whole by `_signed`; H's is made then, by one SVD
+    for the group.  Row values formed on first read are kept."""
 
     def __init__(self, k, nk, tol, S0, S1, VT0, H):
         self.k, self.nk, self.tol, self.S0, self.S1 = k, nk, tol, S0, S1
@@ -206,14 +222,15 @@ class _Analysis:
         self.ranks1 = (S1 > tol).sum(axis=1).tolist()
         self.VT, self.signed, self.rows = [VT0, H], [False, False], {}
 
-    def basis(self, i: int, g: int) -> np.ndarray:
-        """Row g's H0 (i = 0) or harmonic H1 (i = 1) basis: the right
-        singular vectors past the rank, as columns."""
+    def bases(self, i: int, rows) -> np.ndarray:
+        """The right singular vectors past the rank of row g (a view) or
+        of a list of rows of one rank (one slice): H0's (i = 0) or the
+        harmonic H1's (i = 1) basis as rows."""
         if not self.signed[i]:
             VT = np.linalg.svd(self.VT[1])[2] if i else self.VT[0]
             self.VT[i], self.signed[i] = _signed(VT), True
-        rank = self.ranks0[g] + (self.ranks1[g] if i else 0)
-        return self.VT[i][g, rank:].T
+        g = rows[0] if isinstance(rows, list) else rows
+        return self.VT[i][rows, self.ranks0[g] + (self.ranks1[g] if i else 0):]
 
     def formed(self, i: int, g: int):
         """Row g's singular values (i = 0) or warnings (i = 1)."""
@@ -239,31 +256,51 @@ def system_cohomology(sys: CoefficientSystem,
 
 
 def _system_cohomologies(systems, tol: float) -> list:
-    """The summary of each system.  The checks run in order, each over
-    its rows: the relator residual of every system, then, shape group
-    by shape group, d1 d0 and the ranks; the first row to fail raises
-    the error its lone analysis raises.  A stacked matmul or SVD gives
-    each matrix what its own gives, so a summary does not depend on the
-    batch it is analysed in."""
+    """The summary of each system: every relator residual is checked in
+    order, then each shape group's stacks are analysed in order of
+    first appearance; the first row to fail raises the error its lone
+    analysis raises.  A stacked matmul or SVD gives each matrix what its
+    own gives, so a summary does not depend on its batch."""
+    _check_residuals([sys.rep.relator_residual for sys in systems], tol)
     out: list = [None] * len(systems)
     shapes: dict = {}
     for i, sys in enumerate(systems):
-        rep = sys.rep
-        if rep.relator_residual > 10 * tol:
-            raise ResidualError(
-                f"relator residual {rep.relator_residual:.3e} too large "
-                f"for cohomology at tolerance {tol:.1e}")
-        shapes.setdefault((sys.k, sys.n, len(rep.presentation.relators)),
+        shapes.setdefault((sys.k, sys.n, len(sys.rep.presentation.relators)),
                           []).append(i)
     for idx in shapes.values():
-        D0, D1 = _differentials([systems[i] for i in idx])
-        comps = np.sqrt(((D1 @ D0) ** 2).sum(axis=(1, 2))) if D1.size else ()
-        for comp in comps:
-            if comp > 100 * tol:
-                raise ResidualError(
-                    f"d1 d0 composite norm {comp:.3e}; complex is broken")
-        _shape_cohomologies(out, idx, D0, D1, tol)
+        for i, summary in zip(idx, _stack_cohomologies(
+                *_stacks([systems[i] for i in idx]), tol)):
+            out[i] = summary
     return out
+
+
+def _check_residuals(residuals, tol: float) -> None:
+    """Raise at the first relator residual too large for cohomology."""
+    for r in residuals:
+        if r > 10 * tol:
+            raise ResidualError(f"relator residual {r:.3e} too large for "
+                                f"cohomology at tolerance {tol:.1e}")
+
+
+def _full_cohomologies(A, J, residuals, tol: float) -> list:
+    """`_system_cohomologies` of the full systems of one presentation's
+    reps, from the stacks `presentations._representations` returns."""
+    _check_residuals(residuals, tol)
+    return _stack_cohomologies(np.tile(_FULL_BASIS, (len(A), 1, 1)), A, J,
+                               tol)
+
+
+def _stack_cohomologies(B: np.ndarray, A: np.ndarray, J: np.ndarray,
+                        tol: float) -> list:
+    """The summaries of one shape's stacks (`_differentials`): d1 d0 is
+    checked over every row, then the ranks; the first failure raises."""
+    D0, D1 = _differentials(B, A, J)
+    comps = np.sqrt(((D1 @ D0) ** 2).sum(axis=(1, 2))) if D1.size else ()
+    for comp in comps:
+        if comp > 100 * tol:
+            raise ResidualError(
+                f"d1 d0 composite norm {comp:.3e}; complex is broken")
+    return _shape_cohomologies(D0, D1, tol)
 
 
 def _signed(VT: np.ndarray) -> np.ndarray:
@@ -274,11 +311,10 @@ def _signed(VT: np.ndarray) -> np.ndarray:
     return _read_only(np.where(top[:, None] < 0, -R, R)).reshape(VT.shape)
 
 
-def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
-                        D1: np.ndarray, tol: float) -> None:
-    """Fill out[idx] from the stacked d0 (N, nk, k) and d1 (N, mk, nk)
-    of one shape: d0's SVD with vectors, and d1's and the harmonic
-    stack H's (d1 on d0ᵀ) values only.  d1 and d0ᵀ have orthogonal row
+def _shape_cohomologies(D0: np.ndarray, D1: np.ndarray, tol: float) -> list:
+    """The summaries of the stacked d0 (N, nk, k) and d1 (N, mk, nk) of
+    one shape: d0's SVD with vectors, and d1's and the harmonic stack
+    H's (d1 on d0ᵀ) values only.  d1 and d0ᵀ have orthogonal row
     spaces, so H has rank rank d0 + rank d1, and its trailing right
     singular vectors (decomposed on the first `basis_h1` read) span the
     harmonic space.  The first row whose ranks fail raises."""
@@ -290,22 +326,20 @@ def _shape_cohomologies(out: list, idx: list, D0: np.ndarray,
     SH = np.linalg.svd(H, compute_uv=False)
     of = _Analysis(k, nk, tol, S0, S1, VT0, H)
     ranksh = (SH > tol).sum(axis=1).tolist()
-    for g, i in enumerate(idx):
-        rank0, rank1 = of.ranks0[g], of.ranks1[g]
-        z1 = nk - rank1
-        h0, h1 = k - rank0, z1 - rank0
-        if h1 < 0:
+    for rank0, rank1, rankh in zip(of.ranks0, of.ranks1, ranksh):
+        z1, h0 = nk - rank1, k - rank0
+        if z1 < rank0:
             raise RankAmbiguityError(
                 f"negative h1 = {z1} - {rank0}; rank thresholds failed")
-        if ranksh[g] != rank0 + rank1:
+        if rankh != rank0 + rank1:
             raise RankAmbiguityError(
-                f"d1 stacked on d0^T has rank {ranksh[g]}, expected "
+                f"d1 stacked on d0^T has rank {rankh}, expected "
                 f"rank d0 + rank d1 = {rank0 + rank1}")
         if k == 3 and h0 not in (0, 1, 3):
             raise RankAmbiguityError(
                 f"h0 = {h0} is impossible for full coefficients; "
                 f"tolerance {tol:.1e} is misplaced")
-        out[i] = CohomologySummary(of, g)
+    return [CohomologySummary(of, g) for g in range(len(D0))]
 
 
 def cohomology(rep: Representation, tol: float = DEFAULT_TOL) -> CohomologySummary:

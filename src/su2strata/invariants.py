@@ -12,26 +12,27 @@ isolated lower-stratum points of weight 1.
 
 Every example is one chart driver (`_chart_points`) fed its rows and its
 splitting.  The driver builds every representation of the chart in one
-stacked pass, analyses their full-coefficient systems in one stacked
-analysis, labels them in one axis test and analyses the stabilizer lines
-of the reducible ones in one more, and returns one `Chart` of columns.
-With a splitting, one Mayer-Vietoris builder (`_glued_torsions`) then
-folds the handle and surface words over the chart's stacks, makes every
-point's handlebody and surface representations, analyses their systems
-in one more stacked analysis, and forms the restriction maps, the
-surface Gram matrices and the torsion sequences as stacked products, one
-stack per shape.  A point's torsion follows its stratum: the unit
-half-density at stratum 0, elsewhere the splitting's torsion; t3 has no
-built-in splitting, so its other points carry torsion = None until the
-caller supplies values.  Each stage checks its rows in order, the last
-one clean intersection (a declared dimension is h1 of its stratum
-system), and the first row that fails raises the error a lone call
-raises there, so a chart that returns has no failed point.  A chart
-keeps nothing on its representations but their Ad stack rows;
-`heegaard_mv_torsion` and `clean_intersection_check` are batches of one
-that keep nothing either: they read a rep's kept label and summary.
-Built-in charts are fundamental domains for conjugation, so no dedup
-runs; `deduplicate_points` stays for the bench.
+stacked pass, analyses the full-coefficient stacks it returns in one
+stacked analysis, labels them in one axis test and analyses the
+stabilizer lines of the reducible ones in one more, and returns one
+`Chart` of columns.  With a splitting, one Mayer-Vietoris builder
+(`_glued_torsions`) then folds the handle, surface and surface-relator
+words over the chart's stacks, analyses the handle and surface systems
+as stacks, making no handlebody or surface representation, and forms
+the restriction maps, the surface Gram matrices and the torsion
+sequences as stacked products, one stack per shape.  A point's torsion
+follows its stratum: the unit half-density at stratum 0, elsewhere the
+splitting's torsion; t3 has no built-in splitting, so its other points
+carry torsion = None until the caller supplies values.  Each stage
+checks its rows in order, the last one clean intersection (a declared
+dimension is h1 of its stratum system), and the first row that fails
+raises the error a lone call raises there, so a chart that returns has
+no failed point.  A chart keeps nothing on its representations but
+their Ad stack rows; `heegaard_mv_torsion` and
+`clean_intersection_check` are batches of one that keep nothing either:
+they read a rep's kept label and summary.  Built-in charts are
+fundamental domains for conjugation, so no dedup runs;
+`deduplicate_points` stays for the bench.
 """
 
 from __future__ import annotations
@@ -44,16 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .cohomology import (_FULL_BASIS, DEFAULT_TOL, CoefficientSystem,
-                         _in_basis, _system_cohomologies, cohomology,
-                         full_system)
+from .cohomology import (_FULL_BASIS, DEFAULT_TOL, _bases, _check_residuals,
+                         _full_cohomologies, _in_basis, _stack_cohomologies,
+                         cohomology)
 from .conventions import MAX_CHART_POINTS
-from .errors import CleanIntersectionError, DomainError, InputError
-from .presentations import (Presentation, Representation, Word, _fields,
-                            _fold_words, _json_float, _read_only,
-                            _representations, commutator, cyclic_group,
-                            evaluate_images, fox_fold, free_group,
-                            generator, surface_group)
+from .errors import (CleanIntersectionError, DomainError, InputError,
+                     PresentationError)
+from .presentations import (_NOT_UNIT, Presentation, Representation, Word,
+                            _fields, _fold_words, _gate_residuals,
+                            _json_float, _read_only, _representations,
+                            _residuals, _unit, commutator, cyclic_group,
+                            evaluate_images, fox_fold, fox_jacobian_at,
+                            free_group, generator, surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
 from .torsion import TorsionValue, _mayer_vietoris_torsions
 
@@ -231,69 +234,80 @@ def deduplicate_points(points):
 
 # -- Heegaard Mayer-Vietoris pipeline ---------------------------------
 
-def _stratum_systems(reps, labels, summaries, tol: float) -> tuple:
-    """The coefficients each rep's label picks, made once from its
-    full-coefficient summary, and the summary of that system: the full
-    algebra and that summary at irreducible points, the stabilizer line
-    (the summary's h0 basis) and its summary, from one stacked analysis
-    of the lines, at reducible ones, and None at stratum 0.  Two
-    columns; the first line whose analysis fails raises."""
-    bases = [None if label.i == 0 else _FULL_BASIS if label.i == 3
-             else s.basis_h0 for label, s in zip(labels, summaries)]
+def _stratum_systems(A, J, labels, summaries, tol: float) -> tuple:
+    """The coefficients each rep's label picks and that system's
+    summary, given the reps' Ad and Fox-row stacks, labels and full
+    summaries: the full algebra and that summary at irreducible points,
+    the stabilizer line (one `_bases` slice) and its summary, from one
+    stacked analysis of the lines, at reducible ones, and None at
+    stratum 0.  Two columns; the first failing line raises."""
+    bases = [_FULL_BASIS if label.i == 3 else None for label in labels]
     out = [s if label.i == 3 else None for label, s in zip(labels, summaries)]
     lines = [i for i, label in enumerate(labels) if label.i == 1]
-    for i, s in zip(lines, _system_cohomologies(
-            [CoefficientSystem(reps[i], bases[i]) for i in lines], tol)):
-        out[i] = s
+    if lines:
+        L = np.array(_bases([summaries[i] for i in lines], 0).mT)
+        for i, b, s in zip(lines, L, _stack_cohomologies(
+                L, A[lines], J[lines], tol)):
+            bases[i], out[i] = b, s
     return bases, out
 
 
-def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
+def _glued_torsions(heegaard: HeegaardData, images, bases, summaries,
                     tol: float) -> list:
-    """The Mayer-Vietoris torsion of a splitting at each manifold rep
-    that has a stratum basis, given its rows of the two
+    """The Mayer-Vietoris torsion of a splitting at each row of an
+    (N, n, 4) manifold image stack, given its rows of the two
     `_stratum_systems` columns.  Each check runs over every row, in the
     order a lone `heegaard_mv_torsion` meets them, and the first row
-    that fails raises that call's error.  Stacks have one row per rep:
-    one fold of each handle word over the chart images and of each
-    surface word over the handle holonomies, one stacked analysis of
-    the handle and surface systems, one W of the surface relator, then,
-    per shape of the four summaries, the restriction maps, the surface
-    Gram matrix and the sequence as stacked products.  The handle and
-    surface representations are made here and not kept."""
-    if not n_reps:
+    that fails raises that call's error.  Stacks have one row per image
+    array: one fold of each handle word over the images and of each
+    surface word over the handle holonomies, one cup fold of the
+    surface relator (holonomy, d1's Fox rows and W), per coefficient
+    dim one stacked analysis of the handle systems and one of the
+    surface systems, then, per shape of the four summaries, the
+    restriction maps, the surface Gram matrix and the sequence as
+    stacked products.  No handlebody or surface representation is made."""
+    if not len(images):
         return []
-    handle, s_pres = free_group(heegaard.genus), surface_group(heegaard.genus)
-    images = np.array([rep.images for rep in n_reps])
+    g = heegaard.genus
     q1, fox1 = _fold_words(images, heegaard.handle1_to_manifold)
     q2, fox2 = _fold_words(images, heegaard.handle2_to_manifold)
     via1, fox_s1 = _fold_words(q1, heegaard.surface_to_handle1)
     via2, fox_s2 = _fold_words(q2, heegaard.surface_to_handle2)
-    subs = [_representations(handle, q1), _representations(handle, q2)]
+    if not (_unit(q1) & _unit(q2)).all():
+        raise PresentationError(_NOT_UNIT)
     for gap in np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist():
         if gap > 100 * tol:
             raise DomainError(
                 f"the two handlebody routes disagree on the surface rep "
                 f"(gap {gap:.3e}); gluing data is inconsistent")
-    subs.append(_representations(s_pres, via1))
-    handles = iter(_system_cohomologies(
-        [CoefficientSystem(sub, b) for b, *three in zip(bases, *subs)
-         for sub in three], tol))
+    if not _unit(via1).all():
+        raise PresentationError(_NOT_UNIT)
+    holonomy, d1, W = fox_fold(via1, surface_group(g).relators[0])
+    residuals = _residuals(holonomy[:, None]).tolist()
+    _gate_residuals(residuals)
+    _check_residuals(residuals, tol)
+    # each row's two handle systems, interleaved, and its surface
+    # system, over contiguous Ad stacks, one stack per coefficient dim
+    handles = np.ascontiguousarray(su2.ad(np.stack([q1, q2], 1)))
+    surfaces = np.ascontiguousarray(su2.ad(via1))
+    sums: list = [None] * len(bases)
+    for k in dict.fromkeys(b.shape[1] for b in bases):
+        rows = [r for r, b in enumerate(bases) if b.shape[1] == k]
+        B = np.array([bases[r] for r in rows])
+        h = _stack_cohomologies(np.repeat(B, 2, axis=0), handles[rows].reshape(
+            -1, g, 3, 3), np.zeros((2 * len(rows), 0, 3 * g)), tol)
+        for j, (r, s) in enumerate(zip(rows, _stack_cohomologies(
+                B, surfaces[rows], d1[rows], tol))):
+            sums[r] = (summaries[r], h[2 * j], h[2 * j + 1], s)
     shapes: dict = {}
-    for r, (b, s) in enumerate(zip(bases, summaries)):
-        sums = [s, *(next(handles) for _ in range(3))]
-        shapes.setdefault((b.shape[1], *(x.h1 for x in sums)),
-                          []).append((r, sums))
-    W = fox_fold(via1, s_pres.relators[0])[2]
-    n = s_pres.num_generators
-    out: list = [None] * len(n_reps)
-    for group in shapes.values():
-        r, sums = map(list, zip(*group))
+    for r, (b, four) in enumerate(zip(bases, sums)):
+        shapes.setdefault((b.shape[1], *(s.h1 for s in four)), []).append(r)
+    out: list = [None] * len(images)
+    for r in shapes.values():
         B = np.array([bases[i] for i in r])
-        # harmonic bases, each stacked with its lone layout, so that
-        # every product below gives each row its lone product
-        bn, b1, b2, bs = (np.array([s.basis_h1.T for s in col])
-                          for col in zip(*sums))
+        # harmonic bases, each one slice of its analysis's stack, so
+        # that every product below gives each row its lone product
+        bn, b1, b2, bs = (_bases(col, 1) for col in zip(*(sums[i] for i in r)))
         # restrictions in harmonic h1 coordinates, and the harmonic
         # surface classes embedded in full algebra coordinates by
         # kron(I_n, basis), its products formed as np.kron forms them
@@ -301,8 +315,8 @@ def _glued_torsions(heegaard: HeegaardData, n_reps, bases, summaries,
         r2 = b2 @ _in_basis(B, fox2[r]) @ bn.mT
         rho1 = bs @ _in_basis(B, fox_s1[r]) @ b1.mT
         rho2 = bs @ _in_basis(B, fox_s2[r]) @ b2.mT
-        E = (np.eye(n)[:, None, :, None] * B[:, None, :, None, :]).reshape(
-            len(B), 3 * n, -1) @ bs.mT
+        E = (np.eye(2 * g)[:, None, :, None] * B[:, None, :, None, :]
+             ).reshape(len(B), 6 * g, -1) @ bs.mT
         for i, t in zip(r, _mayer_vietoris_torsions(
                 r1, r2, rho1, rho2, E.mT @ W[r] @ E, tol)):
             out[i] = t
@@ -319,8 +333,9 @@ def heegaard_mv_torsion(heegaard: HeegaardData, n_rep: Representation,
     if label.i == 0:
         raise DomainError("stratum 0 uses the constant unit torsion, not "
                           "the Mayer-Vietoris assembly")
-    return _glued_torsions(heegaard, [n_rep], *_stratum_systems(
-        [n_rep], [label], [cohomology(n_rep, tol)], tol), tol)[0]
+    return _glued_torsions(heegaard, n_rep.images[None], *_stratum_systems(
+        n_rep.adjoints[None], fox_jacobian_at(n_rep)[None], [label],
+        [cohomology(n_rep, tol)], tol), tol)[0]
 
 
 # -- clean intersection -----------------------------------------------
@@ -330,8 +345,10 @@ def clean_intersection_check(point: ModuliPoint, tol: float = DEFAULT_TOL):
     dimension is h1 of the manifold presentation at the point
     (coefficients by stratum); stratum 0 passes vacuously.
     `_check_clean`'s batch of one."""
+    rep = point.rep
     _check_clean([point.point_id], [point.component_dim], _stratum_systems(
-        [point.rep], [point.stratum], [cohomology(point.rep, tol)], tol)[1])
+        rep.adjoints[None], fox_jacobian_at(rep)[None], [point.stratum],
+        [cohomology(rep, tol)], tol)[1])
 
 
 def _check_clean(ids, declared, summaries):
@@ -412,15 +429,16 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> Chart:
     (`_check_clean`) runs last; cs values start at 0."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
-    reps = _representations(pres, images)
-    fulls = _system_cohomologies([full_system(rep) for rep in reps], tol)
+    reps, A, J, residuals = _representations(pres, images)
+    fulls = _full_cohomologies(A, J, residuals, tol)
     labels = _labels(images, fulls, tol)
-    bases, summaries = _stratum_systems(reps, labels, fulls, tol)
+    bases, summaries = _stratum_systems(A, J, labels, fulls, tol)
     torsions = [TorsionValue(1.0, 0.0) if b is None else None for b in bases]
     if heegaard is not None:
         glued = [i for i, b in enumerate(bases) if b is not None]
-        columns = ([col[i] for i in glued] for col in (reps, bases, summaries))
-        for i, t in zip(glued, _glued_torsions(heegaard, *columns, tol)):
+        for i, t in zip(glued, _glued_torsions(
+                heegaard, images[glued], [bases[i] for i in glued],
+                [summaries[i] for i in glued], tol)):
             torsions[i] = t
     ids, _, dims, weights = zip(*rows)
     _check_clean(ids, dims, summaries)

@@ -212,8 +212,9 @@ class Representation:
                 f"got {images.shape}")
         if not _unit(images):
             raise PresentationError(_NOT_UNIT)
-        self._keep(presentation, images, *_relator_folds(presentation, images))
-        gate_relators(self, tol)
+        values, jacobian = _fold_words(images, presentation.relators)
+        self._keep(presentation, images, values, jacobian, _residuals(values))
+        _gate_residuals((self.relator_residual,), tol)
 
     def _keep(self, presentation, images, relator_values, jacobian, residual):
         self.presentation = presentation
@@ -238,13 +239,13 @@ class Representation:
             [su2.ad(x) for x in self.images]).reshape(-1, 3, 3)))
 
 
-def gate_relators(rep: Representation, tol: float = RELATOR_TOL):
-    """The representation, if its relator residual is within tol (a
-    NaN residual is not)."""
-    if not rep.relator_residual <= tol:
-        raise ResidualError(f"relator residual {rep.relator_residual:.3e} "
-                            f"exceeds tolerance {tol:.1e}")
-    return rep
+def _gate_residuals(residuals, tol: float = RELATOR_TOL) -> None:
+    """Raise at the first relator residual not within tol (a NaN
+    residual is not)."""
+    for r in residuals:
+        if not r <= tol:
+            raise ResidualError(f"relator residual {r:.3e} "
+                                f"exceeds tolerance {tol:.1e}")
 
 
 _NOT_UNIT = "images must be unit quaternions"
@@ -259,21 +260,19 @@ def _unit(images: np.ndarray):
                   <= 1e-9, axis=-1)
 
 
-def _relator_folds(presentation: Presentation, images: np.ndarray):
-    """(relator_values, Fox Jacobian, relator residual) of (n, 4) images
-    or, row by row, of an (..., n, 4) stack: the relators' `_fold_words`
-    and the largest distance of a holonomy from the identity."""
-    values, jacobian = _fold_words(images, presentation.relators)
-    residual = np.sqrt(np.square(values - _IDENTITY).sum(axis=-1)).max(
+def _residuals(values: np.ndarray) -> np.ndarray:
+    """The relator residual of m relator holonomies (..., m, 4), one per
+    row of a stack: their largest distance from the identity."""
+    return np.sqrt(np.square(values - _IDENTITY).sum(axis=-1)).max(
         axis=-1, initial=0.0)
-    return values, jacobian, residual
 
 
-def _representations(presentation: Presentation, images) -> list:
+def _representations(presentation: Presentation, images) -> tuple:
     """One representation per row of an (N, n, 4) image stack, from one
     stacked pass: the unit gate over every row, the relator folds, the
-    relator gate over every row and the Ad stack, each kept as
-    read-only views of its row.  The first row to fail the first gate
+    relator gate over every row and the contiguous Ad stack, each kept
+    as read-only views of its row, and returned with the Ad and Fox-row
+    stacks and the residual list.  The first row to fail the first gate
     that any row fails raises the error its own construction raises."""
     images = _read_only(np.array(images, dtype=float))
     n = presentation.num_generators
@@ -282,15 +281,17 @@ def _representations(presentation: Presentation, images) -> list:
             f"need shape (N, {n}, 4) images, got {images.shape}")
     if not _unit(images).all():
         raise PresentationError(_NOT_UNIT)
-    values, jacobian, residual = _relator_folds(presentation, images)
+    values, jacobian = _fold_words(images, presentation.relators)
+    residuals = _residuals(values).tolist()
+    _gate_residuals(residuals)
+    A = _read_only(np.ascontiguousarray(su2.ad(images)))
     out = []
-    for i, r in enumerate(residual.tolist()):
+    for i, r in enumerate(residuals):
         rep = Representation.__new__(Representation)
         rep._keep(presentation, images[i], values[i], jacobian[i], r)
-        out.append(gate_relators(rep))
-    for rep, adjoints in zip(out, _read_only(su2.ad(images))):
-        rep._kept["adjoints"] = adjoints
-    return out
+        rep._kept["adjoints"] = A[i]
+        out.append(rep)
+    return out, A, jacobian, residuals
 
 
 def _fold_words(images: np.ndarray, words) -> tuple:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .cohomology import DEFAULT_TOL, cohomology
+from .cohomology import DEFAULT_TOL, _smallest_kept_d0, cohomology
 from .errors import (BoundaryAmbiguousError, DomainError, SamplingError,
                      StratumConflictError)
 from .presentations import (Representation, free_group, kept, polish,
@@ -89,10 +89,10 @@ def _labels(images: np.ndarray, summaries, tol: float) -> list:
 def _label(images: np.ndarray, summary, axis_dim: int, tol: float):
     """The label of (n, 4) images from their summary and axis verdict;
     the smallest kept d0 value is read from its group's stacked S0."""
-    of, g, h0 = summary._of, summary._row, summary.h0
-    if h0 < 3 and of.S0[g, 2 - h0] < 10 * tol:
+    h0 = summary.h0
+    if h0 < 3 and (low := _smallest_kept_d0(summary)) < 10 * tol:
         raise BoundaryAmbiguousError(
-            f"smallest nonzero d0 singular value {of.S0[g, 2 - h0]:.3e} is "
+            f"smallest nonzero d0 singular value {low:.3e} is "
             f"within 10x of threshold {tol:.1e}")
     if h0 != axis_dim:
         raise StratumConflictError(

@@ -15,6 +15,7 @@ count that does not grow with the chart.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -135,22 +136,25 @@ def test_chart_points_keep_only_their_ad_rows(example, kwargs):
 def test_a_chart_runs_one_analysis_per_stacked_stage(monkeypatch, example,
                                                      sizes, stages):
     # the full systems, the stabilizer lines and, with a splitting, the
-    # handle and surface systems: one stacked analysis each
-    calls = []
-    compute = coh._system_cohomologies
+    # Heegaard stage: one stacked analysis a stage and shape, whatever
+    # the chart's size; the Heegaard stage's handle and surface systems
+    # are two shapes (every noncentral point here is on stratum 1)
+    callers = []
+    compute = coh._stack_cohomologies
 
-    def counting(systems, tol):
-        calls.append(len(systems))
-        return compute(systems, tol)
+    def counting(B, A, J, tol):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return compute(B, A, J, tol)
 
     for module in (coh, invariants):
-        monkeypatch.setattr(module, "_system_cohomologies", counting)
-    counts = []
+        monkeypatch.setattr(module, "_stack_cohomologies", counting)
+    want = ["_full_cohomologies", "_stratum_systems"]
+    if stages == 3:
+        want += ["_glued_torsions"] * 2
     for kwargs in sizes:
-        calls.clear()
+        callers.clear()
         enumerate_moduli(example, **kwargs)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= stages
+        assert callers == want and len(set(callers)) == stages
 
 
 def _bad_rows(pres, good):
@@ -176,7 +180,7 @@ def test_a_bad_row_gives_the_error_built_alone(pres):
     else:
         angles = np.array([[0.4] * n, [1.1] * n])
         good = su2.exp(angles[..., None] * np.array([0.0, 0.6, 0.8]))
-    for rep in _representations(pres, good):
+    for rep in _representations(pres, good)[0]:
         _assert_built_alone(rep)
     for stack, k in _bad_rows(pres, good):
         with pytest.raises((PresentationError, ResidualError)) as lone:

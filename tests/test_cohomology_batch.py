@@ -1,9 +1,12 @@
 """One stacked cohomology analysis for many coefficient systems.
 
-`_system_cohomologies` analyses a whole chart's systems from one SVD
-per stack of equal-shape matrices, and a chart passes its summaries on
-as columns without keeping them.  These tests pin that a stack gives
-exactly what single calls give, that a stack with a failing system
+`_stack_cohomologies` analyses a shape group's basis, Ad and Fox-row
+stacks from one SVD per stack of equal-shape matrices;
+`_system_cohomologies` stacks systems for it, and a chart passes it the
+stacks it folded and passes the summaries on as columns, keeping none.
+These tests pin that a stack gives exactly what single calls give, that
+the core on a chart's stacks gives every field of the object path bit
+for bit, or its first error, that a stack with a failing system
 raises the lone error of its first failing system in the first check
 that fails, that a failed stack keeps nothing on any of its systems'
 representations, that each
@@ -20,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2strata.cohomology as coh
-from su2strata import invariants, strata, su2
+from su2strata import invariants, presentations, strata, su2
 from su2strata.errors import RankAmbiguityError, ResidualError
 from su2strata.invariants import (clean_intersection_check, enumerate_moduli,
                                   t3_presentation)
@@ -168,9 +171,89 @@ def test_a_batch_gives_what_single_calls_give(seed, specs, tol):
     assert str(got.value) == str(first)
 
 
+def core_cohomologies(drawn, tol) -> list:
+    """What `_system_cohomologies` does with objects, done as a chart
+    does it: the stack core over each (coefficient dim, presentation)
+    group of drawn (presentation name, images, basis) rows, in order of
+    first appearance, each presentation's rows folded and Ad-mapped as
+    one stack, after every row's relator residual is checked in order."""
+    folded = {}
+    for name in dict.fromkeys(name for name, _, _ in drawn):
+        rows = [i for i, row in enumerate(drawn) if row[0] == name]
+        images = np.array([drawn[i][1] for i in rows])
+        values, J = presentations._fold_words(
+            images, PRESENTATIONS[name].relators)
+        folded[name] = (rows, np.ascontiguousarray(su2.ad(images)), J,
+                        presentations._residuals(values).tolist())
+    residuals = {i: r for rows, _, _, column in folded.values()
+                 for i, r in zip(rows, column)}
+    coh._check_residuals([residuals[i] for i in range(len(drawn))], tol)
+    groups: dict = {}
+    for i, (name, _, basis) in enumerate(drawn):
+        groups.setdefault((basis.shape[1], name), []).append(i)
+    out = [None] * len(drawn)
+    for (_, name), idx in groups.items():
+        rows, A, J, _ = folded[name]
+        at = [rows.index(i) for i in idx]
+        for i, summary in zip(idx, coh._stack_cohomologies(
+                np.array([drawn[i][2] for i in idx]), A[at], J[at], tol)):
+            out[i] = summary
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(["t3", "cyclic5"]),
+                          st.sampled_from(KINDS), st.sampled_from(BASES)),
+                min_size=1, max_size=10),
+       st.sampled_from([1e-8, 1e-6]))
+# dims 3 and 1 on both presentations, every row passing
+@example(seed=0, specs=[("t3", "axis", "full"), ("cyclic5", "axis", "line"),
+                        ("t3", "haar", "line"),
+                        ("cyclic5", "central", "full")], tol=1e-6)
+# row 0 fails its harmonic rank and row 1 its relator residual, which is
+# checked over every row first
+@example(seed=0, specs=[("t3", "near-central", "full"),
+                        ("cyclic5", "near-central", "line")], tol=1e-6)
+# row 0 fails with a negative h1, row 1 its residual, row 2 passes
+@example(seed=3, specs=[("t3", "near-axis", "full"),
+                        ("cyclic5", "near-central", "full"),
+                        ("t3", "axis", "line")], tol=1e-6)
+# rows 0 and 1 fail different rank checks in two groups (a negative h1,
+# the harmonic rank): the first group's row raises
+@example(seed=0, specs=[("cyclic5", "near-central", "full"),
+                        ("t3", "near-central", "full"),
+                        ("cyclic5", "axis", "full"),
+                        ("cyclic5", "near-axis", "full")], tol=1e-8)
+# the first group passes; in the second, row 1 fails the harmonic rank
+# and row 2 with a negative h1
+@example(seed=6, specs=[("cyclic5", "near-axis", "line"),
+                        ("t3", "near-central", "full"),
+                        ("t3", "near-central", "full")], tol=1e-8)
+def test_the_stack_core_gives_what_the_object_path_gives(seed, specs, tol):
+    # every field bit for bit, or the same first error, over systems
+    # that mix coefficient dims 1, 2 and 3 and two presentations
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for name, kind, basis_kind in specs:
+        images, axis = chart_images(rng, name, kind, tol)
+        drawn.append((name, images, basis_for(axis, basis_kind)))
+    want = outcome(coh._system_cohomologies, [coh.CoefficientSystem(
+        Representation(PRESENTATIONS[name], images, tol=np.inf), basis)
+        for name, images, basis in drawn], tol)
+    got = outcome(core_cohomologies, drawn, tol)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_summary(a, b)
+
+
 @pytest.fixture
 def analysed(monkeypatch):
-    """(rep, coefficient dim) of every system actually analysed."""
+    """(rep, coefficient dim) of every system analysed through the
+    object path; a chart analyses stacks (`hook_core`)."""
     seen = []
     compute = coh._system_cohomologies
 
@@ -178,9 +261,27 @@ def analysed(monkeypatch):
         seen.extend((sys.rep, sys.k) for sys in systems)
         return compute(systems, tol)
 
-    for module in (coh, invariants):
-        monkeypatch.setattr(module, "_system_cohomologies", counting)
+    monkeypatch.setattr(coh, "_system_cohomologies", counting)
     return seen
+
+
+def hook_core(monkeypatch, record):
+    """Call record(B, A, J) before each stacked analysis, in each module
+    that runs one."""
+    core = coh._stack_cohomologies
+
+    def hooked(B, A, J, tol):
+        record(B, A, J)
+        return core(B, A, J, tol)
+
+    for module in (coh, invariants):
+        monkeypatch.setattr(module, "_stack_cohomologies", hooked)
+
+
+def system_rows(B, A, J) -> list:
+    """One key per system of a stack: its basis, Ad and Fox-row bytes."""
+    return [(b.tobytes(), a.tobytes(), j.tobytes())
+            for b, a, j in zip(B, A, J)]
 
 
 def common_axis_rep(rng, g=3):
@@ -223,10 +324,10 @@ def test_a_failed_stack_spares_other_shapes(analysed, monkeypatch):
     broken, mate = common_axis_rep(rng), common_axis_rep(rng)
     build = coh._differentials
 
-    def nan_d0(systems):
-        D0, D1 = build(systems)
-        for g, sys in enumerate(systems):
-            if sys.rep is broken:
+    def nan_d0(B, A, J):
+        D0, D1 = build(B, A, J)
+        for g, a in enumerate(A):
+            if a.tobytes() == broken.adjoints.tobytes():
                 D0[g] = np.nan
         return D0, D1
 
@@ -258,7 +359,7 @@ def test_the_earlier_check_fails_first():
     assert str(stack.value) == str(lone.value)
 
 
-def test_each_system_is_analysed_once(analysed):
+def test_each_system_is_analysed_once(analysed, monkeypatch):
     rng = np.random.default_rng(5)
     axis_rep = common_axis_rep(rng)
     haar_rep = Representation(free_group(3), [
@@ -273,14 +374,16 @@ def test_each_system_is_analysed_once(analysed):
     # on each call, analysed once
     assert analysed == [(axis_rep, 3), (haar_rep, 3), (axis_rep, 1),
                         (axis_rep, 1)]
-    # a chart analyses each of its systems once, and so do lone clean
-    # checks of its points, each of which passes
-    analysed.clear()
+    # a chart analyses each of its systems once, as rows of its stacks,
+    # and so do lone clean checks of its points, each of which passes
+    stacked = []
+    hook_core(monkeypatch,
+              lambda *stacks: stacked.extend(system_rows(*stacks)))
     pts = enumerate_moduli("t3", samples=2)
-    assert len(analysed) == len({(id(r), k) for r, k in analysed})
-    analysed.clear()
+    assert len(stacked) > len(pts) and len(stacked) == len(set(stacked))
+    stacked.clear()
     assert all(clean_intersection_check(pt) is None for pt in pts)
-    assert len(analysed) == len({(id(r), k) for r, k in analysed})
+    assert len(stacked) > len(pts) and len(stacked) == len(set(stacked))
 
 
 def test_t3_svd_count_does_not_grow_with_the_chart(monkeypatch):

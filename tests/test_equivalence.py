@@ -54,6 +54,8 @@ CASES = {
                             "--seed", "3"],
     "torsion-lens-101": ["torsion", os.path.join(GOLDEN,
                                                  "lens101-torsion.json")],
+    "torsion-lens-11003-mid": ["torsion", os.path.join(
+        GOLDEN, "lens11003-torsion.json")],
     "torsion-s1xs2-8": ["torsion", os.path.join(GOLDEN,
                                                 "s1xs2-8-torsion.json")],
     "torsion-sequence": ["torsion", os.path.join(GOLDEN,

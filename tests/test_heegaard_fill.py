@@ -2,19 +2,23 @@
 
 Before it reads the points of a chart with a splitting,
 `_chart_points` runs one Mayer-Vietoris builder over all of them: given
-the columns of the points' stratum bases and summaries, it makes each
-point's handlebody and surface representations, analyses their systems
-in one stacked pass, and forms the torsion sequences as stacked
-products per shape, keeping nothing on the points.  Here each system is
-held to one analysis, also when that analysis fails, the number of
-stacked passes, SVDs and cup folds to counts that do not grow with p,
-each stacked Gram row to the oracle pairing, `heegaard_mv_torsion` on
-a fresh representation (a batch of one) to the chart's value bit for
-bit, inconsistent gluing data to the torsion a lone call gives where
-it glues and, in a stack, to the error of its first point that does
-not, with nothing kept for an error, a splitting
-given as lists to its tuple twin, and lens(12007, 7) to torsion 1/p at
-point 1 (at point p // 2 it still fails, an expected failure).
+the image stack and the columns of the points' stratum bases and
+summaries, it folds the handle and surface words and the surface
+relator (one cup fold) over stacks, analyses the handle systems as one
+stack and the surface systems as another, with no handlebody or
+surface representation made, and forms the torsion sequences as
+stacked products per shape, keeping nothing on the points.  Here each
+system is held to one row of one stacked analysis, also when that
+analysis fails, the number of stacked passes, SVDs and cup folds to
+counts that do not grow with p, each stacked Gram row to the oracle
+pairing, `heegaard_mv_torsion` on a fresh representation (a batch of
+one) to the chart's value bit for bit, a stack that mixes coefficient
+dims to each row's lone torsion, inconsistent gluing data to the
+torsion a lone call gives where it glues and, in a stack, to the error
+of its first point that does not, with nothing kept for an error, a
+splitting given as lists to its tuple twin, and lens(12007, 7) to
+torsion 1/p at point 1 (at point p // 2 it still fails, an expected
+failure).
 """
 
 import math
@@ -30,12 +34,15 @@ import su2strata.cohomology as coh
 from su2strata import invariants, presentations, strata, su2
 from su2strata.cohomology import DEFAULT_TOL, stabilizer_axis
 from su2strata.errors import DomainError, RankAmbiguityError
-from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
-                                  lens_heegaard, s1xs2_heegaard)
-from su2strata.presentations import (Representation, cyclic_group,
-                                     free_group, generator, surface_group)
+from su2strata.invariants import (HeegaardData, enumerate_moduli,
+                                  heegaard_mv_torsion, lens_heegaard,
+                                  s1xs2_heegaard)
+from su2strata.presentations import (Representation, Word, cyclic_group,
+                                     fox_jacobian_at, free_group, generator,
+                                     surface_group)
 
 import oracles
+from test_cohomology_batch import hook_core, system_rows
 
 
 def torus_element(theta):
@@ -48,37 +55,24 @@ def lens_rep(p, n):
 
 
 def mv_torsions(splitting, reps):
-    """`_glued_torsions` of reps off stratum 0, given the columns a
-    chart gives it: the coefficients their labels pick and those
-    systems' summaries."""
-    fulls = coh._system_cohomologies([coh.full_system(rep) for rep in reps],
-                                     DEFAULT_TOL)
-    labels = strata._labels(np.array([rep.images for rep in reps]), fulls,
-                            DEFAULT_TOL)
+    """`_glued_torsions` of reps off stratum 0, given the stacks and
+    columns a chart gives it: the images, the coefficients their labels
+    pick and those systems' summaries."""
+    systems = [coh.full_system(rep) for rep in reps]
+    fulls = coh._system_cohomologies(systems, DEFAULT_TOL)
+    images = np.array([rep.images for rep in reps])
+    labels = strata._labels(images, fulls, DEFAULT_TOL)
     return invariants._glued_torsions(
-        splitting, reps,
-        *invariants._stratum_systems(reps, labels, fulls, DEFAULT_TOL),
+        splitting, images, *invariants._stratum_systems(
+            *coh._stacks(systems)[1:], labels, fulls, DEFAULT_TOL),
         DEFAULT_TOL)
-
-
-def patch_analysis(monkeypatch, analysis):
-    """Put analysis in place of `_system_cohomologies` in each module
-    that calls it."""
-    for module in (coh, invariants):
-        monkeypatch.setattr(module, "_system_cohomologies", analysis)
 
 
 @pytest.fixture
 def analysed(monkeypatch):
-    """One list of (rep, basis bytes) per stacked analysis."""
+    """The (B, A, J) stacks of each stacked analysis, in order."""
     calls = []
-    compute = coh._system_cohomologies
-
-    def counting(systems, tol):
-        calls.append([(sys.rep, sys.basis.tobytes()) for sys in systems])
-        return compute(systems, tol)
-
-    patch_analysis(monkeypatch, counting)
+    hook_core(monkeypatch, lambda *stacks: calls.append(stacks))
     return calls
 
 
@@ -90,49 +84,48 @@ def analysed(monkeypatch):
 def test_each_heegaard_system_is_analysed_once(analysed, example, heegaard,
                                                kwargs):
     points = enumerate_moduli(example, **kwargs)
-    counts = Counter((id(rep), basis) for call in analysed
-                     for rep, basis in call)
-    assert set(counts.values()) == {1}
     noncentral = [pt for pt in points if pt.stratum.i != 0]
-    assert noncentral
-    # each noncentral point's own system, coefficients by stratum ...
+    assert noncentral and {pt.stratum.i for pt in noncentral} == {1}
+    # one stack a stage, a row a system: every point's full system, each
+    # noncentral point's stabilizer line and, for it, two free(g) handle
+    # systems and one surface system
+    g, N = heegaard.genus, len(noncentral)
+    full, lines, handles, surfaces = analysed
+    assert [len(A) for _, A, _ in analysed] == [len(points), N, 2 * N, N]
+    assert handles[1].shape[1:] == (g, 3, 3) and handles[2].shape[1] == 0
+    assert surfaces[1].shape[1:] == (2 * g, 3, 3)
+    assert surfaces[2].shape[1:] == (3, 6 * g)
+    # each noncentral point's own system, coefficients by stratum, once
+    # in the point stages (at s1xs2 its handle systems are its equals)
+    counts = Counter(row for call in (full, lines)
+                     for row in system_rows(*call))
     for pt in noncentral:
-        basis = (np.eye(3) if pt.stratum.i == 3
-                 else stabilizer_axis(pt.rep).reshape(3, 1))
-        assert counts[id(pt.rep), basis.tobytes()] == 1
-    # ... and, in the splitting's one analysis, two free(g) handle
-    # systems and one surface system for it
-    (splitting,) = [call for call in analysed if any(
-        rep.presentation.kind == "surface" for rep, _ in call)]
-    g = heegaard.genus
-    made = Counter(rep.presentation for rep, _ in splitting)
-    assert made == {free_group(g): 2 * len(noncentral),
-                    surface_group(g): len(noncentral)}
+        basis = stabilizer_axis(pt.rep).reshape(3, 1)
+        assert counts[basis.tobytes(), pt.rep.adjoints.tobytes(),
+                      fox_jacobian_at(pt.rep).tobytes()] == 1
 
 
 def test_a_failing_heegaard_system_is_analysed_once(monkeypatch):
     refused = []
-    compute = coh._system_cohomologies
+    core = coh._stack_cohomologies
 
-    def refusing(systems, tol):
-        out = compute(systems, tol)
-        surfaces = [sys.rep for sys in systems
-                    if sys.rep.presentation.kind == "surface"]
-        refused.extend(surfaces)
-        if surfaces:
+    def refusing(B, A, J, tol):
+        out = core(B, A, J, tol)
+        if A.shape[1] == 2:     # the genus-1 surface's two generators
+            refused.append(len(A))
             raise RankAmbiguityError("surface system refused")
         return out
 
-    patch_analysis(monkeypatch, refusing)
+    monkeypatch.setattr(invariants, "_stack_cohomologies", refusing)
     with pytest.raises(RankAmbiguityError, match="surface system refused"):
         heegaard_mv_torsion(lens_heegaard(7, 3), lens_rep(7, 1))
-    assert len(refused) == 1
+    assert refused == [1]
     # a chart analyses every point's surface system in one stack, once,
     # and raises
     refused.clear()
     with pytest.raises(RankAmbiguityError, match="surface system refused"):
         enumerate_moduli("lens", p=7, q=3)
-    assert len(refused) == 7 // 2
+    assert refused == [7 // 2]
 
 
 def test_lens_analyses_do_not_grow_with_p(analysed):
@@ -284,6 +277,31 @@ def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):
     with pytest.raises(DomainError) as first:
         heegaard_mv_torsion(bad, lens_rep(p, 1))
     assert str(chart.value) == str(first.value)
+
+
+def test_a_stack_of_mixed_coefficient_dims_gives_each_lone_torsion():
+    # the genus-2 splitting of S^1 x S^2 # S^1 x S^2, both handles
+    # killing the b-curves: irreducible points take the full algebra
+    # (k = 3) and common-axis points the stabilizer line (k = 1); the
+    # builder analyses each dim's handle and surface stacks and gives
+    # each row its lone torsion, bit for bit
+    x1, x2 = generator(0), generator(1)
+    splitting = HeegaardData(2, free_group(2), (x1, x2, Word(), Word()),
+                             (x1, x2, Word(), Word()), (x1, x2), (x1, x2))
+    rng = np.random.default_rng(0)
+    images = []
+    for i in range(6):
+        axis = rng.normal(size=3)
+        images.append(su2.exp(rng.uniform(0.3, 2.5, size=(2, 1)) * axis
+                              / np.linalg.norm(axis)) if i % 3 == 1
+                      else su2.random_element(rng, (2,)))
+    lone = [heegaard_mv_torsion(splitting, Representation(free_group(2), x))
+            for x in images]
+    reps = [Representation(free_group(2), x) for x in images]
+    assert [strata.classify_stratum(rep).i for rep in reps] == \
+        [3, 1, 3, 3, 1, 3]
+    for got, want in zip(mv_torsions(splitting, reps), lone):
+        assert (got.value, got.log_value) == (want.value, want.log_value)
 
 
 def test_a_splitting_given_as_lists_gives_its_tuple_twins_torsion():

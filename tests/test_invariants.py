@@ -22,7 +22,8 @@ from su2strata.invariants import (Chart, HeegaardData, ModuliPoint,
                                   lens_heegaard, s1xs2_heegaard,
                                   stationary_phase_sum, trace_fingerprint)
 from su2strata.presentations import (Representation, Word, cyclic_group,
-                                     fox_fold, free_group, generator)
+                                     fox_fold, fox_jacobian_at, free_group,
+                                     generator, surface_group)
 from su2strata.strata import classify_stratum
 from su2strata.torsion import TorsionValue
 
@@ -196,40 +197,44 @@ def test_heegaard_data_validation():
 
 
 def test_heegaard_parts_agree_on_surface(monkeypatch):
-    # the surface reps the builder makes, one stack a call, and the W it
-    # forms over their stacked images
-    made, formed = [], []
-    representations, fold = invariants._representations, invariants.fox_fold
+    # the via1 stack the builder cup-folds the surface relator over, one
+    # fold a call, and the surface systems' stacks it analyses
+    folded, stacked = [], []
+    fold, core = invariants.fox_fold, invariants._stack_cohomologies
 
-    def making(pres, images):
-        out = representations(pres, images)
-        if pres.kind == "surface":
-            made.append(out)
-        return out
-
-    def forming(images, word):
+    def folding(images, word):
         out = fold(images, word)
-        formed.append(out[2])
+        folded.append((images, out))
         return out
 
-    monkeypatch.setattr(invariants, "_representations", making)
-    monkeypatch.setattr(invariants, "fox_fold", forming)
+    def analysing(B, A, J, tol):
+        if A.shape[1] == 2:     # the genus-1 surface's two generators
+            stacked.append((A, J))
+        return core(B, A, J, tol)
+
+    monkeypatch.setattr(invariants, "fox_fold", folding)
+    monkeypatch.setattr(invariants, "_stack_cohomologies", analysing)
     heegaard_mv_torsion(lens_heegaard(5, 2), lens_rep(5, 1))
     points = enumerate_moduli("lens", p=5, q=2)
-    lone, chart = made
-    assert len(lone) == 1 and len(chart) == 2 and len(formed) == 2
-    for sigma, rep in zip([*lone, *chart], [lens_rep(5, 1)] + [
+    (lone, _), (chart, _) = folded
+    assert len(lone) == 1 and len(chart) == 2 and len(stacked) == 2
+    for row, rep in zip([*lone, *chart], [lens_rep(5, 1)] + [
             pt.rep for pt in points if pt.stratum.i != 0]):
-        assert sigma.presentation.kind == "surface"
         # route 1: a1 -> x -> a
-        assert np.allclose(sigma.images[0], rep.images[0])
-        assert np.allclose(sigma.images[1], su2.identity(), atol=1e-12)
-    # each row of a stacked W is its surface rep's own W, bit for bit
-    for sigmas, W in zip(made, formed):
-        assert len(W) == len(sigmas)
-        for sigma, row in zip(sigmas, W):
-            want = fox_fold(sigma.images, sigma.presentation.relators[0])[2]
-            assert row.tobytes() == want.tobytes()
+        assert np.allclose(row[0], rep.images[0])
+        assert np.allclose(row[1], su2.identity(), atol=1e-12)
+    # each row of a stacked cup fold (holonomy, Fox rows, W) is its
+    # surface rep's own, bit for bit, and the surface systems' stacks
+    # hold that rep's Ad and Fox rows
+    for (images, parts), (A, J) in zip(folded, stacked):
+        assert len(A) == len(J) == len(images)
+        for g, row in enumerate(images):
+            sigma = Representation(surface_group(1), row)
+            want = fox_fold(sigma.images, sigma.presentation.relators[0])
+            for part, lone_part in zip(parts, want):
+                assert part[g].tobytes() == lone_part.tobytes()
+            assert J[g].tobytes() == fox_jacobian_at(sigma).tobytes()
+            assert A[g].tobytes() == sigma.adjoints.tobytes()
 
 
 def test_lens_mv_torsion_is_one_over_p():

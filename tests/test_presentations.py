@@ -14,7 +14,7 @@ from su2strata.presentations import (Presentation, Representation,
                                      commutator, cyclic_group,
                                      evaluate_images, fox_fold,
                                      fox_jacobian_at, free_group,
-                                     gate_relators, generator, kept,
+                                     generator, kept,
                                      parse_word,
                                      polish_images,
                                      presentation_from_json,
@@ -272,10 +272,8 @@ def test_non_finite_images_are_refused(bad, tol):
 
 
 def test_relator_gate_fails_a_nan_residual():
-    rep = Representation(cyclic_group(3), [su2.identity()])
-    object.__setattr__(rep, "relator_residual", float("nan"))
     with pytest.raises(ResidualError):
-        gate_relators(rep, np.inf)
+        presentations._gate_residuals([0.0, float("nan")], np.inf)
 
 
 def test_trivial_representation():
@@ -479,7 +477,8 @@ def test_the_unwrapped_norms_are_np_linalg_norms_bit_for_bit(pres, rows, data):
         # a lone array is folded once it passes the unit gate, each row
         # of a stack whatever it holds
         if rows is not None or unit:
-            values, _, residual = presentations._relator_folds(pres, images)
+            values = presentations._fold_words(images, pres.relators)[0]
+            residual = presentations._residuals(values)
             want = np.linalg.norm(values - su2.identity(), axis=-1).max(
                 axis=-1, initial=0.0)
             assert np.asarray(residual).tobytes() == want.tobytes()
