@@ -11,7 +11,7 @@ trapezoidal weights on interior grid nodes; chart endpoints are
 isolated lower-stratum points of weight 1.
 
 Every example is one chart driver (`_chart_points`) fed its rows and its
-splitting.  The driver builds every representation of the chart in one
+splitting.  The driver folds and gates every row of the chart in one
 stacked pass, analyses the full-coefficient stacks it returns in one
 stacked analysis, labels them in one axis test and analyses the
 stabilizer lines of the reducible ones in one more, and returns one
@@ -27,8 +27,8 @@ carry torsion = None until the caller supplies values.  Each stage
 checks its rows in order, the last one clean intersection (a declared
 dimension is h1 of its stratum system), and the first row that fails
 raises the error a lone call raises there, so a chart that returns has
-no failed point.  A chart keeps nothing on its representations but
-their Ad stack rows; `heegaard_mv_torsion` and
+no failed point.  A chart makes a representation only when its row is
+read, keeping only its Ad row; `heegaard_mv_torsion` and
 `clean_intersection_check` are batches of one that keep nothing either:
 they read a rep's kept label and summary.  Built-in charts are
 fundamental domains for conjugation, so no dedup runs;
@@ -55,8 +55,8 @@ from .presentations import (_NOT_UNIT, Presentation, Representation, Word,
                             _fields, _fold_words, _gate_residuals,
                             _json_float, _read_only, _representations,
                             _residuals, _unit, commutator, cyclic_group,
-                            evaluate_images, fox_fold, fox_jacobian_at,
-                            free_group, generator, surface_group)
+                            fox_fold, fox_jacobian_at, free_group, generator,
+                            surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
 from .torsion import TorsionValue, _mayer_vietoris_torsions
 
@@ -100,10 +100,10 @@ class ModuliPoint:
 
 
 class Chart:
-    """A moduli chart as columns in point order: unique ids, reps,
-    labels, component dims, weights, an (N, k) read-only fingerprint
-    array, cs values and torsions (None until a table gives one); an
-    index, a slice or iteration reads `ModuliPoint` rows."""
+    """A moduli chart as columns in point order: unique ids, reps (each
+    made when its row is read), labels, component dims, weights, an
+    (N, k) read-only fingerprint array, cs values and torsions (None
+    until a table gives one); indexing or iterating reads `ModuliPoint`s."""
 
     __slots__ = ("ids", "reps", "labels", "dims", "weights",
                  "fingerprints", "cs", "torsions")
@@ -145,11 +145,11 @@ def trace_fingerprint(rep: Representation) -> tuple:
 
 def _fingerprints(images: np.ndarray) -> np.ndarray:
     """`trace_fingerprint` of (n, 4) images as an array, or of each row
-    of an (N, n, 4) stack as an (N, k) array."""
-    n = images.shape[-2]
-    i, j = np.triu_indices(n, 1)    # the pairs i < j, in lexical order
+    of an (N, n, 4) stack as an (N, k) array; the full product is the
+    last prefix product, as the fold of x_1 ... x_n forms it."""
+    i, j = np.triu_indices(images.shape[-2], 1)  # pairs i < j, lexical
     pairs = su2.multiply(images[..., i, :], images[..., j, :])
-    full = evaluate_images(images, Word(range(1, n + 1)))
+    full = su2.running_product(images)[..., -1, :]
     traces = 2.0 * np.concatenate(
         (images[..., 0], pairs[..., 0], full[..., :1]), axis=-1)
     return np.round(traces, _FINGERPRINT_DECIMALS) + 0.0

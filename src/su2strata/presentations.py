@@ -194,10 +194,10 @@ class Representation:
     keeps, read-only, in one memo that only `kept` touches, what lone
     calls read more than once: the Ad stack, the pairing matrix, and
     per tol the full-coefficient summary and the stratum label.  Errors
-    are never kept.  A chart's representations are built together
-    (`_representations`) and keep read-only views of their rows of its
-    stacked results; the chart passes what it computes about them as
-    columns, and keeps only their rows of its Ad stack.
+    are never kept.  A chart makes none until a row of its `_Rows` is
+    read; that one holds read-only views of its rows of the chart's
+    stacks and only its Ad row in its memo, and the chart passes what it
+    computes about its points as columns.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
@@ -268,12 +268,12 @@ def _residuals(values: np.ndarray) -> np.ndarray:
 
 
 def _representations(presentation: Presentation, images) -> tuple:
-    """One representation per row of an (N, n, 4) image stack, from one
-    stacked pass: the unit gate over every row, the relator folds, the
-    relator gate over every row and the contiguous Ad stack, each kept
-    as read-only views of its row, and returned with the Ad and Fox-row
-    stacks and the residual list.  The first row to fail the first gate
-    that any row fails raises the error its own construction raises."""
+    """The rows of an (N, n, 4) image stack from one stacked pass: the
+    unit gate over every row, the relator folds, the relator gate over
+    every row and the contiguous Ad stack, returned as a `_Rows` of
+    representations made when read, the Ad and Fox-row stacks and the
+    residual list.  The first row to fail the first gate that any row
+    fails raises the error its own construction raises."""
     images = _read_only(np.array(images, dtype=float))
     n = presentation.num_generators
     if images.ndim != 3 or images.shape[1:] != (n, 4):
@@ -281,17 +281,31 @@ def _representations(presentation: Presentation, images) -> tuple:
             f"need shape (N, {n}, 4) images, got {images.shape}")
     if not _unit(images).all():
         raise PresentationError(_NOT_UNIT)
-    values, jacobian = _fold_words(images, presentation.relators)
+    values, J = _fold_words(images, presentation.relators)
     residuals = _residuals(values).tolist()
     _gate_residuals(residuals)
     A = _read_only(np.ascontiguousarray(su2.ad(images)))
-    out = []
-    for i, r in enumerate(residuals):
+    return _Rows(presentation, images, values, J, residuals, A), A, J, residuals
+
+
+class _Rows:
+    """Read-only representations of a stack's rows, row i made when read,
+    with its own construction's views of the stacks and Ad row kept."""
+
+    __slots__ = ("stacks",)
+
+    def __init__(self, *stacks):
+        self.stacks = stacks
+
+    def __len__(self):
+        return len(self.stacks[1])
+
+    def __getitem__(self, i) -> Representation:
+        pres, images, values, J, residuals, A = self.stacks
         rep = Representation.__new__(Representation)
-        rep._keep(presentation, images[i], values[i], jacobian[i], r)
+        rep._keep(pres, images[i], values[i], J[i], residuals[i])
         rep._kept["adjoints"] = A[i]
-        out.append(rep)
-    return out, A, jacobian, residuals
+        return rep
 
 
 def _fold_words(images: np.ndarray, words) -> tuple:

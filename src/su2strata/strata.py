@@ -46,7 +46,8 @@ class StratumLabel:
     central_flag: bool      # all images central, not all +identity
 
 
-_H0_TO_STRATUM = {3: 0, 1: 1, 0: 3}
+_LABELS = {(h0, central): StratumLabel(i, h0, central) for i, h0, central
+           in ((0, 3, False), (0, 3, True), (1, 1, False), (3, 0, False))}
 
 
 def _axis_stabilizer_dims(images: np.ndarray, tol: float) -> list:
@@ -87,8 +88,8 @@ def _labels(images: np.ndarray, summaries, tol: float) -> list:
 
 
 def _label(images: np.ndarray, summary, axis_dim: int, tol: float):
-    """The label of (n, 4) images from their summary and axis verdict;
-    the smallest kept d0 value is read from its group's stacked S0."""
+    """The shared label of (n, 4) images from their summary and axis
+    verdict; the smallest kept d0 value is read from its group's S0."""
     h0 = summary.h0
     if h0 < 3 and (low := _smallest_kept_d0(summary)) < 10 * tol:
         raise BoundaryAmbiguousError(
@@ -99,7 +100,7 @@ def _label(images: np.ndarray, summary, axis_dim: int, tol: float):
             f"rank verdict h0={h0} vs axis verdict {axis_dim}; "
             f"tolerance {tol:.1e} failed")
     central = bool(h0 == 3 and (images[:, 0] < 0).any())
-    return StratumLabel(_H0_TO_STRATUM[h0], h0, central)
+    return _LABELS[h0, central]
 
 
 def stratum_tangent_dim(rep: Representation,

@@ -6,6 +6,7 @@ through permutation expansion, torsion through Gram-Schmidt bases and
 hand determinants rather than SVDs.
 """
 
+import dataclasses
 import decimal
 import functools
 import itertools
@@ -13,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from su2strata.presentations import Word
 
 
 def su2_matrix(q):
@@ -431,3 +434,23 @@ def apply_table(ids, prints, values, table, field):
         for i in hits:
             values[i] = v % 1.0 if field == "cs" else v
     return values
+
+
+def stabilized(splitting):
+    """A genus-g Heegaard splitting with one trivial handle added, a
+    stabilization of the same manifold: the surface gains a_{g+1} and
+    b_{g+1}; handle 1 kills b_{g+1} and takes a_{g+1} to its new
+    generator, handle 2 kills a_{g+1} and takes b_{g+1} to its new
+    generator, and both new cores map to the empty word."""
+    g = splitting.genus
+    new = Word((g + 1,))
+
+    def grown(words, a, b):
+        return (*words[:g], a, *words[g:], b)
+
+    return dataclasses.replace(
+        splitting, genus=g + 1,
+        surface_to_handle1=grown(splitting.surface_to_handle1, new, Word()),
+        surface_to_handle2=grown(splitting.surface_to_handle2, Word(), new),
+        handle1_to_manifold=(*splitting.handle1_to_manifold, Word()),
+        handle2_to_manifold=(*splitting.handle2_to_manifold, Word()))

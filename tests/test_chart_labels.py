@@ -4,7 +4,8 @@
 full-coefficient summaries with one axis test over the stack, and a
 lone `classify_stratum` is its batch of one.  These tests hold each row
 of the stacked axis test to the per-image oracle, and each label of a
-stack or a chart to a fresh lone classification of the same images; a
+stack or a chart to a fresh lone classification of the same images,
+and each chart label to the lone one's shared constant; a
 stack with a failing row raises the lone error of its first failing
 row in the first stage that fails (the analysis, then the labels), by
 type and message.
@@ -118,7 +119,10 @@ def test_a_stacked_label_is_a_lone_label(seed, rows, tol):
     ("s1xs2", {"samples": 8}),
 ])
 def test_chart_labels_are_lone_labels(example, kwargs):
-    # a chart keeps no label: a lone call classifies the point afresh
+    # a chart keeps no label: a lone call classifies the point afresh;
+    # both give one of the four shared label constants
     for pt in enumerate_moduli(example, **kwargs):
-        assert classify_stratum(pt.rep) == pt.stratum
+        lone = classify_stratum(pt.rep)
+        assert lone is pt.stratum
+        assert any(lone is label for label in strata._LABELS.values())
         assert_lone(pt.stratum, pt.rep.presentation, pt.rep.images, 1e-8)

@@ -1,11 +1,14 @@
 """Moduli charts built in one stacked pass.
 
-The chart driver builds every representation of a t3, lens or s1xs2
-chart from one pass over its images stacked as (N, n, 4): the exps,
-the relator folds, the unit and relator gates, the Ad stack and the
-trace fingerprints.  Each representation keeps read-only views of its
-row; what the chart computes about it is passed as columns.  Here the
-stacked leaf products are held to the scalar ones bit for bit, every
+The chart driver forms every row of a t3, lens or s1xs2 chart from one
+pass over its images stacked as (N, n, 4): the exps, the relator
+folds, the unit and relator gates, the Ad stack and the trace
+fingerprints.  It makes no representation: reading a row makes that
+row's, with read-only views of its rows of the stacks; what the chart
+computes about it is passed as columns.  Here the stacked leaf
+products are held to the scalar ones bit for bit, a t3 or lens
+chart or a strata scan to making no representation, a fingerprint's
+full product to the fold holonomy of x_1 ... x_n bit for bit, every
 chart-built representation to the same images built alone, a lens
 point's torsion and fingerprint to the ones its images give alone, a
 chart point to nothing kept but its Ad rows, a chart to one analysis
@@ -19,20 +22,20 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import su2strata.cohomology as coh
-from su2strata import invariants, su2
+from su2strata import cli, invariants, su2
 from su2strata.cohomology import (DEFAULT_TOL, cohomology,
                                   restrict_coefficients)
 from su2strata.errors import PresentationError, ResidualError
 from su2strata.invariants import (enumerate_moduli, heegaard_mv_torsion,
                                   lens_heegaard, t3_presentation,
                                   trace_fingerprint)
-from su2strata.presentations import (Representation, _fold_words,
-                                     _representations, cyclic_group,
+from su2strata.presentations import (Representation, Word, _fold_words,
+                                     _representations, cyclic_group, fox_fold,
                                      fox_jacobian_at, surface_group)
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
@@ -180,14 +183,78 @@ def test_a_bad_row_gives_the_error_built_alone(pres):
     else:
         angles = np.array([[0.4] * n, [1.1] * n])
         good = su2.exp(angles[..., None] * np.array([0.0, 0.6, 0.8]))
-    for rep in _representations(pres, good)[0]:
-        _assert_built_alone(rep)
+    rows = _representations(pres, good)[0]
+    assert len(rows) == len(good)
+    for i in range(len(good)):
+        _assert_built_alone(rows[i])
     for stack, k in _bad_rows(pres, good):
         with pytest.raises((PresentationError, ResidualError)) as lone:
             Representation(pres, stack[k])
         with pytest.raises(type(lone.value)) as built:
             _representations(pres, stack)
         assert str(built.value) == str(lone.value)
+
+
+def _scan(capsys):
+    assert cli.dispatch(["strata-scan", "--genus", "3", "--samples", "40",
+                         "--seed", "2"]) == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("build", [
+    lambda capsys: enumerate_moduli("t3", samples=4),
+    lambda capsys: enumerate_moduli("lens", p=31, q=7),
+    _scan], ids=["t3", "lens", "strata-scan"])
+def test_a_chart_or_a_scan_makes_a_rep_only_when_its_row_is_read(
+        monkeypatch, capsys, build):
+    # every representation is made through `_keep`, by its own
+    # construction or by a row read; a chart or a scan reads no row
+    made, stacks = [], []
+    keep, stack = Representation._keep, invariants._representations
+    monkeypatch.setattr(Representation, "_keep", lambda rep, *args: (
+        made.append(rep), keep(rep, *args)))
+    monkeypatch.setattr(invariants, "_representations", lambda pres, x: (
+        stacks.append((pres, x)), stack(pres, x))[1])
+    chart = build(capsys)
+    assert made == []
+    if not stacks:
+        return
+    # row i's rep, made when read, is Representation(pres, images[i])
+    # bit for bit, read-only flags included
+    (pres, images), = stacks
+    for i in range(len(chart)):
+        rep = chart[i].rep
+        assert made == [rep]
+        alone = Representation(pres, images[i])
+        for a, b in ((rep.images, alone.images),
+                     (rep.relator_values, alone.relator_values),
+                     (fox_jacobian_at(rep), fox_jacobian_at(alone)),
+                     (rep.adjoints, alone.adjoints)):
+            assert _same(a, b) and not a.flags.writeable
+            assert not b.flags.writeable
+        made.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.float64, (*shape, 4), elements=finite)))
+@example(np.array([[[0.6, 0.8, 0.0, 0.0]]]))
+@example(su2.exp(np.array([[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
+                          np.diag([1.0, 2.0, 3.0])])))
+def test_a_fingerprint_full_product_is_the_fold_holonomy(images):
+    # the fingerprint takes the full product x_1 ... x_n from the last
+    # prefix product: the fold of the word x_1 ... x_n forms it, bit for
+    # bit, for a stack and for each of its rows alone
+    images = images + np.copysign(0.5, images)
+    images /= np.sqrt(np.square(images).sum(axis=-1, keepdims=True))
+    word = Word(range(1, images.shape[1] + 1))
+    full = su2.running_product(images)[..., -1, :]
+    assert _same(full, fox_fold(images, word)[0])
+    prints = invariants._fingerprints(images)
+    assert _same(prints[:, -1], np.round(2.0 * full[:, 0], 7) + 0.0)
+    for x, row in zip(images, prints):
+        assert _same(su2.running_product(x)[-1], fox_fold(x, word)[0])
+        assert _same(invariants._fingerprints(x), row)
 
 
 def test_a_chart_raises_its_first_bad_row():

@@ -53,7 +53,9 @@ def unit(v):
 
 def chart_images(rng, name, kind, tol):
     """Images of one generated tuple; only free groups take Haar tuples,
-    and the near kinds sit a few tol away from a smaller stratum."""
+    and the near kinds sit a few tol away from a smaller stratum (on
+    cyclic5, whose relator holds only at a 5th root of unity, the
+    near-central-axis kind is an exact root)."""
     pres = PRESENTATIONS[name]
     n = pres.num_generators
     axis = unit(rng.normal(size=3))
@@ -61,6 +63,11 @@ def chart_images(rng, name, kind, tol):
         return np.array([su2.random_element(rng) for _ in range(n)]), axis
     if kind == "near-central":
         return np.array([su2.exp(c * tol * unit(rng.normal(size=3)))
+                         for c in rng.uniform(0.3, 30.0, size=n)]), axis
+    if kind == "near-central-axis" and name != "cyclic5":
+        # commuting images a few tol from the identity, on one axis: the
+        # relators of t3 hold to rounding, and d0 and d1 sit near tol
+        return np.array([su2.exp(c * tol * axis)
                          for c in rng.uniform(0.3, 30.0, size=n)]), axis
     if name == "cyclic5":
         angles = [2 * np.pi * rng.integers(5) / 5]
@@ -204,7 +211,8 @@ def core_cohomologies(drawn, tol) -> list:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.lists(st.tuples(st.sampled_from(["t3", "cyclic5"]),
-                          st.sampled_from(KINDS), st.sampled_from(BASES)),
+                          st.sampled_from(KINDS + ("near-central-axis",)),
+                          st.sampled_from(BASES)),
                 min_size=1, max_size=10),
        st.sampled_from([1e-8, 1e-6]))
 # dims 3 and 1 on both presentations, every row passing

@@ -49,6 +49,7 @@ SURFACE = {
     "symplectic.goldman_form": "demos/goldman_audit.py",
     "symplectic.trace_derivative": "acceptance test 06",
     "presentations.relator_residual": BENCH,
+    "presentations.evaluate_images": BENCH,
     "cohomology.system_d1": BENCH,
     "cohomology.cocycle_value": BENCH,
     "cohomology.pullback_cocycle": BENCH,

@@ -16,7 +16,8 @@ one) to the chart's value bit for bit, a stack that mixes coefficient
 dims to each row's lone torsion, inconsistent gluing data to the
 torsion a lone call gives where it glues and, in a stack, to the error
 of its first point that does not, with nothing kept for an error, a
-splitting given as lists to its tuple twin, and lens(12007, 7) to
+splitting given as lists to its tuple twin, a stabilized splitting to
+the torsion of its chart within a few ulps, and lens(12007, 7) to
 torsion 1/p at point 1 (at point p // 2 it still fails, an expected
 failure).
 """
@@ -231,6 +232,31 @@ def test_a_fresh_s1xs2_point_gives_the_filled_torsion(M, data):
     rep = Representation(free_group(1), [torus_element(j * (math.pi / M))])
     fresh = heegaard_mv_torsion(s1xs2_heegaard(), rep)
     assert (fresh.value, fresh.log_value) == (t.value, t.log_value)
+
+
+# how far, in ulps of the chart's torsion, a stabilized splitting's may
+# read: these charts read at most 3 (lens(12, 5)) and 2 (s1xs2)
+STABILIZED_ULPS = 8
+
+
+@pytest.mark.parametrize("example, kwargs, splitting", [
+    ("lens", {"p": 5, "q": 2}, lens_heegaard(5, 2)),
+    ("lens", {"p": 7, "q": 3}, lens_heegaard(7, 3)),
+    ("lens", {"p": 12, "q": 5}, lens_heegaard(12, 5)),
+    ("s1xs2", {"samples": 8}, s1xs2_heegaard())])
+def test_a_stabilized_splitting_keeps_every_glued_torsion(example, kwargs,
+                                                          splitting):
+    # a trivial handle, added once (genus 2) or twice (genus 3), leaves
+    # the manifold and so its torsion at every glued point
+    chart = enumerate_moduli(example, **kwargs)
+    glued = [i for i, label in enumerate(chart.labels) if label.i != 0]
+    reps = [chart.reps[i] for i in glued]
+    for genus in (2, 3):
+        splitting = oracles.stabilized(splitting)
+        assert splitting.genus == genus
+        for i, t in zip(glued, mv_torsions(splitting, reps), strict=True):
+            want = chart.torsions[i].value
+            assert abs(t.value - want) <= STABILIZED_ULPS * np.spacing(want)
 
 
 def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):

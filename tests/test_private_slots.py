@@ -3,8 +3,9 @@
 
 Every value a `Representation` keeps sits in its one memo, read and
 written through `presentations.kept` by lone calls; a chart's only
-write is each representation's row of its Ad stack, made where the
-chart's representations are built (`presentations._representations`).
+write is a representation's row of its Ad stack, made where a chart
+row's representation is made when the row is read
+(`presentations._Rows`).
 A `CohomologySummary` is a row of its shape group's analysis; other
 modules read that analysis through `cohomology`'s accessors
 (`_bases`, `_smallest_kept_d0`).  Here each module's syntax tree is
