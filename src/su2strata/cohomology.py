@@ -284,7 +284,8 @@ def _check_residuals(residuals, tol: float) -> None:
 
 def _full_cohomologies(A, J, residuals, tol: float) -> list:
     """`_system_cohomologies` of the full systems of one presentation's
-    reps, from the stacks `presentations._representations` returns."""
+    reps, from the Ad and Fox-row stacks and residuals that
+    `presentations._representations` returns with its gated images."""
     _check_residuals(residuals, tol)
     return _stack_cohomologies(np.tile(_FULL_BASIS, (len(A), 1, 1)), A, J,
                                tol)

@@ -27,12 +27,13 @@ carry torsion = None until the caller supplies values.  Each stage
 checks its rows in order, the last one clean intersection (a declared
 dimension is h1 of its stratum system), and the first row that fails
 raises the error a lone call raises there, so a chart that returns has
-no failed point.  A chart makes a representation only when its row is
-read, keeping only its Ad row; `heegaard_mv_torsion` and
-`clean_intersection_check` are batches of one that keep nothing either:
-they read a rep's kept label and summary.  Built-in charts are
-fundamental domains for conjugation, so no dedup runs;
-`deduplicate_points` stays for the bench.
+no failed point.  A chart keeps the image stack it gated and makes a
+row's representation from its images only when the row is read;
+`heegaard_mv_torsion` and `clean_intersection_check` are batches of one
+that read a rep's kept label and summary.  Images are unit-gated where
+they enter, in `presentations`.  Built-in charts are fundamental
+domains for conjugation, so no dedup runs; `deduplicate_points` stays
+for the bench.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from .cohomology import (_FULL_BASIS, DEFAULT_TOL, _bases, _check_residuals,
                          _full_cohomologies, _in_basis, _stack_cohomologies,
                          cohomology)
 from .conventions import MAX_CHART_POINTS
-from .errors import (CleanIntersectionError, DomainError, InputError,
-                     PresentationError)
-from .presentations import (_NOT_UNIT, Presentation, Representation, Word,
-                            _fields, _fold_words, _gate_residuals,
-                            _json_float, _read_only, _representations,
-                            _residuals, _unit, commutator, cyclic_group,
-                            fox_fold, fox_jacobian_at, free_group, generator,
+from .errors import CleanIntersectionError, DomainError, InputError
+from .presentations import (Presentation, Representation, Word, _fields,
+                            _fold_words, _gate_residuals, _json_float,
+                            _read_only, _representations, _residuals,
+                            commutator, cyclic_group, fox_fold,
+                            fox_jacobian_at, free_group, generator,
                             surface_group)
 from .strata import StratumLabel, _labels, classify_stratum
 from .torsion import TorsionValue, _mayer_vietoris_torsions
@@ -100,13 +100,14 @@ class ModuliPoint:
 
 
 class Chart:
-    """A moduli chart as columns in point order: unique ids, reps (each
-    made when its row is read), labels, component dims, weights, an
-    (N, k) read-only fingerprint array, cs values and torsions (None
-    until a table gives one); indexing or iterating reads `ModuliPoint`s."""
+    """A moduli chart as columns in point order: unique ids, its
+    presentation and gated (N, n, 4) read-only images, labels, component
+    dims, weights, an (N, k) read-only fingerprint array, cs values and
+    torsions (None until a table gives one); indexing or iterating reads
+    `ModuliPoint`s, each rep made from its row's images then."""
 
-    __slots__ = ("ids", "reps", "labels", "dims", "weights",
-                 "fingerprints", "cs", "torsions")
+    __slots__ = ("ids", "presentation", "images", "labels", "dims",
+                 "weights", "fingerprints", "cs", "torsions")
 
     def __init__(self, *columns):
         for slot, column in zip(self.__slots__, columns):
@@ -118,8 +119,9 @@ class Chart:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(map(self.__getitem__, range(len(self))[i]))
-        return ModuliPoint(self.ids[i], self.reps[i], self.labels[i],
-                           self.dims[i], tuple(self.fingerprints[i].tolist()))
+        rep = Representation(self.presentation, self.images[i])
+        return ModuliPoint(self.ids[i], rep, self.labels[i], self.dims[i],
+                           tuple(self.fingerprints[i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,8 @@ def _glued_torsions(heegaard: HeegaardData, images, bases, summaries,
     dim one stacked analysis of the handle systems and one of the
     surface systems, then, per shape of the four summaries, the
     restriction maps, the surface Gram matrix and the sequence as
-    stacked products.  No handlebody or surface representation is made."""
+    stacked products.  No handlebody or surface representation is made,
+    and no unit gate runs: every holonomy is a fold of gated images."""
     if not len(images):
         return []
     g = heegaard.genus
@@ -273,15 +276,11 @@ def _glued_torsions(heegaard: HeegaardData, images, bases, summaries,
     q2, fox2 = _fold_words(images, heegaard.handle2_to_manifold)
     via1, fox_s1 = _fold_words(q1, heegaard.surface_to_handle1)
     via2, fox_s2 = _fold_words(q2, heegaard.surface_to_handle2)
-    if not (_unit(q1) & _unit(q2)).all():
-        raise PresentationError(_NOT_UNIT)
     for gap in np.abs(via1 - via2).max(axis=(1, 2), initial=0.0).tolist():
         if gap > 100 * tol:
             raise DomainError(
                 f"the two handlebody routes disagree on the surface rep "
                 f"(gap {gap:.3e}); gluing data is inconsistent")
-    if not _unit(via1).all():
-        raise PresentationError(_NOT_UNIT)
     holonomy, d1, W = fox_fold(via1, surface_group(g).relators[0])
     residuals = _residuals(holonomy[:, None]).tolist()
     _gate_residuals(residuals)
@@ -421,15 +420,15 @@ def _chart_bound(chart: str, points: int):
 
 def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> Chart:
     """The chart of one point per row (point_id, angles, component_dim,
-    weight), with images exp(angle * i), built in one stacked pass.  Its
-    fingerprints, full summaries, labels, stratum summaries and torsions
-    by stratum (the unit half-density at stratum 0, else the
-    splitting's, or None without one) are columns computed a stack at a
-    time, each stage raising its first failing row, and the clean check
-    (`_check_clean`) runs last; cs values start at 0."""
+    weight), with images exp(angle * i), gated in one stacked pass and
+    kept.  Its fingerprints, full summaries, labels, stratum summaries
+    and torsions by stratum (the unit half-density at stratum 0, else
+    the splitting's, or None without one) are columns computed a stack
+    at a time, each stage raising its first failing row, and the clean
+    check (`_check_clean`) runs last; cs values start at 0."""
     images = su2.exp(np.array([angles for _, angles, _, _ in rows],
                               dtype=float)[..., None] * _AXIS)
-    reps, A, J, residuals = _representations(pres, images)
+    images, A, J, residuals = _representations(pres, images)
     fulls = _full_cohomologies(A, J, residuals, tol)
     labels = _labels(images, fulls, tol)
     bases, summaries = _stratum_systems(A, J, labels, fulls, tol)
@@ -442,7 +441,7 @@ def _chart_points(pres: Presentation, heegaard, rows, tol: float) -> Chart:
             torsions[i] = t
     ids, _, dims, weights = zip(*rows)
     _check_clean(ids, dims, summaries)
-    return Chart(ids, reps, labels, dims, weights,
+    return Chart(ids, pres, images, labels, dims, weights,
                  _read_only(_fingerprints(images)), [0.0] * len(ids), torsions)
 
 

@@ -194,10 +194,9 @@ class Representation:
     keeps, read-only, in one memo that only `kept` touches, what lone
     calls read more than once: the Ad stack, the pairing matrix, and
     per tol the full-coefficient summary and the stratum label.  Errors
-    are never kept.  A chart makes none until a row of its `_Rows` is
-    read; that one holds read-only views of its rows of the chart's
-    stacks and only its Ad row in its memo, and the chart passes what it
-    computes about its points as columns.
+    are never kept.  This constructor is the only way one is made: a
+    chart keeps its gated image stack and makes row i's representation
+    from its images when the row is read.
     """
 
     __slots__ = ("presentation", "images", "relator_values",
@@ -212,17 +211,13 @@ class Representation:
                 f"got {images.shape}")
         if not _unit(images):
             raise PresentationError(_NOT_UNIT)
-        values, jacobian = _fold_words(images, presentation.relators)
-        self._keep(presentation, images, values, jacobian, _residuals(values))
-        _gate_residuals((self.relator_residual,), tol)
-
-    def _keep(self, presentation, images, relator_values, jacobian, residual):
         self.presentation = presentation
         self.images = images
-        self.relator_values = relator_values
-        self._jacobian = jacobian
-        self.relator_residual = float(residual)
+        self.relator_values, self._jacobian = _fold_words(
+            images, presentation.relators)
+        self.relator_residual = float(_residuals(self.relator_values))
         self._kept = {}
+        _gate_residuals((self.relator_residual,), tol)
 
     @classmethod
     def trivial(cls, presentation: Presentation) -> "Representation":
@@ -268,12 +263,12 @@ def _residuals(values: np.ndarray) -> np.ndarray:
 
 
 def _representations(presentation: Presentation, images) -> tuple:
-    """The rows of an (N, n, 4) image stack from one stacked pass: the
+    """The stacks of an (N, n, 4) image stack from one stacked pass: the
     unit gate over every row, the relator folds, the relator gate over
-    every row and the contiguous Ad stack, returned as a `_Rows` of
-    representations made when read, the Ad and Fox-row stacks and the
-    residual list.  The first row to fail the first gate that any row
-    fails raises the error its own construction raises."""
+    every row and the contiguous Ad stack, returned as the read-only
+    images it gated, the Ad and Fox-row stacks and the residual list.
+    The first row to fail the first gate that any row fails raises the
+    error its own construction raises."""
     images = _read_only(np.array(images, dtype=float))
     n = presentation.num_generators
     if images.ndim != 3 or images.shape[1:] != (n, 4):
@@ -285,27 +280,7 @@ def _representations(presentation: Presentation, images) -> tuple:
     residuals = _residuals(values).tolist()
     _gate_residuals(residuals)
     A = _read_only(np.ascontiguousarray(su2.ad(images)))
-    return _Rows(presentation, images, values, J, residuals, A), A, J, residuals
-
-
-class _Rows:
-    """Read-only representations of a stack's rows, row i made when read,
-    with its own construction's views of the stacks and Ad row kept."""
-
-    __slots__ = ("stacks",)
-
-    def __init__(self, *stacks):
-        self.stacks = stacks
-
-    def __len__(self):
-        return len(self.stacks[1])
-
-    def __getitem__(self, i) -> Representation:
-        pres, images, values, J, residuals, A = self.stacks
-        rep = Representation.__new__(Representation)
-        rep._keep(pres, images[i], values[i], J[i], residuals[i])
-        rep._kept["adjoints"] = A[i]
-        return rep
+    return images, A, J, residuals
 
 
 def _fold_words(images: np.ndarray, words) -> tuple:

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from su2strata.presentations import Word
+from su2strata.invariants import HeegaardData
+from su2strata.presentations import Presentation, Word
 
 
 def su2_matrix(q):
@@ -454,3 +455,44 @@ def stabilized(splitting):
         surface_to_handle2=grown(splitting.surface_to_handle2, Word(), new),
         handle1_to_manifold=(*splitting.handle1_to_manifold, Word()),
         handle2_to_manifold=(*splitting.handle2_to_manifold, Word()))
+
+
+def _substituted(word, images):
+    """word with its generator c replaced by the word images[c - 1]."""
+    out = Word()
+    for s, k in word.runs:
+        out = out * images[abs(s) - 1] ** (k if s > 0 else -k)
+    return out
+
+
+def nielsen(splitting, handle, i, j, e):
+    """The same splitting in another free basis of one handlebody (a
+    Nielsen move): in handle 1 or 2, generator x_i becomes x_i x_j^e
+    (0-based i != j).  That handle's surface words are rewritten by
+    x_i -> x_i x_j^-e, and its manifold entry i becomes w_i w_j^e, so
+    every surface word still maps to the same manifold word."""
+    x = [Word((c + 1,)) for c in range(splitting.genus)]
+    x[i] = x[i] * x[j] ** -e
+    surface, manifold = (f"surface_to_handle{handle}",
+                         f"handle{handle}_to_manifold")
+    w = list(getattr(splitting, manifold))
+    w[i] = w[i] * w[j] ** e
+    return dataclasses.replace(splitting, **{
+        surface: tuple(_substituted(v, x)
+                       for v in getattr(splitting, surface)),
+        manifold: tuple(w)})
+
+
+def lens_sum(p, q, r, s):
+    """The genus-2 splitting of lens(p, q) # lens(r, s), the two genus-1
+    lens splittings side by side: pi_1 = <a, b | a^p, b^r>, surface
+    (a1, a2, b1, b2) to handle 1 as (x1, x2, 1, 1) and to handle 2 as
+    (x1^q, x2^s, x1^-p, x2^-r), handle 1's cores to (a, b) and handle
+    2's to (a^q*, b^s*), with q* = q^-1 mod p and s* = s^-1 mod r."""
+    a, b = Word((1,)), Word((2,))
+    return HeegaardData(
+        genus=2, presentation_n=Presentation(("a", "b"), (a ** p, b ** r)),
+        surface_to_handle1=(a, b, Word(), Word()),
+        surface_to_handle2=(a ** q, b ** s, a ** -p, b ** -r),
+        handle1_to_manifold=(a, b),
+        handle2_to_manifold=(a ** pow(q, -1, p), b ** pow(s, -1, r)))

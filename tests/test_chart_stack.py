@@ -3,15 +3,16 @@
 The chart driver forms every row of a t3, lens or s1xs2 chart from one
 pass over its images stacked as (N, n, 4): the exps, the relator
 folds, the unit and relator gates, the Ad stack and the trace
-fingerprints.  It makes no representation: reading a row makes that
-row's, with read-only views of its rows of the stacks; what the chart
-computes about it is passed as columns.  Here the stacked leaf
-products are held to the scalar ones bit for bit, a t3 or lens
-chart or a strata scan to making no representation, a fingerprint's
+fingerprints.  It makes no representation: it keeps the image stack
+it gated, and reading a row makes that row's representation from its
+images, as any caller makes one; what the chart computes about it is
+passed as columns.  Here the stacked leaf products are held to the
+scalar ones bit for bit, a t3 or lens chart or a strata scan to making
+no representation, a fingerprint's
 full product to the fold holonomy of x_1 ... x_n bit for bit, every
 chart-built representation to the same images built alone, a lens
 point's torsion and fingerprint to the ones its images give alone, a
-chart point to nothing kept but its Ad rows, a chart to one analysis
+chart point to an empty memo, a chart to one analysis
 per stacked stage, a stack with a bad row to the error the bad row's
 lone construction raises, and the leaf-op calls of a t3 chart to a
 count that does not grow with the chart.
@@ -127,9 +128,10 @@ def test_a_lens_chart_keeps_what_its_points_fold_alone(p, q):
     ("t3", {"samples": 3})])
 def test_chart_points_keep_only_their_ad_rows(example, kwargs):
     # the chart passes its fingerprints, summaries, labels, torsions and
-    # verdicts as columns: a point's memo holds only its Ad stack
+    # verdicts as columns, and a read row's rep is made from its images
+    # alone: its memo holds nothing, not even its Ad stack
     for pt in enumerate_moduli(example, **kwargs):
-        assert list(pt.rep._kept) == ["adjoints"]
+        assert pt.rep._kept == {}
 
 
 @pytest.mark.parametrize("example, sizes, stages", [
@@ -183,10 +185,12 @@ def test_a_bad_row_gives_the_error_built_alone(pres):
     else:
         angles = np.array([[0.4] * n, [1.1] * n])
         good = su2.exp(angles[..., None] * np.array([0.0, 0.6, 0.8]))
-    rows = _representations(pres, good)[0]
-    assert len(rows) == len(good)
-    for i in range(len(good)):
-        _assert_built_alone(rows[i])
+    images, A, J, residuals = _representations(pres, good)
+    assert _same(images, good) and not images.flags.writeable
+    for x, a, j, r in zip(images, A, J, residuals, strict=True):
+        alone = _assert_built_alone(Representation(pres, x))
+        assert _same(a, alone.adjoints) and _same(j, fox_jacobian_at(alone))
+        assert r == alone.relator_residual
     for stack, k in _bad_rows(pres, good):
         with pytest.raises((PresentationError, ResidualError)) as lone:
             Representation(pres, stack[k])
@@ -207,21 +211,27 @@ def _scan(capsys):
     _scan], ids=["t3", "lens", "strata-scan"])
 def test_a_chart_or_a_scan_makes_a_rep_only_when_its_row_is_read(
         monkeypatch, capsys, build):
-    # every representation is made through `_keep`, by its own
-    # construction or by a row read; a chart or a scan reads no row
+    # every representation is made by `Representation.__init__`, the
+    # one constructor; a chart or a scan reads no row
     made, stacks = [], []
-    keep, stack = Representation._keep, invariants._representations
-    monkeypatch.setattr(Representation, "_keep", lambda rep, *args: (
-        made.append(rep), keep(rep, *args)))
-    monkeypatch.setattr(invariants, "_representations", lambda pres, x: (
-        stacks.append((pres, x)), stack(pres, x))[1])
+    init, stack = Representation.__init__, invariants._representations
+    monkeypatch.setattr(Representation, "__init__", lambda rep, *a, **k: (
+        made.append(rep), init(rep, *a, **k))[1])
+
+    def recording(pres, x):
+        stacks.append((pres, stack(pres, x)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(invariants, "_representations", recording)
     chart = build(capsys)
     assert made == []
     if not stacks:
         return
-    # row i's rep, made when read, is Representation(pres, images[i])
-    # bit for bit, read-only flags included
-    (pres, images), = stacks
+    # the chart keeps the gated stack, and row i's rep, made when read,
+    # is Representation(pres, images[i]) bit for bit, read-only flags
+    # included
+    (pres, (images, *_)), = stacks
+    assert chart.presentation is pres and chart.images is images
     for i in range(len(chart)):
         rep = chart[i].rep
         assert made == [rep]

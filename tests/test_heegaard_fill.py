@@ -17,7 +17,10 @@ dims to each row's lone torsion, inconsistent gluing data to the
 torsion a lone call gives where it glues and, in a stack, to the error
 of its first point that does not, with nothing kept for an error, a
 splitting given as lists to its tuple twin, a stabilized splitting to
-the torsion of its chart within a few ulps, and lens(12007, 7) to
+the torsion of its chart within a few ulps, a Nielsen move on either
+handle to every stratum-1 torsion within a few dozen ulps (at the
+irreducible points of lens(5, 2) # lens(7, 3) it is not kept: a strict
+expected failure), and lens(12007, 7) to
 torsion 1/p at point 1 (at point p // 2 it still fails, an expected
 failure).
 """
@@ -250,13 +253,96 @@ def test_a_stabilized_splitting_keeps_every_glued_torsion(example, kwargs,
     # the manifold and so its torsion at every glued point
     chart = enumerate_moduli(example, **kwargs)
     glued = [i for i, label in enumerate(chart.labels) if label.i != 0]
-    reps = [chart.reps[i] for i in glued]
+    reps = [Representation(chart.presentation, x)
+            for x in chart.images[glued]]
     for genus in (2, 3):
         splitting = oracles.stabilized(splitting)
         assert splitting.genus == genus
         for i, t in zip(glued, mv_torsions(splitting, reps), strict=True):
             want = chart.torsions[i].value
             assert abs(t.value - want) <= STABILIZED_ULPS * np.spacing(want)
+
+
+# Nielsen moves x_i -> x_i x_j^e on either handle, both orders of (i, j)
+NIELSEN_MOVES = [(handle, i, j, e) for handle in (1, 2)
+                 for i, j in ((0, 1), (1, 0)) for e in (1, -2, 3)]
+# how far, in ulps, a moved splitting's torsion may read from the
+# unmoved one's: these moves read at most 29 (the stratum-1 points of
+# lens(5, 2) # lens(7, 3)) and 22 (stabilized lens(7, 3)); the error
+# grows with the moved words' length
+NIELSEN_ULPS = 64
+LENS_SUM = oracles.lens_sum(5, 2, 7, 3)
+
+
+def lens_sum_rep(m, n, phi):
+    """The point a = exp(2 pi m/5 i), b = exp(2 pi n/7 (cos phi i +
+    sin phi j)) of lens(5, 2) # lens(7, 3)."""
+    return Representation(LENS_SUM.presentation_n, [
+        torus_element(2 * math.pi * m / 5),
+        su2.exp(2 * math.pi * n / 7 * np.array([math.cos(phi),
+                                                math.sin(phi), 0.0]))])
+
+
+def lens_sum_points():
+    """(splitting, reps, the torsion each keeps) of the stratum-1 points
+    of lens(5, 2) # lens(7, 3): one summand central, or both on one
+    axis."""
+    reps = [lens_sum_rep(m, 0, 0.0) for m in (1, 2)]
+    reps += [lens_sum_rep(0, n, 0.0) for n in (1, 2, 3)]
+    reps += [lens_sum_rep(m, n, phi) for m in (1, 2) for n in (1, 2, 3)
+             for phi in (0.0, math.pi)]
+    assert {strata.classify_stratum(rep).i for rep in reps} == {1}
+    return LENS_SUM, reps, [1 / 35] * len(reps)
+
+
+def stabilized_lens_points(p, q):
+    """(splitting, reps, the torsion each keeps) of every glued point of
+    the lens(p, q) chart, under its stabilized splitting."""
+    chart = enumerate_moduli("lens", p=p, q=q)
+    glued = [i for i, label in enumerate(chart.labels) if label.i != 0]
+    return oracles.stabilized(lens_heegaard(p, q)), [
+        Representation(chart.presentation, x) for x in chart.images[glued]
+    ], [chart.torsions[i].value for i in glued]
+
+
+@pytest.mark.parametrize("points", [
+    lens_sum_points, lambda: stabilized_lens_points(5, 2),
+    lambda: stabilized_lens_points(7, 3)],
+    ids=["lens-sum", "lens(5,2)", "lens(7,3)"])
+def test_a_nielsen_move_keeps_every_stratum_1_torsion(points):
+    # another free basis of either handlebody glues the same manifold;
+    # at stratum 1 the line coefficient's handle d0 is zero, so no
+    # handle factor is missing from the torsion (ROADMAP item 15)
+    splitting, reps, want = points()
+    for t, w in zip(mv_torsions(splitting, reps), want, strict=True):
+        assert abs(t.value - w) <= NIELSEN_ULPS * np.spacing(w)
+    for move in NIELSEN_MOVES:
+        moved = oracles.nielsen(splitting, *move)
+        for t, w in zip(mv_torsions(moved, reps), want, strict=True):
+            assert abs(t.value - w) <= NIELSEN_ULPS * np.spacing(w), move
+
+
+def test_the_lens_sum_has_irreducible_points():
+    # the points the pin below reads are on stratum 3 and glue
+    for m, n in ((1, 1), (2, 3)):
+        rep = lens_sum_rep(m, n, math.pi / 3)
+        assert strata.classify_stratum(rep).i == 3
+        assert heegaard_mv_torsion(LENS_SUM, rep).value > 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 15: the glued torsion lacks the "
+                          "handle torsion factors")
+def test_a_nielsen_move_keeps_every_irreducible_torsion():
+    # x1 -> x1 x2 on handle 1 scales the torsion by that handle's d0
+    # volume ratio: 0.0238134 -> 0.0233304 at (m, n) = (1, 1) and
+    # 0.0494323 -> 0.0397221 at (2, 3), both at phi = pi/3
+    moved = oracles.nielsen(LENS_SUM, 1, 0, 1, 1)
+    for m, n in ((1, 1), (2, 3)):
+        rep = lens_sum_rep(m, n, math.pi / 3)
+        want = heegaard_mv_torsion(LENS_SUM, rep).value
+        t = heegaard_mv_torsion(moved, rep).value
+        assert abs(t - want) <= NIELSEN_ULPS * np.spacing(want), (m, n)
 
 
 def test_inconsistent_gluing_fails_at_its_own_point(monkeypatch):

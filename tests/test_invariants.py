@@ -429,7 +429,7 @@ def test_each_chart_is_a_fundamental_domain():
     for example, kwargs, count in _DOMAINS:
         chart = enumerate_moduli(example, **kwargs)
         assert len(chart) == count, (example, kwargs)
-        images = [rep.images for rep in chart.reps]
+        images = list(chart.images)
         assert oracles.conjugate_pairs(images) == [], (example, kwargs)
 
 
@@ -437,9 +437,9 @@ def test_the_trace_oracle_finds_a_conjugate_pair():
     # the law above is not vacuous: a conjugated copy of a chart point
     # is found, and so is the axis flip of a t3 point
     chart = enumerate_moduli("t3", samples=3)
-    rep = chart.reps[10]
+    rep = chart[10].rep
     q = su2.random_element(np.random.default_rng(4))
-    images = [r.images for r in chart.reps]
+    images = list(chart.images)
     assert oracles.conjugate_pairs(
         [*images, _conjugated(rep, q).images]) == [(10, len(chart))]
     flip = np.array([[w, -x, -y, -z] for w, x, y, z in rep.images])
@@ -490,9 +490,10 @@ def _picked(chart, rows, ids):
     def pick(column):
         return [column[i] for i in rows]
 
-    return Chart(ids, pick(chart.reps), pick(chart.labels), pick(chart.dims),
-                 pick(chart.weights), chart.fingerprints[rows],
-                 pick(chart.cs), pick(chart.torsions))
+    return Chart(ids, chart.presentation, chart.images[rows],
+                 pick(chart.labels), pick(chart.dims), pick(chart.weights),
+                 chart.fingerprints[rows], pick(chart.cs),
+                 pick(chart.torsions))
 
 
 def test_fingerprint_entry_updates_every_matching_point():
@@ -823,9 +824,9 @@ def _isolated(*points):
     rep = Representation.trivial(cyclic_group(1))
     n = len(points)
     ids, cs, torsions = zip(*points) if points else ((), (), ())
-    return Chart(ids, [rep] * n, [classify_stratum(rep)] * n, [0] * n,
-                 [1.0] * n, np.array([trace_fingerprint(rep)] * n,
-                                     ndmin=2), list(cs),
+    return Chart(ids, rep.presentation, np.array([rep.images] * n),
+                 [classify_stratum(rep)] * n, [0] * n, [1.0] * n,
+                 np.array([trace_fingerprint(rep)] * n, ndmin=2), list(cs),
                  [TorsionValue(t, math.log(t)) for t in torsions])
 
 

@@ -3,12 +3,14 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from su2strata import presentations, su2
 from su2strata.errors import (AntipodeError, PresentationError,
                               ResidualError)
+from su2strata.invariants import lens_heegaard
 from su2strata.presentations import (Presentation, Representation,
                                      Word, circle_times_surface_group,
                                      commutator, cyclic_group,
@@ -326,6 +328,46 @@ def test_long_word_stays_unit_and_matches_matrix_product():
         m = m @ (f if s > 0 else f.conj().T)
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12
     assert np.abs(got - oracles.quat_from_matrix(m)).max() < 1e-9
+
+
+@st.composite
+def unit_images_and_words(draw):
+    """Unit images of n = 1..4 generators, lone (n, 4) or stacked
+    (N, n, 4), and up to three words on them of up to 6 runs, each of
+    either sign and exponent up to 10^4."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    x = draw(arrays(np.float64, (*lead, n, 4), elements=st.floats(
+        -4.0, 4.0, allow_nan=False, allow_subnormal=False)))
+    x = x + np.copysign(0.5, x)         # no norm near zero
+    x /= np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
+    runs = st.lists(st.tuples(st.integers(-n, n).filter(bool),
+                              st.integers(1, 10**4)), max_size=6)
+    return x, tuple(draw(st.lists(runs.map(presentations._word),
+                                  min_size=1, max_size=3)))
+
+
+LENS = lens_heegaard(12007, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_images_and_words())
+@example((su2.exp(np.array([[0.3, 0.4, 0.5]])), (generator(0) ** 12007,)))
+@example((su2.exp(2 * np.pi / 12007 * np.array([1.0, 3001.0, 6003.0])[
+    :, None, None] * np.array([1.0, 0.0, 0.0])), (
+        *LENS.handle1_to_manifold, *LENS.handle2_to_manifold,
+        *LENS.surface_to_handle1, *LENS.surface_to_handle2)))
+def test_every_fold_of_unit_images_is_unit(case):
+    # every product a fold takes is renormalised, so a holonomy of unit
+    # images passes the unit gate: a chart's Heegaard stage, which folds
+    # gated images and then their handle holonomies, needs no gate
+    images, words = case
+    assert presentations._unit(images).all()
+    assert presentations._unit(
+        presentations._fold_words(images, words)[0]).all()
+    for word in words:
+        q = fox_fold(images, word)[0]
+        assert presentations._unit(q[..., None, :]).all()
 
 
 def test_polish_recovers_residual():
